@@ -7,6 +7,7 @@ package tahoedyn
 // must be byte-identical at any shard count and under arena reuse.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -114,5 +115,41 @@ func TestScenarioQueueBehaviorEndToEnd(t *testing.T) {
 	assertSameRun(t, serial, runShards(cfg, 2))
 	if serial.Goodput[2] == 0 {
 		t.Fatal("scenario-file CBR source delivered nothing")
+	}
+}
+
+// TestLegacyQueueStringsRunIdentity pins the one-surface contract at
+// run level: the "discard"/"discipline" strings are spelling only, so
+// a file using them produces the same Result, field for field, as the
+// file that says the same thing with a "queue" object — at 1 and 2
+// shards.
+func TestLegacyQueueStringsRunIdentity(t *testing.T) {
+	const body = `{"trunk_delay": "10ms", "buffer": 20, "seed": 5,
+  "conns": [{"src": 0, "dst": 1}, {"src": 1, "dst": 0}],
+  "warmup": "20s", "duration": "120s", `
+	for _, tc := range []struct{ name, legacy, queue string }{
+		{"fair-queue", `"discipline": "fair-queue"}`, `"queue": {"policy": "fair-queue"}}`},
+		{"random-drop", `"discard": "random-drop"}`, `"queue": {"policy": "random-drop"}}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			legacy, err := ParseScenario(strings.NewReader(body + tc.legacy))
+			if err != nil {
+				t.Fatal(err)
+			}
+			queue, err := ParseScenario(strings.NewReader(body + tc.queue))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2} {
+				a, b := runShards(legacy, k), runShards(queue, k)
+				if len(a.Drops) == 0 {
+					t.Fatal("no drops; the scenario is not exercising the discipline")
+				}
+				assertSameRun(t, a, b)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("shards=%d: Results differ outside the fields assertSameRun names", k)
+				}
+			}
+		})
 	}
 }

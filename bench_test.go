@@ -439,10 +439,13 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	if len(defs) != 25 {
 		t.Fatalf("registry has %d experiments, want 25", len(defs))
 	}
-	if _, err := Experiment("nope", ExpOptions{}); err == nil {
-		t.Fatal("unknown experiment did not error")
+	if _, err := Experiment("no-such-experiment", ExpOptions{}); err == nil || !strings.Contains(err.Error(), "no-such-experiment") {
+		t.Fatalf("unknown experiment: err = %v, want one naming it", err)
 	}
-	out := MustExperiment("oneway-smallpipe", ExpOptions{Scale: 0.2})
+	out, err := Experiment("oneway-smallpipe", ExpOptions{Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.ID != "oneway-smallpipe" {
 		t.Fatalf("outcome ID = %q", out.ID)
 	}

@@ -18,6 +18,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -321,9 +322,13 @@ func renderJobs(jobs []job, ro renderOptions) ([]*bytes.Buffer, []*tahoedyn.Outc
 	if ro.UseRunAll && len(jobs) > 0 {
 		copy(outs, tahoedyn.RunAllExperiments(jobs[0].opts))
 	} else {
+		errs := make([]error, len(jobs))
 		tahoedyn.ParallelDo(ro.Parallel, len(jobs), func(i int) {
-			outs[i] = tahoedyn.MustExperiment(jobs[i].name, jobs[i].opts)
+			outs[i], errs[i] = tahoedyn.Experiment(jobs[i].name, jobs[i].opts)
 		})
+		if err := errors.Join(errs...); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	rendered := make([]*bytes.Buffer, len(jobs))
@@ -399,10 +404,8 @@ func runScenarioFile(path string, width, height int, doPlot, lenient bool, prog 
 	// sort by time at build anyway).
 	cfg.Events = append(cfg.Events, events...)
 	if queue != nil {
-		// The flag replaces whatever the file chose, including the
-		// deprecated discard/discipline sugar.
+		// The flag replaces whatever the file chose.
 		cfg.Queue = queue
-		cfg.Discard, cfg.Discipline = tahoedyn.DropTailDiscard, tahoedyn.FIFODiscipline
 	}
 	if behavior != nil {
 		cfg.Behavior = behavior

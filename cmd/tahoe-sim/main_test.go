@@ -65,7 +65,10 @@ func TestRenderJobsRejectsUnknownExperiment(t *testing.T) {
 
 func TestWriteTSVCreatesFile(t *testing.T) {
 	dir := t.TempDir()
-	out := tahoedyn.MustExperiment("oneway-smallpipe", tahoedyn.ExpOptions{Scale: 0.1})
+	out, err := tahoedyn.Experiment("oneway-smallpipe", tahoedyn.ExpOptions{Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := writeTSV(dir, "smoke", out); err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ type runResult struct {
 
 func run(cfg tahoedyn.Config, fairQueue bool) runResult {
 	if fairQueue {
-		cfg.Discipline = tahoedyn.FairQueueDiscipline
+		cfg.Queue = &tahoedyn.QueueSpec{Policy: tahoedyn.QueuePolicyFairQueue}
 	}
 	cfg.Conns = []tahoedyn.ConnSpec{
 		{SrcHost: 0, DstHost: 1, Start: -1},

@@ -235,11 +235,17 @@ func TestExperimentObserver(t *testing.T) {
 		Every: 10 * time.Second,
 		Fn:    func(ProgressSnapshot) { samples.Add(1) },
 	}}
-	out := MustExperiment("oneway-smallpipe", opts)
+	out, err := Experiment("oneway-smallpipe", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if samples.Load() == 0 {
 		t.Fatal("Observer never fired")
 	}
-	plain := MustExperiment("oneway-smallpipe", ExpOptions{Scale: 0.2})
+	plain, err := Experiment("oneway-smallpipe", ExpOptions{Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(out.Metrics, plain.Metrics) {
 		t.Fatal("Observer changed the experiment's metrics")
 	}

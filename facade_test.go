@@ -62,25 +62,15 @@ func TestFacadeAnalysisHelpers(t *testing.T) {
 	if got := len(Epochs(nil, time.Second)); got != 0 {
 		t.Fatalf("empty epochs = %d", got)
 	}
-	// Discipline/discard constants are wired to core.
+	// The queue surface is wired to core.
 	cfg := Dumbbell(10*time.Millisecond, 20)
-	cfg.Discipline = FairQueueDiscipline
-	cfg.Discard = DropTailDiscard
+	cfg.Queue = &QueueSpec{Policy: QueuePolicyFairQueue}
 	cfg.Conns = []ConnSpec{{SrcHost: 0, DstHost: 1, Start: 0}}
 	cfg.Warmup = 5 * time.Second
 	cfg.Duration = 20 * time.Second
 	if res := Run(cfg); res.Goodput[0] == 0 {
 		t.Fatal("FQ facade run produced no goodput")
 	}
-}
-
-func TestFacadeMustExperimentPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustExperiment did not panic")
-		}
-	}()
-	MustExperiment("no-such-experiment", ExpOptions{})
 }
 
 // ParseTopoSpec is the one-flag topology helper both CLIs build on.

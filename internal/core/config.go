@@ -46,35 +46,6 @@ func SetDefaultShards(n int) {
 	defaultShards = n
 }
 
-// Discard selects the switch overflow policy of the legacy enum
-// surface. New configurations should prefer Config.Queue, which
-// subsumes both Discard and Discipline; the enums remain because the
-// byte-identity contract pins their construction path (including its
-// shared-RNG draw order) exactly.
-type Discard uint8
-
-// Discard policies for Config.Discard.
-const (
-	// DropTail discards arrivals at a full buffer (the paper's switches).
-	DropTail Discard = iota
-	// RandomDrop evicts a uniformly chosen buffered packet instead — the
-	// gateway discipline of the studies the paper cites in §1.
-	RandomDrop
-)
-
-// Discipline selects the switch service order of the legacy enum
-// surface; prefer Config.Queue.
-type Discipline uint8
-
-// Service disciplines for Config.Discipline.
-const (
-	// FIFO is first-in-first-out service (the paper's switches).
-	FIFO Discipline = iota
-	// FairQueue is per-connection self-clocked fair queueing — the
-	// discipline of the Fair Queueing studies the paper cites in §1.
-	FairQueue
-)
-
 // Paper parameter defaults (§2.2).
 const (
 	// DefaultTrunkBandwidth is the bottleneck line rate: 50 Kbps.
@@ -311,17 +282,11 @@ type Config struct {
 	AccessDelay     time.Duration
 	// HostProcessing is the per-packet host processing time.
 	HostProcessing time.Duration
-	// Discard is the switch overflow policy (DropTail by default).
-	// Deprecated surface: prefer Queue, which subsumes it.
-	Discard Discard
-	// Discipline is the switch service order (FIFO by default).
-	// Deprecated surface: prefer Queue, which subsumes it.
-	Discipline Discipline
-	// Queue, when non-nil, selects the queue discipline of every switch
-	// output port (trunk ports and switch→host access ports), superseding
-	// the Discard/Discipline pair. Stochastic policies (random-drop, red)
-	// draw from per-port RNG streams derived from Seed, so results are
-	// identical at every shard count.
+	// Queue selects the queue discipline of every switch output port
+	// (trunk ports and switch→host access ports); nil is the paper's
+	// drop-tail FIFO. Stochastic policies (random-drop, red) draw from
+	// per-port RNG streams derived from Seed, so results are identical
+	// at every shard count.
 	Queue *link.QueueSpec
 	// LinkQueue overrides Queue per topology link index (both directions
 	// of that trunk).
@@ -503,9 +468,6 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("core: negative AckSize")
 	}
 	if c.Queue != nil {
-		if c.Discard != DropTail || c.Discipline != FIFO {
-			return fmt.Errorf("core: Queue and the legacy Discard/Discipline enums are both set; pick one surface")
-		}
 		if err := c.Queue.Validate(); err != nil {
 			return fmt.Errorf("core: queue: %w", err)
 		}
@@ -566,6 +528,9 @@ func (c *Config) normalize() error {
 	}
 	if len(c.Conns) == 0 {
 		return fmt.Errorf("core: no connections configured")
+	}
+	if c.Obs != nil && c.Obs.Trace != nil && c.Obs.Trace.Sink == nil {
+		return fmt.Errorf("core: Obs.Trace set without a Sink")
 	}
 	for _, k := range c.MeasureConns {
 		if k < 0 || k >= len(c.Conns) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"tahoedyn/internal/link"
 	"tahoedyn/internal/packet"
 )
 
@@ -31,7 +32,7 @@ func TestGoodputSnapshotsAtWarmup(t *testing.T) {
 
 func TestRandomDropScenarioRuns(t *testing.T) {
 	cfg := oneWayConfig(10*time.Millisecond, 3)
-	cfg.Discard = RandomDrop
+	cfg.Queue = &link.QueueSpec{Policy: link.PolicyRandomDrop}
 	cfg.Warmup = 50 * time.Second
 	cfg.Duration = 250 * time.Second
 	res := Run(cfg)
@@ -46,11 +47,11 @@ func TestRandomDropScenarioRuns(t *testing.T) {
 	if res2.Events != res.Events || len(res2.Drops) != len(res.Drops) {
 		t.Fatal("random-drop runs are not reproducible")
 	}
-	// Unlike drop-tail, random drop sometimes evicts mid-queue packets:
-	// the dropped sequence numbers are not always the most recent
-	// arrival. (Weak check: at least the scenario uses the policy.)
-	if cfg.Discard != RandomDrop {
-		t.Fatal("config lost the discard policy")
+	// Unlike drop-tail, random drop sometimes evicts mid-queue packets,
+	// so the run must differ from the drop-tail one.
+	cfg.Queue = nil
+	if tail := Run(cfg); tail.Events == res.Events && len(tail.Drops) == len(res.Drops) {
+		t.Fatal("random-drop run is indistinguishable from drop-tail")
 	}
 }
 

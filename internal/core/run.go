@@ -637,9 +637,6 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		}
 		var to obs.TraceOptions
 		if obsOpts.Trace != nil {
-			if obsOpts.Trace.Sink == nil {
-				return nil, fmt.Errorf("core: Obs.Trace set without a Sink")
-			}
 			to = *obsOpts.Trace
 		}
 		if to.Filter != (obs.Filter{}) && !o.NoConservation {
@@ -671,9 +668,6 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 	)
 	if cfg.Obs != nil {
 		if cfg.Obs.Trace != nil {
-			if cfg.Obs.Trace.Sink == nil {
-				return nil, fmt.Errorf("core: Obs.Trace set without a Sink")
-			}
 			if K > 1 {
 				// Every region traces into its own ring; the merger
 				// reassembles one time-ordered stream for the user's sink
@@ -768,37 +762,10 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 	// Host <-> switch access links. The host's own interface buffer is
 	// unbounded (a source may always burst into its own NIC); the
 	// switch's port toward the host uses the switch buffer, per §2.2.
-	// portRand derives an independent, reproducible RNG per switch port
-	// for the RandomDrop policy. Port creation order — host access ports
-	// in host order, then trunk ports in link order, forward direction
-	// first — is part of the determinism contract: it fixes the RNG
-	// draw sequence.
-	portRand := func() *rand.Rand {
-		if cfg.Discard != RandomDrop {
-			return nil
-		}
-		return rand.New(rand.NewSource(rng.Int63()))
-	}
-	// legacyDisc builds a discipline from the deprecated enum pair. The
-	// portRand draw happens for every legacy port when Discard is
-	// RandomDrop — even under FairQueue, which ignores the source —
-	// because that shared-RNG draw sequence predates per-entity seeding
-	// and is pinned by the byte-identity contract (it shifts the random
-	// connection start times that follow).
-	legacyDisc := func() link.Disc {
-		rd := portRand()
-		if cfg.Discipline == FairQueue {
-			return link.NewFQ()
-		}
-		if cfg.Discard == RandomDrop {
-			return link.NewRandomDrop(rd)
-		}
-		return nil // NewPort defaults to drop-tail
-	}
 	// queueSpecFor resolves a port's queue spec: the per-link override,
-	// then the global Queue, then nil (the legacy enum path). li is the
-	// topology link index, or -1 for switch→host access ports, which
-	// take only the global spec.
+	// then the global Queue, then nil (drop-tail). li is the topology
+	// link index, or -1 for switch→host access ports, which take only
+	// the global spec.
 	queueSpecFor := func(li int) *link.QueueSpec {
 		if li >= 0 && cfg.LinkQueue != nil {
 			if qs := cfg.LinkQueue[li]; qs != nil {
@@ -809,13 +776,14 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 	}
 	// discFor builds the discipline for the port with stable entity
 	// index ent (host down-ports in host order, then trunk ports as
-	// nh + 2·link + dir). Spec-path stochastic policies get their own
-	// entitySeed stream instead of a shared-RNG draw, which is what
-	// keeps them deterministic across shard counts.
+	// nh + 2·link + dir). A nil spec returns nil: NewPort's drop-tail
+	// default, with no allocation here and no RNG draw. Stochastic
+	// policies get their own entitySeed stream rather than a shared-RNG
+	// draw, which is what keeps them deterministic across shard counts.
 	discFor := func(li, ent int) (link.Disc, error) {
 		qs := queueSpecFor(li)
 		if qs == nil {
-			return legacyDisc(), nil
+			return nil, nil
 		}
 		var r *rand.Rand
 		if qs.NeedsRand() {

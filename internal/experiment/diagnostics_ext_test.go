@@ -8,6 +8,7 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
+	"tahoedyn/internal/link"
 	"tahoedyn/internal/packet"
 )
 
@@ -40,11 +41,11 @@ func TestProbeRandomDrop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probe")
 	}
-	for _, disc := range []core.Discard{core.DropTail, core.RandomDrop} {
+	for _, disc := range []string{link.PolicyDropTail, link.PolicyRandomDrop} {
 		// One-way, 3 connections: compare loss synchronization and
 		// fairness.
 		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, 1)
-		cfg.Discard = disc
+		cfg.Queue = &link.QueueSpec{Policy: disc}
 		cfg.Warmup = 200 * time.Second
 		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
@@ -60,7 +61,7 @@ func TestProbeRandomDrop(t *testing.T) {
 
 		// Two-way small pipe.
 		cfg2 := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, 1)
-		cfg2.Discard = disc
+		cfg2.Queue = &link.QueueSpec{Policy: disc}
 		cfg2.Warmup = 200 * time.Second
 		cfg2.Duration = 800 * time.Second
 		res2 := core.Run(cfg2)

@@ -6,6 +6,7 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
+	"tahoedyn/internal/link"
 )
 
 func TestProbeFairQueue(t *testing.T) {
@@ -13,9 +14,9 @@ func TestProbeFairQueue(t *testing.T) {
 		t.Skip("probe")
 	}
 	// Two-way 1+1 small pipe: FIFO vs FQ.
-	for _, disc := range []core.Discipline{core.FIFO, core.FairQueue} {
+	for _, disc := range []string{link.PolicyDropTail, link.PolicyFairQueue} {
 		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, 1)
-		cfg.Discipline = disc
+		cfg.Queue = &link.QueueSpec{Policy: disc}
 		cfg.Warmup = 200 * time.Second
 		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
@@ -26,9 +27,9 @@ func TestProbeFairQueue(t *testing.T) {
 			analysis.JainIndex(res.Goodput), len(dropsAfter(res.Drops, cfg.Warmup)))
 	}
 	// One-way unequal RTT: FIFO vs FQ fairness.
-	for _, disc := range []core.Discipline{core.FIFO, core.FairQueue} {
+	for _, disc := range []string{link.PolicyDropTail, link.PolicyFairQueue} {
 		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, 1)
-		cfg.Discipline = disc
+		cfg.Queue = &link.QueueSpec{Policy: disc}
 		cfg.Conns[1].ExtraDelay = 400 * time.Millisecond
 		cfg.Conns[2].ExtraDelay = 800 * time.Millisecond
 		cfg.Warmup = 200 * time.Second

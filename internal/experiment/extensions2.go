@@ -6,6 +6,7 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
+	"tahoedyn/internal/link"
 	"tahoedyn/internal/packet"
 	"tahoedyn/internal/trace"
 )
@@ -69,15 +70,16 @@ func RenoTwoWay(opts Options) *Outcome {
 // (a uniformly chosen victim rarely hits every connection in the same
 // epoch) and removes drop-tail's structural ACK immunity.
 func RandomDropStudy(opts Options) *Outcome {
-	runOneWay := func(d core.Discard) *core.Result {
+	randomDrop := &link.QueueSpec{Policy: link.PolicyRandomDrop}
+	runOneWay := func(q *link.QueueSpec) *core.Result {
 		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, opts.seed())
-		cfg.Discard = d
+		cfg.Queue = q
 		cfg.Warmup = opts.scale(200 * time.Second)
 		cfg.Duration = opts.scale(800 * time.Second)
 		return runCore(opts, cfg)
 	}
-	tail := runOneWay(core.DropTail)
-	random := runOneWay(core.RandomDrop)
+	tail := runOneWay(nil)
+	random := runOneWay(randomDrop)
 
 	allLose := func(res *core.Result) (int, int) {
 		epochs := measuredEpochs(res, 10*time.Second)
@@ -94,7 +96,7 @@ func RandomDropStudy(opts Options) *Outcome {
 
 	// Two-way: do ACKs get dropped now?
 	cfg2 := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, opts.seed())
-	cfg2.Discard = core.RandomDrop
+	cfg2.Queue = randomDrop
 	cfg2.Warmup = opts.scale(200 * time.Second)
 	cfg2.Duration = opts.scale(800 * time.Second)
 	twoWay := runCore(opts, cfg2)

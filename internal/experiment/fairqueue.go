@@ -6,6 +6,7 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
+	"tahoedyn/internal/link"
 	"tahoedyn/internal/trace"
 )
 
@@ -17,27 +18,28 @@ import (
 // square-wave fluctuations, and the out-of-phase idle time all vanish —
 // and unequal-RTT unfairness is repaired.
 func FairQueueStudy(opts Options) *Outcome {
-	twoWay := func(d core.Discipline) *core.Result {
+	fairQueue := &link.QueueSpec{Policy: link.PolicyFairQueue}
+	twoWay := func(q *link.QueueSpec) *core.Result {
 		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, opts.seed())
-		cfg.Discipline = d
+		cfg.Queue = q
 		cfg.Warmup = opts.scale(200 * time.Second)
 		cfg.Duration = opts.scale(800 * time.Second)
 		return runCore(opts, cfg)
 	}
-	fifo := twoWay(core.FIFO)
-	fq := twoWay(core.FairQueue)
+	fifo := twoWay(nil)
+	fq := twoWay(fairQueue)
 
-	unequal := func(d core.Discipline) *core.Result {
+	unequal := func(q *link.QueueSpec) *core.Result {
 		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, opts.seed())
-		cfg.Discipline = d
+		cfg.Queue = q
 		cfg.Conns[1].ExtraDelay = 400 * time.Millisecond
 		cfg.Conns[2].ExtraDelay = 800 * time.Millisecond
 		cfg.Warmup = opts.scale(200 * time.Second)
 		cfg.Duration = opts.scale(800 * time.Second)
 		return runCore(opts, cfg)
 	}
-	uFIFO := unequal(core.FIFO)
-	uFQ := unequal(core.FairQueue)
+	uFIFO := unequal(nil)
+	uFQ := unequal(fairQueue)
 
 	compFIFO := compression(fifo, 0)
 	compFQ := compression(fq, 0)

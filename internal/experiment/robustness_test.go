@@ -11,6 +11,7 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
+	"tahoedyn/internal/link"
 )
 
 var robustnessSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -99,7 +100,7 @@ func TestFairQueueCureHoldsAcrossSeeds(t *testing.T) {
 	}
 	for _, seed := range robustnessSeeds[:5] {
 		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, seed)
-		cfg.Discipline = core.FairQueue
+		cfg.Queue = &link.QueueSpec{Policy: link.PolicyFairQueue}
 		cfg.Warmup = 200 * time.Second
 		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)

@@ -5,13 +5,11 @@ import (
 	"time"
 
 	"tahoedyn/internal/packet"
-	"tahoedyn/internal/queue"
 )
 
 // Disc is a queue discipline: the policy deciding which arriving
 // packets enter a port's buffer, which buffered packet is served next,
-// and which packet pays for an overflow. It subsumes what used to be
-// the Discard enum plus the FIFO/FairQueue special-casing inside Port.
+// and which packet pays for an overflow.
 //
 // A discipline owns only the *waiting* packets. The packet currently
 // being serialized onto the line is held by the port itself and is
@@ -63,46 +61,35 @@ type DiscHost interface {
 	NominalTx(sizeBytes int) time.Duration
 }
 
-// fifoBacked is implemented by disciplines whose waiting packets live
-// in a single FIFO, exposing it for analysis (Port.Queue).
-type fifoBacked interface {
-	fifo() *queue.FIFO
-}
-
 // DropTail is the paper's discipline: FIFO service, arrivals at a full
 // buffer are discarded.
 type DropTail struct {
 	h DiscHost
-	q *queue.FIFO
+	q fifo
 }
 
 // NewDropTail returns the default drop-tail FIFO discipline.
 func NewDropTail() *DropTail { return &DropTail{} }
 
 // Bind implements Disc.
-func (d *DropTail) Bind(h DiscHost) {
-	d.h = h
-	d.q = queue.New(capFor(h))
-}
+func (d *DropTail) Bind(h DiscHost) { d.h = h }
 
 // Len implements Disc.
-func (d *DropTail) Len() int { return d.q.Len() }
+func (d *DropTail) Len() int { return d.q.len() }
 
 // Admit implements Disc: reject the arrival iff the buffer (waiting
 // plus in-service) is at capacity.
 func (d *DropTail) Admit(p *packet.Packet) bool {
-	if c := d.h.Capacity(); c > 0 && d.q.Len()+d.h.InService() >= c {
+	if c := d.h.Capacity(); c > 0 && d.q.len()+d.h.InService() >= c {
 		d.h.Drop(p)
 		return false
 	}
-	d.q.Push(p)
+	d.q.push(p)
 	return true
 }
 
 // Dequeue implements Disc.
-func (d *DropTail) Dequeue() *packet.Packet { return d.q.Pop() }
-
-func (d *DropTail) fifo() *queue.FIFO { return d.q }
+func (d *DropTail) Dequeue() *packet.Packet { return d.q.pop() }
 
 // RandomDropDisc is the Random Drop gateway discipline of the studies
 // the paper cites in §1: on overflow a uniform choice among the
@@ -110,7 +97,7 @@ func (d *DropTail) fifo() *queue.FIFO { return d.q }
 // is never evicted. Service stays FIFO.
 type RandomDropDisc struct {
 	h   DiscHost
-	q   *queue.FIFO
+	q   fifo
 	rng *rand.Rand
 }
 
@@ -124,44 +111,28 @@ func NewRandomDrop(rng *rand.Rand) *RandomDropDisc {
 }
 
 // Bind implements Disc.
-func (d *RandomDropDisc) Bind(h DiscHost) {
-	d.h = h
-	d.q = queue.New(capFor(h))
-}
+func (d *RandomDropDisc) Bind(h DiscHost) { d.h = h }
 
 // Len implements Disc.
-func (d *RandomDropDisc) Len() int { return d.q.Len() }
+func (d *RandomDropDisc) Len() int { return d.q.len() }
 
 // Admit implements Disc. The draw is Intn(waiting+1): index `waiting`
 // means the arrival itself is the victim.
 func (d *RandomDropDisc) Admit(p *packet.Packet) bool {
-	if c := d.h.Capacity(); c > 0 && d.q.Len()+d.h.InService() >= c {
-		evictable := d.q.Len()
+	if c := d.h.Capacity(); c > 0 && d.q.len()+d.h.InService() >= c {
+		evictable := d.q.len()
 		pick := d.rng.Intn(evictable + 1)
 		if pick >= evictable {
 			d.h.Drop(p)
 			return false
 		}
-		victim := d.q.RemoveAt(pick)
+		victim := d.q.removeAt(pick)
 		d.h.Drop(victim)
 		// The arrival now fits.
 	}
-	d.q.Push(p)
+	d.q.push(p)
 	return true
 }
 
 // Dequeue implements Disc.
-func (d *RandomDropDisc) Dequeue() *packet.Packet { return d.q.Pop() }
-
-func (d *RandomDropDisc) fifo() *queue.FIFO { return d.q }
-
-// capFor sizes a discipline's waiting-packet FIFO: the in-service
-// packet lives outside the discipline, so `capacity` waiting slots
-// always suffice (and 0 stays unbounded).
-func capFor(h DiscHost) int {
-	c := h.Capacity()
-	if c < 0 {
-		return 0
-	}
-	return c
-}
+func (d *RandomDropDisc) Dequeue() *packet.Packet { return d.q.pop() }

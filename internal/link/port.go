@@ -22,7 +22,6 @@ import (
 
 	"tahoedyn/internal/obs"
 	"tahoedyn/internal/packet"
-	"tahoedyn/internal/queue"
 	"tahoedyn/internal/sim"
 )
 
@@ -157,16 +156,6 @@ func (pt *Port) QueueLen() int {
 		n++
 	}
 	return n
-}
-
-// Queue exposes the waiting-packet FIFO for analysis (clustering
-// inspection). It is nil for disciplines without a single FIFO (fair
-// queueing). The in-service packet is held by the port, not the FIFO.
-func (pt *Port) Queue() *queue.FIFO {
-	if fb, ok := pt.disc.(fifoBacked); ok {
-		return fb.fifo()
-	}
-	return nil
 }
 
 // Stats returns a copy of the port counters.

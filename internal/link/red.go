@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tahoedyn/internal/packet"
-	"tahoedyn/internal/queue"
 )
 
 // REDConfig parameterizes Random Early Detection (Floyd & Jacobson,
@@ -70,7 +69,7 @@ func (c *REDConfig) validate() error {
 // serial drop sequence exactly.
 type RED struct {
 	h   DiscHost
-	q   *queue.FIFO
+	q   fifo
 	cfg REDConfig
 	rng *rand.Rand
 
@@ -100,17 +99,14 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 }
 
 // Bind implements Disc.
-func (d *RED) Bind(h DiscHost) {
-	d.h = h
-	d.q = queue.New(capFor(h))
-}
+func (d *RED) Bind(h DiscHost) { d.h = h }
 
 // Len implements Disc.
-func (d *RED) Len() int { return d.q.Len() }
+func (d *RED) Len() int { return d.q.len() }
 
 // Admit implements Disc.
 func (d *RED) Admit(p *packet.Packet) bool {
-	total := d.q.Len() + d.h.InService()
+	total := d.q.len() + d.h.InService()
 	now := d.h.Now()
 	if total == 0 {
 		// Arrival to an idle link: decay the average across the idle
@@ -150,18 +146,16 @@ func (d *RED) Admit(p *packet.Packet) bool {
 		d.h.Drop(p)
 		return false
 	}
-	d.q.Push(p)
+	d.q.push(p)
 	return true
 }
 
 // Dequeue implements Disc.
 func (d *RED) Dequeue() *packet.Packet {
-	p := d.q.Pop()
+	p := d.q.pop()
 	if p != nil {
 		d.typTx = d.h.NominalTx(p.Size)
 		d.busyEnd = d.h.Now() + d.typTx
 	}
 	return p
 }
-
-func (d *RED) fifo() *queue.FIFO { return d.q }

@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -197,20 +199,29 @@ func TestExtensionsParseErrors(t *testing.T) {
 	}
 }
 
-// TestLegacyStringsStillParse pins the deprecated discard/discipline
-// sugar: old spellings keep working and land in the legacy enums, not
-// the structured Queue surface.
+// TestLegacyStringsStillParse pins the discard/discipline sugar as
+// pure spelling on a file users actually have: the shipped
+// fairqueue-twoway.json, which uses the old string, parses to exactly
+// the Config its structured "queue" spelling parses to.
 func TestLegacyStringsStillParse(t *testing.T) {
-	j := `{"trunk_delay":"1s","buffer":20,"discard":"random-drop","discipline":"fair-queue",
-	       "conns":[{"src":0,"dst":1}]}`
-	cfg, err := Parse(strings.NewReader(j))
+	shipped, err := os.ReadFile("../../scenarios/fairqueue-twoway.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Discard != core.RandomDrop || cfg.Discipline != core.FairQueue {
-		t.Fatalf("legacy enums = %v/%v, want RandomDrop/FairQueue", cfg.Discard, cfg.Discipline)
+	legacy := string(shipped)
+	modern := strings.Replace(legacy, `"discipline": "fair-queue"`, `"queue": {"policy": "fair-queue"}`, 1)
+	if modern == legacy {
+		t.Fatal("shipped fairqueue-twoway.json no longer uses the legacy string; pick another file")
 	}
-	if cfg.Queue != nil {
-		t.Fatalf("legacy strings populated Queue = %+v; they must stay on the enum surface", cfg.Queue)
+	old, err := Parse(strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := Parse(strings.NewReader(modern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Queue == nil || !reflect.DeepEqual(old, cur) {
+		t.Errorf("legacy spelling parsed to a different Config:\n%+v\nvs\n%+v", old, cur)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -44,15 +45,14 @@ type File struct {
 	AccessBandwidth int64  `json:"access_bandwidth,omitempty"`
 	AccessDelay     string `json:"access_delay,omitempty"`
 	HostProcessing  string `json:"host_processing,omitempty"`
-	// Discard is "drop-tail" (default) or "random-drop". Deprecated
-	// sugar for the structured Queue object; kept for old files.
-	Discard string `json:"discard,omitempty"`
-	// Discipline is "fifo" (default) or "fair-queue". Deprecated sugar
-	// for Queue, like Discard.
+	// Discard ("drop-tail" default, or "random-drop") and Discipline
+	// ("fifo" default, or "fair-queue") are input sugar for Queue, kept
+	// so old files load: the pair maps to one queue policy, fair-queue
+	// winning over random-drop.
+	Discard    string `json:"discard,omitempty"`
 	Discipline string `json:"discipline,omitempty"`
-	// Queue selects the queue discipline of every switch output port:
-	// the structured successor of Discard/Discipline. Setting it
-	// alongside a non-default Discard/Discipline is an error.
+	// Queue selects the queue discipline of every switch output port.
+	// Setting it alongside Discard/Discipline is an error.
 	Queue *Queue `json:"queue,omitempty"`
 	// Behavior applies a link behavior (stochastic loss, jitter,
 	// trace-driven rate replay) to every trunk port.
@@ -60,9 +60,8 @@ type File struct {
 	// DataSize/AckSize in bytes; zero DataSize means 500. AckSize is a
 	// pointer so that an explicit 0 (the zero-length-ACK conjecture
 	// experiments) is distinguishable from "omitted, use the paper's 50".
-	// (The pre-pointer spelling "ack_size_zero" is gone: the strict
-	// parser rejects it with a migration hint, the lenient parser still
-	// maps it to "ack_size": 0.)
+	// (The pre-pointer spelling "ack_size_zero" is gone: strict and
+	// lenient parsing both reject it with a migration hint.)
 	DataSize int  `json:"data_size,omitempty"`
 	AckSize  *int `json:"ack_size,omitempty"`
 
@@ -241,10 +240,6 @@ func Decode(r io.Reader) (*File, error) {
 	if len(unknown) > 0 {
 		errs := make([]error, len(unknown))
 		for i, path := range unknown {
-			if path == "ack_size_zero" {
-				errs[i] = fmt.Errorf("scenario: field \"ack_size_zero\" was removed; write \"ack_size\": 0 instead")
-				continue
-			}
 			errs[i] = fmt.Errorf("scenario: unknown field %q", path)
 		}
 		return nil, errors.Join(errs...)
@@ -255,7 +250,8 @@ func Decode(r io.Reader) (*File, error) {
 // DecodeLenient reads a JSON scenario file, ignoring unknown fields
 // instead of rejecting them. The paths of the ignored fields are
 // returned so callers can warn (tahoe-sim -lenient prints them to
-// stderr). Syntax and type errors are still errors.
+// stderr). Syntax and type errors are still errors, and so is the
+// removed "ack_size_zero" field.
 func DecodeLenient(r io.Reader) (*File, []string, error) {
 	return decode(r)
 }
@@ -277,15 +273,11 @@ func decode(r io.Reader) (*File, []string, error) {
 	}
 	var unknown []string
 	unknownFields(reflect.TypeOf(File{}), doc, "", &unknown)
-	// Legacy mapping for the lenient path: the removed "ack_size_zero"
-	// boolean still loads as "ack_size": 0. It stays in the unknown list,
-	// so strict decoding rejects it (with a migration hint) and lenient
-	// callers see it among the ignored paths they warn about.
-	if m, ok := doc.(map[string]any); ok {
-		if v, ok := m["ack_size_zero"].(bool); ok && v && f.AckSize == nil {
-			zero := 0
-			f.AckSize = &zero
-		}
+	// The removed "ack_size_zero" boolean is an error on the lenient
+	// path too: ignoring it would silently run an old file with 50-byte
+	// ACKs instead of zero-length ones.
+	if slices.Contains(unknown, "ack_size_zero") {
+		return nil, nil, errors.New(`scenario: field "ack_size_zero" was removed; write "ack_size": 0 instead`)
 	}
 	return &f, unknown, nil
 }
@@ -437,19 +429,20 @@ func (f *File) Config() (core.Config, error) {
 	if cfg.Duration, err = parseDur("duration", f.Duration, 600*time.Second); err != nil {
 		return cfg, err
 	}
+	// The legacy strings are sugar for a QueueSpec. Fair queueing wins
+	// over random-drop (it never used the random source); the drop-tail
+	// FIFO pair stays nil, core's default.
 	switch f.Discard {
-	case "", "drop-tail":
-		cfg.Discard = core.DropTail
-	case "random-drop":
-		cfg.Discard = core.RandomDrop
+	case "", link.PolicyDropTail:
+	case link.PolicyRandomDrop:
+		cfg.Queue = &link.QueueSpec{Policy: link.PolicyRandomDrop}
 	default:
 		return cfg, fmt.Errorf("scenario: unknown discard %q", f.Discard)
 	}
 	switch f.Discipline {
 	case "", "fifo":
-		cfg.Discipline = core.FIFO
-	case "fair-queue":
-		cfg.Discipline = core.FairQueue
+	case link.PolicyFairQueue:
+		cfg.Queue = &link.QueueSpec{Policy: link.PolicyFairQueue}
 	default:
 		return cfg, fmt.Errorf("scenario: unknown discipline %q", f.Discipline)
 	}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"tahoedyn/internal/core"
+	"tahoedyn/internal/link"
 )
 
 const twoWayJSON = `{
@@ -121,15 +123,36 @@ func TestParseEvents(t *testing.T) {
 	}
 }
 
+// TestParsePolicies pins the legacy-string mapping: every
+// (discard, discipline) pair lands on Config.Queue — nil for the
+// drop-tail FIFO default, fair-queue winning over random-drop.
 func TestParsePolicies(t *testing.T) {
-	j := `{"trunk_delay":"1s","buffer":30,"discard":"random-drop","discipline":"fair-queue",
-	       "conns":[{"src":0,"dst":1}]}`
-	cfg, err := Parse(strings.NewReader(j))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Discard != core.RandomDrop || cfg.Discipline != core.FairQueue {
-		t.Fatalf("policies = %v/%v", cfg.Discard, cfg.Discipline)
+	discards := map[string]string{"": "", "drop-tail": "", "random-drop": link.PolicyRandomDrop}
+	disciplines := map[string]string{"": "", "fifo": "", "fair-queue": link.PolicyFairQueue}
+	for discard, fromDiscard := range discards {
+		for discipline, want := range disciplines {
+			if want == "" {
+				want = fromDiscard
+			}
+			j := `{"trunk_delay":"1s","buffer":30,"conns":[{"src":0,"dst":1}]`
+			if discard != "" {
+				j += `,"discard":"` + discard + `"`
+			}
+			if discipline != "" {
+				j += `,"discipline":"` + discipline + `"`
+			}
+			cfg, err := Parse(strings.NewReader(j + "}"))
+			if err != nil {
+				t.Fatalf("discard=%q discipline=%q: %v", discard, discipline, err)
+			}
+			var wantSpec *link.QueueSpec
+			if want != "" {
+				wantSpec = &link.QueueSpec{Policy: want}
+			}
+			if !reflect.DeepEqual(cfg.Queue, wantSpec) {
+				t.Errorf("discard=%q discipline=%q: Queue = %+v, want policy %q", discard, discipline, cfg.Queue, want)
+			}
+		}
 	}
 }
 
@@ -145,8 +168,9 @@ func TestParseZeroAck(t *testing.T) {
 	if cfg.AckSize != 0 {
 		t.Fatalf("AckSize = %d, want 0", cfg.AckSize)
 	}
-	// The removed pre-pointer spelling is rejected by the strict parser
-	// with a migration hint, but the lenient parser still maps it.
+	// The removed pre-pointer spelling is rejected with a migration
+	// hint — by the lenient parser too: ignoring it would run the file
+	// with 50-byte ACKs.
 	j = `{"trunk_delay":"1s","buffer":0,"ack_size_zero":true,
 	       "conns":[{"src":0,"dst":1,"fixed_wnd":30}]}`
 	if _, err = Parse(strings.NewReader(j)); err == nil {
@@ -154,11 +178,8 @@ func TestParseZeroAck(t *testing.T) {
 	} else if !strings.Contains(err.Error(), `"ack_size": 0`) {
 		t.Fatalf("ack_size_zero rejection lacks migration hint: %v", err)
 	}
-	if cfg, _, err = ParseLenient(strings.NewReader(j)); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.AckSize != 0 {
-		t.Fatalf("legacy AckSize = %d, want 0", cfg.AckSize)
+	if _, _, err = ParseLenient(strings.NewReader(j)); err == nil || !strings.Contains(err.Error(), `"ack_size": 0`) {
+		t.Fatalf("lenient parse of ack_size_zero: err = %v, want the migration hint", err)
 	}
 	// An explicit nonzero ack_size wins over everything.
 	j = `{"trunk_delay":"1s","buffer":0,"ack_size":40,
@@ -496,6 +517,14 @@ func TestDecodeLenient(t *testing.T) {
 	// Strict Parse must reject the same bytes.
 	if _, err := Parse(strings.NewReader(in)); err == nil {
 		t.Fatal("strict Parse accepted unknown fields")
+	}
+	// Leniency stops at the removed "ack_size_zero": it is an error, not
+	// a warning, with the same hint the strict path gives.
+	removed := strings.Replace(in, `"bufer": 20`, `"ack_size_zero": true`, 1)
+	_, strictErr := Decode(strings.NewReader(removed))
+	_, _, err = DecodeLenient(strings.NewReader(removed))
+	if err == nil || strictErr == nil || err.Error() != strictErr.Error() {
+		t.Fatalf("lenient ack_size_zero error = %v, want the strict path's %v", err, strictErr)
 	}
 }
 

@@ -18,7 +18,10 @@
 //
 // Or run a paper experiment by name:
 //
-//	out := tahoedyn.MustExperiment("fig4-5", tahoedyn.ExpOptions{})
+//	out, err := tahoedyn.Experiment("fig4-5", tahoedyn.ExpOptions{})
+//	if err != nil {
+//	    log.Fatal(err)
+//	}
 //	out.WriteText(os.Stdout)
 package tahoedyn
 
@@ -115,22 +118,6 @@ const (
 	PhaseIn    = analysis.PhaseIn
 	PhaseOut   = analysis.PhaseOut
 	PhaseMixed = analysis.PhaseMixed
-)
-
-// Switch policy constants for Config.Discard and Config.Discipline.
-//
-// Deprecated: the enum pair survives as sugar over the structured
-// Config.Queue surface; prefer a QueueSpec, which also covers RED.
-const (
-	// DropTailDiscard discards arrivals at a full buffer (the paper's
-	// switches).
-	DropTailDiscard = core.DropTail
-	// RandomDropDiscard evicts a uniformly chosen buffered packet.
-	RandomDropDiscard = core.RandomDrop
-	// FIFODiscipline is first-in-first-out service.
-	FIFODiscipline = core.FIFO
-	// FairQueueDiscipline is per-connection self-clocked fair queueing.
-	FairQueueDiscipline = core.FairQueue
 )
 
 // Queue-discipline and link-behavior surface. A QueueSpec on
@@ -620,19 +607,6 @@ func Experiment(name string, opts ExpOptions) (*Outcome, error) {
 		return nil, fmt.Errorf("tahoedyn: unknown experiment %q", name)
 	}
 	return def.Run(opts), nil
-}
-
-// MustExperiment is Experiment, panicking on unknown names.
-//
-// Deprecated: prefer Experiment, which reports an unknown name as an
-// error. MustExperiment is kept for existing callers and one-liner
-// examples; it will not be removed.
-func MustExperiment(name string, opts ExpOptions) *Outcome {
-	o, err := Experiment(name, opts)
-	if err != nil {
-		panic(err)
-	}
-	return o
 }
 
 // Analysis helpers re-exported for building custom studies.
