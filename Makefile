@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-shards bench-baseline bench-record bench-compare trace-demo
+.PHONY: build test race vet check bench bench-shards bench-baseline bench-record bench-compare bench-pair trace-demo
 
 build:
 	$(GO) build ./...
@@ -57,3 +57,15 @@ OLD ?= docs/BENCH_baseline.json
 NEW ?= docs/BENCH_pr2.json
 bench-compare:
 	scripts/benchcmp.sh $(OLD) $(NEW)
+
+# bench-pair is the paired comparison bench/README.md prescribes for any
+# performance claim: the repository benchmark (bench/run.sh, 28 s a run)
+# alternately on PARENT's committed files and on this working tree, then
+# per end-to-end metric both sides' median and quartiles, pairs won, and
+# whether the medians differ by more than the parent's own spread.
+#   make bench-pair PARENT=HEAD~1 WORKLOAD=paper-twoway
+PARENT ?= HEAD
+WORKLOAD ?= mesh-ba2048
+PAIRS ?= 10
+bench-pair:
+	scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS)

@@ -109,11 +109,13 @@ func TestSweepProfileCoversWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Enough simulated work for the 100 Hz profiler to catch worker
-	// samples; both grid points run under the sweep's pprof labels.
+	// samples (~80 ms of CPU; a 400 s run is ~8 ms, under one tick, and
+	// failed every third try); both grid points run under the sweep's
+	// pprof labels.
 	sweep(io.Discard, sweepOptions{
 		Taus:     []time.Duration{10 * time.Millisecond},
 		Buffers:  []int{20, 40},
-		Duration: 400 * time.Second,
+		Duration: 4000 * time.Second,
 		Warmup:   100 * time.Second,
 		Seed:     1,
 		Parallel: 2,

@@ -621,6 +621,19 @@ func (c *Config) Graph() topology.Graph {
 // programmer error); tahoe-sim -validate calls it directly to surface
 // topology problems as ordinary errors.
 func (c *Config) CompileTopology() (*topology.Compiled, error) {
+	return c.Graph().Compile(c.topologyDefaults())
+}
+
+// ResolveTopology validates the effective graph without compiling its
+// routes: it returns the error CompileTopology would, or the resolved
+// links, hosts and adjacency that anything referring to the topology
+// (events, regions, connections) is checked against. Input validation
+// uses it so that a scenario's routes are computed once, by Build.
+func (c *Config) ResolveTopology() (*topology.Skeleton, error) {
+	return c.Graph().Resolve(c.topologyDefaults())
+}
+
+func (c *Config) topologyDefaults() topology.Defaults {
 	bw := c.TrunkBandwidth
 	if bw == 0 {
 		bw = DefaultTrunkBandwidth
@@ -629,12 +642,12 @@ func (c *Config) CompileTopology() (*topology.Compiled, error) {
 	if size == 0 {
 		size = DefaultDataSize
 	}
-	return c.Graph().Compile(topology.Defaults{
+	return topology.Defaults{
 		Bandwidth: bw,
 		Delay:     c.TrunkDelay,
 		Buffer:    c.Buffer,
 		DataSize:  size,
-	})
+	}
 }
 
 // PipeSize returns the paper's pipe size P = μτ/M: the number of data

@@ -1,0 +1,162 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"tahoedyn/internal/link"
+	"tahoedyn/internal/topology"
+)
+
+// checkRoutes asserts that every switch of the running Sim forwards
+// every host the way ref's NextHop says.
+func checkRoutes(t *testing.T, tag string, sm *Sim, ref *topology.Compiled) {
+	t.Helper()
+	for s := 0; s < ref.Switches; s++ {
+		for h := 0; h < ref.NumHosts(); h++ {
+			got := sm.switches[s].Route(h + 1)
+			if got == nil {
+				t.Fatalf("%s: switch %d has no route to host %d", tag, s, h+1)
+			}
+			hop, isLocal := ref.NextHop(s, h)
+			if isLocal {
+				if want := fmt.Sprintf("sw%d->h%d", s, h+1); got.Name() != want {
+					t.Fatalf("%s: switch %d sends its own host %d out %s, want %s", tag, s, h+1, got.Name(), want)
+				}
+			} else if want := sm.trunks[hop.Link][hop.Dir]; got != want {
+				t.Fatalf("%s: switch %d sends host %d out %s, want %s", tag, s, h+1, got.Name(), want.Name())
+			}
+		}
+	}
+}
+
+// TestSwitchTablesFollowLinkEvents steps a Sim past each link event and
+// checks every (switch, host) forwarding decision against a from-scratch
+// route compile under the weights in force — on a ring small enough for
+// dense switch tables, a ring whose topology is dense but whose switches
+// hold rows, and a scale-free graph where switches view the compiled
+// topology's interned rows; serial and on two shards.
+func TestSwitchTablesFollowLinkEvents(t *testing.T) {
+	ringEvents := []LinkEvent{
+		{T: 2 * time.Second, Link: 0, Down: true},
+		{T: 4 * time.Second, Link: 3, Bandwidth: 10_000},
+		{T: 6 * time.Second, Link: 0, Bandwidth: 25_000},
+		{T: 8 * time.Second, Link: 3, Bandwidth: DefaultTrunkBandwidth},
+	}
+	conns := func(n int) []ConnSpec {
+		return []ConnSpec{
+			{SrcHost: 0, DstHost: n / 2, Start: 0},
+			{SrcHost: n - 1, DstHost: 1, Start: 100 * time.Millisecond},
+		}
+	}
+	ring8, ring80, ba := ring(8), ring(80), topology.BarabasiAlbert(150, 2, 5)
+	cases := map[string]Config{
+		"ring-dense": {Topology: &ring8, Conns: conns(8), Events: ringEvents},
+		"ring-rows":  {Topology: &ring80, Conns: conns(80), Events: ringEvents},
+		"ba-shared-rows": {Topology: &ba, Conns: conns(150), Events: []LinkEvent{
+			{T: 2 * time.Second, Link: 40, Bandwidth: 5_000},
+			{T: 4 * time.Second, Link: 7, Down: true},
+			{T: 6 * time.Second, Link: 40, Bandwidth: 400_000},
+			{T: 8 * time.Second, Link: 7, Bandwidth: 20_000},
+		}},
+	}
+	for name, cfg := range cases {
+		cfg.TrunkDelay = 10 * time.Millisecond
+		cfg.Buffer = DefaultBuffer
+		cfg.Warmup = time.Second
+		cfg.Duration = 10 * time.Second
+		for _, shards := range []int{1, 2} {
+			cfg.Shards = shards
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				sm, err := BuildE(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref := sm.res.Topo.Clone()
+				checkRoutes(t, "at build", sm, ref)
+				for i, ev := range cfg.Events {
+					sm.RunUntil(ev.T - time.Millisecond)
+					checkRoutes(t, fmt.Sprintf("just before event %d", i), sm, ref)
+
+					l := ref.Links[ev.Link]
+					w := topology.LinkDown
+					if !ev.Down {
+						w = l.Delay + link.TxTime(sm.cfg.DataSize, ev.Bandwidth)
+					}
+					if _, err := ref.ApplyLinkChange(ev.Link, w); err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.RecomputeRoutes(); err != nil {
+						t.Fatal(err)
+					}
+					sm.RunUntil(ev.T + time.Millisecond)
+					checkRoutes(t, fmt.Sprintf("after event %d", i), sm, ref)
+				}
+				sm.Finish()
+				checkRoutes(t, "at finish", sm, ref)
+			})
+		}
+	}
+}
+
+// TestWiringCostIgnoresRouteRuns guards the O(1) route install: building
+// a scale-free network — one link event included — costs objects and,
+// net of the route compile itself, bytes in proportion to its switches,
+// links and connections, however many forwarding intervals its tables
+// hold. (Copying rows into switches, or capturing an event's tables
+// interval by interval, costs 16-24 bytes per route run — here several
+// times the bound.)
+func TestWiringCostIgnoresRouteRuns(t *testing.T) {
+	g := topology.BarabasiAlbert(1024, 2, 11)
+	cfg := Config{
+		Topology:   &g,
+		TrunkDelay: 10 * time.Millisecond,
+		Buffer:     DefaultBuffer,
+		Warmup:     time.Second,
+		Duration:   5 * time.Second,
+		Events:     []LinkEvent{{T: 2 * time.Second, Link: len(g.Links) - 1, Bandwidth: 10_000}},
+		// Unmeasured: run-length trace containers are not wiring.
+		MeasureTrunks: []int{},
+		MeasureConns:  []int{},
+	}
+	for k := 0; k < 200; k++ {
+		cfg.Conns = append(cfg.Conns, ConnSpec{SrcHost: (37 * k) % 1024, DstHost: (37*k + 500) % 1024, Start: -1})
+	}
+	var topo *topology.Compiled
+	allocs, wiringBytes := math.Inf(1), math.Inf(1)
+	for i := 0; i < 3; i++ { // least of three: the collector's own objects come and go
+		var m0, m1, m2 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := cfg.CompileTopology(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		sm, err := BuildE(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m2)
+		topo = sm.res.Topo
+		allocs = min(allocs, float64(m2.Mallocs-m1.Mallocs))
+		wiringBytes = min(wiringBytes, float64(m2.TotalAlloc-m1.TotalAlloc)-float64(m1.TotalAlloc-m0.TotalAlloc))
+	}
+
+	elements := float64(topo.Switches + len(topo.Links) + len(cfg.Conns))
+	runs := float64(topo.RouteRuns())
+	t.Logf("BuildE: %.0f allocations, %.0f bytes beyond the route compile; %.0f switches+links+conns (%.1f allocations, %.0f bytes each); %.0f route runs",
+		allocs, wiringBytes, elements, allocs/elements, wiringBytes/elements, runs)
+	if runs < 50*elements {
+		t.Fatalf("graph too small to tell: %.0f route runs vs %.0f elements", runs, elements)
+	}
+	if allocs > 40*elements {
+		t.Errorf("BuildE made %.0f allocations, over 40 per switch/link/conn (%.0f): wiring cost is following the %.0f route runs",
+			allocs, elements, runs)
+	}
+	if wiringBytes > 4096*elements {
+		t.Errorf("BuildE allocated %.0f bytes beyond its route compile, over 4 KB per switch/link/conn (%.0f): forwarding rows are being copied (%.0f route runs)",
+			wiringBytes, elements, runs)
+	}
+}

@@ -169,6 +169,7 @@ type Sim struct {
 	runner   *shard.Runner
 	dropLogs [][]dropRec
 
+	switches  []*node.Switch
 	trunks    [][2]*link.Port
 	senders   []*tcp.Sender
 	receivers []*tcp.Receiver
@@ -548,15 +549,6 @@ func Build(cfg Config) *Sim {
 	return s
 }
 
-// eventRun is one interval of a switch's forwarding table as of a link
-// event, captured at build time with the destination port resolved. The
-// event callback installs the table with ResetRoutes + AddRouteRange in
-// run order.
-type eventRun struct {
-	lo, hi int
-	port   *link.Port
-}
-
 // BuildE is Build with error reporting: configuration validation and
 // topology compilation problems come back as errors instead of panics.
 func BuildE(cfg Config) (*Sim, error) {
@@ -811,9 +803,6 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		return bs.Build(r)
 	}
 
-	// downPorts[h] is the switch→host access port, kept for forwarding-
-	// table rebuilds when a link event reroutes a switch with local hosts.
-	downPorts := make([]*link.Port, nh)
 	for h := 0; h < nh; h++ {
 		sw := topo.HostSwitch(h)
 		rg := regionOf(sw)
@@ -840,8 +829,7 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 			Pool:      pool,
 			Obs:       tracer,
 		}, hosts[h])
-		switches[sw].AddRoute(h+1, down)
-		downPorts[h] = down
+		switches[sw].AddLocal(h+1, down)
 		instrumentDrops(eng, rg, down)
 		if tracer != nil {
 			hosts[h].SetObs(tracer, fmt.Sprintf("host%d", h+1))
@@ -943,21 +931,23 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		}
 	}
 
-	// Forwarding tables from the compiled shortest-path routes: at each
-	// switch, traffic for a non-local host leaves on the computed
-	// next-hop link direction (local hosts' access routes were added
-	// above). Installation walks the compiled forwarding intervals — one
-	// AddRouteRange per run instead of one AddRoute per (switch, host) —
-	// so wiring cost tracks the compressed route size, not
-	// switches × hosts.
+	// Forwarding tables. A switch does not copy its routes: it gets the
+	// ports behind its adjacency slots (one flat array, sliced per switch
+	// like the topology's own adjacency) and then forwards straight from
+	// the compiled row — the topology's interned, immutable slices, by
+	// reference (base 1: the row's host index h is host ID h+1). Wiring
+	// cost is O(switches + links), whatever the number of forwarding
+	// intervals.
+	slotPorts := make([]*link.Port, 0, 2*nl)
 	for s := 0; s < nSw; s++ {
-		sw := switches[s]
-		topo.ForEachHostRun(s, func(h0, h1 int, hop topology.Hop, isLocal bool) {
-			if isLocal {
-				return
-			}
-			sw.AddRouteRange(h0+1, h1+1, trunks[hop.Link][hop.Dir])
-		})
+		first := len(slotPorts)
+		for i, n := 0, topo.Degree(s); i < n; i++ {
+			hop := topo.SlotHop(s, i)
+			slotPorts = append(slotPorts, trunks[hop.Link][hop.Dir])
+		}
+		switches[s].SetPorts(slotPorts[first:len(slotPorts):len(slotPorts)])
+		ends, slots := topo.Row(s)
+		switches[s].SetRow(1, ends, slots)
 	}
 
 	// Connections.
@@ -1088,20 +1078,20 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 	// Mid-run link events. Each event's routing consequences are computed
 	// here, at build time, on a private clone of the compiled topology:
 	// ApplyLinkChange returns exactly the switches whose forwarding rows
-	// move, and their new tables are captured as port-resolved runs. At
-	// simulation time the pre-scheduled callbacks just swap tables in
-	// (and, for bandwidth events, re-rate the trunk ports). One callback
-	// is scheduled per changed switch and per re-rated port direction,
-	// each on its own region's engine — so the total engine event count
-	// is the same at every shard count — and scheduling happens during
-	// build, so every callback's engine seq precedes every same-time
-	// packet event in serial and sharded runs alike. That, plus
-	// deterministic table rebuilds (ResetRoutes + in-order
-	// AddRouteRange), is what keeps runs with events byte-identical at
-	// every shard count. A down link only changes routing: packets
-	// already queued on, or in flight over, the line still drain and
-	// deliver. Propagation delays never change, so the sharded runner's
-	// MinCutDelay lookahead stays valid.
+	// move, and each one's new row is captured by reference — rows are
+	// immutable, so later events on the clone cannot disturb it. At
+	// simulation time the pre-scheduled callbacks just point the switch at
+	// its new row (and, for bandwidth events, re-rate the trunk ports). One
+	// callback is scheduled per changed switch and per re-rated port
+	// direction, each on its own region's engine — so the total engine
+	// event count is the same at every shard count — and scheduling
+	// happens during build, so every callback's engine seq precedes every
+	// same-time packet event in serial and sharded runs alike. That is
+	// what keeps runs with events byte-identical at every shard count. A
+	// down link only changes routing: packets already queued on, or in
+	// flight over, the line still drain and deliver. Propagation delays
+	// never change, so the sharded runner's MinCutDelay lookahead stays
+	// valid.
 	if len(cfg.Events) > 0 {
 		order := make([]int, len(cfg.Events))
 		for i := range order {
@@ -1133,23 +1123,9 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 				engs[regionOf(l.B)].ScheduleAt(ev.T, func() { rev.SetBandwidth(bw) })
 			}
 			for _, s := range changed {
-				var runs []eventRun
-				work.ForEachHostRun(s, func(h0, h1 int, hop topology.Hop, isLocal bool) {
-					if isLocal {
-						for h := h0; h < h1; h++ {
-							runs = append(runs, eventRun{h + 1, h + 2, downPorts[h]})
-						}
-						return
-					}
-					runs = append(runs, eventRun{h0 + 1, h1 + 1, trunks[hop.Link][hop.Dir]})
-				})
 				sw := switches[s]
-				engs[regionOf(s)].ScheduleAt(ev.T, func() {
-					sw.ResetRoutes()
-					for _, rn := range runs {
-						sw.AddRouteRange(rn.lo, rn.hi, rn.port)
-					}
-				})
+				ends, slots := work.Row(s)
+				engs[regionOf(s)].ScheduleAt(ev.T, func() { sw.SetRow(1, ends, slots) })
 			}
 		}
 	}
@@ -1172,6 +1148,7 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		runner:    runner,
 		dropLogs:  dropLogs,
 		res:       res,
+		switches:  switches,
 		trunks:    trunks,
 		senders:   senders,
 		receivers: receivers,

@@ -29,28 +29,55 @@ type Handler interface {
 // dense forwarding slice. Small networks — the paper's dumbbell, every
 // shipped scenario — stay on the direct-index table, so the per-packet
 // lookup there is still just a bounds check. Beyond it the switch
-// migrates to sorted interval runs (binary-search lookup), which is
+// forwards from a sorted interval row (binary-search lookup), which is
 // what keeps 10⁵-host networks from paying hosts×switches pointers of
 // table memory. A variable so tests can force either representation.
 var denseRouteLimit = 64
 
+// Row slot sentinels. Non-negative slots index Switch.ports.
+const (
+	// slotLocal marks an interval of hosts attached to the switch itself
+	// (topology's slotLocal); the port comes from the local list.
+	slotLocal = int32(-1)
+	// slotNone marks an interval with no route. Only privately painted
+	// rows contain it; a compiled row routes every host.
+	slotNone = int32(-2)
+)
+
 // Switch forwards packets toward their destination host. Forwarding is
-// instantaneous; all queueing happens in the output ports. The
-// forwarding table starts as a dense slice indexed by destination host
-// ID and converts to sorted host-ID interval runs the first time a
-// route at or beyond denseRouteLimit is installed; AddRouteRange paints
-// whole intervals at once, which is how internal/core installs the
-// compiled topology's interval-compressed next-hop state.
+// instantaneous; all queueing happens in the output ports.
+//
+// The forwarding table has two representations. Small networks use a
+// dense slice indexed by destination host ID. Everything else uses a
+// row: sorted host intervals, each naming a slot in the switch's own
+// small port array — the form the compiled topology stores (DESIGN.md
+// §13, §16). SetRow installs a compiled row by reference, so the switch
+// is a view of the topology's interned row, not a copy of it: install
+// and mid-run replacement are O(1) and any number of switches share one
+// row. AddRouteRange builds the same structure privately, one interval
+// at a time, for callers without a compiled topology.
 type Switch struct {
 	id    int
-	table []*link.Port // dense mode; nil once runs is active
-	runs  []portRun    // run mode: sorted, disjoint, non-adjacent-equal
+	table []*link.Port // dense mode; nil once a row is active
+
+	// Row mode (ends != nil): interval i covers host IDs
+	// [base+ends[i-1], base+ends[i]) and forwards through slots[i].
+	ends, slots []int32
+	base        int
+	// owned reports that ends/slots were built by AddRouteRange and may
+	// be written; a row installed by SetRow is shared and read-only.
+	owned bool
+	// ports[slot] is the output port of a non-negative slot; local lists
+	// the attached hosts' access ports in ascending host-ID order, for
+	// slotLocal intervals. Both outlive row replacement.
+	ports []*link.Port
+	local []hostPort
 }
 
-// portRun forwards destination host IDs in [start, end) out one port.
-type portRun struct {
-	start, end int32
-	port       *link.Port
+// hostPort is the access port toward one attached host.
+type hostPort struct {
+	host int
+	port *link.Port
 }
 
 // NewSwitch returns a switch with an empty forwarding table.
@@ -71,9 +98,9 @@ func (s *Switch) AddRoute(dst int, out *link.Port) {
 }
 
 // AddRouteRange directs packets destined for any host in [lo, hi) out
-// the given port, replacing previous routes in the interval. It is the
-// bulk route-installation interface: one call per forwarding interval
-// of the compiled topology, instead of one per host.
+// the given port, replacing previous routes in the interval. Intervals
+// installed in ascending order append in O(1); out-of-order ones
+// rebuild the row.
 func (s *Switch) AddRouteRange(lo, hi int, out *link.Port) {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("switch %d: bad route range [%d,%d)", s.id, lo, hi))
@@ -81,7 +108,7 @@ func (s *Switch) AddRouteRange(lo, hi int, out *link.Port) {
 	if lo == hi {
 		return
 	}
-	if s.runs == nil && hi <= denseRouteLimit {
+	if s.ends == nil && hi <= denseRouteLimit {
 		for hi > len(s.table) {
 			s.table = append(s.table, nil)
 		}
@@ -90,110 +117,174 @@ func (s *Switch) AddRouteRange(lo, hi int, out *link.Port) {
 		}
 		return
 	}
-	if s.runs == nil {
-		s.migrateToRuns()
+	if s.ends == nil {
+		s.migrateToRow()
 	}
-	s.paint(int32(lo), int32(hi), out)
+	if !s.owned {
+		panic(fmt.Sprintf("switch %d: AddRouteRange on a shared row", s.id))
+	}
+	s.paint(int32(lo), int32(hi), s.slotFor(out))
 }
 
-// ResetRoutes clears the forwarding table so it can be rebuilt, e.g.
-// when a mid-run link event changes the compiled topology's routes. The
-// representation mode resets too: the next AddRouteRange decides dense
-// vs runs exactly as it would on a fresh switch, so a rebuilt table is
-// byte-identical to one installed at build time from the same routes.
-func (s *Switch) ResetRoutes() {
+// SetPorts gives the switch the output ports that rows installed by
+// SetRow refer to: ports[i] transmits on adjacency slot i. The switch
+// keeps the slice.
+func (s *Switch) SetPorts(ports []*link.Port) { s.ports = ports }
+
+// AddLocal registers the access port toward attached host id, the port
+// a row's local intervals resolve to. Hosts must be added in ascending
+// id order.
+func (s *Switch) AddLocal(id int, port *link.Port) {
+	if n := len(s.local); n > 0 && s.local[n-1].host >= id {
+		panic(fmt.Sprintf("switch %d: local host %d added after host %d", s.id, id, s.local[n-1].host))
+	}
+	s.local = append(s.local, hostPort{id, port})
+}
+
+// SetRow replaces the whole forwarding table with a compiled row:
+// interval i covers host IDs [base+ends[i-1], base+ends[i]) (the first
+// from base) and forwards through slots[i] — a SetPorts index, or -1
+// for a host registered with AddLocal. The row is held by reference and
+// never written, so callers may share one row among any number of
+// switches and goroutines; replacing a row mid-run is a pointer swap.
+// A row small enough for the dense table (every host ID below
+// denseRouteLimit) is expanded into it instead, exactly as
+// AddRouteRange would have built it.
+func (s *Switch) SetRow(base int, ends, slots []int32) {
+	if n := base + int(ends[len(ends)-1]); n <= denseRouteLimit {
+		s.table, s.ends, s.slots = make([]*link.Port, n), nil, nil
+		d := base
+		for i, end := range ends {
+			for ; d < base+int(end); d++ {
+				s.table[d] = s.slotPort(slots[i], d)
+			}
+		}
+		return
+	}
 	s.table = nil
-	s.runs = nil
+	s.ends, s.slots, s.base, s.owned = ends, slots, base, false
 }
 
-// migrateToRuns converts the dense table to interval runs.
-func (s *Switch) migrateToRuns() {
-	s.runs = make([]portRun, 0, 4)
-	for d := 0; d < len(s.table); d++ {
-		pt := s.table[d]
-		if pt == nil {
-			continue
-		}
-		if n := len(s.runs); n > 0 && s.runs[n-1].end == int32(d) && s.runs[n-1].port == pt {
-			s.runs[n-1].end++
-		} else {
-			s.runs = append(s.runs, portRun{int32(d), int32(d) + 1, pt})
-		}
+// migrateToRow converts the dense table to a private row.
+func (s *Switch) migrateToRow() {
+	s.ends, s.slots = make([]int32, 0, 4), make([]int32, 0, 4)
+	s.base, s.owned = 0, true
+	for d, pt := range s.table {
+		s.appendRun(int32(d)+1, s.slotFor(pt))
 	}
 	s.table = nil
 }
 
-// paint replaces the routes for [lo, hi) with out, keeping the run list
-// sorted, disjoint, and merged with equal-port neighbors. Route
-// installation is build-time work; the per-packet path is lookup.
-func (s *Switch) paint(lo, hi int32, out *link.Port) {
-	// Find the insertion window [i, j): runs strictly before lo stay,
-	// runs strictly after hi stay, everything overlapping is replaced
-	// (with clipped remainders of the boundary runs re-added).
-	i := 0
-	for i < len(s.runs) && s.runs[i].end <= lo {
-		i++
+// slotFor returns the ports index of out, adding it on first use; a nil
+// port is "no route".
+func (s *Switch) slotFor(out *link.Port) int32 {
+	if out == nil {
+		return slotNone
 	}
-	j := i
-	var pre, post portRun
-	hasPre, hasPost := false, false
-	for j < len(s.runs) && s.runs[j].start < hi {
-		r := s.runs[j]
-		if r.start < lo {
-			pre, hasPre = portRun{r.start, lo, r.port}, true
-		}
-		if r.end > hi {
-			post, hasPost = portRun{hi, r.end, r.port}, true
-		}
-		j++
-	}
-	repl := make([]portRun, 0, 3)
-	if hasPre {
-		if pre.port == out {
-			lo = pre.start
-		} else {
-			repl = append(repl, pre)
+	for i, pt := range s.ports {
+		if pt == out {
+			return int32(i)
 		}
 	}
-	if hasPost && post.port == out {
-		hi = post.end
-		hasPost = false
+	s.ports = append(s.ports, out)
+	return int32(len(s.ports) - 1)
+}
+
+// appendRun extends the private row to end through slot, merging with
+// an equal-slot last interval so the row stays in canonical maximal
+// form.
+func (s *Switch) appendRun(end, slot int32) {
+	if n := len(s.slots); n > 0 && s.slots[n-1] == slot {
+		s.ends[n-1] = end
+		return
 	}
-	// Merge with untouched equal-port neighbors.
-	if i > 0 && len(repl) == 0 && s.runs[i-1].port == out && s.runs[i-1].end == lo {
-		i--
-		lo = s.runs[i].start
+	s.ends = append(s.ends, end)
+	s.slots = append(s.slots, slot)
+}
+
+// paint replaces the routes for [lo, hi) of the private row with slot.
+// Route installation is build-time work; the per-packet path is lookup.
+func (s *Switch) paint(lo, hi, slot int32) {
+	last := int32(0)
+	if n := len(s.ends); n > 0 {
+		last = s.ends[n-1]
 	}
-	repl = append(repl, portRun{lo, hi, out})
-	if hasPost {
-		repl = append(repl, post)
-	} else if j < len(s.runs) && s.runs[j].port == out && s.runs[j].start == hi {
-		repl[len(repl)-1].end = s.runs[j].end
-		j++
+	if lo >= last {
+		// In-order installation: nothing to replace, append.
+		if lo > last {
+			s.appendRun(lo, slotNone)
+		}
+		s.appendRun(hi, slot)
+		return
 	}
-	s.runs = append(s.runs[:i], append(repl, s.runs[j:]...)...)
+	// Rebuild: the old intervals' parts below lo, the new interval, the
+	// old intervals' parts above hi. An interval's start is implicit (the
+	// previous end), so the tail copies clip themselves.
+	oldEnds, oldSlots := s.ends, s.slots
+	s.ends = make([]int32, 0, len(oldEnds)+2)
+	s.slots = make([]int32, 0, len(oldEnds)+2)
+	for i, start := 0, int32(0); start < lo; i++ {
+		s.appendRun(min(oldEnds[i], lo), oldSlots[i])
+		start = oldEnds[i]
+	}
+	s.appendRun(hi, slot)
+	for i, end := range oldEnds {
+		if end > hi {
+			s.appendRun(end, oldSlots[i])
+		}
+	}
 }
 
 // lookup returns the output port for dst, or nil.
 func (s *Switch) lookup(dst int) *link.Port {
-	if s.runs == nil {
+	if s.ends == nil {
 		if dst < 0 || dst >= len(s.table) {
 			return nil
 		}
 		return s.table[dst]
 	}
-	d := int32(dst)
-	lo, hi := 0, len(s.runs)
+	ends := s.ends
+	h := dst - s.base
+	lo, hi := 0, len(ends)-1
+	if h < 0 || h >= int(ends[hi]) {
+		return nil
+	}
+	// First interval whose end exceeds h; the last one's does.
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if s.runs[mid].end <= d {
+		if int(ends[mid]) > h {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return s.slotPort(s.slots[lo], dst)
+}
+
+// slotPort resolves a row slot to the port host dst leaves on, or nil.
+func (s *Switch) slotPort(slot int32, dst int) *link.Port {
+	switch {
+	case slot >= 0:
+		return s.ports[slot]
+	case slot == slotLocal:
+		return s.localPort(dst)
+	}
+	return nil
+}
+
+// localPort returns the access port toward attached host id, or nil.
+func (s *Switch) localPort(id int) *link.Port {
+	lo, hi := 0, len(s.local)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.local[mid].host < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(s.runs) && s.runs[lo].start <= d {
-		return s.runs[lo].port
+	if lo < len(s.local) && s.local[lo].host == id {
+		return s.local[lo].port
 	}
 	return nil
 }
@@ -211,7 +302,7 @@ func (s *Switch) Route(dst int) *link.Port {
 // Deliver implements link.Receiver: look up the output port for the
 // packet's destination and enqueue it there.
 func (s *Switch) Deliver(p *packet.Packet) {
-	if s.runs == nil {
+	if s.ends == nil {
 		// Dense fast path: identical to the historical per-packet cost.
 		if p.Dst < 0 || p.Dst >= len(s.table) || s.table[p.Dst] == nil {
 			panic(fmt.Sprintf("switch %d: no route to host %d for %v", s.id, p.Dst, p))

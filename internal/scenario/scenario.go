@@ -596,8 +596,9 @@ func (b *Behavior) spec(field string) (*link.BehaviorSpec, error) {
 // validate surfaces the errors core.Build would panic on: an
 // uncompilable topology (disconnected graph, bad link endpoints, bad
 // route overrides) or a connection naming a host that doesn't exist.
+// It resolves the topology but leaves the route compile to Build.
 func validate(cfg *core.Config) error {
-	compiled, err := cfg.CompileTopology()
+	topo, err := cfg.ResolveTopology()
 	if err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
@@ -605,7 +606,7 @@ func validate(cfg *core.Config) error {
 		if cfg.Shards != 0 && cfg.Shards != len(cfg.Regions) {
 			return fmt.Errorf("scenario: shards (%d) disagrees with the region count (%d)", cfg.Shards, len(cfg.Regions))
 		}
-		if _, err := compiled.PartitionWith(cfg.Regions); err != nil {
+		if _, err := topo.PartitionWith(cfg.Regions); err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
@@ -613,7 +614,7 @@ func validate(cfg *core.Config) error {
 		return fmt.Errorf("scenario: negative shards")
 	}
 	for i := range cfg.Events {
-		if err := cfg.Events[i].Validate(len(compiled.Links)); err != nil {
+		if err := cfg.Events[i].Validate(len(topo.Links)); err != nil {
 			return fmt.Errorf("scenario: events[%d]: %w", i, err)
 		}
 	}

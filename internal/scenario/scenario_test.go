@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -241,6 +243,59 @@ func TestParseTopologyRandomGenerators(t *testing.T) {
 	if _, err := cfg.CompileTopology(); err != nil {
 		t.Fatalf("waxman compile: %v", err)
 	}
+}
+
+// TestParseValidatesWithoutCompilingRoutes: Parse checks the topology
+// (and everything that refers to it — regions, events) on the resolved
+// graph alone; the scenario's routes are compiled once, by Build. A
+// parse that compiled them would allocate what a compile allocates.
+func TestParseValidatesWithoutCompilingRoutes(t *testing.T) {
+	j := `{"trunk_delay":"10ms","buffer":20,"shards":2,
+	       "topology":{"generator":"ba","size":512,"m":2,"seed":7},
+	       "regions":[[` + intList(0, 256) + `],[` + intList(256, 512) + `]],
+	       "events":[{"t":"5s","link":9,"bandwidth":25000}],
+	       "conns":[{"src":0,"dst":511},{"src":300,"dst":17}]}`
+	var m0, m1, m2 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	cfg, err := Parse(strings.NewReader(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if _, err := cfg.CompileTopology(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m2)
+	parse, compile := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc
+	if parse*10 > compile {
+		t.Fatalf("Parse allocated %d bytes, a route compile of the same graph %d: parse is compiling routes", parse, compile)
+	}
+
+	// The checks a compile used to back are all still made.
+	for want, bad := range map[string]string{
+		"graph is disconnected":  strings.Replace(j, `"generator":"ba","size":512,"m":2,"seed":7`, `"switches":512,"links":[{"a":0,"b":1}]`, 1),
+		"is in no region":        strings.Replace(j, `],[256,`, `],[`, 1),
+		"link 5000 out of range": strings.Replace(j, `"link":9`, `"link":5000`, 1),
+		"host index out of":      strings.Replace(j, `"dst":17`, `"dst":512`, 1),
+		"not a neighbor":         strings.Replace(j, `"seed":7`, `"seed":7,"routes":[{"at":0,"dst":5,"via":0}]`, 1),
+		"switch 600 out of":      strings.Replace(j, `"seed":7`, `"seed":7,"hosts":[{"switch":0},{"switch":600}]`, 1),
+	} {
+		if _, err := Parse(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("want an error mentioning %q, got %v", want, err)
+		}
+	}
+}
+
+// intList renders lo..hi-1 as a JSON array body.
+func intList(lo, hi int) string {
+	var b strings.Builder
+	for i := lo; i < hi; i++ {
+		if i > lo {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(i))
+	}
+	return b.String()
 }
 
 func TestParseTopologyExplicit(t *testing.T) {

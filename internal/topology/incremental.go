@@ -203,11 +203,23 @@ func (c *Compiled) splice(affected []int32, cols [][]int32) []int {
 	var ends, slots []int32 // scratch row
 	for s := 0; s < c.Switches; s++ {
 		// Quick probe: every host of one destination shares its cell
-		// value, so one lookup per overlay interval decides whether the
-		// row moves at all. Most rows don't.
+		// value, so one cell per overlay interval decides whether the
+		// row moves at all. Most rows don't. Row and overlay are both
+		// sorted by host, so the probe is one merge walk over the two.
+		oldRow := c.rowOf[s]
+		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
+		adj := c.adjHop[c.adjOff[s]:c.adjOff[s+1]]
 		moved := false
+		ri := 0
 		for _, o := range overlay {
-			if c.packedAt(s, int(o.h0)) != cols[o.ci][s] {
+			for oldEnds[ri] <= o.h0 {
+				ri++
+			}
+			p := hopLocal
+			if sl := oldSlots[ri]; sl >= 0 {
+				p = adj[sl]
+			}
+			if p != cols[o.ci][s] {
 				moved = true
 				break
 			}
@@ -219,8 +231,6 @@ func (c *Compiled) splice(affected []int32, cols [][]int32) []int {
 		// over, adjacent equal slots merged — the same canonical maximal
 		// form the batch merge in computeRoutes emits, which is what
 		// keeps the splice byte-identical to a full recompile.
-		oldRow := c.rowOf[s]
-		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
 		ends, slots = ends[:0], slots[:0]
 		emit := func(end, slot int32) {
 			if n := len(slots); n > 0 && slots[n-1] == slot {

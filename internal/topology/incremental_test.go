@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -305,15 +307,82 @@ func TestApplyLinkChangeRejects(t *testing.T) {
 	}
 }
 
+// heldRow is a row as Compiled.Row handed it out, with a private copy
+// taken at that moment.
+type heldRow struct {
+	ends, slots         []int32
+	wantEnds, wantSlots []int32
+}
+
+func holdRows(c *Compiled) []heldRow {
+	held := make([]heldRow, c.Switches)
+	for s := range held {
+		ends, slots := c.Row(s)
+		held[s] = heldRow{ends, slots, slices.Clone(ends), slices.Clone(slots)}
+	}
+	return held
+}
+
+func (h heldRow) intact() bool {
+	return slices.Equal(h.ends, h.wantEnds) && slices.Equal(h.slots, h.wantSlots)
+}
+
 // TestCloneIsolation: mutations on a clone never leak into the
-// original, including through the row pool's free-list reuse.
+// original — and rows handed out by Row, at any point, stay
+// bit-identical through every later link change on either side. Rows
+// are shared between a Compiled and its clones and held by reference
+// outside the package (running switches, scheduled link events), so a
+// pool that ever rewrote a dead row's memory would corrupt a holder.
+// Reader goroutines scan the held rows the whole time: under -race any
+// write to a handed-out row is reported even where the content happens
+// to survive.
 func TestCloneIsolation(t *testing.T) {
 	base := compileWithLimits(t, BarabasiAlbert(120, 2, 3), eqDefaults(), 0, colBatchCells)
 	want := snapshot(base)
 	cl := base.Clone()
+
+	var mu sync.Mutex // guards held; the rows themselves are read unlocked
+	held := holdRows(base)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				rows := held
+				mu.Unlock()
+				for s, h := range rows {
+					if !h.intact() {
+						t.Errorf("row handed out for switch %d changed under a reader", s)
+						return
+					}
+				}
+			}
+		}()
+	}
+	hold := func(c *Compiled) {
+		more := holdRows(c)
+		mu.Lock()
+		held = append(slices.Clone(held), more...)
+		mu.Unlock()
+	}
+
+	// Down / restore / re-rate on the clone: rows die, their ids are
+	// recycled, and restores recreate earlier content, which the pool
+	// must find again by hash or store in fresh memory.
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 15; i++ {
 		mutateOnce(t, "clone", rng, cl, cl.Clone())
+		if i%5 == 4 {
+			hold(cl)
+		}
 	}
 	got := snapshot(base)
 	for s := range want {
@@ -323,4 +392,30 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	checkPool(t, "original", base)
 	checkPool(t, "clone", cl)
+
+	// Now the original moves too, under the clone's feet and the
+	// holders'.
+	wantClone := snapshot(cl)
+	for i := 0; i < 15; i++ {
+		mutateOnce(t, "original", rng, base, base.Clone())
+		if i%5 == 4 {
+			hold(base)
+		}
+	}
+	gotClone := snapshot(cl)
+	for s := range wantClone {
+		if !rowsEqual(wantClone[s], gotClone[s]) {
+			t.Fatalf("original's mutation leaked into the clone at switch %d", s)
+		}
+	}
+	checkPool(t, "original", base)
+	checkPool(t, "clone", cl)
+
+	close(stop)
+	readers.Wait()
+	for i, h := range held {
+		if !h.intact() {
+			t.Fatalf("held row %d (switch %d) changed after it was handed out", i, i%base.Switches)
+		}
+	}
 }

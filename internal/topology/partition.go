@@ -39,7 +39,7 @@ type Partition struct {
 // zero-delay cut would leave the conservative synchronization scheme no
 // lookahead. Use fewer shards, explicit regions, or give the link a
 // delay.
-func (c *Compiled) Partition(k int) (*Partition, error) {
+func (c *Skeleton) Partition(k int) (*Partition, error) {
 	if k < 1 {
 		k = 1
 	}
@@ -137,7 +137,7 @@ func (c *Compiled) Partition(k int) (*Partition, error) {
 
 // cutDelta returns the change in the number of cut links if switch s
 // moved to region `to`.
-func (c *Compiled) cutDelta(region []int, s, to int) int {
+func (c *Skeleton) cutDelta(region []int, s, to int) int {
 	from := region[s]
 	delta := 0
 	for i := c.adjOff[s]; i < c.adjOff[s+1]; i++ {
@@ -155,7 +155,7 @@ func (c *Compiled) cutDelta(region []int, s, to int) int {
 // scenario-file `regions` override): regions[r] lists the switches of
 // region r, and together the lists must cover every switch exactly
 // once. The same zero-delay-cut restriction as Partition applies.
-func (c *Compiled) PartitionWith(regions [][]int) (*Partition, error) {
+func (c *Skeleton) PartitionWith(regions [][]int) (*Partition, error) {
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("topology: empty region list")
 	}
@@ -187,7 +187,7 @@ func (c *Compiled) PartitionWith(regions [][]int) (*Partition, error) {
 
 // finishPartition derives the cut-edge metadata from a region
 // assignment and validates the lookahead bound.
-func (c *Compiled) finishPartition(region []int, k int) (*Partition, error) {
+func (c *Skeleton) finishPartition(region []int, k int) (*Partition, error) {
 	p := &Partition{K: k, Region: region}
 	for li, l := range c.Links {
 		if region[l.A] == region[l.B] {

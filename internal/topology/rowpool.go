@@ -1,6 +1,9 @@
 package topology
 
-import "slices"
+import (
+	"maps"
+	"slices"
+)
 
 // slotLocal marks a forwarding-row interval whose hosts are attached to
 // the switch itself. Non-negative slot values index the switch's CSR
@@ -14,23 +17,36 @@ const slotLocal = int32(-1)
 // rowPool hash-conses per-switch forwarding rows. A row is a pair of
 // equal-length int32 slices: ascending host-interval ends (the last
 // always equals the host count) and the adjacency slot each interval
-// forwards through. Rows are content-hashed, refcounted (one reference
-// per switch pointing at the row), and recycled through a free list
-// when ApplyLinkChange repaints switches. Interning is always serial —
-// compile freezes switch rows in switch order, ApplyLinkChange splices
-// in switch order — so row ids are deterministic and independent of the
-// route-compiler worker count.
+// forwards through. Rows are content-hashed and refcounted (one
+// reference per switch pointing at the row).
+//
+// A row's slices are immutable from the moment intern creates them.
+// That is the ownership rule everything outside this file relies on
+// (DESIGN.md §16): Compiled.Row hands the slices out by reference, a
+// running switch forwards straight from them, scheduled link events
+// hold the rows they will install, and Clone shares them between pools
+// — so release only forgets a dead row (the garbage collector frees it
+// once its last outside holder lets go) and a recycled row id always
+// gets fresh slices.
+//
+// Interning is always serial — compile freezes switch rows in switch
+// order, ApplyLinkChange splices in switch order — so row ids are
+// deterministic and independent of the route-compiler worker count.
 type rowPool struct {
 	ends  [][]int32
 	slots [][]int32
 	refs  []int32
 	hash  []uint64
-	index map[uint64][]int32 // content hash -> row ids with that hash
-	free  []int32            // dead row ids available for reuse
+	// index maps a content hash to the first live row id carrying it;
+	// chain[id] links the (almost always absent) further rows with the
+	// same hash, -1 ending the list.
+	index map[uint64]int32
+	chain []int32
+	free  []int32 // dead row ids available for reuse
 }
 
 func newRowPool() *rowPool {
-	return &rowPool{index: make(map[uint64][]int32)}
+	return &rowPool{index: make(map[uint64]int32)}
 }
 
 // hashRow mixes a row's content FNV-1a style. ends and slots always
@@ -47,10 +63,14 @@ func hashRow(ends, slots []int32) uint64 {
 }
 
 // intern returns the id of the row with exactly this content, creating
-// it if needed, and takes one reference.
+// it (from copies of the arguments) if needed, and takes one reference.
 func (p *rowPool) intern(ends, slots []int32) int32 {
 	h := hashRow(ends, slots)
-	for _, id := range p.index[h] {
+	head, ok := p.index[h]
+	if !ok {
+		head = -1
+	}
+	for id := head; id >= 0; id = p.chain[id] {
 		if slices.Equal(p.ends[id], ends) && slices.Equal(p.slots[id], slots) {
 			p.refs[id]++
 			return id
@@ -60,42 +80,43 @@ func (p *rowPool) intern(ends, slots []int32) int32 {
 	if n := len(p.free); n > 0 {
 		id = p.free[n-1]
 		p.free = p.free[:n-1]
-		p.ends[id] = append(p.ends[id][:0], ends...)
-		p.slots[id] = append(p.slots[id][:0], slots...)
 	} else {
 		id = int32(len(p.ends))
-		p.ends = append(p.ends, slices.Clone(ends))
-		p.slots = append(p.slots, slices.Clone(slots))
+		p.ends = append(p.ends, nil)
+		p.slots = append(p.slots, nil)
 		p.refs = append(p.refs, 0)
 		p.hash = append(p.hash, 0)
+		p.chain = append(p.chain, -1)
 	}
+	p.ends[id] = slices.Clone(ends)
+	p.slots[id] = slices.Clone(slots)
 	p.refs[id] = 1
 	p.hash[id] = h
-	p.index[h] = append(p.index[h], id)
+	p.chain[id] = head
+	p.index[h] = id
 	return id
 }
 
-// release drops one reference. At zero the row leaves the index and its
-// id (with its backing arrays) joins the free list.
+// release drops one reference. At zero the row leaves the index, the
+// pool forgets its slices, and its id joins the free list.
 func (p *rowPool) release(id int32) {
 	p.refs[id]--
 	if p.refs[id] > 0 {
 		return
 	}
 	h := p.hash[id]
-	chain := p.index[h]
-	for i, cid := range chain {
-		if cid == id {
-			chain[i] = chain[len(chain)-1]
-			chain = chain[:len(chain)-1]
-			break
+	if head := p.index[h]; head != id {
+		prev := head
+		for p.chain[prev] != id {
+			prev = p.chain[prev]
 		}
-	}
-	if len(chain) == 0 {
-		delete(p.index, h)
+		p.chain[prev] = p.chain[id]
+	} else if next := p.chain[id]; next >= 0 {
+		p.index[h] = next
 	} else {
-		p.index[h] = chain
+		delete(p.index, h)
 	}
+	p.ends[id], p.slots[id] = nil, nil
 	p.free = append(p.free, id)
 }
 
@@ -110,23 +131,16 @@ func (p *rowPool) rows() int {
 	return n
 }
 
-// clone deep-copies the pool. Inner slices are copied too: a freed row's
-// backing array is overwritten on reuse, so clones may not share any.
+// clone copies the pool's bookkeeping; the rows themselves are
+// immutable and shared.
 func (p *rowPool) clone() *rowPool {
-	q := &rowPool{
-		ends:  make([][]int32, len(p.ends)),
-		slots: make([][]int32, len(p.slots)),
+	return &rowPool{
+		ends:  slices.Clone(p.ends),
+		slots: slices.Clone(p.slots),
 		refs:  slices.Clone(p.refs),
 		hash:  slices.Clone(p.hash),
-		index: make(map[uint64][]int32, len(p.index)),
+		index: maps.Clone(p.index),
+		chain: slices.Clone(p.chain),
 		free:  slices.Clone(p.free),
 	}
-	for i := range p.ends {
-		q.ends[i] = slices.Clone(p.ends[i])
-		q.slots[i] = slices.Clone(p.slots[i])
-	}
-	for h, chain := range p.index {
-		q.index[h] = slices.Clone(chain)
-	}
-	return q
 }

@@ -8,10 +8,12 @@
 // BarabasiAlbert and Waxman generators) to Internet-scale random
 // graphs.
 //
-// A Graph is purely declarative. Compile resolves per-link parameter
-// defaults and computes per-switch forwarding tables with Dijkstra
-// shortest paths; internal/core consumes the compiled form to wire
-// hosts, switches, and ports. Everything is deterministic: link weights
+// A Graph is purely declarative. Resolve checks it and resolves per-link
+// parameter defaults (all that input validation needs); Compile goes on
+// to compute per-switch forwarding tables with Dijkstra shortest paths.
+// internal/core consumes the compiled form to wire hosts, switches, and
+// ports, and its switches forward from the compiled rows themselves
+// (Compiled.Row). Everything is deterministic: link weights
 // are integer durations and every tie is broken by the lowest switch or
 // link index, so the same Graph always compiles to the same routes —
 // regardless of how many workers the route compiler fans out over.
@@ -26,6 +28,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -164,23 +167,19 @@ func packHop(link, dir int) int32 { return int32(link)<<1 | int32(dir) }
 
 func unpackHop(p int32) Hop { return Hop{Link: int(p >> 1), Dir: int(p & 1)} }
 
-// Compiled is a Graph with resolved link parameters and per-switch
-// forwarding tables. Build it with Graph.Compile.
+// Skeleton is a Graph with resolved link parameters, defaulted hosts
+// and CSR adjacency, known to be well formed and connected — everything
+// about a compiled topology except its routes. Graph.Resolve builds one
+// in O(switches + links); callers that only need to validate what
+// refers to a topology (link events, region covers, host indices) stop
+// there instead of paying for the route compile. It is immutable.
 //
-// Internally the graph is CSR: the half-edges of switch s occupy
+// The adjacency is CSR: the half-edges of switch s occupy
 // adjSw/adjHop[adjOff[s]:adjOff[s+1]], sorted by ascending link index
-// (the tie-break order every deterministic scan relies on). Forwarding
-// state is either one dense Hop per (switch, host) cell — kept when
-// Switches×Hosts is at most denseNextLimit, the exact historical
-// representation — or per-switch sorted host-interval rows interned in
-// a shared pool (DESIGN.md §16): rowOf[s] names switch s's row, whose
-// intervals forward through adjacency slots relative to s. Switches
-// with identical forwarding shape — every host-less switch between two
-// clusters on a chain, every same-degree leaf of a BA graph — share one
-// row, so resident route bytes track the number of *distinct* rows,
-// not the switch count. The representations answer NextHop identically
-// (pinned by the equivalence tests); only their memory differs.
-type Compiled struct {
+// (the tie-break order every deterministic scan relies on). A
+// half-edge's position relative to adjOff[s] is its adjacency slot, the
+// switch-relative name forwarding rows use for "out this line".
+type Skeleton struct {
 	// Switches is the switch count.
 	Switches int
 	// Links are the resolved duplex links, in Graph order. Links is the
@@ -196,6 +195,24 @@ type Compiled struct {
 	adjOff []int32
 	adjSw  []int32
 	adjHop []int32
+}
+
+// Compiled is a Skeleton plus per-switch forwarding tables. Build it
+// with Graph.Compile.
+//
+// Forwarding state is either one dense Hop per (switch, host) cell —
+// kept when Switches×Hosts is at most denseNextLimit, the exact
+// historical representation — or per-switch sorted host-interval rows
+// interned in a shared pool (DESIGN.md §16): rowOf[s] names switch s's
+// row, whose intervals forward through adjacency slots relative to s.
+// Switches with identical forwarding shape — every host-less switch
+// between two clusters on a chain, every same-degree leaf of a BA graph
+// — share one row, so resident route bytes track the number of
+// *distinct* rows, not the switch count. The representations answer
+// NextHop identically (pinned by the equivalence tests); only their
+// memory differs.
+type Compiled struct {
+	Skeleton
 
 	// wt[li] is link li's routing metric (Weight): precomputed at
 	// Compile, updated in place by ApplyLinkChange. A down link holds
@@ -230,10 +247,10 @@ type Compiled struct {
 }
 
 // NumHosts returns the number of hosts.
-func (c *Compiled) NumHosts() int { return len(c.Hosts) }
+func (c *Skeleton) NumHosts() int { return len(c.Hosts) }
 
 // HostSwitch returns the switch host h is attached to.
-func (c *Compiled) HostSwitch(h int) int { return c.Hosts[h].Switch }
+func (c *Skeleton) HostSwitch(h int) int { return c.Hosts[h].Switch }
 
 // NextHop returns the forwarding decision at switch sw for traffic to
 // host h. local reports whether the host is attached to sw itself (in
@@ -266,9 +283,8 @@ func (c *Compiled) NextHop(sw, h int) (hop Hop, isLocal bool) {
 // ForEachHostRun calls fn for every maximal interval [h0,h1) of host
 // indices that switch sw forwards the same way: via hop, or locally
 // (isLocal true, hop meaningless). Intervals arrive in ascending host
-// order and together cover every host exactly once. It is the bulk
-// route-installation interface — internal/core paints one switch-table
-// range per run instead of asking NextHop once per host.
+// order and together cover every host exactly once, in either table
+// mode.
 func (c *Compiled) ForEachHostRun(sw int, fn func(h0, h1 int, hop Hop, isLocal bool)) {
 	nh := len(c.Hosts)
 	if c.next != nil {
@@ -296,22 +312,53 @@ func (c *Compiled) ForEachHostRun(sw int, fn func(h0, h1 int, hop Hop, isLocal b
 	}
 }
 
+// Row hands out switch sw's forwarding row: interval i covers host
+// indices [ends[i-1], ends[i]) (from 0; the last end is the host count)
+// and forwards through adjacency slot slots[i] of sw — resolve it with
+// SlotHop — or, for slotLocal (-1), to a host attached to sw itself.
+//
+// The slices are read-only and stay valid and unchanged for as long as
+// the caller holds them: an interned row is never written after it is
+// created, by this Compiled or any Clone of it, whatever link changes
+// follow. In run mode they are the pool's own row, so any number of
+// holders (switches of a running simulation, region goroutines, scheduled
+// link events) share one copy; in dense mode they are built fresh from
+// the cell array.
+func (c *Compiled) Row(sw int) (ends, slots []int32) {
+	if c.next == nil {
+		row := c.rowOf[sw]
+		return c.pool.ends[row], c.pool.slots[row]
+	}
+	c.ForEachHostRun(sw, func(h0, h1 int, hop Hop, isLocal bool) {
+		slot := slotLocal
+		if !isLocal {
+			slot = c.slotOf(sw, packHop(hop.Link, hop.Dir))
+		}
+		ends = append(ends, int32(h1))
+		slots = append(slots, slot)
+	})
+	return ends, slots
+}
+
+// Degree returns the number of adjacency slots of switch sw: one per
+// link end attached to it.
+func (c *Skeleton) Degree(sw int) int { return int(c.adjOff[sw+1] - c.adjOff[sw]) }
+
+// SlotHop returns the link direction adjacency slot `slot` of switch sw
+// transmits on. Slots number sw's link ends in ascending link order;
+// they depend only on the graph, never on weights or link state.
+func (c *Skeleton) SlotHop(sw, slot int) Hop { return unpackHop(c.adjHop[int(c.adjOff[sw])+slot]) }
+
 // RouteRuns returns the total number of forwarding intervals across all
 // switches — the size of the compressed routing state (equal to
 // Switches×Hosts in dense mode only in the worst case of no adjacent
 // hosts sharing a next hop). It exists for capacity diagnostics
 // (tahoe-sim -validate, benchmarks).
 func (c *Compiled) RouteRuns() int {
-	if c.next == nil {
-		runs := 0
-		for _, row := range c.rowOf {
-			runs += len(c.pool.ends[row])
-		}
-		return runs
-	}
 	runs := 0
 	for s := 0; s < c.Switches; s++ {
-		c.ForEachHostRun(s, func(h0, h1 int, hop Hop, isLocal bool) { runs++ })
+		ends, _ := c.Row(s)
+		runs += len(ends)
 	}
 	return runs
 }
@@ -348,16 +395,14 @@ func (c *Compiled) RouteBytes() int {
 
 // Clone returns an independently mutable copy: ApplyLinkChange and
 // RecomputeRoutes on the clone never disturb the original. Immutable
-// state (adjacency, links, hosts, caches) is shared.
+// state (adjacency, links, hosts, caches, and every interned row's
+// interval data) is shared; only the weights, the per-switch row ids,
+// and the pool's bookkeeping are copied.
 func (c *Compiled) Clone() *Compiled {
 	d := *c
-	d.wt = append([]time.Duration(nil), c.wt...)
-	if c.next != nil {
-		d.next = append([]Hop(nil), c.next...)
-	}
-	if c.rowOf != nil {
-		d.rowOf = append([]int32(nil), c.rowOf...)
-	}
+	d.wt = slices.Clone(c.wt)
+	d.next = slices.Clone(c.next)
+	d.rowOf = slices.Clone(c.rowOf)
 	if c.pool != nil {
 		d.pool = c.pool.clone()
 	}
@@ -392,20 +437,17 @@ func (c *Compiled) PathHops(src, dst int) int {
 // transmission delay of one data packet.
 func (c *Compiled) Weight(li int) time.Duration { return c.wt[li] }
 
-// Compile validates the graph, resolves per-link defaults, and computes
-// shortest-path forwarding tables. The metric is propagation plus
-// data-packet transmission delay per link; ties are broken
-// deterministically by the lowest link index when choosing among
-// equal-cost next hops (Dijkstra's final distances are themselves
-// visit-order independent, so no sweep-order tie-break is needed).
-func (g Graph) Compile(def Defaults) (*Compiled, error) {
+// Resolve validates the graph without computing any route: it resolves
+// per-link defaults and host placement, builds the adjacency, and
+// checks connectivity and the route overrides. It reports exactly the
+// error Compile would — same checks, same order, same text — at
+// O(switches + links) instead of one Dijkstra per destination, which is
+// what makes it the right entry point for input validation.
+func (g Graph) Resolve(def Defaults) (*Skeleton, error) {
 	if g.Switches < 1 {
 		return nil, fmt.Errorf("topology: need at least 1 switch, have %d", g.Switches)
 	}
-	if def.DataSize <= 0 {
-		def.DataSize = 500
-	}
-	c := &Compiled{Switches: g.Switches, dataSize: def.DataSize, workers: def.Workers}
+	c := &Skeleton{Switches: g.Switches}
 
 	// Resolve links.
 	c.Links = make([]Link, 0, len(g.Links))
@@ -450,6 +492,61 @@ func (g Graph) Compile(def Defaults) (*Compiled, error) {
 	}
 
 	c.buildCSR()
+	if bad := c.firstUnreached(c.Hosts[0].Switch); bad >= 0 {
+		// A disconnected graph strands some switch from every host outside
+		// its component, the first host included — so the route compiler's
+		// first failing column is always host 0's, and its lowest
+		// unreachable switch is the lowest one outside host 0's component.
+		return nil, fmt.Errorf("topology: switch %d cannot reach host %d (switch %d): graph is disconnected",
+			bad, 0, c.Hosts[0].Switch)
+	}
+	for _, r := range g.Routes {
+		if _, err := c.overrideHop(r); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// firstUnreached returns the lowest-index switch with no path to
+// switch from, or -1 when the graph is connected.
+func (c *Skeleton) firstUnreached(from int) int {
+	seen := make([]bool, c.Switches)
+	seen[from] = true
+	stack := []int32{int32(from)}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i := c.adjOff[u]; i < c.adjOff[u+1]; i++ {
+			if v := c.adjSw[i]; !seen[v] {
+				seen[v] = true
+				stack = append(stack, v)
+			}
+		}
+	}
+	for s, ok := range seen {
+		if !ok {
+			return s
+		}
+	}
+	return -1
+}
+
+// Compile validates the graph, resolves per-link defaults, and computes
+// shortest-path forwarding tables. The metric is propagation plus
+// data-packet transmission delay per link; ties are broken
+// deterministically by the lowest link index when choosing among
+// equal-cost next hops (Dijkstra's final distances are themselves
+// visit-order independent, so no sweep-order tie-break is needed).
+func (g Graph) Compile(def Defaults) (*Compiled, error) {
+	sk, err := g.Resolve(def)
+	if err != nil {
+		return nil, err
+	}
+	if def.DataSize <= 0 {
+		def.DataSize = 500
+	}
+	c := &Compiled{Skeleton: *sk, dataSize: def.DataSize, workers: def.Workers}
 	c.wt = make([]time.Duration, len(c.Links))
 	for li, l := range c.Links {
 		bits := int64(c.dataSize) * 8
@@ -473,7 +570,7 @@ func (g Graph) Compile(def Defaults) (*Compiled, error) {
 // buildCSR fills the half-edge arrays. Links are visited in index
 // order, so each switch's half-edges come out sorted by ascending link
 // index — the order every deterministic tie-break scan depends on.
-func (c *Compiled) buildCSR() {
+func (c *Skeleton) buildCSR() {
 	c.adjOff = make([]int32, c.Switches+1)
 	for _, l := range c.Links {
 		c.adjOff[l.A+1]++
@@ -502,33 +599,42 @@ func (c *Compiled) buildCSR() {
 // the dense table directly, or — in run mode — into the route builder's
 // accumulator before it freezes.
 func (c *Compiled) applyOverrides(routes []RouteSpec, rb *routeBuilder) error {
-	nh := len(c.Hosts)
 	for _, r := range routes {
-		if r.At < 0 || r.At >= c.Switches {
-			return fmt.Errorf("topology: route override at unknown switch %d", r.At)
-		}
-		if r.Dst < 0 || r.Dst >= nh {
-			return fmt.Errorf("topology: route override for unknown host %d", r.Dst)
-		}
-		if c.Hosts[r.Dst].Switch == r.At {
-			return fmt.Errorf("topology: route override at switch %d for its own host %d", r.At, r.Dst)
-		}
-		hop, found := c.hopToward(r.At, r.Via)
-		if !found {
-			return fmt.Errorf("topology: route override via %d: not a neighbor of switch %d", r.Via, r.At)
+		hop, err := c.overrideHop(r)
+		if err != nil {
+			return err
 		}
 		if rb != nil {
 			rb.paint(r.At, r.Dst, packHop(hop.Link, hop.Dir))
 		} else {
-			c.next[r.At*nh+r.Dst] = hop
+			c.next[r.At*len(c.Hosts)+r.Dst] = hop
 		}
 	}
 	return nil
 }
 
+// overrideHop validates one RouteSpec and resolves it to the link
+// direction it forwards through.
+func (c *Skeleton) overrideHop(r RouteSpec) (Hop, error) {
+	if r.At < 0 || r.At >= c.Switches {
+		return Hop{}, fmt.Errorf("topology: route override at unknown switch %d", r.At)
+	}
+	if r.Dst < 0 || r.Dst >= len(c.Hosts) {
+		return Hop{}, fmt.Errorf("topology: route override for unknown host %d", r.Dst)
+	}
+	if c.Hosts[r.Dst].Switch == r.At {
+		return Hop{}, fmt.Errorf("topology: route override at switch %d for its own host %d", r.At, r.Dst)
+	}
+	hop, found := c.hopToward(r.At, r.Via)
+	if !found {
+		return Hop{}, fmt.Errorf("topology: route override via %d: not a neighbor of switch %d", r.Via, r.At)
+	}
+	return hop, nil
+}
+
 // hopToward returns the lowest-index link direction from switch s to
 // neighbor via.
-func (c *Compiled) hopToward(s, via int) (Hop, bool) {
+func (c *Skeleton) hopToward(s, via int) (Hop, bool) {
 	for i := c.adjOff[s]; i < c.adjOff[s+1]; i++ {
 		if int(c.adjSw[i]) == via {
 			return unpackHop(c.adjHop[i]), true
@@ -542,7 +648,7 @@ func (c *Compiled) hopToward(s, via int) (Hop, bool) {
 // by ascending link index, and both directions of one link never meet
 // at a switch, so adjHop is strictly ascending per switch — binary
 // search applies.
-func (c *Compiled) slotOf(s int, p int32) int32 {
+func (c *Skeleton) slotOf(s int, p int32) int32 {
 	if p < 0 {
 		return slotLocal
 	}

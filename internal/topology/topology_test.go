@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -168,9 +169,72 @@ func TestCompileErrors(t *testing.T) {
 		if name == "no bandwidth" {
 			d.Bandwidth = 0
 		}
-		if _, err := g.Compile(d); err == nil {
+		_, err := g.Compile(d)
+		if err == nil {
 			t.Errorf("%s: compiled without error", name)
+			continue
 		}
+		// Resolve is Compile's validation half: the same error, text
+		// included, without the route compile.
+		if _, rerr := g.Resolve(d); rerr == nil || rerr.Error() != err.Error() {
+			t.Errorf("%s: Resolve error %v, Compile error %v", name, rerr, err)
+		}
+	}
+}
+
+// TestResolveMatchesRouteCompiler pins Resolve's O(V+E) connectivity
+// sweep against what it replaces as the first reporter of a
+// disconnected graph: the route compiler's own per-column check, run
+// here directly on the unvalidated adjacency. Random forests with
+// random host placement (several hosts per switch, hosts out of switch
+// order, host-less components) must name the same switch and host.
+func TestResolveMatchesRouteCompiler(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	disconnected := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(12)
+		g := Graph{Switches: n}
+		for i := 1; i < n; i++ {
+			if rng.Intn(4) > 0 { // drop a quarter of the tree edges
+				g.Links = append(g.Links, LinkSpec{A: rng.Intn(i), B: i})
+			}
+		}
+		if rng.Intn(2) == 0 {
+			for h := 1 + rng.Intn(2*n); h > 0; h-- {
+				g.Hosts = append(g.Hosts, HostSpec{Switch: rng.Intn(n)})
+			}
+		}
+		sk, err := g.Resolve(def())
+
+		// The route compiler on the same graph, validation bypassed.
+		raw := &Compiled{Skeleton: Skeleton{Switches: n, Hosts: g.Hosts}, workers: 1 + rng.Intn(3)}
+		if len(raw.Hosts) == 0 {
+			for i := 0; i < n; i++ {
+				raw.Hosts = append(raw.Hosts, HostSpec{Switch: i})
+			}
+		}
+		for _, ls := range g.Links {
+			raw.Links = append(raw.Links, Link{A: ls.A, B: ls.B})
+			raw.wt = append(raw.wt, time.Millisecond)
+		}
+		raw.buildCSR()
+		_, want := raw.computeRoutes()
+
+		switch {
+		case want == nil && err != nil:
+			t.Fatalf("trial %d: Resolve rejected a connected graph: %v", trial, err)
+		case want != nil && (err == nil || err.Error() != want.Error()):
+			t.Fatalf("trial %d: Resolve error %v, route compiler says %v", trial, err, want)
+		case want == nil && (sk.Switches != n || len(sk.Links) != len(g.Links) || sk.NumHosts() != len(raw.Hosts)):
+			t.Fatalf("trial %d: skeleton %d switches, %d links, %d hosts; graph has %d, %d, %d",
+				trial, sk.Switches, len(sk.Links), sk.NumHosts(), n, len(g.Links), len(raw.Hosts))
+		}
+		if want != nil {
+			disconnected++
+		}
+	}
+	if disconnected < 50 {
+		t.Fatalf("only %d of 200 trials were disconnected — corpus too tame", disconnected)
 	}
 }
 

@@ -1,0 +1,116 @@
+#!/usr/bin/env bash
+# benchpair.sh <parent-ref> <workload> [pairs=10] — the paired comparison
+# bench/README.md asks of any change that claims (or must rule out) a
+# performance difference, scripted.
+#
+# The parent commit's committed files are exported into a fresh directory
+# (git archive — the same thing the benchmark driver measures, and nothing
+# is added to .git), and the repository benchmark is run alternately on
+# that export and on this working tree:
+#
+#     bash bench/run.sh --workload W --seed N --seconds 28 --trace 0
+#
+# once per side per pair, a fresh seed for every pair (1, 2, …; seed 1 is
+# also checked against bench/golden), and the side that goes first
+# alternating from pair to pair so that slow drift of the host falls on
+# both. Each side builds its own harness from its own source, as in the
+# driver.
+#
+# Per end-to-end metric of BENCHMARK.json it prints each side's median and
+# quartiles over the pairs, the change of the median, how many pairs each
+# side won (ties count for neither), and the two conditions the
+# choosing-metrics guide sets for a claim: the change wins at least nine
+# tenths of the pairs, and the medians differ by more than the parent's own
+# interquartile range. Every run's result line is kept in the output
+# directory. It only calls the harness; it changes no file under bench/.
+#
+# Exit status: 0 when every run executed and reported ops_failed = 0 on
+# both sides, 1 otherwise. The verdict columns are for the reader — a
+# regression gate belongs to the driver, with the bounds in BENCHMARK.json.
+set -euo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+    exit 2
+fi
+ref=$1 workload=$2 pairs=${3:-10}
+seconds=28 # BENCHMARK.json run_seconds: the length the driver uses
+
+root=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
+commit=$(git -C "$root" rev-parse --verify "$ref^{commit}")
+work=$(mktemp -d "${TMPDIR:-/tmp}/benchpair.XXXXXX")
+trap 'rm -rf "$work/parent"' EXIT
+mkdir "$work/parent"
+git -C "$root" archive "$commit" | tar -x -C "$work/parent"
+echo "benchpair: parent $ref ($(git -C "$root" rev-parse --short "$commit")) in $work/parent, change in $root" >&2
+echo "benchpair: $pairs pairs of $workload, $seconds s a side; result lines in $work" >&2
+
+# run <side> <dir> <seed>: one benchmark run; its result line (the last
+# line of standard output) is appended to $work/<side>.jsonl.
+run() {
+    local side=$1 dir=$2 seed=$3 line
+    if ! line=$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>"$work/$side.$seed.log" | tail -n 1); then
+        echo "benchpair: $side run failed at seed $seed, see $work/$side.$seed.log" >&2
+        exit 1
+    fi
+    echo "$line" >>"$work/$side.jsonl"
+    echo "benchpair:   $side seed $seed: $line" >&2
+}
+
+for ((i = 1; i <= pairs; i++)); do
+    echo "benchpair: pair $i/$pairs" >&2
+    if ((i % 2)); then
+        run parent "$work/parent" "$i"
+        run head "$root" "$i"
+    else
+        run head "$root" "$i"
+        run parent "$work/parent" "$i"
+    fi
+done
+
+# The metric list (name, unit, direction) comes from BENCHMARK.json; the
+# values from the result lines: {"…","failed":N,"metrics":{"name":{"value":V,…},…}}.
+metrics=$(tr -d ' \n' <"$root/BENCHMARK.json" |
+    sed 's/.*"end_to_end":\[\([^]]*\)\].*/\1/' |
+    grep -o '{[^}]*}' |
+    sed 's/.*"name":"\([^"]*\)".*"unit":"\([^"]*\)".*"better":"\([^"]*\)".*/\1 \2 \3/')
+
+awk -v metrics="$metrics" -v pairs="$pairs" -v workload="$workload" '
+function value(line, name,    m) {
+    if (!match(line, "\"" name "\":\\{\"value\":[-+0-9.eE]+")) return "nan"
+    m = substr(line, RSTART, RLENGTH); sub(/.*:/, "", m); return m + 0
+}
+function failed(line,    m) {
+    if (!match(line, "\"failed\":[0-9]+")) return 1
+    m = substr(line, RSTART, RLENGTH); sub(/.*:/, "", m); return m + 0
+}
+# quantile of v[1..n] (sorted in place), linear interpolation between ranks.
+function quantile(v, n, p,    i, j, t, pos, lo) {
+    for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t }
+    pos = 1 + (n - 1) * p; lo = int(pos)
+    return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
+}
+FILENAME ~ /parent\.jsonl$/ { np++; P[np] = $0; pf += failed($0); next }
+                            { nh++; H[nh] = $0; hf += failed($0) }
+END {
+    if (np != pairs || nh != pairs) { printf "benchpair: %d parent and %d head result lines, want %d each\n", np, nh, pairs; exit 1 }
+    printf "\n%s: %d pairs, parent vs change (median [q1, q3]); ops failed: parent %d, change %d\n\n", workload, pairs, pf, hf
+    printf "  %-20s %-6s %-40s %-40s %8s  %-12s %s\n", "metric", "unit", "parent", "change", "median", "won-lost", "claimable gain / beyond parent IQR"
+    nm = split(metrics, M, "\n")
+    for (k = 1; k <= nm; k++) {
+        split(M[k], f, " "); name = f[1]; unit = f[2]; sign = (f[3] == "lower") ? -1 : 1
+        won = lost = 0
+        for (i = 1; i <= pairs; i++) {
+            a[i] = value(P[i], name); b[i] = value(H[i], name)
+            if ((b[i] - a[i]) * sign > 0) won++; else if (b[i] != a[i]) lost++
+        }
+        pm = quantile(a, pairs, .5); p1 = quantile(a, pairs, .25); p3 = quantile(a, pairs, .75)
+        hm = quantile(b, pairs, .5); h1 = quantile(b, pairs, .25); h3 = quantile(b, pairs, .75)
+        diff = hm - pm; beyond = (diff < 0 ? -diff : diff) > (p3 - p1)
+        gain = beyond && diff * sign > 0 && won * 10 >= pairs * 9
+        printf "  %-20s %-6s %-40s %-40s %+7.1f%%  %2d-%-2d of %-3d %s / %s\n", name, unit,
+            sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", hm, h1, h3),
+            pm ? 100 * diff / pm : 0, won, lost, pairs, gain ? "yes" : "no", beyond ? (diff * sign > 0 ? "better" : "WORSE") : "no"
+    }
+    exit (pf + hf) > 0
+}' "$work/parent.jsonl" "$work/head.jsonl"
