@@ -164,3 +164,61 @@ func BenchmarkTraceStoreWindowQuery(b *testing.B) {
 	b.ReportMetric(float64(skipped)/float64(len(s.Chunks())), "chunk-skip-ratio")
 	b.ReportMetric(float64(scanned)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
+
+// BenchmarkTraceStoreFold measures what each aggregate costs over a
+// 10⁶-event store — the folds read a few columns each, where
+// BenchmarkTraceStoreScan decodes all nine — in events of the store per
+// second and bytes allocated per fold.
+func BenchmarkTraceStoreFold(b *testing.B) {
+	const nEvents = 1_000_000
+	folds := []struct {
+		name string
+		run  func(s *tstore.Store) (uint64, error)
+	}{
+		{"count-drop", func(s *tstore.Store) (uint64, error) {
+			return s.Count(tstore.Query{Filter: obs.Filter{Types: 1 << obs.Drop}})
+		}},
+		{"quantiles-enqueue", func(s *tstore.Store) (uint64, error) {
+			_, n, err := tstore.Quantiles(s, tstore.Query{Filter: obs.Filter{Types: 1 << obs.Enqueue}}, []float64{0.5, 0.9, 0.99})
+			return n, err
+		}},
+		{"windowed-transmit-byloc", func(s *tstore.Store) (uint64, error) {
+			groups, err := tstore.Windowed(s, tstore.Query{Filter: obs.Filter{Types: 1 << obs.Transmit}},
+				tstore.WindowOptions{Width: time.Second, ByLoc: true})
+			var n uint64
+			for _, series := range groups {
+				for i := range series {
+					n += uint64(series[i].Count)
+				}
+			}
+			return n, err
+		}},
+		{"check", func(s *tstore.Store) (uint64, error) {
+			// The synthetic batch is not a conserving queue trace.
+			n, vio, err := tstore.Check(s, tstore.CheckOptions{NoConservation: true})
+			if err == nil && vio != nil {
+				err = vio
+			}
+			return n, err
+		}},
+	}
+	for _, f := range folds {
+		b.Run(f.name, func(b *testing.B) {
+			s := buildBenchStore(b, nEvents)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var n uint64
+			for i := 0; i < b.N; i++ {
+				var err error
+				if n, err = f.run(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if n == 0 {
+				b.Fatal("fold saw no event")
+			}
+			b.ReportMetric(nEvents*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+}

@@ -247,3 +247,63 @@ func TestRunContextCanceledBeforeStart(t *testing.T) {
 func trimFloat(v float64) string {
 	return strconv.FormatFloat(v, 'f', 0, 64)
 }
+
+// tableSink keeps the location table of the last batch it was handed —
+// the emitting tracer's whole table, silent locations included.
+type tableSink struct{ locs []string }
+
+func (s *tableSink) Begin() error { return nil }
+func (s *tableSink) Close() error { return nil }
+func (s *tableSink) Events(locs []string, _ []obs.Event) error {
+	s.locs = locs
+	return nil
+}
+
+// TestTracedBuildLocationLimit pins the edge of the 16-bit location id
+// space: a traced dumbbell with exactly 65 536 locations (ports, hosts,
+// one per connection) builds, runs, and interns 65 536 distinct names;
+// one connection more is refused by BuildE with an error naming the
+// limit, where it used to alias the extra location to id 0.
+func TestTracedBuildLocationLimit(t *testing.T) {
+	traced := func(conns int) (Config, *tableSink) {
+		cfg := DumbbellConfig(10*time.Millisecond, DefaultBuffer)
+		cfg.Conns = make([]ConnSpec, conns)
+		for i := range cfg.Conns {
+			cfg.Conns[i] = ConnSpec{SrcHost: i % 2, DstHost: 1 - i%2, Start: time.Duration(i) * time.Millisecond}
+		}
+		cfg.MeasureTrunks, cfg.MeasureConns = []int{}, []int{}
+		cfg.Warmup, cfg.Duration = time.Second, 2*time.Second
+		sink := &tableSink{}
+		cfg.Obs = &obs.Options{Trace: &obs.TraceOptions{Sink: sink}}
+		return cfg, sink
+	}
+	// Everything but the connections: learn it from a one-connection run.
+	cfg, sink := traced(1)
+	if res := Run(cfg); res.TraceErr != nil {
+		t.Fatal(res.TraceErr)
+	}
+	fixed := len(sink.locs) - 1
+	const limit = 1 << 16
+
+	cfg, sink = traced(limit - fixed)
+	sm, err := BuildE(cfg)
+	if err != nil {
+		t.Fatalf("a run with exactly %d locations was refused: %v", limit, err)
+	}
+	sm.RunUntil(cfg.Duration)
+	if res := sm.Finish(); res.TraceErr != nil {
+		t.Fatal(res.TraceErr)
+	}
+	distinct := make(map[string]bool, limit)
+	for _, name := range sink.locs {
+		distinct[name] = true
+	}
+	if len(sink.locs) != limit || len(distinct) != limit {
+		t.Fatalf("at the limit the tracer interned %d locations, %d distinct; want %d of each", len(sink.locs), len(distinct), limit)
+	}
+
+	cfg, _ = traced(limit - fixed + 1)
+	if _, err := BuildE(cfg); err == nil || !strings.Contains(err.Error(), "65536 locations") {
+		t.Fatalf("a run with %d locations: BuildE error %v, want one naming the 65536-location limit", limit+1, err)
+	}
+}

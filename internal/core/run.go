@@ -1139,6 +1139,14 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		runner = shard.NewRunner(regions, edges, edgeFrom, part.MinCutDelay)
 	}
 
+	// Nothing has been emitted yet, so a tracer can only have failed at
+	// interning: the run has more locations than a trace can name.
+	for _, tr := range tracers {
+		if err := tr.Err(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+
 	sm := &Sim{
 		cfg:       cfg,
 		eng:       eng,

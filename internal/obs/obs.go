@@ -211,9 +211,14 @@ type Tracer struct {
 	n      int
 	sink   Sink
 	locs   []string
+	locIDs map[string]Loc
 	began  bool
 	err    error
 }
+
+// maxLocs is the number of locations one tracer can tell apart: Loc is
+// 16 bits wide.
+const maxLocs = 1 << 16
 
 // NewTracer returns a tracer writing to the options' sink.
 func NewTracer(o TraceOptions) *Tracer {
@@ -253,18 +258,30 @@ func (t *Tracer) Ring() []Event {
 
 // Loc interns a location name, returning its stable id. Interning
 // happens at build time (ports, hosts, and connections are created
-// before the first event), so the emit path never touches strings.
+// before the first event), so the emit path never touches strings. A
+// run with more than 65 536 locations cannot be traced — a further id
+// would alias an earlier one: the tracer fails instead (Err reports it,
+// and core.BuildE refuses the run) and records nothing.
 func (t *Tracer) Loc(name string) Loc {
 	if t == nil {
 		return 0
 	}
-	for i, n := range t.locs {
-		if n == name {
-			return Loc(i)
-		}
+	if id, ok := t.locIDs[name]; ok {
+		return id
 	}
+	if len(t.locs) == maxLocs {
+		if t.err == nil {
+			t.err = fmt.Errorf("obs: a traced run is limited to %d locations (ports, hosts and connections); %q is one too many", maxLocs, name)
+		}
+		return 0
+	}
+	if t.locIDs == nil {
+		t.locIDs = make(map[string]Loc)
+	}
+	id := Loc(len(t.locs))
 	t.locs = append(t.locs, name)
-	return Loc(len(t.locs) - 1)
+	t.locIDs[name] = id
+	return id
 }
 
 // Packet records a packet-lifecycle event. Nil-receiver safe; callers

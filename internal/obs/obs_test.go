@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,32 @@ func TestTracerRingAndLifecycle(t *testing.T) {
 	}
 	if events[3].Type != CwndChange || events[3].Loc != 1 {
 		t.Fatalf("event 3 = %+v", events[3])
+	}
+}
+
+// The location id space is 16 bits: the tracer hands out 65 536
+// distinct ids, and the name after that fails the tracer (nothing more
+// is recorded, Err names the limit) instead of sharing id 0 with the
+// first.
+func TestTracerLocLimit(t *testing.T) {
+	sink := NewMemorySink()
+	tr := NewTracer(TraceOptions{Sink: sink})
+	for i := 0; i < 1<<16; i++ {
+		if got := tr.Loc("port" + strconv.Itoa(i)); int(got) != i {
+			t.Fatalf("location %d interned as id %d", i, got)
+		}
+	}
+	if got := tr.Loc("port65535"); got != 65535 || tr.Err() != nil {
+		t.Fatalf("re-interning the last name: id %d, err %v", got, tr.Err())
+	}
+	tr.Loc("one-too-many")
+	if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "65536 locations") {
+		t.Fatalf("after the 65 537th location Err() = %v, want the 65536-location limit", err)
+	}
+	tr.Value(CwndChange, time.Second, 0, 1, 2)
+	tr.Close()
+	if sink.Len() != 0 {
+		t.Fatalf("a failed tracer recorded %d events", sink.Len())
 	}
 }
 

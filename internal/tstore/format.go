@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"tahoedyn/internal/obs"
@@ -110,22 +112,26 @@ func (c *ChunkInfo) overlaps(q Query, locID int) bool {
 	return true
 }
 
-// covered reports whether every event in the chunk is matched by q:
-// the Count fast path for index-only answers.
-func (c *ChunkInfo) covered(q Query, locID int) bool {
+// unsettled returns the predicates of q, named by the column each one
+// reads, that the index entry does not decide for the whole chunk —
+// the ones a scan still has to test event by event. Empty means every
+// event of an overlapping chunk matches: Count answers from the index,
+// and a scan reads no column on the query's behalf.
+func (c *ChunkInfo) unsettled(q Query, locID int) colSet {
+	var open colSet
 	if q.From > c.MinT || (q.To > 0 && c.MaxT >= q.To) {
-		return false
+		open |= colT
 	}
 	if q.Filter.Types != 0 && c.TypeMask&^q.Filter.Types != 0 {
-		return false
+		open |= colType
 	}
-	if q.Filter.Conn != 0 && (c.ConnLo != c.ConnHi || c.ConnLo != int32(q.Filter.Conn)) {
-		return false
+	if q.Filter.Conn != 0 && (c.ConnLo != c.ConnHi || int(c.ConnLo) != q.Filter.Conn) {
+		open |= colConn
 	}
-	if locID >= 0 && (c.LocLo != c.LocHi || c.LocLo != uint16(locID)) {
-		return false
+	if locID >= 0 && (c.LocLo != c.LocHi || int(c.LocLo) != locID) {
+		open |= colLoc
 	}
-	return true
+	return open
 }
 
 // zigzag folds a signed value into an unsigned one with small absolute
@@ -154,12 +160,12 @@ func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
+	v, off := uvarintAt(d.b, d.off)
+	if off > len(d.b) {
 		d.fail("tstore: truncated or overlong varint at offset %d", d.off)
 		return 0
 	}
-	d.off += n
+	d.off = off
 	return v
 }
 
@@ -210,10 +216,47 @@ const (
 	valTagRaw byte = 1
 )
 
+// colSet names a set of event columns: which fields of obs.Event a scan
+// materializes and which of a query's predicates still need a per-event
+// test.
+type colSet uint16
+
+const (
+	colT colSet = 1 << iota
+	colType
+	colKind
+	colLoc
+	colConn
+	colSeq
+	colSize
+	colID
+	colVal
+
+	colAll colSet = 1<<iota - 1
+)
+
+// codeTable is the encoder's scratch for the dictionary columns: slot
+// v-lo holds the code of value v (plus one; zero is "absent") while a
+// column is being written, and every slot is zero between columns.
+type codeTable []uint32
+
+// span returns the first n slots, growing the table geometrically.
+func (t *codeTable) span(n int) []uint32 {
+	if cap(*t) < n {
+		*t = make([]uint32, max(n, 2*cap(*t)))
+	}
+	return (*t)[:n]
+}
+
+// maxCodeSpan is the widest value range (hi-lo+1) a dictionary column
+// codes by direct index. Location ids are 16-bit, so they always fit;
+// connection ids beyond it take the sorted-slice path.
+const maxCodeSpan = 1 << 16
+
 // encodeChunk appends the columnar payload for events to buf and
 // returns it along with the chunk's index entry. Events carry
 // store-level location ids (the writer re-interns before staging).
-func encodeChunk(buf []byte, events []obs.Event) ([]byte, ChunkInfo) {
+func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkInfo) {
 	info := ChunkInfo{
 		Count:  len(events),
 		MinT:   events[0].T,
@@ -262,9 +305,47 @@ func encodeChunk(buf []byte, events []obs.Event) ([]byte, ChunkInfo) {
 	// Location and connection columns: per-chunk dictionary (the sorted
 	// distinct values) followed by one dictionary code per event. A run
 	// touches few distinct locations and connections per chunk, so codes
-	// are almost always one byte.
-	buf = appendDictU64(buf, events, func(ev *obs.Event) uint64 { return uint64(ev.Loc) })
-	buf = appendDictU64(buf, events, func(ev *obs.Event) uint64 { return zigzag(int64(ev.Conn)) })
+	// are almost always one byte. Connections are stored zigzagged, and
+	// the dictionary is sorted by the stored value: that is the order of
+	// the ids themselves only when none is negative.
+	{
+		lo := info.LocLo
+		codes := tab.span(int(info.LocHi-lo) + 1)
+		for i := range events {
+			codes[uint16(events[i].Loc)-lo] = 1
+		}
+		buf = appendDict(buf, codes, uint64(lo), 0)
+		for i := range events {
+			buf = binary.AppendUvarint(buf, uint64(codes[uint16(events[i].Loc)-lo]-1))
+		}
+		clear(codes)
+	}
+	if lo, n := info.ConnLo, int64(info.ConnHi)-int64(info.ConnLo)+1; lo >= 0 && n <= maxCodeSpan {
+		codes := tab.span(int(n))
+		for i := range events {
+			codes[events[i].Conn-lo] = 1
+		}
+		buf = appendDict(buf, codes, uint64(lo), 1)
+		for i := range events {
+			buf = binary.AppendUvarint(buf, uint64(codes[events[i].Conn-lo]-1))
+		}
+		clear(codes)
+	} else {
+		dict := make([]uint64, len(events))
+		for i := range events {
+			dict[i] = zigzag(int64(events[i].Conn))
+		}
+		slices.Sort(dict)
+		dict = slices.Compact(dict)
+		buf = binary.AppendUvarint(buf, uint64(len(dict)))
+		for _, v := range dict {
+			buf = binary.AppendUvarint(buf, v)
+		}
+		for i := range events {
+			code, _ := slices.BinarySearch(dict, zigzag(int64(events[i].Conn)))
+			buf = binary.AppendUvarint(buf, uint64(code))
+		}
+	}
 	// Seq, size, id columns.
 	for i := range events {
 		buf = binary.AppendUvarint(buf, zigzag(int64(events[i].Seq)))
@@ -298,174 +379,277 @@ func encodeChunk(buf []byte, events []obs.Event) ([]byte, ChunkInfo) {
 	return buf, info
 }
 
-// appendDictU64 writes one dictionary-encoded column: the sorted
-// distinct mapped values, then one code per event.
-func appendDictU64(buf []byte, events []obs.Event, key func(*obs.Event) uint64) []byte {
-	// Distinct values, insertion-sorted: dictionaries are tiny (types of
-	// locations and connections active within one chunk), so a linear
-	// scan beats a map allocation.
-	var dict []uint64
-	for i := range events {
-		v := key(&events[i])
-		pos := len(dict)
-		for pos > 0 && dict[pos-1] >= v {
-			if dict[pos-1] == v {
-				pos = -1
-				break
-			}
-			pos--
-		}
-		if pos >= 0 {
-			dict = append(dict, 0)
-			copy(dict[pos+1:], dict[pos:])
-			dict[pos] = v
+// appendDict writes a dictionary column's prefix from the marks in
+// codes (nonzero: value lo+i occurs in the chunk): the count of
+// distinct values, then the values in ascending order, each stored as
+// (lo+i)<<shift. It leaves every marked slot holding its code plus one.
+func appendDict(buf []byte, codes []uint32, lo uint64, shift uint) []byte {
+	distinct := 0
+	for _, mark := range codes {
+		if mark != 0 {
+			distinct++
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(dict)))
-	for _, v := range dict {
-		buf = binary.AppendUvarint(buf, v)
-	}
-	for i := range events {
-		v := key(&events[i])
-		lo, hi := 0, len(dict)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if dict[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	buf = binary.AppendUvarint(buf, uint64(distinct))
+	next := uint32(0)
+	for i, mark := range codes {
+		if mark != 0 {
+			next++
+			codes[i] = next
+			buf = binary.AppendUvarint(buf, (lo+uint64(i))<<shift)
 		}
-		buf = binary.AppendUvarint(buf, uint64(lo))
 	}
 	return buf
 }
 
+// uvarintAt reads the varint at b[off:] and returns it with the offset
+// just past it; a truncated or overlong varint returns an offset beyond
+// len(b).
+func uvarintAt(b []byte, off int) (uint64, int) {
+	var v uint64
+	for shift := uint(0); off < len(b) && shift < 64; shift += 7 {
+		c := b[off]
+		off++
+		if c < 0x80 {
+			if shift == 63 && c > 1 {
+				break
+			}
+			return v | uint64(c)<<shift, off
+		}
+		v |= uint64(c&0x7f) << shift
+	}
+	return 0, len(b) + 1
+}
+
+// skipVarints steps over n varints starting at b[off:] without
+// decoding them, by counting terminator bytes (high bit clear) eight at
+// a time, and returns the offset past the last — or one beyond len(b)
+// when fewer than n end inside b. Only the structure is checked: a
+// stepped-over varint may be overlong.
+func skipVarints(b []byte, off, n int) int {
+	for n > 8 && off+8 <= len(b) {
+		n -= bits.OnesCount64(^binary.LittleEndian.Uint64(b[off:]) & 0x8080808080808080)
+		off += 8
+	}
+	for ; n > 0; off++ {
+		if off >= len(b) {
+			return len(b) + 1
+		}
+		if b[off] < 0x80 {
+			n--
+		}
+	}
+	return off
+}
+
+// decodeColumn materializes one varint column — len(dst) varints
+// starting at b[off:] — into the field of dst that col names, and
+// returns the offset past it, or one beyond len(b) at a truncated or
+// overlong varint. For the dictionary columns the varints are codes
+// into dict; bad is the index of the first event whose code is outside
+// it, or -1. One loop serves every column so that the one-byte varint,
+// by far the commonest, is decoded in line; the switch goes the same
+// way on every iteration.
+func decodeColumn(b []byte, off int, dst []obs.Event, col colSet, dict []uint64) (next, bad int) {
+	prevT := int64(0)
+	for i := range dst {
+		var u uint64
+		if off < len(b) && b[off] < 0x80 {
+			u, off = uint64(b[off]), off+1
+		} else if u, off = uvarintAt(b, off); off > len(b) {
+			return off, -1
+		}
+		ev := &dst[i]
+		switch col {
+		case colT:
+			prevT += unzigzag(u)
+			ev.T = time.Duration(prevT)
+		case colLoc:
+			if u >= uint64(len(dict)) {
+				return off, i
+			}
+			ev.Loc = obs.Loc(dict[u])
+		case colConn:
+			if u >= uint64(len(dict)) {
+				return off, i
+			}
+			ev.Conn = int32(unzigzag(dict[u]))
+		case colSeq:
+			ev.Seq = int32(unzigzag(u))
+		case colSize:
+			ev.Size = int32(unzigzag(u))
+		case colID:
+			ev.ID = u
+		case colVal:
+			ev.Val = float64(unzigzag(u))
+		}
+	}
+	return off, -1
+}
+
 // decodeChunk parses one chunk payload into dst (reused across chunks;
-// grown as needed) and returns the events. Every field is validated:
-// malformed payloads error, never panic, and never allocate beyond the
+// grown as needed) and returns the events along with the payload's
+// declared event count. Only the columns in cols are materialized — the
+// other fields of the returned events keep whatever dst held — and
+// fully validated; the rest are stepped over with their structure
+// checked (element counts, bounds, no trailing bytes). A nonzero types
+// mask reads the type column first and, when no event's type is in the
+// mask, returns no events without looking at the other columns.
+// Malformed payloads error, never panic, and never allocate beyond the
 // declared payload's plausible event count.
-func decodeChunk(payload []byte, dst []obs.Event, nLocs int) ([]obs.Event, error) {
+func decodeChunk(payload []byte, dst []obs.Event, nLocs int, cols colSet, types uint32) ([]obs.Event, int, error) {
 	d := &decoder{b: payload}
 	n := d.count("event")
 	if d.err != nil {
-		return nil, d.err
+		return nil, 0, d.err
 	}
 	if n == 0 {
-		return nil, fmt.Errorf("tstore: empty chunk")
+		return nil, 0, fmt.Errorf("tstore: empty chunk")
 	}
 	if cap(dst) < n {
-		dst = make([]obs.Event, n)
+		dst = make([]obs.Event, max(n, 2*cap(dst)))
 	}
 	dst = dst[:n]
-	prev := int64(0)
-	for i := range dst {
-		prev += d.varint()
-		dst[i].T = time.Duration(prev)
+	if types != 0 {
+		cols |= colType
 	}
-	for i := range dst {
-		b := d.bytes(1)
+	// varints consumes one column of n varints, decoding it when cols
+	// asks for it.
+	varints := func(col colSet, what string, dict []uint64) error {
+		bad := -1
+		if cols&col != 0 {
+			d.off, bad = decodeColumn(payload, d.off, dst, col, dict)
+		} else {
+			d.off = skipVarints(payload, d.off, n)
+		}
+		if d.off > len(payload) {
+			return errVarint(what)
+		}
+		if bad >= 0 {
+			return fmt.Errorf("tstore: %s code of event %d out of range [0,%d)", what, bad, len(dict))
+		}
+		return nil
+	}
+
+	// Time column. Under a type mask the type column first decides
+	// whether the chunk is wanted at all: the times are stepped over
+	// now and decoded after it.
+	timeOff, timesLater := d.off, types != 0 && cols&colT != 0
+	if timesLater {
+		cols &^= colT
+	}
+	if err := varints(colT, "time", nil); err != nil {
+		return nil, n, err
+	}
+
+	// Type and kind columns: one byte per event.
+	typeCol := d.bytes(n)
+	if cols&colType != 0 && d.err == nil {
+		var seen uint32
+		for i, t := range typeCol {
+			if t >= byte(obs.NumTypes) {
+				return nil, n, fmt.Errorf("tstore: unknown event type %d in chunk", t)
+			}
+			dst[i].Type = obs.Type(t)
+			seen |= 1 << t
+		}
+		if types != 0 && seen&types == 0 {
+			return dst[:0], n, nil
+		}
+	}
+	if timesLater {
+		if off, _ := decodeColumn(payload, timeOff, dst, colT, nil); off > len(payload) {
+			return nil, n, errVarint("time")
+		}
+	}
+	kindCol := d.bytes(n)
+	if cols&colKind != 0 && d.err == nil {
+		for i, k := range kindCol {
+			dst[i].Kind = packet.Kind(k)
+		}
+	}
+
+	// Location and connection columns: a dictionary, then one code per
+	// event. Dictionaries are small; the stack array keeps the usual
+	// chunk's free of allocation.
+	var dictBuf [64]uint64
+	for _, col := range [...]colSet{colLoc, colConn} {
+		what, entries := "location", "location dictionary"
+		if col == colConn {
+			what, entries = "connection", "connection dictionary"
+		}
+		dn := d.count(entries)
 		if d.err != nil {
-			return nil, d.err
+			return nil, n, d.err
 		}
-		if b[0] >= byte(obs.NumTypes) {
-			return nil, fmt.Errorf("tstore: unknown event type %d in chunk", b[0])
+		if dn == 0 {
+			return nil, n, fmt.Errorf("tstore: empty %s", entries)
 		}
-		dst[i].Type = obs.Type(b[0])
-	}
-	for i := range dst {
-		b := d.bytes(1)
-		if d.err != nil {
-			return nil, d.err
+		dict := dictBuf[:0]
+		if cols&col == 0 {
+			d.off = skipVarints(payload, d.off, dn)
+		} else {
+			for len(dict) < dn && d.off <= len(payload) {
+				var v uint64
+				v, d.off = uvarintAt(payload, d.off)
+				if col == colLoc && (v > math.MaxUint16 || (nLocs >= 0 && v >= uint64(nLocs))) {
+					return nil, n, fmt.Errorf("tstore: location id %d out of range [0,%d)", v, nLocs)
+				}
+				dict = append(dict, v)
+			}
 		}
-		dst[i].Kind = packet.Kind(b[0])
-	}
-	// Location dictionary + codes.
-	locDict, err := readDict(d, "location")
-	if err != nil {
-		return nil, err
-	}
-	for i := range dst {
-		c := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
+		if d.off > len(payload) {
+			return nil, n, errVarint(entries)
 		}
-		if c >= uint64(len(locDict)) {
-			return nil, fmt.Errorf("tstore: location code %d out of range [0,%d)", c, len(locDict))
+		if err := varints(col, what, dict); err != nil {
+			return nil, n, err
 		}
-		id := locDict[c]
-		if id > math.MaxUint16 || (nLocs >= 0 && id >= uint64(nLocs)) {
-			return nil, fmt.Errorf("tstore: location id %d out of range [0,%d)", id, nLocs)
-		}
-		dst[i].Loc = obs.Loc(id)
 	}
-	// Connection dictionary + codes.
-	connDict, err := readDict(d, "connection")
-	if err != nil {
-		return nil, err
+
+	// Seq, size, id columns: plain varints.
+	if err := varints(colSeq, "seq", nil); err != nil {
+		return nil, n, err
 	}
-	for i := range dst {
-		c := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if c >= uint64(len(connDict)) {
-			return nil, fmt.Errorf("tstore: connection code %d out of range [0,%d)", c, len(connDict))
-		}
-		dst[i].Conn = int32(unzigzag(connDict[c]))
+	if err := varints(colSize, "size", nil); err != nil {
+		return nil, n, err
 	}
-	for i := range dst {
-		dst[i].Seq = int32(d.varint())
+	if err := varints(colID, "id", nil); err != nil {
+		return nil, n, err
 	}
-	for i := range dst {
-		dst[i].Size = int32(d.varint())
-	}
-	for i := range dst {
-		dst[i].ID = d.uvarint()
-	}
+
+	// Value column: a tag, then varints or raw float64 bits.
 	tag := d.bytes(1)
 	if d.err != nil {
-		return nil, d.err
+		return nil, n, d.err
 	}
 	switch tag[0] {
 	case valTagInt:
-		for i := range dst {
-			dst[i].Val = float64(d.varint())
+		if err := varints(colVal, "value", nil); err != nil {
+			return nil, n, err
 		}
 	case valTagRaw:
-		for i := range dst {
-			b := d.bytes(8)
-			if d.err != nil {
-				return nil, d.err
+		raw := d.bytes(8 * n)
+		if d.err != nil {
+			return nil, n, d.err
+		}
+		if cols&colVal != 0 {
+			for i := range dst {
+				dst[i].Val = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 			}
-			dst[i].Val = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		}
 	default:
-		return nil, fmt.Errorf("tstore: unknown value-column tag %d", tag[0])
-	}
-	if d.err != nil {
-		return nil, d.err
+		return nil, n, fmt.Errorf("tstore: unknown value-column tag %d", tag[0])
 	}
 	if d.off != len(payload) {
-		return nil, fmt.Errorf("tstore: %d trailing bytes after chunk payload", len(payload)-d.off)
+		return nil, n, fmt.Errorf("tstore: %d trailing bytes after chunk payload", len(payload)-d.off)
 	}
-	return dst, nil
+	return dst, n, nil
 }
 
-// readDict reads one dictionary prefix: a count, then the values.
-func readDict(d *decoder, what string) ([]uint64, error) {
-	n := d.count(what + " dictionary")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("tstore: empty %s dictionary", what)
-	}
-	dict := make([]uint64, n)
-	for i := range dict {
-		dict[i] = d.uvarint()
-	}
-	return dict, d.err
+// errVarint reports a varint column that ran past the payload or held
+// an overlong varint.
+func errVarint(what string) error {
+	return fmt.Errorf("tstore: truncated or overlong varint in the %s column", what)
 }
 
 // crcFooter is the checksum the trailer carries over the footer bytes.

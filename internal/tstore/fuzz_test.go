@@ -2,9 +2,14 @@ package tstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"tahoedyn/internal/obs"
+	"tahoedyn/internal/packet"
 )
 
 // FuzzNewStore throws arbitrary bytes at the chunked-store reader.
@@ -55,5 +60,313 @@ func FuzzNewStore(f *testing.F) {
 		if n > s.TotalEvents() {
 			t.Fatalf("scan yielded %d events, store claims %d", n, s.TotalEvents())
 		}
+	})
+}
+
+// referenceDecodeChunk is the format-v1 chunk decoder as first written:
+// every column through the error-latching decoder, every value checked.
+// The fuzz target holds the projected decoder to it.
+func referenceDecodeChunk(payload []byte, nLocs int) ([]obs.Event, error) {
+	d := &decoder{b: payload}
+	n := d.count("event")
+	if d.err != nil {
+		return nil, d.err
+	}
+	if n == 0 {
+		return nil, fmt.Errorf("empty chunk")
+	}
+	dst := make([]obs.Event, n)
+	prev := int64(0)
+	for i := range dst {
+		prev += d.varint()
+		dst[i].T = time.Duration(prev)
+	}
+	for i := range dst {
+		b := d.bytes(1)
+		if d.err != nil {
+			return nil, d.err
+		}
+		if b[0] >= byte(obs.NumTypes) {
+			return nil, fmt.Errorf("unknown event type %d", b[0])
+		}
+		dst[i].Type = obs.Type(b[0])
+	}
+	for i := range dst {
+		b := d.bytes(1)
+		if d.err != nil {
+			return nil, d.err
+		}
+		dst[i].Kind = packet.Kind(b[0])
+	}
+	readDict := func() []uint64 {
+		dn := d.count("dictionary")
+		if d.err == nil && dn == 0 {
+			d.fail("empty dictionary")
+		}
+		if d.err != nil {
+			return nil
+		}
+		dict := make([]uint64, dn)
+		for i := range dict {
+			dict[i] = d.uvarint()
+		}
+		return dict
+	}
+	locDict := readDict()
+	for i := range dst {
+		c := d.uvarint()
+		if d.err != nil {
+			return nil, d.err
+		}
+		if c >= uint64(len(locDict)) {
+			return nil, fmt.Errorf("location code %d out of range", c)
+		}
+		id := locDict[c]
+		if id > math.MaxUint16 || (nLocs >= 0 && id >= uint64(nLocs)) {
+			return nil, fmt.Errorf("location id %d out of range", id)
+		}
+		dst[i].Loc = obs.Loc(id)
+	}
+	connDict := readDict()
+	for i := range dst {
+		c := d.uvarint()
+		if d.err != nil {
+			return nil, d.err
+		}
+		if c >= uint64(len(connDict)) {
+			return nil, fmt.Errorf("connection code %d out of range", c)
+		}
+		dst[i].Conn = int32(unzigzag(connDict[c]))
+	}
+	for i := range dst {
+		dst[i].Seq = int32(d.varint())
+	}
+	for i := range dst {
+		dst[i].Size = int32(d.varint())
+	}
+	for i := range dst {
+		dst[i].ID = d.uvarint()
+	}
+	tag := d.bytes(1)
+	if d.err != nil {
+		return nil, d.err
+	}
+	switch tag[0] {
+	case valTagInt:
+		for i := range dst {
+			dst[i].Val = float64(d.varint())
+		}
+	case valTagRaw:
+		for i := range dst {
+			b := d.bytes(8)
+			if d.err != nil {
+				return nil, d.err
+			}
+			dst[i].Val = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		}
+	default:
+		return nil, fmt.Errorf("unknown value-column tag %d", tag[0])
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	if d.off != len(payload) {
+		return nil, fmt.Errorf("%d trailing bytes", len(payload)-d.off)
+	}
+	return dst, nil
+}
+
+// sameEvent compares two events bit for bit (a raw value column can
+// carry NaNs, which == would call unequal).
+func sameEvent(a, b obs.Event) bool {
+	av, bv := a.Val, b.Val
+	a.Val, b.Val = 0, 0
+	return a == b && math.Float64bits(av) == math.Float64bits(bv)
+}
+
+// projectedFields copies from src the fields cols names and leaves the
+// rest of dst alone.
+func projectedFields(dst, src obs.Event, cols colSet) obs.Event {
+	if cols&colT != 0 {
+		dst.T = src.T
+	}
+	if cols&colType != 0 {
+		dst.Type = src.Type
+	}
+	if cols&colKind != 0 {
+		dst.Kind = src.Kind
+	}
+	if cols&colLoc != 0 {
+		dst.Loc = src.Loc
+	}
+	if cols&colConn != 0 {
+		dst.Conn = src.Conn
+	}
+	if cols&colSeq != 0 {
+		dst.Seq = src.Seq
+	}
+	if cols&colSize != 0 {
+		dst.Size = src.Size
+	}
+	if cols&colID != 0 {
+		dst.ID = src.ID
+	}
+	if cols&colVal != 0 {
+		dst.Val = src.Val
+	}
+	return dst
+}
+
+// fuzzSeedPayloads returns valid chunk payloads to start from: an
+// all-integer value column, and one with a raw value column, a negative
+// connection and a connection range too wide for the code table.
+func fuzzSeedPayloads(n int) [][]byte {
+	var out [][]byte
+	for _, seed := range []int64{1, 2} {
+		_, events := synthTrace(n, 3, 4, seed)
+		if seed == 2 && n > 9 {
+			events[7].Val = 0.25
+			events[8].Conn = -2
+			events[9].Conn = 1 << 20
+		}
+		payload, _ := encodeChunk(nil, events, new(codeTable))
+		out = append(out, payload)
+	}
+	return out
+}
+
+// checkProjectedDecode holds one (payload, column set, type mask) to
+// the decoder's contract. The all-columns decode must accept nothing
+// the reference decoder rejects, and must agree with it event for
+// event. Whenever the all-columns decode accepts, the projection
+// accepts, returns exactly the projected fields of the same events (and
+// writes no other field of the buffer it was lent), and abandons the
+// chunk only when no event has a type in the mask. Whatever a
+// projection accepts has the event count the payload declares. It
+// reports whether the all-columns decode accepted.
+func checkProjectedDecode(t *testing.T, payload []byte, cols colSet, types uint32) bool {
+	t.Helper()
+	const nLocs = 5
+	full, nFull, errFull := decodeChunk(payload, nil, nLocs, colAll, 0)
+	ref, errRef := referenceDecodeChunk(payload, nLocs)
+	if errFull == nil {
+		if errRef != nil {
+			t.Fatalf("all-columns decode accepted a payload the reference rejects: %v", errRef)
+		}
+		if len(full) != len(ref) || nFull != len(ref) {
+			t.Fatalf("all-columns decode: %d events (declared %d), reference %d", len(full), nFull, len(ref))
+		}
+		for i := range full {
+			if !sameEvent(full[i], ref[i]) {
+				t.Fatalf("event %d: all-columns decode %+v, reference %+v", i, full[i], ref[i])
+			}
+		}
+	}
+
+	poison := obs.Event{T: -77, Val: -7.5, ID: 1<<63 + 5, Conn: -99, Seq: -98, Size: -97, Loc: 0xfffe, Type: 0xfd, Kind: 0xfc}
+	buf := make([]obs.Event, len(payload))
+	for i := range buf {
+		buf[i] = poison
+	}
+	got, n, err := decodeChunk(payload, buf, nLocs, cols, types)
+	if err != nil {
+		if errFull == nil {
+			t.Fatalf("cols=%#x types=%#x rejected a payload the all-columns decode accepts: %v", cols, types, err)
+		}
+		return false
+	}
+	if declared, _ := binary.Uvarint(payload); uint64(n) != declared {
+		t.Fatalf("cols=%#x types=%#x: accepted with count %d, payload declares %d", cols, types, n, declared)
+	}
+	if len(got) != n && (len(got) != 0 || types == 0) {
+		t.Fatalf("cols=%#x types=%#x: %d events returned of %d declared", cols, types, len(got), n)
+	}
+	if errFull != nil {
+		return false
+	}
+	if len(got) == 0 {
+		for i := range full {
+			if types&(1<<full[i].Type) != 0 {
+				t.Fatalf("types=%#x: chunk abandoned, but event %d has type %v", types, i, full[i].Type)
+			}
+		}
+		return true
+	}
+	if types != 0 {
+		cols |= colType
+	}
+	for i := range got {
+		if want := projectedFields(poison, full[i], cols); !sameEvent(got[i], want) {
+			t.Fatalf("cols=%#x types=%#x event %d: got %+v, want %+v", cols, types, i, got[i], want)
+		}
+	}
+	return true
+}
+
+// TestDecodeChunkEveryProjection runs the decoder's contract over every
+// one of the 512 column sets, with and without a type mask (one that
+// some event matches, one that none does), on valid payloads and on
+// each of their truncations; then a few column sets over every event
+// count up to 70, so that the word-at-a-time skip meets every remainder.
+func TestDecodeChunkEveryProjection(t *testing.T) {
+	for _, payload := range fuzzSeedPayloads(43) {
+		for cols := colSet(0); cols <= colAll; cols++ {
+			for _, types := range []uint32{0, 1 << obs.Transmit, 1 << obs.Timeout} {
+				if !checkProjectedDecode(t, payload, cols, types) {
+					t.Fatalf("cols=%#x types=%#x: a payload the encoder wrote was rejected", cols, types)
+				}
+			}
+		}
+		for cut := 0; cut < len(payload); cut++ {
+			for _, cols := range []colSet{0, colVal, colT | colLoc, colAll} {
+				if checkProjectedDecode(t, payload[:cut], cols, 1<<obs.Drop) {
+					t.Fatalf("payload truncated to %d of %d bytes accepted by the all-columns decode", cut, len(payload))
+				}
+			}
+		}
+	}
+	for n := 1; n <= 70; n++ {
+		for _, payload := range fuzzSeedPayloads(n) {
+			for _, cols := range []colSet{0, colType, colVal, colT | colLoc, colConn | colID, colAll} {
+				if !checkProjectedDecode(t, payload, cols, 0) {
+					t.Fatalf("%d events, cols=%#x: a payload the encoder wrote was rejected", n, cols)
+				}
+			}
+		}
+	}
+}
+
+// FuzzDecodeChunkProjected throws arbitrary chunk payloads at the
+// projected decoder under an arbitrary column set and type mask: it
+// must never panic, and must keep the contract checkProjectedDecode
+// spells out. The varint reader is held to encoding/binary's on the
+// same bytes.
+func FuzzDecodeChunkProjected(f *testing.F) {
+	for _, payload := range fuzzSeedPayloads(43) {
+		f.Add(payload, uint16(colAll), uint32(0))
+		f.Add(payload, uint16(colVal), uint32(1<<obs.Enqueue))
+		f.Add(payload, uint16(colT|colLoc), uint32(1<<obs.Timeout))
+		f.Add(payload[:len(payload)/2], uint16(colID), uint32(0))
+		f.Add(append(payload[:len(payload):len(payload)], 0), uint16(0), uint32(0))
+	}
+	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, uint16(colT), uint32(0))
+	// One event whose location dictionary entry (after the count, the
+	// time, the type and kind bytes and the dictionary count) is an
+	// overlong zero: only a decode that reads the dictionary may object.
+	one, _ := encodeChunk(nil, []obs.Event{{T: 5, Type: obs.Deliver, Conn: 1}}, new(codeTable))
+	overlong := append(append(one[:5:5], 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80), one[5:]...)
+	f.Add(overlong, uint16(colAll), uint32(0))
+	f.Add(overlong, uint16(colVal), uint32(0))
+
+	f.Fuzz(func(t *testing.T, payload []byte, colBits uint16, types uint32) {
+		v, off := uvarintAt(payload, 0)
+		if w, k := binary.Uvarint(payload); k > 0 {
+			if v != w || off != k {
+				t.Fatalf("uvarintAt = (%d, %d), binary.Uvarint = (%d, %d)", v, off, w, k)
+			}
+		} else if off <= len(payload) {
+			t.Fatalf("uvarintAt accepted (%d, %d) what binary.Uvarint rejects (%d)", v, off, k)
+		}
+		checkProjectedDecode(t, payload, colSet(colBits)&colAll, types)
 	})
 }

@@ -55,14 +55,11 @@ type CheckOptions struct {
 }
 
 // portQueue models one port's buffer from its event stream: the set of
-// enqueued packet ids plus the implied queue length. The id set is
-// what disambiguates a Random-Drop/FQ eviction (victim is in the
+// enqueued packet ids, whose size is the implied queue length. The id
+// set is what disambiguates a Random-Drop/FQ eviction (victim is in the
 // buffer) from an arrival drop (victim never entered), and catches
 // causality breaks (transmitting a packet that was never enqueued).
-type portQueue struct {
-	ids  map[uint64]struct{}
-	qlen int
-}
+type portQueue map[uint64]struct{}
 
 // checkState is the streaming invariant engine shared by the online
 // sink (Checker) and the offline pass (Check). Memory is O(packets
@@ -73,8 +70,12 @@ type portQueue struct {
 // sharded run each region's tracer numbers its locations independently
 // — the same id means different ports in different regions' batches.
 type checkState struct {
-	o           CheckOptions
-	ports       map[int]*portQueue
+	o CheckOptions
+	// ports is indexed by interned location id. stray holds the ports of
+	// events whose Loc is outside their batch's table (never produced by
+	// a tracer), keyed by that raw id.
+	ports       []portQueue
+	stray       map[obs.Loc]portQueue
 	lastT       time.Duration
 	lastTimeout map[int32]float64
 	idx         uint64
@@ -89,7 +90,6 @@ type checkState struct {
 func newCheckState(o CheckOptions) *checkState {
 	return &checkState{
 		o:           o,
-		ports:       map[int]*portQueue{},
 		lastTimeout: map[int32]float64{},
 		locIndex:    map[string]int{},
 	}
@@ -126,16 +126,30 @@ func (cs *checkState) setLocs(locs []string) {
 		cs.remap[i] = id
 	}
 	cs.remapFor = locs
+	for len(cs.ports) < len(cs.locIndex) {
+		cs.ports = append(cs.ports, nil)
+	}
 }
 
-// portKey returns the stable port identity for an event of the current
-// batch. Events with out-of-table ids (never produced by a tracer) fold
-// into negative sentinel buckets, disjoint from the interned range.
-func (cs *checkState) portKey(ev *obs.Event) int {
+// port returns the buffer model of the port an event of the current
+// batch happened at.
+func (cs *checkState) port(ev *obs.Event) portQueue {
 	if int(ev.Loc) < len(cs.remap) {
-		return cs.remap[ev.Loc]
+		slot := &cs.ports[cs.remap[ev.Loc]]
+		if *slot == nil {
+			*slot = portQueue{}
+		}
+		return *slot
 	}
-	return -(1 + int(ev.Loc))
+	p := cs.stray[ev.Loc]
+	if p == nil {
+		if cs.stray == nil {
+			cs.stray = map[obs.Loc]portQueue{}
+		}
+		p = portQueue{}
+		cs.stray[ev.Loc] = p
+	}
+	return p
 }
 
 // violate builds a Violation for the current event.
@@ -202,56 +216,46 @@ func (cs *checkState) check(ev *obs.Event, locs []string) *Violation {
 // departure, Drop after the victim's removal — which for an arrival
 // drop removes nothing.
 func (cs *checkState) checkPort(ev *obs.Event, locs []string) *Violation {
-	key := cs.portKey(ev)
-	p := cs.ports[key]
-	if p == nil {
-		p = &portQueue{ids: map[uint64]struct{}{}}
-		cs.ports[key] = p
-	}
-	_, queued := p.ids[ev.ID]
+	// One map operation per event: whether the packet was queued shows
+	// in whether the insert or delete changed the set's size.
+	p := cs.port(ev)
+	before := len(p)
 	switch ev.Type {
 	case obs.Enqueue:
-		if queued {
+		if p[ev.ID] = struct{}{}; len(p) == before {
 			return cs.violate(ev, locs, "conservation",
 				"packet %d enqueued twice without leaving the buffer", ev.ID)
 		}
-		p.ids[ev.ID] = struct{}{}
-		p.qlen++
-		if int(ev.Val) != p.qlen {
+		if int(ev.Val) != len(p) {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g after enqueue, conservation implies %d", ev.Val, p.qlen)
+				"queue length %g after enqueue, conservation implies %d", ev.Val, len(p))
 		}
 	case obs.Dequeue:
-		if !queued {
+		if _, queued := p[ev.ID]; !queued {
 			return cs.violate(ev, locs, "causality",
 				"packet %d dequeued but never enqueued here", ev.ID)
 		}
-		if int(ev.Val) != p.qlen {
+		if int(ev.Val) != len(p) {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g at dequeue, conservation implies %d", ev.Val, p.qlen)
+				"queue length %g at dequeue, conservation implies %d", ev.Val, len(p))
 		}
 	case obs.Transmit:
-		if !queued {
+		if delete(p, ev.ID); len(p) == before {
 			return cs.violate(ev, locs, "causality",
 				"packet %d transmitted but never enqueued here", ev.ID)
 		}
-		delete(p.ids, ev.ID)
-		p.qlen--
-		if int(ev.Val) != p.qlen {
+		if int(ev.Val) != len(p) {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g after transmit, conservation implies %d", ev.Val, p.qlen)
+				"queue length %g after transmit, conservation implies %d", ev.Val, len(p))
 		}
 	case obs.Drop:
-		if queued {
-			// Eviction (Random Drop, FQ longest-flow): victim leaves the
-			// buffer.
-			delete(p.ids, ev.ID)
-			p.qlen--
-		}
-		// Arrival drop: the victim never entered, queue unchanged.
-		if int(ev.Val) != p.qlen {
+		// A queued victim is an eviction (Random Drop, FQ longest-flow)
+		// and leaves the buffer; an arrival drop's victim never entered,
+		// and the queue is unchanged.
+		delete(p, ev.ID)
+		if int(ev.Val) != len(p) {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g after drop, conservation implies %d", ev.Val, p.qlen)
+				"queue length %g after drop, conservation implies %d", ev.Val, len(p))
 		}
 	}
 	return nil
@@ -341,7 +345,8 @@ func Check(sc Scanner, o CheckOptions) (uint64, *Violation, error) {
 	// From is unbounded below: a corrupted negative timestamp must reach
 	// the checker, not be filtered out by the default [0, ∞) window.
 	q := Query{From: time.Duration(math.MinInt64)}
-	err := sc.Scan(q, func(ev *obs.Event) error {
+	// No rule reads a packet's kind, sequence number or size.
+	err := fold(sc, q, colAll&^(colKind|colSeq|colSize), func(ev *obs.Event) error {
 		if v := cs.check(ev, locs); v != nil {
 			vio = v
 			return ErrStop
@@ -350,6 +355,21 @@ func Check(sc Scanner, o CheckOptions) (uint64, *Violation, error) {
 	})
 	if err != nil {
 		return cs.idx, nil, err
+	}
+	if s, ok := sc.(*Store); ok && vio != nil {
+		// Report the offending event whole: fetch it again with the
+		// columns the fold left out.
+		i := uint64(0)
+		err = s.Scan(q, func(ev *obs.Event) error {
+			if i++; i <= vio.Index {
+				return nil
+			}
+			vio.Event = *ev
+			return ErrStop
+		})
+		if err != nil {
+			return cs.idx, nil, err
+		}
 	}
 	return cs.idx, vio, nil
 }

@@ -44,16 +44,46 @@ func (q Query) locID(locs []string) (int, bool) {
 	return 0, false
 }
 
-// match reports whether one event passes the query, with q.Loc already
-// resolved to locID.
-func (q Query) match(ev *obs.Event, locID int) bool {
-	if ev.T < q.From || (q.To > 0 && ev.T >= q.To) {
+// predicates returns q's per-event tests, named by the column each one
+// reads. The time test is always on: the zero From already excludes
+// negative times.
+func (q Query) predicates(locID int) colSet {
+	open := colT
+	if locID >= 0 {
+		open |= colLoc
+	}
+	if q.Filter.Types != 0 {
+		open |= colType
+	}
+	if q.Filter.Conn != 0 {
+		open |= colConn
+	}
+	return open
+}
+
+// match reports whether one event passes those predicates of q that
+// are in open, with q.Loc already resolved to locID. It reads no field
+// of ev outside open.
+func (q Query) match(ev *obs.Event, locID int, open colSet) bool {
+	if open&colT != 0 && (ev.T < q.From || (q.To > 0 && ev.T >= q.To)) {
 		return false
 	}
-	if locID >= 0 && int(ev.Loc) != locID {
+	if open&colLoc != 0 && int(ev.Loc) != locID {
 		return false
 	}
-	return q.Filter.Match(ev.Type, int(ev.Conn))
+	if open&colType != 0 && q.Filter.Types&(1<<ev.Type) == 0 {
+		return false
+	}
+	return open&colConn == 0 || int(ev.Conn) == q.Filter.Conn
+}
+
+// typesIn returns the type mask a chunk decode may abandon on: q's,
+// when the type predicate is among the open ones.
+func (q Query) typesIn(open colSet) uint32 {
+	if open&colType != 0 {
+		return q.Filter.Types
+	}
+	return 0
 }
 
 // Scanner is a streaming event source a query runs over: the on-disk
@@ -79,9 +109,10 @@ func (s *SliceSource) Scan(q Query, fn func(*obs.Event) error) error {
 	if !ok {
 		return nil
 	}
+	open := q.predicates(locID)
 	for i := range s.Events {
 		ev := &s.Events[i]
-		if !q.match(ev, locID) {
+		if !q.match(ev, locID, open) {
 			continue
 		}
 		if err := fn(ev); err != nil {
@@ -115,12 +146,9 @@ func (s *Store) Count(q Query) (uint64, error) {
 	if !ok {
 		return 0, nil
 	}
-	var (
-		n       uint64
-		payload []byte
-		events  []obs.Event
-		err     error
-	)
+	var n uint64
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	for i := range s.index {
 		c := &s.index[i]
 		if !c.overlaps(q, locID) {
@@ -129,16 +157,17 @@ func (s *Store) Count(q Query) (uint64, error) {
 			}
 			continue
 		}
-		if c.covered(q, locID) {
+		open := c.unsettled(q, locID)
+		if open == 0 {
 			n += uint64(c.Count)
 			continue
 		}
-		payload, events, err = s.readChunk(c, payload, events)
+		events, err := s.readChunk(c, sc, open, q.typesIn(open))
 		if err != nil {
 			return n, err
 		}
 		for j := range events {
-			if q.match(&events[j], locID) {
+			if q.match(&events[j], locID, open) {
 				n++
 			}
 		}
@@ -181,28 +210,73 @@ type WindowOptions struct {
 	ByLoc bool
 }
 
+// fold is Scan for an aggregate that reads only the fields in cols of
+// each event: a Store then decodes just those columns (and leaves the
+// other fields unset); any other source scans as usual.
+func fold(sc Scanner, q Query, cols colSet, fn func(*obs.Event) error) error {
+	if s, ok := sc.(*Store); ok {
+		_, err := s.scanCols(q, cols, fn)
+		return err
+	}
+	return sc.Scan(q, fn)
+}
+
+// maxWindows bounds the windows of one Windowed group. A series is
+// dense from q.From to its last event, so a width far too fine for the
+// span of the trace — or one hostile timestamp — would otherwise ask
+// for memory without limit.
+const maxWindows = 1 << 24
+
 // Windowed streams the events matching q into fixed-width time windows
 // anchored at q.From and returns one WindowStat series per group
 // (location name when o.ByLoc, else the single key ""). Memory is
 // O(groups × windows) — proportional to simulated time, not to the
-// event count — and events are read one chunk at a time.
+// event count — and events are read one chunk at a time. A window
+// offset that overflows (q.From unbounded below) or a series beyond
+// 2²⁴ windows is an error.
 func Windowed(sc Scanner, q Query, o WindowOptions) (map[string][]WindowStat, error) {
 	if o.Width <= 0 {
 		return nil, fmt.Errorf("tstore: window width must be positive (got %v)", o.Width)
 	}
 	locs := sc.Locs()
-	out := map[string][]WindowStat{}
-	err := sc.Scan(q, func(ev *obs.Event) error {
-		key := ""
-		if o.ByLoc {
-			if int(ev.Loc) < len(locs) {
-				key = locs[ev.Loc]
+	cols := colT | colSize | colVal
+	// Groups are indexed by location id while events stream and named
+	// once at the end. Ids that share a name share the group of the
+	// first.
+	var groupOf []int
+	if o.ByLoc {
+		cols |= colLoc
+		groupOf = make([]int, len(locs))
+		first := make(map[string]int, len(locs))
+		for id, name := range locs {
+			if g, ok := first[name]; ok {
+				groupOf[id] = g
 			} else {
-				key = fmt.Sprintf("loc%d", ev.Loc)
+				first[name], groupOf[id] = id, id
 			}
 		}
-		idx := int((ev.T - q.From) / o.Width)
-		series := out[key]
+	}
+	var groups [][]WindowStat
+	err := fold(sc, q, cols, func(ev *obs.Event) error {
+		g := 0
+		if o.ByLoc {
+			if g = int(ev.Loc); g < len(groupOf) {
+				g = groupOf[g]
+			}
+		}
+		// A matching event has T ≥ From, so a negative offset overflowed.
+		off := ev.T - q.From
+		if off < 0 {
+			return fmt.Errorf("tstore: window offset of t=%v from %v overflows; bound the query below with From", ev.T, q.From)
+		}
+		if off/o.Width >= maxWindows {
+			return fmt.Errorf("tstore: t=%v is more than %d windows of %v past %v; choose a wider window", ev.T, maxWindows, o.Width, q.From)
+		}
+		idx := int(off / o.Width) // below maxWindows: fits an int
+		for len(groups) <= g {
+			groups = append(groups, nil)
+		}
+		series := groups[g]
 		for len(series) <= idx {
 			series = append(series, WindowStat{Start: q.From + time.Duration(len(series))*o.Width})
 		}
@@ -220,11 +294,23 @@ func Windowed(sc Scanner, q Query, o WindowOptions) (map[string][]WindowStat, er
 		w.Count++
 		w.Bytes += int64(ev.Size)
 		w.Sum += ev.Val
-		out[key] = series
+		groups[g] = series
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	out := map[string][]WindowStat{}
+	for g, series := range groups {
+		switch {
+		case series == nil:
+		case !o.ByLoc:
+			out[""] = series
+		case g < len(locs):
+			out[locs[g]] = series
+		default:
+			out[fmt.Sprintf("loc%d", g)] = series
+		}
 	}
 	return out, nil
 }
@@ -252,7 +338,7 @@ func Quantiles(sc Scanner, q Query, probs []float64) ([]float64, uint64, error) 
 		est   []*p2sketch
 		n     uint64
 	)
-	err := sc.Scan(q, func(ev *obs.Event) error {
+	err := fold(sc, q, colVal, func(ev *obs.Event) error {
 		n++
 		if est == nil {
 			exact = append(exact, ev.Val)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 	"time"
 
 	"tahoedyn/internal/obs"
@@ -14,8 +15,9 @@ import (
 // Store is an opened chunked trace store: the footer index and location
 // table live in memory, chunk payloads are read on demand. Scans
 // materialize at most one chunk at a time, so working memory is
-// independent of the trace size. A Store is safe for concurrent Scans
-// (each scan carries its own buffers) over an io.ReaderAt.
+// independent of the trace size. A Store is safe for concurrent scans
+// and folds over an io.ReaderAt: each takes a scratch of its own from
+// the store's free list and returns it when done.
 type Store struct {
 	r     io.ReaderAt
 	c     io.Closer
@@ -28,6 +30,10 @@ type Store struct {
 	// ascending — true for any store a tracer wrote — enabling early
 	// scan termination at q.To.
 	sorted bool
+
+	// free holds the scratch of finished scans for the next ones.
+	mu   sync.Mutex
+	free []*scratch
 }
 
 // Open opens a store file. The returned Store keeps the file open;
@@ -181,25 +187,28 @@ func (s *Store) LocID(name string) int {
 // non-nil error from fn aborts the scan and is returned; ErrStop
 // aborts and returns nil.
 func (s *Store) Scan(q Query, fn func(*obs.Event) error) error {
-	_, err := s.scan(q, fn)
+	_, err := s.scanCols(q, colAll, fn)
 	return err
 }
 
 // ScanStats is Scan, also reporting how many chunks the index skipped
 // — the chunk-skip ratio is skipped/len(Chunks()).
 func (s *Store) ScanStats(q Query, fn func(*obs.Event) error) (skipped int, err error) {
-	return s.scan(q, fn)
+	return s.scanCols(q, colAll, fn)
 }
 
-func (s *Store) scan(q Query, fn func(*obs.Event) error) (skipped int, err error) {
+// scanCols is the scan behind Scan and behind every fold: fn may read
+// only the fields named in cols, the others hold whatever an earlier
+// chunk or scan left in the scratch. Per chunk it decodes cols plus the
+// columns of those predicates of q the footer index leaves open, and
+// tests only those per event.
+func (s *Store) scanCols(q Query, cols colSet, fn func(*obs.Event) error) (skipped int, err error) {
 	locID, ok := q.locID(s.locs)
 	if !ok {
 		return len(s.index), nil
 	}
-	var (
-		payload []byte
-		events  []obs.Event
-	)
+	sc := s.getScratch()
+	defer s.putScratch(sc)
 	for i := range s.index {
 		c := &s.index[i]
 		if !c.overlaps(q, locID) {
@@ -210,13 +219,14 @@ func (s *Store) scan(q Query, fn func(*obs.Event) error) (skipped int, err error
 			}
 			continue
 		}
-		payload, events, err = s.readChunk(c, payload, events)
+		open := c.unsettled(q, locID)
+		events, err := s.readChunk(c, sc, cols|open, q.typesIn(open))
 		if err != nil {
 			return skipped, err
 		}
 		for j := range events {
 			ev := &events[j]
-			if !q.match(ev, locID) {
+			if open != 0 && !q.match(ev, locID, open) {
 				continue
 			}
 			if err := fn(ev); err != nil {
@@ -230,24 +240,61 @@ func (s *Store) scan(q Query, fn func(*obs.Event) error) (skipped int, err error
 	return skipped, nil
 }
 
-// readChunk reads and decodes one chunk, reusing the caller's buffers.
-func (s *Store) readChunk(c *ChunkInfo, payload []byte, events []obs.Event) ([]byte, []obs.Event, error) {
-	if cap(payload) < int(c.Size)+4 {
-		payload = make([]byte, c.Size+4)
+// scratch is one scan's working memory: the chunk payload as read and
+// the events decoded from it.
+type scratch struct {
+	payload []byte
+	events  []obs.Event
+}
+
+// maxFreeScratch bounds the scratch a Store retains between scans:
+// enough that a few concurrent scans each find theirs, and a burst of
+// many leaves the rest to the collector.
+const maxFreeScratch = 4
+
+// getScratch hands the calling scan a scratch of its own — one an
+// earlier scan returned, when there is one, so that a store queried
+// repeatedly allocates only on its first scan.
+func (s *Store) getScratch() *scratch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		sc := s.free[n-1]
+		s.free = s.free[:n-1]
+		return sc
 	}
-	payload = payload[:c.Size+4]
+	return &scratch{}
+}
+
+func (s *Store) putScratch(sc *scratch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.free) < maxFreeScratch {
+		s.free = append(s.free, sc)
+	}
+}
+
+// readChunk reads one chunk into sc and decodes the columns in cols
+// (see decodeChunk, which also explains types). The events are valid
+// until sc is next used.
+func (s *Store) readChunk(c *ChunkInfo, sc *scratch, cols colSet, types uint32) ([]obs.Event, error) {
+	if need := int(c.Size) + 4; cap(sc.payload) < need {
+		sc.payload = make([]byte, max(need, 2*cap(sc.payload)))
+	}
+	payload := sc.payload[:c.Size+4]
 	if _, err := s.r.ReadAt(payload, c.Offset); err != nil {
-		return payload, events, fmt.Errorf("tstore: reading chunk at %d: %w", c.Offset, err)
+		return nil, fmt.Errorf("tstore: reading chunk at %d: %w", c.Offset, err)
 	}
 	if got := int64(binary.LittleEndian.Uint32(payload[:4])); got != c.Size {
-		return payload, events, fmt.Errorf("tstore: chunk at %d declares %d payload bytes, index says %d", c.Offset, got, c.Size)
+		return nil, fmt.Errorf("tstore: chunk at %d declares %d payload bytes, index says %d", c.Offset, got, c.Size)
 	}
-	evs, err := decodeChunk(payload[4:], events, len(s.locs))
+	events, n, err := decodeChunk(payload[4:], sc.events, len(s.locs), cols, types)
 	if err != nil {
-		return payload, events, err
+		return nil, err
 	}
-	if len(evs) != c.Count {
-		return payload, evs, fmt.Errorf("tstore: chunk at %d holds %d events, index says %d", c.Offset, len(evs), c.Count)
+	sc.events = events[:cap(events)]
+	if n != c.Count {
+		return nil, fmt.Errorf("tstore: chunk at %d holds %d events, index says %d", c.Offset, n, c.Count)
 	}
-	return payload, evs, nil
+	return events, nil
 }

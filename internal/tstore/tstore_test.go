@@ -2,7 +2,12 @@ package tstore
 
 import (
 	"bytes"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -183,10 +188,32 @@ func bruteMatch(locs []string, events []obs.Event, q Query) []obs.Event {
 	return out
 }
 
+// sameWindows compares two Windowed results exactly.
+func sameWindows(a, b map[string][]WindowStat) bool {
+	return maps.EqualFunc(a, b, slices.Equal[[]WindowStat])
+}
+
+// TestQueriesMatchBruteForce runs every query shape through Scan, Count
+// and the folds and holds each to a brute-force filter (or to the same
+// fold over the in-memory slice). The second trace has stretches that
+// are uniform in connection and location, and in type, so that at the
+// smaller chunk sizes the footer index settles some of a query's
+// predicates for some chunks and leaves others to the per-event test;
+// all the queries of a trace share one Store, hence one scan scratch,
+// and the full scan of each query leaves every field of the scratch
+// filled with another chunk's events for the projected folds that
+// follow. A predicate or a fold that read a field its decode did not
+// materialize would see those and disagree with the brute force.
 func TestQueriesMatchBruteForce(t *testing.T) {
-	locs, events := synthTrace(20000, 4, 8, 2)
-	s, _ := buildStore(t, locs, events, 256)
-	maxT := events[len(events)-1].T
+	locs, mixed := synthTrace(20000, 4, 8, 2)
+	phased := append([]obs.Event(nil), mixed...)
+	for i := 5000; i < 9000; i++ {
+		phased[i].Conn, phased[i].Loc = 3, 1
+	}
+	for i := 12000; i < 15000; i++ {
+		phased[i].Type = obs.Transmit
+	}
+	maxT := mixed[len(mixed)-1].T
 	queries := []Query{
 		{},
 		{From: maxT / 4, To: maxT / 2},
@@ -196,36 +223,279 @@ func TestQueriesMatchBruteForce(t *testing.T) {
 		{Loc: "missing-port"},
 		{From: maxT / 3, To: 2 * maxT / 3, Filter: obs.Filter{Types: 1 << obs.Transmit, Conn: 2}, Loc: "portA"},
 		{To: maxT / 8, Filter: obs.Filter{Types: 1<<obs.Enqueue | 1<<obs.Drop}},
+		{Filter: obs.Filter{Types: 1 << obs.Transmit}},
+		{Filter: obs.Filter{Conn: 3}, Loc: "portB"},
+		{From: mixed[6000].T, To: mixed[14000].T, Filter: obs.Filter{Types: 1 << obs.Transmit, Conn: 3}},
+		{From: mixed[13000].T, Filter: obs.Filter{Types: 1<<obs.Transmit | 1<<obs.Dequeue}, Loc: "portB"},
 	}
-	for qi, q := range queries {
-		want := bruteMatch(locs, events, q)
-		var got []obs.Event
-		skipped, err := s.ScanStats(q, func(ev *obs.Event) error {
-			got = append(got, *ev)
-			return nil
+	for _, tc := range []struct {
+		name   string
+		events []obs.Event
+		chunkN int
+	}{
+		{"mixed/256", mixed, 256},
+		{"phased/64", phased, 64},
+		{"phased/256", phased, 256},
+		{"phased/1000", phased, 1000},
+		{"phased/one-chunk", phased, 1 << 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := tc.events
+			s, _ := buildStore(t, locs, events, tc.chunkN)
+			src := &SliceSource{LocTable: locs, Events: events}
+			for qi, q := range queries {
+				want := bruteMatch(locs, events, q)
+				var got []obs.Event
+				skipped, err := s.ScanStats(q, func(ev *obs.Event) error {
+					got = append(got, *ev)
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("query %d: %v", qi, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("query %d: %d events, want %d", qi, len(got), len(want))
+				}
+				for i := range got {
+					g, w := got[i], want[i]
+					g.Loc, w.Loc = 0, 0 // loc ids re-interned; names checked in TestRoundTrip
+					if g != w {
+						t.Fatalf("query %d event %d: got %+v want %+v", qi, i, g, w)
+					}
+				}
+				n, err := s.Count(q)
+				if err != nil || n != uint64(len(want)) {
+					t.Fatalf("query %d: Count = %d (err %v), want %d", qi, n, err, len(want))
+				}
+				// Time-bounded queries must actually skip chunks (conn/loc
+				// ranges legitimately span every chunk of the mixed trace).
+				if (q.From > 0 || q.To > 0) && skipped == 0 && len(s.Chunks()) > 4 {
+					t.Errorf("query %d: time-bounded query skipped no chunks", qi)
+				}
+
+				for _, byLoc := range []bool{false, true} {
+					o := WindowOptions{Width: 50 * time.Millisecond, ByLoc: byLoc}
+					fromStore, err := Windowed(s, q, o)
+					if err != nil {
+						t.Fatalf("query %d: Windowed(store): %v", qi, err)
+					}
+					fromSlice, err := Windowed(src, q, o)
+					if err != nil {
+						t.Fatalf("query %d: Windowed(slice): %v", qi, err)
+					}
+					if !sameWindows(fromStore, fromSlice) {
+						t.Fatalf("query %d, by-loc %v: windows over the store differ from windows over the slice", qi, byLoc)
+					}
+					var count, bytes int64
+					for _, ws := range fromStore {
+						for i := range ws {
+							count += ws[i].Count
+							bytes += ws[i].Bytes
+						}
+					}
+					var wantBytes int64
+					for i := range want {
+						wantBytes += int64(want[i].Size)
+					}
+					if count != int64(len(want)) || bytes != wantBytes {
+						t.Fatalf("query %d, by-loc %v: windows hold %d events, %d bytes; want %d, %d", qi, byLoc, count, bytes, len(want), wantBytes)
+					}
+				}
+
+				probs := []float64{0.1, 0.5, 0.99}
+				qStore, nStore, err := Quantiles(s, q, probs)
+				if err != nil {
+					t.Fatalf("query %d: Quantiles(store): %v", qi, err)
+				}
+				qSlice, nSlice, err := Quantiles(src, q, probs)
+				if err != nil {
+					t.Fatalf("query %d: Quantiles(slice): %v", qi, err)
+				}
+				if nStore != uint64(len(want)) || nSlice != nStore || !slices.Equal(qStore, qSlice) {
+					t.Fatalf("query %d: quantiles %v of %d samples over the store, %v of %d over the slice, want %d samples",
+						qi, qStore, nStore, qSlice, nSlice, len(want))
+				}
+			}
 		})
-		if err != nil {
-			t.Fatalf("query %d: %v", qi, err)
+	}
+
+	// The offline checker reads six of the nine columns: over a clean
+	// trace it passes every event, and over a corrupted one it names the
+	// same event as the check of the slice does — whole, with the fields
+	// its fold left out.
+	for _, chunkN := range []int{64, 1000} {
+		s, _ := buildStore(t, locs, mixed, chunkN)
+		if n, vio, err := Check(s, CheckOptions{}); err != nil || vio != nil || n != uint64(len(mixed)) {
+			t.Fatalf("chunk %d: Check(clean store) = %d, %v, %v", chunkN, n, vio, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: %d events, want %d", qi, len(got), len(want))
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			g.Loc, w.Loc = 0, 0 // loc ids re-interned; names checked in TestRoundTrip
-			if g != w {
-				t.Fatalf("query %d event %d: got %+v want %+v", qi, i, g, w)
+		bad := append([]obs.Event(nil), mixed...)
+		at := 0
+		for i := 9000; ; i++ {
+			if bad[i].Type == obs.Enqueue {
+				bad[i].Val += 2
+				at = i
+				break
 			}
 		}
-		n, err := s.Count(q)
-		if err != nil || n != uint64(len(want)) {
-			t.Fatalf("query %d: Count = %d (err %v), want %d", qi, n, err, len(want))
+		s, _ = buildStore(t, locs, bad, chunkN)
+		_, fromStore, err := Check(s, CheckOptions{})
+		if err != nil || fromStore == nil {
+			t.Fatalf("chunk %d: Check(corrupted store) = %v, %v", chunkN, fromStore, err)
 		}
-		// Time-bounded queries must actually skip chunks (conn/loc
-		// ranges legitimately span every chunk of this mixed trace).
-		if (q.From > 0 || q.To > 0) && skipped == 0 && len(s.Chunks()) > 4 {
-			t.Errorf("query %d: time-bounded query skipped no chunks", qi)
+		_, fromSlice, _ := Check(&SliceSource{LocTable: locs, Events: bad}, CheckOptions{})
+		if fromStore.Index != uint64(at) || fromStore.Event != bad[at] || fromStore.Error() != fromSlice.Error() {
+			t.Fatalf("chunk %d: store check reports %v\nslice check reports %v\nevent %d is %+v", chunkN, fromStore, fromSlice, at, bad[at])
 		}
+	}
+}
+
+// TestConcurrentScansShareScratch runs eight goroutines of different
+// folds over one Store, repeatedly, so that they take scratch from and
+// return it to the store's free list while others decode: every result
+// must equal the serial one. The race detector (CI's -race leg covers
+// this package) checks the list itself.
+func TestConcurrentScansShareScratch(t *testing.T) {
+	locs, events := synthTrace(30000, 4, 8, 11)
+	s, _ := buildStore(t, locs, events, 512)
+	maxT := events[len(events)-1].T
+	type result struct {
+		n    uint64
+		wins map[string][]WindowStat
+		qs   []float64
+		sum  uint64
+	}
+	folds := []func() (result, error){
+		func() (result, error) {
+			n, err := s.Count(Query{From: maxT / 7, Filter: obs.Filter{Types: 1 << obs.Drop}})
+			return result{n: n}, err
+		},
+		func() (result, error) {
+			n, err := s.Count(Query{To: maxT / 2, Filter: obs.Filter{Conn: 3}, Loc: "portC"})
+			return result{n: n}, err
+		},
+		func() (result, error) {
+			w, err := Windowed(s, Query{Filter: obs.Filter{Types: 1 << obs.Transmit}}, WindowOptions{Width: 20 * time.Millisecond, ByLoc: true})
+			return result{wins: w}, err
+		},
+		func() (result, error) {
+			w, err := Windowed(s, Query{From: maxT / 3, Loc: "portA"}, WindowOptions{Width: 5 * time.Millisecond})
+			return result{wins: w}, err
+		},
+		func() (result, error) {
+			qs, n, err := Quantiles(s, Query{Filter: obs.Filter{Types: 1 << obs.Enqueue}}, []float64{0.5, 0.9})
+			return result{n: n, qs: qs}, err
+		},
+		func() (result, error) {
+			n, vio, err := Check(s, CheckOptions{})
+			if err == nil && vio != nil {
+				err = vio
+			}
+			return result{n: n}, err
+		},
+		func() (result, error) {
+			var r result
+			err := s.Scan(Query{}, func(ev *obs.Event) error {
+				r.n++
+				r.sum += uint64(ev.T) ^ ev.ID ^ uint64(ev.Seq)<<32 ^ uint64(ev.Size)<<16 ^ uint64(ev.Conn)<<8 ^ uint64(ev.Loc)<<4 ^ uint64(ev.Type) ^ math.Float64bits(ev.Val)
+				return nil
+			})
+			return r, err
+		},
+		func() (result, error) {
+			var r result
+			err := s.Scan(Query{From: maxT / 2, Filter: obs.Filter{Conn: 5}}, func(ev *obs.Event) error {
+				r.n++
+				r.sum += ev.ID
+				return nil
+			})
+			return r, err
+		},
+	}
+	serial := make([]result, len(folds))
+	for i, f := range folds {
+		var err error
+		if serial[i], err = f(); err != nil {
+			t.Fatalf("fold %d: %v", i, err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, f := range folds {
+		i, f := i, f
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				got, err := f()
+				if err != nil {
+					t.Errorf("fold %d: %v", i, err)
+					return
+				}
+				want := serial[i]
+				if got.n != want.n || got.sum != want.sum || !slices.Equal(got.qs, want.qs) || !sameWindows(got.wins, want.wins) {
+					t.Errorf("fold %d, concurrent run %d: result differs from the serial one", i, rep)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(s.free); n == 0 || n > maxFreeScratch {
+		t.Errorf("%d scratch buffers on the free list after the scans, want 1..%d", n, maxFreeScratch)
+	}
+}
+
+// TestScansReuseScratch pins the point of the free list: after its
+// first scan, a store's scans and folds allocate no chunk buffers.
+func TestScansReuseScratch(t *testing.T) {
+	locs, events := synthTrace(20000, 4, 8, 12)
+	s, _ := buildStore(t, locs, events, 2048)
+	scan := func() {
+		if err := s.Scan(Query{}, func(*obs.Event) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Count(Query{Filter: obs.Filter{Types: 1 << obs.Drop}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(10, scan); allocs > 2 {
+		t.Errorf("a scan and a count over a warm store make %.0f allocations, want at most 2 (the callback closures)", allocs)
+	}
+}
+
+// TestWindowedRejectsRunawaySeries covers the two ways a Windowed series
+// used to grow without bound or index out of range: a From so far below
+// the events that the window offset overflows (Check's own unbounded
+// query is one), and a timestamp so far above From that the dense series
+// would need more than 2²⁴ windows. Both are errors now, from the store
+// and from a slice alike.
+func TestWindowedRejectsRunawaySeries(t *testing.T) {
+	locs, events := synthTrace(3000, 2, 4, 13)
+	hostile := append([]obs.Event(nil), events...)
+	hostile[len(hostile)-1].T = 1 << 62
+	for _, tc := range []struct {
+		name   string
+		events []obs.Event
+		q      Query
+		want   string
+	}{
+		{"unbounded-from", events, Query{From: time.Duration(math.MinInt64)}, "overflows"},
+		{"hostile-timestamp", hostile, Query{}, "choose a wider window"},
+	} {
+		s, _ := buildStore(t, locs, tc.events, 256)
+		for _, sc := range []Scanner{s, &SliceSource{LocTable: locs, Events: tc.events}} {
+			for _, byLoc := range []bool{false, true} {
+				got, err := Windowed(sc, tc.q, WindowOptions{Width: time.Millisecond, ByLoc: byLoc})
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s over %T, by-loc %v: %d groups, error %v; want an error containing %q", tc.name, sc, byLoc, len(got), err, tc.want)
+				}
+			}
+		}
+	}
+	// A window wide enough for the span is still served.
+	s, _ := buildStore(t, locs, hostile, 256)
+	if _, err := Windowed(s, Query{}, WindowOptions{Width: 1 << 40}); err != nil {
+		t.Errorf("a 2⁴⁰ ns window over a 2⁶² ns span: %v", err)
 	}
 }
 

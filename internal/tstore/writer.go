@@ -47,6 +47,7 @@ type Writer struct {
 
 	pending []obs.Event
 	buf     []byte
+	codes   codeTable
 	index   []ChunkInfo
 	total   uint64
 
@@ -167,7 +168,7 @@ func (sw *Writer) flushChunk() error {
 		return nil
 	}
 	var info ChunkInfo
-	sw.buf, info = encodeChunk(sw.buf[:0], sw.pending)
+	sw.buf, info = encodeChunk(sw.buf[:0], sw.pending, &sw.codes)
 	info.Offset = sw.off
 	info.Size = int64(len(sw.buf))
 	var lenw [4]byte
