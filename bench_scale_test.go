@@ -224,39 +224,48 @@ func BenchmarkFlowScale(b *testing.B) {
 }
 
 // BenchmarkIncrementalRecompile times a one-link routing update against
-// the from-scratch recompile it replaces, on a 4096-switch chain and a
-// 4096-switch scale-free graph. The chain leg is the bridge fast path:
-// every chain link is a bridge, so a finite weight change moves no
-// routes and ApplyLinkChange is O(1) after an amortized bridge sweep.
-// The ba leg re-rates the last link added by preferential attachment —
-// a peripheral non-bridge edge — so endpoint probes select the columns
-// that actually route through it and only those recompute. The late
-// node splits its traffic across its two attachments, so roughly half
-// the columns are affected and the speedup tracks the probe bound
-// dests/affected (~2x): the honest worst case for a link an endpoint
-// leans on, against the chain's 10^4x bridge fast path. "speedup" is
-// the ratio of a full RecomputeRoutes (timed off the clock) to one
-// incremental update; the chain leg's target in docs/BENCH_pr10.json
-// is >= 100x.
+// the from-scratch recompile it replaces, on 4096-switch graphs. Every
+// leg alternates between two states of one link, so each call does real
+// work. chain is the bridge fast path: a finite weight change on a
+// bridge moves no routes and ApplyLinkChange is O(1) after an amortized
+// bridge sweep. ba re-rates the last link preferential attachment added
+// — a peripheral non-bridge edge: the late node splits its traffic
+// across its two attachments, so the probes select roughly half the
+// columns, and each is repaired in place from the leaf outward (a few
+// row lookups), all but the columns of the link's own two ends. The
+// honest worst cases are the other two: ba/hub re-rates link 0, which
+// joins two of the oldest, best-connected switches, and ring takes a
+// ring link down and up again — there the part of each shortest-path
+// tree the link carried is a large share of the graph, most repairs
+// run out of budget, and the cost is the whole-column recompute the
+// update fell back to plus the row lookups spent finding that out.
+// "speedup" is the ratio of a full RecomputeRoutes (timed off the clock)
+// to one incremental update; the chain leg's target in
+// docs/BENCH_pr10.json is >= 100x. repaired, recomputed and cells-moved
+// are ApplyLinkChange's own counts (LastChange), averaged per update.
 func BenchmarkIncrementalRecompile(b *testing.B) {
+	ring := topology.Chain(4096)
+	ring.Links = append(ring.Links, topology.LinkSpec{A: 4095, B: 0})
 	cases := []struct {
 		name  string
-		graph func() topology.Graph
-		link  int // -1 selects the last link
+		graph topology.Graph
+		link  int  // -1 selects the last link
+		down  bool // alternate down/up instead of two weights
 	}{
-		{"chain=4096", func() topology.Graph { return topology.Chain(4096) }, 2048},
-		{"ba=4096", func() topology.Graph { return topology.BarabasiAlbert(4096, 2, 7) }, -1},
+		{"chain=4096", topology.Chain(4096), 2048, false},
+		{"ba=4096", topology.BarabasiAlbert(4096, 2, 7), -1, false},
+		{"ba=4096/hub", topology.BarabasiAlbert(4096, 2, 7), 0, false},
+		{"ring=4096", ring, 2048, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			g := tc.graph()
 			def := topology.Defaults{
 				Bandwidth: core.DefaultTrunkBandwidth,
 				Delay:     10 * time.Millisecond,
 				Buffer:    20,
 				DataSize:  core.DefaultDataSize,
 			}
-			c, err := g.Compile(def)
+			c, err := tc.graph.Compile(def)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -266,6 +275,9 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 			}
 			wOrig := c.Weight(li)
 			wAlt := wOrig + 5*time.Millisecond
+			if tc.down {
+				wAlt = topology.LinkDown
+			}
 
 			// Full-recompile reference, off the clock.
 			const fullReps = 3
@@ -277,11 +289,10 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 			}
 			fullNs := float64(time.Since(t0).Nanoseconds()) / fullReps
 
+			var sum topology.ChangeStats
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Alternate between two weights so every call does real
-				// work instead of short-circuiting as a no-op.
 				w := wAlt
 				if i%2 == 1 {
 					w = wOrig
@@ -289,11 +300,18 @@ func BenchmarkIncrementalRecompile(b *testing.B) {
 				if _, err := c.ApplyLinkChange(li, w); err != nil {
 					b.Fatal(err)
 				}
+				st := c.LastChange()
+				sum.Repaired += st.Repaired
+				sum.Recomputed += st.Recomputed
+				sum.CellsMoved += st.CellsMoved
 			}
 			b.StopTimer()
 			incNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(fullNs/incNs, "speedup")
 			b.ReportMetric(fullNs/1e6, "full-recompile-ms")
+			b.ReportMetric(float64(sum.Repaired)/float64(b.N), "repaired/op")
+			b.ReportMetric(float64(sum.Recomputed)/float64(b.N), "recomputed/op")
+			b.ReportMetric(float64(sum.CellsMoved)/float64(b.N), "cells-moved/op")
 		})
 	}
 }

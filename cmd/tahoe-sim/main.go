@@ -475,15 +475,32 @@ func runScenarioFile(path string, width, height int, doPlot, lenient bool, prog 
 }
 
 // validateScenarioFile parses and compiles a scenario without running
-// it, printing the resolved configuration: per-link parameters after
-// defaulting, host placement, forwarding tables, and connections. A
-// scenario that prints cleanly here is guaranteed to build.
+// it — link events included: they are replayed on a clone of the
+// compiled topology exactly as a build replays them — and prints the
+// resolved configuration: per-link parameters after defaulting, host
+// placement, forwarding tables, connections, and per event what it did
+// to the routes. A scenario that prints cleanly here is guaranteed to
+// build; one that does not fails with the build's own error.
 func validateScenarioFile(w io.Writer, path string, lenient bool) error {
 	cfg, err := loadScenario(path, lenient)
 	if err != nil {
 		return err
 	}
 	topo, err := tahoedyn.CompileTopology(cfg)
+	if err != nil {
+		return err
+	}
+	var events []string
+	work := topo.Clone()
+	err = cfg.ReplayEvents(work, func(i int, ev tahoedyn.LinkEvent, weight time.Duration, changed []int) {
+		what := fmt.Sprintf("weight %v", weight)
+		if ev.Down {
+			what = "down"
+		}
+		st := work.LastChange()
+		events = append(events, fmt.Sprintf("  event %d at %v: link %d %s, %d switches re-routed (%v: %d of %d columns affected, %d repaired, %d recomputed, %d cells moved)",
+			i, ev.T, ev.Link, what, len(changed), st.Tier, st.Affected, st.Probed, st.Repaired, st.Recomputed, st.CellsMoved))
+	})
 	if err != nil {
 		return err
 	}
@@ -532,6 +549,9 @@ func validateScenarioFile(w io.Writer, path string, lenient bool) error {
 	for i, c := range cfg.Conns {
 		hops := topo.PathHops(c.SrcHost, c.DstHost)
 		fmt.Fprintf(w, "  conn %d: h%d -> h%d (%d trunk hops)\n", i+1, c.SrcHost, c.DstHost, hops)
+	}
+	for _, line := range events {
+		fmt.Fprintln(w, line)
 	}
 	return nil
 }

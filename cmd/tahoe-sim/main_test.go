@@ -120,6 +120,53 @@ func TestValidateScenarioFile(t *testing.T) {
 	}
 }
 
+// -validate replays link events the way a build does: an event the run
+// would refuse fails validation with the run's own message, and every
+// event that applies is reported in time order.
+func TestValidateReplaysLinkEvents(t *testing.T) {
+	dir := t.TempDir()
+	bridge := filepath.Join(dir, "bridge.json")
+	os.WriteFile(bridge, []byte(`{"topology":{"generator":"chain","size":4},"trunk_delay":"10ms","buffer":20,
+	    "conns":[{"src":0,"dst":3}],"warmup":"2s","duration":"20s",
+	    "events":[{"t":"8s","link":1,"down":true}]}`), 0o644)
+	var buf bytes.Buffer
+	err := validateScenarioFile(&buf, bridge, false)
+	const want = "core: event 0 (link 1 at 8s): topology: taking link 1 down disconnects the graph (bridge)"
+	if err == nil || err.Error() != want || buf.Len() != 0 {
+		t.Fatalf("bridge down: got %v after printing %q, want %q and no output", err, buf.String(), want)
+	}
+	if runErr := runScenarioFile(bridge, 80, 10, false, false, nil, "", false, nil, nil, nil); runErr == nil || runErr.Error() != want {
+		t.Fatalf("the run reports %v, -validate %q", runErr, want)
+	}
+
+	steps := filepath.Join(dir, "steps.json")
+	os.WriteFile(steps, []byte(`{"topology":{"generator":"ba","size":64,"m":2,"seed":7},"trunk_delay":"10ms","buffer":20,
+	    "conns":[{"src":0,"dst":63}],"warmup":"2s","duration":"20s",
+	    "events":[{"t":"4s","link":123,"bandwidth":25000},{"t":"12s","link":123,"bandwidth":50000},
+	              {"t":"6s","link":123,"down":true},{"t":"9s","link":123,"bandwidth":100000}]}`), 0o644)
+	if err := validateScenarioFile(&buf, steps, false); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "  event ") {
+			got = append(got, line[:strings.Index(line, ",")])
+		}
+	}
+	wantLines := []string{
+		"  event 0 at 4s: link 123 weight 170ms",
+		"  event 2 at 6s: link 123 down",
+		"  event 3 at 9s: link 123 weight 50ms",
+		"  event 1 at 12s: link 123 weight 90ms",
+	}
+	if strings.Join(got, "\n") != strings.Join(wantLines, "\n") {
+		t.Fatalf("event lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(wantLines, "\n"))
+	}
+	if !strings.Contains(buf.String(), "switches re-routed (repair: 7 of 64 columns affected") {
+		t.Errorf("event lines do not say what ApplyLinkChange did:\n%s", buf.String())
+	}
+}
+
 // Every shipped scenario must validate.
 func TestValidateShippedScenarios(t *testing.T) {
 	files, err := filepath.Glob("../../scenarios/*.json")

@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -171,6 +172,41 @@ func (e *LinkEvent) Validate(links int) error {
 	}
 	if !e.Down && e.Bandwidth <= 0 {
 		return fmt.Errorf("link %d event needs a positive bandwidth or down", e.Link)
+	}
+	return nil
+}
+
+// ReplayEvents applies c.Events to work — a private Clone of the
+// compiled topology, which it mutates — in time order (file order among
+// equal times), the way a run meets them: a down event takes the link
+// out of routing, a bandwidth event re-weighs it at its new rate. After
+// each event it calls each with the event's index in c.Events, the
+// routing weight applied (topology.LinkDown for a down) and the switches
+// whose forwarding rows moved; work is then in its state after the event.
+// The first event the topology refuses — a down that disconnects a host
+// pair — ends the replay with the error a build reports. BuildE
+// schedules its table swaps from here and tahoe-sim -validate prints
+// from here, so what validates is what builds.
+func (c *Config) ReplayEvents(work *topology.Compiled, each func(i int, ev LinkEvent, weight time.Duration, changed []int)) error {
+	order := make([]int, len(c.Events))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return c.Events[order[a]].T < c.Events[order[b]].T })
+	for _, i := range order {
+		ev := c.Events[i]
+		if err := ev.Validate(len(work.Links)); err != nil {
+			return fmt.Errorf("core: event %d: %w", i, err)
+		}
+		w := topology.LinkDown
+		if !ev.Down {
+			w = work.Links[ev.Link].Delay + link.TxTime(c.topologyDefaults().DataSize, ev.Bandwidth)
+		}
+		changed, err := work.ApplyLinkChange(ev.Link, w)
+		if err != nil {
+			return fmt.Errorf("core: event %d (link %d at %v): %w", i, ev.Link, ev.T, err)
+		}
+		each(i, ev, w, changed)
 	}
 	return nil
 }

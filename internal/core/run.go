@@ -1093,27 +1093,13 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 	// never change, so the sharded runner's MinCutDelay lookahead stays
 	// valid.
 	if len(cfg.Events) > 0 {
-		order := make([]int, len(cfg.Events))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return cfg.Events[order[a]].T < cfg.Events[order[b]].T })
 		work := topo.Clone()
 		curBW := make(map[int]int64, len(cfg.Events))
-		for _, ei := range order {
-			ev := cfg.Events[ei]
+		err := cfg.ReplayEvents(work, func(_ int, ev LinkEvent, _ time.Duration, changed []int) {
 			li := ev.Link
 			l := topo.Links[li]
 			if _, ok := curBW[li]; !ok {
 				curBW[li] = l.Bandwidth
-			}
-			w := topology.LinkDown
-			if !ev.Down {
-				w = l.Delay + link.TxTime(cfg.DataSize, ev.Bandwidth)
-			}
-			changed, err := work.ApplyLinkChange(li, w)
-			if err != nil {
-				return nil, fmt.Errorf("core: event %d (link %d at %v): %w", ei, li, ev.T, err)
 			}
 			if !ev.Down && ev.Bandwidth != curBW[li] {
 				curBW[li] = ev.Bandwidth
@@ -1127,6 +1113,9 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 				ends, slots := work.Row(s)
 				engs[regionOf(s)].ScheduleAt(ev.T, func() { sw.SetRow(1, ends, slots) })
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 

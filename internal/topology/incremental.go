@@ -3,7 +3,7 @@ package topology
 import (
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 )
 
@@ -13,15 +13,56 @@ import (
 // a finite weight brings it back.
 const LinkDown = time.Duration(-1)
 
+// ChangeTier names the cheapest certificate that settled an
+// ApplyLinkChange call (see there).
+type ChangeTier uint8
+
+const (
+	// TierNoOp: the weight did not change.
+	TierNoOp ChangeTier = iota
+	// TierBridge: the link is a bridge, no route can move.
+	TierBridge
+	// TierProbes: the endpoint probes ruled every column out.
+	TierProbes
+	// TierRepair: some columns were repaired or recomputed.
+	TierRepair
+)
+
+func (t ChangeTier) String() string {
+	return [...]string{"no-op", "bridge", "probes", "repair"}[t]
+}
+
+// ChangeStats says what one ApplyLinkChange call did. Every field is a
+// count fixed by the graph, the routes and the change — never by timing
+// or the worker count.
+type ChangeStats struct {
+	Tier ChangeTier
+	// Probed is the number of destination columns the endpoint probes
+	// tested, Affected how many they could not rule out; of those,
+	// Repaired were repaired in place and Recomputed recomputed whole.
+	Probed, Affected, Repaired, Recomputed int
+	// Lookups is the number of row lookups the repairs spent (abandoned
+	// ones included).
+	Lookups int
+	// CellsMoved is the number of (switch, host) forwarding decisions
+	// that changed.
+	CellsMoved int
+}
+
+// LastChange describes the most recent ApplyLinkChange call on c; after
+// an error, the attempt that was rejected.
+func (c *Compiled) LastChange() ChangeStats { return c.last }
+
 // ApplyLinkChange updates link li's routing metric to newWeight (or
 // takes the link down, see LinkDown) and incrementally repairs the
-// forwarding state, recomputing only the Dijkstra columns the change
-// can affect. The result is byte-identical to a from-scratch
-// RecomputeRoutes under the new weights — same intervals, same
-// tie-breaks — for every worker count (pinned by the randomized
-// property test in incremental_test.go). It returns the switches whose
-// forwarding rows changed, in ascending order; callers repaint exactly
-// those switch tables.
+// forwarding state, touching only the part of each destination's
+// shortest-path tree the change can move. The result is byte-identical
+// to a from-scratch RecomputeRoutes under the new weights — same
+// intervals, same tie-breaks — for every worker count (pinned by the
+// randomized property test in incremental_test.go). It returns the
+// switches whose forwarding rows changed, in ascending order; callers
+// repaint exactly those switch tables. LastChange reports which tier
+// fired and how much work it did.
 //
 // The updater is a Ramalingam–Reps-style delta propagation organized as
 // a certificate hierarchy, cheapest first:
@@ -39,15 +80,21 @@ const LinkDown = time.Duration(-1)
 //     w' + dist_d(b) <= dist_d(a) or symmetrically — which needs just
 //     two single-source Dijkstras from li's endpoints under the old
 //     weights.
-//  3. Full recompute of the surviving columns (worker pool, same
-//     fillColumn as Compile) and an interval splice into each switch's
-//     interned row, releasing and re-interning only rows whose content
-//     moved.
+//  3. Per-column repair (repair.go, DESIGN.md §16). An increase can
+//     only move the old next-hop subtree under the endpoint that
+//     forwarded into li; a decrease propagates from the endpoint that
+//     gains, through the switches that improve, and stops at those
+//     that merely tie. Either way only the cells that move are computed
+//     and only the rows that own one are re-interned. A column whose
+//     repair would read more than Switches/repairBudgetDiv cells is
+//     recomputed whole instead (worker pool, same fillColumn as
+//     Compile) and merged into every row by one walk.
 //
 // Errors leave the Compiled unchanged. Graphs with route overrides are
 // rejected: overrides are painted destructively at Compile and cannot
 // be replayed over recomputed columns.
 func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []int, err error) {
+	c.last = ChangeStats{}
 	if c.hasOverrides {
 		return nil, fmt.Errorf("topology: ApplyLinkChange on a graph with route overrides")
 	}
@@ -73,6 +120,7 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 	// fast path only ever sees finite-to-finite changes.)
 	c.ensureBridges()
 	if c.bridge[li] && ow != downWt {
+		c.last.Tier = TierBridge
 		if nw == downWt {
 			return nil, fmt.Errorf("topology: taking link %d down disconnects the graph (bridge)", li)
 		}
@@ -80,18 +128,29 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 		return nil, nil
 	}
 
-	// Certificate 2: per-column endpoint probes.
+	// Certificate 2: per-column endpoint probes. Each affected column
+	// remembers the endpoint its repair starts from.
 	c.ensureDests()
-	a, b := c.Links[li].A, c.Links[li].B
-	var affected []int32 // indices into destSws, ascending
+	c.last.Tier = TierProbes
+	c.last.Probed = len(c.destSws)
+	a, b := int32(c.Links[li].A), int32(c.Links[li].B)
+	ea := c.adjOff[a] + c.slotOf(int(a), packHop(li, 0)) // li's half-edge at a
+	eb := c.adjOff[b] + c.slotOf(int(b), packHop(li, 1))
+	type column struct {
+		di   int32 // index into destSws
+		from int32 // a or b; -1: no repair, recompute whole
+	}
+	var affected []column // ascending di
+	var da, db []time.Duration
 	if nw > ow {
 		// Weight increase (including down): a column moves only if a
 		// chosen hop at an endpoint is the link itself.
-		fa, fb := packHop(li, 0), packHop(li, 1)
 		for di := range c.destSws {
 			h := int(c.destFirst[di])
-			if c.packedAt(a, h) == fa || c.packedAt(b, h) == fb {
-				affected = append(affected, int32(di))
+			if c.edgeAt(int(a), h) == ea {
+				affected = append(affected, column{int32(di), a})
+			} else if c.edgeAt(int(b), h) == eb {
+				affected = append(affected, column{int32(di), b})
 			}
 		}
 	} else {
@@ -100,137 +159,206 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 		// distance. Two SSSP runs under the old weights give
 		// dist_d(a), dist_d(b) for every destination at once.
 		sc := newSSSP(c.Switches)
-		da := make([]time.Duration, c.Switches)
-		copy(da, sc.run(c, a))
-		db := sc.run(c, b)
+		da = slices.Clone(sc.run(c, int(a)))
+		db = sc.run(c, int(b))
 		for di, d := range c.destSws {
-			dda, ddb := da[d], db[d]
-			if dda == maxDist || ddb == maxDist ||
-				nw+ddb <= dda || nw+dda <= ddb {
-				affected = append(affected, int32(di))
+			switch dda, ddb := da[d], db[d]; {
+			case dda == maxDist || ddb == maxDist:
+				affected = append(affected, column{int32(di), -1})
+			case nw+ddb <= dda:
+				affected = append(affected, column{int32(di), a})
+			case nw+dda <= ddb:
+				affected = append(affected, column{int32(di), b})
 			}
 		}
 	}
 
 	c.wt[li] = nw
+	c.last.Affected = len(affected)
 	if len(affected) == 0 {
 		return nil, nil
 	}
+	c.last.Tier = TierRepair
 
-	// Certificate 3: recompute the affected columns under the new
-	// weights — each column independent, fanned over the compile worker
-	// pool — then splice.
+	// Certificate 3: repair each affected column under the new weights,
+	// or recompute it whole when the repair gives up. Columns are
+	// independent — each result depends only on the old routes and the
+	// change — so they fan out over the compile worker pool.
 	workers := c.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cols := make([][]int32, len(affected))
-	colBad := make([]int32, len(affected))
-	scratch := sync.Pool{New: func() any { return newSSSP(c.Switches) }}
+	type result struct {
+		cells   []cell  // repaired: the decisions that move
+		col     []int32 // recomputed whole: the new column
+		bad     int32   // lowest switch the change strands, -1 if none
+		lookups int
+	}
+	results := make([]result, len(affected))
+	// A free list rather than a sync.Pool: one scratch per worker for
+	// the whole call, whatever the garbage collector does meanwhile. At
+	// most `workers` are ever out, so the send never blocks.
+	scratch := make(chan *repairer, workers)
 	forEachParallel(workers, len(affected), func(i int) {
-		sc := scratch.Get().(*sssp)
-		cols[i] = make([]int32, c.Switches)
-		colBad[i] = c.fillColumn(sc, int(c.destSws[affected[i]]), cols[i])
-		scratch.Put(sc)
+		var r *repairer
+		select {
+		case r = <-scratch:
+		default:
+			r = newRepairer(c, li, ow)
+		}
+		defer func() { scratch <- r }()
+		res, col := &results[i], affected[i]
+		res.bad = -1
+		ok := false
+		if col.from >= 0 {
+			// e is li's half-edge at the endpoint the repair starts from.
+			e, dFrom, dFar := ea, da, db
+			if col.from == b {
+				e, dFrom, dFar = eb, db, da
+			}
+			if nw > ow {
+				res.bad, ok = r.repairIncrease(col.di, col.from, e)
+			} else {
+				d := c.destSws[col.di]
+				ok = r.repairDecrease(col.di, col.from, e, dFrom[d], dFar[d])
+			}
+			res.lookups = c.repairBudget() - r.left
+		}
+		if ok {
+			res.cells = slices.Clone(r.out)
+			return
+		}
+		if r.sc == nil {
+			r.sc = newSSSP(c.Switches)
+		}
+		res.col = make([]int32, c.Switches)
+		res.bad = c.fillColumn(r.sc, int(c.destSws[col.di]), res.col)
 	})
-	for i, bad := range colBad {
-		if bad >= 0 {
+	var cells []cell
+	var whole []int32 // destination indices of the columns in cols
+	var cols [][]int32
+	for i, res := range results {
+		c.last.Lookups += res.lookups
+		if res.bad >= 0 {
 			c.wt[li] = ow // roll back: forwarding state is untouched
 			return nil, fmt.Errorf("topology: link %d change disconnects switch %d from hosts on switch %d",
-				li, bad, c.destSws[affected[i]])
+				li, res.bad, c.destSws[affected[i].di])
+		}
+		if res.col != nil {
+			whole = append(whole, affected[i].di)
+			cols = append(cols, res.col)
+		} else {
+			cells = append(cells, res.cells...)
 		}
 	}
-	return c.splice(affected, cols), nil
+	c.last.Repaired = len(affected) - len(whole)
+	c.last.Recomputed = len(whole)
+	changed, c.last.CellsMoved = c.splice(cells, whole, cols)
+	return changed, nil
 }
 
-// splice overlays the recomputed columns onto every switch's forwarding
-// row (or dense cells) and returns the ascending list of switches whose
-// row content changed. Serial in switch order, so pool row ids — and
-// the returned list — are deterministic.
-func (c *Compiled) splice(affected []int32, cols [][]int32) []int {
-	nh := len(c.Hosts)
-	// Overlay: maximal host intervals attached to an affected
-	// destination, each carrying its column index.
+// span is one repainted stretch of a forwarding row: hosts [h0,h1) now
+// leave through packed hop.
+type span struct {
+	h0, h1, hop int32
+}
+
+// splice writes the repaired cells and the recomputed columns cols (of
+// destinations whole, ascending) into the forwarding rows and returns
+// the ascending list of switches whose row content changed, with the
+// number of (switch, host) decisions that moved. Serial in switch order,
+// so pool row ids — and the returned list — are deterministic. A switch
+// is visited only if it owns a cell or some column was recomputed whole;
+// whole columns are compared against each row by one merge walk, never
+// by a search per cell.
+func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed []int, moved int) {
+	slices.SortStableFunc(cells, func(x, y cell) int { return int(x.sw - y.sw) })
+	// Overlay: the host intervals of the whole columns' destinations,
+	// in host order, each carrying its column index.
 	type ovl struct {
 		h0, h1 int32
-		ci     int32
-	}
-	amap := make(map[int32]int32, len(affected))
-	for ci, di := range affected {
-		amap[c.destSws[di]] = int32(ci)
+		k      int32
 	}
 	var overlay []ovl
-	for h := 0; h < nh; {
-		d := int32(c.Hosts[h].Switch)
-		ci, ok := amap[d]
-		if !ok {
-			h++
-			continue
+	for k, di := range whole {
+		for _, iv := range c.destIv[c.destIvOff[di]:c.destIvOff[di+1]] {
+			overlay = append(overlay, ovl{iv.h0, iv.h1, int32(k)})
 		}
-		h1 := h + 1
-		for h1 < nh && int32(c.Hosts[h1].Switch) == d {
-			h1++
-		}
-		overlay = append(overlay, ovl{int32(h), int32(h1), ci})
-		h = h1
 	}
+	slices.SortFunc(overlay, func(x, y ovl) int { return int(x.h0 - y.h0) })
 
-	var changed []int
-	if c.next != nil {
-		for s := 0; s < c.Switches; s++ {
-			row := c.next[s*nh : (s+1)*nh]
-			moved := false
-			for _, o := range overlay {
-				p := cols[o.ci][s]
-				hop := local
-				if p >= 0 {
-					hop = unpackHop(p)
-				}
-				for h := o.h0; h < o.h1; h++ {
-					if row[h] != hop {
-						row[h] = hop
-						moved = true
-					}
-				}
-			}
-			if moved {
-				changed = append(changed, s)
-			}
-		}
-		return changed
-	}
-
+	nh := len(c.Hosts)
+	var paint []span
 	var ends, slots []int32 // scratch row
+	ci := 0
 	for s := 0; s < c.Switches; s++ {
-		// Quick probe: every host of one destination shares its cell
-		// value, so one cell per overlay interval decides whether the
-		// row moves at all. Most rows don't. Row and overlay are both
-		// sorted by host, so the probe is one merge walk over the two.
-		oldRow := c.rowOf[s]
-		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
-		adj := c.adjHop[c.adjOff[s]:c.adjOff[s+1]]
-		moved := false
-		ri := 0
-		for _, o := range overlay {
-			for oldEnds[ri] <= o.h0 {
-				ri++
-			}
-			p := hopLocal
-			if sl := oldSlots[ri]; sl >= 0 {
-				p = adj[sl]
-			}
-			if p != cols[o.ci][s] {
-				moved = true
+		if len(overlay) == 0 {
+			if ci == len(cells) {
 				break
 			}
+			s = int(cells[ci].sw)
 		}
-		if !moved {
+		// A moved cell maps to every host interval of its destination.
+		paint = paint[:0]
+		for ; ci < len(cells) && int(cells[ci].sw) == s; ci++ {
+			di := cells[ci].di
+			for _, iv := range c.destIv[c.destIvOff[di]:c.destIvOff[di+1]] {
+				paint = append(paint, span{iv.h0, iv.h1, cells[ci].hop})
+			}
+		}
+		sparse := len(paint)
+		// Every host of one destination shares its cell value, so one cell
+		// per overlay interval decides whether it moves. Most don't. Row
+		// and overlay are both sorted by host: one merge walk.
+		if c.next != nil {
+			row := c.next[s*nh : (s+1)*nh]
+			for _, o := range overlay {
+				if p := cols[o.k][s]; row[o.h0] != hopOf(p) {
+					paint = append(paint, span{o.h0, o.h1, p})
+				}
+			}
+		} else {
+			oldEnds, oldSlots := c.pool.ends[c.rowOf[s]], c.pool.slots[c.rowOf[s]]
+			adj := c.adjHop[c.adjOff[s]:c.adjOff[s+1]]
+			ri := 0
+			for _, o := range overlay {
+				for oldEnds[ri] <= o.h0 {
+					ri++
+				}
+				p := hopLocal
+				if sl := oldSlots[ri]; sl >= 0 {
+					p = adj[sl]
+				}
+				if np := cols[o.k][s]; np != p {
+					paint = append(paint, span{o.h0, o.h1, np})
+				}
+			}
+		}
+		if len(paint) == 0 {
 			continue
 		}
-		// Rebuild the row: old intervals with overlay values painted
-		// over, adjacent equal slots merged — the same canonical maximal
-		// form the batch merge in computeRoutes emits, which is what
-		// keeps the splice byte-identical to a full recompile.
+		if sparse > 0 {
+			slices.SortFunc(paint, func(x, y span) int { return int(x.h0 - y.h0) })
+		}
+		for _, sp := range paint {
+			moved += int(sp.h1 - sp.h0)
+		}
+		changed = append(changed, s)
+		if c.next != nil {
+			row := c.next[s*nh : (s+1)*nh]
+			for _, sp := range paint {
+				for h := sp.h0; h < sp.h1; h++ {
+					row[h] = hopOf(sp.hop)
+				}
+			}
+			continue
+		}
+		// Rebuild the row: old intervals with the spans painted over,
+		// adjacent equal slots merged — the same canonical maximal form
+		// the batch merge in computeRoutes emits, which is what keeps the
+		// splice byte-identical to a full recompile.
+		oldRow := c.rowOf[s]
+		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
 		ends, slots = ends[:0], slots[:0]
 		emit := func(end, slot int32) {
 			if n := len(slots); n > 0 && slots[n-1] == slot {
@@ -245,19 +373,17 @@ func (c *Compiled) splice(affected []int32, cols [][]int32) []int {
 			for oldEnds[oi] <= pos {
 				oi++
 			}
-			for vi < len(overlay) && overlay[vi].h1 <= pos {
+			for vi < len(paint) && paint[vi].h1 <= pos {
 				vi++
 			}
 			segEnd := oldEnds[oi]
 			var slot int32
-			if vi < len(overlay) && overlay[vi].h0 <= pos {
-				if overlay[vi].h1 < segEnd {
-					segEnd = overlay[vi].h1
-				}
-				slot = c.slotOf(s, cols[overlay[vi].ci][s])
+			if vi < len(paint) && paint[vi].h0 <= pos {
+				segEnd = min(segEnd, paint[vi].h1)
+				slot = c.slotOf(s, paint[vi].hop)
 			} else {
-				if vi < len(overlay) && overlay[vi].h0 < segEnd {
-					segEnd = overlay[vi].h0
+				if vi < len(paint) {
+					segEnd = min(segEnd, paint[vi].h0)
 				}
 				slot = oldSlots[oi]
 			}
@@ -267,9 +393,8 @@ func (c *Compiled) splice(affected []int32, cols [][]int32) []int {
 		id := c.pool.intern(ends, slots)
 		c.pool.release(oldRow)
 		c.rowOf[s] = id
-		changed = append(changed, s)
 	}
-	return changed
+	return changed, moved
 }
 
 // RecomputeRoutes rebuilds the forwarding state from scratch under the
@@ -292,21 +417,56 @@ func (c *Compiled) RecomputeRoutes() error {
 	return nil
 }
 
+// hostIval is a maximal run [h0,h1) of host indices on one switch.
+type hostIval struct {
+	h0, h1 int32
+}
+
 // ensureDests builds the distinct-destination cache: every switch that
-// bears hosts, in first-host order, with one representative host each.
-// (All hosts on one switch share their forwarding column, so one host
-// per destination is enough for every probe.)
+// bears hosts, in first-host order, with one representative host each
+// (all hosts on one switch share their forwarding column, so one host
+// per destination is enough for every probe) and all its host intervals
+// — destIv[destIvOff[di]:destIvOff[di+1]], ascending. Hosts of one
+// switch need not be contiguous in host order, so a destination may own
+// several.
 func (c *Compiled) ensureDests() {
 	if c.destSws != nil {
 		return
 	}
-	seen := make([]bool, c.Switches)
-	for h, hs := range c.Hosts {
-		if !seen[hs.Switch] {
-			seen[hs.Switch] = true
-			c.destSws = append(c.destSws, int32(hs.Switch))
-			c.destFirst = append(c.destFirst, int32(h))
+	diOf := make([]int32, c.Switches) // destination index + 1, 0 = none yet
+	type run struct {
+		di int32
+		hostIval
+	}
+	var runs []run
+	nh := len(c.Hosts)
+	for h := 0; h < nh; {
+		sw := c.Hosts[h].Switch
+		h1 := h + 1
+		for h1 < nh && c.Hosts[h1].Switch == sw {
+			h1++
 		}
+		if diOf[sw] == 0 {
+			c.destSws = append(c.destSws, int32(sw))
+			c.destFirst = append(c.destFirst, int32(h))
+			diOf[sw] = int32(len(c.destSws))
+		}
+		runs = append(runs, run{diOf[sw] - 1, hostIval{int32(h), int32(h1)}})
+		h = h1
+	}
+	// Bucket the runs by destination; a counting sort keeps host order.
+	c.destIvOff = make([]int32, len(c.destSws)+1)
+	for _, r := range runs {
+		c.destIvOff[r.di+1]++
+	}
+	for di := range c.destSws {
+		c.destIvOff[di+1] += c.destIvOff[di]
+	}
+	c.destIv = make([]hostIval, len(runs))
+	cur := slices.Clone(c.destIvOff[:len(c.destSws)])
+	for _, r := range runs {
+		c.destIv[cur[r.di]] = r.hostIval
+		cur[r.di]++
 	}
 }
 

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -97,9 +98,18 @@ func checkPool(t *testing.T, tag string, c *Compiled) {
 	}
 }
 
+// ring returns n switches in a cycle, one host per switch: no bridges,
+// and every chain a repair walks is up to n/2 long.
+func ring(n int) Graph {
+	g := Chain(n)
+	g.Links = append(g.Links, LinkSpec{A: n - 1, B: 0})
+	return g
+}
+
 // incrementalGraphs is the property-test corpus: the ISSUE-named
 // shapes (chain, parking lot, BA, Waxman) plus host-placement
-// variants that scatter and cluster hosts.
+// variants that scatter and cluster hosts, a ring, doubled links, and
+// switches whose hosts are not adjacent in host order.
 func incrementalGraphs() map[string]Graph {
 	scattered := BarabasiAlbert(80, 2, 11)
 	scattered.Hosts = nil
@@ -109,7 +119,21 @@ func incrementalGraphs() map[string]Graph {
 	}
 	sparse := Waxman(120, 3)
 	sparse.Hosts = []HostSpec{{7}, {7}, {40}, {71}, {71}, {101}}
+	// Every fifth link of a BA graph doubled, the twin slower on every
+	// other one: equal-cost and unequal parallel hops.
+	parallel := BarabasiAlbert(48, 2, 5)
+	for li := 0; li < 90; li += 5 {
+		twin := parallel.Links[li]
+		twin.Delay = time.Duration(li%2) * 20 * time.Millisecond
+		parallel.Links = append(parallel.Links, twin)
+	}
+	// Three switches own two or three separate host intervals each.
+	split := Waxman(60, 4)
+	split.Hosts = []HostSpec{{3}, {17}, {3}, {3}, {42}, {17}, {8}, {42}, {3}, {55}, {17}}
 	return map[string]Graph{
+		"ring-30":      ring(30),
+		"ba-parallel":  parallel,
+		"waxman-split": split,
 		"chain-24":     Chain(24),
 		"parking-lot":  ParkingLot(6),
 		"ba-64":        BarabasiAlbert(64, 2, 7),
@@ -199,7 +223,24 @@ func mutateOnce(t *testing.T, tag string, rng *rand.Rand, live, ref *Compiled) (
 // restores maintained incrementally equals a from-scratch recompile
 // after every single step — in run mode and dense mode, for several
 // worker counts.
-func TestApplyLinkChangeMatchesRecompile(t *testing.T) {
+func TestApplyLinkChangeMatchesRecompile(t *testing.T) { matchesRecompile(t) }
+
+// The same property with every affected column forced down one tier-3
+// path: recomputed whole (the repair may spend nothing), and repaired
+// in place however far the change reaches.
+func TestApplyLinkChangeMatchesRecompileAllWhole(t *testing.T) {
+	forceRepairBudget = 0
+	defer func() { forceRepairBudget = -1 }()
+	matchesRecompile(t)
+}
+
+func TestApplyLinkChangeMatchesRecompileAllRepair(t *testing.T) {
+	forceRepairBudget = 1 << 40
+	defer func() { forceRepairBudget = -1 }()
+	matchesRecompile(t)
+}
+
+func matchesRecompile(t *testing.T) {
 	for name, g := range incrementalGraphs() {
 		for _, mode := range []struct {
 			name  string
@@ -217,6 +258,8 @@ func TestApplyLinkChangeMatchesRecompile(t *testing.T) {
 				denseNextLimit = mode.limit
 				defer func() { denseNextLimit = oldDense }()
 
+				var total ChangeStats
+				defer func() { t.Logf("%d columns repaired, %d recomputed whole", total.Repaired, total.Recomputed) }()
 				rng := rand.New(rand.NewSource(int64(len(name)) * 1337))
 				rngW := rand.New(rand.NewSource(int64(len(name)) * 1337))
 				applied := 0
@@ -234,6 +277,17 @@ func TestApplyLinkChangeMatchesRecompile(t *testing.T) {
 							t.Fatalf("step %d: workers=3 changed list diverged at %d", step, i)
 						}
 					}
+					// What the call did is a property of the change, not of
+					// the worker count.
+					st := live.LastChange()
+					if stW := liveW.LastChange(); st != stW {
+						t.Fatalf("step %d: workers=3 did different work: %+v vs %+v", step, stW, st)
+					}
+					if forceRepairBudget > 0 && st.Recomputed != 0 {
+						t.Fatalf("step %d: unlimited budget, yet %d columns recomputed whole", step, st.Recomputed)
+					}
+					total.Repaired += st.Repaired
+					total.Recomputed += st.Recomputed
 					if !ok {
 						continue
 					}
@@ -416,6 +470,116 @@ func TestCloneIsolation(t *testing.T) {
 	for i, h := range held {
 		if !h.intact() {
 			t.Fatalf("held row %d (switch %d) changed after it was handed out", i, i%base.Switches)
+		}
+	}
+}
+
+// TestLeafLinkChangeIsLocal pins the cost of the benchmark's link
+// events: re-rate, down and restore of the last link of BA(2048,2) —
+// the newest switch's second attachment. Of the 1200–1850 columns the
+// probes select, all but the two whose destination is the leaf or its
+// other attachment (1651 and 119 switches route to those through the
+// link: far over budget) are repaired in place, at a cost tied to what
+// actually moves.
+func TestLeafLinkChangeIsLocal(t *testing.T) {
+	def := Defaults{Bandwidth: 50_000, Delay: 2 * time.Millisecond, Buffer: 20, DataSize: 500}
+	c, err := BarabasiAlbert(2048, 2, 1).Compile(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := c.Clone()
+	li := len(c.Links) - 1
+	weight := func(bw int64) time.Duration {
+		return def.Delay + time.Duration(int64(def.DataSize)*8*int64(time.Second)/bw)
+	}
+	for _, w := range []time.Duration{weight(25_000), LinkDown, weight(100_000)} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		changed, err := c.ApplyLinkChange(li, w)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.LastChange()
+		// Rows are immutable, so every changed switch gets fresh slices;
+		// the rest is the updater's own working memory (the parent held
+		// one 8 KB column per affected destination, 8-15 MB a call).
+		alloc := int(m1.TotalAlloc - m0.TotalAlloc)
+		for _, s := range changed {
+			ends, _ := c.Row(s)
+			alloc -= 8 * len(ends)
+		}
+		t.Logf("weight %v: %d switches changed, %+v, %d KB allocated besides the new rows", w, len(changed), st, alloc>>10)
+		if st.Tier != TierRepair || st.Affected < 1000 || st.Recomputed > 2 {
+			t.Errorf("weight %v: want all but two affected columns repaired in place, got %+v", w, st)
+		}
+		if st.Lookups > 64*st.CellsMoved {
+			t.Errorf("weight %v: %d row lookups for %d cells moved, want at most 64 per cell", w, st.Lookups, st.CellsMoved)
+		}
+		if alloc > 2<<20 {
+			t.Errorf("weight %v: %d bytes allocated besides the new rows, want at most 2 MB", w, alloc)
+		}
+		if ref.wt[li] = w; w == LinkDown {
+			ref.wt[li] = downWt
+		}
+		if err := ref.RecomputeRoutes(); err != nil {
+			t.Fatal(err)
+		}
+		checkSame(t, "leaf", c, ref)
+	}
+}
+
+// TestDisconnectingChangeIsRejected pins the tier-3 rejection: on a ring
+// with one link already down no other link is a bridge of the full
+// graph, so a second down gets past tier 1 and must be caught by the
+// column repair (or the whole-column fallback) — with the error text
+// recorded from 42ba9e2 (the link, the lowest stranded switch, the
+// destination of the first affected column) and nothing changed.
+func TestDisconnectingChangeIsRejected(t *testing.T) {
+	defer func() { forceRepairBudget = -1 }()
+	sparse := ring(12)
+	sparse.Hosts = []HostSpec{{5}, {9}, {5}, {2}}
+	for _, tc := range []struct {
+		name  string
+		g     Graph
+		wants [3]string // downs of links 8, 11, 0 after link 3 went down
+	}{
+		{"all-hosts", ring(12), [3]string{
+			"topology: link 8 change disconnects switch 4 from hosts on switch 0",
+			"topology: link 11 change disconnects switch 4 from hosts on switch 0",
+			"topology: link 0 change disconnects switch 1 from hosts on switch 0",
+		}},
+		{"split-hosts", sparse, [3]string{
+			"topology: link 8 change disconnects switch 0 from hosts on switch 5",
+			"topology: link 11 change disconnects switch 0 from hosts on switch 5",
+			"topology: link 0 change disconnects switch 1 from hosts on switch 5",
+		}},
+	} {
+		for _, budget := range []int{-1, 0, 1 << 40} {
+			forceRepairBudget = budget
+			c := compileWithLimits(t, tc.g, eqDefaults(), 0, colBatchCells)
+			if _, err := c.ApplyLinkChange(3, LinkDown); err != nil {
+				t.Fatalf("%s: first down: %v", tc.name, err)
+			}
+			before, weights := snapshot(c), slices.Clone(c.wt)
+			for i, li := range []int{8, 11, 0} {
+				_, err := c.ApplyLinkChange(li, LinkDown)
+				if err == nil || err.Error() != tc.wants[i] {
+					t.Errorf("%s budget %d: down link %d: got %v, want %q", tc.name, budget, li, err, tc.wants[i])
+				}
+				if st := c.LastChange(); st.Tier != TierRepair || st.CellsMoved != 0 {
+					t.Errorf("%s budget %d: down link %d: stats %+v, want a tier-3 attempt that moved nothing", tc.name, budget, li, st)
+				}
+			}
+			after := snapshot(c)
+			for s := range before {
+				if !rowsEqual(before[s], after[s]) {
+					t.Errorf("%s budget %d: rejected changes moved switch %d", tc.name, budget, s)
+				}
+			}
+			if !slices.Equal(weights, c.wt) {
+				t.Errorf("%s budget %d: rejected changes left weights %v, want %v", tc.name, budget, c.wt, weights)
+			}
 		}
 	}
 }

@@ -140,24 +140,31 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		colBad  []int32   // lowest unreachable switch per column, -1 if none
 		scratch = sync.Pool{New: func() any { return newSSSP(nsw) }}
 		colOf   = make(map[int]int, maxCols) // dest switch -> column, reused per batch
+		hostCol []int32                      // host h of the batch -> column, as hostCol[h-lo]
 	)
 
 	for lo := 0; lo < nh; {
 		// Grow the batch [lo,hi) while its distinct destination switches
 		// fit the column budget. Consecutive hosts on one switch share a
 		// column, so a batch always advances by at least one host.
+		// The map is probed once per host, here; the checks and merges
+		// below, which visit every (switch, host) cell, read hostCol.
 		clear(colOf)
+		hostCol = hostCol[:0]
 		var dests []int32
 		hi := lo
 		for hi < nh {
 			d := c.Hosts[hi].Switch
-			if _, ok := colOf[d]; !ok {
+			ci, ok := colOf[d]
+			if !ok {
 				if len(dests) == maxCols {
 					break
 				}
-				colOf[d] = len(dests)
+				ci = len(dests)
+				colOf[d] = ci
 				dests = append(dests, int32(d))
 			}
+			hostCol = append(hostCol, int32(ci))
 			hi++
 		}
 
@@ -173,7 +180,7 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 			scratch.Put(sc)
 		})
 		for h := lo; h < hi; h++ {
-			if bad := colBad[colOf[c.Hosts[h].Switch]]; bad >= 0 {
+			if bad := colBad[hostCol[h-lo]]; bad >= 0 {
 				return nil, fmt.Errorf("topology: switch %d cannot reach host %d (switch %d): graph is disconnected",
 					bad, h, c.Hosts[h].Switch)
 			}
@@ -182,13 +189,9 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		// Merge the batch into the forwarding state, in host order.
 		if dense {
 			for h := lo; h < hi; h++ {
-				col := cols[colOf[c.Hosts[h].Switch]]
+				col := cols[hostCol[h-lo]]
 				for s := 0; s < nsw; s++ {
-					if p := col[s]; p < 0 {
-						c.next[s*nh+h] = local
-					} else {
-						c.next[s*nh+h] = unpackHop(p)
-					}
+					c.next[s*nh+h] = hopOf(col[s])
 				}
 			}
 		} else {
@@ -208,7 +211,7 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 				for s := sLo; s < sHi; s++ {
 					rs := rb.runs[s]
 					for h := lo; h < hi; h++ {
-						p := cols[colOf[c.Hosts[h].Switch]][s]
+						p := cols[hostCol[h-lo]][s]
 						if n := len(rs); n > 0 && rs[n-1].hop == p && rs[n-1].end == int32(h) {
 							rs[n-1].end = int32(h) + 1
 						} else {

@@ -167,6 +167,14 @@ func packHop(link, dir int) int32 { return int32(link)<<1 | int32(dir) }
 
 func unpackHop(p int32) Hop { return Hop{Link: int(p >> 1), Dir: int(p & 1)} }
 
+// hopOf unpacks a column value into the dense table's form.
+func hopOf(p int32) Hop {
+	if p < 0 {
+		return local
+	}
+	return unpackHop(p)
+}
+
 // Skeleton is a Graph with resolved link parameters, defaulted hosts
 // and CSR adjacency, known to be well formed and connected — everything
 // about a compiled topology except its routes. Graph.Resolve builds one
@@ -234,10 +242,16 @@ type Compiled struct {
 
 	// Lazy caches for ApplyLinkChange, shared by Clone (all immutable
 	// once built): the distinct destination switches in host order with
-	// one representative host each, and per-link bridge flags.
+	// one representative host and the host intervals of each, and
+	// per-link bridge flags.
 	destSws   []int32
 	destFirst []int32
+	destIvOff []int32
+	destIv    []hostIval
 	bridge    []bool
+
+	// last describes the most recent ApplyLinkChange call.
+	last ChangeStats
 
 	// dataSize is the Defaults.DataSize the graph was compiled with,
 	// retained for the Weight metric.
@@ -261,23 +275,11 @@ func (c *Compiled) NextHop(sw, h int) (hop Hop, isLocal bool) {
 		return hop, hop.Link < 0
 	}
 	_ = c.Hosts[h] // bounds check: run lookup must not wander past the hosts
-	ends := c.pool.ends[c.rowOf[sw]]
-	// First interval whose end exceeds h; intervals cover every host, so
-	// it exists.
-	lo, hi := 0, len(ends)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ends[mid] > int32(h) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	sl := c.pool.slots[c.rowOf[sw]][lo]
-	if sl < 0 {
+	e := c.edgeAt(sw, h)
+	if e < 0 {
 		return local, true
 	}
-	return unpackHop(c.adjHop[c.adjOff[sw]+sl]), false
+	return unpackHop(c.adjHop[e]), false
 }
 
 // ForEachHostRun calls fn for every maximal interval [h0,h1) of host
@@ -667,15 +669,19 @@ func (c *Skeleton) slotOf(s int, p int32) int32 {
 	panic("topology: hop not adjacent to switch")
 }
 
-// packedAt returns the packed forwarding value at (sw, h): a packed
-// hop, or hopLocal when host h is attached to sw.
-func (c *Compiled) packedAt(sw, h int) int32 {
+// edgeLocal is edgeAt's answer where the host is attached to the switch.
+const edgeLocal = int32(-1)
+
+// edgeAt returns the forwarding decision at (sw, h) as an index into the
+// CSR half-edge arrays — adjSw gives the next switch, adjHop the packed
+// hop — or edgeLocal when host h is attached to sw.
+func (c *Compiled) edgeAt(sw, h int) int32 {
 	if c.next != nil {
 		hop := c.next[sw*len(c.Hosts)+h]
 		if hop.Link < 0 {
-			return hopLocal
+			return edgeLocal
 		}
-		return packHop(hop.Link, hop.Dir)
+		return c.adjOff[sw] + c.slotOf(sw, packHop(hop.Link, hop.Dir))
 	}
 	ends := c.pool.ends[c.rowOf[sw]]
 	lo, hi := 0, len(ends)
@@ -689,7 +695,7 @@ func (c *Compiled) packedAt(sw, h int) int32 {
 	}
 	sl := c.pool.slots[c.rowOf[sw]][lo]
 	if sl < 0 {
-		return hopLocal
+		return edgeLocal
 	}
-	return c.adjHop[c.adjOff[sw]+sl]
+	return c.adjOff[sw] + sl
 }
