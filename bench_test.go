@@ -259,6 +259,26 @@ func steadyStateConfig() core.Config {
 	return cfg
 }
 
+// rowModeConfig is steadyStateConfig's counterpart off the paper's
+// topologies: a 130-switch line, past both dense limits, so the topology
+// compiles interval rows and every switch forwards from one through its
+// hot-route table; two-way pairs over 3 to 9 hops.
+func rowModeConfig() core.Config {
+	cfg := core.DumbbellConfig(10*time.Millisecond, 20)
+	cfg.Switches = 130
+	for _, pair := range [][2]int{{0, 3}, {60, 69}, {129, 124}, {2, 8}} {
+		cfg.Conns = append(cfg.Conns,
+			core.ConnSpec{SrcHost: pair[0], DstHost: pair[1], Start: -1},
+			core.ConnSpec{SrcHost: pair[1], DstHost: pair[0], Start: -1})
+	}
+	cfg.Warmup = 10 * time.Second
+	cfg.Duration = time.Hour
+	// Unmeasured, as large networks run: 129 trunks' series are not the
+	// forwarding path.
+	cfg.MeasureTrunks, cfg.MeasureConns = []int{}, []int{}
+	return cfg
+}
+
 // BenchmarkScenarioSteadyStateAllocs measures per-simulated-second heap
 // allocations once the two-way scenario is past slow start: the packet
 // pool and the engine free list should absorb the entire per-packet
@@ -329,13 +349,16 @@ func BenchmarkScenarioSteadyState(b *testing.B) {
 // metrics+progress instruments must keep the hot path allocation-free.
 // The sched variants pin it for both schedulers explicitly, and the
 // arena variant for a simulation built from a warm arena: its second
-// back-to-back run must be exactly 0 allocs per simulated second.
+// back-to-back run must be exactly 0 allocs per simulated second. The
+// rows variants run rowModeConfig: forwarding from interval rows behind
+// hot-route tables, and hosts' endpoint tables, allocate nothing either.
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
 		sched sim.SchedKind
 		obs   func() *obs.Options
 		arena bool
+		rows  bool
 		want  float64 // max allocs per stepped sim-second
 	}{
 		{name: "obs-nil", want: 1},
@@ -350,10 +373,20 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{name: "sched-heap", sched: sim.SchedHeap, want: 1},
 		{name: "arena-reused", sched: sim.SchedWheel, arena: true, want: 0},
 		{name: "arena-reused-heap", sched: sim.SchedHeap, arena: true, want: 0},
+		{name: "rows", rows: true, want: 1},
+		{name: "rows-arena-reused", rows: true, arena: true, want: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := steadyStateConfig()
+			// Warm well past slow start so the pool and free lists are
+			// populated. Eight connections put more than a bucket's seed
+			// capacity of events into a wheel slot now and then, and a slot
+			// that has grown stays grown: the rows variants settle for
+			// longer, and their arena's first run covers the measured span.
+			cfg, settle, first := steadyStateConfig(), 30*time.Second, 40*time.Second
+			if tc.rows {
+				cfg, settle, first = rowModeConfig(), 100*time.Second, 160*time.Second
+			}
 			cfg.Sched = tc.sched
 			if tc.obs != nil {
 				cfg.Obs = tc.obs()
@@ -365,16 +398,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 				// state has nothing left to allocate.
 				a := core.NewArena()
 				warm := cfg
-				warm.Duration = 40 * time.Second
+				warm.Duration = first
 				a.Run(warm)
 				s = a.Build(cfg)
 			} else {
 				s = core.Build(cfg)
 			}
-			// Warm well past slow start so the pool and free lists are
-			// populated.
-			s.RunUntil(30 * time.Second)
-			now := 30 * time.Second
+			s.RunUntil(settle)
+			now := settle
 			allocs := testing.AllocsPerRun(50, func() {
 				now += time.Second
 				s.RunUntil(now)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -200,5 +201,50 @@ func TestRunScenarioFile(t *testing.T) {
 	os.WriteFile(bad, []byte(`{}`), 0o644)
 	if err := runScenarioFile(bad, 60, 8, false, false, nil, "", false, nil, nil, nil); err == nil {
 		t.Fatal("no error for invalid scenario")
+	}
+}
+
+// sim runs the command in-process with the given arguments and returns
+// the exit status and what it wrote to standard error.
+func sim(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errFile.Close()
+	oldArgs, oldErr, oldFlags := os.Args, os.Stderr, flag.CommandLine
+	defer func() { os.Args, os.Stderr, flag.CommandLine = oldArgs, oldErr, oldFlags }()
+	os.Args, os.Stderr = append([]string{"tahoe-sim"}, args...), errFile
+	flag.CommandLine = flag.NewFlagSet("tahoe-sim", flag.ContinueOnError)
+	code := run()
+	msg, err := os.ReadFile(errFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(msg)
+}
+
+// A topology too large for the packed route representations used to die
+// inside the generator with "fatal error: out of memory", which nothing
+// can recover from. It is an input error: exit 1 and a message, with
+// -validate and without, whichever field carries the size.
+func TestAbsurdTopologySizeExitsOne(t *testing.T) {
+	for name, topo := range map[string]string{
+		"generator": `"topology":{"generator":"chain","size":3000000000},`,
+		"explicit":  `"topology":{"switches":3000000000},`,
+		"line":      `"switches":3000000000,`,
+	} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		js := `{` + topo + `"trunk_delay":"10ms","conns":[{"src":0,"dst":1}]}`
+		if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-config", path, "-validate"}, {"-config", path, "-plot=false"}} {
+			code, msg := sim(t, args...)
+			if code != 1 || !strings.Contains(msg, "a graph is limited to 2147483647 switches; 3000000000 is too many") {
+				t.Errorf("%s, %v: exit %d with %q, want exit 1 and the size limit", name, args[1:], code, msg)
+			}
+		}
 	}
 }

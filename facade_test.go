@@ -113,6 +113,16 @@ func TestParseTopoSpec(t *testing.T) {
 			t.Errorf("%q: no error", bad)
 		}
 	}
+	// A size the packed route representations cannot carry is refused
+	// before the generator allocates for it.
+	for _, huge := range []string{
+		"chain:3000000000", "chain:1073741825", "parking-lot:2147483647", "parking-lot:1073741824",
+		"ba:3000000000:2:1", "ba:600000000:2:1", "waxman:3000000000:1", "waxman:1073741825:1",
+	} {
+		if _, _, err := ParseTopoSpec(huge); err == nil || !strings.Contains(err.Error(), "is too many") {
+			t.Errorf("%q: got %v, want the size-limit error", huge, err)
+		}
+	}
 	// Parse errors are self-correcting: a bad token is named and the
 	// accepted forms are listed.
 	_, _, err = ParseTopoSpec("ba:64:x:1")

@@ -475,6 +475,9 @@ func (c *Config) normalize() error {
 		if c.Switches < 2 {
 			return fmt.Errorf("core: a scenario needs at least 2 switches")
 		}
+		if err := c.checkLine(); err != nil {
+			return err
+		}
 	}
 	if c.TrunkBandwidth == 0 {
 		c.TrunkBandwidth = DefaultTrunkBandwidth
@@ -651,12 +654,25 @@ func (c *Config) Graph() topology.Graph {
 	return topology.Chain(n)
 }
 
+// checkLine refuses a default line (Switches with no Topology) too long
+// for the topology's packed representations, before Graph allocates it;
+// an explicit Topology is checked when it is resolved.
+func (c *Config) checkLine() error {
+	if c.Topology != nil {
+		return nil
+	}
+	return topology.CheckSize(c.Switches, c.Switches-1, c.Switches)
+}
+
 // CompileTopology resolves the effective graph against this
 // configuration's trunk defaults and computes the forwarding tables.
 // Build calls it (panicking on error, as for any construction-time
 // programmer error); tahoe-sim -validate calls it directly to surface
 // topology problems as ordinary errors.
 func (c *Config) CompileTopology() (*topology.Compiled, error) {
+	if err := c.checkLine(); err != nil {
+		return nil, err
+	}
 	return c.Graph().Compile(c.topologyDefaults())
 }
 
@@ -666,6 +682,9 @@ func (c *Config) CompileTopology() (*topology.Compiled, error) {
 // (events, regions, connections) is checked against. Input validation
 // uses it so that a scenario's routes are computed once, by Build.
 func (c *Config) ResolveTopology() (*topology.Skeleton, error) {
+	if err := c.checkLine(); err != nil {
+		return nil, err
+	}
 	return c.Graph().Resolve(c.topologyDefaults())
 }
 

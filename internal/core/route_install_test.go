@@ -160,3 +160,45 @@ func TestWiringCostIgnoresRouteRuns(t *testing.T) {
 			wiringBytes, elements, runs)
 	}
 }
+
+// TestWiringBytesPerConnAreLocal: what a connection costs to wire does
+// not grow with the number of connections in the run. 2000 one-hop
+// connections on chain:256, unmeasured, cost at most 2.5 KB each,
+// switches and ports included (the two endpoints and their hosts' table
+// slots are about 1 KB of it). Host tables indexed by global connection
+// id cost every host 16 bytes × the highest id it terminates: 15 KB per
+// connection here, 60 KB at chain:1024 with 10⁴.
+func TestWiringBytesPerConnAreLocal(t *testing.T) {
+	g := topology.Chain(256)
+	cfg := Config{
+		Topology:      &g,
+		TrunkDelay:    10 * time.Millisecond,
+		Buffer:        DefaultBuffer,
+		Warmup:        time.Second,
+		Duration:      5 * time.Second,
+		MeasureTrunks: []int{},
+		MeasureConns:  []int{},
+	}
+	for k := 0; k < 2000; k++ {
+		a := (k * 97) % 255
+		src, dst := a, a+1
+		if k%2 == 1 {
+			src, dst = dst, src
+		}
+		cfg.Conns = append(cfg.Conns, ConnSpec{SrcHost: src, DstHost: dst, Start: -1})
+	}
+	perConn := math.Inf(1)
+	for i := 0; i < 3; i++ { // least of three: the collector's own objects come and go
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		if _, err := BuildE(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		perConn = min(perConn, float64(m1.TotalAlloc-m0.TotalAlloc)/float64(len(cfg.Conns)))
+	}
+	t.Logf("BuildE allocated %.0f bytes per connection", perConn)
+	if perConn > 2560 {
+		t.Errorf("BuildE allocated %.0f bytes per connection, over 2.5 KB: wiring is paying for the other %d connections", perConn, len(cfg.Conns)-1)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -86,6 +87,9 @@ func (c *ImpairmentConfig) validate() error {
 	}
 	if c.Jitter < 0 {
 		return fmt.Errorf("link: negative jitter %v", c.Jitter)
+	}
+	if c.Jitter > math.MaxInt64/2 { // Impair adds a draw from [0, Jitter] to the clock
+		return fmt.Errorf("link: jitter %v too large", c.Jitter)
 	}
 	return nil
 }
@@ -186,7 +190,9 @@ func NewRateTrace(steps []RateStep) (*RateTrace, error) {
 			return nil, fmt.Errorf("link: rate trace step %d has non-positive rate %d", i, s.Rate)
 		}
 		rt.offs[i] = rt.cycle
-		rt.cycle += s.Hold
+		if rt.cycle += s.Hold; rt.cycle < 0 {
+			return nil, fmt.Errorf("link: rate trace holds for more than %v in all; the period overflows at step %d", time.Duration(math.MaxInt64), i)
+		}
 	}
 	return rt, nil
 }

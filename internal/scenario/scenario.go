@@ -637,6 +637,13 @@ func validate(cfg *core.Config) error {
 func (t *Topology) graph() (topology.Graph, error) {
 	var g topology.Graph
 	explicit := t.Switches != 0 || len(t.Links) > 0
+	// fits refuses a size the generator must not be started on.
+	fits := func() error {
+		if err := topology.CheckGenerated(t.Generator, t.Size, t.M); err != nil {
+			return fmt.Errorf("scenario: %w", err)
+		}
+		return nil
+	}
 	switch t.Generator {
 	case "":
 		if !explicit {
@@ -664,10 +671,16 @@ func (t *Topology) graph() (topology.Graph, error) {
 		if t.Size < 2 {
 			return g, fmt.Errorf("scenario: chain topology needs size >= 2")
 		}
+		if err := fits(); err != nil {
+			return g, err
+		}
 		g = topology.Chain(t.Size)
 	case "parking-lot":
 		if t.Size < 1 {
 			return g, fmt.Errorf("scenario: parking-lot topology needs size >= 1")
+		}
+		if err := fits(); err != nil {
+			return g, err
 		}
 		g = topology.ParkingLot(t.Size)
 	case "ba":
@@ -677,10 +690,16 @@ func (t *Topology) graph() (topology.Graph, error) {
 		if t.M < 1 || t.M >= t.Size {
 			return g, fmt.Errorf("scenario: ba topology needs 1 <= m < size, got m=%d", t.M)
 		}
+		if err := fits(); err != nil {
+			return g, err
+		}
 		g = topology.BarabasiAlbert(t.Size, t.M, t.Seed)
 	case "waxman":
 		if t.Size < 2 {
 			return g, fmt.Errorf("scenario: waxman topology needs size >= 2")
+		}
+		if err := fits(); err != nil {
+			return g, err
 		}
 		g = topology.Waxman(t.Size, t.Seed)
 	default:

@@ -356,6 +356,33 @@ func TestParseTopologyErrors(t *testing.T) {
 	}
 }
 
+// TestParseTopologySizeLimit: a size the packed route representations
+// cannot carry — 2³¹ switches or hosts, 2³⁰ links, the range where
+// int32(link)<<1 would wrap silently — is a parse error raised before any
+// generator allocates in proportion to it. (A generator that started on
+// one of these would take the process down, not fail the test.)
+func TestParseTopologySizeLimit(t *testing.T) {
+	cases := map[string]string{
+		"chain switches":       `"topology":{"generator":"chain","size":3000000000},`,
+		"chain links":          `"topology":{"generator":"chain","size":1073741825},`,
+		"parking-lot switches": `"topology":{"generator":"parking-lot","size":2147483647},`,
+		"parking-lot links":    `"topology":{"generator":"parking-lot","size":1073741824},`,
+		"ba switches":          `"topology":{"generator":"ba","size":3000000000,"m":2},`,
+		"ba links":             `"topology":{"generator":"ba","size":600000000,"m":2},`,
+		"ba links, wide m":     `"topology":{"generator":"ba","size":2000000,"m":1000},`,
+		"waxman switches":      `"topology":{"generator":"waxman","size":3000000000,"seed":1},`,
+		"waxman links":         `"topology":{"generator":"waxman","size":1073741825,"seed":1},`,
+		"explicit switches":    `"topology":{"switches":3000000000},`,
+		"default line":         `"switches":3000000000,`,
+	}
+	for name, topo := range cases {
+		_, err := Parse(strings.NewReader(`{` + topo + `"trunk_delay":"10ms","buffer":20,"conns":[{"src":0,"dst":1}]}`))
+		if err == nil || !strings.Contains(err.Error(), "a graph is limited to") || !strings.Contains(err.Error(), "is too many") {
+			t.Errorf("%s: got %v, want the size-limit error", name, err)
+		}
+	}
+}
+
 // TestGoldenScenarioFiles pins every shipped scenario to the canonical
 // encoding: Decode∘Encode must reproduce the file byte for byte, and
 // each file must parse into a compilable configuration.

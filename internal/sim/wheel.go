@@ -255,18 +255,33 @@ func (w *wheel) cascade(l, s int) {
 	}
 }
 
-// activateWord extracts every occupied level-0 slot named by word (a
+// activeRunMax bounds how many events one activation moves into the
+// run. The run's length is what every event scheduled at or behind the
+// cursor pays — it is binary-searched and shifted into place — and a
+// whole 64-slot word of a 2048-switch graph holds thousands of events,
+// nearly all of whose children land behind the cursor. The paper's
+// sparse streams never reach the bound (a word there holds a handful of
+// events), so they keep the one activation per word — a bound of one
+// slot cost paper-twoway 3 % — while on mesh-ba2048 one slot and 32
+// events measured alike. Any bound fires the same order (DESIGN.md §11).
+const activeRunMax = 32
+
+// activateWord extracts occupied level-0 slots named by word (a
 // pre-masked occupancy word of bitmap index wi, holding only bits at or
-// ahead of the cursor) into the run, advances the cursor to the last
-// slot taken, and sorts the run by (time, seq).
+// ahead of the cursor) into the run, lowest first, until the word is
+// spent or the run holds activeRunMax events; it advances the cursor to
+// the last slot taken and sorts the run by (time, seq). Slots it did not
+// reach keep their occupancy bits and their buckets — ahead of the
+// cursor, where cancel is a swap-remove and rearm an update in place.
 //
-// Batching a whole 64-slot word amortizes the advance/activate overhead
-// across every event in its span — for the sparse event streams TCP
+// Batching across a word amortizes the advance/activate overhead
+// over every event in its span — for the sparse event streams TCP
 // scenarios produce, that is several events per scan instead of one.
 // Peeking the cursor ahead is safe: events that later schedule at or
 // behind it binary-search into the run, so the global (time, seq) order
-// is untouched. The span is one word (~34ms) on purpose — RTO-scale
-// timers stay in their buckets where rearm can update them in place.
+// is untouched. The span is at most one word (~34ms) on purpose —
+// RTO-scale timers stay in their buckets where rearm can update them in
+// place.
 //
 // The copy, the bucket clear, and the whereRun relabel are one fused
 // pass. Small runs insertion-sort: slots are taken in ascending tick
@@ -276,11 +291,11 @@ func (w *wheel) cascade(l, s int) {
 // in arbitrary time order, the insertion sort's quadratic worst case —
 // fall back to pdqsort.
 func (w *wheel) activateWord(wi int, word uint64) {
-	w.occ[0][wi] &^= word
 	r := w.run[:0]
 	last := 0
-	for word != 0 {
+	for word != 0 && len(r) < activeRunMax {
 		s := wi<<6 + bits.TrailingZeros64(word)
+		w.occ[0][wi] &^= word & -word
 		word &= word - 1
 		last = s
 		b := w.slots[0][s]
@@ -376,9 +391,9 @@ func (w *wheel) step() {
 func (w *wheel) advance() {
 	for {
 		// Fast path: the first occupied word of this level-0 rotation, at
-		// or ahead of the cursor, activated wholesale. Bits behind the
-		// cursor within its own word are next-rotation stragglers and are
-		// masked off.
+		// or ahead of the cursor, activated up to the run bound. Bits
+		// behind the cursor within its own word are next-rotation
+		// stragglers and are masked off.
 		cur := int(w.curTick) & slotMask
 		for wi := cur >> 6; wi < wordCount; wi++ {
 			word := w.occ[0][wi]

@@ -5,6 +5,23 @@ import (
 	"math/rand"
 )
 
+// CheckGenerated reports whether the graph a generator would make from
+// size n (and, for "ba", m links per new switch) fits CheckSize, before
+// the generator allocates in proportion to it. The names are the
+// scenario and -topology ones; arguments are otherwise valid (n ≥ 2,
+// 1 ≤ m < n). Waxman's link count is random: its backbone is counted
+// here, the rest when the graph is resolved.
+func CheckGenerated(generator string, n, m int) error {
+	switches, links := n, n-1 // chain, waxman
+	switch generator {
+	case "parking-lot": // n hops
+		switches, links = n+1, n
+	case "ba":
+		links = m * (n - m)
+	}
+	return CheckSize(switches, links, switches) // one host per switch
+}
+
 // BarabasiAlbert returns an n-switch scale-free graph grown by
 // preferential attachment: switches join one at a time and link to m
 // distinct earlier switches chosen with probability proportional to

@@ -158,9 +158,9 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 		// moves only if the new edge beats or ties a current endpoint
 		// distance. Two SSSP runs under the old weights give
 		// dist_d(a), dist_d(b) for every destination at once.
-		sc := newSSSP(c.Switches)
-		da = slices.Clone(sc.run(c, int(a)))
-		db = sc.run(c, int(b))
+		sc, hops := newSSSP(c.Switches), make([]int32, c.Switches) // hops: run's column, not needed here
+		da = slices.Clone(sc.run(c, int(a), hops))
+		db = sc.run(c, int(b), hops)
 		for di, d := range c.destSws {
 			switch dda, ddb := da[d], db[d]; {
 			case dda == maxDist || ddb == maxDist:

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -229,38 +230,10 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 
 // fillColumn computes dest d's packed next-hop column: col[s] is the
 // hop switch s uses toward d (hopLocal at d itself). It returns the
-// lowest switch index that cannot reach d, or -1 when all can. Among
-// equal-cost hops the lowest link index wins — the CSR half-edges are
-// sorted by link index and only a strictly cheaper cost displaces the
-// incumbent.
+// lowest switch index that cannot reach d, or -1 when all can.
 func (c *Compiled) fillColumn(sc *sssp, d int, col []int32) (bad int32) {
-	dist := sc.run(c, d)
-	bad = -1
-	for s := 0; s < c.Switches; s++ {
-		if s == d {
-			col[s] = hopLocal
-			continue
-		}
-		best, bestCost := hopUnreachable, maxDist
-		for i := c.adjOff[s]; i < c.adjOff[s+1]; i++ {
-			dn := dist[c.adjSw[i]]
-			if dn == maxDist {
-				continue
-			}
-			w := c.wt[c.adjHop[i]>>1]
-			if w == downWt {
-				continue
-			}
-			if cost := w + dn; cost < bestCost {
-				best, bestCost = c.adjHop[i], cost
-			}
-		}
-		col[s] = best
-		if best == hopUnreachable && bad < 0 {
-			bad = int32(s)
-		}
-	}
-	return bad
+	sc.run(c, d, col)
+	return int32(slices.Index(col, hopUnreachable))
 }
 
 const maxDist = time.Duration(1<<63 - 1)
@@ -278,10 +251,8 @@ const downWt = maxDist
 // so the heap's tie order — unlike the old O(n²) lowest-index sweep —
 // cannot influence the result.
 type sssp struct {
-	dist  []time.Duration
-	heap  []heapNode
-	epoch []int32 // touched[s] == gen marks dist[s] as valid this run
-	gen   int32
+	dist []time.Duration
+	heap []heapNode
 }
 
 type heapNode struct {
@@ -290,36 +261,26 @@ type heapNode struct {
 }
 
 func newSSSP(n int) *sssp {
-	return &sssp{
-		dist:  make([]time.Duration, n),
-		epoch: make([]int32, n),
-	}
+	return &sssp{dist: make([]time.Duration, n)}
 }
 
 // run returns every switch's shortest distance to dst under the link
-// weight metric; unreachable switches hold maxDist.
-func (sc *sssp) run(c *Compiled, dst int) []time.Duration {
-	sc.gen++
-	if sc.gen == 0 { // wrapped: reset epochs
-		for i := range sc.epoch {
-			sc.epoch[i] = 0
-		}
-		sc.gen = 1
+// weight metric (maxDist where there is no path) and fills col with the
+// packed hop each switch takes toward it: hopLocal at dst, hopUnreachable
+// where there is no path. The hop is chosen as the switch is relaxed, by
+// repairDecrease's rule: a strictly cheaper offer displaces the
+// incumbent, an equal one takes the lower hop. Every neighbour on a
+// shortest path makes its offer when it settles, so the survivor is the
+// lowest link index among the equal-cost hops — half-edges are in link
+// order, so packed hops compare as links do.
+func (sc *sssp) run(c *Compiled, dst int, col []int32) []time.Duration {
+	dist := sc.dist
+	for s := range dist {
+		dist[s] = maxDist
+		col[s] = hopUnreachable
 	}
-	dist, epoch, gen := sc.dist, sc.epoch, sc.gen
-	at := func(s int32) time.Duration {
-		if epoch[s] != gen {
-			return maxDist
-		}
-		return dist[s]
-	}
-	set := func(s int32, d time.Duration) {
-		dist[s] = d
-		epoch[s] = gen
-	}
-	h := sc.heap[:0]
-	set(int32(dst), 0)
-	h = append(h, heapNode{0, int32(dst)})
+	dist[dst], col[dst] = 0, hopLocal
+	h := append(sc.heap[:0], heapNode{0, int32(dst)})
 	for len(h) > 0 {
 		top := h[0]
 		n := len(h) - 1
@@ -341,7 +302,7 @@ func (sc *sssp) run(c *Compiled, dst int) []time.Duration {
 			h[i], h[l] = h[l], h[i]
 			i = l
 		}
-		if top.d > at(top.sw) { // stale entry (lazy deletion)
+		if top.d > dist[top.sw] { // stale entry (lazy deletion)
 			continue
 		}
 		for i := c.adjOff[top.sw]; i < c.adjOff[top.sw+1]; i++ {
@@ -350,8 +311,9 @@ func (sc *sssp) run(c *Compiled, dst int) []time.Duration {
 			if w == downWt { // down links carry no routes
 				continue
 			}
-			if d := top.d + w; d < at(v) {
-				set(v, d)
+			hop := c.adjHop[i] ^ 1 // the same link, seen from v
+			if d := top.d + w; d < dist[v] {
+				dist[v], col[v] = d, hop
 				h = append(h, heapNode{d, v})
 				// sift up
 				j := len(h) - 1
@@ -363,18 +325,12 @@ func (sc *sssp) run(c *Compiled, dst int) []time.Duration {
 					h[p], h[j] = h[j], h[p]
 					j = p
 				}
+			} else if d == dist[v] && hop < col[v] {
+				col[v] = hop
 			}
 		}
 	}
 	sc.heap = h[:0]
-	// Materialize maxDist for untouched switches so callers can read the
-	// vector directly.
-	for s := range dist {
-		if epoch[s] != gen {
-			dist[s] = maxDist
-			epoch[s] = gen
-		}
-	}
 	return dist
 }
 

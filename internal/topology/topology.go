@@ -28,6 +28,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 )
@@ -162,6 +163,32 @@ const (
 	hopLocal       = int32(-1)
 	hopUnreachable = int32(-2)
 )
+
+// Size limits of the packed representations: switches are int32 indices
+// in the adjacency and the route columns, a packed hop keeps link<<1|dir
+// in an int32, and a forwarding row's interval ends — and the host IDs
+// (index + 1) packets carry — are int32.
+const (
+	MaxSwitches = math.MaxInt32
+	MaxLinks    = math.MaxInt32 >> 1
+	MaxHosts    = math.MaxInt32 - 1
+)
+
+// CheckSize reports whether a graph with the given counts fits the
+// packed representations. Generators allocate in proportion to their
+// size argument, so callers holding untrusted sizes check before they
+// generate; Resolve checks every graph again.
+func CheckSize(switches, links, hosts int) error {
+	switch {
+	case switches > MaxSwitches:
+		return fmt.Errorf("topology: a graph is limited to %d switches; %d is too many", MaxSwitches, switches)
+	case links > MaxLinks:
+		return fmt.Errorf("topology: a graph is limited to %d links; %d is too many", MaxLinks, links)
+	case hosts > MaxHosts:
+		return fmt.Errorf("topology: a graph is limited to %d hosts; %d is too many", MaxHosts, hosts)
+	}
+	return nil
+}
 
 func packHop(link, dir int) int32 { return int32(link)<<1 | int32(dir) }
 
@@ -448,6 +475,13 @@ func (c *Compiled) Weight(li int) time.Duration { return c.wt[li] }
 func (g Graph) Resolve(def Defaults) (*Skeleton, error) {
 	if g.Switches < 1 {
 		return nil, fmt.Errorf("topology: need at least 1 switch, have %d", g.Switches)
+	}
+	hosts := len(g.Hosts)
+	if hosts == 0 {
+		hosts = g.Switches // one per switch
+	}
+	if err := CheckSize(g.Switches, len(g.Links), hosts); err != nil {
+		return nil, err
 	}
 	c := &Skeleton{Switches: g.Switches}
 

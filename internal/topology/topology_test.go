@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
@@ -267,5 +268,25 @@ func TestWeightMetric(t *testing.T) {
 	// 500 B at 50 Kbps = 80 ms transmission + 10 ms propagation.
 	if w := c.Weight(0); w != 90*time.Millisecond {
 		t.Fatalf("weight = %v, want 90ms", w)
+	}
+}
+
+// TestCheckSize pins the limits to the packed representations they
+// protect: the largest counts pass, one more of anything does not, and
+// Resolve refuses an oversized graph before it allocates a host list.
+func TestCheckSize(t *testing.T) {
+	if err := CheckSize(MaxSwitches, MaxLinks, MaxHosts); err != nil {
+		t.Fatalf("the limits themselves: %v", err)
+	}
+	if packHop(MaxLinks, 1) < 0 || int32(MaxHosts)+1 < 0 {
+		t.Fatal("the limits overflow the int32 forms they are meant to fit")
+	}
+	for _, over := range [][3]int{{MaxSwitches + 1, 0, 0}, {2, MaxLinks + 1, 2}, {2, 1, MaxHosts + 1}} {
+		if err := CheckSize(over[0], over[1], over[2]); err == nil {
+			t.Errorf("CheckSize%v: no error", over)
+		}
+	}
+	if _, err := (Graph{Switches: 3_000_000_000}).Resolve(def()); err == nil || !strings.Contains(err.Error(), "is too many") {
+		t.Fatalf("Resolve of 3·10⁹ switches: %v", err)
 	}
 }

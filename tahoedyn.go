@@ -438,6 +438,13 @@ func ParseTopoSpec(spec string) (*Graph, []ConnSpec, error) {
 		}
 		return out, nil
 	}
+	// fits refuses a size the generator must not be started on.
+	fits := func(n, m int) error {
+		if err := topology.CheckGenerated(name, n, m); err != nil {
+			return fmt.Errorf("topology %q: %w", spec, err)
+		}
+		return nil
+	}
 	switch name {
 	case "", "dumbbell":
 		if hasArg {
@@ -453,6 +460,9 @@ func ParseTopoSpec(spec string) (*Graph, []ConnSpec, error) {
 		if n < 2 {
 			return nil, nil, fmt.Errorf("topology %q: chain needs n >= 2", spec)
 		}
+		if err := fits(n, 0); err != nil {
+			return nil, nil, err
+		}
 		g := ChainTopology(n)
 		return &g, pair(0, n-1), nil
 	case "parking-lot":
@@ -463,6 +473,9 @@ func ParseTopoSpec(spec string) (*Graph, []ConnSpec, error) {
 		n := int(v[0])
 		if n < 1 {
 			return nil, nil, fmt.Errorf("topology %q: parking-lot needs h >= 1", spec)
+		}
+		if err := fits(n, 0); err != nil {
+			return nil, nil, err
 		}
 		g := ParkingLotTopology(n)
 		conns := pair(0, n)
@@ -482,6 +495,9 @@ func ParseTopoSpec(spec string) (*Graph, []ConnSpec, error) {
 		if m < 1 || m >= n {
 			return nil, nil, fmt.Errorf("topology %q: ba needs 1 <= m < n, got m=%d", spec, m)
 		}
+		if err := fits(n, m); err != nil {
+			return nil, nil, err
+		}
 		g := BarabasiAlbertTopology(n, m, v[2])
 		return &g, pair(0, n-1), nil
 	case "waxman":
@@ -492,6 +508,9 @@ func ParseTopoSpec(spec string) (*Graph, []ConnSpec, error) {
 		n := int(v[0])
 		if n < 2 {
 			return nil, nil, fmt.Errorf("topology %q: waxman needs n >= 2", spec)
+		}
+		if err := fits(n, 0); err != nil {
+			return nil, nil, err
 		}
 		g := WaxmanTopology(n, v[1])
 		return &g, pair(0, n-1), nil
