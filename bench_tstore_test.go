@@ -1,13 +1,10 @@
 package tahoedyn
 
-// Trace-store benchmarks: ingest throughput (events/s through the
-// columnar chunk encoder), full-scan throughput (events/s decoded), and
-// the chunk-skip ratio of a narrow time-windowed query. These are the
-// PR-8 rows of the benchmark trajectory (docs/BENCH_pr8.json).
+// Trace-store benchmarks: full-scan throughput (events/s decoded) and
+// what each aggregate fold costs over a 10⁶-event store.
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"time"
 
@@ -51,35 +48,6 @@ func benchTraceBatch(n int, start time.Duration) ([]string, []obs.Event) {
 		}
 	}
 	return locs, events
-}
-
-// BenchmarkTraceStoreIngest measures the columnar chunk encoder: events
-// per second from an obs batch stream into an io.Writer.
-func BenchmarkTraceStoreIngest(b *testing.B) {
-	const batch = 1 << 16
-	const batches = 16 // ~1M events per iteration
-	locs, events := benchTraceBatch(batch, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var total uint64
-	for i := 0; i < b.N; i++ {
-		w := tstore.NewWriter(io.Discard, tstore.WriterOptions{})
-		if err := w.Begin(); err != nil {
-			b.Fatal(err)
-		}
-		for j := 0; j < batches; j++ {
-			if err := w.Events(locs, events); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-		total = w.TotalEvents()
-	}
-	b.StopTimer()
-	evs := float64(total) * float64(b.N)
-	b.ReportMetric(evs/b.Elapsed().Seconds(), "events/s")
 }
 
 // buildBenchStore materializes an in-memory store for the scan benches.
@@ -134,35 +102,6 @@ func BenchmarkTraceStoreScan(b *testing.B) {
 		b.Fatalf("scanned %d events, want %d", n, nEvents)
 	}
 	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkTraceStoreWindowQuery measures a narrow time-windowed count:
-// the footer index should skip nearly every chunk.
-func BenchmarkTraceStoreWindowQuery(b *testing.B) {
-	const nEvents = 1 << 20
-	s := buildBenchStore(b, nEvents)
-	span := s.Chunks()[len(s.Chunks())-1].MaxT
-	q := tstore.Query{From: span * 49 / 100, To: span * 50 / 100}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var scanned, skipped uint64
-	for i := 0; i < b.N; i++ {
-		scanned, skipped = 0, 0
-		sk, err := s.ScanStats(q, func(ev *obs.Event) error {
-			scanned++
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		skipped = uint64(sk)
-	}
-	b.StopTimer()
-	if scanned == 0 || skipped == 0 {
-		b.Fatalf("window query scanned %d events, skipped %d chunks", scanned, skipped)
-	}
-	b.ReportMetric(float64(skipped)/float64(len(s.Chunks())), "chunk-skip-ratio")
-	b.ReportMetric(float64(scanned)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkTraceStoreFold measures what each aggregate costs over a

@@ -11,20 +11,12 @@ import (
 	"tahoedyn"
 )
 
-// query runs the command in-process with the given arguments, its
-// standard output discarded, and returns the exit status.
+// query runs the command in-process with the given arguments and
+// returns the exit status.
 func query(t *testing.T, args ...string) int {
 	t.Helper()
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	oldArgs, oldOut, oldFlags := os.Args, os.Stdout, flag.CommandLine
-	defer func() { os.Args, os.Stdout, flag.CommandLine = oldArgs, oldOut, oldFlags }()
-	os.Args, os.Stdout = append([]string{"tahoe-query"}, args...), null
-	flag.CommandLine = flag.NewFlagSet("tahoe-query", flag.ContinueOnError)
-	return run()
+	_, code := queryOut(t, args...)
+	return code
 }
 
 // A store carrying one hostile timestamp used to make -window append
@@ -68,5 +60,52 @@ func TestWindowOverHostileStoreExitsOne(t *testing.T) {
 	}
 	if code := query(t, "-window", "1000000h", path); code != 0 {
 		t.Errorf("-window 1000000h exited %d, want 0", code)
+	}
+}
+
+// queryOut is query with standard output returned too.
+func queryOut(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	oldArgs, oldOut, oldFlags := os.Args, os.Stdout, flag.CommandLine
+	defer func() { os.Args, os.Stdout, flag.CommandLine = oldArgs, oldOut, oldFlags }()
+	os.Args, os.Stdout = append([]string{"tahoe-query"}, args...), out
+	flag.CommandLine = flag.NewFlagSet("tahoe-query", flag.ContinueOnError)
+	code := run()
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), code
+}
+
+// Nothing writes flat binary (TOBS) traces any more, but old files must
+// stay readable. The fixture is the first 3.6 simulated seconds of
+// scenarios/red-twoway.json as the last build with a TOBS writer wrote
+// them (f31e2e6, the obs package's flat binary sink on Config.Obs.Trace):
+// 1160 events, 10 locations, five RED drops.
+func TestReadsCommittedTOBSTrace(t *testing.T) {
+	const path = "testdata/red-twoway-3.6s.tobs"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-count"}, "1160\n"},
+		{[]string{"-count", "-filter", "type=drop"}, "5\n"},
+		{[]string{"-events", "-limit", "1"},
+			"82.153551ms      enqueue  h2->sw1          conn=2   kind=DATA seq=0       size=500   id=3        val=1\n"},
+		{[]string{"-events", "-from", "3590013551ns"},
+			"3.590013551s     enqueue  sw1->sw0         conn=2   kind=DATA seq=86      size=500   id=347      val=39\n"},
+		{[]string{"-check"}, "invariants: clean (1160 events checked)\n"},
+		{[]string{"-info"}, path + ": flat trace, 1160 events, 10 locations\n  span 82.153551ms .. 3.590013551s\n"},
+	} {
+		got, code := queryOut(t, append(tc.args, path)...)
+		if code != 0 || got != tc.want {
+			t.Errorf("tahoe-query %v: exit %d, printed %q, want %q", tc.args, code, got, tc.want)
+		}
 	}
 }

@@ -65,7 +65,6 @@ func run() int {
 		validate = flag.Bool("validate", false, "with -config: parse, compile, and print the resolved scenario without running it")
 		progress = flag.Duration("progress", 0, "print liveness to stderr every interval of simulated time (0 = off)")
 		lenient  = flag.Bool("lenient", false, "with -config: ignore unknown JSON fields instead of rejecting them (warns on stderr)")
-		schedFl  = flag.String("sched", "default", "event scheduler: wheel, heap, or default (A/B knob; never changes results)")
 		shardsFl = flag.Int("shards", 0, "regions per run for sharded execution (0 = serial; A/B knob; never changes results)")
 		storeFl  = flag.String("trace-store", "", "with -config: stream the run's event trace to this chunked store file (query it with tahoe-query)")
 		invarFl  = flag.Bool("invariants", false, "verify streaming invariants (packet conservation, time monotonicity, cwnd bounds) online during every run")
@@ -77,15 +76,9 @@ func run() int {
 	flag.Var(&eventFls, "event", "with -config: add a mid-run link event, e.g. link=1,t=120s,bw=25000 or link=1,t=120s,down (repeatable)")
 	flag.Parse()
 
-	// Experiments build their configs internally, so -sched and -shards
-	// are applied as process-wide defaults rather than per Config; they
-	// only ever change wall-clock, never results.
-	sched, err := tahoedyn.ParseSched(*schedFl)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tahoe-sim:", err)
-		return 2
-	}
-	tahoedyn.SetDefaultSched(sched)
+	// Experiments build their configs internally, so -shards is applied
+	// as a process-wide default rather than per Config; it only ever
+	// changes wall-clock, never results.
 	if *shardsFl < 0 {
 		fmt.Fprintln(os.Stderr, "tahoe-sim: -shards must be >= 0")
 		return 2
@@ -100,30 +93,31 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tahoe-sim: -validate requires -config <file>")
 		return 2
 	}
-	var queueSpec *tahoedyn.QueueSpec
+	var (
+		ov  overrides
+		err error
+	)
 	if *queueFl != "" {
 		if *config == "" {
 			fmt.Fprintln(os.Stderr, "tahoe-sim: -queue requires -config <file>")
 			return 2
 		}
-		if queueSpec, err = tahoedyn.ParseQueueSpec(*queueFl); err != nil {
+		if ov.queue, err = tahoedyn.ParseQueueSpec(*queueFl); err != nil {
 			fmt.Fprintln(os.Stderr, "tahoe-sim:", err)
 			return 2
 		}
 	}
-	var behavSpec *tahoedyn.BehaviorSpec
 	if *behavFl != "" {
 		if *config == "" {
 			fmt.Fprintln(os.Stderr, "tahoe-sim: -behavior requires -config <file>")
 			return 2
 		}
-		if behavSpec, err = tahoedyn.ParseBehaviorSpec(*behavFl); err != nil {
+		if ov.behavior, err = tahoedyn.ParseBehaviorSpec(*behavFl); err != nil {
 			fmt.Fprintln(os.Stderr, "tahoe-sim:", err)
 			return 2
 		}
 	}
 
-	var events []tahoedyn.LinkEvent
 	if len(eventFls) > 0 {
 		if *config == "" {
 			fmt.Fprintln(os.Stderr, "tahoe-sim: -event requires -config <file>")
@@ -135,7 +129,7 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "tahoe-sim:", err)
 				return 2
 			}
-			events = append(events, ev)
+			ov.events = append(ov.events, ev)
 		}
 	}
 
@@ -159,13 +153,13 @@ func run() int {
 
 	if *config != "" {
 		if *validate {
-			if err := validateScenarioFile(os.Stdout, *config, *lenient); err != nil {
+			if err := validateScenarioFile(os.Stdout, *config, *lenient, ov); err != nil {
 				fmt.Fprintln(os.Stderr, "tahoe-sim:", err)
 				return 1
 			}
 			return 0
 		}
-		if err := runScenarioFile(*config, *width, *height, *doPlot, *lenient, prog, *storeFl, *invarFl, queueSpec, behavSpec, events); err != nil {
+		if err := runScenarioFile(*config, *width, *height, *doPlot, *lenient, prog, *storeFl, *invarFl, ov); err != nil {
 			fmt.Fprintln(os.Stderr, "tahoe-sim:", err)
 			return 1
 		}
@@ -370,23 +364,49 @@ func parseSeeds(list string, fallback int64) ([]int64, error) {
 	return out, nil
 }
 
-// loadScenario parses a scenario file, strictly by default. With
-// lenient, unknown JSON fields are warned about on stderr and ignored
-// — the escape hatch for files written by newer or foreign tools.
-func loadScenario(path string, lenient bool) (tahoedyn.Config, error) {
+// overrides are the flags that edit a scenario file's configuration
+// after it is parsed: -queue, -behavior and every -event.
+type overrides struct {
+	queue    *tahoedyn.QueueSpec
+	behavior *tahoedyn.BehaviorSpec
+	events   []tahoedyn.LinkEvent
+}
+
+// loadScenario parses a scenario file, strictly by default, and applies
+// the override flags — so a run and -validate see the same
+// configuration. With lenient, unknown JSON fields are warned about on
+// stderr and ignored — the escape hatch for files written by newer or
+// foreign tools.
+func loadScenario(path string, lenient bool, ov overrides) (tahoedyn.Config, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return tahoedyn.Config{}, err
 	}
 	defer f.Close()
-	if !lenient {
-		return tahoedyn.ParseScenario(f)
+	var cfg tahoedyn.Config
+	if lenient {
+		var unknown []string
+		cfg, unknown, err = tahoedyn.ParseScenarioLenient(f)
+		for _, p := range unknown {
+			fmt.Fprintf(os.Stderr, "tahoe-sim: %s: ignoring unknown field %q\n", path, p)
+		}
+	} else {
+		cfg, err = tahoedyn.ParseScenario(f)
 	}
-	cfg, unknown, err := tahoedyn.ParseScenarioLenient(f)
-	for _, p := range unknown {
-		fmt.Fprintf(os.Stderr, "tahoe-sim: %s: ignoring unknown field %q\n", path, p)
+	if err != nil {
+		return cfg, err
 	}
-	return cfg, err
+	// Flag events append after the file's own, so both apply (events
+	// sort by time at build anyway); a -queue or -behavior replaces
+	// whatever the file chose.
+	cfg.Events = append(cfg.Events, ov.events...)
+	if ov.queue != nil {
+		cfg.Queue = ov.queue
+	}
+	if ov.behavior != nil {
+		cfg.Behavior = ov.behavior
+	}
+	return cfg, nil
 }
 
 // runScenarioFile executes an arbitrary JSON scenario and prints a
@@ -395,20 +415,10 @@ func loadScenario(path string, lenient bool) (tahoedyn.Config, error) {
 // streams to a chunked store file; with invariants, the streaming
 // checker runs online and a violation fails the command naming the
 // offending event.
-func runScenarioFile(path string, width, height int, doPlot, lenient bool, prog *tahoedyn.Progress, storePath string, invariants bool, queue *tahoedyn.QueueSpec, behavior *tahoedyn.BehaviorSpec, events []tahoedyn.LinkEvent) error {
-	cfg, err := loadScenario(path, lenient)
+func runScenarioFile(path string, width, height int, doPlot, lenient bool, prog *tahoedyn.Progress, storePath string, invariants bool, ov overrides) error {
+	cfg, err := loadScenario(path, lenient, ov)
 	if err != nil {
 		return err
-	}
-	// Flag events append after the file's own, so both apply (events
-	// sort by time at build anyway).
-	cfg.Events = append(cfg.Events, events...)
-	if queue != nil {
-		// The flag replaces whatever the file chose.
-		cfg.Queue = queue
-	}
-	if behavior != nil {
-		cfg.Behavior = behavior
 	}
 	obsOpts := tahoedyn.ObsOptions{Progress: prog}
 	var storeW *tahoedyn.TraceStoreWriter
@@ -475,14 +485,15 @@ func runScenarioFile(path string, width, height int, doPlot, lenient bool, prog 
 }
 
 // validateScenarioFile parses and compiles a scenario without running
-// it — link events included: they are replayed on a clone of the
+// it — link events included, the file's and every -event: they are
+// replayed on a clone of the
 // compiled topology exactly as a build replays them — and prints the
 // resolved configuration: per-link parameters after defaulting, host
 // placement, forwarding tables, connections, and per event what it did
 // to the routes. A scenario that prints cleanly here is guaranteed to
 // build; one that does not fails with the build's own error.
-func validateScenarioFile(w io.Writer, path string, lenient bool) error {
-	cfg, err := loadScenario(path, lenient)
+func validateScenarioFile(w io.Writer, path string, lenient bool, ov overrides) error {
+	cfg, err := loadScenario(path, lenient, ov)
 	if err != nil {
 		return err
 	}

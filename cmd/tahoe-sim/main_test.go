@@ -96,7 +96,7 @@ func TestValidateScenarioFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := validateScenarioFile(&buf, path, false); err != nil {
+	if err := validateScenarioFile(&buf, path, false, overrides{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -116,7 +116,7 @@ func TestValidateScenarioFile(t *testing.T) {
 	os.WriteFile(bad, []byte(`{"trunk_delay":"10ms","buffer":20,
 	    "topology":{"switches":3,"links":[{"a":0,"b":1}]},
 	    "conns":[{"src":0,"dst":1}]}`), 0o644)
-	if err := validateScenarioFile(&buf, bad, false); err == nil {
+	if err := validateScenarioFile(&buf, bad, false, overrides{}); err == nil {
 		t.Fatal("disconnected topology did not error")
 	}
 }
@@ -131,12 +131,12 @@ func TestValidateReplaysLinkEvents(t *testing.T) {
 	    "conns":[{"src":0,"dst":3}],"warmup":"2s","duration":"20s",
 	    "events":[{"t":"8s","link":1,"down":true}]}`), 0o644)
 	var buf bytes.Buffer
-	err := validateScenarioFile(&buf, bridge, false)
+	err := validateScenarioFile(&buf, bridge, false, overrides{})
 	const want = "core: event 0 (link 1 at 8s): topology: taking link 1 down disconnects the graph (bridge)"
 	if err == nil || err.Error() != want || buf.Len() != 0 {
 		t.Fatalf("bridge down: got %v after printing %q, want %q and no output", err, buf.String(), want)
 	}
-	if runErr := runScenarioFile(bridge, 80, 10, false, false, nil, "", false, nil, nil, nil); runErr == nil || runErr.Error() != want {
+	if runErr := runScenarioFile(bridge, 80, 10, false, false, nil, "", false, overrides{}); runErr == nil || runErr.Error() != want {
 		t.Fatalf("the run reports %v, -validate %q", runErr, want)
 	}
 
@@ -145,7 +145,7 @@ func TestValidateReplaysLinkEvents(t *testing.T) {
 	    "conns":[{"src":0,"dst":63}],"warmup":"2s","duration":"20s",
 	    "events":[{"t":"4s","link":123,"bandwidth":25000},{"t":"12s","link":123,"bandwidth":50000},
 	              {"t":"6s","link":123,"down":true},{"t":"9s","link":123,"bandwidth":100000}]}`), 0o644)
-	if err := validateScenarioFile(&buf, steps, false); err != nil {
+	if err := validateScenarioFile(&buf, steps, false, overrides{}); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
@@ -176,7 +176,7 @@ func TestValidateShippedScenarios(t *testing.T) {
 	}
 	for _, p := range files {
 		var buf bytes.Buffer
-		if err := validateScenarioFile(&buf, p, false); err != nil {
+		if err := validateScenarioFile(&buf, p, false, overrides{}); err != nil {
 			t.Errorf("%s: %v", p, err)
 		}
 	}
@@ -191,38 +191,80 @@ func TestRunScenarioFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := runScenarioFile(path, 60, 8, false, false, nil, "", false, nil, nil, nil); err != nil {
+	if err := runScenarioFile(path, 60, 8, false, false, nil, "", false, overrides{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runScenarioFile(filepath.Join(dir, "missing.json"), 60, 8, false, false, nil, "", false, nil, nil, nil); err == nil {
+	if err := runScenarioFile(filepath.Join(dir, "missing.json"), 60, 8, false, false, nil, "", false, overrides{}); err == nil {
 		t.Fatal("no error for missing file")
 	}
 	bad := filepath.Join(dir, "bad.json")
 	os.WriteFile(bad, []byte(`{}`), 0o644)
-	if err := runScenarioFile(bad, 60, 8, false, false, nil, "", false, nil, nil, nil); err == nil {
+	if err := runScenarioFile(bad, 60, 8, false, false, nil, "", false, overrides{}); err == nil {
 		t.Fatal("no error for invalid scenario")
 	}
 }
 
 // sim runs the command in-process with the given arguments and returns
-// the exit status and what it wrote to standard error.
-func sim(t *testing.T, args ...string) (int, string) {
+// the exit status and what it wrote to standard output and error.
+func sim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	capture := func(name string) *os.File {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
+	outFile, errFile := capture("stdout"), capture("stderr")
+	defer outFile.Close()
 	defer errFile.Close()
-	oldArgs, oldErr, oldFlags := os.Args, os.Stderr, flag.CommandLine
-	defer func() { os.Args, os.Stderr, flag.CommandLine = oldArgs, oldErr, oldFlags }()
-	os.Args, os.Stderr = append([]string{"tahoe-sim"}, args...), errFile
+	oldArgs, oldOut, oldErr, oldFlags := os.Args, os.Stdout, os.Stderr, flag.CommandLine
+	defer func() { os.Args, os.Stdout, os.Stderr, flag.CommandLine = oldArgs, oldOut, oldErr, oldFlags }()
+	os.Args, os.Stdout, os.Stderr = append([]string{"tahoe-sim"}, args...), outFile, errFile
 	flag.CommandLine = flag.NewFlagSet("tahoe-sim", flag.ContinueOnError)
-	code := run()
-	msg, err := os.ReadFile(errFile.Name())
-	if err != nil {
-		t.Fatal(err)
+	code = run()
+	read := func(f *os.File) string {
+		b, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
 	}
-	return code, string(msg)
+	return code, read(outFile), read(errFile)
+}
+
+// -validate used to parse -event, -queue and -behavior and then drop
+// them, so it said "valid" for a command line whose run fails. It
+// validates the configuration the run would build: the flags' events are
+// replayed and the overridden queue and behavior are the ones printed.
+func TestValidateAppliesOverrideFlags(t *testing.T) {
+	const dumbbell = "../../scenarios/twoway-smallpipe.json"
+	const bridge = "core: event 0 (link 0 at 5s): topology: taking link 0 down disconnects the graph (bridge)"
+	for _, args := range [][]string{
+		{"-config", dumbbell, "-validate", "-event", "link=0,t=5s,down"},
+		{"-config", dumbbell, "-plot=false", "-event", "link=0,t=5s,down"},
+	} {
+		code, out, msg := sim(t, args...)
+		if code != 1 || msg != "tahoe-sim: "+bridge+"\n" || out != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 with the run's error and nothing printed", args[2:], code, out, msg)
+		}
+	}
+
+	code, out, msg := sim(t, "-config", dumbbell, "-validate",
+		"-event", "link=0,t=5s,bw=25000", "-queue", "red", "-behavior", "loss=0.01")
+	if code != 0 || msg != "" {
+		t.Fatalf("harmless overrides: exit %d, stderr %q", code, msg)
+	}
+	for _, want := range []string{
+		"  event 0 at 5s: link 0 weight ",
+		"  queue: {Policy:red ",
+		"  behavior: {Loss:0.01 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-validate with overrides does not print %q:\n%s", want, out)
+		}
+	}
 }
 
 // A topology too large for the packed route representations used to die
@@ -241,7 +283,7 @@ func TestAbsurdTopologySizeExitsOne(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, args := range [][]string{{"-config", path, "-validate"}, {"-config", path, "-plot=false"}} {
-			code, msg := sim(t, args...)
+			code, _, msg := sim(t, args...)
 			if code != 1 || !strings.Contains(msg, "a graph is limited to 2147483647 switches; 3000000000 is too many") {
 				t.Errorf("%s, %v: exit %d with %q, want exit 1 and the size limit", name, args[1:], code, msg)
 			}

@@ -56,7 +56,6 @@ func run() int {
 		seed        = flag.Int64("seed", 1, "scenario random seed")
 		parallel    = flag.Int("parallel", 0, "worker count for the grid (0 = GOMAXPROCS, 1 = serial)")
 		topoFlag    = flag.String("topology", "dumbbell", "swept network: dumbbell, chain:N, parking-lot:H, ba:N:M:SEED, or waxman:N:SEED")
-		schedFlag   = flag.String("sched", "default", "event scheduler: wheel, heap, or default (A/B knob; never changes results)")
 		shardsFlag  = flag.Int("shards", 0, "regions per run for sharded execution (0 = serial; A/B knob; never changes results)")
 		progress    = flag.Bool("progress", false, "print grid-point completion liveness to stderr")
 		queueFlag   = flag.String("queue", "", "queue discipline for every grid point, e.g. fair-queue or red:min=5,max=15")
@@ -67,11 +66,6 @@ func run() int {
 	flag.Parse()
 
 	if _, _, err := tahoedyn.ParseTopoSpec(*topoFlag); err != nil {
-		fmt.Fprintln(os.Stderr, "tahoe-sweep:", err)
-		return 2
-	}
-	sched, err := tahoedyn.ParseSched(*schedFlag)
-	if err != nil {
 		fmt.Fprintln(os.Stderr, "tahoe-sweep:", err)
 		return 2
 	}
@@ -138,7 +132,7 @@ func run() int {
 		Taus: taus, Buffers: buffers,
 		Duration: *duration, Warmup: *warmup,
 		Seed: *seed, Parallel: *parallel,
-		Topology: *topoFlag, Sched: sched, Progress: *progress,
+		Topology: *topoFlag, Progress: *progress,
 		Queue: queueSpec, Behavior: behavSpec, Events: events,
 	})
 	w.Flush()
@@ -157,9 +151,6 @@ type sweepOptions struct {
 	// classic two-switch line, "chain:N", "parking-lot:H", "ba:N:M:SEED",
 	// or "waxman:N:SEED".
 	Topology string
-	// Sched selects the event scheduler for every grid point. It is a
-	// wall-clock A/B knob only: results are byte-identical either way.
-	Sched tahoedyn.SchedKind
 	// Progress prints per-grid-point completion liveness to stderr.
 	// Stdout — the report itself — is unaffected.
 	Progress bool
@@ -188,7 +179,6 @@ func sweep(w io.Writer, opts sweepOptions) {
 			cfg.Seed = opts.Seed
 			cfg.Warmup = opts.Warmup
 			cfg.Duration = opts.Duration
-			cfg.Sched = opts.Sched
 			cfg.Queue = opts.Queue
 			cfg.Behavior = opts.Behavior
 			cfg.Events = append([]tahoedyn.LinkEvent(nil), opts.Events...)

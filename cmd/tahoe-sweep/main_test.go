@@ -9,8 +9,6 @@ import (
 	"runtime/pprof"
 	"testing"
 	"time"
-
-	"tahoedyn"
 )
 
 // The determinism contract of the parallel sweep: for a fixed grid and
@@ -58,39 +56,6 @@ func TestSweepParkingLotByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
 		t.Fatal("parking-lot sweep differs between worker counts")
-	}
-}
-
-// -sched is a wall-clock knob only: the heap and wheel schedulers must
-// produce byte-identical reports, in serial and parallel (the parallel
-// legs also exercise per-worker arena reuse across the grid).
-func TestSweepSchedByteIdentical(t *testing.T) {
-	base := sweepOptions{
-		Taus:     []time.Duration{10 * time.Millisecond, 300 * time.Millisecond},
-		Buffers:  []int{10, 40},
-		Duration: 80 * time.Second,
-		Warmup:   20 * time.Second,
-		Seed:     1,
-	}
-	var reports []*bytes.Buffer
-	for _, sched := range []tahoedyn.SchedKind{tahoedyn.SchedHeap, tahoedyn.SchedWheel} {
-		for _, workers := range []int{1, 8} {
-			opts := base
-			opts.Sched = sched
-			opts.Parallel = workers
-			buf := &bytes.Buffer{}
-			sweep(buf, opts)
-			reports = append(reports, buf)
-		}
-	}
-	if reports[0].Len() == 0 {
-		t.Fatal("sweep produced no output")
-	}
-	for i, r := range reports[1:] {
-		if !bytes.Equal(reports[0].Bytes(), r.Bytes()) {
-			t.Fatalf("report %d differs from heap/serial:\n--- heap/serial ---\n%s\n--- variant ---\n%s",
-				i+1, reports[0].String(), r.String())
-		}
 	}
 }
 

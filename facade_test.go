@@ -5,8 +5,56 @@ import (
 	"testing"
 	"time"
 
+	"tahoedyn/internal/packet"
 	"tahoedyn/internal/trace"
 )
+
+func TestFacadeRunAndAnalyze(t *testing.T) {
+	cfg := Dumbbell(10*time.Millisecond, 20)
+	cfg.Conns = []ConnSpec{
+		{SrcHost: 0, DstHost: 1, Start: -1},
+		{SrcHost: 1, DstHost: 0, Start: -1},
+	}
+	cfg.Warmup = 50 * time.Second
+	cfg.Duration = 250 * time.Second
+	res := Run(cfg)
+	if res.UtilForward() <= 0 || res.UtilForward() > 1 {
+		t.Fatalf("utilization out of range: %v", res.UtilForward())
+	}
+	mode, _ := Phase(res.Cwnd[0], res.Cwnd[1], cfg.Warmup, cfg.Duration, time.Second)
+	if mode != PhaseOut && mode != PhaseIn && mode != PhaseMixed {
+		t.Fatalf("unexpected phase mode %v", mode)
+	}
+	if len(res.Drops) == 0 {
+		t.Fatal("expected drops in the congested scenario")
+	}
+	for _, d := range res.Drops {
+		if d.Kind == packet.Ack {
+			t.Fatal("an ACK was dropped")
+		}
+	}
+	eps := Epochs(res.Drops, 2*time.Second)
+	if len(eps) == 0 {
+		t.Fatal("no congestion epochs detected")
+	}
+}
+
+func TestFacadeExperimentRegistry(t *testing.T) {
+	defs := Experiments()
+	if len(defs) != 25 {
+		t.Fatalf("registry has %d experiments, want 25", len(defs))
+	}
+	if _, err := Experiment("no-such-experiment", ExpOptions{}); err == nil || !strings.Contains(err.Error(), "no-such-experiment") {
+		t.Fatalf("unknown experiment: err = %v, want one naming it", err)
+	}
+	out, err := Experiment("oneway-smallpipe", ExpOptions{Scale: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.ID != "oneway-smallpipe" {
+		t.Fatalf("outcome ID = %q", out.ID)
+	}
+}
 
 func TestFacadePlotters(t *testing.T) {
 	cfg := Dumbbell(10*time.Millisecond, 20)

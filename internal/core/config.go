@@ -10,7 +10,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,23 +22,15 @@ import (
 	"tahoedyn/internal/tstore"
 )
 
-// defaultShards is the shard count used when Config.Shards is zero. It
-// starts from the TAHOEDYN_SHARDS environment variable (like
-// TAHOEDYN_SCHED for the scheduler) and can be overridden by
-// SetDefaultShards; both exist so CLIs and CI can switch whole runs to
-// sharded execution without threading a parameter through every config.
-var defaultShards = func() int {
-	if v := os.Getenv("TAHOEDYN_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}()
+// defaultShards is the shard count used when Config.Shards is zero.
+// SetDefaultShards overrides it, so the CLIs' -shards can switch whole
+// runs to sharded execution without threading a parameter through every
+// config an experiment builds.
+var defaultShards = 1
 
 // SetDefaultShards sets the shard count applied to configs that leave
-// Shards zero. Values below 1 reset to 1 (serial). Like the scheduler
-// default, set it at process start, not concurrently with runs.
+// Shards zero. Values below 1 reset to 1 (serial). Set it at process
+// start, not concurrently with runs.
 func SetDefaultShards(n int) {
 	if n < 1 {
 		n = 1
@@ -348,25 +339,26 @@ type Config struct {
 	// LinkEvent for semantics and the byte-identity contract.
 	Events []LinkEvent
 
-	// NoPool disables the per-run packet free list, allocating every
+	// noPool disables the per-run packet free list, allocating every
 	// packet on the heap as the pre-pool simulator did. Pooling is
-	// behavior-neutral — the determinism tests assert byte-identical
-	// output both ways — so this exists only for those tests and for
-	// memory-debugging sessions where distinct packet addresses help.
-	NoPool bool
+	// behavior-neutral, and this is how this package's determinism tests
+	// assert it — byte-identical output both ways; unexported because the
+	// unpooled run is their referee, not a user option.
+	noPool bool
 
 	// Sched selects the event-scheduler implementation backing the run's
-	// engine: sim.SchedWheel (the default — hierarchical timing wheel),
-	// sim.SchedHeap (the 4-ary heap A/B reference), or sim.SchedDefault.
-	// The two schedulers fire events in exactly the same order, so this
-	// never changes results — only the wall-clock cost of a run.
+	// engine: sim.SchedWheel (hierarchical timing wheel; what the zero
+	// value, sim.SchedDefault, means) or sim.SchedHeap (the 4-ary heap the
+	// identity tests hold the wheel against). The two fire events in
+	// exactly the same order, so this never changes results — only the
+	// wall-clock cost of a run.
 	Sched sim.SchedKind
 
 	// Shards is the number of topology regions the run is partitioned
 	// into, each simulated by its own engine on its own goroutine with
 	// conservative lookahead synchronization (internal/shard). Zero means
-	// the process default (SetDefaultShards / TAHOEDYN_SHARDS, normally
-	// 1); 1 is the serial engine. Sharded runs produce byte-identical
+	// the process default (SetDefaultShards, normally 1); 1 is the serial
+	// engine. Sharded runs produce byte-identical
 	// Results — the shard identity tests assert it — so this, like Sched,
 	// only changes the wall-clock cost of a run. The count is clamped to
 	// the number of switches.

@@ -99,7 +99,7 @@ func assertRunsIdentical(t *testing.T, a, b *Result) {
 }
 
 // Pooling must be invisible to the physics: a pooled run and a
-// NoPool run of the same configuration produce byte-identical plot
+// noPool run of the same configuration produce byte-identical plot
 // output and identical traces, drop logs, stats, and event counts.
 // This covers both paper modes — out-of-phase (Figs. 4–5, τ=10 ms) and
 // in-phase (Figs. 6–7, τ=1 s) — plus a multi-bottleneck parking-lot
@@ -117,7 +117,7 @@ func TestPooledRunsAreByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pooled := tc.cfg()
 			plain := tc.cfg()
-			plain.NoPool = true
+			plain.noPool = true
 			assertRunsIdentical(t, Run(pooled), Run(plain))
 		})
 	}

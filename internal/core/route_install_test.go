@@ -36,9 +36,9 @@ func checkRoutes(t *testing.T, tag string, sm *Sim, ref *topology.Compiled) {
 // TestSwitchTablesFollowLinkEvents steps a Sim past each link event and
 // checks every (switch, host) forwarding decision against a from-scratch
 // route compile under the weights in force — on a ring small enough for
-// dense switch tables, a ring whose topology is dense but whose switches
-// hold rows, and a scale-free graph where switches view the compiled
-// topology's interned rows; serial and on two shards.
+// dense switch tables, a ring whose switches hold rows, and a scale-free
+// graph where switches share the compiled topology's interned rows;
+// serial and on two shards.
 func TestSwitchTablesFollowLinkEvents(t *testing.T) {
 	ringEvents := []LinkEvent{
 		{T: 2 * time.Second, Link: 0, Down: true},

@@ -225,7 +225,7 @@ func (s *Sim) Events() uint64 {
 	return s.eng.Processed()
 }
 
-// Pool returns the run's packet pool (nil when cfg.NoPool).
+// Pool returns the run's packet pool (nil when cfg.noPool).
 func (s *Sim) Pool() *packet.Pool { return s.pool }
 
 // RunUntil advances the simulation to time t. Crossing cfg.Warmup takes
@@ -700,10 +700,10 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// One packet free list per run and per region — packet pointers never
 	// cross region goroutines — so at steady state the whole simulation
-	// recycles rather than allocates. NoPool keeps the old allocate-and-
+	// recycles rather than allocates. noPool keeps the old allocate-and-
 	// discard behavior (the determinism tests compare the two).
 	pools := make([]*packet.Pool, K)
-	if !cfg.NoPool {
+	if !cfg.noPool {
 		pools = ar.packetPools(K)
 	}
 	pool := pools[0]

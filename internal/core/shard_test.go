@@ -117,12 +117,12 @@ func TestShardedScaleFreeIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedNoPoolIdentity crosses sharding with the NoPool debug
+// TestShardedNoPoolIdentity crosses sharding with the unpooled test
 // mode: ownership transfer must behave with nil region pools too.
 func TestShardedNoPoolIdentity(t *testing.T) {
 	cfg := twoWay(10 * time.Millisecond)
 	serial := runSharded(cfg, 1)
-	cfg.NoPool = true
+	cfg.noPool = true
 	assertRunsIdentical(t, serial, runSharded(cfg, 2))
 }
 

@@ -33,7 +33,13 @@ type Handler interface {
 // lookup there is still just a bounds check. Beyond it the switch
 // forwards from a sorted interval row (binary-search lookup), which is
 // what keeps 10⁵-host networks from paying hosts×switches pointers of
-// table memory. A variable so tests can force either representation.
+// table memory. The table is a cache of a small compiled row (SetRow
+// expands it), and it is kept on a measurement: with the limit forced to
+// 0 — every switch on rows — ten alternating pairs of bench/run.sh at
+// f31e2e6 read steady_events_per_s −3.1 % on paper-twoway (16.23 M →
+// 15.73 M, dense wins 8–2) and −6.2 % on sweep-grid (13.26 M → 12.45 M,
+// 8–2; wall_s +7.8 %, 9–1). A variable so tests can force either
+// representation.
 var denseRouteLimit = 64
 
 // Row slot sentinels. Non-negative slots index Switch.ports.

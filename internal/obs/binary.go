@@ -6,17 +6,18 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"tahoedyn/internal/packet"
 )
 
-// The binary trace format: a fixed header ("TOBS" magic + uint16
-// version, little-endian), then a stream of tagged records. Tag 0
-// defines a location (index, name); tag 1 is one 40-byte event record.
-// Location definitions are emitted lazily, just before the first event
-// that references them, so the format streams without a preamble pass.
+// The flat binary trace format, read-only since the chunked store
+// (internal/tstore, "TOBC") replaced it: nothing writes it any more, and
+// DecodeBinary stays so tahoe-query still opens old files. A fixed
+// header ("TOBS" magic + uint16 version, little-endian), then a stream
+// of tagged records. Tag 0 defines a location (index, name); tag 1 is
+// one 40-byte event record. Writers emitted location definitions lazily,
+// just before the first event that references them.
 const (
 	binaryMagic   = "TOBS"
 	binaryVersion = 1
@@ -28,93 +29,6 @@ const (
 	// T(8) Val(8) ID(8) Conn(4) Seq(4) Size(4) Loc(2) Type(1) Kind(1).
 	eventRecSize = 40
 )
-
-// BinarySink writes the compact binary trace format. Unlike JSONLSink
-// it keeps per-run lazy location state, so one BinarySink serves one
-// run at a time; the mutex only makes misuse safe, not meaningful.
-// Close flushes but leaves the underlying writer open.
-type BinarySink struct {
-	mu      sync.Mutex
-	w       *bufio.Writer
-	defined int
-	err     error
-}
-
-// NewBinarySink returns a sink writing the binary format to w.
-func NewBinarySink(w io.Writer) *BinarySink {
-	return &BinarySink{w: bufio.NewWriter(w)}
-}
-
-// Begin writes the magic and version header.
-func (s *BinarySink) Begin() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.w.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var v [2]byte
-	binary.LittleEndian.PutUint16(v[:], binaryVersion)
-	_, err := s.w.Write(v[:])
-	return err
-}
-
-// Events writes location definitions for any newly seen locations,
-// then one fixed-size record per event.
-func (s *BinarySink) Events(locs []string, events []Event) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.defined < len(locs) {
-		if err := writeLocDef(s.w, uint16(s.defined), locs[s.defined]); err != nil {
-			return err
-		}
-		s.defined++
-	}
-	var rec [1 + eventRecSize]byte
-	for i := range events {
-		marshalEvent(rec[:], &events[i])
-		if _, err := s.w.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close flushes. The caller owns the underlying writer.
-func (s *BinarySink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Flush()
-}
-
-func writeLocDef(w *bufio.Writer, index uint16, name string) error {
-	if len(name) > math.MaxUint16 {
-		return fmt.Errorf("obs: location name %q too long for binary format", name[:32]+"...")
-	}
-	var hdr [5]byte
-	hdr[0] = recLocDef
-	binary.LittleEndian.PutUint16(hdr[1:3], index)
-	binary.LittleEndian.PutUint16(hdr[3:5], uint16(len(name)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.WriteString(name)
-	return err
-}
-
-// marshalEvent fills rec (1+eventRecSize bytes) with a tag-1 record.
-func marshalEvent(rec []byte, ev *Event) {
-	rec[0] = recEvent
-	b := rec[1:]
-	binary.LittleEndian.PutUint64(b[0:], uint64(ev.T))
-	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(ev.Val))
-	binary.LittleEndian.PutUint64(b[16:], ev.ID)
-	binary.LittleEndian.PutUint32(b[24:], uint32(ev.Conn))
-	binary.LittleEndian.PutUint32(b[28:], uint32(ev.Seq))
-	binary.LittleEndian.PutUint32(b[32:], uint32(ev.Size))
-	binary.LittleEndian.PutUint16(b[36:], uint16(ev.Loc))
-	b[38] = byte(ev.Type)
-	b[39] = byte(ev.Kind)
-}
 
 func unmarshalEvent(b []byte) Event {
 	return Event{
@@ -130,22 +44,8 @@ func unmarshalEvent(b []byte) Event {
 	}
 }
 
-// EncodeBinary writes a complete single-run binary stream: header,
-// all location definitions, then every event. Used by the golden
-// fixed-point tests as the pure twin of BinarySink.
-func EncodeBinary(w io.Writer, locs []string, events []Event) error {
-	s := NewBinarySink(w)
-	if err := s.Begin(); err != nil {
-		return err
-	}
-	if err := s.Events(locs, events); err != nil {
-		return err
-	}
-	return s.Close()
-}
-
 // DecodeBinary parses a binary trace stream. It rejects bad magic and
-// any version newer than this build writes.
+// any version newer than binaryVersion.
 func DecodeBinary(r io.Reader) (locs []string, events []Event, err error) {
 	br := bufio.NewReader(r)
 	var hdr [6]byte

@@ -21,7 +21,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		{T: 2 * time.Second, Type: Drop, Loc: 1, Conn: 2, ID: 8, Val: 20, Kind: packet.Ack},
 		{T: 3 * time.Second, Type: CwndChange, Conn: 1, Val: 5.5},
 	}
-	if err := EncodeBinary(valid, []string{"sw0->sw1", "host1"}, events); err != nil {
+	if err := encodeBinary(valid, []string{"sw0->sw1", "host1"}, events); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
@@ -47,7 +47,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		// Decoded OK: re-encoding must reproduce the accepted stream's
 		// canonical form, and decoding that again must be a fixed point.
 		var out bytes.Buffer
-		if err := EncodeBinary(&out, locs, evs); err != nil {
+		if err := encodeBinary(&out, locs, evs); err != nil {
 			t.Fatalf("re-encode of accepted stream failed: %v", err)
 		}
 		locs2, evs2, err := DecodeBinary(bytes.NewReader(out.Bytes()))

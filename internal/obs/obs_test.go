@@ -271,7 +271,7 @@ func TestJSONLRejectsBadStreams(t *testing.T) {
 func TestBinaryFixedPoint(t *testing.T) {
 	locs, events := fixtureEvents()
 	var first bytes.Buffer
-	if err := EncodeBinary(&first, locs, events); err != nil {
+	if err := encodeBinary(&first, locs, events); err != nil {
 		t.Fatal(err)
 	}
 	gotLocs, gotEvents, err := DecodeBinary(bytes.NewReader(first.Bytes()))
@@ -282,7 +282,7 @@ func TestBinaryFixedPoint(t *testing.T) {
 		t.Fatal("binary round trip lost data")
 	}
 	var second bytes.Buffer
-	if err := EncodeBinary(&second, gotLocs, gotEvents); err != nil {
+	if err := encodeBinary(&second, gotLocs, gotEvents); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -294,7 +294,7 @@ func TestBinaryFixedPoint(t *testing.T) {
 // drift silently: magic "TOBS", version 1 little-endian.
 func TestBinaryHeaderGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := EncodeBinary(&buf, nil, nil); err != nil {
+	if err := encodeBinary(&buf, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := []byte{'T', 'O', 'B', 'S', 1, 0}
@@ -306,7 +306,7 @@ func TestBinaryHeaderGolden(t *testing.T) {
 func TestBinaryRejectsBadStreams(t *testing.T) {
 	locs, events := fixtureEvents()
 	var good bytes.Buffer
-	if err := EncodeBinary(&good, locs, events); err != nil {
+	if err := encodeBinary(&good, locs, events); err != nil {
 		t.Fatal(err)
 	}
 	futureVersion := append([]byte("TOBS"), 2, 0)

@@ -88,7 +88,7 @@ const batch = 4096
 // coordinator keeps for it.
 type Region struct {
 	Eng *sim.Engine
-	// Pool is the region's packet pool; nil under core's NoPool debug
+	// Pool is the region's packet pool; nil under core's noPool test
 	// mode (absorb then allocates).
 	Pool *packet.Pool
 

@@ -7,13 +7,14 @@
 //
 // Two interchangeable schedulers order the queue by (time, sequence):
 //
-//   - SchedWheel (the default): a hierarchical timing wheel (wheel.go)
+//   - SchedWheel (the scheduler): a hierarchical timing wheel (wheel.go)
 //     with O(1) amortized schedule/cancel/pop for the bounded-horizon
 //     events that dominate TCP workloads, plus an overflow list for
 //     far-future events.
 //   - SchedHeap: an inlined 4-ary min-heap with O(log n) sift on every
-//     schedule/pop and O(log n) cancel-by-index. Kept as the A/B
-//     reference; `-sched=heap` on the CLIs selects it.
+//     schedule/pop and O(log n) cancel-by-index. Kept as the lockstep
+//     referee of the identity tests; only NewSched(SchedHeap) — in a run,
+//     core.Config.Sched — selects it.
 //
 // Both schedulers fire events in exactly the same order — the identity
 // is enforced by property tests (sched_test.go) and by byte-identity
@@ -27,8 +28,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	"tahoedyn/internal/packet"
@@ -42,28 +41,13 @@ type Time = time.Duration
 type SchedKind uint8
 
 const (
-	// SchedDefault resolves to the TAHOEDYN_SCHED environment variable
-	// when it names a scheduler, and to SchedWheel otherwise.
+	// SchedDefault means SchedWheel.
 	SchedDefault SchedKind = iota
 	// SchedWheel is the hierarchical timing wheel (O(1) amortized).
 	SchedWheel
-	// SchedHeap is the 4-ary min-heap (O(log n)), kept for A/B runs.
+	// SchedHeap is the 4-ary min-heap (O(log n)), kept as the referee.
 	SchedHeap
 )
-
-// ParseSched maps a CLI/user string to a SchedKind. The empty string and
-// "default" mean SchedDefault.
-func ParseSched(s string) (SchedKind, error) {
-	switch strings.ToLower(s) {
-	case "", "default":
-		return SchedDefault, nil
-	case "wheel":
-		return SchedWheel, nil
-	case "heap":
-		return SchedHeap, nil
-	}
-	return SchedDefault, fmt.Errorf("sim: unknown scheduler %q (want heap, wheel, or default)", s)
-}
 
 func (k SchedKind) String() string {
 	switch k {
@@ -75,33 +59,12 @@ func (k SchedKind) String() string {
 	return "default"
 }
 
-// defaultSched is resolved once at startup so every Engine in a process
-// agrees on what SchedDefault means; TAHOEDYN_SCHED=heap|wheel overrides
-// without touching call sites (used by the CI A/B legs).
-var defaultSched = func() SchedKind {
-	if k, err := ParseSched(os.Getenv("TAHOEDYN_SCHED")); err == nil && k != SchedDefault {
-		return k
-	}
-	return SchedWheel
-}()
-
-// SetDefaultSched overrides what SchedDefault resolves to for engines
-// created after the call, taking precedence over TAHOEDYN_SCHED.
-// Passing SchedDefault is a no-op. It exists for the CLI -sched flags,
-// which run before any engine is built; calling it concurrently with
-// engine construction is a race — set it once, up front.
-func SetDefaultSched(k SchedKind) {
-	if k != SchedDefault {
-		defaultSched = k
-	}
-}
-
-// ResolveSched maps SchedDefault to the scheduler New would actually
-// use (honoring TAHOEDYN_SCHED); concrete kinds pass through. Arena
-// reuse calls it to decide whether a kept engine matches a config.
+// ResolveSched maps SchedDefault to the scheduler New uses, the wheel;
+// concrete kinds pass through. Arena reuse calls it to decide whether a
+// kept engine matches a config.
 func ResolveSched(k SchedKind) SchedKind {
 	if k == SchedDefault {
-		return defaultSched
+		return SchedWheel
 	}
 	return k
 }
@@ -227,7 +190,7 @@ type Engine struct {
 }
 
 // New returns an engine with an empty event queue and the clock at zero,
-// using the default scheduler (see SchedDefault).
+// on the timing wheel.
 func New() *Engine {
 	return NewSched(SchedDefault)
 }

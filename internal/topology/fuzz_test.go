@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// FuzzNextHop drives the interval-run lookup against the dense
-// representation on randomized BA and Waxman graphs: same generator
-// arguments, both table modes, every (switch, host) cell compared. The
-// seed corpus covers both generators at several densities; `go test`
-// replays the corpus, `go test -fuzz=FuzzNextHop` explores.
+// FuzzNextHop drives the interval-run lookup against the naive dense
+// reference (refRoutes) on randomized BA and Waxman graphs: every
+// (switch, host) cell compared. The seed corpus covers both generators
+// at several densities; `go test` replays the corpus, `go test
+// -fuzz=FuzzNextHop` explores.
 func FuzzNextHop(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(2), false)
 	f.Add(int64(7), uint8(64), uint8(1), false)
@@ -23,21 +23,7 @@ func FuzzNextHop(f *testing.F) {
 		} else {
 			g = BarabasiAlbert(nodes, 1+int(m)%4, seed)
 		}
-		def := eqDefaults()
-		dense := compileWithLimits(t, g, def, 1<<30, colBatchCells)
-		runs := compileWithLimits(t, g, def, 0, colBatchCells)
-		if dense.next == nil || runs.next != nil {
-			t.Fatal("mode forcing failed")
-		}
-		nh := dense.NumHosts()
-		for s := 0; s < dense.Switches; s++ {
-			for h := 0; h < nh; h++ {
-				dh, dl := dense.NextHop(s, h)
-				rh, rl := runs.NextHop(s, h)
-				if dl != rl || (!dl && dh != rh) {
-					t.Fatalf("NextHop(%d,%d): dense (%+v,%v), runs (%+v,%v)", s, h, dh, dl, rh, rl)
-				}
-			}
-		}
+		c := mustCompile(t, g, eqDefaults())
+		checkAgainstRef(t, "rows", c, refTable(t, c, g))
 	})
 }

@@ -310,28 +310,20 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 		// Every host of one destination shares its cell value, so one cell
 		// per overlay interval decides whether it moves. Most don't. Row
 		// and overlay are both sorted by host: one merge walk.
-		if c.next != nil {
-			row := c.next[s*nh : (s+1)*nh]
-			for _, o := range overlay {
-				if p := cols[o.k][s]; row[o.h0] != hopOf(p) {
-					paint = append(paint, span{o.h0, o.h1, p})
-				}
+		oldRow := c.rowOf[s]
+		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
+		adj := c.adjHop[c.adjOff[s]:c.adjOff[s+1]]
+		ri := 0
+		for _, o := range overlay {
+			for oldEnds[ri] <= o.h0 {
+				ri++
 			}
-		} else {
-			oldEnds, oldSlots := c.pool.ends[c.rowOf[s]], c.pool.slots[c.rowOf[s]]
-			adj := c.adjHop[c.adjOff[s]:c.adjOff[s+1]]
-			ri := 0
-			for _, o := range overlay {
-				for oldEnds[ri] <= o.h0 {
-					ri++
-				}
-				p := hopLocal
-				if sl := oldSlots[ri]; sl >= 0 {
-					p = adj[sl]
-				}
-				if np := cols[o.k][s]; np != p {
-					paint = append(paint, span{o.h0, o.h1, np})
-				}
+			p := hopLocal
+			if sl := oldSlots[ri]; sl >= 0 {
+				p = adj[sl]
+			}
+			if np := cols[o.k][s]; np != p {
+				paint = append(paint, span{o.h0, o.h1, np})
 			}
 		}
 		if len(paint) == 0 {
@@ -344,21 +336,10 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 			moved += int(sp.h1 - sp.h0)
 		}
 		changed = append(changed, s)
-		if c.next != nil {
-			row := c.next[s*nh : (s+1)*nh]
-			for _, sp := range paint {
-				for h := sp.h0; h < sp.h1; h++ {
-					row[h] = hopOf(sp.hop)
-				}
-			}
-			continue
-		}
 		// Rebuild the row: old intervals with the spans painted over,
 		// adjacent equal slots merged — the same canonical maximal form
 		// the batch merge in computeRoutes emits, which is what keeps the
 		// splice byte-identical to a full recompile.
-		oldRow := c.rowOf[s]
-		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
 		ends, slots = ends[:0], slots[:0]
 		emit := func(end, slot int32) {
 			if n := len(slots); n > 0 && slots[n-1] == slot {
@@ -401,19 +382,16 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 // current weights (including down links) with the same compiler Compile
 // uses. It is the reference ApplyLinkChange is pinned against and the
 // baseline BenchmarkIncrementalRecompile compares with. On error
-// (disconnection) the forwarding state is unusable.
+// (disconnection) the forwarding state is left as it was.
 func (c *Compiled) RecomputeRoutes() error {
 	if c.hasOverrides {
 		return fmt.Errorf("topology: RecomputeRoutes on a graph with route overrides")
 	}
-	c.next, c.rowOf, c.pool = nil, nil, nil
 	rb, err := c.computeRoutes()
 	if err != nil {
 		return err
 	}
-	if rb != nil {
-		rb.freeze(c)
-	}
+	rb.freeze(c)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -9,9 +10,9 @@ import (
 	"time"
 )
 
-// canonRow is one switch's forwarding row in the canonical
-// representation both table modes share: maximal host intervals with
-// their packed hop (hopLocal for the switch's own hosts).
+// canonRow is one switch's forwarding row in canonical form: maximal
+// host intervals with their packed hop (hopLocal for the switch's own
+// hosts).
 type canonRow struct {
 	ends []int32
 	hops []int32
@@ -46,9 +47,9 @@ func rowsEqual(a, b canonRow) bool {
 	return true
 }
 
-// checkSame requires byte-identical forwarding state: same canonical
-// rows everywhere, and in run mode the same interval structure (the
-// canonical form IS the stored row, modulo slot translation).
+// checkSame requires byte-identical forwarding state: the same canonical
+// rows everywhere, which is the same interval structure (the canonical
+// form IS the stored row, modulo slot translation).
 func checkSame(t *testing.T, tag string, got, want *Compiled) {
 	t.Helper()
 	gs, ws := snapshot(got), snapshot(want)
@@ -70,9 +71,6 @@ func checkSame(t *testing.T, tag string, got, want *Compiled) {
 // two live rows hold identical content.
 func checkPool(t *testing.T, tag string, c *Compiled) {
 	t.Helper()
-	if c.pool == nil {
-		return
-	}
 	refs := make(map[int32]int32)
 	for _, id := range c.rowOf {
 		refs[id]++
@@ -146,8 +144,8 @@ func incrementalGraphs() map[string]Graph {
 }
 
 // mutateOnce applies one random link change to live (incremental) and,
-// on success, mirrors it onto ref by direct weight poke plus full
-// recompile. It returns the changed-switch list and whether the step
+// on success, mirrors it onto ref (when there is one) by direct weight
+// poke plus full recompile. It returns the changed-switch list and whether the step
 // applied (false: the change was rejected, state must be untouched).
 func mutateOnce(t *testing.T, tag string, rng *rand.Rand, live, ref *Compiled) ([]int, bool) {
 	t.Helper()
@@ -206,6 +204,9 @@ func mutateOnce(t *testing.T, tag string, rng *rand.Rand, live, ref *Compiled) (
 		t.Fatalf("%s: changed list has stray entries %v", tag, changed[ci:])
 	}
 
+	if ref == nil {
+		return changed, true
+	}
 	// Mirror onto the reference: poke the weight, recompile from scratch.
 	if w == LinkDown {
 		ref.wt[li] = downWt
@@ -221,8 +222,8 @@ func mutateOnce(t *testing.T, tag string, rng *rand.Rand, live, ref *Compiled) (
 // TestApplyLinkChangeMatchesRecompile is the pinned byte-identity
 // property: a long random sequence of weight changes, downs, and
 // restores maintained incrementally equals a from-scratch recompile
-// after every single step — in run mode and dense mode, for several
-// worker counts.
+// after every single step, for several worker counts — and the naive
+// dense reference every tenth.
 func TestApplyLinkChangeMatchesRecompile(t *testing.T) { matchesRecompile(t) }
 
 // The same property with every affected column forced down one tier-3
@@ -240,68 +241,75 @@ func TestApplyLinkChangeMatchesRecompileAllRepair(t *testing.T) {
 	matchesRecompile(t)
 }
 
+// matchesRecompile drives one seeded stream of link changes per graph
+// past two referees. "runs": after every step the repaired rows equal a
+// from-scratch RecomputeRoutes byte for byte, a 3-worker twin did the
+// same work, and the pool's interning invariants hold. "dense": every
+// tenth step each (switch, host) answer equals refRoutes' dense table
+// under the current weights — the reference that shares no code with the
+// compiler or the repair.
 func matchesRecompile(t *testing.T) {
 	for name, g := range incrementalGraphs() {
-		for _, mode := range []struct {
-			name  string
-			limit int
-		}{{"runs", 0}, {"dense", 1 << 30}} {
-			t.Run(name+"/"+mode.name, func(t *testing.T) {
-				def := eqDefaults()
-				live := compileWithLimits(t, g, def, mode.limit, colBatchCells)
-				ref := compileWithLimits(t, g, def, mode.limit, colBatchCells)
-				defW := eqDefaults()
-				defW.Workers = 3
-				liveW := compileWithLimits(t, g, defW, mode.limit, colBatchCells)
-				// Force the mode for every RecomputeRoutes below too.
-				oldDense := denseNextLimit
-				denseNextLimit = mode.limit
-				defer func() { denseNextLimit = oldDense }()
+		t.Run(name+"/runs", func(t *testing.T) {
+			def := eqDefaults()
+			live := mustCompile(t, g, def)
+			ref := mustCompile(t, g, def)
+			defW := eqDefaults()
+			defW.Workers = 3
+			liveW := mustCompile(t, g, defW)
 
-				var total ChangeStats
-				defer func() { t.Logf("%d columns repaired, %d recomputed whole", total.Repaired, total.Recomputed) }()
-				rng := rand.New(rand.NewSource(int64(len(name)) * 1337))
-				rngW := rand.New(rand.NewSource(int64(len(name)) * 1337))
-				applied := 0
-				for step := 0; step < 40; step++ {
-					changed, ok := mutateOnce(t, name, rng, live, ref)
-					// Same op stream on the 3-worker compile: identical
-					// results and identical changed lists.
-					changedW, okW := mutateOnce(t, name+"/w3", rngW, liveW, liveW.Clone())
-					if ok != okW || len(changed) != len(changedW) {
-						t.Fatalf("step %d: workers=3 diverged (ok %v/%v, changed %d/%d)",
-							step, ok, okW, len(changed), len(changedW))
-					}
-					for i := range changed {
-						if changed[i] != changedW[i] {
-							t.Fatalf("step %d: workers=3 changed list diverged at %d", step, i)
-						}
-					}
-					// What the call did is a property of the change, not of
-					// the worker count.
-					st := live.LastChange()
-					if stW := liveW.LastChange(); st != stW {
-						t.Fatalf("step %d: workers=3 did different work: %+v vs %+v", step, stW, st)
-					}
-					if forceRepairBudget > 0 && st.Recomputed != 0 {
-						t.Fatalf("step %d: unlimited budget, yet %d columns recomputed whole", step, st.Recomputed)
-					}
-					total.Repaired += st.Repaired
-					total.Recomputed += st.Recomputed
-					if !ok {
-						continue
-					}
-					applied++
-					tag := name + "/" + mode.name
-					checkSame(t, tag, live, ref)
-					checkSame(t, tag+"/w3", liveW, live)
-					checkPool(t, tag, live)
+			var total ChangeStats
+			defer func() { t.Logf("%d columns repaired, %d recomputed whole", total.Repaired, total.Recomputed) }()
+			rng := rand.New(rand.NewSource(int64(len(name)) * 1337))
+			rngW := rand.New(rand.NewSource(int64(len(name)) * 1337))
+			applied := 0
+			for step := 0; step < 40; step++ {
+				changed, ok := mutateOnce(t, name, rng, live, ref)
+				// Same op stream on the 3-worker compile: identical
+				// results and identical changed lists.
+				changedW, okW := mutateOnce(t, name+"/w3", rngW, liveW, liveW.Clone())
+				if ok != okW || len(changed) != len(changedW) {
+					t.Fatalf("step %d: workers=3 diverged (ok %v/%v, changed %d/%d)",
+						step, ok, okW, len(changed), len(changedW))
 				}
-				if applied == 0 {
-					t.Fatalf("no link change applied in 40 steps — corpus too restrictive")
+				for i := range changed {
+					if changed[i] != changedW[i] {
+						t.Fatalf("step %d: workers=3 changed list diverged at %d", step, i)
+					}
 				}
-			})
-		}
+				// What the call did is a property of the change, not of
+				// the worker count.
+				st := live.LastChange()
+				if stW := liveW.LastChange(); st != stW {
+					t.Fatalf("step %d: workers=3 did different work: %+v vs %+v", step, stW, st)
+				}
+				if forceRepairBudget > 0 && st.Recomputed != 0 {
+					t.Fatalf("step %d: unlimited budget, yet %d columns recomputed whole", step, st.Recomputed)
+				}
+				total.Repaired += st.Repaired
+				total.Recomputed += st.Recomputed
+				if !ok {
+					continue
+				}
+				applied++
+				checkSame(t, name, live, ref)
+				checkSame(t, name+"/w3", liveW, live)
+				checkPool(t, name, live)
+			}
+			if applied == 0 {
+				t.Fatalf("no link change applied in 40 steps — corpus too restrictive")
+			}
+		})
+		t.Run(name+"/dense", func(t *testing.T) {
+			live := mustCompile(t, g, eqDefaults())
+			rng := rand.New(rand.NewSource(int64(len(name)) * 1337))
+			for step := 0; step < 40; step++ {
+				mutateOnce(t, name, rng, live, nil)
+				if step%10 == 9 {
+					checkAgainstRef(t, fmt.Sprintf("%s step %d", name, step), live, refTable(t, live, g))
+				}
+			}
+		})
 	}
 }
 
@@ -309,7 +317,7 @@ func matchesRecompile(t *testing.T) {
 // chain link is a bridge, so a finite weight change moves no routes and
 // reports no changed switches, while taking a bridge down is rejected.
 func TestApplyLinkChangeBridgeFastPath(t *testing.T) {
-	c := compileWithLimits(t, Chain(64), eqDefaults(), 0, colBatchCells)
+	c := mustCompile(t, Chain(64), eqDefaults())
 	want := snapshot(c)
 	changed, err := c.ApplyLinkChange(31, 700*time.Millisecond)
 	if err != nil || len(changed) != 0 {
@@ -337,7 +345,7 @@ func TestApplyLinkChangeBridgeFastPath(t *testing.T) {
 
 // TestApplyLinkChangeRejects pins the argument and override guards.
 func TestApplyLinkChangeRejects(t *testing.T) {
-	c := compileWithLimits(t, Chain(8), eqDefaults(), 0, colBatchCells)
+	c := mustCompile(t, Chain(8), eqDefaults())
 	if _, err := c.ApplyLinkChange(-1, time.Second); err == nil {
 		t.Fatal("negative link accepted")
 	}
@@ -352,7 +360,7 @@ func TestApplyLinkChangeRejects(t *testing.T) {
 		Links:    []LinkSpec{{A: 0, B: 1}, {A: 1, B: 2}, {A: 0, B: 2, Delay: 500 * time.Millisecond}},
 		Routes:   []RouteSpec{{At: 0, Dst: 2, Via: 2}},
 	}
-	oc := compileWithLimits(t, g, eqDefaults(), 0, colBatchCells)
+	oc := mustCompile(t, g, eqDefaults())
 	if _, err := oc.ApplyLinkChange(0, time.Second); err == nil {
 		t.Fatal("override graph accepted")
 	}
@@ -391,7 +399,7 @@ func (h heldRow) intact() bool {
 // write to a handed-out row is reported even where the content happens
 // to survive.
 func TestCloneIsolation(t *testing.T) {
-	base := compileWithLimits(t, BarabasiAlbert(120, 2, 3), eqDefaults(), 0, colBatchCells)
+	base := mustCompile(t, BarabasiAlbert(120, 2, 3), eqDefaults())
 	want := snapshot(base)
 	cl := base.Clone()
 
@@ -557,7 +565,7 @@ func TestDisconnectingChangeIsRejected(t *testing.T) {
 	} {
 		for _, budget := range []int{-1, 0, 1 << 40} {
 			forceRepairBudget = budget
-			c := compileWithLimits(t, tc.g, eqDefaults(), 0, colBatchCells)
+			c := mustCompile(t, tc.g, eqDefaults())
 			if _, err := c.ApplyLinkChange(3, LinkDown); err != nil {
 				t.Fatalf("%s: first down: %v", tc.name, err)
 			}

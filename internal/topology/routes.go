@@ -9,13 +9,6 @@ import (
 	"time"
 )
 
-// denseNextLimit is the forwarding-table cell count (Switches × Hosts)
-// at or below which Compile keeps the historical dense next-hop array.
-// Small graphs — the paper's dumbbell, every shipped scenario — stay on
-// the direct-index representation; larger ones switch to interval runs.
-// A variable so the equivalence tests can force either representation.
-var denseNextLimit = 1 << 14
-
 // colBatchCells bounds the transient memory of one route-compilation
 // batch: the distinct-destination Dijkstra columns held live at once
 // never exceed about this many int32 cells (32 MiB at the default). A
@@ -23,8 +16,7 @@ var denseNextLimit = 1 << 14
 var colBatchCells = 1 << 23
 
 // routeBuilder accumulates per-switch forwarding runs across host
-// batches. It exists only between computeRoutes and freeze; dense-mode
-// compiles never create one.
+// batches. It exists only between computeRoutes and freeze.
 type routeBuilder struct {
 	// runs[s] is switch s's interval list so far: entry {end, hop}
 	// covers hosts [previous end, end).
@@ -87,12 +79,12 @@ func (rb *routeBuilder) freeze(c *Compiled) {
 // toward every host's switch. Work is batched over contiguous host
 // ranges: each batch computes one packed next-hop column per distinct
 // destination switch on a worker pool, then merges the columns — in
-// host order, over disjoint switch ranges — into the dense table or the
-// run accumulator. Neither step's output depends on worker scheduling,
-// so the routes are identical for every worker count.
+// host order, over disjoint switch ranges — into the run accumulator.
+// Neither step's output depends on worker scheduling, so the routes are
+// identical for every worker count.
 //
-// The returned builder is non-nil exactly in run mode; the caller
-// applies overrides and then freezes it.
+// The caller applies overrides to the returned builder and then freezes
+// it.
 func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 	nh := len(c.Hosts)
 	nsw := c.Switches
@@ -101,13 +93,7 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	dense := nsw*nh <= denseNextLimit
-	var rb *routeBuilder
-	if dense {
-		c.next = make([]Hop, nsw*nh)
-	} else {
-		rb = &routeBuilder{runs: make([][]runEntry, nsw)}
-	}
+	rb := &routeBuilder{runs: make([][]runEntry, nsw)}
 
 	// Batch size: how many distinct destination columns fit the
 	// transient budget (always at least one). A batch can never hold
@@ -187,42 +173,33 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 			}
 		}
 
-		// Merge the batch into the forwarding state, in host order.
-		if dense {
-			for h := lo; h < hi; h++ {
-				col := cols[hostCol[h-lo]]
-				for s := 0; s < nsw; s++ {
-					c.next[s*nh+h] = hopOf(col[s])
-				}
-			}
-		} else {
-			// Disjoint switch ranges extend their runs independently; the
-			// result per switch depends only on the columns and the host
-			// order, both fixed before the fan-out.
-			chunk := (nsw + workers*4 - 1) / (workers * 4)
-			if chunk < 1 {
-				chunk = 1
-			}
-			nChunks := (nsw + chunk - 1) / chunk
-			forEachParallel(workers, nChunks, func(ci int) {
-				sLo, sHi := ci*chunk, (ci+1)*chunk
-				if sHi > nsw {
-					sHi = nsw
-				}
-				for s := sLo; s < sHi; s++ {
-					rs := rb.runs[s]
-					for h := lo; h < hi; h++ {
-						p := cols[hostCol[h-lo]][s]
-						if n := len(rs); n > 0 && rs[n-1].hop == p && rs[n-1].end == int32(h) {
-							rs[n-1].end = int32(h) + 1
-						} else {
-							rs = append(rs, runEntry{int32(h) + 1, p})
-						}
-					}
-					rb.runs[s] = rs
-				}
-			})
+		// Merge the batch into the run accumulator, in host order. Disjoint
+		// switch ranges extend their runs independently; the result per
+		// switch depends only on the columns and the host order, both
+		// fixed before the fan-out.
+		chunk := (nsw + workers*4 - 1) / (workers * 4)
+		if chunk < 1 {
+			chunk = 1
 		}
+		nChunks := (nsw + chunk - 1) / chunk
+		forEachParallel(workers, nChunks, func(ci int) {
+			sLo, sHi := ci*chunk, (ci+1)*chunk
+			if sHi > nsw {
+				sHi = nsw
+			}
+			for s := sLo; s < sHi; s++ {
+				rs := rb.runs[s]
+				for h := lo; h < hi; h++ {
+					p := cols[hostCol[h-lo]][s]
+					if n := len(rs); n > 0 && rs[n-1].hop == p && rs[n-1].end == int32(h) {
+						rs[n-1].end = int32(h) + 1
+					} else {
+						rs = append(rs, runEntry{int32(h) + 1, p})
+					}
+				}
+				rb.runs[s] = rs
+			}
+		})
 		lo = hi
 	}
 	return rb, nil

@@ -10,7 +10,9 @@ import (
 // reference: an O(S²) lowest-index-selection Dijkstra per distinct host
 // switch and a full-link-scan bestHop, writing a dense next-hop array.
 // The production compiler — heap Dijkstra, CSR scans, interval runs,
-// any worker count — must answer NextHop byte-identically to this.
+// any worker count — must answer NextHop byte-identically to this, and
+// so must ApplyLinkChange's repairs: links it has taken down carry no
+// routes here either.
 func refRoutes(c *Compiled) ([]Hop, error) {
 	nh := len(c.Hosts)
 	next := make([]Hop, c.Switches*nh)
@@ -64,6 +66,9 @@ func refDijkstra(c *Compiled, dst int) []time.Duration {
 			default:
 				continue
 			}
+			if c.Weight(li) == downWt {
+				continue
+			}
 			if d := best + c.Weight(li); d < dist[v] {
 				dist[v] = d
 			}
@@ -83,7 +88,7 @@ func refBestHop(c *Compiled, s int, dist []time.Duration) (Hop, bool) {
 		default:
 			continue
 		}
-		if dist[neighbor] == maxDist {
+		if dist[neighbor] == maxDist || c.Weight(li) == downWt {
 			continue
 		}
 		if cost := c.Weight(li) + dist[neighbor]; cost < bestCost {
@@ -131,13 +136,8 @@ func eqDefaults() Defaults {
 	return Defaults{Bandwidth: 50_000, Delay: 50 * time.Millisecond, Buffer: 20, DataSize: 500}
 }
 
-// compileWithLimits compiles g with the dense threshold and batch
-// budget pinned to specific values, restoring the package defaults.
-func compileWithLimits(t *testing.T, g Graph, def Defaults, denseLimit, batchCells int) *Compiled {
+func mustCompile(t *testing.T, g Graph, def Defaults) *Compiled {
 	t.Helper()
-	oldDense, oldBatch := denseNextLimit, colBatchCells
-	denseNextLimit, colBatchCells = denseLimit, batchCells
-	defer func() { denseNextLimit, colBatchCells = oldDense, oldBatch }()
 	c, err := g.Compile(def)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -145,72 +145,93 @@ func compileWithLimits(t *testing.T, g Graph, def Defaults, denseLimit, batchCel
 	return c
 }
 
+// compileBatched compiles g with the column batch budget pinned to
+// batchCells, restoring the package default.
+func compileBatched(t *testing.T, g Graph, def Defaults, batchCells int) *Compiled {
+	t.Helper()
+	oldBatch := colBatchCells
+	colBatchCells = batchCells
+	defer func() { colBatchCells = oldBatch }()
+	return mustCompile(t, g, def)
+}
+
+// refTable is refRoutes under c's current weights plus g's route
+// overrides, which the reference does not model, applied the historical
+// way: straight into the dense cell.
+func refTable(t *testing.T, c *Compiled, g Graph) []Hop {
+	t.Helper()
+	ref, err := refRoutes(c)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	for _, r := range g.Routes {
+		hop, ok := c.hopToward(r.At, r.Via)
+		if !ok {
+			t.Fatalf("override via %d not a neighbor", r.Via)
+		}
+		ref[r.At*c.NumHosts()+r.Dst] = hop
+	}
+	return ref
+}
+
+// checkAgainstRef compares every (switch, host) answer of c with the
+// dense reference table.
+func checkAgainstRef(t *testing.T, tag string, c *Compiled, ref []Hop) {
+	t.Helper()
+	nh := c.NumHosts()
+	for s := 0; s < c.Switches; s++ {
+		for h := 0; h < nh; h++ {
+			want := ref[s*nh+h]
+			got, isLocal := c.NextHop(s, h)
+			if wantLocal := want.Link < 0; isLocal != wantLocal {
+				t.Fatalf("%s: NextHop(%d,%d) local=%v want %v", tag, s, h, isLocal, wantLocal)
+			}
+			if want.Link >= 0 && got != want {
+				t.Fatalf("%s: NextHop(%d,%d) = %+v want %+v", tag, s, h, got, want)
+			}
+		}
+	}
+}
+
 // TestNextHopEquivalence pins the production compiler against the dense
 // reference, exhaustively over every (switch, host) pair, for each
-// corpus graph in four configurations: dense representation, interval
-// runs, interval runs compiled serially, and interval runs compiled in
-// many tiny column batches.
+// corpus graph in three configurations: the default compile, a serial
+// one, and one in many tiny column batches.
 func TestNextHopEquivalence(t *testing.T) {
 	for name, g := range equivalenceGraphs() {
 		t.Run(name, func(t *testing.T) {
 			def := eqDefaults()
+			serial := def
+			serial.Workers = 1
 			variants := map[string]*Compiled{
-				"dense":        compileWithLimits(t, g, def, 1<<30, colBatchCells),
-				"runs":         compileWithLimits(t, g, def, 0, colBatchCells),
-				"runs-serial":  compileWithLimits(t, g, Defaults{Bandwidth: def.Bandwidth, Delay: def.Delay, Buffer: def.Buffer, DataSize: def.DataSize, Workers: 1}, 0, colBatchCells),
-				"runs-batched": compileWithLimits(t, g, def, 0, 1),
+				"runs":         mustCompile(t, g, def),
+				"runs-serial":  mustCompile(t, g, serial),
+				"runs-batched": compileBatched(t, g, def, 1),
 			}
-			dense := variants["dense"]
-			if dense.next == nil {
-				t.Fatalf("dense variant not dense")
-			}
-			ref, err := refRoutes(dense)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			// The reference does not model overrides; apply them the
-			// historical way.
-			nh := dense.NumHosts()
-			for _, r := range g.Routes {
-				hop, ok := dense.hopToward(r.At, r.Via)
-				if !ok {
-					t.Fatalf("override via %d not a neighbor", r.Via)
-				}
-				ref[r.At*nh+r.Dst] = hop
-			}
+			ref := refTable(t, variants["runs"], g)
 			for vn, c := range variants {
-				if vn != "dense" && c.next != nil {
-					t.Fatalf("%s: expected interval runs, got dense", vn)
-				}
-				for s := 0; s < c.Switches; s++ {
-					for h := 0; h < nh; h++ {
-						want := ref[s*nh+h]
-						got, isLocal := c.NextHop(s, h)
-						if wantLocal := want.Link < 0; isLocal != wantLocal {
-							t.Fatalf("%s: NextHop(%d,%d) local=%v want %v", vn, s, h, isLocal, wantLocal)
-						}
-						if want.Link >= 0 && got != want {
-							t.Fatalf("%s: NextHop(%d,%d) = %+v want %+v", vn, s, h, got, want)
-						}
-					}
-				}
+				checkAgainstRef(t, vn, c, ref)
 			}
 		})
 	}
 }
 
-// TestForEachHostRunCoversHosts checks the bulk-install iterator in
-// both representations: intervals are ascending, disjoint, cover every
-// host exactly once, and agree with NextHop.
+// TestForEachHostRunCoversHosts checks the bulk-install iterator:
+// intervals are ascending, disjoint and cover every host exactly once,
+// and every host inside one forwards the way the interval says — by the
+// row lookup itself (NextHop, the "runs" leg) and by the dense reference
+// table (refRoutes, the "dense" leg).
 func TestForEachHostRunCoversHosts(t *testing.T) {
 	for name, g := range equivalenceGraphs() {
-		for _, mode := range []struct {
-			name  string
-			limit int
-		}{{"dense", 1 << 30}, {"runs", 0}} {
-			t.Run(name+"/"+mode.name, func(t *testing.T) {
-				c := compileWithLimits(t, g, eqDefaults(), mode.limit, colBatchCells)
+		for _, referee := range []string{"dense", "runs"} {
+			t.Run(name+"/"+referee, func(t *testing.T) {
+				c := mustCompile(t, g, eqDefaults())
 				nh := c.NumHosts()
+				lookup := c.NextHop
+				if referee == "dense" {
+					ref := refTable(t, c, g)
+					lookup = func(s, h int) (Hop, bool) { return ref[s*nh+h], ref[s*nh+h].Link < 0 }
+				}
 				for s := 0; s < c.Switches; s++ {
 					next := 0
 					c.ForEachHostRun(s, func(h0, h1 int, hop Hop, isLocal bool) {
@@ -218,10 +239,10 @@ func TestForEachHostRunCoversHosts(t *testing.T) {
 							t.Fatalf("switch %d: run [%d,%d) after %d", s, h0, h1, next)
 						}
 						for h := h0; h < h1; h++ {
-							got, gotLocal := c.NextHop(s, h)
+							got, gotLocal := lookup(s, h)
 							if gotLocal != isLocal || (!isLocal && got != hop) {
-								t.Fatalf("switch %d host %d: run says (%+v,%v), NextHop says (%+v,%v)",
-									s, h, hop, isLocal, got, gotLocal)
+								t.Fatalf("switch %d host %d: run says (%+v,%v), %s lookup says (%+v,%v)",
+									s, h, hop, isLocal, referee, got, gotLocal)
 							}
 						}
 						next = h1
@@ -242,10 +263,10 @@ func TestParallelCompileDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			def := eqDefaults()
 			def.Workers = 1
-			base := compileWithLimits(t, g, def, 0, colBatchCells)
+			base := mustCompile(t, g, def)
 			for _, w := range []int{2, 3, 8} {
 				def.Workers = w
-				c := compileWithLimits(t, g, def, 0, colBatchCells)
+				c := mustCompile(t, g, def)
 				// Byte identity: row ids per switch and row contents must
 				// match exactly — interning is serial in switch order, so
 				// even the pool layout is worker-independent.
@@ -270,12 +291,9 @@ func TestParallelCompileDeterminism(t *testing.T) {
 }
 
 // TestRunModeDisconnected pins the disconnected-graph error (message
-// and indices) in run mode against the historical dense behavior.
+// and indices).
 func TestRunModeDisconnected(t *testing.T) {
 	g := Graph{Switches: 4, Links: []LinkSpec{{A: 0, B: 1}, {A: 2, B: 3}}}
-	oldDense := denseNextLimit
-	denseNextLimit = 0
-	defer func() { denseNextLimit = oldDense }()
 	_, err := g.Compile(eqDefaults())
 	if err == nil {
 		t.Fatal("disconnected graph compiled")
@@ -290,16 +308,9 @@ func TestRunModeDisconnected(t *testing.T) {
 // forwarding state is three intervals per interior switch (left span,
 // local host, right span) regardless of length.
 func TestRouteRuns(t *testing.T) {
-	c := compileWithLimits(t, Chain(64), eqDefaults(), 0, colBatchCells)
-	if c.next != nil {
-		t.Fatal("expected run mode")
-	}
+	c := mustCompile(t, Chain(64), eqDefaults())
 	// Ends have 2 runs, interior switches 3.
 	if want := 2*2 + 62*3; c.RouteRuns() != want {
 		t.Fatalf("RouteRuns = %d, want %d", c.RouteRuns(), want)
-	}
-	dense := compileWithLimits(t, Chain(64), eqDefaults(), 1<<30, colBatchCells)
-	if dense.RouteRuns() != c.RouteRuns() {
-		t.Fatalf("dense RouteRuns = %d, runs %d", dense.RouteRuns(), c.RouteRuns())
 	}
 }

@@ -20,8 +20,7 @@
 //
 // The compiled form is built for scale (DESIGN.md §13): adjacency is
 // CSR (compressed sparse row), forwarding state is stored as sorted
-// host-interval runs per switch (falling back to a dense array only
-// below a small size threshold), and the per-destination Dijkstra
+// host-interval runs per switch, and the per-destination Dijkstra
 // columns are computed on a worker pool whose merge order is fixed by
 // host index, never by scheduling.
 package topology
@@ -194,14 +193,6 @@ func packHop(link, dir int) int32 { return int32(link)<<1 | int32(dir) }
 
 func unpackHop(p int32) Hop { return Hop{Link: int(p >> 1), Dir: int(p & 1)} }
 
-// hopOf unpacks a column value into the dense table's form.
-func hopOf(p int32) Hop {
-	if p < 0 {
-		return local
-	}
-	return unpackHop(p)
-}
-
 // Skeleton is a Graph with resolved link parameters, defaulted hosts
 // and CSR adjacency, known to be well formed and connected — everything
 // about a compiled topology except its routes. Graph.Resolve builds one
@@ -235,17 +226,13 @@ type Skeleton struct {
 // Compiled is a Skeleton plus per-switch forwarding tables. Build it
 // with Graph.Compile.
 //
-// Forwarding state is either one dense Hop per (switch, host) cell —
-// kept when Switches×Hosts is at most denseNextLimit, the exact
-// historical representation — or per-switch sorted host-interval rows
-// interned in a shared pool (DESIGN.md §16): rowOf[s] names switch s's
-// row, whose intervals forward through adjacency slots relative to s.
-// Switches with identical forwarding shape — every host-less switch
-// between two clusters on a chain, every same-degree leaf of a BA graph
-// — share one row, so resident route bytes track the number of
-// *distinct* rows, not the switch count. The representations answer
-// NextHop identically (pinned by the equivalence tests); only their
-// memory differs.
+// Forwarding state is per-switch sorted host-interval rows interned in
+// a shared pool (DESIGN.md §16): rowOf[s] names switch s's row, whose
+// intervals forward through adjacency slots relative to s. Switches
+// with identical forwarding shape — every host-less switch between two
+// clusters on a chain, every same-degree leaf of a BA graph — share one
+// row, so resident route bytes track the number of *distinct* rows, not
+// the switch count.
 type Compiled struct {
 	Skeleton
 
@@ -254,11 +241,8 @@ type Compiled struct {
 	// the downWt sentinel and is skipped by every route scan.
 	wt []time.Duration
 
-	// next[s*len(Hosts)+h] is the forwarding decision at switch s for
-	// host h (dense mode; nil in run mode).
-	next []Hop
-	// rowOf/pool are the interned row tables (run mode; nil in dense
-	// mode): rowOf[s] is switch s's row id in the pool.
+	// rowOf/pool are the interned row tables: rowOf[s] is switch s's row
+	// id in the pool.
 	rowOf []int32
 	pool  *rowPool
 
@@ -297,10 +281,6 @@ func (c *Skeleton) HostSwitch(h int) int { return c.Hosts[h].Switch }
 // host h. local reports whether the host is attached to sw itself (in
 // which case the Hop is meaningless).
 func (c *Compiled) NextHop(sw, h int) (hop Hop, isLocal bool) {
-	if c.next != nil {
-		hop = c.next[sw*len(c.Hosts)+h]
-		return hop, hop.Link < 0
-	}
 	_ = c.Hosts[h] // bounds check: run lookup must not wander past the hosts
 	e := c.edgeAt(sw, h)
 	if e < 0 {
@@ -312,22 +292,8 @@ func (c *Compiled) NextHop(sw, h int) (hop Hop, isLocal bool) {
 // ForEachHostRun calls fn for every maximal interval [h0,h1) of host
 // indices that switch sw forwards the same way: via hop, or locally
 // (isLocal true, hop meaningless). Intervals arrive in ascending host
-// order and together cover every host exactly once, in either table
-// mode.
+// order and together cover every host exactly once.
 func (c *Compiled) ForEachHostRun(sw int, fn func(h0, h1 int, hop Hop, isLocal bool)) {
-	nh := len(c.Hosts)
-	if c.next != nil {
-		row := c.next[sw*nh : (sw+1)*nh]
-		for h0 := 0; h0 < nh; {
-			h1 := h0 + 1
-			for h1 < nh && row[h1] == row[h0] {
-				h1++
-			}
-			fn(h0, h1, row[h0], row[h0].Link < 0)
-			h0 = h1
-		}
-		return
-	}
 	row := c.rowOf[sw]
 	ends, slots := c.pool.ends[row], c.pool.slots[row]
 	start := int32(0)
@@ -349,24 +315,12 @@ func (c *Compiled) ForEachHostRun(sw int, fn func(h0, h1 int, hop Hop, isLocal b
 // The slices are read-only and stay valid and unchanged for as long as
 // the caller holds them: an interned row is never written after it is
 // created, by this Compiled or any Clone of it, whatever link changes
-// follow. In run mode they are the pool's own row, so any number of
-// holders (switches of a running simulation, region goroutines, scheduled
-// link events) share one copy; in dense mode they are built fresh from
-// the cell array.
+// follow. They are the pool's own row, so any number of holders
+// (switches of a running simulation, region goroutines, scheduled link
+// events) share one copy.
 func (c *Compiled) Row(sw int) (ends, slots []int32) {
-	if c.next == nil {
-		row := c.rowOf[sw]
-		return c.pool.ends[row], c.pool.slots[row]
-	}
-	c.ForEachHostRun(sw, func(h0, h1 int, hop Hop, isLocal bool) {
-		slot := slotLocal
-		if !isLocal {
-			slot = c.slotOf(sw, packHop(hop.Link, hop.Dir))
-		}
-		ends = append(ends, int32(h1))
-		slots = append(slots, slot)
-	})
-	return ends, slots
+	row := c.rowOf[sw]
+	return c.pool.ends[row], c.pool.slots[row]
 }
 
 // Degree returns the number of adjacency slots of switch sw: one per
@@ -379,10 +333,9 @@ func (c *Skeleton) Degree(sw int) int { return int(c.adjOff[sw+1] - c.adjOff[sw]
 func (c *Skeleton) SlotHop(sw, slot int) Hop { return unpackHop(c.adjHop[int(c.adjOff[sw])+slot]) }
 
 // RouteRuns returns the total number of forwarding intervals across all
-// switches — the size of the compressed routing state (equal to
-// Switches×Hosts in dense mode only in the worst case of no adjacent
-// hosts sharing a next hop). It exists for capacity diagnostics
-// (tahoe-sim -validate, benchmarks).
+// switches — the size of the compressed routing state (Switches×Hosts
+// only in the worst case of no adjacent hosts sharing a next hop). It
+// exists for capacity diagnostics (tahoe-sim -validate, benchmarks).
 func (c *Compiled) RouteRuns() int {
 	runs := 0
 	for s := 0; s < c.Switches; s++ {
@@ -393,23 +346,15 @@ func (c *Compiled) RouteRuns() int {
 }
 
 // DistinctRows returns the number of distinct forwarding rows after
-// interning (run mode), or the switch count in dense mode. The ratio
-// Switches/DistinctRows is the deduplication factor.
-func (c *Compiled) DistinctRows() int {
-	if c.next != nil {
-		return c.Switches
-	}
-	return c.pool.rows()
-}
+// interning. The ratio Switches/DistinctRows is the deduplication
+// factor.
+func (c *Compiled) DistinctRows() int { return c.pool.rows() }
 
 // RouteBytes returns the resident bytes of the forwarding state: the
-// dense cell array, or the per-switch row ids plus every live pool row
-// (interval data and per-row bookkeeping). It is the quantity the
-// benchmark trajectory tracks as "route bytes per switch".
+// per-switch row ids plus every live pool row (interval data and per-row
+// bookkeeping). It is the quantity the benchmark trajectory tracks as
+// "route bytes per switch".
 func (c *Compiled) RouteBytes() int {
-	if c.next != nil {
-		return len(c.next) * 16
-	}
 	// Per live row: the two int32 payload slices plus slice headers,
 	// refcount, and hash (~64 B of bookkeeping).
 	const rowOverhead = 64
@@ -430,11 +375,8 @@ func (c *Compiled) RouteBytes() int {
 func (c *Compiled) Clone() *Compiled {
 	d := *c
 	d.wt = slices.Clone(c.wt)
-	d.next = slices.Clone(c.next)
 	d.rowOf = slices.Clone(c.rowOf)
-	if c.pool != nil {
-		d.pool = c.pool.clone()
-	}
+	d.pool = c.pool.clone()
 	return &d
 }
 
@@ -597,9 +539,7 @@ func (g Graph) Compile(def Defaults) (*Compiled, error) {
 		return nil, err
 	}
 	c.hasOverrides = len(g.Routes) > 0
-	if rb != nil {
-		rb.freeze(c)
-	}
+	rb.freeze(c)
 	return c, nil
 }
 
@@ -631,20 +571,15 @@ func (c *Skeleton) buildCSR() {
 	}
 }
 
-// applyOverrides rewrites forwarding entries per the RouteSpecs: into
-// the dense table directly, or — in run mode — into the route builder's
-// accumulator before it freezes.
+// applyOverrides rewrites forwarding entries per the RouteSpecs, in the
+// route builder's accumulator before it freezes.
 func (c *Compiled) applyOverrides(routes []RouteSpec, rb *routeBuilder) error {
 	for _, r := range routes {
 		hop, err := c.overrideHop(r)
 		if err != nil {
 			return err
 		}
-		if rb != nil {
-			rb.paint(r.At, r.Dst, packHop(hop.Link, hop.Dir))
-		} else {
-			c.next[r.At*len(c.Hosts)+r.Dst] = hop
-		}
+		rb.paint(r.At, r.Dst, packHop(hop.Link, hop.Dir))
 	}
 	return nil
 }
@@ -710,13 +645,6 @@ const edgeLocal = int32(-1)
 // CSR half-edge arrays — adjSw gives the next switch, adjHop the packed
 // hop — or edgeLocal when host h is attached to sw.
 func (c *Compiled) edgeAt(sw, h int) int32 {
-	if c.next != nil {
-		hop := c.next[sw*len(c.Hosts)+h]
-		if hop.Link < 0 {
-			return edgeLocal
-		}
-		return c.adjOff[sw] + c.slotOf(sw, packHop(hop.Link, hop.Dir))
-	}
 	ends := c.pool.ends[c.rowOf[sw]]
 	lo, hi := 0, len(ends)
 	for lo < hi {

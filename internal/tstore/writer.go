@@ -27,8 +27,8 @@ type WriterOptions struct {
 // Memory stays bounded by one chunk (the staging buffer plus the encode
 // scratch) no matter how many events pass through; the footer index is
 // the only state that grows with the trace, at one small entry per
-// chunk. Like obs.BinarySink, one Writer serves one run at a time — the
-// mutex makes misuse safe, not meaningful — and Close finalizes the
+// chunk. One Writer serves one run at a time — the mutex makes misuse
+// safe, not meaningful — and Close finalizes the
 // store (footer and trailer) but leaves the underlying writer open.
 type Writer struct {
 	mu     sync.Mutex

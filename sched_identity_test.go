@@ -2,8 +2,8 @@ package tahoedyn
 
 // Scheduler-identity tests at the facade level: the timing wheel must be
 // byte-identical to the reference heap on every scenario the repository
-// ships and on both §4 phase modes. The -sched flag (Config.Sched) is a
-// wall-clock knob, never a physics knob.
+// ships and on both §4 phase modes. Config.Sched is a wall-clock knob,
+// never a physics knob.
 
 import (
 	"path/filepath"

@@ -3,8 +3,8 @@ package tahoedyn
 // Shard-identity tests at the facade level: a sharded run (Config.Shards
 // > 1, one engine per topology region with conservative-lookahead
 // synchronization) must be byte-identical to the serial engine on every
-// scenario the repository ships and on both §4 phase modes. Like -sched,
-// -shards is a wall-clock knob, never a physics knob (DESIGN.md §12).
+// scenario the repository ships and on both §4 phase modes. -shards is a
+// wall-clock knob, never a physics knob (DESIGN.md §12).
 
 import (
 	"path/filepath"

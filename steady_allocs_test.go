@@ -1,0 +1,147 @@
+package tahoedyn
+
+// Steady-state allocation contracts: once a scenario is warm, advancing
+// it allocates nothing — serial or sharded, either scheduler, observed or
+// not, forwarding from dense tables or from rows.
+
+import (
+	"testing"
+	"time"
+
+	"tahoedyn/internal/core"
+	"tahoedyn/internal/obs"
+	"tahoedyn/internal/sim"
+)
+
+// steadyStateConfig is the standard two-way scenario set up for stepped
+// execution: a short warmup and a far-out Duration so trace containers
+// are presized well past anything the tests step into.
+func steadyStateConfig() core.Config {
+	cfg := core.DumbbellConfig(10*time.Millisecond, 20)
+	cfg.Conns = []core.ConnSpec{
+		{SrcHost: 0, DstHost: 1, Start: -1},
+		{SrcHost: 1, DstHost: 0, Start: -1},
+	}
+	cfg.Warmup = 10 * time.Second
+	cfg.Duration = time.Hour
+	return cfg
+}
+
+// rowModeConfig is steadyStateConfig's counterpart off the paper's
+// topologies: a 130-switch line, past the switch's dense limit, so every
+// switch forwards from its compiled interval row through its hot-route
+// table; two-way pairs over 3 to 9 hops.
+func rowModeConfig() core.Config {
+	cfg := core.DumbbellConfig(10*time.Millisecond, 20)
+	cfg.Switches = 130
+	for _, pair := range [][2]int{{0, 3}, {60, 69}, {129, 124}, {2, 8}} {
+		cfg.Conns = append(cfg.Conns,
+			core.ConnSpec{SrcHost: pair[0], DstHost: pair[1], Start: -1},
+			core.ConnSpec{SrcHost: pair[1], DstHost: pair[0], Start: -1})
+	}
+	cfg.Warmup = 10 * time.Second
+	cfg.Duration = time.Hour
+	// Unmeasured, as large networks run: 129 trunks' series are not the
+	// forwarding path.
+	cfg.MeasureTrunks, cfg.MeasureConns = []int{}, []int{}
+	return cfg
+}
+
+// TestSteadyStateAllocs is the hard assertion of the allocation contract:
+// advancing the warmed scenario must not allocate beyond stray amortized
+// container growth. The obs variants pin the zero-overhead contract —
+// a nil Config.Obs, an empty (all-disabled) Options, and even live
+// metrics+progress instruments must keep the hot path allocation-free.
+// The sched variants pin it for both schedulers explicitly, and the
+// arena variant for a simulation built from a warm arena: its second
+// back-to-back run must be exactly 0 allocs per simulated second. The
+// rows variants run rowModeConfig: forwarding from interval rows behind
+// hot-route tables, and hosts' endpoint tables, allocate nothing either.
+func TestSteadyStateAllocs(t *testing.T) {
+	cases := []struct {
+		name  string
+		sched sim.SchedKind
+		obs   func() *obs.Options
+		arena bool
+		rows  bool
+		want  float64 // max allocs per stepped sim-second
+	}{
+		{name: "obs-nil", want: 1},
+		{name: "obs-empty-options", obs: func() *obs.Options { return &obs.Options{} }, want: 1},
+		{name: "obs-metrics-and-progress", obs: func() *obs.Options {
+			return &obs.Options{
+				Metrics:  true,
+				Progress: &obs.Progress{Every: 10 * time.Second, Fn: func(obs.Snapshot) {}},
+			}
+		}, want: 1},
+		{name: "sched-wheel", sched: sim.SchedWheel, want: 1},
+		{name: "sched-heap", sched: sim.SchedHeap, want: 1},
+		{name: "arena-reused", sched: sim.SchedWheel, arena: true, want: 0},
+		{name: "arena-reused-heap", sched: sim.SchedHeap, arena: true, want: 0},
+		{name: "rows", rows: true, want: 1},
+		{name: "rows-arena-reused", rows: true, arena: true, want: 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Warm well past slow start so the pool and free lists are
+			// populated. Eight connections put more than a bucket's seed
+			// capacity of events into a wheel slot now and then, and a slot
+			// that has grown stays grown: the rows variants settle for
+			// longer, and their arena's first run covers the measured span.
+			cfg, settle, first := steadyStateConfig(), 30*time.Second, 40*time.Second
+			if tc.rows {
+				cfg, settle, first = rowModeConfig(), 100*time.Second, 160*time.Second
+			}
+			cfg.Sched = tc.sched
+			if tc.obs != nil {
+				cfg.Obs = tc.obs()
+			}
+			var s *core.Sim
+			if tc.arena {
+				// A first full run warms the arena — engine storage,
+				// packet free list — so the second, reused build's steady
+				// state has nothing left to allocate.
+				a := core.NewArena()
+				warm := cfg
+				warm.Duration = first
+				a.Run(warm)
+				s = a.Build(cfg)
+			} else {
+				s = core.Build(cfg)
+			}
+			s.RunUntil(settle)
+			now := settle
+			allocs := testing.AllocsPerRun(50, func() {
+				now += time.Second
+				s.RunUntil(now)
+			})
+			if allocs > tc.want {
+				t.Errorf("steady-state simulation allocates %.2f/sim-second, want <= %v", allocs, tc.want)
+			}
+		})
+	}
+}
+
+// TestShardedSteadyStateAllocs pins the sharded runner's steady-state
+// allocation contract: once the region pools, edge buffers, inbox, and
+// pre-built round workers are warm, advancing the simulation allocates
+// nothing — not per packet, and not per synchronization round (this
+// stepped sim-second spans 100 rounds of the 10 ms lookahead).
+func TestShardedSteadyStateAllocs(t *testing.T) {
+	cfg := steadyStateConfig()
+	cfg.Shards = 2
+	a := core.NewArena()
+	warm := cfg
+	warm.Duration = 40 * time.Second
+	a.Run(warm)
+	s := a.Build(cfg)
+	s.RunUntil(30 * time.Second)
+	now := 30 * time.Second
+	allocs := testing.AllocsPerRun(50, func() {
+		now += time.Second
+		s.RunUntil(now)
+	})
+	if allocs > 1 {
+		t.Errorf("sharded steady-state simulation allocates %.2f/sim-second, want <= 1", allocs)
+	}
+}

@@ -72,32 +72,21 @@ type (
 	SchedKind = sim.SchedKind
 )
 
-// Event-scheduler kinds for Config.Sched. Both schedulers fire events
-// in exactly the same (time, sequence) order — byte-identity across all
-// shipped scenarios is asserted in tests — so the choice never changes
-// results, only run speed. SchedDefault resolves to the wheel unless
-// the TAHOEDYN_SCHED environment variable says otherwise.
+// Event-scheduler kinds for Config.Sched, the one place a scheduler is
+// chosen. Both fire events in exactly the same (time, sequence) order —
+// byte-identity across all shipped scenarios is asserted in tests — so
+// the choice never changes results, only run speed. SchedDefault is the
+// wheel; the heap is the referee those tests hold it against.
 const (
 	SchedDefault = sim.SchedDefault
 	SchedWheel   = sim.SchedWheel
 	SchedHeap    = sim.SchedHeap
 )
 
-// ParseSched maps a CLI string ("heap", "wheel", "default", "") to a
-// SchedKind for Config.Sched; both CLIs expose it as -sched.
-func ParseSched(s string) (SchedKind, error) { return sim.ParseSched(s) }
-
 // SetDefaultShards overrides the shard count a Config with Shards == 0
-// runs at (normally 1, or the TAHOEDYN_SHARDS environment variable);
-// both CLIs expose it as -shards. Like the scheduler choice, sharding
-// is a wall-clock knob only: results are byte-identical at any count.
+// runs at (normally 1); both CLIs expose it as -shards. Sharding is a
+// wall-clock knob only: results are byte-identical at any count.
 func SetDefaultShards(n int) { core.SetDefaultShards(n) }
-
-// SetDefaultSched overrides what SchedDefault resolves to for engines
-// created after the call (the CLI -sched hook, useful where configs are
-// built internally, e.g. named experiments). Set it once, before any
-// runs start; passing SchedDefault is a no-op.
-func SetDefaultSched(k SchedKind) { sim.SetDefaultSched(k) }
 
 // Analysis types.
 type (
@@ -211,7 +200,7 @@ type (
 	TraceEvent = obs.Event
 	// TraceEventType enumerates the lifecycle stages (TraceEnqueue...).
 	TraceEventType = obs.Type
-	// TraceSink receives batches of trace events (JSONL, binary, memory).
+	// TraceSink receives batches of trace events (JSONL, store, memory).
 	TraceSink = obs.Sink
 	// Progress asks for periodic snapshots of a running simulation.
 	Progress = obs.Progress
@@ -237,10 +226,6 @@ const (
 // prefixed by a version header line. Safe for use by concurrent runs.
 func NewJSONLSink(w io.Writer) TraceSink { return obs.NewJSONLSink(w) }
 
-// NewBinarySink returns a sink writing the compact versioned binary
-// trace format to w. One sink serves one run.
-func NewBinarySink(w io.Writer) TraceSink { return obs.NewBinarySink(w) }
-
 // NewMemorySink returns an in-memory sink, mainly for tests.
 func NewMemorySink() *obs.MemorySink { return obs.NewMemorySink() }
 
@@ -260,13 +245,10 @@ func DecodeJSONLTrace(r io.Reader) (locs []string, events []TraceEvent, err erro
 	return obs.DecodeJSONL(r)
 }
 
-// EncodeBinaryTrace writes a complete single-run binary trace stream.
-func EncodeBinaryTrace(w io.Writer, locs []string, events []TraceEvent) error {
-	return obs.EncodeBinary(w, locs, events)
-}
-
-// DecodeBinaryTrace parses a binary trace stream, rejecting bad magic
-// and newer versions.
+// DecodeBinaryTrace parses a flat binary ("TOBS") trace stream, rejecting
+// bad magic and newer versions. Nothing writes the format any more — the
+// chunked store (NewTraceStoreSink) replaced it; the decoder stays so old
+// files remain readable.
 func DecodeBinaryTrace(r io.Reader) (locs []string, events []TraceEvent, err error) {
 	return obs.DecodeBinary(r)
 }
