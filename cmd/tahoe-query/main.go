@@ -173,14 +173,17 @@ func openTrace(path string) (tahoedyn.TraceScanner, *tahoedyn.TraceStore, func()
 func printInfo(sc tahoedyn.TraceScanner, store *tahoedyn.TraceStore, path string) {
 	if store != nil {
 		chunks := store.Chunks()
-		fmt.Printf("%s: chunked trace store, %d events in %d chunks\n",
-			path, store.TotalEvents(), len(chunks))
+		fmt.Printf("%s: chunked trace store, %d events in %d chunks of ≤ %d events\n",
+			path, store.TotalEvents(), len(chunks), store.ChunkEvents())
 		if len(chunks) > 0 {
+			// Offline ingest may write chunks in any time order.
 			var bytes int64
+			minT, maxT := chunks[0].MinT, chunks[0].MaxT
 			for i := range chunks {
 				bytes += chunks[i].Size
+				minT, maxT = min(minT, chunks[i].MinT), max(maxT, chunks[i].MaxT)
 			}
-			fmt.Printf("  span %v .. %v\n", chunks[0].MinT, chunks[len(chunks)-1].MaxT)
+			fmt.Printf("  span %v .. %v\n", minT, maxT)
 			fmt.Printf("  %d payload bytes (%.1f B/event)\n",
 				bytes, float64(bytes)/float64(store.TotalEvents()))
 		}

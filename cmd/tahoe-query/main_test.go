@@ -109,3 +109,42 @@ func TestReadsCommittedTOBSTrace(t *testing.T) {
 		}
 	}
 }
+
+// Chunks of a store need not be in time order — an offline ingest may
+// write a later stretch first — so -info takes the span over the whole
+// index, not from the first and last entries. Its first line also names
+// the chunk capacity the store was written with.
+func TestInfoOverStoreWrittenInReverseTimeOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "reverse.tobc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tahoedyn.NewTraceStoreSink(f, tahoedyn.TraceStoreOptions{ChunkEvents: 2})
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	events := []tahoedyn.TraceEvent{
+		{T: 7 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 3},
+		{T: 9 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 4},
+		{T: 1 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 1},
+		{T: 2 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 2},
+	}
+	if err := w.Events([]string{"sw0->sw1"}, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, code := queryOut(t, "-info", path)
+	want := path + ": chunked trace store, 4 events in 2 chunks of ≤ 2 events\n" +
+		"  span 1s .. 9s\n" +
+		"  68 payload bytes (17.0 B/event)\n" +
+		"  1 locations\n"
+	if code != 0 || got != want {
+		t.Errorf("tahoe-query -info: exit %d, printed %q, want %q", code, got, want)
+	}
+}

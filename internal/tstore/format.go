@@ -59,8 +59,14 @@ const (
 
 	// DefaultChunkEvents is the chunk granularity when
 	// WriterOptions.ChunkEvents is zero: the unit of both the writer's
-	// memory bound and the reader's skip resolution.
-	DefaultChunkEvents = 1 << 16
+	// memory bound and the reader's skip resolution. Writer and reader
+	// walk a chunk once per column, so it has to sit in L2: 4096 events
+	// are 160 KB, and one flush of the tracer's default ring (DESIGN §14).
+	DefaultChunkEvents = 1 << 12
+
+	// maxChunkEvents caps WriterOptions.ChunkEvents: at the worst case,
+	// about 50 bytes an event, a chunk stays inside maxChunkPayload.
+	maxChunkEvents = 1 << 20
 
 	// maxChunkPayload bounds a declared chunk payload so a corrupted
 	// length field cannot demand an absurd allocation.
@@ -272,9 +278,10 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 	// zero). Tracer streams are time-ordered, so deltas are small and
 	// non-negative; zigzag keeps out-of-order offline ingests legal.
 	prev := time.Duration(0)
+	b, k := varintRoom(buf, len(events))
 	for i := range events {
 		ev := &events[i]
-		buf = binary.AppendUvarint(buf, zigzag(int64(ev.T-prev)))
+		k = putUvarint(b, k, zigzag(int64(ev.T-prev)))
 		prev = ev.T
 		if ev.T < info.MinT {
 			info.MinT = ev.T
@@ -295,6 +302,7 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 			info.LocHi = l
 		}
 	}
+	buf = b[:k]
 	// Type and kind columns: one byte each (seven types, two kinds).
 	for i := range events {
 		buf = append(buf, byte(events[i].Type))
@@ -315,9 +323,11 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 			codes[uint16(events[i].Loc)-lo] = 1
 		}
 		buf = appendDict(buf, codes, uint64(lo), 0)
+		b, k := varintRoom(buf, len(events))
 		for i := range events {
-			buf = binary.AppendUvarint(buf, uint64(codes[uint16(events[i].Loc)-lo]-1))
+			k = putUvarint(b, k, uint64(codes[uint16(events[i].Loc)-lo]-1))
 		}
+		buf = b[:k]
 		clear(codes)
 	}
 	if lo, n := info.ConnLo, int64(info.ConnHi)-int64(info.ConnLo)+1; lo >= 0 && n <= maxCodeSpan {
@@ -326,9 +336,11 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 			codes[events[i].Conn-lo] = 1
 		}
 		buf = appendDict(buf, codes, uint64(lo), 1)
+		b, k := varintRoom(buf, len(events))
 		for i := range events {
-			buf = binary.AppendUvarint(buf, uint64(codes[events[i].Conn-lo]-1))
+			k = putUvarint(b, k, uint64(codes[events[i].Conn-lo]-1))
 		}
+		buf = b[:k]
 		clear(codes)
 	} else {
 		dict := make([]uint64, len(events))
@@ -341,21 +353,29 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 		for _, v := range dict {
 			buf = binary.AppendUvarint(buf, v)
 		}
+		b, k := varintRoom(buf, len(events))
 		for i := range events {
 			code, _ := slices.BinarySearch(dict, zigzag(int64(events[i].Conn)))
-			buf = binary.AppendUvarint(buf, uint64(code))
+			k = putUvarint(b, k, uint64(code))
 		}
+		buf = b[:k]
 	}
 	// Seq, size, id columns.
+	b, k = varintRoom(buf, len(events))
 	for i := range events {
-		buf = binary.AppendUvarint(buf, zigzag(int64(events[i].Seq)))
+		k = putUvarint(b, k, zigzag(int64(events[i].Seq)))
 	}
+	buf = b[:k]
+	b, k = varintRoom(buf, len(events))
 	for i := range events {
-		buf = binary.AppendUvarint(buf, zigzag(int64(events[i].Size)))
+		k = putUvarint(b, k, zigzag(int64(events[i].Size)))
 	}
+	buf = b[:k]
+	b, k = varintRoom(buf, len(events))
 	for i := range events {
-		buf = binary.AppendUvarint(buf, events[i].ID)
+		k = putUvarint(b, k, events[i].ID)
 	}
+	buf = b[:k]
 	// Value column: varint when every value is an exact integer.
 	allInt := true
 	for i := range events {
@@ -366,10 +386,11 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 		}
 	}
 	if allInt {
-		buf = append(buf, valTagInt)
+		b, k = varintRoom(append(buf, valTagInt), len(events))
 		for i := range events {
-			buf = binary.AppendUvarint(buf, zigzag(int64(events[i].Val)))
+			k = putUvarint(b, k, zigzag(int64(events[i].Val)))
 		}
+		buf = b[:k]
 	} else {
 		buf = append(buf, valTagRaw)
 		for i := range events {
@@ -377,6 +398,27 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 		}
 	}
 	return buf, info
+}
+
+// varintRoom reserves room for a column of n varints after buf and
+// returns the widened slice with the index the first goes at; the column
+// loop runs putUvarint, with no capacity check, and ends buf = b[:k].
+func varintRoom(buf []byte, n int) (b []byte, k int) {
+	k = len(buf)
+	buf = slices.Grow(buf, n*binary.MaxVarintLen64)
+	return buf[:k+n*binary.MaxVarintLen64], k
+}
+
+// putUvarint writes v as a varint at b[k:] — the bytes
+// binary.AppendUvarint appends — and returns the index past it.
+func putUvarint(b []byte, k int, v uint64) int {
+	for v >= 0x80 {
+		b[k] = byte(v) | 0x80
+		v >>= 7
+		k++
+	}
+	b[k] = byte(v)
+	return k + 1
 }
 
 // appendDict writes a dictionary column's prefix from the marks in

@@ -3,6 +3,7 @@ package tstore
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -59,11 +60,110 @@ type CheckOptions struct {
 // set is what disambiguates a Random-Drop/FQ eviction (victim is in the
 // buffer) from an arrival drop (victim never entered), and catches
 // causality breaks (transmitting a packet that was never enqueued).
-type portQueue map[uint64]struct{}
+//
+// The set is an open-addressed table, not a Go map (every port event is
+// one set operation, and the map's upkeep was three quarters of the
+// checker's time): keys is a power of two at most half full, a slot
+// holds id+1 so zero is empty, probing is linear from a multiplicative
+// hash, and a removal shifts the rest of its probe run back — no
+// tombstones. Id 2⁶⁴−1, whose key would wrap to the empty marker (a file
+// read offline may hold it), is carried in hasMax. The table grows to
+// the longest queue the port has held and never shrinks.
+type portQueue struct {
+	keys   []uint64
+	shift  uint // 64 − log₂ len(keys)
+	n      int  // ids held, the one in hasMax included
+	hasMax bool
+}
+
+// home is the slot key's probe starts at: a Fibonacci hash.
+func (p *portQueue) home(key uint64) int { return int(key * 0x9E3779B97F4A7C15 >> p.shift) }
+
+// slot returns the index of key's slot: the one holding it, or the
+// empty one where the probe for it ends. The table is never full.
+func (p *portQueue) slot(key uint64) int {
+	mask := len(p.keys) - 1
+	for i := p.home(key); ; i = (i + 1) & mask {
+		if k := p.keys[i]; k == key || k == 0 {
+			return i
+		}
+	}
+}
+
+// has reports whether id is in the set.
+func (p *portQueue) has(id uint64) bool {
+	key := id + 1
+	if key == 0 {
+		return p.hasMax
+	}
+	return len(p.keys) != 0 && p.keys[p.slot(key)] == key
+}
+
+// add puts id into the set and reports whether it was absent.
+func (p *portQueue) add(id uint64) bool {
+	key := id + 1
+	if key == 0 {
+		if p.hasMax {
+			return false
+		}
+		p.hasMax = true
+		p.n++
+		return true
+	}
+	if 2*(p.n+1) > len(p.keys) {
+		old := p.keys
+		p.keys = make([]uint64, max(8, 2*len(old)))
+		p.shift = uint(64 - bits.TrailingZeros(uint(len(p.keys))))
+		for _, k := range old {
+			if k != 0 {
+				p.keys[p.slot(k)] = k
+			}
+		}
+	}
+	i := p.slot(key)
+	if p.keys[i] == key {
+		return false
+	}
+	p.keys[i] = key
+	p.n++
+	return true
+}
+
+// remove takes id out of the set and reports whether it was present.
+func (p *portQueue) remove(id uint64) bool {
+	key := id + 1
+	if key == 0 {
+		if !p.hasMax {
+			return false
+		}
+		p.hasMax = false
+		p.n--
+		return true
+	}
+	if len(p.keys) == 0 {
+		return false
+	}
+	i := p.slot(key)
+	if p.keys[i] != key {
+		return false
+	}
+	// Close the gap: a later key of the run moves back into the hole
+	// when the hole is on its probe path, no further back than its home.
+	mask := len(p.keys) - 1
+	for j := (i + 1) & mask; p.keys[j] != 0; j = (j + 1) & mask {
+		if (j-p.home(p.keys[j]))&mask >= (j-i)&mask {
+			p.keys[i] = p.keys[j]
+			i = j
+		}
+	}
+	p.keys[i] = 0
+	p.n--
+	return true
+}
 
 // checkState is the streaming invariant engine shared by the online
-// sink (Checker) and the offline pass (Check). Memory is O(packets
-// currently queued + connections), independent of trace length.
+// sink (Checker) and the offline pass (Check). Memory is O(longest
+// queue of each port + connections), independent of trace length.
 //
 // Ports are keyed by interned location NAME, not by the raw Loc id:
 // every batch carries its emitting run's own location table, and in a
@@ -75,7 +175,7 @@ type checkState struct {
 	// events whose Loc is outside their batch's table (never produced by
 	// a tracer), keyed by that raw id.
 	ports       []portQueue
-	stray       map[obs.Loc]portQueue
+	stray       map[obs.Loc]*portQueue
 	lastT       time.Duration
 	lastTimeout map[int32]float64
 	idx         uint64
@@ -127,26 +227,22 @@ func (cs *checkState) setLocs(locs []string) {
 	}
 	cs.remapFor = locs
 	for len(cs.ports) < len(cs.locIndex) {
-		cs.ports = append(cs.ports, nil)
+		cs.ports = append(cs.ports, portQueue{})
 	}
 }
 
 // port returns the buffer model of the port an event of the current
-// batch happened at.
-func (cs *checkState) port(ev *obs.Event) portQueue {
+// batch happened at; the pointer is good until the next setLocs.
+func (cs *checkState) port(ev *obs.Event) *portQueue {
 	if int(ev.Loc) < len(cs.remap) {
-		slot := &cs.ports[cs.remap[ev.Loc]]
-		if *slot == nil {
-			*slot = portQueue{}
-		}
-		return *slot
+		return &cs.ports[cs.remap[ev.Loc]]
 	}
 	p := cs.stray[ev.Loc]
 	if p == nil {
 		if cs.stray == nil {
-			cs.stray = map[obs.Loc]portQueue{}
+			cs.stray = map[obs.Loc]*portQueue{}
 		}
-		p = portQueue{}
+		p = &portQueue{}
 		cs.stray[ev.Loc] = p
 	}
 	return p
@@ -216,46 +312,44 @@ func (cs *checkState) check(ev *obs.Event, locs []string) *Violation {
 // departure, Drop after the victim's removal — which for an arrival
 // drop removes nothing.
 func (cs *checkState) checkPort(ev *obs.Event, locs []string) *Violation {
-	// One map operation per event: whether the packet was queued shows
-	// in whether the insert or delete changed the set's size.
+	// One set operation per event; it reports whether the packet was queued.
 	p := cs.port(ev)
-	before := len(p)
 	switch ev.Type {
 	case obs.Enqueue:
-		if p[ev.ID] = struct{}{}; len(p) == before {
+		if !p.add(ev.ID) {
 			return cs.violate(ev, locs, "conservation",
 				"packet %d enqueued twice without leaving the buffer", ev.ID)
 		}
-		if int(ev.Val) != len(p) {
+		if int(ev.Val) != p.n {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g after enqueue, conservation implies %d", ev.Val, len(p))
+				"queue length %g after enqueue, conservation implies %d", ev.Val, p.n)
 		}
 	case obs.Dequeue:
-		if _, queued := p[ev.ID]; !queued {
+		if !p.has(ev.ID) {
 			return cs.violate(ev, locs, "causality",
 				"packet %d dequeued but never enqueued here", ev.ID)
 		}
-		if int(ev.Val) != len(p) {
+		if int(ev.Val) != p.n {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g at dequeue, conservation implies %d", ev.Val, len(p))
+				"queue length %g at dequeue, conservation implies %d", ev.Val, p.n)
 		}
 	case obs.Transmit:
-		if delete(p, ev.ID); len(p) == before {
+		if !p.remove(ev.ID) {
 			return cs.violate(ev, locs, "causality",
 				"packet %d transmitted but never enqueued here", ev.ID)
 		}
-		if int(ev.Val) != len(p) {
+		if int(ev.Val) != p.n {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g after transmit, conservation implies %d", ev.Val, len(p))
+				"queue length %g after transmit, conservation implies %d", ev.Val, p.n)
 		}
 	case obs.Drop:
 		// A queued victim is an eviction (Random Drop, FQ longest-flow)
 		// and leaves the buffer; an arrival drop's victim never entered,
 		// and the queue is unchanged.
-		delete(p, ev.ID)
-		if int(ev.Val) != len(p) {
+		p.remove(ev.ID)
+		if int(ev.Val) != p.n {
 			return cs.violate(ev, locs, "conservation",
-				"queue length %g after drop, conservation implies %d", ev.Val, len(p))
+				"queue length %g after drop, conservation implies %d", ev.Val, p.n)
 		}
 	}
 	return nil

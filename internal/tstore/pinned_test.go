@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"tahoedyn/internal/core"
@@ -13,16 +16,70 @@ import (
 	"tahoedyn/internal/tstore"
 )
 
+// The digests of the two traces below at 65 536 events a chunk, the
+// default until it became 4 096: the layout of every store written
+// before then, recorded on commit 119cf96.
+const (
+	synthDigest64K     = "44efbb02ca4cab82ee408f399bbbd17e6d8a6131d01a14dd7138c5e982123ed1"
+	redTwowayDigest64K = "6e45c9be067646028b889bd3f96c200e442ff68e98e7fb74aff1fd80c17d9829"
+)
+
+func digest(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
+}
+
+// writeStore writes one batch of events as a store of the given chunk
+// size (0: the default) and returns its bytes.
+func writeStore(t *testing.T, locs []string, events []obs.Event, chunk int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := tstore.NewWriter(&buf, tstore.WriterOptions{ChunkEvents: chunk})
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Events(locs, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// redTwowayStore runs a quarter of scenarios/red-twoway.json with the
+// store writer as the trace sink and returns the store's bytes.
+func redTwowayStore(t *testing.T, chunk int) []byte {
+	t.Helper()
+	f, err := os.Open("../../scenarios/red-twoway.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg, err := scenario.Parse(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Warmup /= 4
+	cfg.Duration /= 4
+	var buf bytes.Buffer
+	cfg.Obs = &obs.Options{Trace: &obs.TraceOptions{Sink: tstore.NewWriter(&buf, tstore.WriterOptions{ChunkEvents: chunk})}}
+	if res := core.Run(cfg); res.TraceErr != nil {
+		t.Fatal(res.TraceErr)
+	}
+	return buf.Bytes()
+}
+
 // TestWriterBytesPinned holds the writer's output to the bytes the
 // format-v1 encoder produced before the dictionary columns became
-// table-driven: the digests below were recorded on commit 119cf96. A
-// change here is a format change, and stores already on disk stop being
-// what a fresh run would write.
+// table-driven: the digests of the explicit chunk sizes below were
+// recorded on commit 119cf96, when 1<<16 was the default. A change to
+// one of those is a format change, and stores already on disk stop being
+// what a fresh run would write. The default-chunk digests (chunk 0) were
+// recorded when the default became 1<<12, and are what 119cf96 writes at
+// an explicit 4096: they move with the default, the bytes at any given
+// chunk size do not.
 func TestWriterBytesPinned(t *testing.T) {
-	sum := func(b []byte) string {
-		h := sha256.Sum256(b)
-		return hex.EncodeToString(h[:])
-	}
 	t.Run("synth", func(t *testing.T) {
 		for _, tc := range []struct {
 			n, ports, conns, chunk int
@@ -32,7 +89,8 @@ func TestWriterBytesPinned(t *testing.T) {
 			want string
 		}{
 			{20000, 4, 8, 256, false, "03c5331f0630406f1a73b82eec26ba32980ea13f70ae5b1b369fb1dc64eb449d"},
-			{100000, 7, 300, 0, false, "44efbb02ca4cab82ee408f399bbbd17e6d8a6131d01a14dd7138c5e982123ed1"},
+			{100000, 7, 300, 1 << 16, false, synthDigest64K},
+			{100000, 7, 300, 0, false, "ce79e7ec24ed784afb2087569c6f2f952a28942ca12f7b163095b4b8dfbd82e5"},
 			{20000, 4, 8, 4096, true, "337b9ef70a717fd4395ffd51d043064179dc0dd5443efb281f6c091e24a29127"},
 		} {
 			locs, events := tstore.SynthTrace(tc.n, tc.ports, tc.conns, 1)
@@ -46,43 +104,137 @@ func TestWriterBytesPinned(t *testing.T) {
 					}
 				}
 			}
-			var buf bytes.Buffer
-			w := tstore.NewWriter(&buf, tstore.WriterOptions{ChunkEvents: tc.chunk})
-			if err := w.Begin(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Events(locs, events); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := sum(buf.Bytes()); got != tc.want {
+			if got := digest(writeStore(t, locs, events, tc.chunk)); got != tc.want {
 				t.Errorf("synthTrace(%d, %d, %d) at chunk %d (wide conns %v): store digest %s, want %s", tc.n, tc.ports, tc.conns, tc.chunk, tc.wide, got, tc.want)
 			}
 		}
 	})
 	t.Run("red-twoway", func(t *testing.T) {
-		f, err := os.Open("../../scenarios/red-twoway.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		cfg, err := scenario.Parse(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Warmup /= 4
-		cfg.Duration /= 4
-		var buf bytes.Buffer
-		w := tstore.NewWriter(&buf, tstore.WriterOptions{})
-		cfg.Obs = &obs.Options{Trace: &obs.TraceOptions{Sink: w}}
-		if res := core.Run(cfg); res.TraceErr != nil {
-			t.Fatal(res.TraceErr)
-		}
-		const want = "6e45c9be067646028b889bd3f96c200e442ff68e98e7fb74aff1fd80c17d9829"
-		if got := sum(buf.Bytes()); got != want {
-			t.Errorf("red-twoway store (%d bytes, %d events): digest %s, want %s", buf.Len(), w.TotalEvents(), got, want)
+		for _, tc := range []struct {
+			chunk int
+			want  string
+		}{
+			{1 << 16, redTwowayDigest64K},
+			{0, "91d3428680814f8abef6876f29f0261a4e0af6f365e0002f99a963e5682a2a14"},
+		} {
+			b := redTwowayStore(t, tc.chunk)
+			if got := digest(b); got != tc.want {
+				t.Errorf("red-twoway store at chunk %d (%d bytes): digest %s, want %s", tc.chunk, len(b), got, tc.want)
+			}
 		}
 	})
+}
+
+// answers is what a reader can ask of a store — the full event stream
+// and each kind of query — as comparable values.
+type answers struct {
+	locs    []string
+	events  []obs.Event
+	counts  []uint64
+	windows map[string][]tstore.WindowStat
+	byLoc   map[string][]tstore.WindowStat
+	quants  []float64
+	nQuants uint64
+	checked uint64
+	verdict string
+}
+
+func ask(t *testing.T, raw []byte) answers {
+	t.Helper()
+	s, err := tstore.NewStore(bytes.NewReader(raw), int64(len(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := answers{locs: s.Locs()}
+	if err := s.Scan(tstore.Query{}, func(ev *obs.Event) error {
+		a.events = append(a.events, *ev)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	span := a.events[len(a.events)-1].T
+	transmits := tstore.Query{Filter: obs.Filter{Types: 1 << obs.Transmit}}
+	for _, q := range []tstore.Query{
+		{},
+		{Filter: obs.Filter{Types: 1 << obs.Drop}},
+		{Filter: obs.Filter{Conn: 2}},
+		{From: span / 3, To: span / 2},
+		{From: span / 3, To: span/3 + span/100, Filter: transmits.Filter, Loc: a.locs[1]},
+	} {
+		n, err := s.Count(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.counts = append(a.counts, n)
+	}
+	if a.windows, err = tstore.Windowed(s, tstore.Query{}, tstore.WindowOptions{Width: span/50 + 1}); err != nil {
+		t.Fatal(err)
+	}
+	if a.byLoc, err = tstore.Windowed(s, transmits, tstore.WindowOptions{Width: span/20 + 1, ByLoc: true}); err != nil {
+		t.Fatal(err)
+	}
+	enqueues := tstore.Query{Filter: obs.Filter{Types: 1 << obs.Enqueue}}
+	if a.quants, a.nQuants, err = tstore.Quantiles(s, enqueues, []float64{0.5, 0.9, 0.99}); err != nil {
+		t.Fatal(err)
+	}
+	var vio *tstore.Violation
+	if a.checked, vio, err = tstore.Check(s, tstore.CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	a.verdict = "clean"
+	if vio != nil {
+		a.verdict = fmt.Sprintf("%s at %d (%s): %+v", vio.Rule, vio.Index, vio.Detail, vio.Event)
+	}
+	return a
+}
+
+// TestChunkSizeDoesNotChangeAnswers writes the two pinned traces, and a
+// corrupted copy of one, at 1, 7, 4 096 and 65 536 events a chunk. The
+// chunk size is a layout parameter: the event stream, every count,
+// window, quantile and the invariant verdict are the same at all four,
+// and the 65 536-event stores are byte for byte what the writer produced
+// when that was the default.
+func TestChunkSizeDoesNotChangeAnswers(t *testing.T) {
+	locs, synth := tstore.SynthTrace(100000, 7, 300, 1)
+	broken := append([]obs.Event(nil), synth...)
+	broken[60000].Val += 3
+	for _, tc := range []struct {
+		name      string
+		store     func(chunk int) []byte
+		digest64K string
+		verdict   string
+	}{
+		{"synth", func(chunk int) []byte { return writeStore(t, locs, synth, chunk) }, synthDigest64K, "clean"},
+		{"synth-broken", func(chunk int) []byte { return writeStore(t, locs, broken, chunk) }, "", "conservation at 60000 "},
+		{"red-twoway", func(chunk int) []byte { return redTwowayStore(t, chunk) }, redTwowayDigest64K, "clean"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := tc.store(1 << 16)
+			if got := digest(raw); tc.digest64K != "" && got != tc.digest64K {
+				t.Errorf("store at 65536 events a chunk: digest %s, want %s", got, tc.digest64K)
+			}
+			want := ask(t, raw)
+			if !strings.HasPrefix(want.verdict, tc.verdict) {
+				t.Errorf("invariant verdict %q, want %q", want.verdict, tc.verdict)
+			}
+			// The event streams are compared one by one, the rest whole.
+			stream := want.events
+			want.events = nil
+			for _, chunk := range []int{1, 7, 4096} {
+				got := ask(t, tc.store(chunk))
+				if len(got.events) != len(stream) {
+					t.Fatalf("chunk %d: scan returns %d events, chunk 65536 returns %d", chunk, len(got.events), len(stream))
+				}
+				for i := range stream {
+					if got.events[i] != stream[i] {
+						t.Fatalf("chunk %d: event %d is %+v, at chunk 65536 %+v", chunk, i, got.events[i], stream[i])
+					}
+				}
+				got.events = nil
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("chunk %d answers\n%+v\nchunk 65536 answers\n%+v", chunk, got, want)
+				}
+			}
+		})
+	}
 }

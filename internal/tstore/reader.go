@@ -171,6 +171,10 @@ func (s *Store) Chunks() []ChunkInfo { return s.index }
 // TotalEvents returns the number of events in the store.
 func (s *Store) TotalEvents() uint64 { return s.total }
 
+// ChunkEvents returns the chunk capacity the store was written with
+// (the header field): every chunk but the last holds this many events.
+func (s *Store) ChunkEvents() int { return s.chunkN }
+
 // LocID resolves a location name to its store id, or -1.
 func (s *Store) LocID(name string) int {
 	for i, n := range s.locs {

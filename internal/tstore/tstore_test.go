@@ -2,16 +2,22 @@ package tstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tahoedyn/internal/obs"
+	"tahoedyn/internal/packet"
 )
 
 // synthTrace builds a deterministic, invariant-clean event stream
@@ -840,5 +846,114 @@ func TestWriterLocReinterning(t *testing.T) {
 	}
 	if n, err := Count(s, Query{Loc: "b"}); err != nil || n != 2 {
 		t.Fatalf("Count(loc=b) = %d, %v; want 2", n, err)
+	}
+}
+
+// A chunk size above the cap used to go into the 32-bit header field as
+// it was (2³² + 5 recorded as 5) and be allocated at once; the writer
+// now records, and stages up to, the cap.
+func TestWriterCapsChunkEvents(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, WriterOptions{ChunkEvents: math.MaxInt})
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(buf.Bytes()[8:12]); got != maxChunkEvents {
+		t.Errorf("header records %d events a chunk, want the cap %d", got, maxChunkEvents)
+	}
+	s, err := NewStore(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	if got := s.ChunkEvents(); got != maxChunkEvents {
+		t.Errorf("ChunkEvents() = %d, want %d", got, maxChunkEvents)
+	}
+}
+
+// worstCaseEvent is event i of a trace built to encode as wide as the
+// format allows: time steps of ±2⁶³ ns, 2¹⁶ locations and a connection
+// id of its own for every event (three-byte dictionary codes, and a
+// connection dictionary as long as the chunk), 32-bit extremes for seq
+// and size, ids at the top of the range, fractional values (the raw
+// float column).
+func worstCaseEvent(i int) obs.Event {
+	ev := obs.Event{
+		T:    1 << 62,
+		Type: obs.Type(i % int(obs.NumTypes)),
+		Kind: packet.Kind(i % 2),
+		Loc:  obs.Loc(i),
+		Conn: math.MinInt32 + int32(i)*4093,
+		Seq:  math.MinInt32,
+		Size: math.MaxInt32,
+		ID:   math.MaxUint64 - uint64(i%2),
+		Val:  float64(i) + 0.5,
+	}
+	if i%2 == 1 {
+		ev.T, ev.Seq = -ev.T, math.MaxInt32
+	}
+	return ev
+}
+
+// TestLargestChunkRoundTrips: a chunk of maxChunkEvents worst-case
+// events stays inside the payload bound the reader enforces, so the cap
+// on WriterOptions.ChunkEvents really does mean every store opens.
+func TestLargestChunkRoundTrips(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stages and decodes a 2²⁰-event chunk: about 50 MB encoded, 300 MB peak")
+	}
+	path := filepath.Join(t.TempDir(), "largest.tobc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locs := make([]string, 1<<16)
+	for i := range locs {
+		locs[i] = "l" + strconv.Itoa(i)
+	}
+	w := NewWriter(f, WriterOptions{ChunkEvents: maxChunkEvents + 1})
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]obs.Event, 1<<14)
+	for off := 0; off < maxChunkEvents; off += len(batch) {
+		for i := range batch {
+			batch[i] = worstCaseEvent(off + i)
+		}
+		if err := w.Events(locs, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	chunks := s.Chunks()
+	if len(chunks) != 1 || chunks[0].Count != maxChunkEvents {
+		t.Fatalf("store has %d chunks, the first of %d events; want one of %d", len(chunks), chunks[0].Count, maxChunkEvents)
+	}
+	if perEvent := float64(chunks[0].Size) / maxChunkEvents; perEvent < 45 || chunks[0].Size > maxChunkPayload {
+		t.Errorf("chunk payload is %d bytes (%.1f an event): want the worst case, 45 or more an event, inside the reader's bound %d", chunks[0].Size, perEvent, maxChunkPayload)
+	}
+	i := 0
+	err = s.Scan(Query{From: math.MinInt64}, func(ev *obs.Event) error {
+		if want := worstCaseEvent(i); *ev != want {
+			return fmt.Errorf("event %d read back as %+v, written as %+v", i, *ev, want)
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != maxChunkEvents {
+		t.Fatalf("scan returned %d events, want %d", i, maxChunkEvents)
 	}
 }

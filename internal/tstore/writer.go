@@ -14,7 +14,9 @@ import (
 type WriterOptions struct {
 	// ChunkEvents is the number of events per chunk; 0 means
 	// DefaultChunkEvents. Smaller chunks skip at finer granularity but
-	// carry more per-chunk overhead (dictionaries, index entries).
+	// carry more per-chunk overhead (dictionaries, index entries). A
+	// request above 1<<20 is written as 1<<20: readers refuse a chunk
+	// beyond 2²⁸ payload bytes, and the header field is 32 bits.
 	ChunkEvents int
 }
 
@@ -65,9 +67,8 @@ func NewWriter(w io.Writer, o WriterOptions) *Writer {
 	}
 	return &Writer{
 		w:        w,
-		chunkN:   n,
+		chunkN:   min(n, maxChunkEvents),
 		locIndex: map[string]obs.Loc{},
-		pending:  make([]obs.Event, 0, n),
 	}
 }
 
@@ -99,14 +100,20 @@ func (sw *Writer) Events(locs []string, events []obs.Event) error {
 		return fmt.Errorf("tstore: Events after Close")
 	}
 	sw.remapLocs(locs)
-	for i := range events {
-		ev := events[i]
-		if int(ev.Loc) < len(sw.remap) {
-			ev.Loc = sw.remap[ev.Loc]
-		} else {
-			ev.Loc = sw.intern("?")
+	for len(events) > 0 {
+		// One copy up to the end of the chunk, then store ids in place.
+		staged := len(sw.pending)
+		take := min(len(events), sw.chunkN-staged)
+		sw.pending = append(sw.pending, events[:take]...)
+		events = events[take:]
+		for i := staged; i < len(sw.pending); i++ {
+			ev := &sw.pending[i]
+			if int(ev.Loc) < len(sw.remap) {
+				ev.Loc = sw.remap[ev.Loc]
+			} else {
+				ev.Loc = sw.intern("?")
+			}
 		}
-		sw.pending = append(sw.pending, ev)
 		if len(sw.pending) == sw.chunkN {
 			if err := sw.flushChunk(); err != nil {
 				return err
