@@ -497,10 +497,12 @@ func validateScenarioFile(w io.Writer, path string, lenient bool, ov overrides) 
 	if err != nil {
 		return err
 	}
+	t0 := time.Now()
 	topo, err := tahoedyn.CompileTopology(cfg)
 	if err != nil {
 		return err
 	}
+	compileTime := time.Since(t0)
 	var events []string
 	work := topo.Clone()
 	err = cfg.ReplayEvents(work, func(i int, ev tahoedyn.LinkEvent, weight time.Duration, changed []int) {
@@ -518,6 +520,10 @@ func validateScenarioFile(w io.Writer, path string, lenient bool, ov overrides) 
 	fmt.Fprintf(w, "%s: valid\n", path)
 	fmt.Fprintf(w, "  switches: %d  hosts: %d  links: %d  connections: %d\n",
 		topo.Switches, topo.NumHosts(), len(topo.Links), len(cfg.Conns))
+	st := topo.CompileStats()
+	fmt.Fprintf(w, "  routes: %d columns in %d batch(es), %d pushes (%.1f %% stale), %d distinct rows, %d bytes, %v\n",
+		st.Columns, st.Batches, st.Pushes, 100*float64(st.StalePops)/float64(st.Pushes), st.DistinctRows, st.RouteBytes,
+		compileTime.Round(time.Microsecond)) // the line's one measured value
 	fmt.Fprintf(w, "  seed %d, warmup %v, duration %v\n", cfg.Seed, cfg.Warmup, cfg.Duration)
 	if cfg.Queue != nil {
 		fmt.Fprintf(w, "  queue: %+v\n", *cfg.Queue)

@@ -103,6 +103,7 @@ func TestValidateScenarioFile(t *testing.T) {
 	for _, want := range []string{
 		"valid",
 		"switches: 4  hosts: 4  links: 3",
+		"routes: 4 columns in 1 batch(es), 16 pushes (0.0 % stale), 4 distinct rows, 352 bytes, ",
 		"link 0: sw0 <-> sw1  50000 bit/s, delay 10ms, buffer 20 pkts",
 		"h3:link0->sw1",
 		"conn 1: h0 -> h3 (3 trunk hops)",
@@ -263,6 +264,34 @@ func TestValidateAppliesOverrideFlags(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-validate with overrides does not print %q:\n%s", want, out)
+		}
+	}
+}
+
+// Two inputs that used to validate, print nonsense routes ("-1 trunk
+// hops") and run to a goodput of zero: trunk delays whose path costs
+// overflow the routing metric, and route overrides that loop a
+// connection's path. -validate and the run both exit 1 with the error.
+func TestOverflowAndLoopExitOne(t *testing.T) {
+	for name, tc := range map[string]struct{ js, want string }{
+		"overflow": {
+			`{"topology":{"generator":"chain","size":4},"trunk_delay":"2000000h","buffer":20,"conns":[{"src":0,"dst":3}]}`,
+			"topology: link 1 (weight 2000000h0m0.08s) takes the sum of the link weights past 2562047h47m16.854775806s: path costs would overflow",
+		},
+		"loop": {
+			`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2}],"routes":[{"at":1,"dst":2,"via":0},{"at":0,"dst":2,"via":1}]},"trunk_delay":"10ms","buffer":20,"conns":[{"src":0,"dst":2}]}`,
+			"core: connection 0 (host 0 -> host 2): route overrides loop its data path, which comes back to switch 0",
+		},
+	} {
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, []byte(tc.js), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"-config", path, "-validate"}, {"-config", path, "-plot=false"}} {
+			code, out, msg := sim(t, args...)
+			if code != 1 || msg != "tahoe-sim: "+tc.want+"\n" || out != "" {
+				t.Errorf("%s, %v: exit %d, stdout %q, stderr %q; want exit 1 with %q and nothing printed", name, args[2:], code, out, msg, tc.want)
+			}
 		}
 	}
 }

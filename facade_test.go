@@ -97,6 +97,52 @@ func TestFacadeParseScenario(t *testing.T) {
 	}
 }
 
+// Two scenarios that used to build and run to a goodput of zero: trunk
+// delays whose path costs overflow the routing metric, and route
+// overrides that send a connection round in a circle. Both are errors
+// from RunE and CompileTopology now, never a run and never a panic.
+func TestFacadeRejectsOverflowAndLoops(t *testing.T) {
+	for name, tc := range map[string]struct{ js, want string }{
+		"overflow": {
+			`{"topology":{"generator":"chain","size":4},"trunk_delay":"2000000h","buffer":20,"conns":[{"src":0,"dst":3}]}`,
+			"topology: link 1 (weight 2000000h0m0.08s) takes the sum of the link weights past",
+		},
+		"loop": {
+			`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2}],
+			  "routes":[{"at":1,"dst":2,"via":0},{"at":0,"dst":2,"via":1}]},
+			  "trunk_delay":"10ms","buffer":20,"conns":[{"src":0,"dst":2}]}`,
+			"core: connection 0 (host 0 -> host 2): route overrides loop its data path, which comes back to switch 0",
+		},
+		"ack-loop": {
+			`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2}],
+			  "routes":[{"at":1,"dst":2,"via":0},{"at":0,"dst":2,"via":1}]},
+			  "trunk_delay":"10ms","buffer":20,"conns":[{"src":1,"dst":0},{"src":2,"dst":1}]}`,
+			"core: connection 1 (host 2 -> host 1): route overrides loop its ACK path, which comes back to switch 1",
+		},
+	} {
+		cfg, err := ParseScenario(strings.NewReader(tc.js))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		if _, err := CompileTopology(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CompileTopology: %v, want %q", name, err, tc.want)
+		}
+		if _, err := RunE(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunE: %v, want %q", name, err, tc.want)
+		}
+	}
+	// Overrides that do not loop still build: the detour is legal.
+	cfg, err := ParseScenario(strings.NewReader(`{"topology":{"switches":3,
+		"links":[{"a":0,"b":1},{"a":1,"b":2},{"a":0,"b":2}],"routes":[{"at":0,"dst":2,"via":1}]},
+		"trunk_delay":"10ms","buffer":20,"warmup":"2s","duration":"10s","conns":[{"src":0,"dst":2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := RunE(cfg); err != nil || res.Goodput[0] == 0 {
+		t.Fatalf("a loop-free override: err %v", err)
+	}
+}
+
 func TestFacadeAnalysisHelpers(t *testing.T) {
 	deps := []trace.Departure{{Conn: 1}, {Conn: 1}, {Conn: 2}, {Conn: 2}}
 	if got := Clustering(deps); got != 2.0/3 {

@@ -114,6 +114,9 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 	if nw == ow {
 		return nil, nil
 	}
+	if finite(nw) > maxDist-1-(c.wtSum-finite(ow)) {
+		return nil, fmt.Errorf("topology: ApplyLinkChange weight %v on link %d takes the sum of the link weights past %v: path costs would overflow", newWeight, li, maxDist-1)
+	}
 
 	// Certificate 1: bridges. (A down bridge cannot exist in a valid
 	// compiled state — it would strand a switch from some host — so the
@@ -124,7 +127,7 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 		if nw == downWt {
 			return nil, fmt.Errorf("topology: taking link %d down disconnects the graph (bridge)", li)
 		}
-		c.wt[li] = nw
+		c.setWeight(li, nw)
 		return nil, nil
 	}
 
@@ -158,22 +161,28 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 		// moves only if the new edge beats or ties a current endpoint
 		// distance. Two SSSP runs under the old weights give
 		// dist_d(a), dist_d(b) for every destination at once.
-		sc, hops := newSSSP(c.Switches), make([]int32, c.Switches) // hops: run's column, not needed here
-		da = slices.Clone(sc.run(c, int(a), hops))
-		db = sc.run(c, int(b), hops)
-		for di, d := range c.destSws {
-			switch dda, ddb := da[d], db[d]; {
+		sc := newSSSP(c.Switches)
+		toDests := func(from int32) []time.Duration { // by destination index
+			nd, out := sc.run(c, int(from)), make([]time.Duration, len(c.destSws))
+			for di, d := range c.destSws {
+				out[di] = nd[d].d
+			}
+			return out
+		}
+		da, db = toDests(a), toDests(b)
+		for di := range c.destSws {
+			switch dda, ddb := da[di], db[di]; {
 			case dda == maxDist || ddb == maxDist:
 				affected = append(affected, column{int32(di), -1})
-			case nw+ddb <= dda:
+			case addDist(nw, ddb) <= dda:
 				affected = append(affected, column{int32(di), a})
-			case nw+dda <= ddb:
+			case addDist(nw, dda) <= ddb:
 				affected = append(affected, column{int32(di), b})
 			}
 		}
 	}
 
-	c.wt[li] = nw
+	c.setWeight(li, nw)
 	c.last.Affected = len(affected)
 	if len(affected) == 0 {
 		return nil, nil
@@ -195,18 +204,12 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 		lookups int
 	}
 	results := make([]result, len(affected))
-	// A free list rather than a sync.Pool: one scratch per worker for
-	// the whole call, whatever the garbage collector does meanwhile. At
-	// most `workers` are ever out, so the send never blocks.
-	scratch := make(chan *repairer, workers)
-	forEachParallel(workers, len(affected), func(i int) {
-		var r *repairer
-		select {
-		case r = <-scratch:
-		default:
-			r = newRepairer(c, li, ow)
+	scratch := make([]*repairer, workers) // one per worker, made on first use
+	forEachParallel(workers, len(affected), func(w, i int) {
+		if scratch[w] == nil {
+			scratch[w] = newRepairer(c, li, ow)
 		}
-		defer func() { scratch <- r }()
+		r := scratch[w]
 		res, col := &results[i], affected[i]
 		res.bad = -1
 		ok := false
@@ -219,8 +222,7 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 			if nw > ow {
 				res.bad, ok = r.repairIncrease(col.di, col.from, e)
 			} else {
-				d := c.destSws[col.di]
-				ok = r.repairDecrease(col.di, col.from, e, dFrom[d], dFar[d])
+				ok = r.repairDecrease(col.di, col.from, e, dFrom[col.di], dFar[col.di])
 			}
 			res.lookups = c.repairBudget() - r.left
 		}
@@ -240,7 +242,7 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 	for i, res := range results {
 		c.last.Lookups += res.lookups
 		if res.bad >= 0 {
-			c.wt[li] = ow // roll back: forwarding state is untouched
+			c.setWeight(li, ow) // roll back: forwarding state is untouched
 			return nil, fmt.Errorf("topology: link %d change disconnects switch %d from hosts on switch %d",
 				li, res.bad, c.destSws[affected[i].di])
 		}

@@ -46,7 +46,7 @@ type repairer struct {
 	over bool    // the budget ran out: abandon the column
 	set  []int32 // increase: the subtree; decrease: the improved switches
 	ties []int32 // decrease: switches that only gained an equal-cost hop
-	heap []heapNode
+	q    radixQ
 	walk []int32 // oldDist's chain
 	out  []cell
 	sc   *sssp // whole-column fallback scratch, made on first use
@@ -86,7 +86,8 @@ func (r *repairer) begin(di int32) {
 	r.host = int(r.c.destFirst[di])
 	r.left = r.c.repairBudget()
 	r.over = false
-	r.set, r.ties, r.heap, r.out = r.set[:0], r.ties[:0], r.heap[:0], r.out[:0]
+	r.set, r.ties, r.out = r.set[:0], r.ties[:0], r.out[:0]
+	r.q.reset()
 	d := r.at(r.c.destSws[di])
 	d.flags, d.edge, d.dist = hasEdge|hasDist, edgeLocal, 0
 }
@@ -185,7 +186,8 @@ func (r *repairer) repairIncrease(di, x, ex int32) (bad int32, ok bool) {
 		}
 	}
 
-	// Seed every member from its neighbours outside T, then settle T.
+	// Seed every member from its neighbours outside T, then settle T
+	// (seeds before the first pop, then popped key + weight: monotone).
 	for _, u := range r.set {
 		best := maxDist
 		for i := c.adjOff[u]; i < c.adjOff[u+1]; i++ {
@@ -198,18 +200,15 @@ func (r *repairer) repairIncrease(di, x, ex int32) (bad int32, ok bool) {
 			if r.over {
 				return -1, false
 			}
-			if w+dv < best {
-				best = w + dv
-			}
+			best = min(best, addDist(w, dv))
 		}
 		if best < maxDist {
 			r.st[u].nd = best
-			r.heap = heapPush(r.heap, heapNode{best, u})
+			r.q.push(best, u)
 		}
 	}
-	for len(r.heap) > 0 {
-		var top heapNode
-		top, r.heap = heapPop(r.heap)
+	for !r.q.empty() {
+		top := r.q.pop()
 		if top.d > r.st[top.sw].nd {
 			continue // stale entry
 		}
@@ -219,9 +218,9 @@ func (r *repairer) repairIncrease(di, x, ex int32) (bad int32, ok bool) {
 			if w == downWt || sv.gen != r.gen || sv.flags&inSet == 0 {
 				continue
 			}
-			if d := top.d + w; d < sv.nd {
+			if d := addDist(top.d, w); d < sv.nd {
 				sv.nd = d
-				r.heap = heapPush(r.heap, heapNode{d, c.adjSw[i]})
+				r.q.push(d, c.adjSw[i])
 			}
 		}
 	}
@@ -248,8 +247,8 @@ func (r *repairer) repairIncrease(di, x, ex int32) (bad int32, ok bool) {
 					continue
 				}
 			}
-			if w+dv < bestCost {
-				best, bestCost = i, w+dv
+			if cost := addDist(w, dv); cost < bestCost {
+				best, bestCost = i, cost
 			}
 		}
 		if best != r.st[u].edge {
@@ -283,10 +282,9 @@ func (r *repairer) repairDecrease(di, g, eg int32, dg, dFar time.Duration) (ok b
 	if r.over {
 		return false
 	}
-	r.reach(g, c.wt[r.li]+dFar, c.adjHop[eg])
-	for len(r.heap) > 0 && !r.over {
-		var top heapNode
-		top, r.heap = heapPop(r.heap)
+	r.reach(g, addDist(c.wt[r.li], dFar), c.adjHop[eg])
+	for !r.q.empty() && !r.over { // one seed above, then popped key + weight
+		top := r.q.pop()
 		if top.d > r.st[top.sw].nd {
 			continue // stale entry
 		}
@@ -329,7 +327,7 @@ func (r *repairer) reach(v int32, d time.Duration, hop int32) {
 		switch {
 		case d < st.nd:
 			st.nd, st.hop = d, hop
-			r.heap = heapPush(r.heap, heapNode{d, v})
+			r.q.push(d, v)
 		case d == st.nd && hop < st.hop:
 			st.hop = hop
 		}
@@ -342,7 +340,7 @@ func (r *repairer) reach(v int32, d time.Duration, hop int32) {
 		st.flags |= inSet
 		st.nd, st.hop = d, hop
 		r.set = append(r.set, v)
-		r.heap = heapPush(r.heap, heapNode{d, v})
+		r.q.push(d, v)
 	case st.flags&tied == 0:
 		st.flags |= tied
 		st.hop = min(hop, r.c.adjHop[st.edge])
@@ -350,43 +348,4 @@ func (r *repairer) reach(v int32, d time.Duration, hop int32) {
 	case hop < st.hop:
 		st.hop = hop
 	}
-}
-
-// heapPush and heapPop are sssp.run's binary heap as functions. run
-// keeps its own sifts in line — one call per relaxation there measured
-// 7 % on a chain-4096 compile — while a repair's heaps hold a handful of
-// switches.
-func heapPush(h []heapNode, n heapNode) []heapNode {
-	h = append(h, n)
-	for j := len(h) - 1; j > 0; {
-		p := (j - 1) / 2
-		if h[p].d <= h[j].d {
-			break
-		}
-		h[p], h[j] = h[j], h[p]
-		j = p
-	}
-	return h
-}
-
-func heapPop(h []heapNode) (heapNode, []heapNode) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		if r := l + 1; r < n && h[r].d < h[l].d {
-			l = r
-		}
-		if h[l].d >= h[i].d {
-			break
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-	return top, h
 }

@@ -2,8 +2,8 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,12 +15,23 @@ import (
 // variable so tests can force multi-batch compiles on small graphs.
 var colBatchCells = 1 << 23
 
+// mergeTile is how many switches one step of the column merge covers:
+// each column line is loaded once per batch, 16 lines per page walk,
+// and what a tile keeps warm (last hops, run headers, the line each run
+// grows: some 23 KB) fits the first-level cache. Measured: DESIGN.md §13.
+const mergeTile = 256
+
 // routeBuilder accumulates per-switch forwarding runs across host
 // batches. It exists only between computeRoutes and freeze.
 type routeBuilder struct {
-	// runs[s] is switch s's interval list so far: entry {end, hop}
-	// covers hosts [previous end, end).
+	// runs[s] is switch s's interval list: entry {end, hop} covers hosts
+	// [previous end, end). While batches are still merging, end holds
+	// the interval's first host instead; computeRoutes shifts the starts
+	// into ends after the last batch.
 	runs [][]runEntry
+	// last[s] is the hop of runs[s]'s newest entry.
+	last  []int32
+	stats CompileStats // completed by freeze
 }
 
 type runEntry struct {
@@ -73,7 +84,28 @@ func (rb *routeBuilder) freeze(c *Compiled) {
 		c.rowOf[s] = c.pool.intern(ends, slots)
 	}
 	rb.runs = nil
+	c.stats = rb.stats
+	c.stats.DistinctRows = c.pool.rows()
+	c.stats.RouteBytes = c.RouteBytes()
 }
+
+// CompileStats says what a route compile did, in counts fixed by the
+// graph and the weights, never by timing or the worker count: a Compiled
+// is part of a run's Result, and equal runs compare equal. Whoever wants
+// the wall time takes it around the call.
+type CompileStats struct {
+	// Columns is the number of Dijkstra runs, one per distinct
+	// destination switch of each of the Batches.
+	Columns, Batches int
+	// Pushes counts every run's queue insertions, StalePops the entries
+	// popped after a cheaper one for the same switch.
+	Pushes, StalePops int64
+	// DistinctRows and RouteBytes are DistinctRows() and RouteBytes().
+	DistinctRows, RouteBytes int
+}
+
+// CompileStats describes c's most recent Compile or RecomputeRoutes.
+func (c *Compiled) CompileStats() CompileStats { return c.stats }
 
 // computeRoutes fills the forwarding state with Dijkstra shortest paths
 // toward every host's switch. Work is batched over contiguous host
@@ -86,6 +118,9 @@ func (rb *routeBuilder) freeze(c *Compiled) {
 // The caller applies overrides to the returned builder and then freezes
 // it.
 func (c *Compiled) computeRoutes() (*routeBuilder, error) {
+	if err := c.syncArcs(); err != nil {
+		return nil, err
+	}
 	nh := len(c.Hosts)
 	nsw := c.Switches
 	workers := c.workers
@@ -93,7 +128,10 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	rb := &routeBuilder{runs: make([][]runEntry, nsw)}
+	rb := &routeBuilder{runs: make([][]runEntry, nsw), last: make([]int32, nsw)}
+	for s := range rb.last {
+		rb.last[s] = hopUnreachable // in no merged column: the first host starts a run
+	}
 
 	// Batch size: how many distinct destination columns fit the
 	// transient budget (always at least one). A batch can never hold
@@ -123,9 +161,9 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 	}
 
 	var (
-		cols    [][]int32 // column arena, reused across batches
-		colBad  []int32   // lowest unreachable switch per column, -1 if none
-		scratch = sync.Pool{New: func() any { return newSSSP(nsw) }}
+		cols    [][]int32                    // column arena, reused across batches
+		colBad  []int32                      // lowest unreachable switch per column, -1 if none
+		scratch = make([]*sssp, workers)     // one per worker, made on first use
 		colOf   = make(map[int]int, maxCols) // dest switch -> column, reused per batch
 		hostCol []int32                      // host h of the batch -> column, as hostCol[h-lo]
 	)
@@ -154,6 +192,8 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 			hostCol = append(hostCol, int32(ci))
 			hi++
 		}
+		rb.stats.Columns += len(dests)
+		rb.stats.Batches++
 
 		for len(cols) < len(dests) {
 			cols = append(cols, make([]int32, nsw))
@@ -161,10 +201,11 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		}
 
 		// Parallel Dijkstra: one packed hop column per destination.
-		forEachParallel(workers, len(dests), func(i int) {
-			sc := scratch.Get().(*sssp)
-			colBad[i] = c.fillColumn(sc, int(dests[i]), cols[i])
-			scratch.Put(sc)
+		forEachParallel(workers, len(dests), func(w, i int) {
+			if scratch[w] == nil {
+				scratch[w] = newSSSP(nsw)
+			}
+			colBad[i] = c.fillColumn(scratch[w], int(dests[i]), cols[i])
 		})
 		for h := lo; h < hi; h++ {
 			if bad := colBad[hostCol[h-lo]]; bad >= 0 {
@@ -173,34 +214,42 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 			}
 		}
 
-		// Merge the batch into the run accumulator, in host order. Disjoint
-		// switch ranges extend their runs independently; the result per
-		// switch depends only on the columns and the host order, both
-		// fixed before the fan-out.
-		chunk := (nsw + workers*4 - 1) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-		nChunks := (nsw + chunk - 1) / chunk
-		forEachParallel(workers, nChunks, func(ci int) {
-			sLo, sHi := ci*chunk, (ci+1)*chunk
-			if sHi > nsw {
-				sHi = nsw
-			}
-			for s := sLo; s < sHi; s++ {
-				rs := rb.runs[s]
-				for h := lo; h < hi; h++ {
-					p := cols[hostCol[h-lo]][s]
-					if n := len(rs); n > 0 && rs[n-1].hop == p && rs[n-1].end == int32(h) {
-						rs[n-1].end = int32(h) + 1
-					} else {
-						rs = append(rs, runEntry{int32(h) + 1, p})
+		// Merge the batch into the run accumulator: hosts in order, a tile
+		// of switches at a time, a new run wherever a host's column leaves
+		// the hop of the switch's newest run. Disjoint tiles extend their
+		// runs independently; the result per switch depends only on the
+		// columns and the host order, both fixed before the fan-out.
+		forEachParallel(workers, (nsw+mergeTile-1)/mergeTile, func(_, ti int) {
+			sLo := ti * mergeTile
+			sHi := min(sLo+mergeTile, nsw)
+			runs, last := rb.runs[sLo:sHi], rb.last[sLo:sHi]
+			for h := lo; h < hi; h++ {
+				if h > lo && hostCol[h-lo] == hostCol[h-lo-1] {
+					continue // the previous host's column again
+				}
+				for i, p := range cols[hostCol[h-lo]][sLo:sHi] {
+					if p != last[i] {
+						last[i] = p
+						runs[i] = append(runs[i], runEntry{int32(h), p})
 					}
 				}
-				rb.runs[s] = rs
 			}
 		})
 		lo = hi
+	}
+
+	// Starts to ends: each run ends where the next one starts.
+	for _, rs := range rb.runs {
+		for i := 1; i < len(rs); i++ {
+			rs[i-1].end = rs[i].end
+		}
+		rs[len(rs)-1].end = int32(nh)
+	}
+	for _, sc := range scratch {
+		if sc != nil {
+			rb.stats.Pushes += sc.pushes
+			rb.stats.StalePops += sc.stale
+		}
 	}
 	return rb, nil
 }
@@ -209,11 +258,31 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 // hop switch s uses toward d (hopLocal at d itself). It returns the
 // lowest switch index that cannot reach d, or -1 when all can.
 func (c *Compiled) fillColumn(sc *sssp, d int, col []int32) (bad int32) {
-	sc.run(c, d, col)
-	return int32(slices.Index(col, hopUnreachable))
+	bad = -1
+	for s, n := range sc.run(c, d) {
+		col[s] = n.hop
+		if n.hop == hopUnreachable && bad < 0 {
+			bad = int32(s)
+		}
+	}
+	return bad
 }
 
+// maxDist is the distance of a switch with no path. Every path cost is
+// below it: syncArcs and ApplyLinkChange keep the sum of the finite link
+// weights, which bounds any simple path, at most maxDist-1.
 const maxDist = time.Duration(1<<63 - 1)
+
+// addDist is d+w saturating at maxDist. A shortest path never gets
+// there, but a relaxation also prices the step back over the edge a
+// switch was reached by — the weight sum plus one more weight, at worst
+// — and saturated, that offer loses every comparison.
+func addDist(d, w time.Duration) time.Duration {
+	if s := d + w; s >= 0 {
+		return s
+	}
+	return maxDist
+}
 
 // downWt is the in-place weight of a link taken down by
 // ApplyLinkChange. Every route scan — relaxation, next-hop selection,
@@ -222,106 +291,237 @@ const maxDist = time.Duration(1<<63 - 1)
 // (and with it every interned row's slot numbering) stays untouched.
 const downWt = maxDist
 
-// sssp is one worker's single-source shortest-path scratch: a distance
-// vector and a lazy-deletion binary heap. Distances out of Dijkstra
-// with positive weights and strictly-improving relaxation are unique,
-// so the heap's tie order — unlike the old O(n²) lowest-index sweep —
-// cannot influence the result.
-type sssp struct {
-	dist []time.Duration
-	heap []heapNode
+// arc is one CSR half-edge as the relaxation loop reads it, 16 bytes
+// parallel to adjSw/adjHop. wt stays the source of truth for the weight;
+// syncArcs and setWeight keep w equal to it.
+type arc struct {
+	w   time.Duration // wt of the half-edge's link (downWt: skipped)
+	v   int32         // adjSw: the switch the half-edge leads to
+	hop int32         // adjHop^1: the same link, seen from v
 }
 
-type heapNode struct {
-	d  time.Duration
-	sw int32
+// finite is w as it counts toward the weight sum: a down link adds 0.
+func finite(w time.Duration) time.Duration {
+	if w == downWt {
+		return 0
+	}
+	return w
+}
+
+// syncArcs rebuilds the arc records and the weight sum from wt at the
+// start of every route compile, so none reads a weight wt does not
+// hold. It refuses weights whose sum passes maxDist-1: a simple path
+// crosses a link at most once, so below that no path cost overflows.
+func (c *Compiled) syncArcs() error {
+	sum := time.Duration(0)
+	for li, w := range c.wt {
+		if finite(w) > maxDist-1-sum {
+			return fmt.Errorf("topology: link %d (weight %v) takes the sum of the link weights past %v: path costs would overflow", li, w, maxDist-1)
+		}
+		sum += finite(w)
+	}
+	c.wtSum = sum
+	c.arcs = make([]arc, len(c.adjHop))
+	for i, hop := range c.adjHop {
+		c.arcs[i] = arc{w: c.wt[hop>>1], v: c.adjSw[i], hop: hop ^ 1}
+	}
+	return nil
+}
+
+// setWeight is the one place a compiled link changes weight: wt, the
+// link's two arc records and the weight sum move together.
+func (c *Compiled) setWeight(li int, w time.Duration) {
+	c.wtSum += finite(w) - finite(c.wt[li])
+	c.wt[li] = w
+	l := c.Links[li]
+	c.arcs[c.adjOff[l.A]+c.slotOf(l.A, packHop(li, 0))].w = w
+	c.arcs[c.adjOff[l.B]+c.slotOf(l.B, packHop(li, 1))].w = w
+}
+
+// qNode is one queue entry: switch sw offered at distance d. next is
+// the index of the bucket's next entry, 0 where the list ends.
+type qNode struct {
+	d    time.Duration
+	sw   int32
+	next int32
+}
+
+// radixQ is the priority queue of every Dijkstra in this package: a
+// monotone radix heap with lazy deletion (DESIGN.md §13). Bucket b holds
+// the keys whose highest bit differing from last, the key popped most
+// recently, is bit b-1; bucket 0 the keys equal to it. So every key
+// pushed after a pop must be at least the key popped (a settled distance
+// plus a weight; seeds go in before the first pop) and below 2⁶³. The
+// entries sit in one array in push order (from index 1: 0 means none),
+// each bucket a list threaded through it.
+type radixQ struct {
+	last time.Duration
+	mask uint64    // bit b set: bucket b is non-empty
+	head [64]int32 // first entry of each bucket, 0 when empty
+	n    []qNode
+	// front[:nf] holds up to two entries out of the buckets, ascending,
+	// none above any bucket entry: the one or two frontiers of a chain or
+	// a ring are pushed and popped without ever being filed.
+	front [2]qNode
+	nf    int
+}
+
+// reset empties the queue for a new run; the zero radixQ needs it too.
+func (q *radixQ) reset() {
+	for m := q.mask; m != 0; m &= m - 1 {
+		q.head[bits.TrailingZeros64(m)] = 0
+	}
+	q.n, q.mask, q.last, q.nf = append(q.n[:0], qNode{}), 0, 0, 0
+}
+
+func (q *radixQ) empty() bool { return q.mask == 0 && q.nf == 0 }
+
+func (q *radixQ) push(d time.Duration, sw int32) {
+	e := qNode{d: d, sw: sw}
+	// e joins the front if the buckets are empty and there is room, or if
+	// it is below the front's largest, which it then moves up or out.
+	if f := &q.front; q.nf < 2 && q.mask == 0 || q.nf > 0 && d < f[q.nf-1].d {
+		if q.nf > 0 && d < f[0].d {
+			e, f[0] = f[0], e
+		}
+		if q.nf < 2 {
+			f[q.nf] = e
+			q.nf++
+			return
+		}
+		e, f[1] = f[1], e // out: filed like any other entry
+	}
+	b := bits.Len64(uint64(e.d^q.last)) & 63
+	e.next = q.head[b]
+	q.n = append(q.n, e)
+	q.head[b] = int32(len(q.n) - 1)
+	q.mask |= 1 << b
+}
+
+// pop removes and returns an entry with the smallest key (the queue is
+// not empty): the front's, else bucket 0's, refilled from the lowest
+// non-empty bucket when it is empty — every entry moved lands strictly
+// lower, 63 moves at most in its life.
+func (q *radixQ) pop() qNode {
+	if q.nf > 0 {
+		top := q.front[0]
+		q.front[0] = q.front[1]
+		q.nf--
+		if q.mask == 0 {
+			q.last = top.d // nothing is filed against the old one
+		}
+		return top
+	}
+	if q.mask&1 == 0 {
+		b := bits.TrailingZeros64(q.mask) & 63
+		q.mask &= q.mask - 1
+		h := q.head[b]
+		q.head[b] = 0
+		top := q.n[h]
+		lo, hi := top.d, top.d
+		for i := top.next; i != 0; i = q.n[i].next {
+			lo, hi = min(lo, q.n[i].d), max(hi, q.n[i].d)
+		}
+		q.last = lo
+		if lo == hi { // one key throughout: the rest of the list is bucket 0 as it stands
+			if q.head[0] = top.next; top.next != 0 {
+				q.mask |= 1
+			}
+			return top
+		}
+		for i := h; i != 0; { // every entry lands below bucket b, lo's in bucket 0
+			e := &q.n[i]
+			to := bits.Len64(uint64(e.d^lo)) & 63
+			i, e.next, q.head[to] = e.next, q.head[to], i
+			q.mask |= 1 << to
+		}
+	}
+	top := q.n[q.head[0]]
+	q.head[0] = top.next
+	if top.next == 0 {
+		q.mask &^= 1
+	}
+	return top
+}
+
+// sssp is one worker's single-source shortest-path scratch. Dijkstra's
+// distances are unique and the hop rule hears every offer whatever the
+// order, so the queue's order among equal keys cannot show in the result.
+type sssp struct {
+	nd            []distHop
+	q             radixQ
+	pushes, stale int64 // queue traffic of every run so far
+}
+
+// distHop is a switch's state in one run: its distance to the
+// destination and the packed hop it takes toward it.
+type distHop struct {
+	d   time.Duration
+	hop int32
 }
 
 func newSSSP(n int) *sssp {
-	return &sssp{dist: make([]time.Duration, n)}
+	// A run pushes every reachable switch at least once.
+	return &sssp{nd: make([]distHop, n), q: radixQ{n: make([]qNode, 0, n+1)}}
 }
 
 // run returns every switch's shortest distance to dst under the link
-// weight metric (maxDist where there is no path) and fills col with the
-// packed hop each switch takes toward it: hopLocal at dst, hopUnreachable
-// where there is no path. The hop is chosen as the switch is relaxed, by
-// repairDecrease's rule: a strictly cheaper offer displaces the
-// incumbent, an equal one takes the lower hop. Every neighbour on a
-// shortest path makes its offer when it settles, so the survivor is the
-// lowest link index among the equal-cost hops — half-edges are in link
-// order, so packed hops compare as links do.
-func (sc *sssp) run(c *Compiled, dst int, col []int32) []time.Duration {
-	dist := sc.dist
-	for s := range dist {
-		dist[s] = maxDist
-		col[s] = hopUnreachable
+// weight metric (maxDist where there is no path) with the packed hop it
+// takes toward it: hopLocal at dst, hopUnreachable where there is no
+// path. The slice is the scratch's own, valid until the next run. The
+// hop is chosen as the switch is relaxed, by repairDecrease's rule: a
+// strictly cheaper offer displaces the incumbent, an equal one takes
+// the lower hop. Every neighbour on a shortest path makes its offer
+// when it settles, so the survivor is the lowest link index among the
+// equal-cost hops — half-edges are in link order, so packed hops compare
+// as links do.
+func (sc *sssp) run(c *Compiled, dst int) []distHop {
+	nd := sc.nd
+	for s := range nd {
+		nd[s] = distHop{maxDist, hopUnreachable}
 	}
-	dist[dst], col[dst] = 0, hopLocal
-	h := append(sc.heap[:0], heapNode{0, int32(dst)})
-	for len(h) > 0 {
-		top := h[0]
-		n := len(h) - 1
-		h[0] = h[n]
-		h = h[:n]
-		// sift down
-		i := 0
-		for {
-			l := 2*i + 1
-			if l >= n {
-				break
-			}
-			if r := l + 1; r < n && h[r].d < h[l].d {
-				l = r
-			}
-			if h[l].d >= h[i].d {
-				break
-			}
-			h[i], h[l] = h[l], h[i]
-			i = l
-		}
-		if top.d > dist[top.sw] { // stale entry (lazy deletion)
+	nd[dst] = distHop{0, hopLocal}
+	sc.q.reset()
+	sc.q.push(0, int32(dst))
+	pushes, stale := int64(1), int64(0)
+	for !sc.q.empty() {
+		top := sc.q.pop()
+		if top.d > nd[top.sw].d { // stale entry (lazy deletion)
+			stale++
 			continue
 		}
-		for i := c.adjOff[top.sw]; i < c.adjOff[top.sw+1]; i++ {
-			v := c.adjSw[i]
-			w := c.wt[c.adjHop[i]>>1]
-			if w == downWt { // down links carry no routes
+		for i, end := c.adjOff[top.sw], c.adjOff[top.sw+1]; i < end; i++ {
+			a := &c.arcs[i]
+			if a.w == downWt { // down links carry no routes
 				continue
 			}
-			hop := c.adjHop[i] ^ 1 // the same link, seen from v
-			if d := top.d + w; d < dist[v] {
-				dist[v], col[v] = d, hop
-				h = append(h, heapNode{d, v})
-				// sift up
-				j := len(h) - 1
-				for j > 0 {
-					p := (j - 1) / 2
-					if h[p].d <= h[j].d {
-						break
-					}
-					h[p], h[j] = h[j], h[p]
-					j = p
-				}
-			} else if d == dist[v] && hop < col[v] {
-				col[v] = hop
+			v := &nd[a.v]
+			if d := addDist(top.d, a.w); d < v.d {
+				*v = distHop{d, a.hop}
+				sc.q.push(d, a.v)
+				pushes++
+			} else if d == v.d && a.hop < v.hop {
+				v.hop = a.hop
 			}
 		}
 	}
-	sc.heap = h[:0]
-	return dist
+	sc.pushes += pushes
+	sc.stale += stale
+	return nd
 }
 
-// forEachParallel runs fn(i) for every i in [0,n) across at most
-// `workers` goroutines pulling from a shared counter. fn must be safe
-// for concurrent calls with distinct i. workers <= 1 (or n <= 1) runs
-// inline.
-func forEachParallel(workers, n int, fn func(i int)) {
+// forEachParallel runs fn(w, i) for every i in [0,n) across at most
+// `workers` goroutines pulling from a shared counter; w < workers names
+// the goroutine, so fn can keep per-worker scratch by index. fn must be
+// safe for concurrent calls with distinct i. workers <= 1 (or n <= 1)
+// runs inline.
+func forEachParallel(workers, n int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -336,7 +536,7 @@ func forEachParallel(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -117,18 +118,155 @@ func equivalenceGraphs() map[string]Graph {
 			mesh.Links = append(mesh.Links, LinkSpec{A: a, B: b})
 		}
 	}
+	// Weights all over the metric's range, 1 ns to 10⁴ s, one draw per
+	// link: every bucket width of the queue, no two paths alike.
+	wide := BarabasiAlbert(120, 3, 17)
+	rng := rand.New(rand.NewSource(17))
+	for i := range wide.Links {
+		wide.Links[i].Bandwidth = weightOnlyBandwidth
+		wide.Links[i].Delay = time.Duration(1 + rng.Int63n(int64(10_000*time.Second))>>rng.Intn(44))
+	}
+	// Weights from {1, 2, 3} ms on a graph with many cycles: equal-cost
+	// paths everywhere, so the lowest-link tie-break decides most cells.
+	ties := Waxman(90, 23)
+	for i := range ties.Links {
+		ties.Links[i].Bandwidth = weightOnlyBandwidth
+		ties.Links[i].Delay = time.Duration(1+rng.Intn(3)) * time.Millisecond
+	}
+	// A grid of equal links with one doubled: ties along every rectangle.
+	grid := Graph{Switches: 36}
+	for r := 0; r < 6; r++ {
+		for c := 0; c < 6; c++ {
+			if c < 5 {
+				grid.Links = append(grid.Links, LinkSpec{A: 6*r + c, B: 6*r + c + 1})
+			}
+			if r < 5 {
+				grid.Links = append(grid.Links, LinkSpec{A: 6*r + c, B: 6*r + c + 6})
+			}
+		}
+	}
+	grid.Links = append(grid.Links, grid.Links[7])
 	return map[string]Graph{
-		"dumbbell":    Dumbbell(),
-		"chain-16":    Chain(16),
-		"parking-lot": ParkingLot(4),
-		"uneven":      uneven,
-		"multi-host":  multi,
-		"override":    override,
-		"mesh-5":      mesh,
-		"ba-64":       BarabasiAlbert(64, 2, 7),
-		"ba-200":      BarabasiAlbert(200, 3, 42),
-		"waxman-64":   Waxman(64, 7),
-		"waxman-300":  Waxman(300, 99),
+		"dumbbell":     Dumbbell(),
+		"chain-16":     Chain(16),
+		"parking-lot":  ParkingLot(4),
+		"uneven":       uneven,
+		"multi-host":   multi,
+		"override":     override,
+		"mesh-5":       mesh,
+		"ba-64":        BarabasiAlbert(64, 2, 7),
+		"ba-200":       BarabasiAlbert(200, 3, 42),
+		"waxman-64":    Waxman(64, 7),
+		"waxman-300":   Waxman(300, 99),
+		"wide-weights": wide,
+		"tied-weights": ties,
+		"grid-6x6":     grid,
+	}
+}
+
+// weightOnlyBandwidth is a line rate at which a data packet's
+// transmission time rounds to zero: the link's weight is its Delay.
+const weightOnlyBandwidth = int64(1e15)
+
+// heapRun is the route compiler's Dijkstra as it stood before the radix
+// queue — a lazy-deletion binary heap with in-line sifts over separate
+// dist and col arrays, reading the weight through wt — kept verbatim as
+// sssp.run's referee.
+func heapRun(c *Compiled, dst int, dist []time.Duration, col []int32) {
+	type heapNode struct {
+		d  time.Duration
+		sw int32
+	}
+	for s := range dist {
+		dist[s] = maxDist
+		col[s] = hopUnreachable
+	}
+	dist[dst], col[dst] = 0, hopLocal
+	h := []heapNode{{0, int32(dst)}}
+	for len(h) > 0 {
+		top := h[0]
+		n := len(h) - 1
+		h[0] = h[n]
+		h = h[:n]
+		// sift down
+		i := 0
+		for {
+			l := 2*i + 1
+			if l >= n {
+				break
+			}
+			if r := l + 1; r < n && h[r].d < h[l].d {
+				l = r
+			}
+			if h[l].d >= h[i].d {
+				break
+			}
+			h[i], h[l] = h[l], h[i]
+			i = l
+		}
+		if top.d > dist[top.sw] { // stale entry (lazy deletion)
+			continue
+		}
+		for i := c.adjOff[top.sw]; i < c.adjOff[top.sw+1]; i++ {
+			v := c.adjSw[i]
+			w := c.wt[c.adjHop[i]>>1]
+			if w == downWt { // down links carry no routes
+				continue
+			}
+			hop := c.adjHop[i] ^ 1 // the same link, seen from v
+			if d := top.d + w; d < dist[v] {
+				dist[v], col[v] = d, hop
+				h = append(h, heapNode{d, v})
+				// sift up
+				j := len(h) - 1
+				for j > 0 {
+					p := (j - 1) / 2
+					if h[p].d <= h[j].d {
+						break
+					}
+					h[p], h[j] = h[j], h[p]
+					j = p
+				}
+			} else if d == dist[v] && hop < col[v] {
+				col[v] = hop
+			}
+		}
+	}
+}
+
+// TestRunAgainstHeapReferee compares sssp.run with heapRun — distance
+// and hop of every switch, toward every switch — on each corpus graph,
+// as compiled and again with a tenth of its links taken down.
+func TestRunAgainstHeapReferee(t *testing.T) {
+	for name, g := range equivalenceGraphs() {
+		t.Run(name, func(t *testing.T) {
+			g.Routes = nil // ApplyLinkChange refuses overrides, and run never sees them
+			c := mustCompile(t, g, eqDefaults())
+			sc := newSSSP(c.Switches)
+			dist, col := make([]time.Duration, c.Switches), make([]int32, c.Switches)
+			check := func(tag string) {
+				for dst := 0; dst < c.Switches; dst++ {
+					heapRun(c, dst, dist, col)
+					for s, n := range sc.run(c, dst) {
+						if n.d != dist[s] || n.hop != col[s] {
+							t.Fatalf("%s: toward %d, switch %d: run says (%v, hop %d), the heap (%v, hop %d)",
+								tag, dst, s, n.d, n.hop, dist[s], col[s])
+						}
+					}
+				}
+			}
+			check("as compiled")
+			rng := rand.New(rand.NewSource(int64(len(g.Links))))
+			downs := 0
+			for range len(g.Links)/10 + 1 {
+				if _, err := c.ApplyLinkChange(rng.Intn(len(c.Links)), LinkDown); err == nil {
+					downs++
+				}
+			}
+			if downs > 0 {
+				check(fmt.Sprintf("%d links down", downs))
+			}
+		})
 	}
 }
 

@@ -240,6 +240,11 @@ type Compiled struct {
 	// Compile, updated in place by ApplyLinkChange. A down link holds
 	// the downWt sentinel and is skipped by every route scan.
 	wt []time.Duration
+	// arcs[i] is half-edge i as Dijkstra reads it, weight included, and
+	// wtSum the sum of the finite weights (at most maxDist-1). Both
+	// follow wt: syncArcs rebuilds them, setWeight moves them.
+	arcs  []arc
+	wtSum time.Duration
 
 	// rowOf/pool are the interned row tables: rowOf[s] is switch s's row
 	// id in the pool.
@@ -261,8 +266,10 @@ type Compiled struct {
 	destIv    []hostIval
 	bridge    []bool
 
-	// last describes the most recent ApplyLinkChange call.
-	last ChangeStats
+	// last describes the most recent ApplyLinkChange call, stats the most
+	// recent route compile.
+	last  ChangeStats
+	stats CompileStats
 
 	// dataSize is the Defaults.DataSize the graph was compiled with,
 	// retained for the Weight metric.
@@ -370,11 +377,12 @@ func (c *Compiled) RouteBytes() int {
 // Clone returns an independently mutable copy: ApplyLinkChange and
 // RecomputeRoutes on the clone never disturb the original. Immutable
 // state (adjacency, links, hosts, caches, and every interned row's
-// interval data) is shared; only the weights, the per-switch row ids,
-// and the pool's bookkeeping are copied.
+// interval data) is shared; only the weights (with their arc records),
+// the per-switch row ids, and the pool's bookkeeping are copied.
 func (c *Compiled) Clone() *Compiled {
 	d := *c
 	d.wt = slices.Clone(c.wt)
+	d.arcs = slices.Clone(c.arcs)
 	d.rowOf = slices.Clone(c.rowOf)
 	d.pool = c.pool.clone()
 	return &d
@@ -525,10 +533,17 @@ func (g Graph) Compile(def Defaults) (*Compiled, error) {
 		def.DataSize = 500
 	}
 	c := &Compiled{Skeleton: *sk, dataSize: def.DataSize, workers: def.Workers}
+	bits := int64(c.dataSize) * 8
+	if bits > math.MaxInt64/int64(time.Second) {
+		return nil, fmt.Errorf("topology: data size %d bytes: its transmission time overflows the routing metric", c.dataSize)
+	}
 	c.wt = make([]time.Duration, len(c.Links))
 	for li, l := range c.Links {
-		bits := int64(c.dataSize) * 8
-		c.wt[li] = l.Delay + time.Duration(bits*int64(time.Second)/l.Bandwidth)
+		tx := time.Duration(bits * int64(time.Second) / l.Bandwidth)
+		if l.Delay > maxDist-1-tx || l.Delay+tx < 0 {
+			return nil, fmt.Errorf("topology: link %d: delay %v plus transmission time %v is not a routing weight in [0, %v]", li, l.Delay, tx, maxDist-1)
+		}
+		c.wt[li] = l.Delay + tx
 	}
 
 	rb, err := c.computeRoutes()
