@@ -438,10 +438,11 @@ func runScenarioFile(path string, width, height int, doPlot, lenient bool, prog 
 	if invariants {
 		cfg.Invariants = &tahoedyn.InvariantOptions{}
 	}
-	res, err := tahoedyn.RunE(cfg)
+	sim, err := tahoedyn.NewArena().BuildE(cfg)
 	if err != nil {
 		return err
 	}
+	res := sim.Finish()
 	cfg = res.Cfg // normalized copy, with defaults filled in
 	fmt.Printf("scenario %s: %d switches, τ=%v, buffer %d, %d connections\n",
 		path, cfg.Switches, cfg.TrunkDelay, cfg.Buffer, len(cfg.Conns))
@@ -458,7 +459,10 @@ func runScenarioFile(path string, width, height int, doPlot, lenient bool, prog 
 		if err := storeF.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("  trace store: %d events -> %s\n", storeW.TotalEvents(), storePath)
+		// Waits near the batch count: the file set the pace (README).
+		st := sim.TraceStats()
+		fmt.Printf("  trace store: %d events -> %s (%d batches; waited for the sink %d times, %.1f ms)\n",
+			storeW.TotalEvents(), storePath, st.Batches, st.SinkWaits, float64(st.SinkWait)/float64(time.Millisecond))
 	}
 	for i := range res.TrunkUtil {
 		fmt.Printf("  trunk %d utilization: %.1f%% / %.1f%%\n",

@@ -5,6 +5,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -233,6 +235,37 @@ func sim(t *testing.T, args ...string) (code int, stdout, stderr string) {
 		return string(b)
 	}
 	return code, read(outFile), read(errFile)
+}
+
+// -trace-store reports what was written and whether the sink kept up.
+// The "trace store: N events" prefix is what CI's round-trip step parses;
+// the batch count is the run's own (139 357 events, 4 096 a ring), the
+// waits are one execution's and only their shape is pinned.
+func TestTraceStoreLine(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "run.tobc")
+	code, stdout, stderr := sim(t, "-config", "../../scenarios/red-twoway.json", "-trace-store", store, "-invariants", "-plot=false")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	want := regexp.MustCompile(`(?m)^  trace store: 139357 events -> \S+run\.tobc \(35 batches; waited for the sink (\d+) times, \d+\.\d ms\)$`)
+	m := want.FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no trace store line of the documented shape in:\n%s", stdout)
+	}
+	if waits, _ := strconv.Atoi(m[1]); waits > 35 {
+		t.Fatalf("waited %d times for 35 batches", waits)
+	}
+	if !strings.Contains(stdout, "invariants: clean") {
+		t.Fatalf("the run did not report clean invariants:\n%s", stdout)
+	}
+	st, err := tahoedyn.OpenTraceStore(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.TotalEvents() != 139357 {
+		t.Fatalf("the store holds %d events, the line says 139357", st.TotalEvents())
+	}
 }
 
 // -validate used to parse -event, -queue and -behavior and then drop

@@ -14,13 +14,13 @@ import (
 
 // Arena is a reusable allocation context for back-to-back simulation
 // runs. A fresh Build allocates an engine (wheel buckets, event free
-// list), a packet pool, and — when tracing is on — the trace ring; an
+// list), a packet pool, and — when tracing is on — the trace rings; an
 // Arena keeps all of that warm between runs, so an N-point sweep pays
 // the allocation cost once per worker instead of once per point.
 //
 // Ownership rules (DESIGN.md §11): the arena owns only memory that does
 // NOT escape into a Result. Engine bucket/run/free storage, the packet
-// free list, and the trace ring are invisible to callers and safe to
+// free list, and the trace rings are invisible to callers and safe to
 // recycle; Result-owned containers (plot series, drop and departure
 // logs, the metrics registry) are handed to the caller and are always
 // freshly allocated. Reuse is therefore behavior-neutral: an arena run
@@ -36,7 +36,7 @@ import (
 type Arena struct {
 	eng    *sim.Engine
 	pool   *packet.Pool
-	tracer *obs.Tracer // previous run's tracer; its ring is reclaimed on the next Build
+	tracer *obs.Tracer // previous run's tracer; its ring slab is reclaimed on the next Build
 
 	// Extra per-region storage for sharded runs: region r > 0 draws from
 	// slot r-1 (region 0 shares the serial slots above, so alternating
@@ -151,9 +151,9 @@ func (a *Arena) packetPool() *packet.Pool {
 	return a.pool
 }
 
-// traceRing reclaims the previous run's trace ring, if any. The
-// previous run has finished by the Arena contract, so its tracer sees
-// no further events.
+// traceRing reclaims the previous run's trace rings, if any (one slab).
+// The previous run has finished or been abandoned by the Arena contract,
+// and every call into its Sim returned with no batch at the sink.
 func (a *Arena) traceRing() []obs.Event {
 	if a == nil || a.tracer == nil {
 		return nil

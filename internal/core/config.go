@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -577,11 +578,17 @@ func (c *Config) normalize() error {
 		}
 	}
 	hosts := c.HostCount()
+	// Conns is the caller's backing array, perhaps being read by another
+	// worker building the same Config: the first default goes to a copy.
+	owned := false
 	for i := range c.Conns {
-		s := &c.Conns[i]
-		if s.MaxWnd == 0 {
-			s.MaxWnd = DefaultMaxWnd
+		if c.Conns[i].MaxWnd == 0 {
+			if !owned {
+				c.Conns, owned = slices.Clone(c.Conns), true
+			}
+			c.Conns[i].MaxWnd = DefaultMaxWnd
 		}
+		s := &c.Conns[i]
 		if s.SrcHost == s.DstHost {
 			return fmt.Errorf("core: connection %d src == dst (host %d)", i, s.SrcHost)
 		}

@@ -228,6 +228,20 @@ func (s *Sim) Events() uint64 {
 // Pool returns the run's packet pool (nil when cfg.noPool).
 func (s *Sim) Pool() *packet.Pool { return s.pool }
 
+// TraceStats reports what the run's tracer(s) delivered so far and how its
+// sink kept up. Not in Result: equal runs need not wait equally.
+func (s *Sim) TraceStats() obs.TraceStats {
+	var st obs.TraceStats
+	for _, tr := range s.tracers {
+		r := tr.Stats()
+		st.Events += r.Events
+		st.Batches += r.Batches
+		st.SinkWaits += r.SinkWaits
+		st.SinkWait += r.SinkWait
+	}
+	return st
+}
+
 // RunUntil advances the simulation to time t. Crossing cfg.Warmup takes
 // the measurement-baseline snapshot at exactly the warmup boundary, so
 // any step pattern yields the same measurements as one straight run.
@@ -238,6 +252,9 @@ func (s *Sim) RunUntil(t time.Duration) {
 // runUntil is RunUntil with optional cancellation (nil ctx never
 // cancels).
 func (s *Sim) runUntil(ctx context.Context, t time.Duration) error {
+	// The sink contract's join (DESIGN.md §10, point 2): however the call
+	// ends, no batch is left at the sink. The partial ring stays put.
+	defer s.tracer.Err()
 	if !s.warmSnapped && t >= s.cfg.Warmup {
 		if err := s.span(ctx, s.cfg.Warmup); err != nil {
 			return err
@@ -663,16 +680,18 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 			if K > 1 {
 				// Every region traces into its own ring; the merger
 				// reassembles one time-ordered stream for the user's sink
-				// at each synchronization barrier.
+				// at each synchronization barrier. A region's sink is an
+				// append to the merger's buffer: delivered inline.
 				merger = obs.NewTraceMerger(cfg.Obs.Trace.Sink, K)
 				for r := 0; r < K; r++ {
 					o := *cfg.Obs.Trace
 					o.Sink = merger.Buffer(r)
-					tracers[r] = obs.NewTracerReusing(o, ar.shardRing(r))
+					tracers[r] = obs.NewTracerReusing(o, ar.shardRing(r), false)
 				}
 				ar.keepTracers(tracers)
 			} else {
-				tracers[0] = obs.NewTracerReusing(*cfg.Obs.Trace, ar.traceRing())
+				// The user's sink, behind the checker if any: overlapped.
+				tracers[0] = obs.NewTracerReusing(*cfg.Obs.Trace, ar.traceRing(), true)
 				ar.keepTracer(tracers[0])
 			}
 		}

@@ -28,6 +28,26 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 }
 
+// A run takes its Config by value, but Conns is a slice: the defaults
+// normalize fills in must not reach the caller's backing array — two
+// workers may be running the same Config — while Result.Cfg still
+// carries them. A Config with every window explicit is not copied.
+func TestRunLeavesCallersConnsAlone(t *testing.T) {
+	cfg := twoWay(10 * time.Millisecond)
+	cfg.Conns[1].MaxWnd = 64
+	res := Run(cfg)
+	if cfg.Conns[0].MaxWnd != 0 || cfg.Conns[1].MaxWnd != 64 {
+		t.Fatalf("Run edited the caller's Conns: MaxWnd %d, %d; want 0, 64", cfg.Conns[0].MaxWnd, cfg.Conns[1].MaxWnd)
+	}
+	if got := res.Cfg.Conns; got[0].MaxWnd != DefaultMaxWnd || got[1].MaxWnd != 64 {
+		t.Fatalf("Result.Cfg is not normalized: MaxWnd %d, %d", got[0].MaxWnd, got[1].MaxWnd)
+	}
+	cfg.Conns[0].MaxWnd = 32
+	if res := Run(cfg); &res.Cfg.Conns[0] != &cfg.Conns[0] {
+		t.Fatal("Conns was copied although no default had to be written")
+	}
+}
+
 func TestNormalizeRejectsBadConns(t *testing.T) {
 	for _, bad := range []ConnSpec{
 		{SrcHost: 0, DstHost: 0},

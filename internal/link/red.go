@@ -110,8 +110,9 @@ func (d *RED) Admit(p *packet.Packet) bool {
 	now := d.h.Now()
 	if total == 0 {
 		// Arrival to an idle link: decay the average across the idle
-		// period, measured in typical packet times.
-		if idle := now - d.busyEnd; idle > 0 && d.typTx > 0 {
+		// period, measured in typical packet times. A zero average (an
+		// access port) stays +0 times any factor in [0, 1]: not computed.
+		if idle := now - d.busyEnd; d.avg != 0 && idle > 0 && d.typTx > 0 {
 			m := float64(idle) / float64(d.typTx)
 			d.avg *= math.Pow(1-d.cfg.Wq, m)
 		}

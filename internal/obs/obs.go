@@ -202,35 +202,73 @@ type Options struct {
 }
 
 // Tracer records structured events into a preallocated ring buffer and
-// flushes them to its sink in batches. A nil *Tracer is disabled: every
-// emit no-ops. Tracers are single-run, single-goroutine objects, like
-// the engine they observe; only the Sink may be shared across runs.
+// hands them to its sink in batches. A nil *Tracer is disabled: every
+// emit no-ops. Tracers are single-run objects driven by one goroutine,
+// like the engine they observe; only the Sink may be shared across runs.
+//
+// A tracer with two rings overlaps the sink with the simulation: a full
+// ring goes to the sink on another goroutine while recording continues in
+// the other, one batch out at a time, so the sink sees an inline tracer's
+// calls (DESIGN.md §10). Flush, Close and Err are join points — no sink
+// call running, the goroutine ended — and a tracer must reach one.
 type Tracer struct {
 	filter Filter
-	buf    []Event
+	slab   []Event // the ring, or both rings: what Ring returns
+	buf    []Event // the ring being filled
 	n      int
 	sink   Sink
 	locs   []string
 	locIDs map[string]Loc
 	began  bool
 	err    error
+
+	// The hand-off; nil/zero on an inline tracer. A batch (of spare, the
+	// ring not being filled) goes to serve's goroutine through work and is
+	// the sink's until its result comes back through done; the zero batch
+	// sends the goroutine home.
+	spare   []Event
+	work    chan batch
+	done    chan error
+	out     bool   // a batch is at the sink, its result not yet taken
+	serving bool   // a goroutine is in serve
+	serveFn func() // the method value t.serve: a go statement on it allocates nothing
+	stats   TraceStats
+}
+
+// batch is one Events call's arguments.
+type batch struct {
+	locs   []string
+	events []Event
+}
+
+// TraceStats says how much a tracer delivered and whether its sink kept
+// up. Events and Batches (what was handed to the sink) depend on the run
+// alone; SinkWaits and SinkWait — how often, and for how long in all, the
+// tracer stood at a hand-off or join because the previous batch was still
+// out — are wall-clock facts of one execution, zero on an inline tracer.
+type TraceStats struct {
+	Events, Batches uint64
+	SinkWaits       uint64
+	SinkWait        time.Duration
 }
 
 // maxLocs is the number of locations one tracer can tell apart: Loc is
 // 16 bits wide.
 const maxLocs = 1 << 16
 
-// NewTracer returns a tracer writing to the options' sink.
+// NewTracer returns a tracer overlapping the options' sink with its caller.
 func NewTracer(o TraceOptions) *Tracer {
-	return NewTracerReusing(o, nil)
+	return NewTracerReusing(o, nil, true)
 }
 
-// NewTracerReusing is NewTracer with a caller-supplied ring buffer: when
-// cap(ring) covers the requested RingSize the buffer is adopted instead
-// of allocated. It is the arena-reuse hook (core.Arena) — the caller
-// must own the buffer exclusively, which in practice means it came from
-// Ring() of a tracer whose run has finished.
-func NewTracerReusing(o TraceOptions, ring []Event) *Tracer {
+// NewTracerReusing is NewTracer with a caller-supplied slab for the
+// rings — two of RingSize events when overlap is set, one when batches
+// are to be delivered inline (a sink that only appends, like a sharded
+// run's merge buffers, gains nothing from a goroutine) — adopted when
+// cap(slab) covers them. It is the arena-reuse hook (core.Arena): the
+// caller must own the slab exclusively, which in practice means it came
+// from Ring() of a tracer whose run has finished.
+func NewTracerReusing(o TraceOptions, slab []Event, overlap bool) *Tracer {
 	if o.Sink == nil {
 		panic("obs: TraceOptions.Sink is required")
 	}
@@ -238,22 +276,29 @@ func NewTracerReusing(o TraceOptions, ring []Event) *Tracer {
 	if n <= 0 {
 		n = 4096
 	}
-	if cap(ring) >= n {
-		ring = ring[:n]
-	} else {
-		ring = make([]Event, n)
+	rings := 1
+	if overlap {
+		rings = 2
 	}
-	return &Tracer{filter: o.Filter, buf: ring, sink: o.Sink}
+	if cap(slab) < rings*n {
+		slab = make([]Event, rings*n)
+	}
+	t := &Tracer{filter: o.Filter, slab: slab, buf: slab[:n], sink: o.Sink}
+	if overlap {
+		t.spare = slab[n : 2*n]
+		t.work, t.done = make(chan batch, 1), make(chan error, 1)
+		t.serveFn = t.serve
+	}
+	return t
 }
 
-// Ring returns the tracer's backing ring buffer so an arena can hand it
-// to the next run's tracer. Call it only after the run has finished and
-// the tracer will see no further events.
+// Ring returns the tracer's backing slab (both rings, if it has two) for
+// an arena to hand to the next run's tracer, once this run has finished.
 func (t *Tracer) Ring() []Event {
 	if t == nil {
 		return nil
 	}
-	return t.buf
+	return t.slab
 }
 
 // Loc interns a location name, returning its stable id. Interning
@@ -306,9 +351,9 @@ func (t *Tracer) Value(typ Type, now time.Duration, loc Loc, conn int, val float
 	t.push(Event{T: now, Val: val, Conn: int32(conn), Loc: loc, Type: typ})
 }
 
-// push appends to the ring, flushing when it fills. After a sink error
-// the tracer goes quiet rather than failing the run; Err surfaces the
-// first error.
+// push appends to the ring, handing it off when it fills. After a sink
+// error the tracer goes quiet rather than failing the run; Err surfaces
+// the first error.
 func (t *Tracer) push(ev Event) {
 	if t.err != nil {
 		return
@@ -316,36 +361,89 @@ func (t *Tracer) push(ev Event) {
 	t.buf[t.n] = ev
 	t.n++
 	if t.n == len(t.buf) {
-		t.flushBatch()
+		t.flushBatch(t.done != nil)
 	}
 }
 
-func (t *Tracer) flushBatch() {
-	if !t.began {
+// flushBatch delivers the ring's events: on the tracer's goroutine when
+// handOff is set, inline otherwise. Either way the batch before it has
+// returned first, and if that one failed this one is dropped: the events
+// an inline tracer, silenced by the error at once, never recorded.
+func (t *Tracer) flushBatch(handOff bool) {
+	t.wait()
+	if t.err == nil && !t.began {
 		t.began = true
-		if err := t.sink.Begin(); err != nil {
-			t.err = err
-			t.n = 0
-			return
-		}
+		t.err = t.sink.Begin()
 	}
-	if t.n > 0 {
-		if err := t.sink.Events(t.locs, t.buf[:t.n]); err != nil {
-			t.err = err
-		}
-		t.n = 0
+	events := t.buf[:t.n]
+	t.n = 0
+	if t.err != nil || len(events) == 0 {
+		return
+	}
+	t.stats.Events += uint64(len(events))
+	t.stats.Batches++
+	if !handOff {
+		t.err = t.sink.Events(t.locs, events)
+		return
+	}
+	if !t.serving {
+		t.serving = true
+		go t.serveFn()
+	}
+	// locs is only appended to: the sink reads the prefix it is given here.
+	t.work <- batch{t.locs, events}
+	t.out = true
+	t.buf, t.spare = t.spare, t.buf
+}
+
+// serve is the tracer's goroutine from one join point to the next. It
+// says when it ends and the join waits for that, or a caller stepping a
+// run on one processor would pile up goroutines not yet scheduled to end.
+func (t *Tracer) serve() {
+	for b := <-t.work; b.events != nil; b = <-t.work {
+		t.done <- t.sink.Events(b.locs, b.events)
+	}
+	t.done <- nil
+}
+
+// wait returns once no batch is at the sink, with the result of the last.
+func (t *Tracer) wait() {
+	if !t.out {
+		return
+	}
+	t.out = false
+	var err error
+	select {
+	case err = <-t.done:
+	default:
+		t0 := time.Now()
+		err = <-t.done
+		t.stats.SinkWaits++
+		t.stats.SinkWait += time.Since(t0)
+	}
+	if t.err == nil {
+		t.err = err
 	}
 }
 
-// Flush drains the ring to the sink and returns the first error the
-// sink ever reported.
+// join is wait, then the goroutine is sent home and seen off.
+func (t *Tracer) join() {
+	t.wait()
+	if t.serving {
+		t.serving = false
+		t.work <- batch{}
+		<-t.done
+	}
+}
+
+// Flush drains the ring to the sink, inline, after the batch that may be
+// out has returned, and returns the first error the sink ever reported.
 func (t *Tracer) Flush() error {
 	if t == nil {
 		return nil
 	}
-	if t.err == nil {
-		t.flushBatch()
-	}
+	t.flushBatch(false)
+	t.join()
 	return t.err
 }
 
@@ -365,11 +463,22 @@ func (t *Tracer) Close() error {
 	return err
 }
 
-// Err returns the first sink error, if any. The tracer stops recording
-// after an error; the simulation itself is never interrupted.
+// Err returns the first sink error, if any, after waiting for the batch
+// that may still be at the sink: the join point that does not flush. The
+// tracer stops recording after an error; the simulation is never
+// interrupted.
 func (t *Tracer) Err() error {
 	if t == nil {
 		return nil
 	}
+	t.join()
 	return t.err
+}
+
+// Stats returns the tracer's delivery counters so far.
+func (t *Tracer) Stats() TraceStats {
+	if t == nil {
+		return TraceStats{}
+	}
+	return t.stats
 }

@@ -70,9 +70,11 @@ func TestParseFilter(t *testing.T) {
 	}
 }
 
-// TestTracerRingAndLifecycle pins the ring semantics: batches reach the
-// sink only when the ring fills or on Flush/Close, Begin happens once
-// lazily, and the location table arrives with every batch.
+// TestTracerRingAndLifecycle pins the ring semantics: batches leave for
+// the sink only when the ring fills or on Flush/Close, Begin happens
+// once lazily, and the location table arrives with every batch. A full
+// ring is handed off, not delivered on the spot: what the sink holds is
+// defined at the join points (Err, which does not flush; Flush; Close).
 func TestTracerRingAndLifecycle(t *testing.T) {
 	sink := NewMemorySink()
 	tr := NewTracer(TraceOptions{Sink: sink, RingSize: 4})
@@ -88,10 +90,16 @@ func TestTracerRingAndLifecycle(t *testing.T) {
 		t.Fatalf("sink touched before the ring filled: begun=%d len=%d", begun, sink.Len())
 	}
 	tr.Value(CwndChange, 3*time.Second, tr.Loc("conn1"), 1, 2) // fills the ring
+	if err := tr.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if begun, _ := sink.Lifecycle(); begun != 1 || sink.Len() != 4 {
-		t.Fatalf("after ring fill: begun=%d len=%d, want 1, 4", begun, sink.Len())
+		t.Fatalf("after ring fill and join: begun=%d len=%d, want 1, 4", begun, sink.Len())
 	}
 	tr.Packet(Deliver, 4*time.Second, loc, p, 0)
+	if err := tr.Err(); err != nil || sink.Len() != 4 {
+		t.Fatalf("a join flushed the partial ring: len=%d err=%v", sink.Len(), err)
+	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}

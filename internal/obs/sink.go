@@ -21,6 +21,14 @@ const jsonlVersion = 1
 // lifecycle: Begin once before the first batch, Events zero or more
 // times, Close once at the end of the run.
 //
+// One run's tracer makes these calls one after another, never two at
+// once — Events possibly on a goroutine of its own, none while the run's
+// RunUntil/Finish/FinishContext is not executing. locs and events belong
+// to the sink until Events returns and not after (the events are a ring
+// the tracer refills): copy what is to be kept. After Begin or Events has
+// returned an error the sink sees only Close. DESIGN.md §10 has the
+// contract in full.
+//
 // Sinks must be safe for concurrent use when shared across runs (the
 // runner fans runs over a worker pool); the shipped sinks lock around
 // each batch. Each Events call receives the emitting run's full

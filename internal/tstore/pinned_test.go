@@ -47,6 +47,39 @@ func writeStore(t *testing.T, locs []string, events []obs.Event, chunk int) []by
 	return buf.Bytes()
 }
 
+// writeCounter counts the Write calls a store costs its file.
+type writeCounter struct{ writes, bytes int }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	w.bytes += len(p)
+	return len(p), nil
+}
+
+// A chunk reaches the underlying writer — tahoe-sim hands the Writer a
+// bare *os.File — in one Write, length word and payload together: the
+// header is one, each chunk one, the footer and its trailer two.
+func TestWriterOneWritePerChunk(t *testing.T) {
+	locs, events := tstore.SynthTrace(10*256+17, 4, 8, 1)
+	var wc writeCounter
+	w := tstore.NewWriter(&wc, tstore.WriterOptions{ChunkEvents: 256})
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Events(locs, events); err != nil {
+		t.Fatal(err)
+	}
+	if wc.writes != 1+10 {
+		t.Fatalf("%d writes after ten full chunks, want the header and ten", wc.writes)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(writeStore(t, locs, events, 256)); wc.writes != 1+11+2 || wc.bytes != want {
+		t.Fatalf("%d writes of %d bytes in all, want 14 of %d", wc.writes, wc.bytes, want)
+	}
+}
+
 // redTwowayStore runs a quarter of scenarios/red-twoway.json with the
 // store writer as the trace sink and returns the store's bytes.
 func redTwowayStore(t *testing.T, chunk int) []byte {

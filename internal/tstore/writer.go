@@ -174,15 +174,12 @@ func (sw *Writer) flushChunk() error {
 	if len(sw.pending) == 0 {
 		return nil
 	}
+	// Payload behind room for its length word: one Write (a syscall) a chunk.
 	var info ChunkInfo
-	sw.buf, info = encodeChunk(sw.buf[:0], sw.pending, &sw.codes)
+	sw.buf, info = encodeChunk(append(sw.buf[:0], 0, 0, 0, 0), sw.pending, &sw.codes)
 	info.Offset = sw.off
-	info.Size = int64(len(sw.buf))
-	var lenw [4]byte
-	binary.LittleEndian.PutUint32(lenw[:], uint32(len(sw.buf)))
-	if err := sw.write(lenw[:]); err != nil {
-		return err
-	}
+	info.Size = int64(len(sw.buf) - 4)
+	binary.LittleEndian.PutUint32(sw.buf, uint32(info.Size))
 	if err := sw.write(sw.buf); err != nil {
 		return err
 	}

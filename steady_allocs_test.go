@@ -47,6 +47,13 @@ func rowModeConfig() core.Config {
 	return cfg
 }
 
+// discardSink is a trace sink that drops every batch.
+type discardSink struct{}
+
+func (discardSink) Begin() error                       { return nil }
+func (discardSink) Events([]string, []obs.Event) error { return nil }
+func (discardSink) Close() error                       { return nil }
+
 // TestSteadyStateAllocs is the hard assertion of the allocation contract:
 // advancing the warmed scenario must not allocate beyond stray amortized
 // container growth. The obs variants pin the zero-overhead contract —
@@ -57,6 +64,9 @@ func rowModeConfig() core.Config {
 // back-to-back run must be exactly 0 allocs per simulated second. The
 // rows variants run rowModeConfig: forwarding from interval rows behind
 // hot-route tables, and hosts' endpoint tables, allocate nothing either.
+// The traced variant hands a 64-event ring to its sink some ten times a
+// stepped second, each step starting and joining the tracer's goroutine:
+// rings from the arena, a method value in the go statement — nothing.
 func TestSteadyStateAllocs(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -78,6 +88,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{name: "sched-heap", sched: sim.SchedHeap, want: 1},
 		{name: "arena-reused", sched: sim.SchedWheel, arena: true, want: 0},
 		{name: "arena-reused-heap", sched: sim.SchedHeap, arena: true, want: 0},
+		{name: "arena-reused-traced", arena: true, obs: func() *obs.Options {
+			return &obs.Options{Trace: &obs.TraceOptions{Sink: discardSink{}, RingSize: 64}}
+		}, want: 0},
 		{name: "rows", rows: true, want: 1},
 		{name: "rows-arena-reused", rows: true, arena: true, want: 0},
 	}

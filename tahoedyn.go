@@ -201,7 +201,12 @@ type (
 	// TraceEventType enumerates the lifecycle stages (TraceEnqueue...).
 	TraceEventType = obs.Type
 	// TraceSink receives batches of trace events (JSONL, store, memory).
+	// A run calls it from a goroutine of its own, one call at a time, and
+	// never once RunE, Sim.RunUntil or Sim.Finish has returned.
 	TraceSink = obs.Sink
+	// TraceStats is what Sim.TraceStats reports: events and batches
+	// delivered, and how often and how long the run waited for its sink.
+	TraceStats = obs.TraceStats
 	// Progress asks for periodic snapshots of a running simulation.
 	Progress = obs.Progress
 	// ProgressSnapshot is one liveness sample: sim clock and event count.
