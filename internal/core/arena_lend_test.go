@@ -1,0 +1,279 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+)
+
+// The Arena's ownership rule for the logs a Result carries (DESIGN.md
+// §11): the arena lends their backing arrays, a slab has one owner at
+// any instant, and a Result never references arena memory — Finish
+// copies out what was used, at its exact length.
+
+// longTwoWay is the paper's two-way dumbbell at the length of the
+// benchmark's paper-twoway runs: 10 000 sim-s, where each connection
+// has a trunk direction to itself and its window and ACK logs outgrow
+// their cold reserve (estPkts split between the two connections).
+func longTwoWay() Config {
+	cfg := twoWay(10 * time.Millisecond)
+	cfg.Warmup = 200 * time.Second
+	cfg.Duration = 10_000 * time.Second
+	return cfg
+}
+
+// logView is one log of a Result, whatever its element type.
+type logView struct {
+	name     string
+	data     unsafe.Pointer
+	len, cap int
+	elem     int // bytes an element
+}
+
+func viewOf[T any](name string, log []T) logView {
+	var e T
+	return logView{name, unsafe.Pointer(unsafe.SliceData(log)), len(log), cap(log), int(unsafe.Sizeof(e))}
+}
+
+// logViews lists every log the arena lends that res carries.
+func logViews(res *Result) []logView {
+	var vs []logView
+	for i := range res.TrunkQueue {
+		for dir, q := range res.TrunkQueue[i] {
+			vs = append(vs, viewOf(q.Name, q.Points), viewOf("deps "+q.Name, res.TrunkDeps[i][dir]))
+		}
+	}
+	for k, cw := range res.Cwnd {
+		vs = append(vs, viewOf(cw.Name, cw.Points), viewOf(res.RTT[k].Name, res.RTT[k].Points),
+			viewOf("acks "+cw.Name, res.AckArrivals[k]))
+	}
+	return vs
+}
+
+// tight reports whether a log carries no reserve: its capacity is its
+// length rounded up to an allocation size class — a page at most for a
+// large array, a third for a small one.
+func (v logView) tight() bool {
+	used, slack := v.len*v.elem, 8192
+	if used < 32768 {
+		slack = used/3 + 16
+	}
+	return v.cap*v.elem <= used+slack
+}
+
+// allocatedBy returns the bytes fn allocated.
+func allocatedBy(fn func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// warmBuildMax bounds what a build on a warm arena may allocate: ports,
+// endpoints, closures and the Result's own small slices, but no log.
+const warmBuildMax = 64 << 10
+
+// (a) A kept Result stays what it was while the arena goes on to other
+// configurations and back, shares no array with a later Result of the
+// same configuration, and retains what it used, not what was reserved.
+func TestArenaResultsAliasNothing(t *testing.T) {
+	cfgA := longTwoWay()
+	cfgA.Duration = 2000 * time.Second
+	cfgB := cfgA
+	cfgB.TrunkDelay, cfgB.Buffer = time.Second, 35
+
+	cold := Build(cfgA).Finish() // no arena: the Result keeps the reserve
+	a := NewArena()
+	first := a.Run(cfgA)
+	a.Run(cfgB)
+	third := a.Run(cfgA)
+
+	assertRunsIdentical(t, cold, first)
+	if !reflect.DeepEqual(first, third) {
+		t.Fatal("first and third Result of one configuration differ")
+	}
+	v1, v3 := logViews(first), logViews(third)
+	for i := range v1 {
+		if v1[i].len > 0 && v1[i].data == v3[i].data {
+			t.Errorf("%s: first and third Result share a backing array", v1[i].name)
+		}
+		if !v1[i].tight() {
+			t.Errorf("%s: len %d cap %d — reserve escaped into the Result", v1[i].name, v1[i].len, v1[i].cap)
+		}
+	}
+	loose := 0
+	for _, v := range logViews(cold) {
+		if !v.tight() {
+			loose++
+		}
+	}
+	if loose == 0 {
+		t.Fatal("the arena-less Result carries no reserve either: the capacity check is vacuous")
+	}
+}
+
+// (b) While a Sim appends into a slab the arena holds no reference to
+// it. The run's Cwnd and ACK logs outgrow their reserve on a cold
+// arena; an arena that kept its slots set would keep the outgrown
+// arrays alive (+8 % live heap on this run).
+func TestArenaHoldsNoSecondReference(t *testing.T) {
+	cfg := longTwoWay()
+	liveAfterRun := func(build func() *Sim) int64 {
+		live := func() int64 {
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return int64(ms.HeapAlloc)
+		}
+		base := live()
+		s := build()
+		s.RunUntil(cfg.Duration)
+		got := live() - base
+		reserve := clampReserve(estTrunkPackets(cfg) / len(cfg.Conns))
+		if n := len(s.res.Cwnd[0].Points); n <= reserve {
+			t.Fatalf("Cwnd holds %d points, within its reserve of %d: nothing was outgrown", n, reserve)
+		}
+		runtime.KeepAlive(s)
+		return got
+	}
+	plain := liveAfterRun(func() *Sim { return Build(cfg) })
+	a := NewArena()
+	lent := liveAfterRun(func() *Sim { return a.Build(cfg) })
+	runtime.KeepAlive(a)
+	if d := lent - plain; d > plain/100 || d < -plain/100 {
+		t.Fatalf("live heap before Finish: %d B on a cold arena, %d B without one (%+.1f %%)",
+			lent, plain, 100*float64(d)/float64(plain))
+	}
+}
+
+// (c) A warm build takes its logs from the arena, and what a run grew
+// came back: the next build's logs have room for all of it.
+func TestArenaWarmBuildIsSmall(t *testing.T) {
+	cfg := longTwoWay()
+	a := NewArena()
+	first := a.Run(cfg)
+	var s *Sim
+	if n := allocatedBy(func() { s = a.Build(cfg) }); n > warmBuildMax {
+		t.Fatalf("warm build allocated %d B, want <= %d", n, warmBuildMax)
+	}
+	used := logViews(first)
+	for i, v := range logViews(s.res) {
+		if v.cap < used[i].len {
+			t.Errorf("%s: warm slab holds %d, the run before used %d", v.name, v.cap, used[i].len)
+		}
+	}
+	if !reflect.DeepEqual(first, s.Finish()) {
+		t.Fatal("warm run differs from the first")
+	}
+}
+
+// (d) A canceled FinishContext copies nothing out — the Sim still owns
+// its slabs — and the resumed Finish does. A canceled Sim that is
+// abandoned keeps them: the arena's next build is served at the cold
+// reserve and is a correct run. Finishing the abandoned Sim after that
+// build breaks the engine half of the one-live-Sim contract (the build
+// reset the engine under it, so what it returns is not a run), but it
+// cannot touch anybody's logs: its Result shares no array with the run
+// in between or the run after, and both are still their cold runs.
+func TestArenaCancelRebuildFinishLate(t *testing.T) {
+	cfgA, cfgB := twoWay(10*time.Millisecond), twoWay(time.Second)
+	coldA, coldB := Build(cfgA).Finish(), Build(cfgB).Finish()
+
+	a := NewArena()
+	a.Run(cfgA)
+	resumed := cancelMidRun(t, a, cfgA, 30*time.Second)
+	if q := resumed.res.TrunkQueue[0][0].Points; cap(q) < clampReserve(4*estTrunkPackets(cfgA)) {
+		t.Fatalf("a canceled FinishContext left the queue log at capacity %d: it was copied out", cap(q))
+	}
+	assertRunsIdentical(t, coldA, resumed.Finish())
+
+	stale := cancelMidRun(t, a, cfgA, 30*time.Second)
+	resB := a.Run(cfgB)
+	late := stale.Finish()
+	resA := a.Run(cfgA)
+	assertRunsIdentical(t, coldB, resB)
+	assertRunsIdentical(t, coldA, resA)
+	arrays := map[unsafe.Pointer]string{}
+	for i, res := range []*Result{late, resB, resA} {
+		name := []string{"the late finish", "the run in between", "the run after"}[i]
+		for _, v := range logViews(res) {
+			if other, dup := arrays[v.data]; dup && v.len > 0 {
+				t.Errorf("%s of %s shares its array with %s", v.name, name, other)
+			}
+			arrays[v.data] = name
+		}
+	}
+}
+
+// (d, continued) A build that fails after it took its logs gives them
+// back: the arena is as warm afterwards as before.
+func TestArenaFailedBuildGivesBack(t *testing.T) {
+	cfg := ringEventConfig()
+	a := NewArena()
+	want := a.Run(cfg)
+
+	bad := cfg
+	bad.Events = []LinkEvent{{T: 5 * time.Second, Link: 0, Down: true}, {T: 6 * time.Second, Link: 4, Down: true}}
+	if _, err := a.BuildE(bad); err == nil || !strings.Contains(err.Error(), "disconnects") {
+		t.Fatalf("BuildE error = %v, want the second down to disconnect the ring", err)
+	}
+	var s *Sim
+	if n := allocatedBy(func() { s = a.Build(cfg) }); n > warmBuildMax {
+		t.Fatalf("build after a failed build allocated %d B, want <= %d", n, warmBuildMax)
+	}
+	if !reflect.DeepEqual(want, s.Finish()) {
+		t.Fatal("run after a failed build differs")
+	}
+}
+
+// (e) Cut at T and resumed, 37 times over, a warm arena's run is the
+// straight run; stepping on after Finish appends to the Result's own
+// copy and leaves the arena's slabs alone.
+func TestArenaSteppedEqualsStraight(t *testing.T) {
+	cfg := twoWay(10 * time.Millisecond)
+	a := NewArena()
+	a.Run(cfg)
+	straight := a.Run(cfg)
+
+	s := a.Build(cfg)
+	rng := rand.New(rand.NewSource(37))
+	for now, i := time.Duration(0), 0; i < 37; i++ {
+		now += time.Duration(rng.Int63n(int64(2 * cfg.Duration / 37)))
+		s.RunUntil(min(now, cfg.Duration))
+	}
+	stepped := s.Finish()
+	if !reflect.DeepEqual(straight, stepped) {
+		t.Fatal("stepped run differs from the straight run")
+	}
+
+	n := len(stepped.TrunkDeps[0][0])
+	s.RunUntil(cfg.Duration + 10*time.Second)
+	if len(stepped.TrunkDeps[0][0]) <= n {
+		t.Fatal("running past Duration logged no departure")
+	}
+	if !reflect.DeepEqual(straight, a.Run(cfg)) {
+		t.Fatal("run after a Sim stepped past its Finish differs")
+	}
+}
+
+// (f) Sharded runs lend per region: each log is appended by one region's
+// goroutine and settled after the runner has stopped.
+func TestArenaShardedLending(t *testing.T) {
+	cfg := twoWay(10 * time.Millisecond)
+	cfg.Shards = 2
+	cold := Build(cfg).Finish()
+	a := NewArena()
+	for run := 0; run < 2; run++ {
+		if res := a.Run(cfg); !reflect.DeepEqual(cold, res) {
+			t.Fatalf("sharded arena run %d differs from the cold sharded run", run)
+		}
+	}
+	if cap(a.logs.merge) < len(cold.Drops) {
+		t.Fatalf("merge scratch holds %d records, the run dropped %d", cap(a.logs.merge), len(cold.Drops))
+	}
+}

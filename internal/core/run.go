@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -168,6 +169,9 @@ type Sim struct {
 	pools    []*packet.Pool
 	runner   *shard.Runner
 	dropLogs [][]dropRec
+	// logs is the arena storage the run's logs were taken from and finish
+	// settles with; nil without an arena (the Result keeps its arrays).
+	logs *logSlabs
 
 	switches  []*node.Switch
 	trunks    [][2]*link.Port
@@ -412,6 +416,10 @@ func (s *Sim) finish(ctx context.Context) (*Result, error) {
 	}
 	res.Events = s.Events()
 	s.mergeDrops()
+	if s.logs != nil {
+		// Here the Result becomes visible: it must own all it references.
+		s.logs.settle(res, s.dropLogs)
+	}
 	s.exportMetrics()
 	if s.merger != nil {
 		// Region tracers first (each Close flushes its remaining ring into
@@ -449,17 +457,22 @@ type dropRec struct {
 // same key: the multiset of records is identical for every shard count
 // (injected cross-region events carry the serial lineage by
 // construction), hence so is the sorted log.
+//
+// The logs never escape, so one region's log is sorted where it lies
+// and several regions' are concatenated in a scratch the arena keeps.
 func (s *Sim) mergeDrops() {
-	n := 0
-	for _, l := range s.dropLogs {
-		n += len(l)
+	recs := s.dropLogs[0]
+	if len(s.dropLogs) > 1 && s.logs == nil {
+		recs = slices.Concat(s.dropLogs...)
+	} else if len(s.dropLogs) > 1 {
+		recs = s.logs.merge[:0]
+		for _, l := range s.dropLogs {
+			recs = append(recs, l...)
+		}
+		s.logs.merge = recs
 	}
-	if n == 0 {
+	if len(recs) == 0 {
 		return
-	}
-	recs := make([]dropRec, 0, n)
-	for _, l := range s.dropLogs {
-		recs = append(recs, l...)
 	}
 	sort.SliceStable(recs, func(i, j int) bool {
 		a, b := &recs[i], &recs[j]
@@ -483,7 +496,7 @@ func (s *Sim) mergeDrops() {
 		}
 		return a.Kind < b.Kind
 	})
-	s.res.Drops = make([]trace.DropEvent, n)
+	s.res.Drops = make([]trace.DropEvent, len(recs))
 	for i := range recs {
 		s.res.Drops[i] = recs[i].DropEvent
 	}
@@ -574,7 +587,7 @@ func BuildE(cfg Config) (*Sim, error) {
 
 // buildE assembles the Sim, drawing engine, packet pool, and trace ring
 // from ar when non-nil (Arena reuse) and allocating fresh ones when nil.
-func buildE(cfg Config, ar *Arena) (*Sim, error) {
+func buildE(cfg Config, ar *Arena) (_ *Sim, err error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -734,12 +747,30 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		MeasureTo:   cfg.Duration,
 	}
 
+	// Every per-run log is taken from the arena's slabs or (a cold slot, no
+	// arena) allocated at an estimate from the run length, and grown by
+	// append past it: the arena keeps the grown slab, so a warm run does not
+	// regrow. A build that fails from here on gives back what it took.
+	logs := new(logSlabs)
+	if ar != nil {
+		logs = &ar.logs
+		logs.rewind()
+	}
+
 	// instrumentDrops wires a port's drop hook into the drop log: per
 	// region, tagged with the executing event's scheduling lineage, and
 	// canonically ordered at finish (Sim.mergeDrops). Serial runs use the
 	// identical path with a single region, so every shard count produces
 	// the same byte-identical res.Drops.
 	dropLogs := make([][]dropRec, K)
+	for r := range dropLogs {
+		dropLogs[r] = logs.drops.take(0)
+	}
+	defer func() {
+		if err != nil {
+			logs.settle(res, dropLogs)
+		}
+	}()
 	instrumentDrops := func(eng *sim.Engine, region int, pt *link.Port) {
 		name := pt.Name()
 		pt.OnDrop = func(p *packet.Packet) {
@@ -855,9 +886,8 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		}
 	}
 
-	// Trunk ports, one pair per topology link, instrumented. Trace
-	// containers are presized from the run length so the measurement
-	// path appends without reallocating mid-run.
+	// Trunk ports, one pair per topology link, instrumented. estPkts is
+	// the unit of the logs' cold reserve.
 	estPkts := estTrunkPackets(cfg)
 	res.TrunkQueue = make([][2]*trace.Series, nl)
 	res.TrunkDeps = make([][2][]trace.Departure, nl)
@@ -932,7 +962,8 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 			// One queue-length point per accepted arrival and per
 			// departure; the trunk carries roughly one direction's data
 			// plus the other's ACKs.
-			s := trace.NewSeriesCap(pt.Name(), clampReserve(4*estPkts))
+			s := trace.NewSeries(pt.Name())
+			s.Points = logs.points.take(clampReserve(4 * estPkts))
 			s.Append(0, 0)
 			res.TrunkQueue[li][dir] = s
 			qh := metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
@@ -940,7 +971,7 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 				s.Append(eng.Now(), float64(qlen))
 				qh.Observe(float64(qlen))
 			}
-			res.TrunkDeps[li][dir] = make([]trace.Departure, 0, clampReserve(2*estPkts))
+			res.TrunkDeps[li][dir] = logs.deps.take(clampReserve(2 * estPkts))
 			pt.OnDepart = func(p *packet.Packet) {
 				res.TrunkDeps[li][dir] = append(res.TrunkDeps[li][dir], trace.Departure{
 					T: eng.Now(), Conn: p.Conn, Kind: p.Kind, Seq: p.Seq,
@@ -1058,13 +1089,16 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 
 		if connMeasured == nil || connMeasured[k] {
 			// The window moves (and an ACK arrives) at most once per
-			// delivered packet, so the per-connection share of the trunk
-			// packet budget bounds both.
-			cw := trace.NewSeriesCap(fmt.Sprintf("cwnd-%d", connID), perConn)
+			// delivered packet, so the per-connection share of one trunk
+			// direction's packet budget is the cold estimate of both — not
+			// a bound: the paper's two-way pair has a direction each, and
+			// both logs outgrow estPkts/2 on every cold run.
+			cw := trace.NewSeries(fmt.Sprintf("cwnd-%d", connID))
+			cw.Points = logs.points.take(perConn)
 			cw.Append(0, 1)
 			res.Cwnd[k] = cw
 			s.OnCwnd = func(v float64) { cw.Append(eng.Now(), v) }
-			res.AckArrivals[k] = make([]time.Duration, 0, perConn)
+			res.AckArrivals[k] = logs.times.take(perConn)
 			ackGapHist := metrics.NewHistogram(fmt.Sprintf("ack-gap-seconds/conn%d", connID), ackGapBounds)
 			lastAck := time.Duration(-1)
 			s.OnAckArrival = func(*packet.Packet) {
@@ -1076,6 +1110,7 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 				lastAck = now
 			}
 			rttSeries := trace.NewSeries(fmt.Sprintf("rtt-%d", connID))
+			rttSeries.Points = logs.points.take(0)
 			res.RTT[k] = rttSeries
 			rttHist := metrics.NewHistogram(fmt.Sprintf("rtt-seconds/conn%d", connID), rttBounds)
 			s.OnRTTSample = func(m time.Duration) {
@@ -1178,6 +1213,9 @@ func buildE(cfg Config, ar *Arena) (*Sim, error) {
 		epochHist: metrics.NewHistogram("epoch-seconds", epochBounds),
 	}
 	res.Metrics = metrics
+	if ar != nil {
+		sm.logs = logs
+	}
 	if progress != nil {
 		sm.nextProgressT = progress.Every
 		sm.nextProgressE = progress.EveryEvents

@@ -33,18 +33,6 @@ type Series struct {
 // NewSeries returns an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// NewSeriesCap returns an empty named series with room for capacity
-// points before the first append reallocates. Instrumentation that knows
-// roughly how many samples a run will produce (one per queue change, one
-// per ACK, ...) reserves up front so the measurement path never grows the
-// backing array mid-run.
-func NewSeriesCap(name string, capacity int) *Series {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Series{Name: name, Points: make([]Point, 0, capacity)}
-}
-
 // Append records that the series took value v at time t. Appends must be
 // in nondecreasing time order; equal-time appends overwrite so the series
 // stores the final value at each instant.

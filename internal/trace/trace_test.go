@@ -127,26 +127,6 @@ func TestCursorRepeatedQueries(t *testing.T) {
 	}
 }
 
-func TestNewSeriesCapReservesWithoutGrowth(t *testing.T) {
-	s := NewSeriesCap("q", 100)
-	if s.Len() != 0 {
-		t.Fatalf("new series has %d points", s.Len())
-	}
-	if got := cap(s.Points); got < 100 {
-		t.Fatalf("cap = %d, want >= 100", got)
-	}
-	base := &s.Points[:1][0]
-	for i := 0; i < 100; i++ {
-		s.Append(time.Duration(i)*time.Second, float64(i))
-	}
-	if &s.Points[0] != base {
-		t.Fatal("backing array reallocated within reserved capacity")
-	}
-	if got := cap(NewSeriesCap("q", -5).Points); got != 0 {
-		t.Fatalf("negative capacity reserved %d points", got)
-	}
-}
-
 func TestTimeAverage(t *testing.T) {
 	s := NewSeries("q")
 	s.Append(sec(0), 0)

@@ -21,8 +21,17 @@
 # side won (ties count for neither), and the two conditions the
 # choosing-metrics guide sets for a claim: the change wins at least nine
 # tenths of the pairs, and the medians differ by more than the parent's own
-# interquartile range. Every run's result line is kept in the output
-# directory. It only calls the harness; it changes no file under bench/.
+# interquartile range.
+#
+# After the pairs it makes one traced run a side (--trace 1, seed 1 on
+# both) and prints the phases of a run side by side — parse, build,
+# warm-up, steady state, finish, the analysis and trace-store rows, peak
+# RSS — so that work a change moved from one phase into another (out of
+# set-up into Finish, say) is in the same report as the claim. One run a
+# side: read the rows as where the time went, not as a measurement.
+#
+# Every run's result line is kept in the output directory. It only calls
+# the harness; it changes no file under bench/.
 #
 # Exit status: 0 when every run executed and reported ops_failed = 0 on
 # both sides, 1 otherwise. The verdict columns are for the reader — a
@@ -48,13 +57,14 @@ echo "benchpair: $pairs pairs of $workload, $seconds s a side; result lines in $
 # run <side> <dir> <seed>: one benchmark run; its result line (the last
 # line of standard output) is appended to $work/<side>.jsonl.
 run() {
-    local side=$1 dir=$2 seed=$3 line
-    if ! line=$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 2>"$work/$side.$seed.log" | tail -n 1); then
-        echo "benchpair: $side run failed at seed $seed, see $work/$side.$seed.log" >&2
+    local side=$1 dir=$2 seed=$3 trace=${4:-0} out=$1 line
+    if ((trace)); then out=$side.trace; fi # its own file: not one of the pairs
+    if ! line=$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" 2>"$work/$out.$seed.log" | tail -n 1); then
+        echo "benchpair: $side run failed at seed $seed, see $work/$out.$seed.log" >&2
         exit 1
     fi
-    echo "$line" >>"$work/$side.jsonl"
-    echo "benchpair:   $side seed $seed: $line" >&2
+    echo "$line" >>"$work/$out.jsonl"
+    echo "benchpair:   $out seed $seed: $line" >&2
 }
 
 for ((i = 1; i <= pairs; i++)); do
@@ -68,14 +78,23 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
+echo "benchpair: traced pass, one run a side" >&2
+run parent "$work/parent" 1 1
+run head "$root" 1 1
+
 # The metric list (name, unit, direction) comes from BENCHMARK.json; the
 # values from the result lines: {"…","failed":N,"metrics":{"name":{"value":V,…},…}}.
 metrics=$(tr -d ' \n' <"$root/BENCHMARK.json" |
     sed 's/.*"end_to_end":\[\([^]]*\)\].*/\1/' |
     grep -o '{[^}]*}' |
     sed 's/.*"name":"\([^"]*\)".*"unit":"\([^"]*\)".*"better":"\([^"]*\)".*/\1 \2 \3/')
+# The phases of a run among BENCHMARK.json's per-layer metrics, in its order.
+layers=$(tr -d ' \n' <"$root/BENCHMARK.json" |
+    sed 's/.*"per_layer":\[\([^]]*\)\].*/\1/' |
+    grep -o '"name":"[^"]*"' | cut -d'"' -f4 |
+    grep -E '^(scenario\.parse_s|core\.(build|warmup|steady|finish)_s|(analysis|tstore)\.[a-z]+_s|proc\.peak_rss_mb)$')
 
-awk -v metrics="$metrics" -v pairs="$pairs" -v workload="$workload" '
+awk -v metrics="$metrics" -v layers="$layers" -v pairs="$pairs" -v workload="$workload" '
 function value(line, name,    m) {
     if (!match(line, "\"" name "\":\\{\"value\":[-+0-9.eE]+")) return "nan"
     m = substr(line, RSTART, RLENGTH); sub(/.*:/, "", m); return m + 0
@@ -90,8 +109,10 @@ function quantile(v, n, p,    i, j, t, pos, lo) {
     pos = 1 + (n - 1) * p; lo = int(pos)
     return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
 }
-FILENAME ~ /parent\.jsonl$/ { np++; P[np] = $0; pf += failed($0); next }
-                            { nh++; H[nh] = $0; hf += failed($0) }
+FILENAME ~ /parent\.trace\.jsonl$/ { PT = $0; pf += failed($0); next }
+FILENAME ~ /head\.trace\.jsonl$/   { HT = $0; hf += failed($0); next }
+FILENAME ~ /parent\.jsonl$/        { np++; P[np] = $0; pf += failed($0); next }
+                                   { nh++; H[nh] = $0; hf += failed($0) }
 END {
     if (np != pairs || nh != pairs) { printf "benchpair: %d parent and %d head result lines, want %d each\n", np, nh, pairs; exit 1 }
     printf "\n%s: %d pairs, parent vs change (median [q1, q3]); ops failed: parent %d, change %d\n\n", workload, pairs, pf, hf
@@ -112,5 +133,13 @@ END {
             sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", hm, h1, h3),
             pm ? 100 * diff / pm : 0, won, lost, pairs, gain ? "yes" : "no", beyond ? (diff * sign > 0 ? "better" : "WORSE") : "no"
     }
+    printf "\n%s: where the time went — one traced run a side (seed 1), sums over a repetition\n\n", workload
+    printf "  %-20s %12s %12s %12s\n", "per-layer metric", "parent", "change", "difference"
+    nl = split(layers, L, "\n")
+    for (k = 1; k <= nl; k++) {
+        pv = value(PT, L[k]); hv = value(HT, L[k])
+        if (pv == "nan" || hv == "nan" || (pv == 0 && hv == 0)) continue
+        printf "  %-20s %12.6g %12.6g %+12.6g\n", L[k], pv, hv, hv - pv
+    }
     exit (pf + hf) > 0
-}' "$work/parent.jsonl" "$work/head.jsonl"
+}' "$work/parent.jsonl" "$work/head.jsonl" "$work/parent.trace.jsonl" "$work/head.trace.jsonl"

@@ -5,6 +5,7 @@ package tahoedyn
 // not, forwarding from dense tables or from rows.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -156,5 +157,49 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("sharded steady-state simulation allocates %.2f/sim-second, want <= 1", allocs)
+	}
+}
+
+// TestSteadyStateAllocsPastColdReserve is the arena-reused case at the
+// length of the paper's long runs. Over 10 000 sim-s each connection's
+// window and ACK logs outgrow their cold reserve (an estimate: a trunk
+// direction's packet budget shared out between the two connections,
+// which here have a direction each), so a first run regrows them
+// mid-run (megabytes of it). The arena keeps the grown slabs: a later
+// run's steady state regrows none of them, up to and past the point
+// where the cold reserve ran out, and steps at 0 allocs a simulated
+// second there.
+func TestSteadyStateAllocsPastColdReserve(t *testing.T) {
+	cfg := steadyStateConfig()
+	cfg.Duration = 10_000 * time.Second
+	const settle, late = 100 * time.Second, 9_000 * time.Second
+	grown := func(s *core.Sim) uint64 {
+		s.RunUntil(settle)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		s.RunUntil(late)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	a := core.NewArena()
+	first := a.Build(cfg)
+	if n := grown(first); n < 2<<20 {
+		t.Fatalf("the first run allocated %d B in steady state: no log outgrew its reserve, the case is vacuous", n)
+	}
+	first.Finish()
+	a.Run(cfg)
+	s := a.Build(cfg)
+	// Result.Collapses is not lent (a few thousand small records a
+	// connection) and doubles its way to ~200 KB in all.
+	if n := grown(s); n > 512<<10 {
+		t.Errorf("steady state on the reused arena allocated %d B, want <= 512 KB (no lent log regrown)", n)
+	}
+	now := late
+	allocs := testing.AllocsPerRun(50, func() {
+		now += time.Second
+		s.RunUntil(now)
+	})
+	if allocs > 0 {
+		t.Errorf("past the cold reserve the reused arena allocates %.2f/sim-second, want 0", allocs)
 	}
 }

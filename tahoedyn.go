@@ -63,9 +63,10 @@ type (
 	// and runs with events stay byte-identical at every shard count.
 	LinkEvent = core.LinkEvent
 	// Arena is a reusable allocation context for back-to-back runs:
-	// engine buckets, the event free list, the packet free list, and
-	// the trace ring survive from one run to the next. Reuse is
-	// behavior-neutral; see NewArena.
+	// engine buckets, the event free list, the packet free list, the
+	// trace ring, and the backing arrays of the run's series and logs
+	// survive from one run to the next (a Result gets copies). Reuse
+	// is behavior-neutral; see NewArena.
 	Arena = core.Arena
 	// SchedKind selects the event-scheduler implementation backing a
 	// run's engine (Config.Sched): SchedWheel or SchedHeap.
@@ -564,6 +565,8 @@ func RunManyLive(workers int, cfgs []Config, done func(completed, total int)) []
 
 // NewArena returns an empty Arena: its first run allocates, later runs
 // reuse. An Arena is single-goroutine, like a run; use one per worker.
+// It keeps the series capacity of its largest run (35 MB after a
+// 10 000 sim-s two-way dumbbell) until it is dropped.
 func NewArena() *Arena { return core.NewArena() }
 
 // RunManyE is RunMany with error aggregation and cancellation: the
