@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet check bench bench-pair trace-demo
+.PHONY: build test race vet check bench bench-pair loc trace-demo
 
 build:
 	$(GO) build ./...
@@ -43,3 +43,11 @@ WORKLOAD ?= mesh-ba2048
 PAIRS ?= 10
 bench-pair:
 	scripts/benchpair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# loc counts non-test Go lines outside bench/, per package and in total;
+# with REV, also REV's count and the difference per package and per file
+# — the figure ROADMAP aim 2 asks every PR to report in CHANGES.md.
+#   make loc REV=HEAD~1
+REV ?=
+loc:
+	scripts/loc.sh $(REV)

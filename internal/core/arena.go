@@ -39,17 +39,10 @@ import (
 // not leaked into the next run's schedule; the slabs an abandoned Sim
 // took are garbage with it, so it can alias nobody's Result).
 type Arena struct {
-	eng    *sim.Engine
-	pool   *packet.Pool
-	tracer *obs.Tracer // previous run's tracer; its ring slab is reclaimed on the next Build
-
-	// Extra per-region storage for sharded runs: region r > 0 draws from
-	// slot r-1 (region 0 shares the serial slots above, so alternating
-	// serial and sharded runs keeps them warm too). Slices grow to the
-	// largest shard count the arena has seen.
-	engs    []*sim.Engine
-	pools   []*packet.Pool
-	tracers []*obs.Tracer
+	// One store per region, grown to the largest shard count the arena
+	// has seen. Region 0 is the serial run's, so alternating serial and
+	// sharded runs keeps it warm for both.
+	regions []regionStore
 
 	// Wiring slabs: the per-run element slices buildE needs (switches,
 	// hosts, trunk port pairs, senders, receivers). They are held by the
@@ -63,6 +56,40 @@ type Arena struct {
 	recvSlab  []*tcp.Receiver
 
 	logs logSlabs
+}
+
+// regionStore is what the arena recycles in place for one region of a run.
+type regionStore struct {
+	eng  *sim.Engine
+	pool *packet.Pool
+	// tracer is the last traced run's. That run has finished or been
+	// abandoned by the Arena contract, and every call into its Sim returned
+	// with no batch at the sink: the next traced build takes its ring slab.
+	tracer *obs.Tracer
+}
+
+// stores returns the first k region stores made ready for a new run: in
+// each an engine of the kind asked for — the kept one, reset, when its
+// kind matches, otherwise a fresh one kept for next time — and a packet
+// pool with its per-run counters at zero.
+func (a *Arena) stores(kind sim.SchedKind, k int) []regionStore {
+	for len(a.regions) < k {
+		a.regions = append(a.regions, regionStore{})
+	}
+	for r := range a.regions[:k] {
+		st := &a.regions[r]
+		if st.eng != nil && st.eng.Kind() == sim.ResolveSched(kind) {
+			st.eng.Reset()
+		} else {
+			st.eng = sim.NewSched(kind)
+		}
+		if st.pool == nil {
+			st.pool = packet.NewPool()
+		} else {
+			st.pool.ResetCounters()
+		}
+	}
+	return a.regions[:k]
 }
 
 // lent is the arena's free list of one element type's log slabs; slot i
@@ -161,12 +188,7 @@ func slab[T any](buf *[]T, n int) []T {
 }
 
 // wiring hands buildE its element slices, reusing the arena's slabs.
-// A nil arena allocates fresh ones.
 func (a *Arena) wiring(nSw, nh, nl, nc int) ([]*node.Switch, []*node.Host, [][2]*link.Port, []*tcp.Sender, []*tcp.Receiver) {
-	if a == nil {
-		return make([]*node.Switch, nSw), make([]*node.Host, nh),
-			make([][2]*link.Port, nl), make([]*tcp.Sender, nc), make([]*tcp.Receiver, nc)
-	}
 	return slab(&a.swSlab, nSw), slab(&a.hostSlab, nh),
 		slab(&a.trunkSlab, nl), slab(&a.sendSlab, nc), slab(&a.recvSlab, nc)
 }
@@ -211,137 +233,6 @@ func (a *Arena) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return s.FinishContext(ctx)
-}
-
-// engine returns an engine of the kind cfg selects: the kept one,
-// reset, when its kind matches; otherwise a fresh one that the arena
-// keeps for next time. A nil arena always allocates.
-func (a *Arena) engine(kind sim.SchedKind) *sim.Engine {
-	if a == nil {
-		return sim.NewSched(kind)
-	}
-	if a.eng != nil && a.eng.Kind() == sim.ResolveSched(kind) {
-		a.eng.Reset()
-		return a.eng
-	}
-	a.eng = sim.NewSched(kind)
-	return a.eng
-}
-
-// packetPool returns the kept packet pool with its per-run counters
-// reset, or a fresh one. A nil arena always allocates.
-func (a *Arena) packetPool() *packet.Pool {
-	if a == nil {
-		return packet.NewPool()
-	}
-	if a.pool == nil {
-		a.pool = packet.NewPool()
-	} else {
-		a.pool.ResetCounters()
-	}
-	return a.pool
-}
-
-// traceRing reclaims the previous run's trace rings, if any (one slab).
-// The previous run has finished or been abandoned by the Arena contract,
-// and every call into its Sim returned with no batch at the sink.
-func (a *Arena) traceRing() []obs.Event {
-	if a == nil || a.tracer == nil {
-		return nil
-	}
-	r := a.tracer.Ring()
-	a.tracer = nil
-	return r
-}
-
-// keepTracer remembers the new run's tracer so the ring can be
-// reclaimed on the next Build. No-op on a nil arena.
-func (a *Arena) keepTracer(t *obs.Tracer) {
-	if a != nil {
-		a.tracer = t
-	}
-}
-
-// engines returns k engines of the kind cfg selects: engine(kind) for
-// region 0 and the arena's extra slots (reset when the kind matches,
-// replaced otherwise) for the rest. A nil arena allocates all of them.
-func (a *Arena) engines(kind sim.SchedKind, k int) []*sim.Engine {
-	out := make([]*sim.Engine, k)
-	out[0] = a.engine(kind)
-	if a == nil {
-		for i := 1; i < k; i++ {
-			out[i] = sim.NewSched(kind)
-		}
-		return out
-	}
-	for len(a.engs) < k-1 {
-		a.engs = append(a.engs, nil)
-	}
-	for i := 1; i < k; i++ {
-		e := a.engs[i-1]
-		if e != nil && e.Kind() == sim.ResolveSched(kind) {
-			e.Reset()
-		} else {
-			e = sim.NewSched(kind)
-			a.engs[i-1] = e
-		}
-		out[i] = e
-	}
-	return out
-}
-
-// packetPools is packetPool for k regions, counter-reset like the
-// serial slot. A nil arena allocates all of them.
-func (a *Arena) packetPools(k int) []*packet.Pool {
-	out := make([]*packet.Pool, k)
-	out[0] = a.packetPool()
-	if a == nil {
-		for i := 1; i < k; i++ {
-			out[i] = packet.NewPool()
-		}
-		return out
-	}
-	for len(a.pools) < k-1 {
-		a.pools = append(a.pools, nil)
-	}
-	for i := 1; i < k; i++ {
-		if a.pools[i-1] == nil {
-			a.pools[i-1] = packet.NewPool()
-		} else {
-			a.pools[i-1].ResetCounters()
-		}
-		out[i] = a.pools[i-1]
-	}
-	return out
-}
-
-// shardRing reclaims region r's trace ring from the previous sharded
-// run (region 0 reclaims the serial ring).
-func (a *Arena) shardRing(r int) []obs.Event {
-	if r == 0 {
-		return a.traceRing()
-	}
-	if a == nil || r-1 >= len(a.tracers) || a.tracers[r-1] == nil {
-		return nil
-	}
-	ring := a.tracers[r-1].Ring()
-	a.tracers[r-1] = nil
-	return ring
-}
-
-// keepTracers remembers a sharded run's region tracers so their rings
-// can be reclaimed on the next Build. No-op on a nil arena.
-func (a *Arena) keepTracers(ts []*obs.Tracer) {
-	if a == nil {
-		return
-	}
-	a.keepTracer(ts[0])
-	for len(a.tracers) < len(ts)-1 {
-		a.tracers = append(a.tracers, nil)
-	}
-	for i := 1; i < len(ts); i++ {
-		a.tracers[i-1] = ts[i]
-	}
 }
 
 // arenaPool shares warm arenas across every core.Run/RunE/RunContext in

@@ -8,6 +8,10 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+
+	"tahoedyn/internal/link"
+	"tahoedyn/internal/obs"
+	"tahoedyn/internal/topology"
 )
 
 // The Arena's ownership rule for the logs a Result carries (DESIGN.md
@@ -210,24 +214,52 @@ func TestArenaCancelRebuildFinishLate(t *testing.T) {
 	}
 }
 
-// (d, continued) A build that fails after it took its logs gives them
-// back: the arena is as warm afterwards as before.
+// (d, continued) A build that fails — in whichever phase, before or
+// after it took its logs — leaves the arena whole: what it took is given
+// back, the arena is as warm afterwards as before, and the next run on it
+// is the run a fresh arena makes.
 func TestArenaFailedBuildGivesBack(t *testing.T) {
 	cfg := ringEventConfig()
+	want := NewArena().Run(cfg)
 	a := NewArena()
-	want := a.Run(cfg)
-
-	bad := cfg
-	bad.Events = []LinkEvent{{T: 5 * time.Second, Link: 0, Down: true}, {T: 6 * time.Second, Link: 4, Down: true}}
-	if _, err := a.BuildE(bad); err == nil || !strings.Contains(err.Error(), "disconnects") {
-		t.Fatalf("BuildE error = %v, want the second down to disconnect the ring", err)
-	}
-	var s *Sim
-	if n := allocatedBy(func() { s = a.Build(cfg) }); n > warmBuildMax {
-		t.Fatalf("build after a failed build allocated %d B, want <= %d", n, warmBuildMax)
-	}
-	if !reflect.DeepEqual(want, s.Finish()) {
-		t.Fatal("run after a failed build differs")
+	a.Run(cfg)
+	for _, tc := range []struct {
+		phase, wantErr string
+		breakIt        func(*Config)
+	}{
+		{"plan", "MeasureTrunks names link 8, out of range [0,8)", func(c *Config) { c.MeasureTrunks = []int{0, 8} }},
+		{"plan", "LinkQueue names link 99, out of range [0,8)", func(c *Config) {
+			c.LinkQueue = map[int]*link.QueueSpec{99: {Policy: link.PolicyRED}}
+		}},
+		{"partition", "switch 5 is in no region", func(c *Config) { c.Regions = [][]int{{0, 1, 2}, {3, 4}} }},
+		// Interned in ports and conns, reported by assemble's tracer check:
+		// three locations a host (its port, the switch's port to it, itself).
+		{"ports and conns", "65536 locations", func(c *Config) {
+			g := ring(8)
+			g.Hosts = make([]topology.HostSpec, 22_000)
+			for h := range g.Hosts {
+				g.Hosts[h].Switch = h % 8
+			}
+			c.Topology = &g
+			c.Obs = &obs.Options{Trace: &obs.TraceOptions{Sink: obs.NewMemorySink()}}
+		}},
+		{"events", "disconnects", func(c *Config) {
+			c.Shards = 2
+			c.Events = []LinkEvent{{T: 5 * time.Second, Link: 0, Down: true}, {T: 6 * time.Second, Link: 4, Down: true}}
+		}},
+	} {
+		bad := cfg
+		tc.breakIt(&bad)
+		if _, err := a.BuildE(bad); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Fatalf("%s: BuildE error = %v, want one naming %q", tc.phase, err, tc.wantErr)
+		}
+		var s *Sim
+		if n := allocatedBy(func() { s = a.Build(cfg) }); n > warmBuildMax {
+			t.Errorf("%s: build after the failed build allocated %d B, want <= %d", tc.phase, n, warmBuildMax)
+		}
+		if !reflect.DeepEqual(want, s.Finish()) {
+			t.Errorf("%s: run after the failed build differs from a fresh arena's", tc.phase)
+		}
 	}
 }
 

@@ -1,0 +1,686 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"tahoedyn/internal/link"
+	"tahoedyn/internal/node"
+	"tahoedyn/internal/obs"
+	"tahoedyn/internal/packet"
+	"tahoedyn/internal/shard"
+	"tahoedyn/internal/sim"
+	"tahoedyn/internal/tcp"
+	"tahoedyn/internal/topology"
+	"tahoedyn/internal/trace"
+	"tahoedyn/internal/tstore"
+)
+
+// build is the state of one buildE call: what each phase leaves for the
+// ones after it (DESIGN.md, "Build phases"). It is garbage when buildE
+// returns: the hooks the phases install on ports and senders run once per
+// packet event and capture locals — an engine, a series, a histogram, a
+// drop log — never the build.
+type build struct {
+	cfg  Config // the caller's, normalized: what Result.Cfg and the Sim keep
+	ar   *Arena // where engines, pools, rings, wiring and logs come from
+	lent bool   // ar is the caller's: Finish copies the logs out and gives them back
+
+	// plan
+	topo          *topology.Compiled
+	trunkMeasured []bool // nil: every trunk
+	connMeasured  []bool // nil: every connection
+	// trace is what the run traces with: the caller's options, with the
+	// invariant checker in front of the caller's sink. Nil: no tracer.
+	trace   *obs.TraceOptions
+	checker *tstore.Checker
+
+	part *topology.Partition // partition; nil: one region
+
+	// stores
+	engs     []*sim.Engine
+	pools    []*packet.Pool // nil entries under cfg.noPool
+	tracers  []*obs.Tracer  // nil entries when nothing traces
+	merger   *obs.TraceMerger
+	metrics  *obs.Metrics
+	dropLogs [][]dropRec
+	res      *Result
+	estPkts  int // packets one trunk direction can carry in the run: the unit of the logs' cold reserve
+
+	// ports, then conns
+	switches  []*node.Switch
+	hosts     []*node.Host
+	trunks    [][2]*link.Port
+	edges     []*shard.Edge // the cut links' hand-offs and each one's source region
+	edgeFrom  []int
+	senders   []*tcp.Sender
+	receivers []*tcp.Receiver
+	sinks     []*node.Sink
+}
+
+// buildE assembles the Sim by running the phases in the one order there
+// is. A nil ar builds without an arena: engines, pools and wiring come
+// from a throw-away one, and the Result keeps the logs it was built with.
+func buildE(cfg Config, ar *Arena) (_ *Sim, err error) {
+	b := build{cfg: cfg, ar: ar, lent: ar != nil}
+	if ar == nil {
+		b.ar = new(Arena)
+	}
+	defer func() {
+		if err != nil && b.res != nil { // failed after the stores phase took the logs: give them back
+			b.ar.logs.settle(b.res, b.dropLogs)
+		}
+	}()
+	// Called one by one, not through a table of method values: the build
+	// then stays on the stack.
+	if err = b.plan(); err != nil {
+		return nil, err
+	}
+	if err = b.partition(); err != nil {
+		return nil, err
+	}
+	b.stores()
+	if err = b.ports(); err != nil {
+		return nil, err
+	}
+	b.conns()
+	if err = b.events(); err != nil {
+		return nil, err
+	}
+	return b.assemble()
+}
+
+// plan normalizes the configuration, compiles the topology and checks
+// everything that names a link or a connection by index against what
+// there is; it decides what is measured and what the run traces with.
+func (b *build) plan() (err error) {
+	cfg := &b.cfg
+	if err = cfg.normalize(); err != nil {
+		return err
+	}
+	if b.topo, err = cfg.CompileTopology(); err != nil {
+		return err
+	}
+	nl := len(b.topo.Links)
+	inRange := func(field string, li int) error {
+		if li < 0 || li >= nl {
+			return fmt.Errorf("core: %s names link %d, out of range [0,%d)", field, li, nl)
+		}
+		return nil
+	}
+	for li := range cfg.LinkQueue {
+		if err := inRange("LinkQueue", li); err != nil {
+			return err
+		}
+	}
+	for li := range cfg.LinkBehavior {
+		if err := inRange("LinkBehavior", li); err != nil {
+			return err
+		}
+	}
+	// Measurement gating: nil means measure everything; a non-nil
+	// MeasureTrunks/MeasureConns restricts per-trunk and per-connection
+	// instrumentation to the listed indices. Gating only decides whether
+	// observation state is allocated and hooks installed — it never touches
+	// forwarding, queueing, or the TCP state machines — so a gated run's
+	// Delivered/SenderStats/TrunkUtil match an ungated one exactly
+	// (measure_gate_test.go).
+	if cfg.MeasureTrunks != nil {
+		b.trunkMeasured = make([]bool, nl)
+		for _, li := range cfg.MeasureTrunks {
+			if err := inRange("MeasureTrunks", li); err != nil {
+				return err
+			}
+			b.trunkMeasured[li] = true
+		}
+	}
+	if cfg.MeasureConns != nil {
+		b.connMeasured = make([]bool, len(cfg.Conns))
+		for _, k := range cfg.MeasureConns {
+			b.connMeasured[k] = true // indices validated by normalize
+		}
+	}
+	if cfg.Obs != nil {
+		b.trace = cfg.Obs.Trace
+	}
+	if cfg.Invariants == nil {
+		return nil
+	}
+	// Streaming invariants: an online checker between the tracer(s) and
+	// the caller's sink — or the checker as the sink when no tracing was
+	// requested. It sees the merged, time-ordered stream (after the
+	// TraceMerger for sharded runs), observes only, and reports the first
+	// violation through Result.Invariant/TraceErr. The caller's options
+	// are copied, not written through.
+	o := *cfg.Invariants
+	var to obs.TraceOptions
+	if b.trace != nil {
+		to = *b.trace
+	}
+	if to.Filter != (obs.Filter{}) && !o.NoConservation {
+		return fmt.Errorf("core: Invariants cannot check conservation over a filtered trace; drop Obs.Trace.Filter or set Invariants.NoConservation")
+	}
+	if o.MaxCwnd == nil && !o.NoCwndBounds {
+		o.MaxCwnd = make(map[int]float64, len(cfg.Conns))
+		for k := range cfg.Conns {
+			o.MaxCwnd[k+1] = float64(max(cfg.Conns[k].MaxWnd, cfg.Conns[k].FixedWnd))
+		}
+	}
+	b.checker = tstore.NewChecker(to.Sink, o)
+	to.Sink = b.checker
+	b.trace = &to
+	return nil
+}
+
+// partition splits the switch graph into regions, each simulated by its
+// own engine (internal/shard); one region is the serial path.
+func (b *build) partition() (err error) {
+	if b.cfg.Shards <= 1 {
+		return nil
+	}
+	if len(b.cfg.Regions) > 0 {
+		b.part, err = b.topo.PartitionWith(b.cfg.Regions)
+	} else {
+		b.part, err = b.topo.Partition(b.cfg.Shards)
+	}
+	if err != nil || b.part.K == 1 {
+		b.part = nil
+	}
+	return err
+}
+
+// regionOf returns the region that simulates switch sw.
+func (b *build) regionOf(sw int) int {
+	if b.part == nil {
+		return 0
+	}
+	return b.part.Region[sw]
+}
+
+// stores draws from the arena what the run is made of — per region an
+// engine, a packet pool and, when tracing, a tracer over the previous
+// run's ring; the wiring slices; the drop logs — and makes the Result's
+// shell. Packet pointers never cross region goroutines, hence a pool per
+// region; noPool keeps the allocate-and-discard behaviour the determinism
+// tests compare against.
+func (b *build) stores() {
+	cfg, K := &b.cfg, 1
+	if b.part != nil {
+		K = b.part.K
+	}
+	// Sharded engines hand out strided seqs so the coordinator can
+	// interpolate cross-region arrivals between them; serial engines keep
+	// the historical counter. Always set: a reused engine retains the
+	// previous run's stride.
+	stride := uint64(1)
+	if K > 1 {
+		stride = shard.Stride
+		if b.trace != nil {
+			// Every region traces into its own ring; the merger reassembles
+			// one time-ordered stream for the sink at each barrier.
+			b.merger = obs.NewTraceMerger(b.trace.Sink, K)
+		}
+	}
+	b.engs, b.pools, b.tracers = make([]*sim.Engine, K), make([]*packet.Pool, K), make([]*obs.Tracer, K)
+	stores := b.ar.stores(cfg.Sched, K)
+	for r := range stores {
+		st := &stores[r]
+		st.eng.SetSeqStride(stride)
+		b.engs[r] = st.eng
+		if !cfg.noPool {
+			b.pools[r] = st.pool
+		}
+		if b.trace != nil {
+			// The serial tracer delivers to the sink itself, overlapped with
+			// the run; a region's sink is an append to the merger's buffer,
+			// delivered inline.
+			o := *b.trace
+			if b.merger != nil {
+				o.Sink = b.merger.Buffer(r)
+			}
+			st.tracer = obs.NewTracerReusing(o, st.tracer.Ring(), b.merger == nil)
+			b.tracers[r] = st.tracer
+		}
+	}
+	if cfg.Obs != nil && cfg.Obs.Metrics {
+		b.metrics = obs.NewMetrics()
+	}
+	topo, nl, nc := b.topo, len(b.topo.Links), len(cfg.Conns)
+	b.switches, b.hosts, b.trunks, b.senders, b.receivers = b.ar.wiring(topo.Switches, topo.NumHosts(), nl, nc)
+	b.sinks = make([]*node.Sink, nc)
+
+	// Every per-run log is taken from the arena's slabs or (a cold slot)
+	// allocated at an estimate from the run length, and grown by append
+	// past it: the arena keeps the grown slab, so a warm run does not
+	// regrow. The drop logs are per region and canonically merged at
+	// finish (Sim.mergeDrops); a serial run is the same path with one.
+	b.ar.logs.rewind()
+	b.estPkts = estTrunkPackets(*cfg)
+	b.dropLogs = make([][]dropRec, K)
+	for r := range b.dropLogs {
+		b.dropLogs[r] = b.ar.logs.drops.take(0)
+	}
+	b.res = &Result{
+		Cfg: *cfg, Topo: topo, MeasureFrom: cfg.Warmup, MeasureTo: cfg.Duration, Metrics: b.metrics,
+		TrunkQueue:  make([][2]*trace.Series, nl),
+		TrunkDeps:   make([][2][]trace.Departure, nl),
+		TrunkUtil:   make([][2]float64, nl),
+		Cwnd:        make([]*trace.Series, nc),
+		AckArrivals: make([][]time.Duration, nc),
+		RTT:         make([]*trace.Series, nc),
+		Collapses:   make([][]CollapseEvent, nc),
+	}
+}
+
+// port makes an output port on region rg's engine, pool and tracer.
+func (b *build) port(rg int, c link.Config, dst link.Receiver) *link.Port {
+	c.Pool, c.Obs = b.pools[rg], b.tracers[rg]
+	return link.NewPort(b.engs[rg], c, dst)
+}
+
+// disc builds the queue discipline of the port with stable entity index
+// ent: host down-ports in host order, then trunk ports as nh + 2·link +
+// dir. A nil spec returns nil — NewPort's drop-tail default, no
+// allocation here and no RNG draw. A stochastic policy gets its own
+// entitySeed stream rather than a draw on the shared RNG, which is what
+// keeps it deterministic across shard counts; likewise behavior.
+func (b *build) disc(qs *link.QueueSpec, ent int) (link.Disc, error) {
+	if qs == nil {
+		return nil, nil
+	}
+	var r *rand.Rand
+	if qs.NeedsRand() {
+		r = rand.New(rand.NewSource(entitySeed(b.cfg.Seed, seedKindQueue, ent)))
+	}
+	return qs.Build(r)
+}
+
+// behavior builds the link behavior of trunk port ent = 2·link + dir.
+// Each direction owns its Impairment (the loss/jitter state is per line);
+// the RateTrace inside a spec is stateless and shared.
+func (b *build) behavior(bs *link.BehaviorSpec, ent int) (link.Behavior, error) {
+	if bs.IsZero() {
+		return nil, nil
+	}
+	var r *rand.Rand
+	if bs.NeedsRand() {
+		r = rand.New(rand.NewSource(entitySeed(b.cfg.Seed, seedKindBehavior, ent)))
+	}
+	return bs.Build(r)
+}
+
+// logDrops appends pt's drops to its region's log, each tagged with the
+// scheduling lineage of the event that executed it.
+func logDrops(eng *sim.Engine, log *[]dropRec, pt *link.Port) {
+	name := pt.Name()
+	pt.OnDrop = func(p *packet.Packet) {
+		sa, sa2 := eng.ExecLineage()
+		*log = append(*log, dropRec{
+			DropEvent: trace.DropEvent{T: eng.Now(), Conn: p.Conn, Seq: p.Seq, Kind: p.Kind, Port: name},
+			schedAt:   sa,
+			schedAt2:  sa2,
+		})
+	}
+}
+
+// ports builds the switches, the hosts at their attachment points with
+// their access links, the trunk ports with their instruments, and points
+// every switch at its forwarding row.
+func (b *build) ports() (err error) {
+	cfg, topo := &b.cfg, b.topo
+	nh := topo.NumHosts()
+	for i := range b.switches {
+		b.switches[i] = node.NewSwitch(i)
+	}
+	// Host h gets ID h+1, the identifier packets carry in Src/Dst, and
+	// lives on its switch's region engine, so an access link never crosses
+	// a region boundary. The host's own interface buffer is unbounded (a
+	// source may always burst into its own NIC); the switch's port toward
+	// the host uses the switch buffer and the global queue spec, per §2.2.
+	for h := range b.hosts {
+		sw := topo.HostSwitch(h)
+		rg := b.regionOf(sw)
+		host := node.NewHost(b.engs[rg], h+1, cfg.HostProcessing)
+		b.hosts[h] = host
+		access := link.Config{
+			Name:      fmt.Sprintf("h%d->sw%d", h+1, sw),
+			Bandwidth: cfg.AccessBandwidth,
+			Delay:     cfg.AccessDelay,
+			Buffer:    queueUnbounded,
+		}
+		host.SetOutput(b.port(rg, access, b.switches[sw]))
+		access.Name, access.Buffer = fmt.Sprintf("sw%d->h%d", sw, h+1), cfg.Buffer
+		if access.Disc, err = b.disc(cfg.Queue, h); err != nil {
+			return err
+		}
+		down := b.port(rg, access, host)
+		b.switches[sw].AddLocal(h+1, down)
+		logDrops(b.engs[rg], &b.dropLogs[rg], down)
+		if tracer := b.tracers[rg]; tracer != nil {
+			host.SetObs(tracer, fmt.Sprintf("host%d", h+1))
+		}
+	}
+
+	// Trunk ports, one pair per topology link: direction dir transmits
+	// from ends[dir] and lives in that switch's region. A per-link queue
+	// or behaviour spec overrides the global one for both directions.
+	for li, l := range topo.Links {
+		qs, bs := cfg.Queue, cfg.Behavior
+		if o := cfg.LinkQueue[li]; o != nil {
+			qs = o
+		}
+		if o := cfg.LinkBehavior[li]; o != nil {
+			bs = o
+		}
+		ends := [2]int{l.A, l.B}
+		for dir, at := range ends {
+			to, rg := ends[1-dir], b.regionOf(at)
+			c := link.Config{
+				Name:      fmt.Sprintf("sw%d->sw%d", at, to),
+				Bandwidth: l.Bandwidth,
+				Delay:     l.Delay,
+				Buffer:    l.Buffer,
+			}
+			if far := b.regionOf(to); far != rg {
+				// A cut link: the port hands finished transmissions to a
+				// shard edge instead of scheduling the propagation locally.
+				e := &shard.Edge{Delay: l.Delay, To: far, Dst: b.switches[to]}
+				b.edges, b.edgeFrom = append(b.edges, e), append(b.edgeFrom, rg)
+				c.Cross = e
+			}
+			if c.Disc, err = b.disc(qs, nh+2*li+dir); err != nil {
+				return err
+			}
+			if c.Behavior, err = b.behavior(bs, 2*li+dir); err != nil {
+				return err
+			}
+			b.trunks[li][dir] = b.port(rg, c, b.switches[to])
+		}
+		// An unmeasured trunk forwards, drops and reports utilization only:
+		// it costs just its two ports.
+		if b.trunkMeasured == nil || b.trunkMeasured[li] {
+			for dir, pt := range b.trunks[li] {
+				b.measureTrunk(li, dir, pt, b.regionOf(ends[dir]))
+			}
+		}
+	}
+
+	// Forwarding tables. A switch does not copy its routes: it gets the
+	// ports behind its adjacency slots (one flat array, sliced per switch
+	// like the topology's own adjacency) and then forwards straight from
+	// the compiled row — the topology's interned, immutable slices, by
+	// reference (base 1: the row's host index h is host ID h+1). Wiring
+	// cost is O(switches + links), whatever the number of forwarding
+	// intervals.
+	slotPorts := make([]*link.Port, 0, 2*len(topo.Links))
+	for s, sw := range b.switches {
+		first := len(slotPorts)
+		for i, n := 0, topo.Degree(s); i < n; i++ {
+			hop := topo.SlotHop(s, i)
+			slotPorts = append(slotPorts, b.trunks[hop.Link][hop.Dir])
+		}
+		sw.SetPorts(slotPorts[first:len(slotPorts):len(slotPorts)])
+		ends, slots := topo.Row(s)
+		sw.SetRow(1, ends, slots)
+	}
+	return nil
+}
+
+// measureTrunk gives trunk port pt its queue series, departure log,
+// queue histogram and drop records. The queue series gets one point per
+// accepted arrival and per departure; the trunk carries roughly one
+// direction's data plus the other's ACKs.
+func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
+	res, logs, eng, estPkts := b.res, &b.ar.logs, b.engs[rg], b.estPkts
+	s := trace.NewSeries(pt.Name())
+	s.Points = logs.points.take(clampReserve(4 * estPkts))
+	s.Append(0, 0)
+	res.TrunkQueue[li][dir] = s
+	qh := b.metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
+	pt.OnQueueLen = func(qlen int) {
+		s.Append(eng.Now(), float64(qlen))
+		qh.Observe(float64(qlen))
+	}
+	res.TrunkDeps[li][dir] = logs.deps.take(clampReserve(2 * estPkts))
+	pt.OnDepart = func(p *packet.Packet) {
+		res.TrunkDeps[li][dir] = append(res.TrunkDeps[li][dir], trace.Departure{
+			T: eng.Now(), Conn: p.Conn, Kind: p.Kind, Seq: p.Seq,
+		})
+	}
+	logDrops(eng, &b.dropLogs[rg], pt)
+}
+
+// conns builds the connections in Config.Conns order and schedules their
+// starts. The order is a contract: a negative Start is a draw on the one
+// shared RNG, sources included, so a mixed scenario's other start times
+// do not move when a connection changes kind.
+func (b *build) conns() {
+	cfg := &b.cfg
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for k := range cfg.Conns {
+		spec := &cfg.Conns[k]
+		src := b.hosts[spec.SrcHost]
+		// The sender runs on its host's region engine, the receiver on its
+		// own — a connection whose endpoints fall in different regions
+		// converses purely through cut-link packets.
+		sr := b.regionOf(b.topo.HostSwitch(spec.SrcHost))
+		dr := b.regionOf(b.topo.HostSwitch(spec.DstHost))
+		eng := b.engs[sr]
+		var srcNet tcp.Network = src
+		if spec.ExtraDelay > 0 {
+			srcNet = &delayedNet{eng: eng, dst: src, d: spec.ExtraDelay}
+		}
+		var start func()
+		if spec.Source.generates() {
+			start = b.source(k, sr, dr, srcNet)
+		} else {
+			start = b.endpoints(k, sr, dr, srcNet)
+		}
+		at := spec.Start
+		if at < 0 {
+			at = time.Duration(rng.Int63n(int64(cfg.StartSpread)))
+		}
+		eng.ScheduleAt(at, start)
+	}
+}
+
+// source builds connection k as a non-TCP source: a generator at the
+// source host, a counting sink at the destination. No TCP instruments;
+// Delivered/Goodput come from the sink. It returns the generator's start.
+func (b *build) source(k, sr, dr int, srcNet tcp.Network) func() {
+	cfg, spec := &b.cfg, &b.cfg.Conns[k]
+	gen, src, dst := spec.Source, b.hosts[spec.SrcHost], b.hosts[spec.DstHost]
+	size := gen.Size
+	if size == 0 {
+		size = cfg.DataSize
+	}
+	b.sinks[k] = node.NewSink(b.pools[dr])
+	dst.Attach(k+1, b.sinks[k])
+	scfg := node.SourceConfig{
+		Conn: k + 1, Src: src.ID(), Dst: dst.ID(),
+		Size: size, Rate: gen.Rate,
+		IDFirst: uint64(2*k + 1), IDStride: uint64(2 * len(cfg.Conns)),
+		Pool: b.pools[sr],
+	}
+	if gen.Kind == SourceCBR {
+		return node.NewCBRSource(b.engs[sr], srcNet, scfg).Start
+	}
+	// SourceOnOff; normalize rejected everything else.
+	srng := rand.New(rand.NewSource(entitySeed(cfg.Seed, seedKindSource, k)))
+	return node.NewOnOffSource(b.engs[sr], srcNet, scfg, gen.OnMean, gen.OffMean, srng).Start
+}
+
+// endpoints builds connection k's TCP sender and receiver, with their
+// instruments when the connection is measured, and returns the sender's
+// start. Packet IDs come from per-endpoint generators (sender k mints
+// 2k+1, 2k+1+2nc, …; receiver k mints 2k+2, …): the IDs an endpoint
+// assigns cannot depend on how the topology is partitioned, which a
+// counter shared in global schedule order would.
+func (b *build) endpoints(k, sr, dr int, srcNet tcp.Network) func() {
+	cfg, spec := &b.cfg, &b.cfg.Conns[k]
+	src, dst := b.hosts[spec.SrcHost], b.hosts[spec.DstHost]
+	connID, nc := k+1, len(cfg.Conns)
+	s := tcp.NewSender(b.engs[sr], srcNet, tcp.NewIDGen(uint64(2*k+1), uint64(2*nc)), tcp.SenderConfig{
+		Conn:             connID,
+		SrcHost:          src.ID(),
+		DstHost:          dst.ID(),
+		MaxWnd:           spec.MaxWnd,
+		DataSize:         cfg.DataSize,
+		FixedWnd:         spec.FixedWnd,
+		OriginalIncrease: spec.OriginalIncrease,
+		Reno:             spec.Reno,
+		Pace:             spec.Pace,
+		Pool:             b.pools[sr],
+	})
+	r := tcp.NewReceiver(b.engs[dr], dst, tcp.NewIDGen(uint64(2*k+2), uint64(2*nc)), tcp.ReceiverConfig{
+		Conn:       connID,
+		SrcHost:    dst.ID(),
+		DstHost:    src.ID(),
+		AckSize:    cfg.AckSize,
+		DelayedAck: spec.DelayedAck,
+		Pool:       b.pools[dr],
+	})
+	src.Attach(connID, s)
+	dst.Attach(connID, r)
+	b.senders[k], b.receivers[k] = s, r
+	s.Obs = b.tracers[sr]
+	s.ObsLoc = s.Obs.Loc(fmt.Sprintf("conn%d", connID))
+	if b.connMeasured == nil || b.connMeasured[k] {
+		b.measureConn(k, s, b.engs[sr])
+	}
+	return s.Start
+}
+
+// measureConn gives connection k's sender its window, ACK-arrival, RTT
+// and collapse logs and their histograms. The window moves (and an ACK
+// arrives) at most once per delivered packet, so the per-connection share
+// of one trunk direction's packet budget is the cold estimate of both —
+// not a bound: the paper's two-way pair has a direction each, and both
+// logs outgrow it on every cold run.
+func (b *build) measureConn(k int, s *tcp.Sender, eng *sim.Engine) {
+	res, logs, metrics, connID := b.res, &b.ar.logs, b.metrics, k+1
+	perConn := clampReserve(b.estPkts / len(b.cfg.Conns))
+	cw := trace.NewSeries(fmt.Sprintf("cwnd-%d", connID))
+	cw.Points = logs.points.take(perConn)
+	cw.Append(0, 1)
+	res.Cwnd[k] = cw
+	s.OnCwnd = func(v float64) { cw.Append(eng.Now(), v) }
+	res.AckArrivals[k] = logs.times.take(perConn)
+	ackGapHist := metrics.NewHistogram(fmt.Sprintf("ack-gap-seconds/conn%d", connID), ackGapBounds)
+	lastAck := time.Duration(-1)
+	s.OnAckArrival = func(*packet.Packet) {
+		now := eng.Now()
+		res.AckArrivals[k] = append(res.AckArrivals[k], now)
+		if lastAck >= 0 {
+			ackGapHist.Observe((now - lastAck).Seconds())
+		}
+		lastAck = now
+	}
+	rttSeries := trace.NewSeries(fmt.Sprintf("rtt-%d", connID))
+	rttSeries.Points = logs.points.take(0)
+	res.RTT[k] = rttSeries
+	rttHist := metrics.NewHistogram(fmt.Sprintf("rtt-seconds/conn%d", connID), rttBounds)
+	s.OnRTTSample = func(m time.Duration) {
+		rttSeries.Append(eng.Now(), m.Seconds())
+		rttHist.Observe(m.Seconds())
+	}
+	s.OnCollapse = func(cause string) {
+		res.Collapses[k] = append(res.Collapses[k], CollapseEvent{eng.Now(), cause})
+	}
+}
+
+// events schedules the mid-run link events. Each event's routing
+// consequences are computed here, at build time, on a private clone of
+// the compiled topology: ApplyLinkChange returns exactly the switches
+// whose forwarding rows move, and each one's new row is captured by
+// reference — rows are immutable, so later events on the clone cannot
+// disturb it. At simulation time the pre-scheduled callbacks just point
+// the switch at its new row (and, for bandwidth events, re-rate the trunk
+// ports). One callback is scheduled per changed switch and per re-rated
+// port direction, each on its own region's engine — so the total engine
+// event count is the same at every shard count — and scheduling happens
+// during build, so every callback's engine seq precedes every same-time
+// packet event in serial and sharded runs alike. That is what keeps runs
+// with events byte-identical at every shard count. A down link only
+// changes routing: packets already queued on, or in flight over, the line
+// still drain and deliver. Propagation delays never change, so the
+// sharded runner's MinCutDelay lookahead stays valid.
+func (b *build) events() error {
+	cfg, topo := &b.cfg, b.topo
+	if len(cfg.Events) == 0 {
+		return nil
+	}
+	work := topo.Clone()
+	curBW := make(map[int]int64, len(cfg.Events))
+	return cfg.ReplayEvents(work, func(_ int, ev LinkEvent, _ time.Duration, changed []int) {
+		li := ev.Link
+		l := topo.Links[li]
+		if _, ok := curBW[li]; !ok {
+			curBW[li] = l.Bandwidth
+		}
+		if !ev.Down && ev.Bandwidth != curBW[li] {
+			curBW[li] = ev.Bandwidth
+			bw := ev.Bandwidth
+			for dir, at := range [2]int{l.A, l.B} {
+				pt := b.trunks[li][dir]
+				b.engs[b.regionOf(at)].ScheduleAt(ev.T, func() { pt.SetBandwidth(bw) })
+			}
+		}
+		for _, s := range changed {
+			sw := b.switches[s]
+			ends, slots := work.Row(s)
+			b.engs[b.regionOf(s)].ScheduleAt(ev.T, func() { sw.SetRow(1, ends, slots) })
+		}
+	})
+}
+
+// assemble makes the shard runner of a partitioned run, refuses a run
+// its tracers cannot name, and hands everything to the Sim.
+func (b *build) assemble() (*Sim, error) {
+	var runner *shard.Runner
+	if b.part != nil {
+		regions := make([]*shard.Region, len(b.engs))
+		for r := range regions {
+			regions[r] = &shard.Region{Eng: b.engs[r], Pool: b.pools[r]}
+		}
+		runner = shard.NewRunner(regions, b.edges, b.edgeFrom, b.part.MinCutDelay)
+	}
+	// Nothing has been emitted yet, so a tracer can only have failed at
+	// interning: the run has more locations than a trace can name.
+	for _, tr := range b.tracers {
+		if err := tr.Err(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
+	sm := &Sim{
+		cfg:       b.cfg,
+		eng:       b.engs[0],
+		pool:      b.pools[0],
+		engs:      b.engs,
+		pools:     b.pools,
+		runner:    runner,
+		dropLogs:  b.dropLogs,
+		res:       b.res,
+		switches:  b.switches,
+		trunks:    b.trunks,
+		senders:   b.senders,
+		receivers: b.receivers,
+		sinks:     b.sinks,
+		tracer:    b.tracers[0],
+		tracers:   b.tracers,
+		merger:    b.merger,
+		checker:   b.checker,
+		metrics:   b.metrics,
+		epochHist: b.metrics.NewHistogram("epoch-seconds", epochBounds),
+	}
+	if b.lent {
+		sm.logs = &b.ar.logs
+	}
+	if b.cfg.Obs != nil && b.cfg.Obs.Progress != nil {
+		sm.progress = b.cfg.Obs.Progress
+		sm.nextProgressT = sm.progress.Every
+		sm.nextProgressE = sm.progress.EveryEvents
+	}
+	return sm, nil
+}

@@ -499,37 +499,8 @@ func (c *Config) normalize() error {
 	if c.AckSize < 0 {
 		return fmt.Errorf("core: negative AckSize")
 	}
-	if c.Queue != nil {
-		if err := c.Queue.Validate(); err != nil {
-			return fmt.Errorf("core: queue: %w", err)
-		}
-	}
-	for li, qs := range c.LinkQueue {
-		if li < 0 {
-			return fmt.Errorf("core: LinkQueue names negative link %d", li)
-		}
-		if qs == nil {
-			continue
-		}
-		if err := qs.Validate(); err != nil {
-			return fmt.Errorf("core: link %d queue: %w", li, err)
-		}
-	}
-	if c.Behavior != nil {
-		if err := c.Behavior.Validate(); err != nil {
-			return fmt.Errorf("core: behavior: %w", err)
-		}
-	}
-	for li, bs := range c.LinkBehavior {
-		if li < 0 {
-			return fmt.Errorf("core: LinkBehavior names negative link %d", li)
-		}
-		if bs == nil {
-			continue
-		}
-		if err := bs.Validate(); err != nil {
-			return fmt.Errorf("core: link %d behavior: %w", li, err)
-		}
+	if err := c.checkSpecs(); err != nil {
+		return err
 	}
 	if len(c.Regions) > 0 {
 		if c.Shards != 0 && c.Shards != len(c.Regions) {
@@ -577,6 +548,44 @@ func (c *Config) normalize() error {
 			}
 		}
 	}
+	return c.normalizeConns()
+}
+
+// checkSpecs validates the queue and behaviour specs, global and per
+// link. That each key names a link is checked once the links are known
+// (build.plan).
+func (c *Config) checkSpecs() error {
+	if c.Queue != nil {
+		if err := c.Queue.Validate(); err != nil {
+			return fmt.Errorf("core: queue: %w", err)
+		}
+	}
+	for li, qs := range c.LinkQueue {
+		if qs == nil {
+			continue
+		}
+		if err := qs.Validate(); err != nil {
+			return fmt.Errorf("core: link %d queue: %w", li, err)
+		}
+	}
+	if c.Behavior != nil {
+		if err := c.Behavior.Validate(); err != nil {
+			return fmt.Errorf("core: behavior: %w", err)
+		}
+	}
+	for li, bs := range c.LinkBehavior {
+		if bs == nil {
+			continue
+		}
+		if err := bs.Validate(); err != nil {
+			return fmt.Errorf("core: link %d behavior: %w", li, err)
+		}
+	}
+	return nil
+}
+
+// normalizeConns defaults and validates the connections.
+func (c *Config) normalizeConns() error {
 	hosts := c.HostCount()
 	// Conns is the caller's backing array, perhaps being read by another
 	// worker building the same Config: the first default goes to a copy.

@@ -8,6 +8,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -208,5 +209,46 @@ func TestInvariantsFlagCorruptedStoredTrace(t *testing.T) {
 	}
 	if vio.Event.ID != events[target].ID {
 		t.Fatalf("violation names packet %d, corrupted packet %d", vio.Event.ID, events[target].ID)
+	}
+}
+
+// Result.Cfg is the caller's configuration, normalized — not the one the
+// run traced with. The checker sits before the caller's sink inside the
+// build only: a kept Result does not hold it (and its per-port id tables)
+// alive, res.Cfg.Obs.Trace.Sink is the sink the caller passed, and the
+// caller's Invariants are read, not written. What the checker finds is
+// reported as before, at shards 1 and 2.
+func TestInvariantsLeaveResultCfgTheCallers(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := loadScenario(t, "../../scenarios/twoway-smallpipe.json")
+		cfg.Shards = shards
+		sink := obs.NewMemorySink()
+		cfg.Obs = &obs.Options{Trace: &obs.TraceOptions{Sink: sink}}
+		cfg.Invariants = &tstore.CheckOptions{}
+		res := core.Run(cfg)
+		requireClean(t, res)
+		if res.Cfg.Obs != cfg.Obs {
+			t.Errorf("shards %d: Result.Cfg.Obs is not the caller's Options", shards)
+		}
+		if got := res.Cfg.Obs.Trace.Sink; got != obs.Sink(sink) {
+			t.Errorf("shards %d: Result.Cfg.Obs.Trace.Sink is a %T, want the caller's MemorySink", shards, got)
+		}
+		if res.Cfg.Invariants != cfg.Invariants || cfg.Invariants.MaxCwnd != nil {
+			t.Errorf("shards %d: the caller's Invariants were replaced or written through", shards)
+		}
+		if sink.Len() == 0 {
+			t.Errorf("shards %d: the caller's sink saw no event", shards)
+		}
+
+		// A bound no window can keep: the violation still comes back typed
+		// and as the trace error, and the sink is still the caller's.
+		cfg.Invariants = &tstore.CheckOptions{MaxCwnd: map[int]float64{1: 1}}
+		res = core.Run(cfg)
+		if res.Invariant == nil || res.Invariant.Rule != "cwnd-bounds" || !errors.Is(res.TraceErr, res.Invariant) {
+			t.Errorf("shards %d: Invariant = %v, TraceErr = %v, want a cwnd-bounds violation in both", shards, res.Invariant, res.TraceErr)
+		}
+		if got := res.Cfg.Obs.Trace.Sink; got != obs.Sink(sink) {
+			t.Errorf("shards %d, violated: Result.Cfg.Obs.Trace.Sink is a %T", shards, got)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"tahoedyn/internal/link"
 )
 
 // TestMeasureGatingIdentity pins the MeasureTrunks/MeasureConns
@@ -80,16 +82,41 @@ func TestMeasureGatingIdentity(t *testing.T) {
 	}
 }
 
-// TestMeasureGatingValidation pins the out-of-range errors.
+// TestMeasureGatingValidation pins the out-of-range errors: every field
+// that names a connection or a link by index is refused when there is no
+// such connection or link — the two link-keyed maps included, which used
+// to build and run drop-tail on an ideal line.
 func TestMeasureGatingValidation(t *testing.T) {
-	cfg := twoWay(10 * time.Millisecond)
-	cfg.MeasureConns = []int{5}
-	if _, err := RunE(cfg); err == nil {
-		t.Fatal("out-of-range MeasureConns accepted")
+	red := &link.QueueSpec{Policy: link.PolicyRED}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"MeasureConns", func(c *Config) { c.MeasureConns = []int{5} }, "core: MeasureConns names connection 5, out of range [0,2)"},
+		{"MeasureTrunks", func(c *Config) { c.MeasureTrunks = []int{3} }, "core: MeasureTrunks names link 3, out of range [0,1)"},
+		{"MeasureTrunks negative", func(c *Config) { c.MeasureTrunks = []int{0, -1} }, "core: MeasureTrunks names link -1, out of range [0,1)"},
+		{"LinkQueue", func(c *Config) { c.LinkQueue = map[int]*link.QueueSpec{0: red, 99: red} }, "core: LinkQueue names link 99, out of range [0,1)"},
+		{"LinkQueue nil spec", func(c *Config) { c.LinkQueue = map[int]*link.QueueSpec{1: nil} }, "core: LinkQueue names link 1, out of range [0,1)"},
+		{"LinkQueue negative", func(c *Config) { c.LinkQueue = map[int]*link.QueueSpec{-1: red} }, "core: LinkQueue names link -1, out of range [0,1)"},
+		{"LinkBehavior", func(c *Config) { c.LinkBehavior = map[int]*link.BehaviorSpec{99: {Loss: 0.01}} }, "core: LinkBehavior names link 99, out of range [0,1)"},
+		{"LinkBehavior negative", func(c *Config) { c.LinkBehavior = map[int]*link.BehaviorSpec{-2: {}} }, "core: LinkBehavior names link -2, out of range [0,1)"},
+	} {
+		cfg := twoWay(10 * time.Millisecond)
+		tc.set(&cfg)
+		if _, err := BuildE(cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: BuildE error = %v, want %q", tc.name, err, tc.want)
+		}
+		if _, err := NewArena().RunE(cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Arena.RunE error = %v, want %q", tc.name, err, tc.want)
+		}
 	}
-	cfg = twoWay(10 * time.Millisecond)
-	cfg.MeasureTrunks = []int{3}
-	if _, err := RunE(cfg); err == nil {
-		t.Fatal("out-of-range MeasureTrunks accepted")
+	// In range, the same keys build.
+	cfg := twoWay(10 * time.Millisecond)
+	cfg.LinkQueue = map[int]*link.QueueSpec{0: red}
+	cfg.LinkBehavior = map[int]*link.BehaviorSpec{0: {Loss: 0.01}}
+	cfg.MeasureTrunks = []int{0}
+	if _, err := BuildE(cfg); err != nil {
+		t.Fatal(err)
 	}
 }

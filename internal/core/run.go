@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -583,644 +582,6 @@ func Build(cfg Config) *Sim {
 // topology compilation problems come back as errors instead of panics.
 func BuildE(cfg Config) (*Sim, error) {
 	return buildE(cfg, nil)
-}
-
-// buildE assembles the Sim, drawing engine, packet pool, and trace ring
-// from ar when non-nil (Arena reuse) and allocating fresh ones when nil.
-func buildE(cfg Config, ar *Arena) (_ *Sim, err error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	topo, err := cfg.CompileTopology()
-	if err != nil {
-		return nil, err
-	}
-	// Measurement gating: nil means measure everything (the historical
-	// default); a non-nil MeasureTrunks/MeasureConns restricts per-trunk
-	// and per-connection instrumentation to the listed indices. Gating
-	// only decides whether observation state is allocated and hooks
-	// installed — it never touches forwarding, queueing, or the TCP state
-	// machines — so a gated run's Delivered/SenderStats/TrunkUtil match
-	// an ungated one exactly (asserted by measure_gate_test.go).
-	var trunkMeasured, connMeasured []bool
-	if cfg.MeasureTrunks != nil {
-		trunkMeasured = make([]bool, len(topo.Links))
-		for _, li := range cfg.MeasureTrunks {
-			if li < 0 || li >= len(topo.Links) {
-				return nil, fmt.Errorf("core: MeasureTrunks names link %d, out of range [0,%d)", li, len(topo.Links))
-			}
-			trunkMeasured[li] = true
-		}
-	}
-	if cfg.MeasureConns != nil {
-		connMeasured = make([]bool, len(cfg.Conns))
-		for _, k := range cfg.MeasureConns {
-			connMeasured[k] = true // indices validated by normalize
-		}
-	}
-	// Region partition. K > 1 splits the switch graph into regions, each
-	// simulated by its own engine (internal/shard); K == 1 is the serial
-	// path, bit-identical to the pre-shard simulator.
-	K := cfg.Shards
-	var part *topology.Partition
-	if K > 1 {
-		if len(cfg.Regions) > 0 {
-			part, err = topo.PartitionWith(cfg.Regions)
-		} else {
-			part, err = topo.Partition(K)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if K = part.K; K == 1 {
-			part = nil
-		}
-	} else {
-		K = 1
-	}
-	regionOf := func(sw int) int {
-		if part == nil {
-			return 0
-		}
-		return part.Region[sw]
-	}
-
-	// Streaming invariants: interpose an online checker between the
-	// tracer(s) and the user's sink — or make the checker the sink when
-	// no tracing was requested. The checker sees the merged, time-ordered
-	// stream (after the TraceMerger for sharded runs), observes only, and
-	// reports the first violation through Result.Invariant/TraceErr.
-	var checker *tstore.Checker
-	if cfg.Invariants != nil {
-		o := *cfg.Invariants
-		obsOpts := obs.Options{}
-		if cfg.Obs != nil {
-			obsOpts = *cfg.Obs
-		}
-		var to obs.TraceOptions
-		if obsOpts.Trace != nil {
-			to = *obsOpts.Trace
-		}
-		if to.Filter != (obs.Filter{}) && !o.NoConservation {
-			return nil, fmt.Errorf("core: Invariants cannot check conservation over a filtered trace; drop Obs.Trace.Filter or set Invariants.NoConservation")
-		}
-		if o.MaxCwnd == nil && !o.NoCwndBounds {
-			o.MaxCwnd = make(map[int]float64, len(cfg.Conns))
-			for k := range cfg.Conns {
-				w := cfg.Conns[k].MaxWnd
-				if f := cfg.Conns[k].FixedWnd; f > w {
-					w = f
-				}
-				o.MaxCwnd[k+1] = float64(w)
-			}
-		}
-		checker = tstore.NewChecker(to.Sink, o)
-		to.Sink = checker
-		obsOpts.Trace = &to
-		cfg.Obs = &obsOpts
-	}
-
-	// Observability instruments. All stay nil when cfg.Obs is unset; nil
-	// instruments no-op at every call site.
-	var (
-		tracers  = make([]*obs.Tracer, K)
-		merger   *obs.TraceMerger
-		metrics  *obs.Metrics
-		progress *obs.Progress
-	)
-	if cfg.Obs != nil {
-		if cfg.Obs.Trace != nil {
-			if K > 1 {
-				// Every region traces into its own ring; the merger
-				// reassembles one time-ordered stream for the user's sink
-				// at each synchronization barrier. A region's sink is an
-				// append to the merger's buffer: delivered inline.
-				merger = obs.NewTraceMerger(cfg.Obs.Trace.Sink, K)
-				for r := 0; r < K; r++ {
-					o := *cfg.Obs.Trace
-					o.Sink = merger.Buffer(r)
-					tracers[r] = obs.NewTracerReusing(o, ar.shardRing(r), false)
-				}
-				ar.keepTracers(tracers)
-			} else {
-				// The user's sink, behind the checker if any: overlapped.
-				tracers[0] = obs.NewTracerReusing(*cfg.Obs.Trace, ar.traceRing(), true)
-				ar.keepTracer(tracers[0])
-			}
-		}
-		if cfg.Obs.Metrics {
-			metrics = obs.NewMetrics()
-		}
-		if cfg.Obs.Progress != nil {
-			progress = cfg.Obs.Progress
-		}
-	}
-	tracer := tracers[0]
-	engs := ar.engines(cfg.Sched, K)
-	eng := engs[0]
-	// Sharded engines hand out strided seqs so the coordinator can
-	// interpolate cross-region arrivals between them; serial engines keep
-	// the historical counter. Always set — an arena-reused engine retains
-	// the previous run's stride.
-	stride := uint64(1)
-	if K > 1 {
-		stride = shard.Stride
-	}
-	for _, e := range engs {
-		e.SetSeqStride(stride)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// One packet free list per run and per region — packet pointers never
-	// cross region goroutines — so at steady state the whole simulation
-	// recycles rather than allocates. noPool keeps the old allocate-and-
-	// discard behavior (the determinism tests compare the two).
-	pools := make([]*packet.Pool, K)
-	if !cfg.noPool {
-		pools = ar.packetPools(K)
-	}
-	pool := pools[0]
-
-	res := &Result{
-		Cfg:         cfg,
-		Topo:        topo,
-		MeasureFrom: cfg.Warmup,
-		MeasureTo:   cfg.Duration,
-	}
-
-	// Every per-run log is taken from the arena's slabs or (a cold slot, no
-	// arena) allocated at an estimate from the run length, and grown by
-	// append past it: the arena keeps the grown slab, so a warm run does not
-	// regrow. A build that fails from here on gives back what it took.
-	logs := new(logSlabs)
-	if ar != nil {
-		logs = &ar.logs
-		logs.rewind()
-	}
-
-	// instrumentDrops wires a port's drop hook into the drop log: per
-	// region, tagged with the executing event's scheduling lineage, and
-	// canonically ordered at finish (Sim.mergeDrops). Serial runs use the
-	// identical path with a single region, so every shard count produces
-	// the same byte-identical res.Drops.
-	dropLogs := make([][]dropRec, K)
-	for r := range dropLogs {
-		dropLogs[r] = logs.drops.take(0)
-	}
-	defer func() {
-		if err != nil {
-			logs.settle(res, dropLogs)
-		}
-	}()
-	instrumentDrops := func(eng *sim.Engine, region int, pt *link.Port) {
-		name := pt.Name()
-		pt.OnDrop = func(p *packet.Packet) {
-			sa, sa2 := eng.ExecLineage()
-			dropLogs[region] = append(dropLogs[region], dropRec{
-				DropEvent: trace.DropEvent{
-					T: eng.Now(), Conn: p.Conn, Seq: p.Seq, Kind: p.Kind, Port: name,
-				},
-				schedAt:  sa,
-				schedAt2: sa2,
-			})
-		}
-	}
-
-	// Build the switches and the hosts at their attachment points. Host
-	// h gets ID h+1, the identifier packets carry in Src/Dst. A host
-	// lives on its switch's region engine, so host-switch links never
-	// cross a region boundary.
-	nSw := topo.Switches
-	nh := topo.NumHosts()
-	nl := len(topo.Links)
-	nc := len(cfg.Conns)
-	switches, hosts, trunks, senders, receivers := ar.wiring(nSw, nh, nl, nc)
-	for i := 0; i < nSw; i++ {
-		switches[i] = node.NewSwitch(i)
-	}
-	for h := 0; h < nh; h++ {
-		hosts[h] = node.NewHost(engs[regionOf(topo.HostSwitch(h))], h+1, cfg.HostProcessing)
-	}
-
-	// Host <-> switch access links. The host's own interface buffer is
-	// unbounded (a source may always burst into its own NIC); the
-	// switch's port toward the host uses the switch buffer, per §2.2.
-	// queueSpecFor resolves a port's queue spec: the per-link override,
-	// then the global Queue, then nil (drop-tail). li is the topology
-	// link index, or -1 for switch→host access ports, which take only
-	// the global spec.
-	queueSpecFor := func(li int) *link.QueueSpec {
-		if li >= 0 && cfg.LinkQueue != nil {
-			if qs := cfg.LinkQueue[li]; qs != nil {
-				return qs
-			}
-		}
-		return cfg.Queue
-	}
-	// discFor builds the discipline for the port with stable entity
-	// index ent (host down-ports in host order, then trunk ports as
-	// nh + 2·link + dir). A nil spec returns nil: NewPort's drop-tail
-	// default, with no allocation here and no RNG draw. Stochastic
-	// policies get their own entitySeed stream rather than a shared-RNG
-	// draw, which is what keeps them deterministic across shard counts.
-	discFor := func(li, ent int) (link.Disc, error) {
-		qs := queueSpecFor(li)
-		if qs == nil {
-			return nil, nil
-		}
-		var r *rand.Rand
-		if qs.NeedsRand() {
-			r = rand.New(rand.NewSource(entitySeed(cfg.Seed, seedKindQueue, ent)))
-		}
-		return qs.Build(r)
-	}
-	// behaviorFor builds the link behavior for trunk port 2·link + dir.
-	// Each direction owns its Impairment (the loss/jitter state is
-	// per-line); the RateTrace inside a spec is stateless and shared.
-	behaviorFor := func(li, dir int) (link.Behavior, error) {
-		bs := cfg.Behavior
-		if cfg.LinkBehavior != nil {
-			if o := cfg.LinkBehavior[li]; o != nil {
-				bs = o
-			}
-		}
-		if bs.IsZero() {
-			return nil, nil
-		}
-		var r *rand.Rand
-		if bs.NeedsRand() {
-			r = rand.New(rand.NewSource(entitySeed(cfg.Seed, seedKindBehavior, 2*li+dir)))
-		}
-		return bs.Build(r)
-	}
-
-	for h := 0; h < nh; h++ {
-		sw := topo.HostSwitch(h)
-		rg := regionOf(sw)
-		eng, pool, tracer := engs[rg], pools[rg], tracers[rg]
-		up := link.NewPort(eng, link.Config{
-			Name:      fmt.Sprintf("h%d->sw%d", h+1, sw),
-			Bandwidth: cfg.AccessBandwidth,
-			Delay:     cfg.AccessDelay,
-			Buffer:    queueUnbounded,
-			Pool:      pool,
-			Obs:       tracer,
-		}, switches[sw])
-		hosts[h].SetOutput(up)
-		disc, err := discFor(-1, h)
-		if err != nil {
-			return nil, err
-		}
-		down := link.NewPort(eng, link.Config{
-			Name:      fmt.Sprintf("sw%d->h%d", sw, h+1),
-			Bandwidth: cfg.AccessBandwidth,
-			Delay:     cfg.AccessDelay,
-			Buffer:    cfg.Buffer,
-			Disc:      disc,
-			Pool:      pool,
-			Obs:       tracer,
-		}, hosts[h])
-		switches[sw].AddLocal(h+1, down)
-		instrumentDrops(eng, rg, down)
-		if tracer != nil {
-			hosts[h].SetObs(tracer, fmt.Sprintf("host%d", h+1))
-		}
-	}
-
-	// Trunk ports, one pair per topology link, instrumented. estPkts is
-	// the unit of the logs' cold reserve.
-	estPkts := estTrunkPackets(cfg)
-	res.TrunkQueue = make([][2]*trace.Series, nl)
-	res.TrunkDeps = make([][2][]trace.Departure, nl)
-	res.TrunkUtil = make([][2]float64, nl)
-	var (
-		edges    []*shard.Edge
-		edgeFrom []int
-	)
-	for li, l := range topo.Links {
-		// The forward port lives at switch A, the reverse at switch B; a
-		// link whose endpoints fall in different regions is a cut link,
-		// and its ports hand finished transmissions to a shard edge
-		// (Config.Cross) instead of scheduling the propagation locally.
-		rgs := [2]int{regionOf(l.A), regionOf(l.B)}
-		var cross [2]sim.PacketSink
-		if rgs[0] != rgs[1] {
-			fe := &shard.Edge{Delay: l.Delay, To: rgs[1], Dst: switches[l.B]}
-			re := &shard.Edge{Delay: l.Delay, To: rgs[0], Dst: switches[l.A]}
-			edges = append(edges, fe, re)
-			edgeFrom = append(edgeFrom, rgs[0], rgs[1])
-			cross[0], cross[1] = fe, re
-		}
-		fwdDisc, err := discFor(li, nh+2*li)
-		if err != nil {
-			return nil, err
-		}
-		revDisc, err := discFor(li, nh+2*li+1)
-		if err != nil {
-			return nil, err
-		}
-		fwdBeh, err := behaviorFor(li, 0)
-		if err != nil {
-			return nil, err
-		}
-		revBeh, err := behaviorFor(li, 1)
-		if err != nil {
-			return nil, err
-		}
-		fwd := link.NewPort(engs[rgs[0]], link.Config{
-			Name:      fmt.Sprintf("sw%d->sw%d", l.A, l.B),
-			Bandwidth: l.Bandwidth,
-			Delay:     l.Delay,
-			Buffer:    l.Buffer,
-			Disc:      fwdDisc,
-			Behavior:  fwdBeh,
-			Pool:      pools[rgs[0]],
-			Obs:       tracers[rgs[0]],
-			Cross:     cross[0],
-		}, switches[l.B])
-		rev := link.NewPort(engs[rgs[1]], link.Config{
-			Name:      fmt.Sprintf("sw%d->sw%d", l.B, l.A),
-			Bandwidth: l.Bandwidth,
-			Delay:     l.Delay,
-			Buffer:    l.Buffer,
-			Disc:      revDisc,
-			Behavior:  revBeh,
-			Pool:      pools[rgs[1]],
-			Obs:       tracers[rgs[1]],
-			Cross:     cross[1],
-		}, switches[l.A])
-		trunks[li] = [2]*link.Port{fwd, rev}
-		if trunkMeasured != nil && !trunkMeasured[li] {
-			// Unmeasured trunk: forwarding, dropping, and utilization
-			// only — no queue series, departure log, queue histogram, or
-			// drop records. A measured trunk preallocates run-length trace
-			// containers; an unmeasured one costs just its two ports.
-			continue
-		}
-		for dir, pt := range trunks[li] {
-			li, dir, pt := li, dir, pt
-			eng := engs[rgs[dir]]
-			// One queue-length point per accepted arrival and per
-			// departure; the trunk carries roughly one direction's data
-			// plus the other's ACKs.
-			s := trace.NewSeries(pt.Name())
-			s.Points = logs.points.take(clampReserve(4 * estPkts))
-			s.Append(0, 0)
-			res.TrunkQueue[li][dir] = s
-			qh := metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
-			pt.OnQueueLen = func(qlen int) {
-				s.Append(eng.Now(), float64(qlen))
-				qh.Observe(float64(qlen))
-			}
-			res.TrunkDeps[li][dir] = logs.deps.take(clampReserve(2 * estPkts))
-			pt.OnDepart = func(p *packet.Packet) {
-				res.TrunkDeps[li][dir] = append(res.TrunkDeps[li][dir], trace.Departure{
-					T: eng.Now(), Conn: p.Conn, Kind: p.Kind, Seq: p.Seq,
-				})
-			}
-			instrumentDrops(eng, rgs[dir], pt)
-		}
-	}
-
-	// Forwarding tables. A switch does not copy its routes: it gets the
-	// ports behind its adjacency slots (one flat array, sliced per switch
-	// like the topology's own adjacency) and then forwards straight from
-	// the compiled row — the topology's interned, immutable slices, by
-	// reference (base 1: the row's host index h is host ID h+1). Wiring
-	// cost is O(switches + links), whatever the number of forwarding
-	// intervals.
-	slotPorts := make([]*link.Port, 0, 2*nl)
-	for s := 0; s < nSw; s++ {
-		first := len(slotPorts)
-		for i, n := 0, topo.Degree(s); i < n; i++ {
-			hop := topo.SlotHop(s, i)
-			slotPorts = append(slotPorts, trunks[hop.Link][hop.Dir])
-		}
-		switches[s].SetPorts(slotPorts[first:len(slotPorts):len(slotPorts)])
-		ends, slots := topo.Row(s)
-		switches[s].SetRow(1, ends, slots)
-	}
-
-	// Connections.
-	res.Cwnd = make([]*trace.Series, nc)
-	res.AckArrivals = make([][]time.Duration, nc)
-	res.RTT = make([]*trace.Series, nc)
-	res.Collapses = make([][]CollapseEvent, nc)
-	perConn := 0
-	if nc > 0 {
-		perConn = clampReserve(estPkts / nc)
-	}
-	sinks := make([]*node.Sink, nc)
-	for k, spec := range cfg.Conns {
-		k, spec := k, spec
-		connID := k + 1
-		src, dst := hosts[spec.SrcHost], hosts[spec.DstHost]
-		// The sender runs on its host's region engine, the receiver on
-		// its own — a connection whose endpoints fall in different
-		// regions converses purely through cut-link packets.
-		sr := regionOf(topo.HostSwitch(spec.SrcHost))
-		dr := regionOf(topo.HostSwitch(spec.DstHost))
-		eng, pool, tracer := engs[sr], pools[sr], tracers[sr]
-		var srcNet tcp.Network = src
-		if spec.ExtraDelay > 0 {
-			srcNet = &delayedNet{eng: eng, dst: src, d: spec.ExtraDelay}
-		}
-		if gen := spec.Source; gen.generates() {
-			// A non-TCP source: a generator at the source host, a counting
-			// sink at the destination. The TCP instrumentation below does
-			// not apply; Delivered/Goodput come from the sink. The start
-			// draw stays on the shared RNG (same order as a TCP conn) so a
-			// mixed scenario's other start times are unperturbed.
-			size := gen.Size
-			if size == 0 {
-				size = cfg.DataSize
-			}
-			sink := node.NewSink(pools[dr])
-			dst.Attach(connID, sink)
-			sinks[k] = sink
-			scfg := node.SourceConfig{
-				Conn: connID, Src: src.ID(), Dst: dst.ID(),
-				Size: size, Rate: gen.Rate,
-				IDFirst: uint64(2*k + 1), IDStride: uint64(2 * nc),
-				Pool: pool,
-			}
-			var startFn func()
-			if gen.Kind == SourceCBR {
-				startFn = node.NewCBRSource(eng, srcNet, scfg).Start
-			} else { // SourceOnOff; normalize rejected everything else
-				srng := rand.New(rand.NewSource(entitySeed(cfg.Seed, seedKindSource, k)))
-				startFn = node.NewOnOffSource(eng, srcNet, scfg, gen.OnMean, gen.OffMean, srng).Start
-			}
-			start := spec.Start
-			if start < 0 {
-				start = time.Duration(rng.Int63n(int64(cfg.StartSpread)))
-			}
-			eng.ScheduleAt(start, startFn)
-			continue
-		}
-		// Per-endpoint packet-ID generators (sender k mints 2k+1,
-		// 2k+1+2nc, …; receiver k mints 2k+2, …): the IDs an endpoint
-		// assigns cannot depend on how the topology is partitioned, which
-		// a counter shared in global schedule order would.
-		s := tcp.NewSender(eng, srcNet, tcp.NewIDGen(uint64(2*k+1), uint64(2*nc)), tcp.SenderConfig{
-			Conn:             connID,
-			SrcHost:          src.ID(),
-			DstHost:          dst.ID(),
-			MaxWnd:           spec.MaxWnd,
-			DataSize:         cfg.DataSize,
-			FixedWnd:         spec.FixedWnd,
-			OriginalIncrease: spec.OriginalIncrease,
-			Reno:             spec.Reno,
-			Pace:             spec.Pace,
-			Pool:             pool,
-		})
-		r := tcp.NewReceiver(engs[dr], dst, tcp.NewIDGen(uint64(2*k+2), uint64(2*nc)), tcp.ReceiverConfig{
-			Conn:       connID,
-			SrcHost:    dst.ID(),
-			DstHost:    src.ID(),
-			AckSize:    cfg.AckSize,
-			DelayedAck: spec.DelayedAck,
-			Pool:       pools[dr],
-		})
-		src.Attach(connID, s)
-		dst.Attach(connID, r)
-		senders[k], receivers[k] = s, r
-		s.Obs = tracer
-		s.ObsLoc = tracer.Loc(fmt.Sprintf("conn%d", connID))
-
-		if connMeasured == nil || connMeasured[k] {
-			// The window moves (and an ACK arrives) at most once per
-			// delivered packet, so the per-connection share of one trunk
-			// direction's packet budget is the cold estimate of both — not
-			// a bound: the paper's two-way pair has a direction each, and
-			// both logs outgrow estPkts/2 on every cold run.
-			cw := trace.NewSeries(fmt.Sprintf("cwnd-%d", connID))
-			cw.Points = logs.points.take(perConn)
-			cw.Append(0, 1)
-			res.Cwnd[k] = cw
-			s.OnCwnd = func(v float64) { cw.Append(eng.Now(), v) }
-			res.AckArrivals[k] = logs.times.take(perConn)
-			ackGapHist := metrics.NewHistogram(fmt.Sprintf("ack-gap-seconds/conn%d", connID), ackGapBounds)
-			lastAck := time.Duration(-1)
-			s.OnAckArrival = func(*packet.Packet) {
-				now := eng.Now()
-				res.AckArrivals[k] = append(res.AckArrivals[k], now)
-				if lastAck >= 0 {
-					ackGapHist.Observe((now - lastAck).Seconds())
-				}
-				lastAck = now
-			}
-			rttSeries := trace.NewSeries(fmt.Sprintf("rtt-%d", connID))
-			rttSeries.Points = logs.points.take(0)
-			res.RTT[k] = rttSeries
-			rttHist := metrics.NewHistogram(fmt.Sprintf("rtt-seconds/conn%d", connID), rttBounds)
-			s.OnRTTSample = func(m time.Duration) {
-				rttSeries.Append(eng.Now(), m.Seconds())
-				rttHist.Observe(m.Seconds())
-			}
-			s.OnCollapse = func(cause string) {
-				res.Collapses[k] = append(res.Collapses[k], CollapseEvent{eng.Now(), cause})
-			}
-		}
-
-		start := spec.Start
-		if start < 0 {
-			start = time.Duration(rng.Int63n(int64(cfg.StartSpread)))
-		}
-		eng.ScheduleAt(start, s.Start)
-	}
-
-	// Mid-run link events. Each event's routing consequences are computed
-	// here, at build time, on a private clone of the compiled topology:
-	// ApplyLinkChange returns exactly the switches whose forwarding rows
-	// move, and each one's new row is captured by reference — rows are
-	// immutable, so later events on the clone cannot disturb it. At
-	// simulation time the pre-scheduled callbacks just point the switch at
-	// its new row (and, for bandwidth events, re-rate the trunk ports). One
-	// callback is scheduled per changed switch and per re-rated port
-	// direction, each on its own region's engine — so the total engine
-	// event count is the same at every shard count — and scheduling
-	// happens during build, so every callback's engine seq precedes every
-	// same-time packet event in serial and sharded runs alike. That is
-	// what keeps runs with events byte-identical at every shard count. A
-	// down link only changes routing: packets already queued on, or in
-	// flight over, the line still drain and deliver. Propagation delays
-	// never change, so the sharded runner's MinCutDelay lookahead stays
-	// valid.
-	if len(cfg.Events) > 0 {
-		work := topo.Clone()
-		curBW := make(map[int]int64, len(cfg.Events))
-		err := cfg.ReplayEvents(work, func(_ int, ev LinkEvent, _ time.Duration, changed []int) {
-			li := ev.Link
-			l := topo.Links[li]
-			if _, ok := curBW[li]; !ok {
-				curBW[li] = l.Bandwidth
-			}
-			if !ev.Down && ev.Bandwidth != curBW[li] {
-				curBW[li] = ev.Bandwidth
-				bw := ev.Bandwidth
-				fwd, rev := trunks[li][0], trunks[li][1]
-				engs[regionOf(l.A)].ScheduleAt(ev.T, func() { fwd.SetBandwidth(bw) })
-				engs[regionOf(l.B)].ScheduleAt(ev.T, func() { rev.SetBandwidth(bw) })
-			}
-			for _, s := range changed {
-				sw := switches[s]
-				ends, slots := work.Row(s)
-				engs[regionOf(s)].ScheduleAt(ev.T, func() { sw.SetRow(1, ends, slots) })
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var runner *shard.Runner
-	if K > 1 {
-		regions := make([]*shard.Region, K)
-		for r := 0; r < K; r++ {
-			regions[r] = &shard.Region{Eng: engs[r], Pool: pools[r]}
-		}
-		runner = shard.NewRunner(regions, edges, edgeFrom, part.MinCutDelay)
-	}
-
-	// Nothing has been emitted yet, so a tracer can only have failed at
-	// interning: the run has more locations than a trace can name.
-	for _, tr := range tracers {
-		if err := tr.Err(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-	}
-
-	sm := &Sim{
-		cfg:       cfg,
-		eng:       eng,
-		pool:      pool,
-		engs:      engs,
-		pools:     pools,
-		runner:    runner,
-		dropLogs:  dropLogs,
-		res:       res,
-		switches:  switches,
-		trunks:    trunks,
-		senders:   senders,
-		receivers: receivers,
-		sinks:     sinks,
-		tracer:    tracer,
-		tracers:   tracers,
-		merger:    merger,
-		checker:   checker,
-		metrics:   metrics,
-		progress:  progress,
-		epochHist: metrics.NewHistogram("epoch-seconds", epochBounds),
-	}
-	res.Metrics = metrics
-	if ar != nil {
-		sm.logs = logs
-	}
-	if progress != nil {
-		sm.nextProgressT = progress.Every
-		sm.nextProgressE = progress.EveryEvents
-	}
-	return sm, nil
 }
 
 // Histogram bucket bounds for the built-in metrics. Chosen to bracket
