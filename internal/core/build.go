@@ -281,8 +281,9 @@ func (b *build) port(rg int, c link.Config, dst link.Receiver) *link.Port {
 
 // disc builds the queue discipline of the port with stable entity index
 // ent: host down-ports in host order, then trunk ports as nh + 2·link +
-// dir. A nil spec returns nil — NewPort's drop-tail default, no
-// allocation here and no RNG draw. A stochastic policy gets its own
+// dir. A nil spec returns nil — drop-tail, which the port runs itself:
+// no Disc, no allocation here and no RNG draw; a drop-tail spec builds
+// the same nil. A stochastic policy gets its own
 // entitySeed stream rather than a draw on the shared RNG, which is what
 // keeps it deterministic across shard counts; likewise behavior.
 func (b *build) disc(qs *link.QueueSpec, ent int) (link.Disc, error) {

@@ -11,14 +11,19 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"tahoedyn/internal/core"
 	"tahoedyn/internal/obs"
 	"tahoedyn/internal/runner"
 	"tahoedyn/internal/trace"
+	"tahoedyn/internal/tstore"
 )
 
 // Options tunes an experiment run. The zero value is a fully usable
@@ -46,10 +51,50 @@ type Options struct {
 	// online over every simulation the experiment performs: packet
 	// conservation at each port, event-time monotonicity, cwnd bounds,
 	// timeout monotonicity. Checking is passive — results stay
-	// byte-identical — but a violation panics: an experiment whose
-	// trace breaks conservation is reporting garbage, and the panic
-	// names the offending event.
+	// byte-identical — but a violation fails the experiment: an
+	// experiment whose trace breaks conservation is reporting garbage,
+	// so its Outcome gains a failed check named after the rule, measured
+	// as the offending event.
 	Invariants bool
+
+	// found collects the checker's violations across one experiment's
+	// runs; the registry's wrapper (checked) sets it under Invariants.
+	found *violations
+}
+
+// violations is what the invariant checker found across the runs of
+// one experiment, which may run concurrently.
+type violations struct {
+	mu      sync.Mutex
+	metrics []Metric
+}
+
+// add records v as a failed check.
+func (vs *violations) add(v *tstore.Violation) {
+	m := metric("invariant "+v.Rule, "clean", false, "event %d (t=%v %v at %s): %s",
+		v.Index, v.Event.T, v.Event.Type, v.Loc, v.Detail)
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	vs.metrics = append(vs.metrics, m)
+}
+
+// checked wraps an experiment so that, under Options.Invariants, every
+// violation its runs report becomes a failed check of its Outcome, in
+// an order that does not depend on which run finished first.
+func checked(run func(Options) *Outcome) func(Options) *Outcome {
+	return func(o Options) *Outcome {
+		if !o.Invariants {
+			return run(o)
+		}
+		o.found = &violations{}
+		out := run(o)
+		found := o.found.metrics
+		slices.SortFunc(found, func(a, b Metric) int {
+			return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Measured, b.Measured))
+		})
+		out.Metrics = append(out.Metrics, found...)
+		return out
+	}
 }
 
 // workers translates Options.Parallel into a runner worker count.
@@ -164,7 +209,7 @@ type Definition struct {
 // order: one-way review, the [19] configuration, two-way dynamics,
 // fixed-window systems, then the §5 discussion points and ablations).
 func All() []Definition {
-	return []Definition{
+	defs := []Definition{
 		{"fig2-oneway", "One-way traffic, 3 connections, τ=1s (Fig. 2)", Fig2OneWay},
 		{"increase-rule", "Modified vs original avoidance increase (§2.1)", IncreaseRuleStudy},
 		{"oneway-smallpipe", "One-way traffic, small pipe: full utilization (§3.1)", OneWaySmallPipe},
@@ -191,6 +236,10 @@ func All() []Definition {
 		{"red-sync", "RED gateways vs drop-tail: phase-lock breakdown (extension)", RedSyncStudy},
 		{"cross-traffic", "Two-way dynamics under CBR cross-traffic (extension)", CrossTrafficStudy},
 	}
+	for i := range defs {
+		defs[i].Run = checked(defs[i].Run)
+	}
+	return defs
 }
 
 // RunAll executes every registered experiment with the given options and

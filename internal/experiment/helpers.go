@@ -7,6 +7,7 @@ import (
 	"tahoedyn/internal/core"
 	"tahoedyn/internal/obs"
 	"tahoedyn/internal/packet"
+	"tahoedyn/internal/runner"
 	"tahoedyn/internal/trace"
 	"tahoedyn/internal/tstore"
 )
@@ -131,19 +132,48 @@ func coreRunForProbe(cfg core.Config) *core.Result { return core.Run(cfg) }
 // runCore executes one simulation on behalf of an experiment, threading
 // the experiment-level observability knobs (Options.Observer,
 // Options.Invariants) into the run. Every experiment's simulation goes
-// through here, so enabling -progress or -invariants on the CLI covers
-// all of them. Observation is passive: the Result is byte-identical
-// with or without an Observer or checker.
+// through here or through runConfigs, so enabling -progress or
+// -invariants on the CLI covers all of them. Observation is passive:
+// the Result is byte-identical with or without an Observer or checker.
 func runCore(o Options, cfg core.Config) *core.Result {
+	res := core.Run(o.instrument(cfg))
+	o.report(res)
+	return res
+}
+
+// runConfigs is runCore for a batch, fanned across o.workers() arenas
+// by runner.RunConfigs; results come back in config order. It
+// instruments cfgs in place.
+func runConfigs(o Options, cfgs []core.Config) []*core.Result {
+	for i := range cfgs {
+		cfgs[i] = o.instrument(cfgs[i])
+	}
+	results := runner.RunConfigs(o.workers(), cfgs)
+	for _, res := range results {
+		o.report(res)
+	}
+	return results
+}
+
+// instrument sets cfg's observer and invariant checker from o.
+func (o Options) instrument(cfg core.Config) core.Config {
 	if o.Observer != nil {
 		cfg.Obs = &obs.Options{Progress: o.Observer}
 	}
 	if o.Invariants {
 		cfg.Invariants = &tstore.CheckOptions{}
 	}
-	res := core.Run(cfg)
-	if res.Invariant != nil {
-		panic(res.Invariant.Error())
+	return cfg
+}
+
+// report records a run's invariant violation for the registry's
+// wrapper to turn into a failed check; an experiment called directly,
+// without the wrapper, panics with it instead.
+func (o Options) report(res *core.Result) {
+	if v := res.Invariant; v != nil {
+		if o.found == nil {
+			panic(v.Error())
+		}
+		o.found.add(v)
 	}
-	return res
 }

@@ -6,7 +6,6 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
-	"tahoedyn/internal/runner"
 	"tahoedyn/internal/trace"
 )
 
@@ -43,7 +42,7 @@ func ModeBoundaryStudy(opts Options) *Outcome {
 	grid = append(grid, cell(300*time.Millisecond, 120)...)
 	grid = append(grid, cell(10*time.Millisecond, 20)...)
 	grid = append(grid, cell(time.Second, 20)...)
-	results := runner.RunConfigs(opts.workers(), grid)
+	results := runConfigs(opts, grid)
 	outCount := func(cellIdx int) (int, *core.Result) {
 		n := 0
 		var last *core.Result

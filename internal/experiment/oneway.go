@@ -7,7 +7,6 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
-	"tahoedyn/internal/runner"
 	"tahoedyn/internal/trace"
 )
 
@@ -122,7 +121,7 @@ func OneWayBufferSweep(opts Options) *Outcome {
 		cfg.Duration = opts.scale(3300 * time.Second)
 		cfgs[i] = cfg
 	}
-	results := runner.RunConfigs(opts.workers(), cfgs)
+	results := runConfigs(opts, cfgs)
 	var twoP float64
 	for i, b := range buffers {
 		res := results[i]

@@ -9,7 +9,9 @@ import (
 
 // Disc is a queue discipline: the policy deciding which arriving
 // packets enter a port's buffer, which buffered packet is served next,
-// and which packet pays for an overflow.
+// and which packet pays for an overflow. Drop-tail, the paper's
+// discipline, is not a Disc: a port with a nil Config.Disc runs it
+// itself, on its own ring.
 //
 // A discipline owns only the *waiting* packets. The packet currently
 // being serialized onto the line is held by the port itself and is
@@ -61,43 +63,13 @@ type DiscHost interface {
 	NominalTx(sizeBytes int) time.Duration
 }
 
-// DropTail is the paper's discipline: FIFO service, arrivals at a full
-// buffer are discarded.
-type DropTail struct {
-	h DiscHost
-	q fifo
-}
-
-// NewDropTail returns the default drop-tail FIFO discipline.
-func NewDropTail() *DropTail { return &DropTail{} }
-
-// Bind implements Disc.
-func (d *DropTail) Bind(h DiscHost) { d.h = h }
-
-// Len implements Disc.
-func (d *DropTail) Len() int { return d.q.len() }
-
-// Admit implements Disc: reject the arrival iff the buffer (waiting
-// plus in-service) is at capacity.
-func (d *DropTail) Admit(p *packet.Packet) bool {
-	if c := d.h.Capacity(); c > 0 && d.q.len()+d.h.InService() >= c {
-		d.h.Drop(p)
-		return false
-	}
-	d.q.push(p)
-	return true
-}
-
-// Dequeue implements Disc.
-func (d *DropTail) Dequeue() *packet.Packet { return d.q.pop() }
-
 // RandomDropDisc is the Random Drop gateway discipline of the studies
 // the paper cites in §1: on overflow a uniform choice among the
 // waiting packets and the arrival is discarded. The in-service packet
 // is never evicted. Service stays FIFO.
 type RandomDropDisc struct {
 	h   DiscHost
-	q   fifo
+	q   ring
 	rng *rand.Rand
 }
 
@@ -111,7 +83,7 @@ func NewRandomDrop(rng *rand.Rand) *RandomDropDisc {
 }
 
 // Bind implements Disc.
-func (d *RandomDropDisc) Bind(h DiscHost) { d.h = h }
+func (d *RandomDropDisc) Bind(h DiscHost) { d.h, d.q = h, newRing(h.Capacity()) }
 
 // Len implements Disc.
 func (d *RandomDropDisc) Len() int { return d.q.len() }

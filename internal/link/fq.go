@@ -28,17 +28,19 @@ func (d *FQ) Bind(h DiscHost) { d.h = h }
 // Len implements Disc.
 func (d *FQ) Len() int { return d.sched.Len() }
 
-// Admit implements Disc: tag and store the arrival, then on overflow
-// evict the tail of the longest flow (possibly the arrival itself).
+// Admit implements Disc: at a full buffer, evict the tail of the longest
+// flow (possibly the arrival itself), then tag and store the arrival —
+// in that order, so the trace reads drop → enqueue at true lengths.
 func (d *FQ) Admit(p *packet.Packet) bool {
-	d.sched.Enqueue(p)
-	if c := d.h.Capacity(); c > 0 && d.sched.Len()+d.h.InService() > c {
-		victim := d.sched.DropFromLongest()
-		d.h.Drop(victim)
-		if victim == p {
+	if c := d.h.Capacity(); c > 0 && d.sched.Len()+d.h.InService() >= c {
+		victim := d.sched.DropFromLongest(p.Conn)
+		if victim == nil {
+			d.h.Drop(p)
 			return false
 		}
+		d.h.Drop(victim)
 	}
+	d.sched.Enqueue(p)
 	return true
 }
 
@@ -116,18 +118,22 @@ func (s *fqSched) Dequeue() *packet.Packet {
 // DropFromLongest removes and returns the tail packet of the flow with
 // the largest backlog (ties broken by flow creation order), or nil when
 // empty. This is the buffer-stealing policy of the Fair Queueing papers:
-// the heaviest flow pays for the overflow.
-func (s *fqSched) DropFromLongest() *packet.Packet {
+// the heaviest flow pays for the overflow. Connection arriving's flow
+// (-1: none) counts one more, for an arrival not yet stored; when it is
+// the longest, or the only one, the arrival pays and the result is nil.
+func (s *fqSched) DropFromLongest(arriving int) *packet.Packet {
 	var worst *fqFlow
+	most := 0
 	for _, f := range s.order {
-		if len(f.pkts) == 0 {
-			continue
+		n := len(f.pkts)
+		if f.conn == arriving {
+			n++
 		}
-		if worst == nil || len(f.pkts) > len(worst.pkts) {
-			worst = f
+		if n > most {
+			worst, most = f, n
 		}
 	}
-	if worst == nil {
+	if worst == nil || worst.conn == arriving {
 		return nil
 	}
 	last := worst.pkts[len(worst.pkts)-1]

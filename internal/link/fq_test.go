@@ -1,11 +1,15 @@
 package link
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"tahoedyn/internal/obs"
 	"tahoedyn/internal/packet"
 	"tahoedyn/internal/sim"
+	"tahoedyn/internal/tstore"
 )
 
 func newFQPort(eng *sim.Engine, buffer int) (*Port, *sink) {
@@ -114,7 +118,7 @@ func TestFQDropFromLongest(t *testing.T) {
 		s.Enqueue(&packet.Packet{ID: uint64(i), Conn: 1, Size: 500})
 	}
 	s.Enqueue(&packet.Packet{ID: 100, Conn: 2, Size: 500})
-	victim := s.DropFromLongest()
+	victim := s.DropFromLongest(-1)
 	if victim == nil || victim.Conn != 1 {
 		t.Fatalf("victim = %v, want from flow 1", victim)
 	}
@@ -124,7 +128,7 @@ func TestFQDropFromLongest(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", s.Len())
 	}
-	if newFQSched().DropFromLongest() != nil {
+	if newFQSched().DropFromLongest(-1) != nil {
 		t.Fatal("drop from empty scheduler returned a packet")
 	}
 }
@@ -197,5 +201,40 @@ func TestFQPortQueueLenCountsInService(t *testing.T) {
 	eng.Run()
 	if pt.QueueLen() != 0 {
 		t.Fatalf("QueueLen = %d after drain", pt.QueueLen())
+	}
+}
+
+// An FQ port that evicts a queued victim for a light flow's arrival
+// traces the victim's drop, then the arrival's enqueue, each at the
+// queue length it leaves — so the invariant checker, reading the port's
+// trace, finds packet conservation intact.
+func TestFQEvictionPassesInvariantChecker(t *testing.T) {
+	eng := sim.New()
+	mem := obs.NewMemorySink()
+	checker := tstore.NewChecker(mem, tstore.CheckOptions{})
+	tr := obs.NewTracer(obs.TraceOptions{Sink: checker})
+	pt := NewPort(eng, Config{Name: "fq", Bandwidth: 50_000, Buffer: 3, Disc: NewFQ(), Obs: tr}, &sink{eng: eng})
+	for i, conn := range []int{1, 1, 1, 2} { // the fourth arrival evicts packet 2, flow 1's tail
+		pt.Send(&packet.Packet{ID: uint64(i), Conn: conn, Size: 500})
+	}
+	eng.Run()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := checker.Violation(); v != nil {
+		t.Fatal(v)
+	}
+	_, events := mem.Snapshot()
+	var got []string
+	for _, ev := range events {
+		if ev.Type == obs.Drop || ev.Type == obs.Enqueue && ev.ID == 3 {
+			got = append(got, fmt.Sprintf("%v %d at %g", ev.Type, ev.ID, ev.Val))
+		}
+	}
+	if want := []string{"drop 2 at 2", "enqueue 3 at 3"}; !slices.Equal(got, want) {
+		t.Fatalf("eviction traced as %q, want %q", got, want)
+	}
+	if pt.Stats().Dropped != 1 {
+		t.Fatalf("dropped %d, want 1", pt.Stats().Dropped)
 	}
 }

@@ -11,7 +11,8 @@ import (
 
 // FuzzParseQueueSpec feeds arbitrary text to the -queue flag parser. An
 // accepted spec must build its discipline — parsing is the last check
-// before a run constructs one per port.
+// before a run constructs one per port — and the discipline is nil
+// exactly for drop-tail, which the port runs itself.
 func FuzzParseQueueSpec(f *testing.F) {
 	for _, s := range []string{
 		"", "drop-tail", "random-drop", "fair-queue", "red", "red:min=5,max=15,p=0.02,wq=0.002",
@@ -26,8 +27,11 @@ func FuzzParseQueueSpec(f *testing.F) {
 			return
 		}
 		d, err := s.Build(rand.New(rand.NewSource(1)))
-		if err != nil || d == nil {
+		if err != nil {
 			t.Fatalf("%q accepted as %+v but does not build: %v", text, *s, err)
+		}
+		if (d == nil) != (s.policy() == PolicyDropTail) {
+			t.Fatalf("%q: spec %+v built %v", text, *s, d)
 		}
 	})
 }

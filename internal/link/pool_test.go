@@ -20,8 +20,8 @@ func newPooledFQPort(eng *sim.Engine, buffer int, pl *packet.Pool) (*Port, *sink
 	return pt, s
 }
 
-// The drop-of-arrival edge in sendFQ: when the arriving packet's own flow
-// is the longest, DropFromLongest evicts the arrival itself. Send must
+// The drop-of-arrival edge of FQ: when the arriving packet's own flow
+// is the longest, the arrival itself is the victim. Send must
 // report rejection, skip the Enqueued counter and the OnQueueLen hook
 // (the accepted queue length did not change), and release the arrival to
 // the pool at the drop site.

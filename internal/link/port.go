@@ -1,8 +1,9 @@
 // Package link models simplex transmission lines and the output ports
 // that feed them.
 //
-// A Port bundles a queue discipline (Disc: drop-tail FIFO by default,
-// Random Drop, fair queueing, RED) with a transmitter and an optional
+// A Port bundles a queue — the paper's drop-tail FIFO, which the port
+// runs itself on its own bounded ring, or a Disc (Random Drop, fair
+// queueing, RED) — with a transmitter and an optional
 // link behavior (Behavior: stochastic loss, jitter, trace-driven
 // rates): packets are serialized onto the line at the configured — or
 // behavior-scheduled — bandwidth and arrive at the far end one
@@ -63,8 +64,9 @@ type Config struct {
 	// service; <= 0 means unbounded.
 	Buffer int
 	// Disc is the queue discipline; nil means drop-tail FIFO (the
-	// paper's switches). The port binds the discipline at construction;
-	// a Disc instance must not be shared between ports.
+	// paper's switches, and what QueueSpec.Build returns for drop-tail),
+	// run by the port itself on its own ring. The port binds a Disc at
+	// construction; a Disc instance must not be shared between ports.
 	Disc Disc
 	// Behavior, when non-nil, impairs the line: per-packet loss and
 	// jitter at departure, and a time-varying rate sampled at the start
@@ -92,12 +94,13 @@ type Config struct {
 // Port is an output port: a buffered queue discipline draining into a
 // simplex transmission line.
 type Port struct {
-	eng       *sim.Engine
-	cfg       Config
-	disc      Disc
+	eng *sim.Engine
+	cfg Config
+	// q holds a drop-tail port's waiting packets (empty with a Disc);
+	// inService is the packet on the line, nil while the line is idle.
+	q         ring
 	inService *packet.Packet
 	dst       Receiver
-	busy      bool
 
 	// curTx is the serialization time of the transmission in progress;
 	// finishFn is the completion callback bound once at construction so
@@ -132,11 +135,11 @@ func NewPort(eng *sim.Engine, cfg Config, dst Receiver) *Port {
 	}
 	pt := &Port{eng: eng, cfg: cfg, dst: dst}
 	pt.finishFn = pt.finishTx
-	pt.disc = cfg.Disc
-	if pt.disc == nil {
-		pt.disc = NewDropTail()
+	if cfg.Disc != nil {
+		cfg.Disc.Bind((*discHost)(pt))
+	} else {
+		pt.q = newRing(cfg.Buffer)
 	}
-	pt.disc.Bind((*discHost)(pt))
 	// Intern the trace location at build time so the emit path never
 	// touches the name string.
 	pt.obsLoc = cfg.Obs.Loc(cfg.Name)
@@ -146,12 +149,14 @@ func NewPort(eng *sim.Engine, cfg Config, dst Receiver) *Port {
 // Name returns the port's trace name.
 func (pt *Port) Name() string { return pt.cfg.Name }
 
-// QueueLen returns the current queue length in packets: the
-// discipline's waiting packets plus the packet being transmitted —
-// which occupies its buffer slot until its last bit is sent, the
-// paper's convention.
+// QueueLen returns the current queue length in packets: the waiting
+// packets plus the packet being transmitted — which occupies its buffer
+// slot until its last bit is sent, the paper's convention.
 func (pt *Port) QueueLen() int {
-	n := pt.disc.Len()
+	n := pt.q.len()
+	if pt.cfg.Disc != nil {
+		n = pt.cfg.Disc.Len()
+	}
 	if pt.inService != nil {
 		n++
 	}
@@ -186,10 +191,20 @@ func (pt *Port) SetBandwidth(bw int64) {
 }
 
 // Send enqueues p for transmission, applying the discipline's
-// admission and overflow policy. It reports whether the arriving
-// packet was accepted.
+// admission and overflow policy — drop-tail's when cfg.Disc is nil: an
+// arrival at a full buffer (waiting plus in-service) is discarded. It
+// reports whether the arriving packet was accepted.
 func (pt *Port) Send(p *packet.Packet) bool {
-	accepted := pt.disc.Admit(p)
+	accepted := true
+	switch {
+	case pt.cfg.Disc != nil:
+		accepted = pt.cfg.Disc.Admit(p)
+	case pt.cfg.Buffer > 0 && pt.QueueLen() >= pt.cfg.Buffer:
+		accepted = false
+		pt.discard(p, &pt.stats.Dropped)
+	default:
+		pt.q.push(p)
+	}
 	if accepted {
 		pt.stats.Enqueued++
 		if pt.cfg.Obs != nil {
@@ -199,32 +214,20 @@ func (pt *Port) Send(p *packet.Packet) bool {
 			pt.OnQueueLen(pt.QueueLen())
 		}
 	}
-	if !pt.busy && pt.disc.Len() > 0 {
+	if pt.inService == nil && pt.QueueLen() > 0 {
 		pt.startTx()
 	}
 	return accepted
 }
 
-// drop records a discarded packet and, as the packet's terminal owner,
-// releases it back to the pool once the drop hook has seen it.
-func (pt *Port) drop(p *packet.Packet) {
-	pt.stats.Dropped++
-	if pt.cfg.Obs != nil {
-		pt.cfg.Obs.Packet(obs.Drop, pt.eng.Now(), pt.obsLoc, p, float64(pt.QueueLen()))
-	}
-	if pt.OnDrop != nil {
-		pt.OnDrop(p)
-	}
-	pt.cfg.Pool.Put(p)
-}
-
-// lose records a line loss — a packet the behavior discarded after its
-// last bit left the port — and releases it. The trace event is a Drop
-// at this port, emitted after the packet's Transmit event; the
+// discard counts a discarded packet in count (Stats.Dropped for the
+// queue, Stats.Lost for the behavior's line losses) and, as its
+// terminal owner, releases it to the pool once the drop hook has seen
+// it. A line loss traces as a Drop after the packet's Transmit; the
 // invariant checker classifies it like an arrival drop (the packet is
 // no longer in the buffer), so conservation still holds.
-func (pt *Port) lose(p *packet.Packet) {
-	pt.stats.Lost++
+func (pt *Port) discard(p *packet.Packet, count *uint64) {
+	*count++
 	if pt.cfg.Obs != nil {
 		pt.cfg.Obs.Packet(obs.Drop, pt.eng.Now(), pt.obsLoc, p, float64(pt.QueueLen()))
 	}
@@ -234,15 +237,17 @@ func (pt *Port) lose(p *packet.Packet) {
 	pt.cfg.Pool.Put(p)
 }
 
-// startTx begins serializing the packet the discipline serves next,
-// holding it as the in-service packet (still counted by QueueLen).
+// startTx begins serializing the packet the queue serves next, holding
+// it as the in-service packet (still counted by QueueLen).
 func (pt *Port) startTx() {
-	head := pt.disc.Dequeue()
+	head := pt.q.pop()
+	if pt.cfg.Disc != nil {
+		head = pt.cfg.Disc.Dequeue()
+	}
 	if head == nil {
 		return
 	}
 	pt.inService = head
-	pt.busy = true
 	bw := pt.cfg.Bandwidth
 	if pt.cfg.Behavior != nil {
 		if r := pt.cfg.Behavior.Rate(pt.eng.Now()); r > 0 {
@@ -263,7 +268,6 @@ func (pt *Port) startTx() {
 func (pt *Port) finishTx() {
 	p := pt.inService
 	pt.inService = nil
-	pt.busy = false
 	pt.stats.Busy += pt.curTx
 	pt.stats.Transmitted++
 	pt.stats.TxBytes += uint64(p.Size)
@@ -280,7 +284,7 @@ func (pt *Port) finishTx() {
 		extra, lost := pt.cfg.Behavior.Impair(p, pt.eng.Now())
 		switch {
 		case lost:
-			pt.lose(p)
+			pt.discard(p, &pt.stats.Lost)
 		case extra > 0:
 			// Jitter is its own local event leg, then the constant
 			// propagation delay — in serial and sharded runs alike, so
@@ -294,7 +298,7 @@ func (pt *Port) finishTx() {
 	} else {
 		pt.forward(p)
 	}
-	if pt.disc.Len() > 0 {
+	if pt.QueueLen() > 0 {
 		pt.startTx()
 	}
 }
@@ -338,7 +342,7 @@ func (dh *discHost) InService() int {
 }
 
 // Drop implements DiscHost.
-func (dh *discHost) Drop(p *packet.Packet) { (*Port)(dh).drop(p) }
+func (dh *discHost) Drop(p *packet.Packet) { (*Port)(dh).discard(p, &dh.stats.Dropped) }
 
 // NominalTx implements DiscHost.
 func (dh *discHost) NominalTx(sizeBytes int) time.Duration {

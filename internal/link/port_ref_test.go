@@ -1,0 +1,230 @@
+package link
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"tahoedyn/internal/packet"
+	"tahoedyn/internal/sim"
+)
+
+// refPort is the referee for a port: the waiting packets in a plain
+// slice, the packet on the line, and the buffer bound. The discipline's
+// admission decision is made by admit.
+type refPort struct {
+	buffer  int
+	waiting []*packet.Packet
+	onLine  *packet.Packet
+}
+
+func (r *refPort) len() int {
+	if r.onLine != nil {
+		return len(r.waiting) + 1
+	}
+	return len(r.waiting)
+}
+
+func (r *refPort) full() bool { return r.buffer > 0 && r.len() >= r.buffer }
+
+// serve moves the head of the slice onto an idle line.
+func (r *refPort) serve() {
+	if r.onLine == nil && len(r.waiting) > 0 {
+		r.onLine, r.waiting = r.waiting[0], r.waiting[1:]
+	}
+}
+
+// refDisc is a discipline as the referee applies it: admit offers p to
+// r and returns the packet dropped for it (p, a waiting victim, or nil);
+// served tells the discipline the referee put a packet on the line.
+type refDisc struct {
+	disc   func() Disc
+	admit  func(r *refPort, p *packet.Packet) (dropped *packet.Packet)
+	served func()
+}
+
+// dropTailRef, randomDropRef and redRef build a discipline for a port
+// and its referee twin from one seed.
+func dropTailRef(int64, int, *time.Duration) refDisc {
+	return refDisc{
+		disc: func() Disc { return nil },
+		admit: func(r *refPort, p *packet.Packet) *packet.Packet {
+			if r.full() {
+				return p
+			}
+			r.waiting = append(r.waiting, p)
+			return nil
+		},
+	}
+}
+
+func randomDropRef(seed int64, _ int, _ *time.Duration) refDisc {
+	pick := rand.New(rand.NewSource(seed))
+	return refDisc{
+		disc: func() Disc { return NewRandomDrop(rand.New(rand.NewSource(seed))) },
+		admit: func(r *refPort, p *packet.Packet) *packet.Packet {
+			if r.full() {
+				i := pick.Intn(len(r.waiting) + 1)
+				if i == len(r.waiting) {
+					return p
+				}
+				victim := r.waiting[i]
+				r.waiting = slices.Delete(r.waiting, i, i+1)
+				r.waiting = append(r.waiting, p)
+				return victim
+			}
+			r.waiting = append(r.waiting, p)
+			return nil
+		},
+	}
+}
+
+// redRef's decisions come from a twin RED bound to a redHost that
+// mirrors the port's clock and transmitter: the RED arithmetic has its
+// own referee (TestREDZeroAverageGuardIsBitIdentical); here the slice
+// stands in for the ring underneath it. The thresholds let overload
+// phases reach a 20-packet buffer.
+func redRef(seed int64, buffer int, now *time.Duration) refDisc {
+	cfg := REDConfig{MinTh: 3, MaxTh: 30, MaxP: 0.1, Wq: 0.2}
+	h := redHost{capacity: buffer}
+	twin := NewRED(cfg, rand.New(rand.NewSource(seed)))
+	twin.Bind(&h)
+	return refDisc{
+		disc: func() Disc { return NewRED(cfg, rand.New(rand.NewSource(seed))) },
+		admit: func(r *refPort, p *packet.Packet) *packet.Packet {
+			h.now, h.inService = *now, 0
+			if r.onLine != nil {
+				h.inService = 1
+			}
+			if !twin.Admit(p) {
+				return p
+			}
+			r.waiting = append(r.waiting, p)
+			return nil
+		},
+		served: func() {
+			h.now = *now
+			twin.Dequeue()
+		},
+	}
+}
+
+// TestPortAgainstSliceQueue drives ports with seeded random arrivals,
+// service completions and idle gaps, long enough to wrap each ring many
+// times (and to grow an unbounded one while wrapped), and checks every
+// step against refPort: whether each arrival was admitted, which packet
+// was dropped for it, QueueLen after every operation, and the order in
+// which packets leave. Random Drop's victim, drawn as an index into the
+// wrapped ring, must name the packet the slice holds at that index.
+func TestPortAgainstSliceQueue(t *testing.T) {
+	discs := []struct {
+		name string
+		ref  func(seed int64, buffer int, now *time.Duration) refDisc
+	}{{"drop-tail", dropTailRef}, {"random-drop", randomDropRef}, {"red", redRef}}
+	for _, d := range discs {
+		for _, buffer := range []int{-1, 0, 1, 2, 20} {
+			t.Run(fmt.Sprintf("%s/buffer=%d", d.name, buffer), func(t *testing.T) {
+				for seed := int64(1); seed <= 4; seed++ {
+					checkPortAgainstSlice(t, d.ref, buffer, seed)
+				}
+			})
+		}
+	}
+}
+
+func checkPortAgainstSlice(t *testing.T, mk func(int64, int, *time.Duration) refDisc, buffer int, seed int64) {
+	const steps = 6000
+	eng := sim.New()
+	var now time.Duration
+	rd := mk(seed, buffer, &now)
+	ref := &refPort{buffer: buffer}
+	pt := NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: buffer, Disc: rd.disc()}, &sink{eng: eng})
+	var dropped, departed []*packet.Packet
+	pt.OnDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
+	pt.OnDepart = func(p *packet.Packet) { departed = append(departed, p) }
+
+	drive := rand.New(rand.NewSource(seed))
+	sendP, served, maxLen := 0.5, 0, 0
+	for step := 0; step < steps; step++ {
+		if step%200 == 0 { // phases of overload, balance and drain
+			sendP = []float64{0.3, 0.5, 0.75}[drive.Intn(3)]
+		}
+		now = eng.Now()
+		switch op := drive.Float64(); {
+		case op < sendP:
+			p := &packet.Packet{ID: uint64(step), Size: 500}
+			dropped = dropped[:0]
+			want := rd.admit(ref, p)
+			if got := pt.Send(p); got != (want != p) {
+				t.Fatalf("seed %d step %d: Send = %v, referee admitted %v", seed, step, got, want != p)
+			}
+			if want == nil && len(dropped) != 0 || want != nil && (len(dropped) != 1 || dropped[0] != want) {
+				t.Fatalf("seed %d step %d: dropped %v, referee dropped %v", seed, step, dropped, want)
+			}
+		case ref.onLine != nil: // the transmission in progress completes
+			for n := pt.Stats().Transmitted; pt.Stats().Transmitted == n; {
+				if !eng.Step() {
+					t.Fatalf("seed %d step %d: engine ran dry with a packet on the line", seed, step)
+				}
+			}
+			if last := departed[len(departed)-1]; last != ref.onLine {
+				t.Fatalf("seed %d step %d: packet %d left, referee serves %d", seed, step, last.ID, ref.onLine.ID)
+			}
+			ref.onLine = nil
+			served++
+		default: // an idle line: the clock runs on
+			eng.RunUntil(eng.Now() + time.Duration(drive.Int63n(int64(2*time.Second))))
+		}
+		if ref.onLine == nil && len(ref.waiting) > 0 {
+			now = eng.Now()
+			ref.serve()
+			if rd.served != nil {
+				rd.served()
+			}
+		}
+		if got, want := pt.QueueLen(), ref.len(); got != want {
+			t.Fatalf("seed %d step %d: QueueLen = %d, referee %d", seed, step, got, want)
+		}
+		maxLen = max(maxLen, ref.len())
+	}
+	if served < 20*max(buffer, 1) || buffer > 1 && maxLen < buffer {
+		t.Fatalf("seed %d: %d packets served, longest queue %d: too little traffic to wrap a %d-slot ring",
+			seed, served, maxLen, buffer)
+	}
+}
+
+// A fresh drop-tail port with a bounded buffer has its whole ring from
+// construction: from its first packet on, arrivals, overflow drops and
+// departures allocate nothing.
+func TestDropTailPortAllocatesNothingFromFirstPacket(t *testing.T) {
+	eng := sim.New()
+	var pkts [25]packet.Packet
+	for i := range pkts {
+		pkts[i].Size = 500
+	}
+	newPort := func() *Port {
+		return NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: 20}, nullReceiver{})
+	}
+	cycles := func(pt *Port) {
+		// Rounds of 7 packets and of 25 (20 admitted, 5 dropped), each sent
+		// in full before the next: the ring's head walks round the array.
+		for round := 0; round < 40; round++ {
+			for i := range pkts[:7+18*(round%2)] {
+				pt.Send(&pkts[i])
+			}
+			for eng.Step() {
+			}
+		}
+	}
+	built := testing.AllocsPerRun(1, func() { newPort() })
+	used := testing.AllocsPerRun(1, func() { cycles(newPort()) })
+	if used != built {
+		t.Fatalf("a new port and 40 rounds of traffic allocate %v times, the port alone %v", used, built)
+	}
+}
+
+type nullReceiver struct{}
+
+func (nullReceiver) Deliver(*packet.Packet) {}

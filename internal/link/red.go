@@ -69,7 +69,7 @@ func (c *REDConfig) validate() error {
 // serial drop sequence exactly.
 type RED struct {
 	h   DiscHost
-	q   fifo
+	q   ring
 	cfg REDConfig
 	rng *rand.Rand
 
@@ -99,7 +99,7 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 }
 
 // Bind implements Disc.
-func (d *RED) Bind(h DiscHost) { d.h = h }
+func (d *RED) Bind(h DiscHost) { d.h, d.q = h, newRing(h.Capacity()) }
 
 // Len implements Disc.
 func (d *RED) Len() int { return d.q.len() }

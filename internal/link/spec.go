@@ -63,6 +63,8 @@ func (s *QueueSpec) NeedsRand() bool {
 }
 
 // Build materializes the discipline. rng is required iff NeedsRand.
+// Drop-tail builds nothing: it returns (nil, nil), which Config.Disc
+// reads as drop-tail, run by the port itself.
 func (s *QueueSpec) Build(rng *rand.Rand) (Disc, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -72,7 +74,7 @@ func (s *QueueSpec) Build(rng *rand.Rand) (Disc, error) {
 	}
 	switch s.policy() {
 	case PolicyDropTail:
-		return NewDropTail(), nil
+		return nil, nil
 	case PolicyRandomDrop:
 		return NewRandomDrop(rng), nil
 	case PolicyFairQueue:
