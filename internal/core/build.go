@@ -35,6 +35,10 @@ type build struct {
 	// invariant checker in front of the caller's sink. Nil: no tracer.
 	trace   *obs.TraceOptions
 	checker *tstore.Checker
+	// capacity is the checker's CheckOptions.Capacity when core fills it
+	// (nil otherwise): the port phase enters every drop-tail port with a
+	// bounded buffer and an ideal line, before the first event is traced.
+	capacity map[string]int
 
 	part *topology.Partition // partition; nil: one region
 
@@ -167,6 +171,10 @@ func (b *build) plan() (err error) {
 			o.MaxCwnd[k+1] = float64(max(cfg.Conns[k].MaxWnd, cfg.Conns[k].FixedWnd))
 		}
 	}
+	if o.Capacity == nil && !o.NoConservation {
+		o.Capacity = map[string]int{}
+		b.capacity = o.Capacity
+	}
 	b.checker = tstore.NewChecker(to.Sink, o)
 	to.Sink = b.checker
 	b.trace = &to
@@ -276,6 +284,11 @@ func (b *build) stores() {
 // port makes an output port on region rg's engine, pool and tracer.
 func (b *build) port(rg int, c link.Config, dst link.Receiver) *link.Port {
 	c.Pool, c.Obs = b.pools[rg], b.tracers[rg]
+	if b.capacity != nil && c.Disc == nil && c.Behavior == nil && c.Buffer > 0 {
+		// A line loss traces as a Drop after its Transmit, so a port
+		// with a Behavior cannot be held to the drop-tail rule.
+		b.capacity[c.Name] = c.Buffer
+	}
 	return link.NewPort(b.engs[rg], c, dst)
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tahoedyn/internal/core"
+	"tahoedyn/internal/link"
 	"tahoedyn/internal/obs"
 	"tahoedyn/internal/scenario"
 	"tahoedyn/internal/tstore"
@@ -212,6 +213,33 @@ func TestInvariantsFlagCorruptedStoredTrace(t *testing.T) {
 	}
 }
 
+// TestDropTailCapacities runs the "drop-tail-full" rule on real runs. A
+// lossy line traces each loss as a Drop after the packet's Transmit,
+// below a full buffer, so core leaves such ports out of the capacities
+// it hands the checker: the run is clean. A capacity the caller states
+// replaces core's, and one packet above the real buffer is caught at the
+// first drop the bottleneck makes.
+func TestDropTailCapacities(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := loadScenario(t, "../../scenarios/twoway-smallpipe.json")
+		cfg.Shards = shards
+		cfg.Behavior = &link.BehaviorSpec{Loss: 0.02}
+		cfg.Invariants = &tstore.CheckOptions{}
+		res := core.Run(cfg)
+		requireClean(t, res)
+		if len(res.Drops) == 0 {
+			t.Fatalf("shards %d: a lossy run dropped nothing", shards)
+		}
+
+		cfg.Behavior = nil
+		cfg.Invariants = &tstore.CheckOptions{Capacity: map[string]int{"sw0->sw1": cfg.Buffer + 1, "sw1->sw0": cfg.Buffer + 1}}
+		res = core.Run(cfg)
+		if res.Invariant == nil || res.Invariant.Rule != "drop-tail-full" || res.Invariant.Event.Val != float64(cfg.Buffer) {
+			t.Errorf("shards %d: Invariant = %v, want drop-tail-full at a queue of %d", shards, res.Invariant, cfg.Buffer)
+		}
+	}
+}
+
 // Result.Cfg is the caller's configuration, normalized — not the one the
 // run traced with. The checker sits before the caller's sink inside the
 // build only: a kept Result does not hold it (and its per-port id tables)
@@ -233,7 +261,7 @@ func TestInvariantsLeaveResultCfgTheCallers(t *testing.T) {
 		if got := res.Cfg.Obs.Trace.Sink; got != obs.Sink(sink) {
 			t.Errorf("shards %d: Result.Cfg.Obs.Trace.Sink is a %T, want the caller's MemorySink", shards, got)
 		}
-		if res.Cfg.Invariants != cfg.Invariants || cfg.Invariants.MaxCwnd != nil {
+		if res.Cfg.Invariants != cfg.Invariants || cfg.Invariants.MaxCwnd != nil || cfg.Invariants.Capacity != nil {
 			t.Errorf("shards %d: the caller's Invariants were replaced or written through", shards)
 		}
 		if sink.Len() == 0 {

@@ -1,0 +1,110 @@
+package tcp
+
+import (
+	"testing"
+	"time"
+
+	"tahoedyn/internal/packet"
+	"tahoedyn/internal/sim"
+)
+
+// sendLog is the fuzzed sender's Network: it records every segment and
+// holds each first transmission of a sequence number to the window the
+// sender had when it sent it.
+type sendLog struct {
+	t    *testing.T
+	s    *Sender
+	high int // one past the highest sequence number sent
+	sent int
+}
+
+func (l *sendLog) Send(p *packet.Packet) bool {
+	l.sent++
+	if p.Seq >= l.high {
+		// A segment never sent before must fit in the window: below the
+		// lowest unacknowledged one plus the usable window.
+		if limit := l.s.Una() + l.s.Wnd(); p.Seq >= limit {
+			l.t.Fatalf("new segment %d sent with una %d and window %d", p.Seq, l.s.Una(), l.s.Wnd())
+		}
+		l.high = p.Seq + 1
+	}
+	return true
+}
+
+// FuzzSenderAcks drives one Tahoe (or Reno) sender with sequences of
+// ACKs, duplicate ACKs, clock advances and timeouts decoded from bytes,
+// and after every step holds it to the rules of the algorithm in
+// PAPER.md §2, not to its code:
+//   - the congestion window never falls below one packet: slow-start
+//     starts from one, and a collapse goes back to one;
+//   - once a loss has been detected, ssthresh is at least two packets:
+//     half the window, but never below two;
+//   - the cumulative acknowledgment point snd_una never moves back,
+//     whatever stale or duplicate ACK arrives;
+//   - a sequence number sent for the first time lies below snd_una plus
+//     the usable window, floor(min(cwnd, maxwnd)).
+//
+// Input: byte 0 picks Reno and the original increase rule, byte 1 the
+// receiver window (1 to 40); then two bytes a step. The first names the
+// step and how far the clock moves before it; the second is the step's
+// argument.
+func FuzzSenderAcks(f *testing.F) {
+	f.Add([]byte{0, 40, 0, 1, 0, 2, 0, 3, 0, 4})                                  // a steady ACK stream
+	f.Add([]byte{0, 40, 0, 1, 0, 2, 4, 0, 1, 0, 1, 0, 1, 0, 0, 9})                // three duplicates, then recovery
+	f.Add([]byte{1, 40, 0, 1, 0, 2, 4, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 9})          // the same under Reno
+	f.Add([]byte{2, 1, 2, 0, 2, 0, 2, 0, 0, 1})                                   // window 1, three timeouts in a row
+	f.Add([]byte{0, 8, 0, 1, 3, 200, 0, 0, 2, 0, 0, 255, 1, 0, 1, 0, 1, 0, 2, 0}) // stale ACKs between losses
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		eng := sim.New()
+		cfg := SenderConfig{
+			Conn: 1, SrcHost: 1, DstHost: 2, DataSize: 500,
+			Reno:             data[0]&1 != 0,
+			OriginalIncrease: data[0]&2 != 0,
+			MaxWnd:           1 + int(data[1])%40,
+		}
+		net := &sendLog{t: t}
+		s := NewSender(eng, net, &IDGen{}, cfg)
+		net.s = s
+		collapsed := false
+		s.OnCollapse = func(string) { collapsed = true }
+		s.Start()
+
+		una := s.Una()
+		check := func(step int) {
+			t.Helper()
+			if s.Cwnd() < 1 {
+				t.Fatalf("step %d: cwnd %g below one packet", step, s.Cwnd())
+			}
+			if collapsed && s.Ssthresh() < 2 {
+				t.Fatalf("step %d: ssthresh %g below two packets after a loss", step, s.Ssthresh())
+			}
+			if s.Una() < una {
+				t.Fatalf("step %d: snd_una went back from %d to %d", step, una, s.Una())
+			}
+			una = s.Una()
+		}
+		ack := func(seq int) {
+			s.Handle(&packet.Packet{Kind: packet.Ack, Conn: 1, Src: 2, Dst: 1, Seq: seq, Size: 40})
+		}
+		check(0)
+		for step, in := 1, data[2:]; len(in) >= 2; step, in = step+1, in[2:] {
+			op, arg := in[0], int(in[1])
+			// The clock moves first, up to 63 × 10 ms; a timer that falls
+			// due on the way fires.
+			eng.RunUntil(eng.Now() + time.Duration(op>>2)*10*time.Millisecond)
+			switch op & 3 {
+			case 0: // any ACK the receiver could have sent: 0 to the highest sent
+				ack(arg % (net.high + 1))
+			case 1: // a duplicate
+				ack(s.Una())
+			case 2: // the retransmission timer expires
+				eng.Step()
+			case 3: // nothing arrives
+			}
+			check(step)
+		}
+	})
+}

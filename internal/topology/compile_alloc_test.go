@@ -1,0 +1,92 @@
+package topology
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// compileCost compiles g once with def and returns the bytes and the
+// objects the compile allocated. A collection first, so the numbers do
+// not carry a previous test's garbage.
+func compileCost(t *testing.T, g Graph, def Defaults) (bytes, objects uint64) {
+	t.Helper()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if _, err := g.Compile(def); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc, m1.Mallocs - m0.Mallocs
+}
+
+// TestMergedRowsAreExact checks the rows the tiled merge makes, at
+// every worker count and batch size (a column a batch, three, the
+// default): each holds exactly its intervals, ends strictly ascending
+// up to the host count, and — with no override —
+// maximal, no two neighbouring intervals leaving by the same slot; and
+// whatever the batching, the routes are the same.
+func TestMergedRowsAreExact(t *testing.T) {
+	g := clusteredGraph()
+	g.Routes = nil
+	for name, g := range map[string]Graph{"clustered-64": g, "ba-600": BarabasiAlbert(600, 2, 3), "chain-700": Chain(700)} {
+		want := routesDigest(mustCompile(t, g, eqDefaults()))
+		for _, cells := range []int{g.Switches, 3 * g.Switches, colBatchCells} {
+			for _, w := range []int{1, 2, 8} {
+				def := eqDefaults()
+				def.Workers = w
+				c := compileBatched(t, g, def, cells)
+				if got := routesDigest(c); got != want {
+					t.Errorf("%s, %d cells a batch, %d workers: digest %s, want %s", name, cells, w, got, want)
+				}
+				for r, ends := range c.pool.ends {
+					slots := c.pool.slots[r]
+					if ends == nil {
+						continue
+					}
+					if len(slots) != len(ends) || cap(ends) != len(ends) {
+						t.Fatalf("%s: row %d has %d ends (room for %d) and %d slots", name, r, len(ends), cap(ends), len(slots))
+					}
+					if ends[len(ends)-1] != int32(len(c.Hosts)) {
+						t.Fatalf("%s: row %d ends at %d, not at the host count %d", name, r, ends[len(ends)-1], len(c.Hosts))
+					}
+					for k := 1; k < len(ends); k++ {
+						if ends[k] <= ends[k-1] || slots[k] == slots[k-1] {
+							t.Fatalf("%s: row %d intervals %d and %d: ends %d, %d slots %d, %d", name, r, k-1, k, ends[k-1], ends[k], slots[k-1], slots[k])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCompileAllocations holds the route compile of the mesh workload's
+// graph, BarabasiAlbert(2048, 2, 1) at two workers, to its memory budget
+// (DESIGN.md §13): the columns, the workers' tile scratch and the
+// interned rows, with no per-switch run list grown on the way. The
+// bounds sit about 10 % above what the compile allocates; the run lists
+// the merge used to grow took it to 65.9 MB in 29 141 objects.
+func TestCompileAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the compile's")
+	}
+	def := Defaults{Bandwidth: 50_000, Delay: 2 * time.Millisecond, Buffer: 20, DataSize: 500, Workers: 2}
+	g := BarabasiAlbert(2048, 2, 1)
+	bytes, objects := compileCost(t, g, def)
+	for range 2 { // the smallest of three: a concurrent collection can add a little
+		b, o := compileCost(t, g, def)
+		bytes, objects = min(bytes, b), min(objects, o)
+	}
+	const mb = 1 << 20
+	t.Logf("BA(2048,2,1) at 2 workers: %.1f MB in %d objects", float64(bytes)/mb, objects)
+	// 30.0 MB in about 3 400 objects when the bounds were set.
+	const maxBytes, maxObjects = 33 * mb, 3750
+	if bytes > maxBytes {
+		t.Errorf("compile allocated %.1f MB, budget %d MB", float64(bytes)/mb, maxBytes/mb)
+	}
+	if objects > maxObjects {
+		t.Errorf("compile allocated %d objects, budget %d", objects, maxObjects)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,79 +12,68 @@ import (
 
 // colBatchCells bounds the transient memory of one route-compilation
 // batch: the distinct-destination Dijkstra columns held live at once
-// never exceed about this many int32 cells (32 MiB at the default). A
-// variable so tests can force multi-batch compiles on small graphs.
-var colBatchCells = 1 << 23
+// never exceed about this many int32 cells (8 MiB at the default; the
+// runs a tile keeps between batches cost less than the columns a larger
+// batch holds, DESIGN.md §13). A variable so tests can force
+// multi-batch compiles on small graphs.
+var colBatchCells = 1 << 21
 
 // mergeTile is how many switches one step of the column merge covers:
 // each column line is loaded once per batch, 16 lines per page walk,
-// and what a tile keeps warm (last hops, run headers, the line each run
-// grows: some 23 KB) fits the first-level cache. Measured: DESIGN.md §13.
+// and what a tile keeps warm (last hops, run counts, the line of the
+// scratch being filled) fits the first-level cache. Measured: DESIGN.md
+// §13.
 const mergeTile = 256
 
-// routeBuilder accumulates per-switch forwarding runs across host
-// batches. It exists only between computeRoutes and freeze.
+// routeBuilder holds every switch's finished forwarding row between
+// computeRoutes and freeze: route overrides are painted into it, then
+// freeze interns it.
 type routeBuilder struct {
-	// runs[s] is switch s's interval list: entry {end, hop} covers hosts
-	// [previous end, end). While batches are still merging, end holds
-	// the interval's first host instead; computeRoutes shifts the starts
-	// into ends after the last batch.
-	runs [][]runEntry
-	// last[s] is the hop of runs[s]'s newest entry.
-	last  []int32
+	// rows[s] is switch s's row as the pool keeps it (newRow), hops
+	// already converted to adjacency slots — the switch-relative form
+	// under which identical forwarding shapes deduplicate.
+	rows  [][]int32
+	hash  []uint64     // hashRow of each row
 	stats CompileStats // completed by freeze
 }
 
-type runEntry struct {
-	end int32
-	hop int32
-}
-
-// paint overrides host h's hop at switch s, splitting the covering run.
-func (rb *routeBuilder) paint(s, h int, hop int32) {
-	rs := rb.runs[s]
-	start := int32(0)
-	for i := range rs {
-		if rs[i].end <= int32(h) {
-			start = rs[i].end
-			continue
-		}
-		// rs[i] covers h: split into [start,h) old, [h,h+1) new, [h+1,end) old.
-		if rs[i].hop == hop {
-			return
-		}
-		repl := make([]runEntry, 0, 3)
-		if int32(h) > start {
-			repl = append(repl, runEntry{int32(h), rs[i].hop})
-		}
-		repl = append(repl, runEntry{int32(h) + 1, hop})
-		if rs[i].end > int32(h)+1 {
-			repl = append(repl, runEntry{rs[i].end, rs[i].hop})
-		}
-		rb.runs[s] = append(rs[:i], append(repl, rs[i+1:]...)...)
+// paint overrides host h's hop at switch s, splitting the covering
+// interval into [start,h) old, [h,h+1) new, [h+1,end) old; the new row
+// replaces the old, whose memory no one else holds yet.
+func (rb *routeBuilder) paint(c *Compiled, s, h int, hop int32) {
+	ends, slots := halves(rb.rows[s])
+	i, _ := slices.BinarySearch(ends, int32(h)+1) // the first interval ending past h
+	slot := c.slotOf(s, hop)
+	if slots[i] == slot {
 		return
 	}
+	start := int32(0)
+	if i > 0 {
+		start = ends[i-1]
+	}
+	var re, rs []int32
+	if int32(h) > start {
+		re, rs = append(re, int32(h)), append(rs, slots[i])
+	}
+	re, rs = append(re, int32(h)+1), append(rs, slot)
+	if ends[i] > int32(h)+1 {
+		re, rs = append(re, ends[i]), append(rs, slots[i])
+	}
+	row := slices.Concat(ends[:i], re, ends[i+1:], slots[:i], rs, slots[i+1:])
+	rb.rows[s], rb.hash[s] = row, hashRow(halves(row))
 }
 
-// freeze interns the accumulated runs into the Compiled's row pool and
-// releases the accumulator. Hops are converted from packed global link
-// directions to per-switch adjacency slots on the way in — the switch-
-// relative form under which identical forwarding shapes deduplicate.
-// The loop is serial in switch order, so row ids are deterministic
-// regardless of how many workers computed the columns.
+// freeze interns the rows into the Compiled's row pool, which keeps the
+// builder's memory for every row it has not seen before. The loop is
+// serial in switch order, so row ids are deterministic regardless of how
+// many workers computed the columns.
 func (rb *routeBuilder) freeze(c *Compiled) {
 	c.pool = newRowPool()
 	c.rowOf = make([]int32, c.Switches)
-	var ends, slots []int32
-	for s, rs := range rb.runs {
-		ends, slots = ends[:0], slots[:0]
-		for _, r := range rs {
-			ends = append(ends, r.end)
-			slots = append(slots, c.slotOf(s, r.hop))
-		}
-		c.rowOf[s] = c.pool.intern(ends, slots)
+	for s, row := range rb.rows {
+		c.rowOf[s] = c.pool.adopt(rb.hash[s], row)
 	}
-	rb.runs = nil
+	rb.rows = nil
 	c.stats = rb.stats
 	c.stats.DistinctRows = c.pool.rows()
 	c.stats.RouteBytes = c.RouteBytes()
@@ -111,7 +101,8 @@ func (c *Compiled) CompileStats() CompileStats { return c.stats }
 // toward every host's switch. Work is batched over contiguous host
 // ranges: each batch computes one packed next-hop column per distinct
 // destination switch on a worker pool, then merges the columns — in
-// host order, over disjoint switch ranges — into the run accumulator.
+// host order, over disjoint switch ranges — into the runs each tile of
+// switches keeps, and after the last batch into each switch's row.
 // Neither step's output depends on worker scheduling, so the routes are
 // identical for every worker count.
 //
@@ -128,9 +119,10 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	rb := &routeBuilder{runs: make([][]runEntry, nsw), last: make([]int32, nsw)}
-	for s := range rb.last {
-		rb.last[s] = hopUnreachable // in no merged column: the first host starts a run
+	rb := &routeBuilder{rows: make([][]int32, nsw), hash: make([]uint64, nsw)}
+	last := make([]int32, nsw) // the hop of each switch's newest run
+	for s := range last {
+		last[s] = hopUnreachable // in no merged column: the first host starts a run
 	}
 
 	// Batch size: how many distinct destination columns fit the
@@ -166,6 +158,10 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		scratch = make([]*sssp, workers)     // one per worker, made on first use
 		colOf   = make(map[int]int, maxCols) // dest switch -> column, reused per batch
 		hostCol []int32                      // host h of the batch -> column, as hostCol[h-lo]
+		ntiles  = (nsw + mergeTile - 1) / mergeTile
+		tiles   = make([]*tileScratch, workers) // one per worker, made on first use
+		kept    = make([][][]tileRun, ntiles)   // by tile: the runs of the batches before the last
+		nRuns   = make([]int32, nsw)            // runs each switch has started so far
 	)
 
 	for lo := 0; lo < nh; {
@@ -214,36 +210,28 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 			}
 		}
 
-		// Merge the batch into the run accumulator: hosts in order, a tile
-		// of switches at a time, a new run wherever a host's column leaves
-		// the hop of the switch's newest run. Disjoint tiles extend their
-		// runs independently; the result per switch depends only on the
+		// Merge the batch, a tile of switches at a time, into the worker's
+		// tile scratch. The tile keeps what a batch before the last found;
+		// after the last, its switches' rows are made from all of it.
+		// Disjoint tiles never meet; what a switch gets depends only on the
 		// columns and the host order, both fixed before the fan-out.
-		forEachParallel(workers, (nsw+mergeTile-1)/mergeTile, func(_, ti int) {
+		final := hi == nh
+		forEachParallel(workers, ntiles, func(w, ti int) {
+			if tiles[w] == nil {
+				tiles[w] = new(tileScratch)
+			}
+			t := tiles[w]
 			sLo := ti * mergeTile
 			sHi := min(sLo+mergeTile, nsw)
-			runs, last := rb.runs[sLo:sHi], rb.last[sLo:sHi]
-			for h := lo; h < hi; h++ {
-				if h > lo && hostCol[h-lo] == hostCol[h-lo-1] {
-					continue // the previous host's column again
-				}
-				for i, p := range cols[hostCol[h-lo]][sLo:sHi] {
-					if p != last[i] {
-						last[i] = p
-						runs[i] = append(runs[i], runEntry{int32(h), p})
-					}
-				}
+			t.merge(cols[:len(dests)], hostCol, lo, sLo, last[sLo:sHi], nRuns[sLo:sHi])
+			if final {
+				rb.finish(c, sLo, nRuns[sLo:sHi], kept[ti], t.chunks[:t.used])
+				kept[ti] = nil
+			} else {
+				kept[ti] = t.keep(kept[ti])
 			}
 		})
 		lo = hi
-	}
-
-	// Starts to ends: each run ends where the next one starts.
-	for _, rs := range rb.runs {
-		for i := 1; i < len(rs); i++ {
-			rs[i-1].end = rs[i].end
-		}
-		rs[len(rs)-1].end = int32(nh)
 	}
 	for _, sc := range scratch {
 		if sc != nil {
@@ -252,6 +240,119 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		}
 	}
 	return rb, nil
+}
+
+// tileRun is what the merge found: the tile's switch i starts a run
+// toward packed hop v, at the host the latest mark (i < 0) names in v.
+// A run ends where the switch's next run starts.
+type tileRun struct {
+	i, v int32
+}
+
+// tileChunk is the length of one chunk of a tile scratch (192 KB).
+const tileChunk = 1 << 14
+
+// tileScratch is one merge worker's scratch, reused from tile to tile
+// and from batch to batch: the runs the tile's switches start in one
+// batch, in merge order. They fill fixed chunks, so the scratch grows
+// to a worker's largest tile without ever copying a run.
+type tileScratch struct {
+	chunks [][]tileRun // chunks[:used] hold the tile's runs; the rest wait
+	used   int
+}
+
+// merge collects the runs that switches [sLo, sLo+len(last)) start in
+// the batch whose first host is lo — hosts in order, a new run wherever
+// a host's column leaves the hop of the switch's newest run — and
+// counts them in n.
+func (t *tileScratch) merge(cols [][]int32, hostCol []int32, lo, sLo int, last, n []int32) {
+	t.used = 0
+	var cur []tileRun // the chunk being filled
+	for j, ci := range hostCol {
+		if j > 0 && ci == hostCol[j-1] {
+			continue // the previous host's column again
+		}
+		if cap(cur)-len(cur) <= len(last) { // no room for a mark and a whole column
+			// A chunk need not hold more than every column's worth.
+			cur = t.next(cur, min(tileChunk, (len(last)+1)*len(cols)))
+		}
+		cur = append(cur, tileRun{-1, int32(lo + j)})
+		mark := len(cur)
+		for i, p := range cols[ci][sLo : sLo+len(last)] {
+			if p != last[i] {
+				last[i] = p
+				n[i]++
+				cur = append(cur, tileRun{int32(i), p})
+			}
+		}
+		if len(cur) == mark {
+			cur = cur[:mark-1] // a mark for no run
+		}
+	}
+	t.chunks[t.used-1] = cur
+}
+
+// next files the chunk being filled and returns the next one, empty,
+// with room for at least size runs.
+func (t *tileScratch) next(cur []tileRun, size int) []tileRun {
+	if t.used > 0 {
+		t.chunks[t.used-1] = cur
+	}
+	if t.used == len(t.chunks) {
+		t.chunks = append(t.chunks, nil)
+	}
+	if cap(t.chunks[t.used]) < size {
+		t.chunks[t.used] = make([]tileRun, 0, size)
+	}
+	t.used++
+	return t.chunks[t.used-1][:0]
+}
+
+// keep appends the tile's runs to kept and returns it: the full chunks
+// themselves, which the scratch gives up, and a copy of the last one,
+// which the scratch keeps filling.
+func (t *tileScratch) keep(kept [][]tileRun) [][]tileRun {
+	part := t.chunks[t.used-1]
+	kept = append(kept, t.chunks[:t.used-1]...)
+	if len(part) > 0 {
+		kept = append(kept, slices.Clone(part))
+	}
+	t.chunks = t.chunks[t.used-1:]
+	return kept
+}
+
+// finish makes the rows of switches sLo, sLo+1, … — n[i] runs for the
+// tile's switch i, found in the chunks of prior and then of runs — each
+// at its exact length, and hashes them.
+func (rb *routeBuilder) finish(c *Compiled, sLo int, n []int32, prior, runs [][]tileRun) {
+	rows := rb.rows[sLo : sLo+len(n)]
+	for i, k := range n {
+		rows[i] = newRow(int(k))
+		rows[i][k-1] = int32(len(c.Hosts)) // the last interval's end
+	}
+	clear(n) // now: where each switch's next run goes
+	for _, chunks := range [2][][]tileRun{prior, runs} {
+		for _, ch := range chunks {
+			start := int32(0)
+			for _, r := range ch {
+				if r.i < 0 {
+					start = r.v
+					continue
+				}
+				// The run's start ends the interval before it; its packed
+				// hop becomes the switch's adjacency slot.
+				row, k := rows[r.i], n[r.i]
+				if k > 0 {
+					row[k-1] = start
+				}
+				row[len(row)/2+int(k)] = c.slotOf(sLo+int(r.i), r.v)
+				n[r.i]++
+			}
+		}
+	}
+	for i, row := range rows {
+		rb.hash[sLo+i] = hashRow(halves(row))
+	}
 }
 
 // fillColumn computes dest d's packed next-hop column: col[s] is the

@@ -62,19 +62,60 @@ func hashRow(ends, slots []int32) uint64 {
 	return h
 }
 
+// newRow returns a row of n intervals in one allocation, ends first,
+// slots after them (halves splits it): a row the pool forgets is freed
+// whole.
+func newRow(n int) []int32 { return make([]int32, 2*n) }
+
+// halves splits a row made by newRow into its ends and its slots.
+func halves(row []int32) (ends, slots []int32) {
+	n := len(row) / 2
+	return row[:n:n], row[n:]
+}
+
 // intern returns the id of the row with exactly this content, creating
 // it (from copies of the arguments) if needed, and takes one reference.
 func (p *rowPool) intern(ends, slots []int32) int32 {
 	h := hashRow(ends, slots)
+	if id, ok := p.find(h, ends, slots); ok {
+		return id
+	}
+	row := newRow(len(ends))
+	copy(row[copy(row, ends):], slots)
+	return p.add(h, row)
+}
+
+// adopt is intern for a row made by newRow that nobody else holds, with
+// its hash: a new row keeps the caller's memory instead of a copy.
+func (p *rowPool) adopt(h uint64, row []int32) int32 {
+	ends, slots := halves(row)
+	if id, ok := p.find(h, ends, slots); ok {
+		return id
+	}
+	return p.add(h, row)
+}
+
+// find takes one more reference on the row with this hash and content,
+// if there is one.
+func (p *rowPool) find(h uint64, ends, slots []int32) (int32, bool) {
 	head, ok := p.index[h]
 	if !ok {
-		head = -1
+		return -1, false
 	}
 	for id := head; id >= 0; id = p.chain[id] {
 		if slices.Equal(p.ends[id], ends) && slices.Equal(p.slots[id], slots) {
 			p.refs[id]++
-			return id
+			return id, true
 		}
+	}
+	return -1, false
+}
+
+// add files row, hashed h, under a new id with one reference.
+func (p *rowPool) add(h uint64, row []int32) int32 {
+	head, ok := p.index[h]
+	if !ok {
+		head = -1
 	}
 	var id int32
 	if n := len(p.free); n > 0 {
@@ -88,8 +129,7 @@ func (p *rowPool) intern(ends, slots []int32) int32 {
 		p.hash = append(p.hash, 0)
 		p.chain = append(p.chain, -1)
 	}
-	p.ends[id] = slices.Clone(ends)
-	p.slots[id] = slices.Clone(slots)
+	p.ends[id], p.slots[id] = halves(row)
 	p.refs[id] = 1
 	p.hash[id] = h
 	p.chain[id] = head

@@ -587,14 +587,14 @@ func (c *Skeleton) buildCSR() {
 }
 
 // applyOverrides rewrites forwarding entries per the RouteSpecs, in the
-// route builder's accumulator before it freezes.
+// route builder's rows before it freezes them.
 func (c *Compiled) applyOverrides(routes []RouteSpec, rb *routeBuilder) error {
 	for _, r := range routes {
 		hop, err := c.overrideHop(r)
 		if err != nil {
 			return err
 		}
-		rb.paint(r.At, r.Dst, packHop(hop.Link, hop.Dir))
+		rb.paint(c, r.At, r.Dst, packHop(hop.Link, hop.Dir))
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 // pinpointing the offending event. It implements error.
 type Violation struct {
 	// Rule names the invariant: "monotonic-time", "conservation",
-	// "causality", "cwnd-bounds", "timeout-monotonic".
+	// "causality", "drop-tail-full", "cwnd-bounds", "timeout-monotonic".
 	Rule string
 	// Index is the 0-based position of the event in the checked stream.
 	Index uint64
@@ -44,10 +44,16 @@ type CheckOptions struct {
 	// keyed by 1-based connection id. Connections without an entry are
 	// only checked against the lower bound of one packet.
 	MaxCwnd map[int]float64
-	// NoConservation disables the per-port packet-conservation and
-	// causality rules. Required for partial traces — a filtered or
-	// windowed capture starts mid-run with queues already occupied, so
-	// conservation cannot hold.
+	// Capacity gives drop-tail ports' buffers in packets, the packet in
+	// service included, keyed by location name. Such a port drops an
+	// arriving packet only when its buffer is full (rule
+	// "drop-tail-full"); a port that also drops for another reason — a
+	// queue discipline, a lossy line — must not be listed.
+	Capacity map[string]int
+	// NoConservation disables the per-port packet-conservation,
+	// causality and drop-tail rules. Required for partial traces — a
+	// filtered or windowed capture starts mid-run with queues already
+	// occupied, so conservation cannot hold.
 	NoConservation bool
 	// NoMonotonicTime disables the global event-time ordering rule.
 	NoMonotonicTime bool
@@ -70,10 +76,11 @@ type CheckOptions struct {
 // read offline may hold it), is carried in hasMax. The table grows to
 // the longest queue the port has held and never shrinks.
 type portQueue struct {
-	keys   []uint64
-	shift  uint // 64 − log₂ len(keys)
-	n      int  // ids held, the one in hasMax included
-	hasMax bool
+	keys     []uint64
+	shift    uint // 64 − log₂ len(keys)
+	n        int  // ids held, the one in hasMax included
+	hasMax   bool
+	capacity int // CheckOptions.Capacity's entry; 0: none
 }
 
 // home is the slot key's probe starts at: a Fibonacci hash.
@@ -222,13 +229,11 @@ func (cs *checkState) setLocs(locs []string) {
 		if !ok {
 			id = len(cs.locIndex)
 			cs.locIndex[name] = id
+			cs.ports = append(cs.ports, portQueue{capacity: cs.o.Capacity[name]})
 		}
 		cs.remap[i] = id
 	}
 	cs.remapFor = locs
-	for len(cs.ports) < len(cs.locIndex) {
-		cs.ports = append(cs.ports, portQueue{})
-	}
 }
 
 // port returns the buffer model of the port an event of the current
@@ -310,7 +315,8 @@ func (cs *checkState) check(ev *obs.Event, locs []string) *Violation {
 // queue length after the arrival, Dequeue leaves it unchanged (the
 // in-service packet still counts), Transmit reports it after the
 // departure, Drop after the victim's removal — which for an arrival
-// drop removes nothing.
+// drop removes nothing. At a port with a capacity an arrival drop must
+// find the buffer full.
 func (cs *checkState) checkPort(ev *obs.Event, locs []string) *Violation {
 	// One set operation per event; it reports whether the packet was queued.
 	p := cs.port(ev)
@@ -346,10 +352,14 @@ func (cs *checkState) checkPort(ev *obs.Event, locs []string) *Violation {
 		// A queued victim is an eviction (Random Drop, FQ longest-flow)
 		// and leaves the buffer; an arrival drop's victim never entered,
 		// and the queue is unchanged.
-		p.remove(ev.ID)
+		queued := p.remove(ev.ID)
 		if int(ev.Val) != p.n {
 			return cs.violate(ev, locs, "conservation",
 				"queue length %g after drop, conservation implies %d", ev.Val, p.n)
+		}
+		if !queued && p.n < p.capacity {
+			return cs.violate(ev, locs, "drop-tail-full",
+				"packet %d dropped on arrival at queue length %d, below the buffer of %d", ev.ID, p.n, p.capacity)
 		}
 	}
 	return nil

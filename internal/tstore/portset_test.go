@@ -187,9 +187,9 @@ func refCheck(locs []string, events []obs.Event, o CheckOptions) *Violation {
 			}
 			// Ports go by location name; a Loc outside the table is a port
 			// of its own, by raw id.
-			name := fmt.Sprintf("stray %d", ev.Loc)
+			name, capacity := fmt.Sprintf("stray %d", ev.Loc), 0
 			if int(ev.Loc) < len(locs) {
-				name = "named " + locs[ev.Loc]
+				name, capacity = "named "+locs[ev.Loc], o.Capacity[locs[ev.Loc]]
 			}
 			p := ports[name]
 			if p == nil {
@@ -219,9 +219,12 @@ func refCheck(locs []string, events []obs.Event, o CheckOptions) *Violation {
 					return violate("conservation", "queue length %g after transmit, conservation implies %d", ev.Val, len(p))
 				}
 			case obs.Drop:
-				p.remove(ev.ID)
+				queued := p.remove(ev.ID)
 				if int(ev.Val) != len(p) {
 					return violate("conservation", "queue length %g after drop, conservation implies %d", ev.Val, len(p))
+				}
+				if !queued && len(p) < capacity {
+					return violate("drop-tail-full", "packet %d dropped on arrival at queue length %d, below the buffer of %d", ev.ID, len(p), capacity)
 				}
 			}
 		case obs.Timeout:
@@ -387,6 +390,7 @@ var fuzzCheckOptions = []CheckOptions{
 	{NoMonotonicTime: true},
 	{NoMonotonicTime: true, NoCwndBounds: true},
 	{NoConservation: true},
+	{Capacity: map[string]int{"sw0->sw1": 2, "h0->sw0": 1}},
 }
 
 // TestCheckerAgainstMapModel runs the fuzz seeds under every option set

@@ -341,6 +341,11 @@ func Quantiles(sc Scanner, q Query, probs []float64) ([]float64, uint64, error) 
 	err := fold(sc, q, colVal, func(ev *obs.Event) error {
 		n++
 		if est == nil {
+			if exact == nil {
+				// Once, at the bound: grown by append, the buffer
+				// allocated about three times its final size on the way.
+				exact = make([]float64, 0, maxExactSamples+1)
+			}
 			exact = append(exact, ev.Val)
 			if len(exact) > maxExactSamples {
 				est = make([]*p2sketch, len(probs))

@@ -734,6 +734,57 @@ func TestInvariantViolations(t *testing.T) {
 	}
 }
 
+// TestDropTailFullRule holds the "drop-tail-full" rule to its scope: at
+// a port with a capacity of B an arrival dropped at length B passes, one
+// dropped at B−1 is caught; a port without a capacity, and an evicted
+// (queued) victim, are not the rule's business.
+func TestDropTailFullRule(t *testing.T) {
+	const b = 3
+	at := func(i int) time.Duration { return time.Duration(i) * time.Millisecond }
+	stream := []obs.Event{
+		{T: at(0), Type: obs.Enqueue, ID: 1, Val: 1},
+		{T: at(1), Type: obs.Dequeue, ID: 1, Val: 1},
+		{T: at(2), Type: obs.Enqueue, ID: 2, Val: 2},
+		{T: at(3), Type: obs.Enqueue, ID: 3, Val: 3},
+		{T: at(4), Type: obs.Drop, ID: 4, Val: 3}, // full: the one drop-tail makes
+		{T: at(5), Type: obs.Transmit, ID: 1, Val: 2},
+		{T: at(6), Type: obs.Drop, ID: 5, Val: 2}, // B−1: a drop-tail port never makes it
+	}
+	capacity := map[string]int{"sw0->sw1": b}
+	for _, tc := range []struct {
+		name   string
+		locs   []string
+		events []obs.Event
+		want   int // index of the violating event, -1 for none
+	}{
+		{"drop at B-1", []string{"sw0->sw1"}, stream, 6},
+		{"no capacity", []string{"sw1->sw0"}, stream, -1},
+		{"full drops only", []string{"sw0->sw1"}, stream[:6], -1},
+		{"eviction below B", []string{"sw0->sw1"}, append(slices.Clone(stream[:6]),
+			obs.Event{T: at(6), Type: obs.Drop, ID: 3, Val: 1}), -1},
+	} {
+		for _, online := range []bool{false, true} {
+			var vio *Violation
+			if online {
+				c := NewChecker(nil, CheckOptions{Capacity: capacity})
+				c.Events(tc.locs, tc.events)
+				vio = c.Violation()
+			} else {
+				var err error
+				if _, vio, err = Check(&SliceSource{LocTable: tc.locs, Events: tc.events}, CheckOptions{Capacity: capacity}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			switch {
+			case tc.want < 0 && vio != nil:
+				t.Errorf("%s (online %v): %v", tc.name, online, vio)
+			case tc.want >= 0 && (vio == nil || vio.Rule != "drop-tail-full" || vio.Index != uint64(tc.want)):
+				t.Errorf("%s (online %v): got %v, want drop-tail-full at event %d", tc.name, online, vio, tc.want)
+			}
+		}
+	}
+}
+
 func TestOnlineCheckerForwardsAndFlags(t *testing.T) {
 	locs, events := synthTrace(3000, 2, 4, 9)
 	events[1500].Val += 7 // corrupt one queue length
