@@ -26,11 +26,13 @@ check: vet build test race
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem .
 
-# trace-demo streams two seconds of packet lifecycle events from the
-# paper's fig4-5 configuration as JSONL — a quick look at what
-# `tahoe-trace -follow` (DESIGN.md §10) produces.
+# trace-demo prints the paper's §4.2 ACK-compression chronology: Fig. 8's
+# fixed-window configuration runs with its event trace in a store
+# (DESIGN.md §14), then tahoe-query reads back the departures (transmit
+# events) from 300 s to 305 s, each with the queue length in val.
 trace-demo:
-	$(GO) run ./cmd/tahoe-trace -follow -tau 10ms -at 300s -span 2s
+	$(GO) run ./cmd/tahoe-sim -config scenarios/fixed-window-fig8.json -plot=false -trace-store $${TMPDIR:-/tmp}/trace-demo.tobc
+	$(GO) run ./cmd/tahoe-query -events -filter type=transmit -from 300s -to 305s $${TMPDIR:-/tmp}/trace-demo.tobc
 
 # bench-pair is the paired comparison bench/README.md prescribes for any
 # performance claim: the repository benchmark (bench/run.sh, 28 s a run)

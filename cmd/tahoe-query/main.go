@@ -1,10 +1,9 @@
 // Command tahoe-query runs streaming queries over stored simulation
 // traces: the chunked columnar store files written by
 // `tahoe-sim -trace-store` (or any TraceStoreWriter), plus — for
-// convenience — flat binary (TOBS) and JSONL traces. Store files are
-// scanned one chunk at a time with index-driven chunk skipping, so a
-// hundred-gigabyte trace queries in bounded memory; flat traces are
-// loaded whole.
+// convenience — JSONL traces. Store files are scanned one chunk at a
+// time with index-driven chunk skipping, so a hundred-gigabyte trace
+// queries in bounded memory; JSONL traces are loaded whole.
 //
 // One operation per invocation, over one trace file:
 //
@@ -127,8 +126,7 @@ func run() int {
 }
 
 // openTrace opens a trace file as a Scanner, autodetecting the format:
-// a chunked store ("TOBC", queried out-of-core), a flat binary trace
-// ("TOBS", loaded whole), or JSONL (loaded whole).
+// a chunked store ("TOBC", queried out-of-core) or JSONL (loaded whole).
 func openTrace(path string) (tahoedyn.TraceScanner, *tahoedyn.TraceStore, func(), error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -147,16 +145,6 @@ func openTrace(path string) (tahoedyn.TraceScanner, *tahoedyn.TraceStore, func()
 			return nil, nil, nil, err
 		}
 		return s, s, func() { s.Close() }, nil
-	case "TOBS":
-		defer f.Close()
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, nil, err
-		}
-		locs, evs, err := tahoedyn.DecodeBinaryTrace(f)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &tahoedyn.TraceSlice{LocTable: locs, Events: evs}, nil, func() {}, nil
 	default:
 		defer f.Close()
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -164,7 +152,7 @@ func openTrace(path string) (tahoedyn.TraceScanner, *tahoedyn.TraceStore, func()
 		}
 		locs, evs, err := tahoedyn.DecodeJSONLTrace(f)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: not a TOBC store, TOBS trace, or JSONL trace: %w", path, err)
+			return nil, nil, nil, fmt.Errorf("%s: not a TOBC store or JSONL trace: %w", path, err)
 		}
 		return &tahoedyn.TraceSlice{LocTable: locs, Events: evs}, nil, func() {}, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,30 +84,30 @@ func queryOut(t *testing.T, args ...string) (string, int) {
 	return string(b), code
 }
 
-// Nothing writes flat binary (TOBS) traces any more, but old files must
-// stay readable. The fixture is the first 3.6 simulated seconds of
-// scenarios/red-twoway.json as the last build with a TOBS writer wrote
-// them (f31e2e6, the obs package's flat binary sink on Config.Obs.Trace):
-// 1160 events, 10 locations, five RED drops.
-func TestReadsCommittedTOBSTrace(t *testing.T) {
-	const path = "testdata/red-twoway-3.6s.tobs"
-	for _, tc := range []struct {
-		args []string
-		want string
-	}{
-		{[]string{"-count"}, "1160\n"},
-		{[]string{"-count", "-filter", "type=drop"}, "5\n"},
-		{[]string{"-events", "-limit", "1"},
-			"82.153551ms      enqueue  h2->sw1          conn=2   kind=DATA seq=0       size=500   id=3        val=1\n"},
-		{[]string{"-events", "-from", "3590013551ns"},
-			"3.590013551s     enqueue  sw1->sw0         conn=2   kind=DATA seq=86      size=500   id=347      val=39\n"},
-		{[]string{"-check"}, "invariants: clean (1160 events checked)\n"},
-		{[]string{"-info"}, path + ": flat trace, 1160 events, 10 locations\n  span 82.153551ms .. 3.590013551s\n"},
-	} {
-		got, code := queryOut(t, append(tc.args, path)...)
-		if code != 0 || got != tc.want {
-			t.Errorf("tahoe-query %v: exit %d, printed %q, want %q", tc.args, code, got, tc.want)
-		}
+// A flat binary ("TOBS") trace, the format the chunked store replaced,
+// is no longer read: it falls through to the JSONL decoder, which must
+// turn it down with an error naming the formats that are accepted —
+// exit 1, not a panic.
+func TestRejectsTOBSTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.tobs")
+	if err := os.WriteFile(path, []byte("TOBS\x01\x00\x01\x00\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	oldErr := os.Stderr
+	os.Stderr = stderr
+	_, code := queryOut(t, "-count", path)
+	os.Stderr = oldErr
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 1 || !strings.Contains(string(msg), "not a TOBC store or JSONL trace") {
+		t.Errorf("tahoe-query -count over a TOBS file: exit %d, stderr %q; want exit 1 naming the TOBC store and JSONL formats", code, msg)
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tahoedyn/internal/packet"
 )
 
 // loadShippedScenario parses one scenarios/*.json file and shortens it
@@ -139,6 +141,80 @@ func TestJSONLGoldenFixedPointOnFig45(t *testing.T) {
 	}
 	if !bytes.Equal(stream.Bytes(), second.Bytes()) {
 		t.Fatal("decode∘encode of the fig4-5 stream is not a fixed point")
+	}
+}
+
+// TestStoredTransmitsAreTheTrunkDepartures holds the trace store to the
+// §4.2 chronology of Fig. 8's fixed-window run: over [300 s, 305 s) the
+// transmit events stored at each trunk port are that port's departure
+// log (Result.TrunkDeps), departure for departure — time, connection,
+// kind and sequence number. So `tahoe-sim -trace-store` plus
+// `tahoe-query -events -filter type=transmit` prints the timeline.
+func TestStoredTransmitsAreTheTrunkDepartures(t *testing.T) {
+	f, err := os.Open("scenarios/fixed-window-fig8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cfg, err := ParseScenario(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fig8.tobc")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	cfg.Obs = &ObsOptions{Trace: &TraceOptions{Sink: NewTraceStoreSink(out, TraceStoreOptions{})}}
+	res, err := RunE(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TraceErr != nil {
+		t.Fatal(res.TraceErr)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenTraceStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	transmit, err := ParseTraceFilter("type=transmit")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type departure struct {
+		T         time.Duration
+		Conn, Seq int
+		Kind      packet.Kind
+	}
+	from, to := 300*time.Second, 305*time.Second
+	for dir, loc := range []string{"sw0->sw1", "sw1->sw0"} {
+		var want []departure
+		for _, d := range res.TrunkDeps[0][dir] {
+			if d.T >= from && d.T < to {
+				want = append(want, departure{d.T, d.Conn, d.Seq, d.Kind})
+			}
+		}
+		var got []departure
+		q := TraceQuery{From: from, To: to, Filter: transmit, Loc: loc}
+		if err := store.Scan(q, func(ev *TraceEvent) error {
+			got = append(got, departure{ev.T, int(ev.Conn), int(ev.Seq), ev.Kind})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: no departures in [%v, %v)", loc, from, to)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d stored transmits differ from %d trunk departures\nstored: %v\nlog:    %v",
+				loc, len(got), len(want), got, want)
+		}
 	}
 }
 

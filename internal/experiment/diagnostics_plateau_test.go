@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tahoedyn/internal/analysis"
+	"tahoedyn/internal/core"
 )
 
 func TestProbeFig9AllPlateaus(t *testing.T) {
@@ -14,7 +15,7 @@ func TestProbeFig9AllPlateaus(t *testing.T) {
 	cfg := fixedWindowConfig(time.Second, 30, 25, 1)
 	cfg.Warmup = 200 * time.Second
 	cfg.Duration = 800 * time.Second
-	res := coreRunForProbe(cfg)
+	res := core.Run(cfg)
 	for _, q := range []int{0, 1} {
 		s := res.TrunkQueue[0][q]
 		ps := analysis.Plateaus(s, res.MeasureFrom, res.MeasureFrom+60*time.Second, 500*time.Millisecond, 1.0)

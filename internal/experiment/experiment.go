@@ -78,21 +78,24 @@ func (vs *violations) add(v *tstore.Violation) {
 	vs.metrics = append(vs.metrics, m)
 }
 
-// checked wraps an experiment so that, under Options.Invariants, every
-// violation its runs report becomes a failed check of its Outcome, in
-// an order that does not depend on which run finished first.
-func checked(run func(Options) *Outcome) func(Options) *Outcome {
+// checked wraps the registry entry d's experiment so that its Outcome
+// carries d's Name and Title and, under Options.Invariants, every
+// violation its runs report becomes a failed check, in an order that
+// does not depend on which run finished first.
+func checked(d Definition) func(Options) *Outcome {
 	return func(o Options) *Outcome {
-		if !o.Invariants {
-			return run(o)
+		if o.Invariants {
+			o.found = &violations{}
 		}
-		o.found = &violations{}
-		out := run(o)
-		found := o.found.metrics
-		slices.SortFunc(found, func(a, b Metric) int {
-			return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Measured, b.Measured))
-		})
-		out.Metrics = append(out.Metrics, found...)
+		out := d.Run(o)
+		out.ID, out.Title = d.Name, d.Title
+		if o.found != nil {
+			found := o.found.metrics
+			slices.SortFunc(found, func(a, b Metric) int {
+				return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Measured, b.Measured))
+			})
+			out.Metrics = append(out.Metrics, found...)
+		}
 		return out
 	}
 }
@@ -137,7 +140,9 @@ type Metric struct {
 
 // Outcome is the result of one experiment.
 type Outcome struct {
-	// ID is the registry name (e.g. "fig4-5"); Title the headline.
+	// ID and Title are the registry entry's Name and Title (e.g.
+	// "fig4-5"), stamped by All()'s wrapper: an experiment function
+	// called directly leaves them empty.
 	ID, Title string
 	// Metrics lists the paper-vs-measured comparisons.
 	Metrics []Metric
@@ -200,6 +205,7 @@ func inBand(v, lo, hi float64) bool { return v >= lo && v <= hi }
 // Definition is a registry entry.
 type Definition struct {
 	// Name is the CLI-facing identifier; Title a one-line description.
+	// Both are set here only: the Outcome's ID and Title copy them.
 	Name, Title string
 	// Run executes the experiment.
 	Run func(Options) *Outcome
@@ -210,34 +216,34 @@ type Definition struct {
 // fixed-window systems, then the §5 discussion points and ablations).
 func All() []Definition {
 	defs := []Definition{
-		{"fig2-oneway", "One-way traffic, 3 connections, τ=1s (Fig. 2)", Fig2OneWay},
-		{"increase-rule", "Modified vs original avoidance increase (§2.1)", IncreaseRuleStudy},
-		{"oneway-smallpipe", "One-way traffic, small pipe: full utilization (§3.1)", OneWaySmallPipe},
-		{"oneway-buffers", "One-way idle time vs buffer size: idle ~ B⁻² (§3.1)", OneWayBufferSweep},
+		{"fig2-oneway", "One-way traffic, 3 connections, τ=1s, B=20 (Fig. 2)", Fig2OneWay},
+		{"increase-rule", "Modified vs original congestion-avoidance increase (§2.1)", IncreaseRuleStudy},
+		{"oneway-smallpipe", "One-way traffic, 3 connections, τ=0.01s, B=20 (§3.1)", OneWaySmallPipe},
+		{"oneway-buffers", "One-way idle time vs buffer size (§3.1)", OneWayBufferSweep},
 		{"fig3-tenconns", "Ten connections, 5 each way, τ=0.01s, B=30 (Fig. 3)", Fig3TenConns},
-		{"fig4-5", "Two-way, τ=0.01s: out-of-phase mode (Figs. 4, 5)", Fig45TwoWaySmallPipe},
-		{"fig6-7", "Two-way, τ=1s: in-phase mode (Figs. 6, 7)", Fig67TwoWayLargePipe},
+		{"fig4-5", "Two-way traffic, τ=0.01s, B=20: out-of-phase mode (Figs. 4, 5)", Fig45TwoWaySmallPipe},
+		{"fig6-7", "Two-way traffic, τ=1s, B=20: in-phase mode (Figs. 6, 7)", Fig67TwoWayLargePipe},
 		{"fig8-fixed", "Fixed windows 30/25, τ=0.01s, infinite buffers (Fig. 8)", Fig8FixedWindowSmallPipe},
 		{"fig9-fixed", "Fixed windows 30/25, τ=1s, infinite buffers (Fig. 9)", Fig9FixedWindowLargePipe},
 		{"zeroack-conjecture", "Zero-length-ACK synchronization conjecture (§4.3.3)", ZeroACKConjecture},
 		{"mode-boundary", "Synchronization-mode boundary vs buffer and pipe (§4.3.3)", ModeBoundaryStudy},
 		{"ack-compression", "ACK-compression mechanism probe (§4.2)", ACKCompressionProbe},
-		{"delayed-ack", "Delayed-ACK option vs clustering (§5)", DelayedACKStudy},
-		{"four-switch", "Four-switch topology from [19] (§5)", FourSwitchTopology},
-		{"unequal-rtt", "Unequal RTTs break complete clustering (§5)", UnequalRTTStudy},
-		{"pacing-ablation", "Paced sender ablation (§3.1 conjecture)", PacingAblation},
-		{"parking-lot", "Parking-lot fairness across 3 bottlenecks (extension)", ParkingLotFairness},
-		{"congestion-wave", "Congestion-wave propagation down a 4-bottleneck chain (extension)", CongestionWaveProbe},
-		{"wave-speed", "Wave-speed fit: wavefront velocity vs hop depth (extension)", WaveSpeedStudy},
-		{"mesh-wave", "Mesh wave: velocity fit on a scale-free tree's diameter path (extension)", MeshWaveStudy},
-		{"reno", "Reno fast recovery: phenomena outlive Tahoe (extension)", RenoTwoWay},
-		{"random-drop", "Random Drop gateways vs drop-tail (extension)", RandomDropStudy},
-		{"fair-queueing", "Fair Queueing cures ACK-compression (extension)", FairQueueStudy},
+		{"delayed-ack", "Delayed-ACK option vs clustering and compression (§5)", DelayedACKStudy},
+		{"four-switch", "Four-switch topology with 50 mixed-path connections (§5, [19])", FourSwitchTopology},
+		{"unequal-rtt", "Unequal round-trip times break complete clustering (§5)", UnequalRTTStudy},
+		{"pacing-ablation", "Paced sender ablation: pacing defeats ACK-compression", PacingAblation},
+		{"parking-lot", "Parking-lot fairness: 3 bottlenecks, 1 long vs 3 cross connections", ParkingLotFairness},
+		{"congestion-wave", "Congestion wave: pulse propagation down a 4-bottleneck chain", CongestionWaveProbe},
+		{"wave-speed", "Wave speed: wavefront velocity fit over an 8-bottleneck chain", WaveSpeedStudy},
+		{"mesh-wave", "Mesh wave: velocity fit over the diameter of a scale-free tree", MeshWaveStudy},
+		{"reno", "Reno fast recovery: the phenomena outlive Tahoe (extension)", RenoTwoWay},
+		{"random-drop", "Random Drop gateways vs drop-tail (extension, §1 citations)", RandomDropStudy},
+		{"fair-queueing", "Fair Queueing gateways cure ACK-compression (extension, §1 citations)", FairQueueStudy},
 		{"red-sync", "RED gateways vs drop-tail: phase-lock breakdown (extension)", RedSyncStudy},
-		{"cross-traffic", "Two-way dynamics under CBR cross-traffic (extension)", CrossTrafficStudy},
+		{"cross-traffic", "Two-way dynamics under unresponsive CBR cross-traffic (extension)", CrossTrafficStudy},
 	}
 	for i := range defs {
-		defs[i].Run = checked(defs[i].Run)
+		defs[i].Run = checked(defs[i])
 	}
 	return defs
 }

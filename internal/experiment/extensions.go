@@ -44,8 +44,6 @@ func DelayedACKStudy(opts Options) *Outcome {
 	combined := largeDel.ReceiverStats[0].AcksCombined + largeDel.ReceiverStats[1].AcksCombined
 
 	o := &Outcome{
-		ID:     "delayed-ack",
-		Title:  "Delayed-ACK option vs clustering and compression (§5)",
 		Result: largeDel,
 		Series: []*trace.Series{largeDel.Q1(), largeDel.Q2()},
 	}
@@ -126,8 +124,6 @@ func FourSwitchTopology(opts Options) *Outcome {
 	}
 
 	o := &Outcome{
-		ID:     "four-switch",
-		Title:  "Four-switch topology with 50 mixed-path connections (§5, [19])",
 		Result: res,
 		Series: []*trace.Series{res.TrunkQueue[1][0], res.TrunkQueue[1][1]},
 	}
@@ -173,8 +169,6 @@ func PacingAblation(opts Options) *Outcome {
 		paced.Cfg.DataTxTime(), 4)
 
 	o := &Outcome{
-		ID:     "pacing-ablation",
-		Title:  "Paced sender ablation: pacing defeats ACK-compression",
 		Result: paced,
 		Series: []*trace.Series{unpaced.Q1(), paced.Q1()},
 	}

@@ -7,7 +7,6 @@ import (
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
 	"tahoedyn/internal/link"
-	"tahoedyn/internal/packet"
 	"tahoedyn/internal/trace"
 )
 
@@ -39,8 +38,6 @@ func RenoTwoWay(opts Options) *Outcome {
 	}
 
 	o := &Outcome{
-		ID:     "reno",
-		Title:  "Reno fast recovery: the phenomena outlive Tahoe (extension)",
 		Result: small,
 		Series: []*trace.Series{small.Q1(), small.Q2()},
 	}
@@ -100,16 +97,9 @@ func RandomDropStudy(opts Options) *Outcome {
 	cfg2.Warmup = opts.scale(200 * time.Second)
 	cfg2.Duration = opts.scale(800 * time.Second)
 	twoWay := runCore(opts, cfg2)
-	ackDrops := 0
-	for _, d := range dropsAfter(twoWay.Drops, twoWay.MeasureFrom) {
-		if d.Kind == packet.Ack {
-			ackDrops++
-		}
-	}
+	ackDrops := ackDropCount(twoWay)
 
 	o := &Outcome{
-		ID:     "random-drop",
-		Title:  "Random Drop gateways vs drop-tail (extension, §1 citations)",
 		Result: random,
 		Series: []*trace.Series{random.Q1()},
 	}
@@ -161,8 +151,6 @@ func UnequalRTTStudy(opts Options) *Outcome {
 	clusUnequal := dataClustering(unequal, 0, 0)
 
 	o := &Outcome{
-		ID:     "unequal-rtt",
-		Title:  "Unequal round-trip times break complete clustering (§5)",
 		Result: unequal,
 		Series: []*trace.Series{unequal.Q1()},
 	}

@@ -48,8 +48,6 @@ func FairQueueStudy(opts Options) *Outcome {
 	jFQ := analysis.JainIndex(uFQ.Goodput)
 
 	o := &Outcome{
-		ID:     "fair-queueing",
-		Title:  "Fair Queueing gateways cure ACK-compression (extension, §1 citations)",
 		Result: fq,
 		Series: []*trace.Series{fifo.Q1(), fq.Q1()},
 	}

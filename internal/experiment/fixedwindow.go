@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tahoedyn/internal/analysis"
@@ -44,8 +45,6 @@ func Fig8FixedWindowSmallPipe(opts Options) *Outcome {
 		res.MeasureFrom, res.MeasureTo, res.Cfg.DataTxTime(), 500*time.Millisecond, 4)
 
 	o := &Outcome{
-		ID:     "fig8-fixed",
-		Title:  "Fixed windows 30/25, τ=0.01s, infinite buffers (Fig. 8)",
 		Result: res,
 		Series: []*trace.Series{res.Q1(), res.Q2()},
 	}
@@ -96,8 +95,6 @@ func Fig9FixedWindowLargePipe(opts Options) *Outcome {
 	}
 
 	o := &Outcome{
-		ID:     "fig9-fixed",
-		Title:  "Fixed windows 30/25, τ=1s, infinite buffers (Fig. 9)",
 		Result: res,
 		Series: []*trace.Series{res.Q1(), res.Q2()},
 	}
@@ -146,10 +143,7 @@ func ZeroACKConjecture(opts Options) *Outcome {
 		{10 * time.Millisecond, 40, 20}, // out-of-phase
 		{10 * time.Millisecond, 25, 25}, // equal: 25 < 25.25: in-phase
 	}
-	o := &Outcome{
-		ID:    "zeroack-conjecture",
-		Title: "Zero-length-ACK synchronization conjecture (§4.3.3)",
-	}
+	o := &Outcome{}
 	// A line is "full" when its idle fraction is under 0.1 %; the strict
 	// inequality W1 < W2+2P guarantees only strictly positive idle time.
 	const full = 0.999
@@ -175,10 +169,10 @@ func ZeroACKConjecture(opts Options) *Outcome {
 		if wantOut {
 			want = "out-of-phase, one line full"
 			oneFull := (uF >= full) != (uR >= full)
-			pass = mode == analysis.PhaseOut && oneFull && mathAbs(q1max-q2max) > 5
+			pass = mode == analysis.PhaseOut && oneFull && math.Abs(q1max-q2max) > 5
 		} else {
 			want = "in-phase (equal queue maxima), neither full"
-			pass = uF < full && uR < full && mathAbs(q1max-q2max) <= 2
+			pass = uF < full && uR < full && math.Abs(q1max-q2max) <= 2
 		}
 		o.Metrics = append(o.Metrics, metric(
 			fmt.Sprintf("τ=%v W1=%d W2=%d (2P=%.2f)", c.tau, c.w1, c.w2, twoP),
@@ -191,13 +185,6 @@ func ZeroACKConjecture(opts Options) *Outcome {
 			"correlation is weak there; the paper's own discriminator — equal maximum queue "+
 			"heights and neither line full — is what is checked")
 	return o
-}
-
-func mathAbs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // ACKCompressionProbe isolates the §4.2 mechanism: in the two-way
@@ -226,8 +213,6 @@ func ACKCompressionProbe(opts Options) *Outcome {
 	ackTx := 8 * time.Millisecond // 50 B at 50 Kbps
 
 	o := &Outcome{
-		ID:     "ack-compression",
-		Title:  "ACK-compression mechanism probe (§4.2)",
 		Result: twoWay,
 		Series: []*trace.Series{twoWay.Q1(), twoWay.Q2()},
 	}

@@ -126,9 +126,6 @@ func plotWindow(res *core.Result, span time.Duration) (time.Duration, time.Durat
 	return from, res.MeasureTo
 }
 
-// coreRunForProbe runs a config; indirection keeps probe files terse.
-func coreRunForProbe(cfg core.Config) *core.Result { return core.Run(cfg) }
-
 // runCore executes one simulation on behalf of an experiment, threading
 // the experiment-level observability knobs (Options.Observer,
 // Options.Invariants) into the run. Every experiment's simulation goes

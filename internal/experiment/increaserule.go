@@ -38,8 +38,6 @@ func IncreaseRuleStudy(opts Options) *Outcome {
 	}
 
 	o := &Outcome{
-		ID:     "increase-rule",
-		Title:  "Modified vs original congestion-avoidance increase (§2.1)",
 		Result: modified,
 		Series: []*trace.Series{modified.Cwnd[0], original.Cwnd[0]},
 	}

@@ -34,21 +34,21 @@ func TestAllExperimentsUnderInvariants(t *testing.T) {
 // A violation reported by any run of an experiment becomes a failed
 // check named after its rule, appended after the experiment's own
 // metrics in an order independent of which run reported first; without
-// Invariants the wrapper is transparent.
+// Invariants the wrapper only stamps the registry's name and title.
 func TestCheckedTurnsViolationsIntoFailedChecks(t *testing.T) {
 	vio := func(rule string, idx uint64) *tstore.Violation {
 		return &tstore.Violation{Rule: rule, Index: idx, Loc: "sw0->sw1", Detail: "detail",
 			Event: obs.Event{T: time.Second, Type: obs.Drop}}
 	}
-	run := checked(func(o Options) *Outcome {
+	run := checked(Definition{Name: "x", Title: "t", Run: func(o Options) *Outcome {
 		if o.found != nil {
 			o.found.add(vio("conservation", 9))
 			o.found.add(vio("causality", 3))
 		}
-		return &Outcome{ID: "x", Metrics: []Metric{{Name: "band", Pass: true}}}
-	})
-	if out := run(Options{}); !out.Passed() || len(out.Metrics) != 1 {
-		t.Fatalf("without Invariants: %+v", out.Metrics)
+		return &Outcome{Metrics: []Metric{{Name: "band", Pass: true}}}
+	}})
+	if out := run(Options{}); !out.Passed() || len(out.Metrics) != 1 || out.ID != "x" || out.Title != "t" {
+		t.Fatalf("without Invariants: %s %q %+v", out.ID, out.Title, out.Metrics)
 	}
 	out := run(Options{Invariants: true})
 	if out.Passed() || len(out.Metrics) != 3 {

@@ -73,11 +73,7 @@ func MeshWaveStudy(opts Options) *Outcome {
 	}
 	perHop := time.Duration(slope * float64(time.Second))
 
-	o := &Outcome{
-		ID:     "mesh-wave",
-		Title:  fmt.Sprintf("Mesh wave: velocity fit over the %d-hop diameter of a scale-free tree", hops),
-		Result: res,
-	}
+	o := &Outcome{Result: res}
 	for h := 0; h < hops; h++ {
 		o.Series = append(o.Series, res.TrunkQueue[hopLinks[h].Link][hopLinks[h].Dir])
 	}
@@ -101,6 +97,7 @@ func MeshWaveStudy(opts Options) *Outcome {
 		metric("propagation is queue-limited", "fitted per-hop delay far above trunk latency",
 			perHop > 4*cfg.TrunkDelay, "%v per hop vs %v propagation", perHop.Round(time.Millisecond), cfg.TrunkDelay),
 	}
+	o.Notes = append(o.Notes, fmt.Sprintf("the tree's diameter is %d hops", hops))
 	o.Notes = append(o.Notes, fmt.Sprintf("diameter path: %v", path))
 	o.Notes = append(o.Notes, fmt.Sprintf(
 		"fit: arrival = %.0f ms·hop + %.0f ms, r² = %.3f", slope*1000, intercept*1000, r2))

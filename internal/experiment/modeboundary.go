@@ -60,8 +60,6 @@ func ModeBoundaryStudy(opts Options) *Outcome {
 	outLargeP, _ := outCount(3)
 
 	o := &Outcome{
-		ID:     "mode-boundary",
-		Title:  "Synchronization-mode boundary vs buffer and pipe (§4.3.3)",
 		Result: res,
 		Series: []*trace.Series{res.Cwnd[0], res.Cwnd[1]},
 	}

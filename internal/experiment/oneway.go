@@ -51,8 +51,6 @@ func Fig2OneWay(opts Options) *Outcome {
 	util := res.UtilForward()
 
 	o := &Outcome{
-		ID:     "fig2-oneway",
-		Title:  "One-way traffic, 3 connections, τ=1s, B=20 (Fig. 2)",
 		Result: res,
 		Series: []*trace.Series{res.Q1(), res.Cwnd[0], res.Cwnd[1], res.Cwnd[2]},
 	}
@@ -84,8 +82,6 @@ func OneWaySmallPipe(opts Options) *Outcome {
 	comp := compression(res, 0)
 
 	o := &Outcome{
-		ID:     "oneway-smallpipe",
-		Title:  "One-way traffic, 3 connections, τ=0.01s, B=20 (§3.1)",
 		Result: res,
 		Series: []*trace.Series{res.Q1()},
 	}
@@ -145,8 +141,6 @@ func OneWayBufferSweep(opts Options) *Outcome {
 	slope := fitLogLogSlope(caps, idle)
 
 	o := &Outcome{
-		ID:     "oneway-buffers",
-		Title:  "One-way idle time vs buffer size (§3.1)",
 		Series: []*trace.Series{idleSeries},
 	}
 	o.PlotFrom, o.PlotTo = 0, time.Duration(buffers[len(buffers)-1])*time.Second

@@ -70,8 +70,6 @@ func ParkingLotFairness(opts Options) *Outcome {
 	}
 
 	o := &Outcome{
-		ID:     "parking-lot",
-		Title:  "Parking-lot fairness: 3 bottlenecks, 1 long vs 3 cross connections",
 		Result: res,
 	}
 	for i := range res.TrunkQueue {

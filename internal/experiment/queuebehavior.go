@@ -44,8 +44,6 @@ func RedSyncStudy(opts Options) *Outcome {
 	redQ := red.Q1().TimeAverage(red.MeasureFrom, red.MeasureTo)
 
 	o := &Outcome{
-		ID:     "red-sync",
-		Title:  "RED gateways vs drop-tail: phase-lock breakdown (extension)",
 		Result: red,
 		Series: []*trace.Series{dt.Q1(), red.Q1()},
 	}
@@ -101,8 +99,6 @@ func CrossTrafficStudy(opts Options) *Outcome {
 	comp := compression(res, 0)
 
 	o := &Outcome{
-		ID:     "cross-traffic",
-		Title:  "Two-way dynamics under unresponsive CBR cross-traffic (extension)",
 		Result: res,
 		Series: []*trace.Series{base.Q1(), res.Q1()},
 	}

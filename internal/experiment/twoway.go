@@ -46,8 +46,6 @@ func Fig3TenConns(opts Options) *Outcome {
 	risesPerMinute := float64(rises) / window.Minutes()
 
 	o := &Outcome{
-		ID:     "fig3-tenconns",
-		Title:  "Ten connections, 5 each way, τ=0.01s, B=30 (Fig. 3)",
 		Result: res,
 		Series: []*trace.Series{res.Q1(), res.Q2()},
 	}
@@ -105,8 +103,6 @@ func Fig45TwoWaySmallPipe(opts Options) *Outcome {
 	rtt20, rtt120 := meanRTT(res), meanRTT(res120)
 
 	o := &Outcome{
-		ID:     "fig4-5",
-		Title:  "Two-way traffic, τ=0.01s, B=20: out-of-phase mode (Figs. 4, 5)",
 		Result: res,
 		Series: []*trace.Series{res.Q1(), res.Q2(), res.Cwnd[0], res.Cwnd[1]},
 	}
@@ -163,8 +159,6 @@ func Fig67TwoWayLargePipe(opts Options) *Outcome {
 	wmode, wr := cwndPhase(res, 0, 1)
 
 	o := &Outcome{
-		ID:     "fig6-7",
-		Title:  "Two-way traffic, τ=1s, B=20: in-phase mode (Figs. 6, 7)",
 		Result: res,
 		Series: []*trace.Series{res.Q1(), res.Q2(), res.Cwnd[0], res.Cwnd[1]},
 	}

@@ -90,8 +90,6 @@ func CongestionWaveProbe(opts Options) *Outcome {
 	}
 
 	o := &Outcome{
-		ID:     "congestion-wave",
-		Title:  "Congestion wave: pulse propagation down a 4-bottleneck chain",
 		Result: res,
 	}
 	for h := 0; h < hops; h++ {

@@ -70,8 +70,6 @@ func WaveSpeedStudy(opts Options) *Outcome {
 	perHop := time.Duration(slope * float64(time.Second))
 
 	o := &Outcome{
-		ID:     "wave-speed",
-		Title:  "Wave speed: wavefront velocity fit over an 8-bottleneck chain",
 		Result: res,
 	}
 	for h := 0; h < hops; h++ {

@@ -184,8 +184,8 @@ type TraceOptions struct {
 	// everything.
 	Filter Filter
 	// RingSize is the number of events buffered before a flush to the
-	// sink; 0 means 4096. Smaller rings flush more often, which is what
-	// `tahoe-trace -follow` uses to stream a run live.
+	// sink; 0 means 4096. Smaller rings flush more often, so a sink
+	// sees a run's events sooner.
 	RingSize int
 }
 

@@ -274,67 +274,6 @@ func TestJSONLRejectsBadStreams(t *testing.T) {
 	}
 }
 
-// TestBinaryFixedPoint pins the binary format: encode → decode →
-// encode reproduces the bytes, and the decoded stream equals the input.
-func TestBinaryFixedPoint(t *testing.T) {
-	locs, events := fixtureEvents()
-	var first bytes.Buffer
-	if err := encodeBinary(&first, locs, events); err != nil {
-		t.Fatal(err)
-	}
-	gotLocs, gotEvents, err := DecodeBinary(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotLocs, locs) || !reflect.DeepEqual(gotEvents, events) {
-		t.Fatal("binary round trip lost data")
-	}
-	var second bytes.Buffer
-	if err := encodeBinary(&second, gotLocs, gotEvents); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("binary decode∘encode is not a fixed point")
-	}
-}
-
-// TestBinaryHeaderGolden pins the on-disk header so the format cannot
-// drift silently: magic "TOBS", version 1 little-endian.
-func TestBinaryHeaderGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := encodeBinary(&buf, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := []byte{'T', 'O', 'B', 'S', 1, 0}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("empty binary stream = %v, want %v", buf.Bytes(), want)
-	}
-}
-
-func TestBinaryRejectsBadStreams(t *testing.T) {
-	locs, events := fixtureEvents()
-	var good bytes.Buffer
-	if err := encodeBinary(&good, locs, events); err != nil {
-		t.Fatal(err)
-	}
-	futureVersion := append([]byte("TOBS"), 2, 0)
-	badMagic := append([]byte("XOBS"), 1, 0)
-	truncated := good.Bytes()[:good.Len()-5]
-	badTag := append(append([]byte{}, good.Bytes()...), 99)
-	cases := map[string][]byte{
-		"future version": futureVersion,
-		"bad magic":      badMagic,
-		"short header":   []byte("TOB"),
-		"truncated":      truncated,
-		"unknown tag":    badTag,
-	}
-	for name, in := range cases {
-		if _, _, err := DecodeBinary(bytes.NewReader(in)); err == nil {
-			t.Errorf("%s: decode did not error", name)
-		}
-	}
-}
-
 // TestMetricsRenderGolden pins both renderers byte-for-byte in
 // registration order.
 func TestMetricsRenderGolden(t *testing.T) {

@@ -12,14 +12,18 @@ import (
 // holds each first transmission of a sequence number to the window the
 // sender had when it sent it.
 type sendLog struct {
-	t    *testing.T
-	s    *Sender
-	high int // one past the highest sequence number sent
-	sent int
+	t     *testing.T
+	s     *Sender
+	eng   *sim.Engine
+	high  int                   // one past the highest sequence number sent
+	times map[int]int           // how often each sequence number was sent
+	first map[int]time.Duration // when each was first sent
 }
 
 func (l *sendLog) Send(p *packet.Packet) bool {
-	l.sent++
+	if l.times[p.Seq]++; l.times[p.Seq] == 1 {
+		l.first[p.Seq] = l.eng.Now()
+	}
 	if p.Seq >= l.high {
 		// A segment never sent before must fit in the window: below the
 		// lowest unacknowledged one plus the usable window.
@@ -42,7 +46,15 @@ func (l *sendLog) Send(p *packet.Packet) bool {
 //   - the cumulative acknowledgment point snd_una never moves back,
 //     whatever stale or duplicate ACK arrives;
 //   - a sequence number sent for the first time lies below snd_una plus
-//     the usable window, floor(min(cwnd, maxwnd)).
+//     the usable window, floor(min(cwnd, maxwnd));
+//   - Karn's rule: a round-trip sample is timed from a segment sent
+//     exactly once, one that the ACK taking the sample newly covers —
+//     an ACK covering only retransmitted segments yields no sample;
+//   - the retransmission timer backs off: with no ACK of new data
+//     between them, each timeout follows the one before by no less than
+//     that one followed its predecessor, until the timeout reaches its
+//     64 s clamp (a fast retransmit in between may have stretched the
+//     gap before it past 64 s).
 //
 // Input: byte 0 picks Reno and the original increase rule, byte 1 the
 // receiver window (1 to 40); then two bytes a step. The first names the
@@ -65,14 +77,40 @@ func FuzzSenderAcks(f *testing.F) {
 			OriginalIncrease: data[0]&2 != 0,
 			MaxWnd:           1 + int(data[1])%40,
 		}
-		net := &sendLog{t: t}
+		net := &sendLog{t: t, eng: eng, times: map[int]int{}, first: map[int]time.Duration{}}
 		s := NewSender(eng, net, &IDGen{}, cfg)
 		net.s = s
+		una, acking := 0, 0 // snd_una before this step, and the ACK arriving
+		s.OnRTTSample = func(m time.Duration) {
+			for seq := una; seq < acking; seq++ {
+				if net.times[seq] == 1 && eng.Now()-net.first[seq] == m {
+					return
+				}
+			}
+			t.Fatalf("ACK %d (snd_una %d) took a %v sample timed from no segment it covers that was sent once", acking, una, m)
+		}
 		collapsed := false
-		s.OnCollapse = func(string) { collapsed = true }
+		// The last timeout and the gap before it, since the last ACK of
+		// new data; lastTimeout -1: none yet.
+		lastTimeout, lastGap := time.Duration(-1), time.Duration(0)
+		s.OnCollapse = func(cause string) {
+			collapsed = true
+			if cause != "timeout" {
+				return
+			}
+			now := eng.Now()
+			if lastTimeout >= 0 {
+				gap := now - lastTimeout
+				if gap < min(lastGap, 64*time.Second) {
+					t.Fatalf("timeout at %v came %v after the last one, which came %v after its predecessor", now, gap, lastGap)
+				}
+				lastGap = gap
+			}
+			lastTimeout = now
+		}
 		s.Start()
 
-		una := s.Una()
+		una = s.Una()
 		check := func(step int) {
 			t.Helper()
 			if s.Cwnd() < 1 {
@@ -84,9 +122,13 @@ func FuzzSenderAcks(f *testing.F) {
 			if s.Una() < una {
 				t.Fatalf("step %d: snd_una went back from %d to %d", step, una, s.Una())
 			}
+			if s.Una() > una {
+				lastTimeout, lastGap = -1, 0 // new data acknowledged: the backoff restarts
+			}
 			una = s.Una()
 		}
 		ack := func(seq int) {
+			acking = seq
 			s.Handle(&packet.Packet{Kind: packet.Ack, Conn: 1, Src: 2, Dst: 1, Seq: seq, Size: 40})
 		}
 		check(0)

@@ -10,10 +10,9 @@
 // the Writer plugs in as an obs.Sink, so events spill to disk while
 // the simulation executes with memory bounded by one chunk, and the
 // reader side never materializes more than one chunk either. The
-// format ("TOBC") is the chunked, columnar sibling of the flat "TOBS"
-// record stream in internal/obs: same event model, same versioning
-// discipline, but laid out for selective scans instead of sequential
-// replay.
+// format ("TOBC") carries internal/obs's event model with a versioned
+// header, laid out in columns for selective scans instead of
+// sequential replay.
 //
 // See DESIGN.md §14 for the chunk layout, the footer index, and the
 // invariant semantics.

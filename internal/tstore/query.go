@@ -96,7 +96,7 @@ type Scanner interface {
 }
 
 // SliceSource adapts an in-memory trace (a MemorySink capture, a
-// decoded flat-TOBS file) to the Scanner interface.
+// decoded JSONL file) to the Scanner interface.
 type SliceSource struct {
 	LocTable []string
 	Events   []obs.Event

@@ -251,14 +251,6 @@ func DecodeJSONLTrace(r io.Reader) (locs []string, events []TraceEvent, err erro
 	return obs.DecodeJSONL(r)
 }
 
-// DecodeBinaryTrace parses a flat binary ("TOBS") trace stream, rejecting
-// bad magic and newer versions. Nothing writes the format any more — the
-// chunked store (NewTraceStoreSink) replaced it; the decoder stays so old
-// files remain readable.
-func DecodeBinaryTrace(r io.Reader) (locs []string, events []TraceEvent, err error) {
-	return obs.DecodeBinary(r)
-}
-
 // Out-of-core trace store and invariant engine (internal/tstore): a
 // columnar, chunked on-disk format with an index that lets queries skip
 // chunks, plus streaming invariant checks that run online during a run
