@@ -197,9 +197,6 @@ func run() int {
 	rendered, outs, err := renderJobs(jobs, renderOptions{
 		Parallel: *parallel, Plot: *doPlot, Width: *width, Height: *height,
 		SeedHeaders: len(seeds) > 1,
-		// -all with a single seed is exactly the experiment registry in
-		// order: route it through experiment.RunAll.
-		UseRunAll: *all && len(seeds) == 1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tahoe-sim:", err)
@@ -292,7 +289,6 @@ type renderOptions struct {
 	Plot          bool
 	Width, Height int
 	SeedHeaders   bool
-	UseRunAll     bool
 }
 
 // renderJobs validates the experiment names, fans the jobs across the
@@ -313,16 +309,12 @@ func renderJobs(jobs []job, ro renderOptions) ([]*bytes.Buffer, []*tahoedyn.Outc
 	}
 
 	outs := make([]*tahoedyn.Outcome, len(jobs))
-	if ro.UseRunAll && len(jobs) > 0 {
-		copy(outs, tahoedyn.RunAllExperiments(jobs[0].opts))
-	} else {
-		errs := make([]error, len(jobs))
-		tahoedyn.ParallelDo(ro.Parallel, len(jobs), func(i int) {
-			outs[i], errs[i] = tahoedyn.Experiment(jobs[i].name, jobs[i].opts)
-		})
-		if err := errors.Join(errs...); err != nil {
-			return nil, nil, err
-		}
+	errs := make([]error, len(jobs))
+	tahoedyn.ParallelDo(ro.Parallel, len(jobs), func(i int) {
+		outs[i], errs[i] = tahoedyn.Experiment(jobs[i].name, jobs[i].opts)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, nil, err
 	}
 
 	rendered := make([]*bytes.Buffer, len(jobs))

@@ -17,12 +17,10 @@ func TestProbeRenoTwoWay(t *testing.T) {
 		t.Skip("probe")
 	}
 	for _, tau := range []time.Duration{10 * time.Millisecond, time.Second} {
-		cfg := twoWayConfig(tau, core.DefaultBuffer, 1)
+		cfg := twoWayConfig(Options{Seed: 1}, tau, core.DefaultBuffer)
 		for i := range cfg.Conns {
 			cfg.Conns[i].Reno = true
 		}
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
 		qmode, qr := queuePhase(res)
 		comp := compression(res, 0)
@@ -44,10 +42,8 @@ func TestProbeRandomDrop(t *testing.T) {
 	for _, disc := range []string{link.PolicyDropTail, link.PolicyRandomDrop} {
 		// One-way, 3 connections: compare loss synchronization and
 		// fairness.
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, 1)
+		cfg := oneWayConfig(Options{Seed: 1}, time.Second, core.DefaultBuffer, 3)
 		cfg.Queue = &link.QueueSpec{Policy: disc}
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
 		epochs := measuredEpochs(res, 10*time.Second)
 		allThree := 0
@@ -60,10 +56,8 @@ func TestProbeRandomDrop(t *testing.T) {
 			disc, res.UtilForward(), analysis.JainIndex(res.Goodput), len(epochs), allThree)
 
 		// Two-way small pipe.
-		cfg2 := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, 1)
+		cfg2 := twoWayConfig(Options{Seed: 1}, 10*time.Millisecond, core.DefaultBuffer)
 		cfg2.Queue = &link.QueueSpec{Policy: disc}
-		cfg2.Warmup = 200 * time.Second
-		cfg2.Duration = 800 * time.Second
 		res2 := core.Run(cfg2)
 		acks := 0
 		for _, d := range dropsAfter(res2.Drops, cfg2.Warmup) {
@@ -81,11 +75,9 @@ func TestProbeUnequalRTT(t *testing.T) {
 		t.Skip("probe")
 	}
 	for _, extra := range []time.Duration{0, 100 * time.Millisecond, 400 * time.Millisecond} {
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, 1)
+		cfg := oneWayConfig(Options{Seed: 1}, time.Second, core.DefaultBuffer, 3)
 		cfg.Conns[1].ExtraDelay = extra
 		cfg.Conns[2].ExtraDelay = 2 * extra
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
 		clus := dataClustering(res, 0, 0)
 		t.Logf("extra=%v: clustering=%.3f util=%.3f jain=%.4f goodput=%v",

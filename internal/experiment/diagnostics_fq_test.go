@@ -15,10 +15,8 @@ func TestProbeFairQueue(t *testing.T) {
 	}
 	// Two-way 1+1 small pipe: FIFO vs FQ.
 	for _, disc := range []string{link.PolicyDropTail, link.PolicyFairQueue} {
-		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, 1)
+		cfg := twoWayConfig(Options{Seed: 1}, 10*time.Millisecond, core.DefaultBuffer)
 		cfg.Queue = &link.QueueSpec{Policy: disc}
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
 		comp := compression(res, 0)
 		rises := analysis.RapidRises(res.Q1(), res.MeasureFrom, res.MeasureTo, res.Cfg.DataTxTime(), 4)
@@ -28,12 +26,10 @@ func TestProbeFairQueue(t *testing.T) {
 	}
 	// One-way unequal RTT: FIFO vs FQ fairness.
 	for _, disc := range []string{link.PolicyDropTail, link.PolicyFairQueue} {
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, 1)
+		cfg := oneWayConfig(Options{Seed: 1}, time.Second, core.DefaultBuffer, 3)
 		cfg.Queue = &link.QueueSpec{Policy: disc}
 		cfg.Conns[1].ExtraDelay = 400 * time.Millisecond
 		cfg.Conns[2].ExtraDelay = 800 * time.Millisecond
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
 		t.Logf("oneway-unequal disc=%v: util=%.3f jain=%.4f goodput=%v",
 			disc, res.UtilForward(), analysis.JainIndex(res.Goodput), res.Goodput)

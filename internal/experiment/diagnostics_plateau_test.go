@@ -12,9 +12,7 @@ func TestProbeFig9AllPlateaus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("probe")
 	}
-	cfg := fixedWindowConfig(time.Second, 30, 25, 1)
-	cfg.Warmup = 200 * time.Second
-	cfg.Duration = 800 * time.Second
+	cfg := fixedWindowConfig(Options{Seed: 1}, time.Second, 30, 25)
 	res := core.Run(cfg)
 	for _, q := range []int{0, 1} {
 		s := res.TrunkQueue[0][q]

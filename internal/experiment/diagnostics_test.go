@@ -18,13 +18,11 @@ func TestProbeDelayedAckMatrix(t *testing.T) {
 	for _, tau := range []time.Duration{10 * time.Millisecond, time.Second} {
 		for _, maxWnd := range []int{8, 1000} {
 			for _, delayed := range []bool{false, true} {
-				cfg := twoWayConfig(tau, core.DefaultBuffer, 1)
+				cfg := twoWayConfig(Options{Seed: 1}, tau, core.DefaultBuffer)
 				for i := range cfg.Conns {
 					cfg.Conns[i].DelayedAck = delayed
 					cfg.Conns[i].MaxWnd = maxWnd
 				}
-				cfg.Warmup = 200 * time.Second
-				cfg.Duration = 800 * time.Second
 				res := core.Run(cfg)
 				run := analysis.MeanRunLength(depsAfter(res.TrunkDeps[0][0], res.MeasureFrom))
 				comp := compression(res, 0)
@@ -53,7 +51,7 @@ func TestProbeZeroAckCases(t *testing.T) {
 		{10 * time.Millisecond, 25, 25},
 	}
 	for _, c := range cases {
-		cfg := fixedWindowConfig(c.tau, c.w1, c.w2, 1)
+		cfg := fixedWindowConfig(Options{Seed: 1}, c.tau, c.w1, c.w2)
 		cfg.AckSize = 0
 		cfg.Warmup = 200 * time.Second
 		cfg.Duration = 600 * time.Second
@@ -84,7 +82,7 @@ func TestProbeBufferSweepIdle(t *testing.T) {
 		t.Skip("probe")
 	}
 	for _, b := range []int{20, 40, 60, 90, 120} {
-		cfg := oneWayConfig(time.Second, b, 3, 1)
+		cfg := oneWayConfig(Options{Seed: 1}, time.Second, b, 3)
 		cfg.Warmup = 300 * time.Second
 		cfg.Duration = 3300 * time.Second
 		res := core.Run(cfg)

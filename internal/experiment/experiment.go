@@ -35,11 +35,11 @@ type Options struct {
 	// Scale multiplies the default run durations. 0 means 1.0; benches
 	// use fractions to keep iterations fast.
 	Scale float64
-	// Parallel bounds the worker count for experiments that run several
-	// independent simulations (sweeps, multi-seed grids) and for RunAll.
-	// 0 means serial (the historical behavior), negative means
-	// GOMAXPROCS. Results are deterministic for any value: runs are
-	// independent and collected in job order.
+	// Parallel bounds the worker count for an experiment's batch of
+	// independent simulations (every experiment hands all its runs to
+	// one batch) and for RunAll. 0 means serial (the historical
+	// behavior), negative means GOMAXPROCS. Results are deterministic
+	// for any value: runs are independent and collected in job order.
 	Parallel int
 	// Observer, when non-nil, receives progress samples from every
 	// simulation an experiment runs (tahoe-sim -progress wires this to

@@ -54,34 +54,30 @@ func TestOptionsWorkers(t *testing.T) {
 	}
 }
 
-// RunAll must return the registry in order, and an experiment with an
-// internal sweep must produce identical metrics serial vs parallel.
+// RunAll must return the registry in order, and every outcome —
+// metrics, notes, series and plot window — must come out the same
+// whether the experiments and their runs fan across 8 workers or run
+// serially; mode-boundary's 40-run grid is the largest batch among them.
 func TestRunAllOrderAndParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment")
+		t.Skip("runs every experiment twice")
 	}
-	outs := RunAll(Options{Scale: 0.02, Parallel: 8})
+	serial := RunAll(Options{Scale: 0.05})
+	parallel := RunAll(Options{Scale: 0.05, Parallel: 8})
 	defs := All()
-	if len(outs) != len(defs) {
-		t.Fatalf("RunAll returned %d outcomes, want %d", len(outs), len(defs))
+	if len(serial) != len(defs) || len(parallel) != len(defs) {
+		t.Fatalf("RunAll returned %d and %d outcomes, want %d", len(serial), len(parallel), len(defs))
 	}
-	for i, o := range outs {
-		if o.ID != defs[i].Name {
-			t.Fatalf("outcome %d is %q, want %q", i, o.ID, defs[i].Name)
+	for i, d := range defs {
+		if serial[i].ID != d.Name || parallel[i].ID != d.Name {
+			t.Fatalf("outcome %d is %q serial and %q parallel, want %q", i, serial[i].ID, parallel[i].ID, d.Name)
 		}
-	}
-}
-
-func TestModeBoundaryParallelMatchesSerial(t *testing.T) {
-	serial := ModeBoundaryStudy(Options{Scale: 0.05})
-	parallel := ModeBoundaryStudy(Options{Scale: 0.05, Parallel: 8})
-	if len(serial.Metrics) != len(parallel.Metrics) {
-		t.Fatalf("metric counts differ: %d vs %d", len(serial.Metrics), len(parallel.Metrics))
-	}
-	for i := range serial.Metrics {
-		if serial.Metrics[i] != parallel.Metrics[i] {
-			t.Fatalf("metric %d differs:\nserial:   %+v\nparallel: %+v",
-				i, serial.Metrics[i], parallel.Metrics[i])
+		if s, p := outcomeDigest(t, serial[i]), outcomeDigest(t, parallel[i]); s != p {
+			var sb, pb strings.Builder
+			serial[i].WriteText(&sb)
+			parallel[i].WriteText(&pb)
+			t.Errorf("%s: serial and parallel outcomes differ (sha256 %s vs %s)\nserial:\n%sparallel:\n%s",
+				d.Name, s, p, sb.String(), pb.String())
 		}
 	}
 }

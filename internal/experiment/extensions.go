@@ -7,7 +7,6 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
-	"tahoedyn/internal/trace"
 )
 
 // DelayedACKStudy reproduces the §5 delayed-ACK discussion: the option
@@ -19,20 +18,17 @@ import (
 // interleaving with ACKs of the other), and compression as the fraction
 // of compressed ACK gaps at the sender.
 func DelayedACKStudy(opts Options) *Outcome {
-	run := func(maxWnd int, delayed bool) *core.Result {
-		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, opts.seed())
+	build := func(maxWnd int, delayed bool) core.Config {
+		cfg := twoWayConfig(opts, 10*time.Millisecond, core.DefaultBuffer)
 		for i := range cfg.Conns {
 			cfg.Conns[i].DelayedAck = delayed
 			cfg.Conns[i].MaxWnd = maxWnd
 		}
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
+		return cfg
 	}
-	smallOff := run(8, false)
-	smallDel := run(8, true)
-	largeDel := run(core.DefaultMaxWnd, true)
-	largeOff := run(core.DefaultMaxWnd, false)
+	results := runConfigs(opts, build(8, false), build(8, true),
+		build(core.DefaultMaxWnd, true), build(core.DefaultMaxWnd, false))
+	smallOff, smallDel, largeDel, largeOff := results[0], results[1], results[2], results[3]
 
 	runAt := func(res *core.Result) float64 {
 		return analysis.MeanRunLength(depsAfter(res.TrunkDeps[0][0], res.MeasureFrom))
@@ -43,11 +39,7 @@ func DelayedACKStudy(opts Options) *Outcome {
 	compLargeOff, compLargeDel := compression(largeOff, 0), compression(largeDel, 0)
 	combined := largeDel.ReceiverStats[0].AcksCombined + largeDel.ReceiverStats[1].AcksCombined
 
-	o := &Outcome{
-		Result: largeDel,
-		Series: []*trace.Series{largeDel.Q1(), largeDel.Q2()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(largeDel, 30*time.Second)
+	o := outcome(largeDel, 30*time.Second, largeDel.Q1(), largeDel.Q2())
 	o.Metrics = []Metric{
 		metric("delayed-ACK combines ACKs", "fewer ACKs on the wire",
 			combined > 0, "%d ACK pairs combined", combined),
@@ -82,6 +74,8 @@ func FourSwitchTopology(opts Options) *Outcome {
 		TrunkDelay: 10 * time.Millisecond,
 		Buffer:     30,
 		Seed:       opts.seed(),
+		Warmup:     opts.scale(200 * time.Second),
+		Duration:   opts.scale(600 * time.Second),
 	}
 	// 50 connections with hop lengths 1, 2, 3 in rotation, random
 	// direction and placement from the scenario seed.
@@ -95,9 +89,7 @@ func FourSwitchTopology(opts Options) *Outcome {
 		}
 		cfg.Conns = append(cfg.Conns, core.ConnSpec{SrcHost: src, DstHost: dst, Start: -1})
 	}
-	cfg.Warmup = opts.scale(200 * time.Second)
-	cfg.Duration = opts.scale(600 * time.Second)
-	res := runCore(opts, cfg)
+	res := runConfigs(opts, cfg)[0]
 
 	// Aggregate over the middle trunk (index 1), the busiest.
 	midQ := res.TrunkQueue[1][0]
@@ -123,11 +115,7 @@ func FourSwitchTopology(opts Options) *Outcome {
 		}
 	}
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.TrunkQueue[1][0], res.TrunkQueue[1][1]},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 30*time.Second)
+	o := outcome(res, 30*time.Second, res.TrunkQueue[1][0], res.TrunkQueue[1][1])
 	o.Metrics = []Metric{
 		metric("ACK compression present", "persists in complex topology",
 			best > 0.2, "max compressed fraction %.0f %%", best*100),
@@ -149,17 +137,15 @@ func FourSwitchTopology(opts Options) *Outcome {
 // should dissolve the clusters and with them ACK-compression's rapid
 // queue fluctuations.
 func PacingAblation(opts Options) *Outcome {
-	run := func(pace time.Duration) *core.Result {
-		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, opts.seed())
+	build := func(pace time.Duration) core.Config {
+		cfg := twoWayConfig(opts, 10*time.Millisecond, core.DefaultBuffer)
 		for i := range cfg.Conns {
 			cfg.Conns[i].Pace = pace
 		}
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
+		return cfg
 	}
-	unpaced := run(0)
-	paced := run(80 * time.Millisecond)
+	results := runConfigs(opts, build(0), build(80*time.Millisecond))
+	unpaced, paced := results[0], results[1]
 
 	compU := compression(unpaced, 0)
 	compP := compression(paced, 0)
@@ -168,13 +154,9 @@ func PacingAblation(opts Options) *Outcome {
 	risesP := analysis.RapidRises(paced.Q1(), paced.MeasureFrom, paced.MeasureTo,
 		paced.Cfg.DataTxTime(), 4)
 
-	o := &Outcome{
-		Result: paced,
-		Series: []*trace.Series{unpaced.Q1(), paced.Q1()},
-	}
+	o := outcome(paced, 30*time.Second, unpaced.Q1(), paced.Q1())
 	o.Series[0].Name = "unpaced-Q1"
 	o.Series[1].Name = "paced-Q1"
-	o.PlotFrom, o.PlotTo = plotWindow(paced, 30*time.Second)
 	o.Metrics = []Metric{
 		metric("unpaced compression", "present (the baseline pathology)",
 			compU.CompressedFraction() > 0.2, "%.0f %% gaps compressed",

@@ -7,7 +7,6 @@ import (
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
 	"tahoedyn/internal/link"
-	"tahoedyn/internal/trace"
 )
 
 // RenoTwoWay tests the paper's conjecture (§1) that the two-way
@@ -16,17 +15,15 @@ import (
 // successor algorithm of reference [7]). Both synchronization modes and
 // ACK-compression must survive the algorithm change.
 func RenoTwoWay(opts Options) *Outcome {
-	run := func(tau time.Duration) *core.Result {
-		cfg := twoWayConfig(tau, core.DefaultBuffer, opts.seed())
+	build := func(tau time.Duration) core.Config {
+		cfg := twoWayConfig(opts, tau, core.DefaultBuffer)
 		for i := range cfg.Conns {
 			cfg.Conns[i].Reno = true
 		}
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
+		return cfg
 	}
-	small := run(10 * time.Millisecond)
-	large := run(time.Second)
+	results := runConfigs(opts, build(10*time.Millisecond), build(time.Second))
+	small, large := results[0], results[1]
 
 	qSmall, rSmall := queuePhase(small)
 	qLarge, rLarge := queuePhase(large)
@@ -37,11 +34,7 @@ func RenoTwoWay(opts Options) *Outcome {
 		timeouts += st.Timeouts
 	}
 
-	o := &Outcome{
-		Result: small,
-		Series: []*trace.Series{small.Q1(), small.Q2()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(small, 30*time.Second)
+	o := outcome(small, 30*time.Second, small.Q1(), small.Q2())
 	o.Metrics = []Metric{
 		metric("small pipe: queue synchronization", "out-of-phase persists",
 			qSmall == analysis.PhaseOut, "%v (r=%.2f)", qSmall, rSmall),
@@ -68,15 +61,14 @@ func RenoTwoWay(opts Options) *Outcome {
 // epoch) and removes drop-tail's structural ACK immunity.
 func RandomDropStudy(opts Options) *Outcome {
 	randomDrop := &link.QueueSpec{Policy: link.PolicyRandomDrop}
-	runOneWay := func(q *link.QueueSpec) *core.Result {
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, opts.seed())
-		cfg.Queue = q
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
-	}
-	tail := runOneWay(nil)
-	random := runOneWay(randomDrop)
+	oneWay := oneWayConfig(opts, time.Second, core.DefaultBuffer, 3)
+	oneWayRandom := oneWay
+	oneWayRandom.Queue = randomDrop
+	// Two-way: do ACKs get dropped now?
+	twoWayRandom := twoWayConfig(opts, 10*time.Millisecond, core.DefaultBuffer)
+	twoWayRandom.Queue = randomDrop
+	results := runConfigs(opts, oneWay, oneWayRandom, twoWayRandom)
+	tail, random, twoWay := results[0], results[1], results[2]
 
 	allLose := func(res *core.Result) (int, int) {
 		epochs := measuredEpochs(res, 10*time.Second)
@@ -91,19 +83,9 @@ func RandomDropStudy(opts Options) *Outcome {
 	tailAll, tailEpochs := allLose(tail)
 	randAll, randEpochs := allLose(random)
 
-	// Two-way: do ACKs get dropped now?
-	cfg2 := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, opts.seed())
-	cfg2.Queue = randomDrop
-	cfg2.Warmup = opts.scale(200 * time.Second)
-	cfg2.Duration = opts.scale(800 * time.Second)
-	twoWay := runCore(opts, cfg2)
 	ackDrops := ackDropCount(twoWay)
 
-	o := &Outcome{
-		Result: random,
-		Series: []*trace.Series{random.Q1()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(random, 140*time.Second)
+	o := outcome(random, 140*time.Second, random.Q1())
 	tailFrac := safeFrac(tailAll, tailEpochs)
 	randFrac := safeFrac(randAll, randEpochs)
 	o.Metrics = []Metric{
@@ -136,25 +118,19 @@ func safeFrac(num, den int) float64 {
 // partial — and, as a side effect, the longer-RTT connections lose
 // goodput share.
 func UnequalRTTStudy(opts Options) *Outcome {
-	run := func(extra time.Duration) *core.Result {
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, opts.seed())
+	build := func(extra time.Duration) core.Config {
+		cfg := oneWayConfig(opts, time.Second, core.DefaultBuffer, 3)
 		cfg.Conns[1].ExtraDelay = extra
 		cfg.Conns[2].ExtraDelay = 2 * extra
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
+		return cfg
 	}
-	equal := run(0)
-	unequal := run(100 * time.Millisecond) // ≫ the 80 ms data tx time
+	results := runConfigs(opts, build(0), build(100*time.Millisecond)) // ≫ the 80 ms data tx time
+	equal, unequal := results[0], results[1]
 
 	clusEqual := dataClustering(equal, 0, 0)
 	clusUnequal := dataClustering(unequal, 0, 0)
 
-	o := &Outcome{
-		Result: unequal,
-		Series: []*trace.Series{unequal.Q1()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(unequal, 140*time.Second)
+	o := outcome(unequal, 140*time.Second, unequal.Q1())
 	o.Metrics = []Metric{
 		metric("equal RTTs: clustering", "complete",
 			clusEqual >= 0.8, "%.3f", clusEqual),

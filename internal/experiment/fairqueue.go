@@ -7,7 +7,6 @@ import (
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
 	"tahoedyn/internal/link"
-	"tahoedyn/internal/trace"
 )
 
 // FairQueueStudy contrasts the paper's FIFO switches with the Fair
@@ -19,27 +18,20 @@ import (
 // and unequal-RTT unfairness is repaired.
 func FairQueueStudy(opts Options) *Outcome {
 	fairQueue := &link.QueueSpec{Policy: link.PolicyFairQueue}
-	twoWay := func(q *link.QueueSpec) *core.Result {
-		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, opts.seed())
+	twoWay := func(q *link.QueueSpec) core.Config {
+		cfg := twoWayConfig(opts, 10*time.Millisecond, core.DefaultBuffer)
 		cfg.Queue = q
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
+		return cfg
 	}
-	fifo := twoWay(nil)
-	fq := twoWay(fairQueue)
-
-	unequal := func(q *link.QueueSpec) *core.Result {
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, opts.seed())
+	unequal := func(q *link.QueueSpec) core.Config {
+		cfg := oneWayConfig(opts, time.Second, core.DefaultBuffer, 3)
 		cfg.Queue = q
 		cfg.Conns[1].ExtraDelay = 400 * time.Millisecond
 		cfg.Conns[2].ExtraDelay = 800 * time.Millisecond
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
+		return cfg
 	}
-	uFIFO := unequal(nil)
-	uFQ := unequal(fairQueue)
+	results := runConfigs(opts, twoWay(nil), twoWay(fairQueue), unequal(nil), unequal(fairQueue))
+	fifo, fq, uFIFO, uFQ := results[0], results[1], results[2], results[3]
 
 	compFIFO := compression(fifo, 0)
 	compFQ := compression(fq, 0)
@@ -47,13 +39,9 @@ func FairQueueStudy(opts Options) *Outcome {
 	jFIFO := analysis.JainIndex(uFIFO.Goodput)
 	jFQ := analysis.JainIndex(uFQ.Goodput)
 
-	o := &Outcome{
-		Result: fq,
-		Series: []*trace.Series{fifo.Q1(), fq.Q1()},
-	}
+	o := outcome(fq, 30*time.Second, fifo.Q1(), fq.Q1())
 	o.Series[0].Name = "fifo-Q1"
 	o.Series[1].Name = "fq-Q1"
-	o.PlotFrom, o.PlotTo = plotWindow(fq, 30*time.Second)
 	o.Metrics = []Metric{
 		metric("two-way utilization", "restored to ≈ full (FIFO ≈ 70 %)",
 			fq.UtilForward() > 0.95, "%.1f %% vs %.1f %% FIFO",

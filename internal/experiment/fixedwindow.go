@@ -7,31 +7,14 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
-	"tahoedyn/internal/trace"
 )
-
-// fixedWindowConfig builds the §4.1 disentangling configuration: two
-// connections with constant windows w1 (host 0 → 1) and w2 (host 1 → 0)
-// and infinite switch buffers.
-func fixedWindowConfig(tau time.Duration, w1, w2 int, seed int64) core.Config {
-	cfg := core.DumbbellConfig(tau, 0 /* infinite buffers */)
-	cfg.Seed = seed
-	cfg.Conns = []core.ConnSpec{
-		{SrcHost: 0, DstHost: 1, FixedWnd: w1, Start: -1},
-		{SrcHost: 1, DstHost: 0, FixedWnd: w2, Start: -1},
-	}
-	return cfg
-}
 
 // Fig8FixedWindowSmallPipe reproduces Figure 8: fixed windows 30 and 25,
 // τ = 0.01 s, infinite buffers. The paper reports square-wave queue
 // oscillations of constant amplitude with queue 1 peaking at 55 and
 // queue 2 at 23, full utilization of line 1 and ~86 % on line 2.
 func Fig8FixedWindowSmallPipe(opts Options) *Outcome {
-	cfg := fixedWindowConfig(10*time.Millisecond, 30, 25, opts.seed())
-	cfg.Warmup = opts.scale(200 * time.Second)
-	cfg.Duration = opts.scale(800 * time.Second)
-	res := runCore(opts, cfg)
+	res := runConfigs(opts, fixedWindowConfig(opts, 10*time.Millisecond, 30, 25))[0]
 
 	q1max := res.Q1().Max(res.MeasureFrom, res.MeasureTo)
 	q2max := res.Q2().Max(res.MeasureFrom, res.MeasureTo)
@@ -44,11 +27,7 @@ func Fig8FixedWindowSmallPipe(opts Options) *Outcome {
 	coupled := analysis.CoupledSwings(res.Q1(), res.Q2(),
 		res.MeasureFrom, res.MeasureTo, res.Cfg.DataTxTime(), 500*time.Millisecond, 4)
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Q1(), res.Q2()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 20*time.Second)
+	o := outcome(res, 20*time.Second, res.Q1(), res.Q2())
 	o.Metrics = []Metric{
 		metric("queue 1 maximum", "55 packets", inBand(q1max, 50, 58), "%.0f", q1max),
 		metric("queue 2 maximum", "23 packets", inBand(q2max, 20, 26), "%.0f", q2max),
@@ -75,10 +54,7 @@ func Fig8FixedWindowSmallPipe(opts Options) *Outcome {
 // the same height (23), alternating plateau heights, and utilizations of
 // ~81 % and ~70 % — neither line full.
 func Fig9FixedWindowLargePipe(opts Options) *Outcome {
-	cfg := fixedWindowConfig(time.Second, 30, 25, opts.seed())
-	cfg.Warmup = opts.scale(200 * time.Second)
-	cfg.Duration = opts.scale(800 * time.Second)
-	res := runCore(opts, cfg)
+	res := runConfigs(opts, fixedWindowConfig(opts, time.Second, 30, 25))[0]
 
 	q1max := res.Q1().Max(res.MeasureFrom, res.MeasureTo)
 	q2max := res.Q2().Max(res.MeasureFrom, res.MeasureTo)
@@ -94,11 +70,7 @@ func Fig9FixedWindowLargePipe(opts Options) *Outcome {
 		levels[int(p.Level)] = true
 	}
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Q1(), res.Q2()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 20*time.Second)
+	o := outcome(res, 20*time.Second, res.Q1(), res.Q2())
 	o.Metrics = []Metric{
 		metric("queue maxima equal", "both reach 23",
 			inBand(q1max, 20, 26) && inBand(q2max, 20, 26) && q1max == q2max,
@@ -143,22 +115,20 @@ func ZeroACKConjecture(opts Options) *Outcome {
 		{10 * time.Millisecond, 40, 20}, // out-of-phase
 		{10 * time.Millisecond, 25, 25}, // equal: 25 < 25.25: in-phase
 	}
-	o := &Outcome{}
+	cfgs := make([]core.Config, len(cases))
+	for i, c := range cases {
+		cfgs[i] = fixedWindowConfig(opts, c.tau, c.w1, c.w2)
+		cfgs[i].AckSize = 0
+		cfgs[i].Duration = opts.scale(600 * time.Second)
+	}
+	results := runConfigs(opts, cfgs...)
+	o := outcome(results[0], 60*time.Second, results[0].Q1(), results[0].Q2())
 	// A line is "full" when its idle fraction is under 0.1 %; the strict
 	// inequality W1 < W2+2P guarantees only strictly positive idle time.
 	const full = 0.999
-	for _, c := range cases {
-		cfg := fixedWindowConfig(c.tau, c.w1, c.w2, opts.seed())
-		cfg.AckSize = 0
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(600 * time.Second)
-		res := runCore(opts, cfg)
-		if o.Result == nil {
-			o.Result = res
-			o.Series = []*trace.Series{res.Q1(), res.Q2()}
-			o.PlotFrom, o.PlotTo = plotWindow(res, 60*time.Second)
-		}
-		twoP := 2 * cfg.PipeSize()
+	for i, c := range cases {
+		res := results[i]
+		twoP := 2 * cfgs[i].PipeSize()
 		wantOut := float64(c.w1) > float64(c.w2)+twoP
 		mode, corr := queuePhase(res)
 		uF, uR := res.UtilForward(), res.UtilReverse()
@@ -194,29 +164,21 @@ func ZeroACKConjecture(opts Options) *Outcome {
 // The probe also verifies the §4.2 remark that no ACK is ever dropped.
 func ACKCompressionProbe(opts Options) *Outcome {
 	// Two-way fixed windows: compression expected.
-	cfg := fixedWindowConfig(10*time.Millisecond, 30, 25, opts.seed())
-	cfg.Warmup = opts.scale(100 * time.Second)
-	cfg.Duration = opts.scale(500 * time.Second)
-	twoWay := runCore(opts, cfg)
-
+	twoCfg := fixedWindowConfig(opts, 10*time.Millisecond, 30, 25)
+	twoCfg.Warmup, twoCfg.Duration = opts.scale(100*time.Second), opts.scale(500*time.Second)
 	// One-way baseline with the same adaptive machinery disabled: a
 	// single fixed-window connection. ACK spacing can never shrink.
-	oneCfg := core.DumbbellConfig(10*time.Millisecond, 0)
-	oneCfg.Seed = opts.seed()
+	oneCfg := dumbbell(opts, 10*time.Millisecond, 0)
 	oneCfg.Conns = []core.ConnSpec{{SrcHost: 0, DstHost: 1, FixedWnd: 30, Start: -1}}
-	oneCfg.Warmup = opts.scale(100 * time.Second)
-	oneCfg.Duration = opts.scale(500 * time.Second)
-	oneWay := runCore(opts, oneCfg)
+	oneCfg.Warmup, oneCfg.Duration = twoCfg.Warmup, twoCfg.Duration
+	results := runConfigs(opts, twoCfg, oneCfg)
+	twoWay, oneWay := results[0], results[1]
 
 	compTwo := compression(twoWay, 0)
 	compOne := compression(oneWay, 0)
 	ackTx := 8 * time.Millisecond // 50 B at 50 Kbps
 
-	o := &Outcome{
-		Result: twoWay,
-		Series: []*trace.Series{twoWay.Q1(), twoWay.Q2()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(twoWay, 20*time.Second)
+	o := outcome(twoWay, 20*time.Second, twoWay.Q1(), twoWay.Q2())
 	o.Metrics = []Metric{
 		metric("two-way: compressed ACK gaps", "large fraction at ACK tx time",
 			compTwo.CompressedFraction() > 0.5, "%.0f %% of %d gaps",

@@ -12,10 +12,20 @@ import (
 	"tahoedyn/internal/tstore"
 )
 
-// twoWayConfig is the canonical 1+1 two-way dumbbell of §4.
-func twoWayConfig(tau time.Duration, buffer int, seed int64) core.Config {
+// dumbbell is the paper's Figure-1 dumbbell at o's seed, measured over
+// the 200 s warm-up / 800 s span most experiments use (scaled by o);
+// callers add the connections.
+func dumbbell(o Options, tau time.Duration, buffer int) core.Config {
 	cfg := core.DumbbellConfig(tau, buffer)
-	cfg.Seed = seed
+	cfg.Seed = o.seed()
+	cfg.Warmup = o.scale(200 * time.Second)
+	cfg.Duration = o.scale(800 * time.Second)
+	return cfg
+}
+
+// twoWayConfig is the canonical 1+1 two-way dumbbell of §4.
+func twoWayConfig(o Options, tau time.Duration, buffer int) core.Config {
+	cfg := dumbbell(o, tau, buffer)
 	cfg.Conns = []core.ConnSpec{
 		{SrcHost: 0, DstHost: 1, Start: -1},
 		{SrcHost: 1, DstHost: 0, Start: -1},
@@ -25,11 +35,22 @@ func twoWayConfig(tau time.Duration, buffer int, seed int64) core.Config {
 
 // oneWayConfig is the §3.1 configuration: n connections, all sources on
 // host 1.
-func oneWayConfig(tau time.Duration, buffer, n int, seed int64) core.Config {
-	cfg := core.DumbbellConfig(tau, buffer)
-	cfg.Seed = seed
+func oneWayConfig(o Options, tau time.Duration, buffer, n int) core.Config {
+	cfg := dumbbell(o, tau, buffer)
 	for i := 0; i < n; i++ {
 		cfg.Conns = append(cfg.Conns, core.ConnSpec{SrcHost: 0, DstHost: 1, Start: -1})
+	}
+	return cfg
+}
+
+// fixedWindowConfig builds the §4.1 disentangling configuration: two
+// connections with constant windows w1 (host 0 → 1) and w2 (host 1 → 0)
+// and infinite switch buffers.
+func fixedWindowConfig(o Options, tau time.Duration, w1, w2 int) core.Config {
+	cfg := dumbbell(o, tau, 0 /* infinite buffers */)
+	cfg.Conns = []core.ConnSpec{
+		{SrcHost: 0, DstHost: 1, FixedWnd: w1, Start: -1},
+		{SrcHost: 1, DstHost: 0, FixedWnd: w2, Start: -1},
 	}
 	return cfg
 }
@@ -116,32 +137,22 @@ func cwndPhase(res *core.Result, a, b int) (analysis.PhaseMode, float64) {
 	return analysis.Phase(res.Cwnd[a], res.Cwnd[b], res.MeasureFrom, res.MeasureTo, time.Second)
 }
 
-// plotWindow returns a window of the given length ending at the run's
-// end, for figure-like plots.
-func plotWindow(res *core.Result, span time.Duration) (time.Duration, time.Duration) {
-	from := res.MeasureTo - span
-	if from < res.MeasureFrom {
-		from = res.MeasureFrom
-	}
-	return from, res.MeasureTo
+// outcome is an Outcome on res that plots series over the last span
+// of res's measurement window, like the paper's figures.
+func outcome(res *core.Result, span time.Duration, series ...*trace.Series) *Outcome {
+	from := max(res.MeasureTo-span, res.MeasureFrom)
+	return &Outcome{Result: res, Series: series, PlotFrom: from, PlotTo: res.MeasureTo}
 }
 
-// runCore executes one simulation on behalf of an experiment, threading
-// the experiment-level observability knobs (Options.Observer,
-// Options.Invariants) into the run. Every experiment's simulation goes
-// through here or through runConfigs, so enabling -progress or
-// -invariants on the CLI covers all of them. Observation is passive:
-// the Result is byte-identical with or without an Observer or checker.
-func runCore(o Options, cfg core.Config) *core.Result {
-	res := core.Run(o.instrument(cfg))
-	o.report(res)
-	return res
-}
-
-// runConfigs is runCore for a batch, fanned across o.workers() arenas
-// by runner.RunConfigs; results come back in config order. It
-// instruments cfgs in place.
-func runConfigs(o Options, cfgs []core.Config) []*core.Result {
+// runConfigs runs an experiment's simulations as one batch, fanned
+// across o.workers() arenas by runner.RunConfigs; results come back in
+// config order. It threads the experiment-level observability knobs
+// (Options.Observer, Options.Invariants) into every run, so enabling
+// -progress or -invariants on the CLI covers every experiment: each one
+// hands all its configs here. Observation is passive: the Results are
+// byte-identical with or without an Observer or checker. It instruments
+// cfgs in place.
+func runConfigs(o Options, cfgs ...core.Config) []*core.Result {
 	for i := range cfgs {
 		cfgs[i] = o.instrument(cfgs[i])
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tahoedyn/internal/core"
-	"tahoedyn/internal/trace"
 )
 
 // IncreaseRuleStudy validates the paper's §2.1 assertion that replacing
@@ -15,17 +14,16 @@ import (
 // Fig. 2 configuration must produce the same utilization, oscillation
 // period, and drops-per-epoch under both rules.
 func IncreaseRuleStudy(opts Options) *Outcome {
-	run := func(original bool) *core.Result {
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, opts.seed())
+	build := func(original bool) core.Config {
+		cfg := oneWayConfig(opts, time.Second, core.DefaultBuffer, 3)
 		for i := range cfg.Conns {
 			cfg.Conns[i].OriginalIncrease = original
 		}
-		cfg.Warmup = opts.scale(200 * time.Second)
 		cfg.Duration = opts.scale(900 * time.Second)
-		return runCore(opts, cfg)
+		return cfg
 	}
-	modified := run(false)
-	original := run(true)
+	results := runConfigs(opts, build(false), build(true))
+	modified, original := results[0], results[1]
 
 	epochsMod := measuredEpochs(modified, 10*time.Second)
 	epochsOrig := measuredEpochs(original, 10*time.Second)
@@ -37,13 +35,9 @@ func IncreaseRuleStudy(opts Options) *Outcome {
 		periodRatio = float64(periodOrig) / float64(periodMod)
 	}
 
-	o := &Outcome{
-		Result: modified,
-		Series: []*trace.Series{modified.Cwnd[0], original.Cwnd[0]},
-	}
+	o := outcome(modified, 140*time.Second, modified.Cwnd[0], original.Cwnd[0])
 	o.Series[0].Name = "cwnd-modified"
 	o.Series[1].Name = "cwnd-original"
-	o.PlotFrom, o.PlotTo = plotWindow(modified, 140*time.Second)
 	o.Metrics = []Metric{
 		metric("utilization unchanged", "no qualitative effect",
 			utilDiff < 0.02, "%.1f %% vs %.1f %% original",

@@ -6,7 +6,6 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
-	"tahoedyn/internal/trace"
 )
 
 // ModeBoundaryStudy maps the §4.3.3 synchronization-mode boundary: "for
@@ -27,11 +26,8 @@ func ModeBoundaryStudy(opts Options) *Outcome {
 	const nSeeds = 10
 	cell := func(tau time.Duration, buffer int) []core.Config {
 		cfgs := make([]core.Config, nSeeds)
-		for seed := int64(1); seed <= nSeeds; seed++ {
-			cfg := twoWayConfig(tau, buffer, seed)
-			cfg.Warmup = opts.scale(200 * time.Second)
-			cfg.Duration = opts.scale(800 * time.Second)
-			cfgs[seed-1] = cfg
+		for i := range cfgs {
+			cfgs[i] = twoWayConfig(Options{Seed: int64(i + 1), Scale: opts.Scale}, tau, buffer)
 		}
 		return cfgs
 	}
@@ -42,7 +38,7 @@ func ModeBoundaryStudy(opts Options) *Outcome {
 	grid = append(grid, cell(300*time.Millisecond, 120)...)
 	grid = append(grid, cell(10*time.Millisecond, 20)...)
 	grid = append(grid, cell(time.Second, 20)...)
-	results := runConfigs(opts, grid)
+	results := runConfigs(opts, grid...)
 	outCount := func(cellIdx int) (int, *core.Result) {
 		n := 0
 		var last *core.Result
@@ -59,11 +55,7 @@ func ModeBoundaryStudy(opts Options) *Outcome {
 	outSmallP, _ := outCount(2)
 	outLargeP, _ := outCount(3)
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Cwnd[0], res.Cwnd[1]},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 140*time.Second)
+	o := outcome(res, 140*time.Second, res.Cwnd[0], res.Cwnd[1])
 	o.Metrics = []Metric{
 		metric("fixed pipe, small buffer (B=10)", "usually in-phase",
 			outSmallB <= 1, "out-of-phase in %d/%d seeds", outSmallB, nSeeds),

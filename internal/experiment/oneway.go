@@ -16,10 +16,7 @@ import (
 // loss-synchronization with each connection losing exactly one packet
 // per congestion epoch.
 func Fig2OneWay(opts Options) *Outcome {
-	cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, opts.seed())
-	cfg.Warmup = opts.scale(200 * time.Second)
-	cfg.Duration = opts.scale(800 * time.Second)
-	res := runCore(opts, cfg)
+	res := runConfigs(opts, oneWayConfig(opts, time.Second, core.DefaultBuffer, 3))[0]
 
 	epochs := measuredEpochs(res, 10*time.Second)
 	period := meanEpochPeriod(epochs)
@@ -50,11 +47,7 @@ func Fig2OneWay(opts Options) *Outcome {
 	}
 	util := res.UtilForward()
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Q1(), res.Cwnd[0], res.Cwnd[1], res.Cwnd[2]},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 140*time.Second)
+	o := outcome(res, 140*time.Second, res.Q1(), res.Cwnd[0], res.Cwnd[1], res.Cwnd[2])
 	o.Metrics = []Metric{
 		metric("bottleneck utilization", "≈ 90 %", inBand(util, 0.85, 0.95), "%.1f %%", util*100),
 		metric("oscillation period", "≈ 34 s", period > 25*time.Second && period < 45*time.Second,
@@ -73,19 +66,15 @@ func Fig2OneWay(opts Options) *Outcome {
 // one-way utilization is nearly 100 %, and demonstrates that one-way
 // ACKs keep their clock: no compressed ACK gaps.
 func OneWaySmallPipe(opts Options) *Outcome {
-	cfg := oneWayConfig(10*time.Millisecond, core.DefaultBuffer, 3, opts.seed())
+	cfg := oneWayConfig(opts, 10*time.Millisecond, core.DefaultBuffer, 3)
 	cfg.Warmup = opts.scale(100 * time.Second)
 	cfg.Duration = opts.scale(500 * time.Second)
-	res := runCore(opts, cfg)
+	res := runConfigs(opts, cfg)[0]
 
 	util := res.UtilForward()
 	comp := compression(res, 0)
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Q1()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 120*time.Second)
+	o := outcome(res, 120*time.Second, res.Q1())
 	o.Metrics = []Metric{
 		metric("bottleneck utilization", "≈ 100 %", util >= 0.97, "%.1f %%", util*100),
 		metric("compressed ACK gaps", "none (ACKs are a reliable clock)",
@@ -110,14 +99,14 @@ func OneWayBufferSweep(opts Options) *Outcome {
 	idleSeries := trace.NewSeries("idle-fraction-vs-buffer")
 	cfgs := make([]core.Config, len(buffers))
 	for i, b := range buffers {
-		cfg := oneWayConfig(time.Second, b, 3, opts.seed())
+		cfg := oneWayConfig(opts, time.Second, b, 3)
 		// Long runs: the oscillation period grows like C², so big
 		// buffers need thousands of simulated seconds per cycle.
 		cfg.Warmup = opts.scale(300 * time.Second)
 		cfg.Duration = opts.scale(3300 * time.Second)
 		cfgs[i] = cfg
 	}
-	results := runConfigs(opts, cfgs)
+	results := runConfigs(opts, cfgs...)
 	var twoP float64
 	for i, b := range buffers {
 		res := results[i]
@@ -138,7 +127,14 @@ func OneWayBufferSweep(opts Options) *Outcome {
 			monotone = false
 		}
 	}
-	slope := fitLogLogSlope(caps, idle)
+	// Least-squares fit of log(idle) against log(C); zero idle fractions
+	// are clamped to a tiny floor.
+	var logC, logIdle []float64
+	for i := range caps {
+		logC = append(logC, math.Log(float64(caps[i])))
+		logIdle = append(logIdle, math.Log(max(idle[i], 1e-6)))
+	}
+	slope, _, _ := analysis.LinearFit(logC, logIdle)
 
 	o := &Outcome{
 		Series: []*trace.Series{idleSeries},
@@ -152,29 +148,6 @@ func OneWayBufferSweep(opts Options) *Outcome {
 	}
 	o.Notes = append(o.Notes, fmt.Sprintf("buffers %v → idle %s", buffers, fmtPercents(idle)))
 	return o
-}
-
-// fitLogLogSlope least-squares fits log(y) = a + s·log(x) and returns s.
-// Zero y values are clamped to a tiny floor.
-func fitLogLogSlope(xs []int, ys []float64) float64 {
-	n := float64(len(xs))
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		y := ys[i]
-		if y < 1e-6 {
-			y = 1e-6
-		}
-		lx, ly := math.Log(float64(xs[i])), math.Log(y)
-		sx += lx
-		sy += ly
-		sxx += lx * lx
-		sxy += lx * ly
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0
-	}
-	return (n*sxy - sx*sy) / den
 }
 
 func fmtPercents(vals []float64) string {

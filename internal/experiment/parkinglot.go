@@ -7,6 +7,7 @@ import (
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
 	"tahoedyn/internal/topology"
+	"tahoedyn/internal/trace"
 )
 
 // ParkingLotFairness runs the classic multi-bottleneck fairness probe
@@ -37,7 +38,7 @@ func ParkingLotFairness(opts Options) *Outcome {
 	for h := 0; h < hops; h++ {
 		cfg.Conns = append(cfg.Conns, core.ConnSpec{SrcHost: h, DstHost: h + 1, Start: -1})
 	}
-	res := runCore(opts, cfg)
+	res := runConfigs(opts, cfg)[0]
 
 	long := res.Goodput[0]
 	crossMean := 0.0
@@ -69,14 +70,11 @@ func ParkingLotFairness(opts Options) *Outcome {
 		}
 	}
 
-	o := &Outcome{
-		Result: res,
-	}
+	var series []*trace.Series
 	for i := range res.TrunkQueue {
-		o.Series = append(o.Series, res.TrunkQueue[i][0])
+		series = append(series, res.TrunkQueue[i][0])
 	}
-	o.Series = append(o.Series, res.Cwnd[0])
-	o.PlotFrom, o.PlotTo = plotWindow(res, 60*time.Second)
+	o := outcome(res, 60*time.Second, append(series, res.Cwnd[0])...)
 	o.Metrics = []Metric{
 		metric("every hop saturated", "all three trunks near full utilization",
 			minUtil > 0.9, "min forward utilization %.1f %%", minUtil*100),

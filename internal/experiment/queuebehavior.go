@@ -2,13 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
 	"tahoedyn/internal/link"
 	"tahoedyn/internal/model"
-	"tahoedyn/internal/trace"
 )
 
 // RedSyncStudy contrasts drop-tail with RED gateways (Floyd &
@@ -20,21 +20,16 @@ import (
 // the prediction is that the phase lock loses its grip while the
 // average queue falls well below the drop-tail operating point.
 func RedSyncStudy(opts Options) *Outcome {
-	run := func(qs *link.QueueSpec) *core.Result {
-		// Buffer 40: deep enough that drop-tail sustains a standing
-		// queue near the ceiling, so RED's early dropping has room to
-		// show.
-		cfg := twoWayConfig(10*time.Millisecond, 40, opts.seed())
-		cfg.Queue = qs
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
-	}
-	dt := run(nil) // drop-tail, the paper's switches
+	// Buffer 40: deep enough that drop-tail sustains a standing queue
+	// near the ceiling, so RED's early dropping has room to show.
+	dtCfg := twoWayConfig(opts, 10*time.Millisecond, 40) // drop-tail, the paper's switches
+	redCfg := dtCfg
 	// A faster-tracking RED than the '93 defaults: the two-way bursts
 	// here are abrupt (ACK-compression releases a window at line rate),
 	// so the average must move quickly enough to drop early.
-	red := run(&link.QueueSpec{Policy: link.PolicyRED, MinTh: 5, MaxTh: 15, MaxP: 0.1, Wq: 0.01})
+	redCfg.Queue = &link.QueueSpec{Policy: link.PolicyRED, MinTh: 5, MaxTh: 15, MaxP: 0.1, Wq: 0.01}
+	results := runConfigs(opts, dtCfg, redCfg)
+	dt, red := results[0], results[1]
 
 	dtMode, dtR := analysis.Phase(dt.Cwnd[0], dt.Cwnd[1], dt.MeasureFrom, dt.MeasureTo, time.Second)
 	redMode, redR := analysis.Phase(red.Cwnd[0], red.Cwnd[1], red.MeasureFrom, red.MeasureTo, time.Second)
@@ -43,18 +38,14 @@ func RedSyncStudy(opts Options) *Outcome {
 	dtQ := dt.Q1().TimeAverage(dt.MeasureFrom, dt.MeasureTo)
 	redQ := red.Q1().TimeAverage(red.MeasureFrom, red.MeasureTo)
 
-	o := &Outcome{
-		Result: red,
-		Series: []*trace.Series{dt.Q1(), red.Q1()},
-	}
+	o := outcome(red, 30*time.Second, dt.Q1(), red.Q1())
 	o.Series[0].Name = "droptail-Q1"
 	o.Series[1].Name = "red-Q1"
-	o.PlotFrom, o.PlotTo = plotWindow(red, 30*time.Second)
 	o.Metrics = []Metric{
 		metric("drop-tail window sync", "phase-locked (out-of-phase at τ=0.01s)",
 			dtMode != analysis.PhaseMixed, "%v (r=%.2f)", dtMode, dtR),
 		metric("RED window sync", "lock weakened: desynchronized cuts",
-			abs(redR) < abs(dtR), "%v (r=%.2f) vs drop-tail r=%.2f", redMode, redR, dtR),
+			math.Abs(redR) < math.Abs(dtR), "%v (r=%.2f) vs drop-tail r=%.2f", redMode, redR, dtR),
 		metric("RED peak bottleneck queue", "early drops keep the buffer off its ceiling",
 			redPeak < dtPeak*0.75, "%.0f pkts vs %.0f drop-tail (buffer %d)",
 			redPeak, dtPeak, red.Cfg.Buffer),
@@ -78,33 +69,23 @@ func RedSyncStudy(opts Options) *Outcome {
 // under the reduced share.
 func CrossTrafficStudy(opts Options) *Outcome {
 	const cbrRate = 10_000 // bits/s: 20 % of the 50 Kbps bottleneck
-	run := func(cross bool) *core.Result {
-		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, opts.seed())
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		if cross {
-			cfg.Conns = append(cfg.Conns, core.ConnSpec{
-				SrcHost: 0, DstHost: 1, Start: -1,
-				Source: &core.SourceSpec{Kind: core.SourceCBR, Rate: cbrRate},
-			})
-		}
-		return runCore(opts, cfg)
-	}
-	base := run(false)
-	res := run(true)
+	baseCfg := twoWayConfig(opts, 10*time.Millisecond, core.DefaultBuffer)
+	crossCfg := twoWayConfig(opts, 10*time.Millisecond, core.DefaultBuffer)
+	crossCfg.Conns = append(crossCfg.Conns, core.ConnSpec{
+		SrcHost: 0, DstHost: 1, Start: -1,
+		Source: &core.SourceSpec{Kind: core.SourceCBR, Rate: cbrRate},
+	})
+	results := runConfigs(opts, baseCfg, crossCfg)
+	base, res := results[0], results[1]
 
 	window := res.MeasureTo - res.MeasureFrom
 	offered := model.CBRPackets(cbrRate, res.Cfg.DataSize, window)
 	cbrShare := float64(res.Goodput[2]) / offered
 	comp := compression(res, 0)
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{base.Q1(), res.Q1()},
-	}
+	o := outcome(res, 30*time.Second, base.Q1(), res.Q1())
 	o.Series[0].Name = "twoway-Q1"
 	o.Series[1].Name = "cross-Q1"
-	o.PlotFrom, o.PlotTo = plotWindow(res, 30*time.Second)
 	o.Metrics = []Metric{
 		metric("CBR delivery", "unresponsive stream keeps its offered rate",
 			cbrShare > 0.9, "%.0f %% of %d bit/s offered", cbrShare*100, cbrRate),
@@ -121,11 +102,4 @@ func CrossTrafficStudy(opts Options) *Outcome {
 	o.Notes = append(o.Notes, fmt.Sprintf(
 		"goodputs with cross-traffic: %v; without: %v", res.Goodput, base.Goodput))
 	return o
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -22,9 +22,7 @@ func TestOutOfPhaseModeDominatesAcrossSeeds(t *testing.T) {
 	}
 	outOfPhase := 0
 	for _, seed := range robustnessSeeds {
-		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, seed)
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
+		cfg := twoWayConfig(Options{Seed: seed}, 10*time.Millisecond, core.DefaultBuffer)
 		res := core.Run(cfg)
 		mode, r := cwndPhase(res, 0, 1)
 		util := res.UtilForward()
@@ -48,9 +46,7 @@ func TestInPhaseModeUniversalAtLargePipe(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, seed := range robustnessSeeds[:5] {
-		cfg := twoWayConfig(time.Second, core.DefaultBuffer, seed)
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
+		cfg := twoWayConfig(Options{Seed: seed}, time.Second, core.DefaultBuffer)
 		res := core.Run(cfg)
 		mode, r := cwndPhase(res, 0, 1)
 		t.Logf("seed %d: %v (r=%.2f), util %.1f%%", seed, mode, r, res.UtilForward()*100)
@@ -67,7 +63,7 @@ func TestFig8NumbersHoldAcrossSeeds(t *testing.T) {
 	// The fixed-window system has a single attractor: the Fig. 8 queue
 	// maxima are start-time independent.
 	for _, seed := range robustnessSeeds[:5] {
-		cfg := fixedWindowConfig(10*time.Millisecond, 30, 25, seed)
+		cfg := fixedWindowConfig(Options{Seed: seed}, 10*time.Millisecond, 30, 25)
 		cfg.Warmup = 100 * time.Second
 		cfg.Duration = 400 * time.Second
 		res := core.Run(cfg)
@@ -84,9 +80,7 @@ func TestOneWayUtilizationStableAcrossSeeds(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, seed := range robustnessSeeds[:5] {
-		cfg := oneWayConfig(time.Second, core.DefaultBuffer, 3, seed)
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
+		cfg := oneWayConfig(Options{Seed: seed}, time.Second, core.DefaultBuffer, 3)
 		res := core.Run(cfg)
 		if !inBand(res.UtilForward(), 0.85, 0.95) {
 			t.Errorf("seed %d: one-way utilization %.1f%% out of band", seed, res.UtilForward()*100)
@@ -99,10 +93,8 @@ func TestFairQueueCureHoldsAcrossSeeds(t *testing.T) {
 		t.Skip("multi-seed sweep")
 	}
 	for _, seed := range robustnessSeeds[:5] {
-		cfg := twoWayConfig(10*time.Millisecond, core.DefaultBuffer, seed)
+		cfg := twoWayConfig(Options{Seed: seed}, 10*time.Millisecond, core.DefaultBuffer)
 		cfg.Queue = &link.QueueSpec{Policy: link.PolicyFairQueue}
-		cfg.Warmup = 200 * time.Second
-		cfg.Duration = 800 * time.Second
 		res := core.Run(cfg)
 		if res.UtilForward() < 0.95 {
 			t.Errorf("seed %d: FQ utilization %.1f%%, want ≈full", seed, res.UtilForward()*100)

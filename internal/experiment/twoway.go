@@ -6,7 +6,6 @@ import (
 
 	"tahoedyn/internal/analysis"
 	"tahoedyn/internal/core"
-	"tahoedyn/internal/trace"
 )
 
 // Fig3TenConns reproduces Figure 3 and the §3.2 discussion: ten
@@ -17,19 +16,16 @@ import (
 // *lower* (~87 %) utilization when the buffer doubles to 60.
 func Fig3TenConns(opts Options) *Outcome {
 	build := func(buffer int) core.Config {
-		cfg := core.DumbbellConfig(10*time.Millisecond, buffer)
-		cfg.Seed = opts.seed()
+		cfg := dumbbell(opts, 10*time.Millisecond, buffer)
 		for i := 0; i < 5; i++ {
 			cfg.Conns = append(cfg.Conns,
 				core.ConnSpec{SrcHost: 0, DstHost: 1, Start: -1},
 				core.ConnSpec{SrcHost: 1, DstHost: 0, Start: -1})
 		}
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
 		return cfg
 	}
-	res := runCore(opts, build(30))
-	res60 := runCore(opts, build(60))
+	results := runConfigs(opts, build(30), build(60))
+	res, res60 := results[0], results[1]
 
 	util := res.UtilForward()
 	util60 := res60.UtilForward()
@@ -45,11 +41,7 @@ func Fig3TenConns(opts Options) *Outcome {
 		res.Cfg.DataTxTime(), 4)
 	risesPerMinute := float64(rises) / window.Minutes()
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Q1(), res.Q2()},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 30*time.Second)
+	o := outcome(res, 30*time.Second, res.Q1(), res.Q2())
 	o.Metrics = []Metric{
 		metric("bottleneck utilization (B=30)", "≈ 91 %", inBand(util, 0.82, 0.98), "%.1f %%", util*100),
 		metric("utilization with B=60", "≈ 87 % (lower than B=30)",
@@ -74,15 +66,11 @@ func Fig3TenConns(opts Options) *Outcome {
 // and — the headline counterintuitive result — that utilization stays
 // ~70 % when the buffer grows to 60 and 120.
 func Fig45TwoWaySmallPipe(opts Options) *Outcome {
-	run := func(buffer int) *core.Result {
-		cfg := twoWayConfig(10*time.Millisecond, buffer, opts.seed())
-		cfg.Warmup = opts.scale(200 * time.Second)
-		cfg.Duration = opts.scale(800 * time.Second)
-		return runCore(opts, cfg)
-	}
-	res := run(20)
-	res60 := run(60)
-	res120 := run(120)
+	results := runConfigs(opts,
+		twoWayConfig(opts, 10*time.Millisecond, 20),
+		twoWayConfig(opts, 10*time.Millisecond, 60),
+		twoWayConfig(opts, 10*time.Millisecond, 120))
+	res, res60, res120 := results[0], results[1], results[2]
 
 	util := res.UtilForward()
 	epochs := measuredEpochs(res, 2*time.Second)
@@ -102,11 +90,7 @@ func Fig45TwoWaySmallPipe(opts Options) *Outcome {
 	}
 	rtt20, rtt120 := meanRTT(res), meanRTT(res120)
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Q1(), res.Q2(), res.Cwnd[0], res.Cwnd[1]},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 30*time.Second)
+	o := outcome(res, 30*time.Second, res.Q1(), res.Q2(), res.Cwnd[0], res.Cwnd[1])
 	o.Metrics = []Metric{
 		metric("bottleneck utilization", "≈ 70 %", inBand(util, 0.60, 0.80), "%.1f %%", util*100),
 		metric("utilization with B=60", "stays ≈ 70 %",
@@ -143,10 +127,7 @@ func Fig45TwoWaySmallPipe(opts Options) *Outcome {
 // synchronization, each connection losing exactly one packet per
 // congestion epoch, and ~60 % utilization.
 func Fig67TwoWayLargePipe(opts Options) *Outcome {
-	cfg := twoWayConfig(time.Second, core.DefaultBuffer, opts.seed())
-	cfg.Warmup = opts.scale(200 * time.Second)
-	cfg.Duration = opts.scale(800 * time.Second)
-	res := runCore(opts, cfg)
+	res := runConfigs(opts, twoWayConfig(opts, time.Second, core.DefaultBuffer))[0]
 
 	util := res.UtilForward()
 	epochs := measuredEpochs(res, 10*time.Second)
@@ -158,11 +139,7 @@ func Fig67TwoWayLargePipe(opts Options) *Outcome {
 	qmode, qr := queuePhase(res)
 	wmode, wr := cwndPhase(res, 0, 1)
 
-	o := &Outcome{
-		Result: res,
-		Series: []*trace.Series{res.Q1(), res.Q2(), res.Cwnd[0], res.Cwnd[1]},
-	}
-	o.PlotFrom, o.PlotTo = plotWindow(res, 140*time.Second)
+	o := outcome(res, 140*time.Second, res.Q1(), res.Q2(), res.Cwnd[0], res.Cwnd[1])
 	o.Metrics = []Metric{
 		metric("bottleneck utilization", "≈ 60 %", inBand(util, 0.52, 0.72), "%.1f %%", util*100),
 		metric("window synchronization", "in-phase", wmode == analysis.PhaseIn,

@@ -105,45 +105,17 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	return out
 }
 
-// EachDone is Each with a completion callback: after every job
-// finishes, done(completed, n) reports how many of the n jobs are done
-// so far. The callback may run on any worker goroutine (serially never
-// concurrently with itself is NOT guaranteed on the parallel path), so
-// it must be safe for concurrent use; sweep CLIs use it to print
-// liveness to stderr without touching the result ordering.
-func EachDone(workers, n int, fn func(i int), done func(completed, total int)) {
-	if done == nil {
-		Each(workers, n, fn)
-		return
-	}
-	var completed atomic.Int64
-	Each(workers, n, func(i int) {
-		fn(i)
-		done(int(completed.Add(1)), n)
-	})
-}
-
-// RunConfigs executes every configuration with core.Run on the worker
-// pool and returns the results in configuration order. Each run is
-// deterministic in its Config (including Seed), so the returned slice is
-// identical for any worker count.
+// RunConfigs executes every configuration on the worker pool and
+// returns the results in configuration order. Every worker owns one
+// core.Arena for the whole sweep, so an N-point sweep allocates engine
+// and packet-pool storage once per worker instead of once per point.
+// Each run is deterministic in its Config (including Seed) and arena
+// reuse is behavior-neutral, so the returned slice is identical to cold
+// core.Run results for any worker count.
 func RunConfigs(workers int, cfgs []core.Config) []*core.Result {
-	return RunConfigsLive(workers, cfgs, nil)
-}
-
-// RunConfigsLive is RunConfigs with per-worker arena reuse and an
-// optional completion callback. Every worker owns one core.Arena for
-// the whole sweep, so an N-point sweep allocates engine and packet-pool
-// storage once per worker instead of once per point; arena reuse is
-// behavior-neutral, so results stay identical to cold runs for any
-// worker count. done(completed, total), when non-nil, fires after every
-// job under the EachDone contract (any worker goroutine, must be
-// concurrency-safe).
-func RunConfigsLive(workers int, cfgs []core.Config, done func(completed, total int)) []*core.Result {
 	n := len(cfgs)
 	results := make([]*core.Result, n)
 	arenas := make([]*core.Arena, clampWorkers(workers, n))
-	var completed atomic.Int64
 	EachWorker(workers, n, func(w, i int) {
 		a := arenas[w]
 		if a == nil {
@@ -151,9 +123,6 @@ func RunConfigsLive(workers int, cfgs []core.Config, done func(completed, total 
 			arenas[w] = a
 		}
 		results[i] = a.Run(cfgs[i])
-		if done != nil {
-			done(int(completed.Add(1)), n)
-		}
 	})
 	return results
 }

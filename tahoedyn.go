@@ -545,16 +545,6 @@ func RunMany(workers int, cfgs []Config) []*Result {
 	return runner.RunConfigs(workers, cfgs)
 }
 
-// RunManyLive is RunMany with per-worker arena reuse and an optional
-// completion callback: every worker keeps one Arena for the whole
-// sweep, so an N-point sweep pays engine and packet-pool allocation
-// once per worker instead of once per point. done(k, n), when non-nil,
-// fires after each job (on any worker goroutine — it must be safe for
-// concurrent use). Results are identical to RunMany, byte for byte.
-func RunManyLive(workers int, cfgs []Config, done func(completed, total int)) []*Result {
-	return runner.RunConfigsLive(workers, cfgs, done)
-}
-
 // NewArena returns an empty Arena: its first run allocates, later runs
 // reuse. An Arena is single-goroutine, like a run; use one per worker.
 // It keeps the series capacity of its largest run (35 MB after a
@@ -575,15 +565,6 @@ func RunManyE(ctx context.Context, workers int, cfgs []Config) ([]*Result, error
 // It is the generic fan-out primitive behind RunMany, for callers whose
 // jobs are not plain configs — e.g. rendering experiment reports.
 func ParallelDo(workers, n int, fn func(i int)) { runner.Each(workers, n, fn) }
-
-// ParallelDoLive is ParallelDo with a completion callback: done(k, n)
-// fires after each job, reporting k of n complete. done may run on any
-// worker goroutine, so it must be safe for concurrent use; the sweep
-// CLIs use it to print liveness to stderr without perturbing output
-// ordering.
-func ParallelDoLive(workers, n int, fn func(i int), done func(completed, total int)) {
-	runner.EachDone(workers, n, fn, done)
-}
 
 // ParallelDoWorkers is ParallelDo with worker identity: fn(worker, i)
 // runs job i on worker `worker`, a stable index below the clamped
