@@ -36,7 +36,9 @@ import (
 //	header | chunk* | footer | trailer
 //
 // header (12 bytes): "TOBC" magic, uint16 version, uint16 reserved
-// (zero), uint32 target events per chunk.
+// (zero), uint32 target events per chunk. Version 2 added the patched
+// value column (valTagPatched); a version-1 store holds only tags 0 and
+// 1, so one decoder reads both.
 //
 // chunk: uint32 payload length, then the columnar payload (see
 // encodeChunk).
@@ -51,7 +53,7 @@ import (
 const (
 	storeMagic   = "TOBC"
 	footerMagic  = "TOBF"
-	storeVersion = 1
+	storeVersion = 2
 
 	headerSize  = 12
 	trailerSize = 12
@@ -213,12 +215,16 @@ func (d *decoder) count(what string) int {
 }
 
 // valTag* select the value-column encoding: a chunk whose every Val is
-// an exact small integer (queue lengths, window sizes, timeout counts —
-// the common case) stores zigzag varints; anything else stores raw
-// float64 bits.
+// an exact small integer (queue lengths, window sizes, timeout counts)
+// stores zigzag varints; one with a few other values (fractional cwnd
+// samples) stores the varints, 0 in each exception's slot, then a patch
+// list: the exception count and, per exception, its index gap and raw
+// float64 bits; one where the patch list would cost more stores every
+// value as raw float64 bits.
 const (
-	valTagInt byte = 0
-	valTagRaw byte = 1
+	valTagInt     byte = 0
+	valTagRaw     byte = 1
+	valTagPatched byte = 2
 )
 
 // colSet names a set of event columns: which fields of obs.Event a scan
@@ -242,7 +248,8 @@ const (
 
 // codeTable is the encoder's scratch for the dictionary columns: slot
 // v-lo holds the code of value v (plus one; zero is "absent") while a
-// column is being written, and every slot is zero between columns.
+// column is being written, and every slot is zero between columns. The
+// value column lists the indices of its exceptions in it.
 type codeTable []uint32
 
 // span returns the first n slots, growing the table geometrically.
@@ -375,29 +382,50 @@ func encodeChunk(buf []byte, events []obs.Event, tab *codeTable) ([]byte, ChunkI
 		k = putUvarint(b, k, events[i].ID)
 	}
 	buf = b[:k]
-	// Value column: varint when every value is an exact integer.
-	allInt := true
+	// Value column: a varint for every exact integer of magnitude at most
+	// 2⁵² other than −0, and 0 in the slot of every other value — an
+	// exception. Without exceptions that is the column (tag 0); with
+	// some, the patch list follows (tag 2), unless raw bits are shorter.
+	tagAt := len(buf)
+	exc := tab.span(len(events))[:0]
+	patchLen, last := 0, -1
+	b, k = varintRoom(append(buf, valTagInt), len(events))
 	for i := range events {
 		v := events[i].Val
 		if v != math.Trunc(v) || math.Abs(v) > 1<<52 || math.Signbit(v) && v == 0 {
-			allInt = false
-			break
+			exc = append(exc, uint32(i))
+			patchLen += uvarintLen(uint64(i-last)) + 8
+			last = i
+			b[k] = 0
+			k++
+			continue
 		}
+		k = putUvarint(b, k, zigzag(int64(v)))
 	}
-	if allInt {
-		b, k = varintRoom(append(buf, valTagInt), len(events))
-		for i := range events {
-			k = putUvarint(b, k, zigzag(int64(events[i].Val)))
+	buf = b[:k]
+	if len(exc) > 0 {
+		if patched := k - tagAt + uvarintLen(uint64(len(exc))) + patchLen; patched <= 1+8*len(events) {
+			buf[tagAt] = valTagPatched
+			buf = binary.AppendUvarint(buf, uint64(len(exc)))
+			last = -1
+			for _, i := range exc {
+				buf = binary.AppendUvarint(buf, uint64(int(i)-last))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(events[i].Val))
+				last = int(i)
+			}
+		} else {
+			buf = append(buf[:tagAt], valTagRaw)
+			for i := range events {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(events[i].Val))
+			}
 		}
-		buf = b[:k]
-	} else {
-		buf = append(buf, valTagRaw)
-		for i := range events {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(events[i].Val))
-		}
+		clear(exc)
 	}
 	return buf, info
 }
+
+// uvarintLen is the length of v as a varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // varintRoom reserves room for a column of n varints after buf and
 // returns the widened slice with the index the first goes at; the column
@@ -658,15 +686,21 @@ func decodeChunk(payload []byte, dst []obs.Event, nLocs int, cols colSet, types 
 		return nil, n, err
 	}
 
-	// Value column: a tag, then varints or raw float64 bits.
+	// Value column: a tag, then varints, raw float64 bits, or varints and
+	// a patch list.
 	tag := d.bytes(1)
 	if d.err != nil {
 		return nil, n, d.err
 	}
 	switch tag[0] {
-	case valTagInt:
+	case valTagInt, valTagPatched:
 		if err := varints(colVal, "value", nil); err != nil {
 			return nil, n, err
+		}
+		if tag[0] == valTagPatched {
+			if err := d.patches(dst, cols&colVal != 0); err != nil {
+				return nil, n, err
+			}
 		}
 	case valTagRaw:
 		raw := d.bytes(8 * n)
@@ -685,6 +719,36 @@ func decodeChunk(payload []byte, dst []obs.Event, nLocs int, cols colSet, types 
 		return nil, n, fmt.Errorf("tstore: %d trailing bytes after chunk payload", len(payload)-d.off)
 	}
 	return dst, n, nil
+}
+
+// patches reads the patch list of a valTagPatched value column — the
+// exception count, then per exception its index gap (from -1 for the
+// first) and raw float64 bits — and, when apply is set, writes each raw
+// value over the varint decoded into its slot of dst. The count may not
+// exceed len(dst), and every gap must be at least 1 and keep the index
+// inside dst; the list is checked in full either way.
+func (d *decoder) patches(dst []obs.Event, apply bool) error {
+	np := d.count("value exception")
+	if d.err == nil && np > len(dst) {
+		d.fail("tstore: %d value exceptions in a chunk of %d events", np, len(dst))
+	}
+	at := -1
+	for j := 0; j < np && d.err == nil; j++ {
+		gap := d.uvarint()
+		raw := d.bytes(8)
+		if d.err != nil {
+			break
+		}
+		if gap == 0 || gap >= uint64(len(dst)-at) {
+			d.fail("tstore: value exception %d: index gap %d from %d leaves [0,%d) or goes back", j, gap, at, len(dst))
+			break
+		}
+		at += int(gap)
+		if apply {
+			dst[at].Val = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+		}
+	}
+	return d.err
 }
 
 // errVarint reports a varint column that ran past the payload or held

@@ -24,6 +24,8 @@ type Store struct {
 	locs  []string
 	index []ChunkInfo
 	total uint64
+	// version is the format version in the header.
+	version int
 	// chunkN is the writer's target events per chunk (header field).
 	chunkN int
 	// sorted reports whether chunk time ranges are non-overlapping and
@@ -70,8 +72,9 @@ func NewStore(r io.ReaderAt, size int64) (*Store, error) {
 	if string(hdr[:4]) != storeMagic {
 		return nil, fmt.Errorf("tstore: bad magic %q (want %q)", hdr[:4], storeMagic)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v > storeVersion {
-		return nil, fmt.Errorf("tstore: store version %d is newer than supported version %d", v, storeVersion)
+	version := int(binary.LittleEndian.Uint16(hdr[4:6]))
+	if version > storeVersion {
+		return nil, fmt.Errorf("tstore: store version %d is newer than supported version %d", version, storeVersion)
 	}
 	chunkN := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	if chunkN <= 0 || chunkN > maxChunkPayload {
@@ -98,7 +101,7 @@ func NewStore(r io.ReaderAt, size int64) (*Store, error) {
 		return nil, fmt.Errorf("tstore: footer checksum mismatch (file corrupted)")
 	}
 
-	s := &Store{r: r, chunkN: chunkN, sorted: true}
+	s := &Store{r: r, version: version, chunkN: chunkN, sorted: true}
 	d := &decoder{b: foot}
 	nLocs := d.count("location")
 	for i := 0; i < nLocs && d.err == nil; i++ {
@@ -170,6 +173,10 @@ func (s *Store) Chunks() []ChunkInfo { return s.index }
 
 // TotalEvents returns the number of events in the store.
 func (s *Store) TotalEvents() uint64 { return s.total }
+
+// Version returns the format version the store was written in (the
+// header field): 1 for stores without patched value columns, 2 since.
+func (s *Store) Version() int { return s.version }
 
 // ChunkEvents returns the chunk capacity the store was written with
 // (the header field): every chunk but the last holds this many events.
