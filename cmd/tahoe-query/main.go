@@ -38,7 +38,7 @@ func main() {
 
 func run() int {
 	var (
-		info      = flag.Bool("info", false, "print a store summary: events, chunks, time span, locations (the default operation)")
+		info      = flag.Bool("info", false, "print a store summary: format version, events, chunks, time span, payload bytes, locations (the default operation)")
 		count     = flag.Bool("count", false, "print the number of matching events (index-accelerated on store files)")
 		events    = flag.Bool("events", false, "print matching events, one per line")
 		limit     = flag.Int("limit", 0, "with -events: stop after this many events (0 = all)")
@@ -161,8 +161,8 @@ func openTrace(path string) (tahoedyn.TraceScanner, *tahoedyn.TraceStore, func()
 func printInfo(sc tahoedyn.TraceScanner, store *tahoedyn.TraceStore, path string) {
 	if store != nil {
 		chunks := store.Chunks()
-		fmt.Printf("%s: chunked trace store, %d events in %d chunks of ≤ %d events\n",
-			path, store.TotalEvents(), len(chunks), store.ChunkEvents())
+		fmt.Printf("%s: chunked trace store (format v%d), %d events in %d chunks of ≤ %d events\n",
+			path, store.Version(), store.TotalEvents(), len(chunks), store.ChunkEvents())
 		if len(chunks) > 0 {
 			// Offline ingest may write chunks in any time order.
 			var bytes int64

@@ -114,7 +114,7 @@ func TestRejectsTOBSTrace(t *testing.T) {
 // Chunks of a store need not be in time order — an offline ingest may
 // write a later stretch first — so -info takes the span over the whole
 // index, not from the first and last entries. Its first line also names
-// the chunk capacity the store was written with.
+// the format version and the chunk capacity the store was written with.
 func TestInfoOverStoreWrittenInReverseTimeOrder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reverse.tobc")
 	f, err := os.Create(path)
@@ -141,7 +141,7 @@ func TestInfoOverStoreWrittenInReverseTimeOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, code := queryOut(t, "-info", path)
-	want := path + ": chunked trace store, 4 events in 2 chunks of ≤ 2 events\n" +
+	want := path + ": chunked trace store (format v2), 4 events in 2 chunks of ≤ 2 events\n" +
 		"  span 1s .. 9s\n" +
 		"  68 payload bytes (17.0 B/event)\n" +
 		"  1 locations\n"

@@ -150,3 +150,103 @@ func FuzzSenderAcks(f *testing.F) {
 		}
 	})
 }
+
+// ackLog is the fuzzed receiver's Network: it holds every ACK to the
+// cumulative point the arrivals so far define, and counts them.
+type ackLog struct {
+	t       *testing.T
+	eng     *sim.Engine
+	arrived map[int]bool // every sequence number delivered so far
+	acks    int          // ACKs sent
+}
+
+// next is the cumulative point of the arrivals: the lowest sequence
+// number not yet delivered.
+func (l *ackLog) next() int {
+	n := 0
+	for l.arrived[n] {
+		n++
+	}
+	return n
+}
+
+func (l *ackLog) Send(p *packet.Packet) bool {
+	if p.Kind != packet.Ack {
+		l.t.Fatalf("receiver sent %v", p)
+	}
+	if want := l.next(); p.Seq != want {
+		l.t.Fatalf("ACK %d at %v: the segments delivered are in order up to %d", p.Seq, l.eng.Now(), want)
+	}
+	l.acks++
+	return true
+}
+
+// FuzzReceiver delivers data segments to one receiver in any order, with
+// duplicates and clock advances decoded from bytes, and after every step
+// holds it to the rules of PAPER.md §2 (cumulative ACKs, the delayed-ACK
+// option), not to its code:
+//   - every ACK carries the cumulative point: one past the highest
+//     sequence number below which every segment has arrived — so it
+//     never acknowledges a segment that did not arrive, and never moves
+//     back;
+//   - a segment that arrives out of order is kept: when the gap below it
+//     fills, the next ACK covers it without its being sent again;
+//   - without the delayed-ACK option every arriving segment is
+//     acknowledged at once;
+//   - with it, at most one arrival waits for its ACK (the second is
+//     acknowledged at once), and none waits past the 200 ms fast timer.
+//
+// Input: byte 0 turns the delayed-ACK option on; then two bytes a step.
+// The first is how far the clock moves before the step, in 5 ms units (a
+// timer that falls due on the way fires), its low bit whether a segment
+// arrives at all; the second is the segment's sequence number, below 48.
+func FuzzReceiver(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 1, 1, 2, 1, 3})                            // in order, no delay
+	f.Add([]byte{1, 1, 0, 1, 1, 1, 2, 81, 3, 0, 0, 200, 0})             // delayed ACKs, one flushed by the timer
+	f.Add([]byte{0, 1, 2, 1, 1, 1, 3, 1, 0, 1, 5, 1, 4})                // a hole, filled
+	f.Add([]byte{1, 1, 0, 1, 0, 1, 4, 41, 1, 1, 2, 1, 3, 201, 5, 0, 0}) // duplicates and a reordered burst
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		eng := sim.New()
+		delayed := data[0]&1 != 0
+		net := &ackLog{t: t, eng: eng, arrived: map[int]bool{}}
+		r := NewReceiver(eng, net, &IDGen{}, ReceiverConfig{Conn: 1, SrcHost: 2, DstHost: 1, AckSize: 40, DelayedAck: delayed})
+		// waiting is the number of arrivals since the last ACK and since
+		// when the first of them has waited.
+		waiting, since := 0, time.Duration(0)
+		for step, in := 1, data[1:]; len(in) >= 2; step, in = step+1, in[2:] {
+			op, seq := in[0], int(in[1])%48
+			acks := net.acks
+			eng.RunUntil(eng.Now() + time.Duration(op>>1)*5*time.Millisecond)
+			if net.acks > acks {
+				waiting = 0
+			}
+			if waiting > 0 && eng.Now()-since >= FastTick {
+				t.Fatalf("step %d: an arrival at %v is still unacknowledged at %v", step, since, eng.Now())
+			}
+			if op&1 == 0 {
+				continue
+			}
+			net.arrived[seq] = true
+			acks = net.acks
+			r.Handle(&packet.Packet{Kind: packet.Data, Conn: 1, Src: 1, Dst: 2, Seq: seq, Size: 500})
+			switch {
+			case net.acks > acks+1:
+				t.Fatalf("step %d: one arrival sent %d ACKs", step, net.acks-acks)
+			case net.acks > acks:
+				waiting = 0
+			case !delayed:
+				t.Fatalf("step %d: segment %d arrived without the delayed-ACK option and was not acknowledged", step, seq)
+			case waiting > 0:
+				t.Fatalf("step %d: segment %d is the second arrival waiting for an ACK", step, seq)
+			default:
+				waiting, since = 1, eng.Now()
+			}
+			if got, want := r.RcvNxt(), net.next(); got != want {
+				t.Fatalf("step %d: receiver expects %d next, the segments delivered are in order up to %d", step, got, want)
+			}
+		}
+	})
+}

@@ -578,10 +578,6 @@ func ParallelDoWorkers(workers, n int, fn func(worker, i int)) {
 // Experiments lists every paper experiment in presentation order.
 func Experiments() []ExperimentDef { return experiment.All() }
 
-// RunAllExperiments executes every registered experiment, fanning them
-// across opts.Parallel workers, and returns outcomes in registry order.
-func RunAllExperiments(opts ExpOptions) []*Outcome { return experiment.RunAll(opts) }
-
 // Experiment runs the named paper experiment.
 func Experiment(name string, opts ExpOptions) (*Outcome, error) {
 	def, ok := experiment.Find(name)
