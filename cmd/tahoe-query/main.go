@@ -1,9 +1,8 @@
 // Command tahoe-query runs streaming queries over stored simulation
 // traces: the chunked columnar store files written by
-// `tahoe-sim -trace-store` (or any TraceStoreWriter), plus — for
-// convenience — JSONL traces. Store files are scanned one chunk at a
-// time with index-driven chunk skipping, so a hundred-gigabyte trace
-// queries in bounded memory; JSONL traces are loaded whole.
+// `tahoe-sim -trace-store` (or any TraceStoreWriter). A store is
+// scanned one chunk at a time with index-driven chunk skipping, so a
+// hundred-gigabyte trace queries in bounded memory.
 //
 // One operation per invocation, over one trace file:
 //
@@ -22,7 +21,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -39,7 +37,7 @@ func main() {
 func run() int {
 	var (
 		info      = flag.Bool("info", false, "print a store summary: format version, events, chunks, time span, payload bytes, locations (the default operation)")
-		count     = flag.Bool("count", false, "print the number of matching events (index-accelerated on store files)")
+		count     = flag.Bool("count", false, "print the number of matching events (answered from the store index where it can)")
 		events    = flag.Bool("events", false, "print matching events, one per line")
 		limit     = flag.Int("limit", 0, "with -events: stop after this many events (0 = all)")
 		window    = flag.Duration("window", 0, "aggregate matching events into windows of this width (per-window count, bytes, throughput, val stats)")
@@ -54,7 +52,7 @@ func run() int {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "tahoe-query: need exactly one trace file (see -h)")
+		fmt.Fprintln(os.Stderr, "tahoe-query: need exactly one trace store (see -h)")
 		return 2
 	}
 	path := flag.Arg(0)
@@ -66,12 +64,12 @@ func run() int {
 	}
 	q := tahoedyn.TraceQuery{From: *from, To: *to, Filter: flt, Loc: *loc}
 
-	sc, store, closeFn, err := openTrace(path)
+	sc, err := tahoedyn.OpenTraceStore(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tahoe-query:", err)
 		return 1
 	}
-	defer closeFn()
+	defer sc.Close()
 
 	nOps := 0
 	for _, on := range []bool{*info, *count, *events, *window != 0, *quantiles != "", *check} {
@@ -120,72 +118,31 @@ func run() int {
 		}
 		fmt.Printf("invariants: clean (%d events checked)\n", n)
 	default:
-		printInfo(sc, store, path)
+		printInfo(sc, path)
 	}
 	return 0
 }
 
-// openTrace opens a trace file as a Scanner, autodetecting the format:
-// a chunked store ("TOBC", queried out-of-core) or JSONL (loaded whole).
-func openTrace(path string) (tahoedyn.TraceScanner, *tahoedyn.TraceStore, func(), error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	switch string(magic[:]) {
-	case "TOBC":
-		f.Close()
-		s, err := tahoedyn.OpenTraceStore(path)
-		if err != nil {
-			return nil, nil, nil, err
+func printInfo(store *tahoedyn.TraceStore, path string) {
+	chunks := store.Chunks()
+	fmt.Printf("%s: chunked trace store (format v%d), %d events in %d chunks of ≤ %d events\n",
+		path, store.Version(), store.TotalEvents(), len(chunks), store.ChunkEvents())
+	if len(chunks) > 0 {
+		// Offline ingest may write chunks in any time order.
+		var bytes int64
+		minT, maxT := chunks[0].MinT, chunks[0].MaxT
+		for i := range chunks {
+			bytes += chunks[i].Size
+			minT, maxT = min(minT, chunks[i].MinT), max(maxT, chunks[i].MaxT)
 		}
-		return s, s, func() { s.Close() }, nil
-	default:
-		defer f.Close()
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, nil, err
-		}
-		locs, evs, err := tahoedyn.DecodeJSONLTrace(f)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("%s: not a TOBC store or JSONL trace: %w", path, err)
-		}
-		return &tahoedyn.TraceSlice{LocTable: locs, Events: evs}, nil, func() {}, nil
+		fmt.Printf("  span %v .. %v\n", minT, maxT)
+		fmt.Printf("  %d payload bytes (%.1f B/event)\n",
+			bytes, float64(bytes)/float64(store.TotalEvents()))
 	}
+	fmt.Printf("  %d locations\n", len(store.Locs()))
 }
 
-func printInfo(sc tahoedyn.TraceScanner, store *tahoedyn.TraceStore, path string) {
-	if store != nil {
-		chunks := store.Chunks()
-		fmt.Printf("%s: chunked trace store (format v%d), %d events in %d chunks of ≤ %d events\n",
-			path, store.Version(), store.TotalEvents(), len(chunks), store.ChunkEvents())
-		if len(chunks) > 0 {
-			// Offline ingest may write chunks in any time order.
-			var bytes int64
-			minT, maxT := chunks[0].MinT, chunks[0].MaxT
-			for i := range chunks {
-				bytes += chunks[i].Size
-				minT, maxT = min(minT, chunks[i].MinT), max(maxT, chunks[i].MaxT)
-			}
-			fmt.Printf("  span %v .. %v\n", minT, maxT)
-			fmt.Printf("  %d payload bytes (%.1f B/event)\n",
-				bytes, float64(bytes)/float64(store.TotalEvents()))
-		}
-		fmt.Printf("  %d locations\n", len(store.Locs()))
-		return
-	}
-	src := sc.(*tahoedyn.TraceSlice)
-	fmt.Printf("%s: flat trace, %d events, %d locations\n", path, len(src.Events), len(src.LocTable))
-	if n := len(src.Events); n > 0 {
-		fmt.Printf("  span %v .. %v\n", src.Events[0].T, src.Events[n-1].T)
-	}
-}
-
-func printEvents(sc tahoedyn.TraceScanner, q tahoedyn.TraceQuery, limit int) error {
+func printEvents(sc *tahoedyn.TraceStore, q tahoedyn.TraceQuery, limit int) error {
 	locs := sc.Locs()
 	n := 0
 	return sc.Scan(q, func(ev *tahoedyn.TraceEvent) error {
@@ -203,7 +160,7 @@ func printEvents(sc tahoedyn.TraceScanner, q tahoedyn.TraceQuery, limit int) err
 	})
 }
 
-func printWindows(sc tahoedyn.TraceScanner, q tahoedyn.TraceQuery, width time.Duration, byLoc bool) error {
+func printWindows(sc *tahoedyn.TraceStore, q tahoedyn.TraceQuery, width time.Duration, byLoc bool) error {
 	groups, err := tahoedyn.WindowedTrace(sc, q, tahoedyn.WindowOptions{Width: width, ByLoc: byLoc})
 	if err != nil {
 		return err
@@ -232,7 +189,7 @@ func printWindows(sc tahoedyn.TraceScanner, q tahoedyn.TraceQuery, width time.Du
 	return nil
 }
 
-func printQuantiles(sc tahoedyn.TraceScanner, q tahoedyn.TraceQuery, spec string) error {
+func printQuantiles(sc *tahoedyn.TraceStore, q tahoedyn.TraceQuery, spec string) error {
 	var probs []float64
 	for _, part := range strings.Split(spec, ",") {
 		p, err := strconv.ParseFloat(strings.TrimSpace(part), 64)

@@ -84,30 +84,36 @@ func queryOut(t *testing.T, args ...string) (string, int) {
 	return string(b), code
 }
 
-// A flat binary ("TOBS") trace, the format the chunked store replaced,
-// is no longer read: it falls through to the JSONL decoder, which must
-// turn it down with an error naming the formats that are accepted —
-// exit 1, not a panic.
+// A file that is not a TOBC store — a flat binary ("TOBS") trace, the
+// format the chunked store replaced; a JSON-lines trace; a file too
+// short to hold the magic — is refused with an error naming the format
+// that is accepted: exit 1, not a panic.
 func TestRejectsTOBSTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.tobs")
-	if err := os.WriteFile(path, []byte("TOBS\x01\x00\x01\x00\x00\x00\x00"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stderr.Close()
-	oldErr := os.Stderr
-	os.Stderr = stderr
-	_, code := queryOut(t, "-count", path)
-	os.Stderr = oldErr
-	msg, err := os.ReadFile(stderr.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 || !strings.Contains(string(msg), "not a TOBC store or JSONL trace") {
-		t.Errorf("tahoe-query -count over a TOBS file: exit %d, stderr %q; want exit 1 naming the TOBC store and JSONL formats", code, msg)
+	for name, body := range map[string]string{
+		"old.tobs":   "TOBS\x01\x00\x01\x00\x00\x00\x00",
+		"run.ndjson": "{\"v\":1}\n{\"t_ns\":1,\"type\":\"cwnd\",\"loc\":\"conn1\",\"conn\":1,\"val\":2}\n",
+		"two.bytes":  "TO",
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldErr := os.Stderr
+		os.Stderr = stderr
+		_, code := queryOut(t, "-count", path)
+		os.Stderr = oldErr
+		stderr.Close()
+		msg, err := os.ReadFile(stderr.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 1 || !strings.Contains(string(msg), `want "TOBC"`) {
+			t.Errorf("tahoe-query -count over %s: exit %d, stderr %q; want exit 1 naming the TOBC format", name, code, msg)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ package tahoedyn
 // sink sharing under the parallel runner (exercised by `go test -race`).
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -102,45 +101,6 @@ func TestObsIdentityAcrossShippedScenarios(t *testing.T) {
 					sink.Len(), samples.Load(), resObs.Metrics != nil)
 			}
 		})
-	}
-}
-
-// TestJSONLGoldenFixedPointOnFig45 runs the fig4-5 configuration with a
-// JSONL sink and pins the stream's schema validity: it decodes, and
-// re-encoding the decoded stream reproduces the bytes exactly.
-func TestJSONLGoldenFixedPointOnFig45(t *testing.T) {
-	cfg := Dumbbell(10*time.Millisecond, 20)
-	cfg.Conns = []ConnSpec{
-		{SrcHost: 0, DstHost: 1, Start: -1},
-		{SrcHost: 1, DstHost: 0, Start: -1},
-	}
-	cfg.Warmup = 20 * time.Second
-	cfg.Duration = 60 * time.Second
-	var stream bytes.Buffer
-	cfg.Obs = &ObsOptions{Trace: &TraceOptions{Sink: NewJSONLSink(&stream)}}
-	res, err := RunE(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TraceErr != nil {
-		t.Fatal(res.TraceErr)
-	}
-	if !strings.HasPrefix(stream.String(), "{\"v\":1}\n") {
-		t.Fatalf("stream missing version header: %.40q", stream.String())
-	}
-	locs, events, err := DecodeJSONLTrace(bytes.NewReader(stream.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("decoded no events")
-	}
-	var second bytes.Buffer
-	if err := EncodeJSONLTrace(&second, locs, events); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stream.Bytes(), second.Bytes()) {
-		t.Fatal("decode∘encode of the fig4-5 stream is not a fixed point")
 	}
 }
 
@@ -255,17 +215,14 @@ func TestRunManyEAggregatesErrors(t *testing.T) {
 	}
 }
 
-// TestSharedJSONLSinkUnderRunMany shares one JSONL sink across a
-// parallel RunMany. Under `go test -race` this pins the sink's
-// concurrency contract; in any mode it checks every line stayed intact
-// (concurrent runs may interleave lines but never split one).
-func TestSharedJSONLSinkUnderRunMany(t *testing.T) {
-	// A plain buffer is safe: the sink's own mutex serializes every
-	// access to the underlying writer (that is the contract under test).
-	var stream bytes.Buffer
-	sink := NewJSONLSink(&stream)
-	var cfgs []Config
-	for i := 0; i < 4; i++ {
+// TestSharedSinkUnderRunMany shares one MemorySink across a parallel
+// RunMany. Under `go test -race` this pins the sink contract for a
+// shared sink; in any mode the sink must end up holding exactly the
+// events of the same four runs traced alone, and must have seen each
+// run's Begin and Close.
+func TestSharedSinkUnderRunMany(t *testing.T) {
+	cfgs := make([]Config, 4)
+	for i := range cfgs {
 		cfg := Dumbbell(10*time.Millisecond, 20)
 		cfg.Seed = int64(i + 1)
 		cfg.Conns = []ConnSpec{
@@ -274,31 +231,58 @@ func TestSharedJSONLSinkUnderRunMany(t *testing.T) {
 		}
 		cfg.Warmup = 5 * time.Second
 		cfg.Duration = 25 * time.Second
-		cfg.Obs = &ObsOptions{Trace: &TraceOptions{Sink: sink, RingSize: 256}}
-		cfgs = append(cfgs, cfg)
+		cfgs[i] = cfg
 	}
-	results := RunMany(4, cfgs)
-	for i, res := range results {
+	// An event keyed by its location's name: the shared sink interns
+	// the names of four runs into one table, in whatever order they came.
+	type named struct {
+		loc string
+		ev  TraceEvent
+	}
+	want := map[named]int{}
+	for _, cfg := range cfgs {
+		alone := NewMemorySink()
+		cfg.Obs = &ObsOptions{Trace: &TraceOptions{Sink: alone, RingSize: 256}}
+		if res := Run(cfg); res.TraceErr != nil {
+			t.Fatal(res.TraceErr)
+		}
+		locs, events := alone.Snapshot()
+		for _, ev := range events {
+			name := locs[ev.Loc]
+			ev.Loc = 0
+			want[named{name, ev}]++
+		}
+	}
+
+	sink := NewMemorySink()
+	for i := range cfgs {
+		cfgs[i].Obs = &ObsOptions{Trace: &TraceOptions{Sink: sink, RingSize: 256}}
+	}
+	for i, res := range RunMany(4, cfgs) {
 		if res.TraceErr != nil {
 			t.Fatalf("run %d: TraceErr = %v", i, res.TraceErr)
 		}
 	}
-	lines := strings.Split(strings.TrimSuffix(stream.String(), "\n"), "\n")
-	if len(lines) < 1000 {
-		t.Fatalf("shared sink saw only %d lines", len(lines))
+	if begun, closed := sink.Lifecycle(); begun != len(cfgs) || closed != len(cfgs) {
+		t.Fatalf("shared sink saw %d Begin and %d Close calls, want %d of each", begun, closed, len(cfgs))
 	}
-	headers := 0
-	for _, line := range lines {
-		if line == "{\"v\":1}" {
-			headers++
-			continue
-		}
-		if !strings.HasPrefix(line, "{\"t_ns\":") || !strings.HasSuffix(line, "}") {
-			t.Fatalf("torn line: %q", line)
-		}
+	locs, events := sink.Snapshot()
+	if len(events) < 1000 {
+		t.Fatalf("shared sink saw only %d events", len(events))
 	}
-	if headers != len(cfgs) {
-		t.Fatalf("saw %d headers, want %d (one per run)", headers, len(cfgs))
+	for _, ev := range events {
+		name := locs[ev.Loc]
+		ev.Loc = 0
+		k := named{name, ev}
+		if want[k] == 0 {
+			t.Fatalf("shared sink holds %+v at %s, which no run traced alone (or traced fewer times)", ev, name)
+		}
+		want[k]--
+	}
+	for k, n := range want {
+		if n != 0 {
+			t.Fatalf("shared sink is missing %d of %+v at %s", n, k.ev, k.loc)
+		}
 	}
 }
 

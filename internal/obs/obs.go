@@ -16,10 +16,10 @@
 //     byte-identical to the same run with it off (the identity tests in
 //     core pin this).
 //
-// Event streams leave the process through pluggable Sinks: JSONL for
-// humans and jq, a compact versioned binary format for volume, and an
-// in-memory sink for tests. See DESIGN.md §10 for the event taxonomy
-// and the sink contract.
+// Event streams leave the tracer through pluggable Sinks: the chunked
+// trace store (internal/tstore) writes them to disk, where tahoe-query
+// reads them, and MemorySink keeps them in memory for tests. See
+// DESIGN.md §10 for the event taxonomy and the sink contract.
 package obs
 
 import (

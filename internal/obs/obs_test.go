@@ -11,20 +11,6 @@ import (
 	"tahoedyn/internal/packet"
 )
 
-// fixtureEvents is a small mixed stream: packet events on two locations
-// and value events on a third, covering both JSONL line shapes.
-func fixtureEvents() ([]string, []Event) {
-	locs := []string{"sw0->sw1", "sw1->sw0", "conn2"}
-	events := []Event{
-		{T: 1500 * time.Millisecond, Val: 3, ID: 42, Conn: 1, Seq: 7, Size: 500, Loc: 0, Type: Enqueue, Kind: packet.Data},
-		{T: 1580 * time.Millisecond, Val: 2, ID: 42, Conn: 1, Seq: 7, Size: 500, Loc: 0, Type: Transmit, Kind: packet.Data},
-		{T: 1600 * time.Millisecond, Val: 4, ID: 43, Conn: 2, Seq: 9, Size: 50, Loc: 1, Type: Drop, Kind: packet.Ack},
-		{T: 2 * time.Second, Val: 5.5, Conn: 2, Loc: 2, Type: CwndChange},
-		{T: 2500 * time.Millisecond, Val: 1, Conn: 2, Loc: 2, Type: Timeout},
-	}
-	return locs, events
-}
-
 func TestTypeNamesRoundTrip(t *testing.T) {
 	for typ := Type(0); typ < numTypes; typ++ {
 		got, err := ParseType(typ.String())
@@ -209,68 +195,6 @@ func TestNilInstrumentsNoOp(t *testing.T) {
 	}
 	if buf.String() != "{}\n" {
 		t.Fatalf("nil registry JSON = %q", buf.String())
-	}
-}
-
-// TestJSONLGolden pins the JSONL schema byte-for-byte: the header line
-// and one line of each shape (packet event, value event).
-func TestJSONLGolden(t *testing.T) {
-	locs, events := fixtureEvents()
-	var buf bytes.Buffer
-	if err := EncodeJSONL(&buf, locs, events); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"v":1}
-{"t_ns":1500000000,"type":"enqueue","loc":"sw0->sw1","conn":1,"val":3,"kind":"DATA","seq":7,"size":500,"id":42}
-{"t_ns":1580000000,"type":"transmit","loc":"sw0->sw1","conn":1,"val":2,"kind":"DATA","seq":7,"size":500,"id":42}
-{"t_ns":1600000000,"type":"drop","loc":"sw1->sw0","conn":2,"val":4,"kind":"ACK","seq":9,"size":50,"id":43}
-{"t_ns":2000000000,"type":"cwnd","loc":"conn2","conn":2,"val":5.5}
-{"t_ns":2500000000,"type":"timeout","loc":"conn2","conn":2,"val":1}
-`
-	if got := buf.String(); got != want {
-		t.Fatalf("JSONL stream changed:\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestJSONLFixedPoint pins Decode∘Encode as a fixed point: decoding the
-// canonical stream and re-encoding it reproduces the bytes exactly.
-func TestJSONLFixedPoint(t *testing.T) {
-	locs, events := fixtureEvents()
-	var first bytes.Buffer
-	if err := EncodeJSONL(&first, locs, events); err != nil {
-		t.Fatal(err)
-	}
-	gotLocs, gotEvents, err := DecodeJSONL(bytes.NewReader(first.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotLocs, locs) {
-		t.Fatalf("decoded locs = %v, want %v", gotLocs, locs)
-	}
-	if !reflect.DeepEqual(gotEvents, events) {
-		t.Fatalf("decoded events differ:\ngot  %+v\nwant %+v", gotEvents, events)
-	}
-	var second bytes.Buffer
-	if err := EncodeJSONL(&second, gotLocs, gotEvents); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("decode∘encode is not a fixed point")
-	}
-}
-
-func TestJSONLRejectsBadStreams(t *testing.T) {
-	cases := map[string]string{
-		"future version": "{\"v\":2}\n",
-		"missing header": "",
-		"bad header":     "not json\n",
-		"bad event":      "{\"v\":1}\n{\"t_ns\":1,\"type\":\"bogus\",\"loc\":\"x\",\"conn\":1,\"val\":0}\n",
-		"bad kind":       "{\"v\":1}\n{\"t_ns\":1,\"type\":\"drop\",\"loc\":\"x\",\"conn\":1,\"val\":0,\"kind\":\"NOPE\",\"seq\":1,\"size\":1,\"id\":1}\n",
-	}
-	for name, in := range cases {
-		if _, _, err := DecodeJSONL(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: decode did not error", name)
-		}
 	}
 }
 

@@ -250,3 +250,119 @@ func FuzzReceiver(f *testing.F) {
 		}
 	})
 }
+
+// lossyLink carries one direction of a connection. Before lossUntil
+// each packet's fate is the next fuzz byte: an odd byte drops it, an
+// even one delivers it after the base delay plus byte/2 × 10 ms, so
+// packets overtake one another. From lossUntil on every packet arrives
+// after the base delay, in the order sent.
+type lossyLink struct {
+	eng       *sim.Engine
+	to        func(*packet.Packet)
+	delay     time.Duration
+	lossUntil time.Duration
+	fate      []byte
+	next      *int // the fuzz byte for the next packet, shared by both directions
+}
+
+func (l *lossyLink) Send(p *packet.Packet) bool {
+	d := l.delay
+	if l.eng.Now() < l.lossUntil && len(l.fate) > 0 {
+		b := l.fate[*l.next%len(l.fate)]
+		*l.next++
+		if b&1 != 0 {
+			return true
+		}
+		d += time.Duration(b>>1) * 10 * time.Millisecond
+	}
+	l.eng.Schedule(d, func() { l.to(p) })
+	return true
+}
+
+// FuzzDeliveryAfterLoss runs a Tahoe sender and a receiver over a link
+// that drops and reorders packets, in both directions, as the fuzz bytes
+// say until a time T, and is lossless after. It holds the pair to the
+// recovery PAPER.md §2 promises — coarse-grained retransmission timer
+// with exponential backoff, go-back-N after a timeout, cumulative ACKs:
+//   - by T + B the receiver's cumulative point covers every sequence
+//     number the sender had sent by T;
+//   - once any timeout the losses called for has been taken, the point
+//     keeps advancing: it moves in every round trip.
+//
+// The bounds, with D the one-way delay and R = 2D + 200 ms a round trip
+// after T (the receiver holds a delayed ACK at most one fast tick):
+//   - a packet sent before T arrives by T + E, E = 1.27 s the longest
+//     extra delay, and what it sets off is back at the sender R later;
+//   - then the retransmission timer, armed whenever data is outstanding,
+//     fires within its 64 s clamp plus one 500 ms slow tick of the grid,
+//     and the segment it resends is answered a round trip later: by
+//     T + E + 2R + 64.5 s;
+//   - the timeout rewinds to snd_una and resends from there, so from
+//     then on every segment above snd_una was sent after T and arrives;
+//     snd_una moves at least one segment a round trip while the window
+//     recovers from one packet — the second property — and at most
+//     maxwnd segments were outstanding at T.
+//
+// So B = E + R + 64.5 s + maxwnd × R.
+//
+// Input: byte 0 turns the delayed-ACK option on (bit 0) and picks the
+// original increase rule (bit 1); byte 1 is maxwnd (1 to 40), byte 2 the
+// one-way delay (10 to 100 ms), byte 3 T (100 ms to 10 s). The rest are
+// the fates of the packets sent before T, in turn, cycled when they run
+// out; with none, nothing is lost.
+func FuzzDeliveryAfterLoss(f *testing.F) {
+	f.Add([]byte{0, 39, 20, 50})                                    // lossless, maxwnd 40
+	f.Add([]byte{0, 39, 20, 50, 0, 0, 0, 1, 0, 0, 0, 0})            // every eighth packet lost, ACKs too
+	f.Add([]byte{1, 20, 50, 99, 0, 1, 40, 1, 2, 1, 126, 0, 3})      // delayed ACKs, heavy loss and reordering
+	f.Add([]byte{2, 8, 10, 30, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0}) // near-total loss: timeouts back off
+	f.Add([]byte{0, 0, 90, 80, 254, 1, 0})                          // maxwnd 1, long holds
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		const maxExtra = 127 * 10 * time.Millisecond
+		maxWnd := 1 + int(data[1])%40
+		delay := time.Duration(10+int(data[2])%91) * time.Millisecond
+		lossUntil := time.Duration(1+int(data[3])%100) * 100 * time.Millisecond
+		rtt := 2*delay + FastTick
+		rto := rtoMaxTicks*SlowTick + SlowTick // the clamp, and the grid's slack
+		bound := maxExtra + rtt + rto + time.Duration(maxWnd)*rtt
+
+		eng := sim.New()
+		var next int
+		toRcv := &lossyLink{eng: eng, delay: delay, lossUntil: lossUntil, fate: data[4:], next: &next}
+		toSnd := &lossyLink{eng: eng, delay: delay, lossUntil: lossUntil, fate: data[4:], next: &next}
+		s := NewSender(eng, toRcv, &IDGen{}, SenderConfig{
+			Conn: 1, SrcHost: 1, DstHost: 2, DataSize: 500, MaxWnd: maxWnd,
+			OriginalIncrease: data[0]&2 != 0,
+		})
+		r := NewReceiver(eng, toSnd, &IDGen{}, ReceiverConfig{
+			Conn: 1, SrcHost: 2, DstHost: 1, AckSize: 40, DelayedAck: data[0]&1 != 0,
+		})
+		high := 0 // one past the highest sequence number sent before T
+		s.OnSend = func(p *packet.Packet) {
+			if eng.Now() < lossUntil {
+				high = max(high, p.Seq+1)
+			}
+		}
+		toRcv.to, toSnd.to = r.Handle, s.Handle
+		s.Start()
+
+		eng.RunUntil(lossUntil)
+		for r.RcvNxt() < high {
+			if eng.Now() > lossUntil+bound || !eng.Step() {
+				t.Fatalf("T %v, one-way delay %v, maxwnd %d: at %v the receiver expects %d, short of the %d segments sent by T (bound T + %v)",
+					lossUntil, delay, maxWnd, eng.Now(), r.RcvNxt(), high, bound)
+			}
+		}
+		eng.RunUntil(max(eng.Now(), lossUntil+maxExtra+2*rtt+rto))
+		for round := 0; round < 25; round++ {
+			from := r.RcvNxt()
+			eng.RunUntil(eng.Now() + rtt)
+			if r.RcvNxt() == from {
+				t.Fatalf("T %v, one-way delay %v, maxwnd %d: the receiver expects %d at %v and still at %v, a round trip later",
+					lossUntil, delay, maxWnd, from, eng.Now()-rtt, eng.Now())
+			}
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,10 +15,11 @@ import (
 )
 
 // FuzzNewStore throws arbitrary bytes at the chunked-store reader.
-// Whatever the input — truncated files, flipped header fields, corrupt
-// footers, hostile varints in the chunk index — NewStore must either
-// return an error or yield a store whose full Scan completes without
-// panicking. Allocation is bounded by the validated counts, so hostile
+// Input that does not begin with the magic, however short, must be
+// refused with an error naming the magic. Whatever else the input —
+// truncated files, flipped header fields, corrupt footers, hostile
+// varints in the chunk index — NewStore must either return an error or
+// yield a store whose full Scan completes without panicking. Allocation is bounded by the validated counts, so hostile
 // lengths must not OOM either.
 func FuzzNewStore(f *testing.F) {
 	// Seed with a small real store so the fuzzer starts from a valid
@@ -25,7 +27,7 @@ func FuzzNewStore(f *testing.F) {
 	locs, events := synthTrace(2000, 3, 2, 1)
 	_, b := buildStore(f, locs, events, 256)
 	f.Add(b)
-	for _, cut := range []int{0, 4, 11, 12, 40, len(b) / 2, len(b) - 13, len(b) - 1} {
+	for _, cut := range []int{0, 1, 2, 3, 4, 11, 12, 40, len(b) / 2, len(b) - 13, len(b) - 1} {
 		f.Add(b[:cut])
 	}
 	// One patched chunk, its patch list corrupted in place so that the
@@ -48,6 +50,13 @@ func FuzzNewStore(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := NewStore(bytes.NewReader(data), int64(len(data)))
+		if !bytes.HasPrefix(data, []byte(storeMagic)) {
+			// Not a store at all: refused by the magic, whatever the length.
+			if err == nil || !strings.Contains(err.Error(), `want "TOBC"`) {
+				t.Fatalf("%d bytes without the magic: error %v, want one naming \"TOBC\"", len(data), err)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}

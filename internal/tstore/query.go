@@ -95,8 +95,8 @@ type Scanner interface {
 	Locs() []string
 }
 
-// SliceSource adapts an in-memory trace (a MemorySink capture, a
-// decoded JSONL file) to the Scanner interface.
+// SliceSource adapts an in-memory trace (a MemorySink capture) to the
+// Scanner interface: the reference the Store's scans are tested against.
 type SliceSource struct {
 	LocTable []string
 	Events   []obs.Event

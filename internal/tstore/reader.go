@@ -62,15 +62,18 @@ func Open(path string) (*Store, error) {
 // NewStore opens a store over any random-access byte source of the
 // given size (a file, an mmap, a test buffer).
 func NewStore(r io.ReaderAt, size int64) (*Store, error) {
-	if size < headerSize+trailerSize {
-		return nil, fmt.Errorf("tstore: file too short (%d bytes) to be a store", size)
-	}
+	// The magic comes first, so that a file of another kind is refused
+	// by name whatever its length.
 	var hdr [headerSize]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
+	head := hdr[:min(max(size, 0), headerSize)]
+	if n, err := r.ReadAt(head, 0); n < len(head) {
 		return nil, fmt.Errorf("tstore: reading header: %w", err)
 	}
-	if string(hdr[:4]) != storeMagic {
-		return nil, fmt.Errorf("tstore: bad magic %q (want %q)", hdr[:4], storeMagic)
+	if magic := head[:min(len(head), len(storeMagic))]; string(magic) != storeMagic {
+		return nil, fmt.Errorf("tstore: bad magic %q (want %q)", magic, storeMagic)
+	}
+	if size < headerSize+trailerSize {
+		return nil, fmt.Errorf("tstore: file too short (%d bytes) to be a store", size)
 	}
 	version := int(binary.LittleEndian.Uint16(hdr[4:6]))
 	if version > storeVersion {

@@ -201,7 +201,7 @@ type (
 	TraceEvent = obs.Event
 	// TraceEventType enumerates the lifecycle stages (TraceEnqueue...).
 	TraceEventType = obs.Type
-	// TraceSink receives batches of trace events (JSONL, store, memory).
+	// TraceSink receives batches of trace events (a store, memory).
 	// A run calls it from a goroutine of its own, one call at a time, and
 	// never once RunE, Sim.RunUntil or Sim.Finish has returned.
 	TraceSink = obs.Sink
@@ -228,28 +228,12 @@ const (
 	TraceCwndChange = obs.CwndChange
 )
 
-// NewJSONLSink returns a sink writing one JSON object per event to w,
-// prefixed by a version header line. Safe for use by concurrent runs.
-func NewJSONLSink(w io.Writer) TraceSink { return obs.NewJSONLSink(w) }
-
 // NewMemorySink returns an in-memory sink, mainly for tests.
 func NewMemorySink() *obs.MemorySink { return obs.NewMemorySink() }
 
 // ParseTraceFilter parses the CLI filter syntax, e.g.
 // "conn=2,type=drop|timeout".
 func ParseTraceFilter(s string) (TraceFilter, error) { return obs.ParseFilter(s) }
-
-// EncodeJSONLTrace writes a complete single-run JSONL trace stream
-// (header plus events); the pure twin of NewJSONLSink.
-func EncodeJSONLTrace(w io.Writer, locs []string, events []TraceEvent) error {
-	return obs.EncodeJSONL(w, locs, events)
-}
-
-// DecodeJSONLTrace parses a JSONL trace stream back into its location
-// table and events, rejecting streams from a newer schema version.
-func DecodeJSONLTrace(r io.Reader) (locs []string, events []TraceEvent, err error) {
-	return obs.DecodeJSONL(r)
-}
 
 // Out-of-core trace store and invariant engine (internal/tstore): a
 // columnar, chunked on-disk format with an index that lets queries skip
@@ -266,11 +250,6 @@ type (
 	TraceStoreOptions = tstore.WriterOptions
 	// TraceQuery selects events: time window, conn/type filter, location.
 	TraceQuery = tstore.Query
-	// TraceScanner is a streaming event source queries run over: a
-	// *TraceStore, or a TraceSlice for in-memory traces.
-	TraceScanner = tstore.Scanner
-	// TraceSlice adapts an in-memory trace to the TraceScanner interface.
-	TraceSlice = tstore.SliceSource
 	// TraceChunkInfo is one store-index entry (extent, time/conn/loc
 	// ranges, type mask).
 	TraceChunkInfo = tstore.ChunkInfo
@@ -284,12 +263,9 @@ type (
 	// event index, location, and the offending event. It implements
 	// error and surfaces as Result.Invariant.
 	InvariantViolation = tstore.Violation
-	// InvariantChecker is the online engine: a TraceSink that verifies
-	// while forwarding to an optional inner sink.
-	InvariantChecker = tstore.Checker
 )
 
-// ErrStopScan, returned from a TraceScanner.Scan callback, ends the
+// ErrStopScan, returned from a TraceStore.Scan callback, ends the
 // scan early without error.
 var ErrStopScan = tstore.ErrStop
 
@@ -303,33 +279,27 @@ func NewTraceStoreSink(w io.Writer, o TraceStoreOptions) *TraceStoreWriter {
 // OpenTraceStore opens a stored trace for querying.
 func OpenTraceStore(path string) (*TraceStore, error) { return tstore.Open(path) }
 
-// NewInvariantChecker returns an online invariant checker forwarding to
-// inner (nil to only check). Config.Invariants wires one automatically.
-func NewInvariantChecker(inner TraceSink, o InvariantOptions) *InvariantChecker {
-	return tstore.NewChecker(inner, o)
-}
-
 // CheckTraceInvariants runs the invariant engine offline over a stored
-// or in-memory trace, returning the events checked and the first
-// violation (nil for a clean trace).
-func CheckTraceInvariants(sc TraceScanner, o InvariantOptions) (uint64, *InvariantViolation, error) {
+// trace, returning the events checked and the first violation (nil for
+// a clean trace).
+func CheckTraceInvariants(sc *TraceStore, o InvariantOptions) (uint64, *InvariantViolation, error) {
 	return tstore.Check(sc, o)
 }
 
 // CountTraceEvents counts the events matching q, answering from the
 // store index where possible.
-func CountTraceEvents(sc TraceScanner, q TraceQuery) (uint64, error) { return tstore.Count(sc, q) }
+func CountTraceEvents(sc *TraceStore, q TraceQuery) (uint64, error) { return tstore.Count(sc, q) }
 
 // WindowedTrace aggregates the events matching q into fixed-width time
 // windows, optionally grouped per location — per-link throughput and
 // queue statistics over time.
-func WindowedTrace(sc TraceScanner, q TraceQuery, o WindowOptions) (map[string][]WindowStat, error) {
+func WindowedTrace(sc *TraceStore, q TraceQuery, o WindowOptions) (map[string][]WindowStat, error) {
 	return tstore.Windowed(sc, q, o)
 }
 
 // TraceQuantiles estimates quantiles of the Val field over the events
 // matching q (exact up to 65536 samples, streaming P² beyond).
-func TraceQuantiles(sc TraceScanner, q TraceQuery, probs []float64) ([]float64, uint64, error) {
+func TraceQuantiles(sc *TraceStore, q TraceQuery, probs []float64) ([]float64, uint64, error) {
 	return tstore.Quantiles(sc, q, probs)
 }
 
