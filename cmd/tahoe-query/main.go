@@ -13,9 +13,12 @@
 //	tahoe-query -quantiles 0.5,0.9,0.99 -filter type=drop run.tobc
 //	tahoe-query -check run.tobc                  # offline invariant pass
 //
-// The -from/-to/-filter/-loc selectors compose with every operation.
-// -count prints a bare number (script-friendly); -check exits 1 when
-// an invariant is violated, naming the offending event.
+// The -from/-to/-filter/-loc selectors compose with -count, -events,
+// -window and -quantiles. -info and -check describe and check the whole
+// store: given a selector they refuse it and exit 2. -count prints a
+// bare number (script-friendly); -check exits 1 when an invariant is
+// violated, naming the offending event. -info's summary includes the
+// payload bytes of each column and how the chunks encode it.
 package main
 
 import (
@@ -36,7 +39,7 @@ func main() {
 
 func run() int {
 	var (
-		info      = flag.Bool("info", false, "print a store summary: format version, events, chunks, time span, payload bytes, locations (the default operation)")
+		info      = flag.Bool("info", false, "print a store summary: format version, events, chunks, time span, payload bytes in all and per column with each column's encodings, locations (the default operation)")
 		count     = flag.Bool("count", false, "print the number of matching events (answered from the store index where it can)")
 		events    = flag.Bool("events", false, "print matching events, one per line")
 		limit     = flag.Int("limit", 0, "with -events: stop after this many events (0 = all)")
@@ -64,13 +67,6 @@ func run() int {
 	}
 	q := tahoedyn.TraceQuery{From: *from, To: *to, Filter: flt, Loc: *loc}
 
-	sc, err := tahoedyn.OpenTraceStore(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tahoe-query:", err)
-		return 1
-	}
-	defer sc.Close()
-
 	nOps := 0
 	for _, on := range []bool{*info, *count, *events, *window != 0, *quantiles != "", *check} {
 		if on {
@@ -81,6 +77,36 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tahoe-query: pick one operation (-info, -count, -events, -window, -quantiles, or -check)")
 		return 2
 	}
+	// -check and -info (the default) read the whole store.
+	op := ""
+	switch {
+	case *check:
+		op = "-check"
+	case *info || nOps == 0:
+		op = "-info"
+	}
+	if op != "" {
+		var selector string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "from", "to", "filter", "loc":
+				if selector == "" {
+					selector = f.Name
+				}
+			}
+		})
+		if selector != "" {
+			fmt.Fprintf(os.Stderr, "tahoe-query: -%s does not apply to %s, which reads the whole store; drop it, or select with -count, -events, -window or -quantiles\n", selector, op)
+			return 2
+		}
+	}
+
+	sc, err := tahoedyn.OpenTraceStore(path)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tahoe-query:", err)
+		return 1
+	}
+	defer sc.Close()
 
 	switch {
 	case *count:
@@ -118,12 +144,19 @@ func run() int {
 		}
 		fmt.Printf("invariants: clean (%d events checked)\n", n)
 	default:
-		printInfo(sc, path)
+		if err := printInfo(sc, path); err != nil {
+			fmt.Fprintln(os.Stderr, "tahoe-query:", err)
+			return 1
+		}
 	}
 	return 0
 }
 
-func printInfo(store *tahoedyn.TraceStore, path string) {
+// printInfo prints the store summary: the header fields, the span, the
+// payload bytes, then per column its bytes and how many chunks encode
+// it each way — the event-count varints of the chunks first, so that
+// the column lines add up to the payload bytes.
+func printInfo(store *tahoedyn.TraceStore, path string) error {
 	chunks := store.Chunks()
 	fmt.Printf("%s: chunked trace store (format v%d), %d events in %d chunks of ≤ %d events\n",
 		path, store.Version(), store.TotalEvents(), len(chunks), store.ChunkEvents())
@@ -135,11 +168,26 @@ func printInfo(store *tahoedyn.TraceStore, path string) {
 			bytes += chunks[i].Size
 			minT, maxT = min(minT, chunks[i].MinT), max(maxT, chunks[i].MaxT)
 		}
+		perEvent := func(b int64) float64 { return float64(b) / float64(store.TotalEvents()) }
 		fmt.Printf("  span %v .. %v\n", minT, maxT)
-		fmt.Printf("  %d payload bytes (%.1f B/event)\n",
-			bytes, float64(bytes)/float64(store.TotalEvents()))
+		fmt.Printf("  %d payload bytes (%.1f B/event)\n", bytes, perEvent(bytes))
+		layout, err := store.Layout()
+		if err != nil {
+			return err
+		}
+		fmt.Printf("  column %-5s %10d B %6.2f B/event  varint %d\n", "count", layout.CountBytes, perEvent(layout.CountBytes), len(chunks))
+		for _, col := range layout.Columns {
+			var mix []string
+			for enc, n := range col.Chunks {
+				if n > 0 {
+					mix = append(mix, fmt.Sprintf("%v %d", tahoedyn.TraceEncoding(enc), n))
+				}
+			}
+			fmt.Printf("  column %-5s %10d B %6.2f B/event  %s\n", col.Name, col.Bytes, perEvent(col.Bytes), strings.Join(mix, ", "))
+		}
 	}
 	fmt.Printf("  %d locations\n", len(store.Locs()))
+	return nil
 }
 
 func printEvents(sc *tahoedyn.TraceStore, q tahoedyn.TraceQuery, limit int) error {

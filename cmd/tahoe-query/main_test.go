@@ -5,6 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,29 +28,12 @@ func query(t *testing.T, args ...string) int {
 // overflowed. Both must be reported and exit 1; a window that fits the
 // span still works.
 func TestWindowOverHostileStoreExitsOne(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hostile.tobc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := tahoedyn.NewTraceStoreSink(f, tahoedyn.TraceStoreOptions{})
 	events := make([]tahoedyn.TraceEvent, 100)
 	for i := range events {
 		events[i] = tahoedyn.TraceEvent{T: time.Duration(i) * time.Millisecond, Type: tahoedyn.TraceTransmit, Size: 500, ID: uint64(i)}
 	}
 	events[99].T = time.Duration(math.MaxInt64 / 2)
-	if err := w.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Events([]string{"sw0->sw1"}, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeStore(t, 0, events)
 
 	if code := query(t, "-count", path); code != 0 {
 		t.Fatalf("-count exited %d, want 0", code)
@@ -84,6 +69,76 @@ func queryOut(t *testing.T, args ...string) (string, int) {
 	return string(b), code
 }
 
+// queryErr is queryOut with standard error returned instead.
+func queryErr(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	oldErr := os.Stderr
+	os.Stderr = stderr
+	_, code := queryOut(t, args...)
+	os.Stderr = oldErr
+	msg, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(msg), code
+}
+
+// writeStore writes events at one location, "sw0->sw1", as a store of
+// chunkEvents events a chunk and returns its path.
+func writeStore(t *testing.T, chunkEvents int, events []tahoedyn.TraceEvent) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.tobc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := tahoedyn.NewTraceStoreSink(f, tahoedyn.TraceStoreOptions{ChunkEvents: chunkEvents})
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Events([]string{"sw0->sw1"}, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// -check and -info read the whole store. Given a selector they used to
+// ignore it — "-check -filter type=drop" printed every event of the
+// store as checked and exited 0 — so they refuse it: exit 2, naming the
+// flag. The operations that select still take it.
+func TestWholeStoreOperationsRefuseSelectors(t *testing.T) {
+	path := writeStore(t, 0, []tahoedyn.TraceEvent{
+		{T: 1 * time.Second, Type: tahoedyn.TraceEnqueue, Size: 500, ID: 1, Val: 1},
+		{T: 2 * time.Second, Type: tahoedyn.TraceDequeue, Size: 500, ID: 1, Val: 1},
+	})
+	for _, op := range [][]string{{"-check"}, {"-info"}, {}} {
+		for _, sel := range [][]string{{"-filter", "type=drop"}, {"-from", "600s"}, {"-to", "1s"}, {"-loc", "sw0->sw1"}} {
+			args := slices.Concat(op, sel, []string{path})
+			msg, code := queryErr(t, args...)
+			if code != 2 || !strings.Contains(msg, sel[0]+" does not apply") {
+				t.Errorf("tahoe-query %v: exit %d, stderr %q; want exit 2 naming %s", args, code, msg, sel[0])
+			}
+		}
+	}
+	if got, code := queryOut(t, "-count", "-filter", "type=enqueue", "-from", "1s", path); code != 0 || got != "1\n" {
+		t.Errorf("-count with selectors: exit %d, printed %q; want 0 and 1", code, got)
+	}
+	if got, code := queryOut(t, "-check", path); code != 0 || got != "invariants: clean (2 events checked)\n" {
+		t.Errorf("-check alone: exit %d, printed %q", code, got)
+	}
+}
+
 // A file that is not a TOBC store — a flat binary ("TOBS") trace, the
 // format the chunked store replaced; a JSON-lines trace; a file too
 // short to hold the magic — is refused with an error naming the format
@@ -98,20 +153,8 @@ func TestRejectsTOBSTrace(t *testing.T) {
 		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldErr := os.Stderr
-		os.Stderr = stderr
-		_, code := queryOut(t, "-count", path)
-		os.Stderr = oldErr
-		stderr.Close()
-		msg, err := os.ReadFile(stderr.Name())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code != 1 || !strings.Contains(string(msg), `want "TOBC"`) {
+		msg, code := queryErr(t, "-count", path)
+		if code != 1 || !strings.Contains(msg, `want "TOBC"`) {
 			t.Errorf("tahoe-query -count over %s: exit %d, stderr %q; want exit 1 naming the TOBC format", name, code, msg)
 		}
 	}
@@ -120,38 +163,70 @@ func TestRejectsTOBSTrace(t *testing.T) {
 // Chunks of a store need not be in time order — an offline ingest may
 // write a later stretch first — so -info takes the span over the whole
 // index, not from the first and last entries. Its first line also names
-// the format version and the chunk capacity the store was written with.
+// the format version and the chunk capacity the store was written with,
+// and one line per column gives its bytes and encodings.
 func TestInfoOverStoreWrittenInReverseTimeOrder(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "reverse.tobc")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := tahoedyn.NewTraceStoreSink(f, tahoedyn.TraceStoreOptions{ChunkEvents: 2})
-	if err := w.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	events := []tahoedyn.TraceEvent{
+	path := writeStore(t, 2, []tahoedyn.TraceEvent{
 		{T: 7 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 3},
 		{T: 9 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 4},
 		{T: 1 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 1},
 		{T: 2 * time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 2},
-	}
-	if err := w.Events([]string{"sw0->sw1"}, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	})
 	got, code := queryOut(t, "-info", path)
-	want := path + ": chunked trace store (format v2), 4 events in 2 chunks of ≤ 2 events\n" +
+	want := path + ": chunked trace store (format v3), 4 events in 2 chunks of ≤ 2 events\n" +
 		"  span 1s .. 9s\n" +
-		"  68 payload bytes (17.0 B/event)\n" +
+		"  64 payload bytes (16.0 B/event)\n" +
+		"  column count          2 B   0.50 B/event  varint 2\n" +
+		"  column t             20 B   5.00 B/event  varint 2\n" +
+		"  column type           4 B   1.00 B/event  packed 2\n" +
+		"  column kind           2 B   0.50 B/event  packed 2\n" +
+		"  column loc            4 B   1.00 B/event  packed 2\n" +
+		"  column conn           4 B   1.00 B/event  packed 2\n" +
+		"  column seq            6 B   1.50 B/event  packed 2\n" +
+		"  column size           6 B   1.50 B/event  packed 2\n" +
+		"  column id             8 B   2.00 B/event  packed 2\n" +
+		"  column val            8 B   2.00 B/event  packed 2\n" +
 		"  1 locations\n"
 	if code != 0 || got != want {
 		t.Errorf("tahoe-query -info: exit %d, printed %q, want %q", code, got, want)
+	}
+}
+
+// -info over the committed format-v2 store: varint columns, one-byte type
+// and kind columns, and all three value-column tags — and, as over any
+// store, column lines that add up to the payload bytes.
+func TestInfoOverV2Fixture(t *testing.T) {
+	path := "../../internal/tstore/testdata/v2-synth.tobc"
+	got, code := queryOut(t, path)
+	want := path + ": chunked trace store (format v2), 2000 events in 8 chunks of ≤ 256 events\n" +
+		"  span 81µs .. 760.749ms\n" +
+		"  28050 payload bytes (14.0 B/event)\n" +
+		"  column count         16 B   0.01 B/event  varint 8\n" +
+		"  column t           4924 B   2.46 B/event  varint 8\n" +
+		"  column type        2000 B   1.00 B/event  raw 8\n" +
+		"  column kind        2000 B   1.00 B/event  raw 8\n" +
+		"  column loc         2032 B   1.02 B/event  varint 8\n" +
+		"  column conn        2040 B   1.02 B/event  varint 8\n" +
+		"  column seq         3520 B   1.76 B/event  varint 8\n" +
+		"  column size        3862 B   1.93 B/event  varint 8\n" +
+		"  column id          3328 B   1.66 B/event  varint 8\n" +
+		"  column val         4328 B   2.16 B/event  varint 1, patched 6, raw 1\n" +
+		"  3 locations\n"
+	if code != 0 || got != want {
+		t.Errorf("tahoe-query %s: exit %d, printed %q, want %q", path, code, got, want)
+	}
+	var payload, columns int
+	for _, line := range strings.Split(got, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) > 2 && f[0] == "column":
+			n, _ := strconv.Atoi(f[2])
+			columns += n
+		case len(f) > 2 && f[1] == "payload":
+			payload, _ = strconv.Atoi(f[0])
+		}
+	}
+	if payload == 0 || columns != payload {
+		t.Errorf("column lines add up to %d bytes, payload %d", columns, payload)
 	}
 }

@@ -70,8 +70,9 @@ func tracedInto(cfg core.Config, ring int) (core.Config, *bytes.Buffer, *tstore.
 // TestStoredTraceBytesPinned is the whole-run pin of the hand-off: the
 // SHA-256 of the TOBC store of two RED scenarios, invariants on. The
 // digests were first taken on 018fb50, where the tracer called its sink
-// synchronously from the simulation's goroutine, and moved once, with
-// the store's format v2 (same events, a shorter value column); they must
+// synchronously from the simulation's goroutine, and moved twice, with
+// the store's format v2 (same events, a shorter value column) and v3
+// (same events, every column but time bit-packed); they must
 // come out at every ring size, with one processor and with four, on a
 // fresh and on a reused arena.
 func TestStoredTraceBytesPinned(t *testing.T) {
@@ -83,8 +84,8 @@ func TestStoredTraceBytesPinned(t *testing.T) {
 		name, json, sha string
 		events          uint64
 	}{
-		{"red-twoway", string(shipped), "be74e20dcafdc2469d547ca24bc2ecb699a67cc8512f309d157a81e6f2d66ce8", 139357},
-		{"traced-red-shape", tracedREDShape, "6630096ecea99934f2238d5539cf2a1fe9d4abd5bc4ebfb11bfb966870184c75", 25248},
+		{"red-twoway", string(shipped), "a278e3f0a118161a3c5660ae8c7872ead591b9aa06356edc52584caed5db1cb1", 139357},
+		{"traced-red-shape", tracedREDShape, "c84b8640a02139efcfe301b700221310f3530f19a9b3afd72f8079f6938149a0", 25248},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			cfg := parseScenario(t, sc.json)

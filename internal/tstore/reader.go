@@ -178,7 +178,8 @@ func (s *Store) Chunks() []ChunkInfo { return s.index }
 func (s *Store) TotalEvents() uint64 { return s.total }
 
 // Version returns the format version the store was written in (the
-// header field): 1 for stores without patched value columns, 2 since.
+// header field): 1 for stores without patched value columns, 2 for
+// varint columns with patched values, 3 for bit-packed columns.
 func (s *Store) Version() int { return s.version }
 
 // ChunkEvents returns the chunk capacity the store was written with
@@ -292,6 +293,24 @@ func (s *Store) putScratch(sc *scratch) {
 // (see decodeChunk, which also explains types). The events are valid
 // until sc is next used.
 func (s *Store) readChunk(c *ChunkInfo, sc *scratch, cols colSet, types uint32) ([]obs.Event, error) {
+	payload, err := s.readPayload(c, sc)
+	if err != nil {
+		return nil, err
+	}
+	events, n, err := decodeChunk(payload, sc.events, s.version, len(s.locs), cols, types)
+	if err != nil {
+		return nil, err
+	}
+	sc.events = events[:cap(events)]
+	if n != c.Count {
+		return nil, fmt.Errorf("tstore: chunk at %d holds %d events, index says %d", c.Offset, n, c.Count)
+	}
+	return events, nil
+}
+
+// readPayload reads one chunk's payload into sc and checks its length
+// word against the index.
+func (s *Store) readPayload(c *ChunkInfo, sc *scratch) ([]byte, error) {
 	if need := int(c.Size) + 4; cap(sc.payload) < need {
 		sc.payload = make([]byte, max(need, 2*cap(sc.payload)))
 	}
@@ -302,13 +321,55 @@ func (s *Store) readChunk(c *ChunkInfo, sc *scratch, cols colSet, types uint32) 
 	if got := int64(binary.LittleEndian.Uint32(payload[:4])); got != c.Size {
 		return nil, fmt.Errorf("tstore: chunk at %d declares %d payload bytes, index says %d", c.Offset, got, c.Size)
 	}
-	events, n, err := decodeChunk(payload[4:], sc.events, len(s.locs), cols, types)
-	if err != nil {
-		return nil, err
+	return payload[4:], nil
+}
+
+// Layout is where a store's chunk payload bytes go: each chunk's event
+// count, and per column its bytes and how many chunks store it which
+// way. CountBytes plus every column's Bytes is the payload total.
+type Layout struct {
+	CountBytes int64
+	Columns    [numColumns]ColumnLayout
+}
+
+// ColumnLayout is one column's share of a store's payload.
+type ColumnLayout struct {
+	// Name is the column's: t, type, kind, loc, conn, seq, size, id, val.
+	Name  string
+	Bytes int64
+	// Chunks counts the chunks storing the column each way, indexed by
+	// Encoding.
+	Chunks [numEncodings]int
+}
+
+// Layout walks every chunk's column boundaries — reading each payload,
+// stepping over every column with its structure checked, materializing
+// no event — and reports where the payload bytes go.
+func (s *Store) Layout() (Layout, error) {
+	var l Layout
+	for i := range l.Columns {
+		l.Columns[i].Name = columnNames[i]
 	}
-	sc.events = events[:cap(events)]
-	if n != c.Count {
-		return nil, fmt.Errorf("tstore: chunk at %d holds %d events, index says %d", c.Offset, n, c.Count)
+	sc := s.getScratch()
+	defer s.putScratch(sc)
+	for i := range s.index {
+		c := &s.index[i]
+		payload, err := s.readPayload(c, sc)
+		if err != nil {
+			return l, err
+		}
+		var sp chunkSpans
+		d := &decoder{b: payload, spans: &sp}
+		events, _, err := d.chunk(sc.events, s.version, len(s.locs), 0, 0)
+		if err != nil {
+			return l, fmt.Errorf("tstore: chunk at %d: %w", c.Offset, err)
+		}
+		sc.events = events[:cap(events)]
+		l.CountBytes += int64(sp.count)
+		for j, col := range sp.cols {
+			l.Columns[j].Bytes += int64(col.bytes)
+			l.Columns[j].Chunks[col.enc]++
+		}
 	}
-	return events, nil
+	return l, nil
 }

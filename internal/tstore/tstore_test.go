@@ -864,25 +864,27 @@ func TestStoreRejectsCorruption(t *testing.T) {
 	})
 }
 
-// valueTag encodes events as one chunk and returns the payload with its
-// value-column tag. The value column is the payload's last, and every
-// column before it is the same whatever the values, so the tag sits
-// where an all-zero copy of the chunk ends its n one-byte varints.
-func valueTag(events []obs.Event) ([]byte, byte) {
-	zero := slices.Clone(events)
-	for i := range zero {
-		zero[i].Val = 0
-	}
-	z, _ := encodeChunk(nil, zero, new(codeTable))
+// valueEncoding encodes events as one chunk and returns the payload with
+// its value column's encoding.
+func valueEncoding(events []obs.Event) ([]byte, Encoding) {
 	payload, _ := encodeChunk(nil, events, new(codeTable))
-	return payload, payload[len(z)-1-len(events)]
+	return payload, chunkLayout(payload, storeVersion).cols[numColumns-1].enc
+}
+
+// chunkLayout walks a valid payload's column boundaries.
+func chunkLayout(payload []byte, version int) chunkSpans {
+	var sp chunkSpans
+	if _, _, err := (&decoder{b: payload, spans: &sp}).chunk(nil, version, -1, 0, 0); err != nil {
+		panic(err)
+	}
+	return sp
 }
 
 // TestPatchedValueColumn writes chunks of integer values with a few
-// exceptions — values a varint cannot carry — and reads them back bit
-// for bit, through the decoder, through the reference decoder, and past
-// a projection that steps over the patch list. A chunk of exceptions
-// only is cheaper raw, and is written raw.
+// exceptions — values the integer column cannot carry — and reads them
+// back bit for bit, through the decoder, through the reference decoder,
+// and past a projection that steps over the patch list. A chunk of
+// exceptions only is cheaper raw, and is written raw.
 func TestPatchedValueColumn(t *testing.T) {
 	chunk := func(n int, exc map[int]float64) []obs.Event {
 		events := make([]obs.Event, n)
@@ -901,34 +903,34 @@ func TestPatchedValueColumn(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		events []obs.Event
-		tag    byte
+		enc    Encoding
 	}{
-		{"integers", chunk(64, nil), valTagInt},
+		{"integers", chunk(64, nil), EncPacked},
 		{"specials", chunk(64, map[int]float64{
 			3:  math.Float64frombits(0x7ff8_0000_dead_beef), // NaN with a payload
 			7:  math.Copysign(0, -1),
 			9:  math.Inf(1),
 			20: math.Inf(-1),
-			21: 1 << 52, // ±2⁵² are integers: varints
+			21: 1 << 52, // ±2⁵² are integers, but far outside the others' width
 			22: -(1 << 52),
 			30: 1<<52 + 1,
 			40: math.SmallestNonzeroFloat64,
-		}), valTagPatched},
-		{"first-and-last", chunk(100, map[int]float64{0: 0.5, 99: -1.25}), valTagPatched},
-		{"adjacent", chunk(100, map[int]float64{10: 0.1, 11: 0.2, 12: 0.3}), valTagPatched},
-		{"one-in-4096", chunk(4096, map[int]float64{2047: 6.125}), valTagPatched},
-		{"all-exceptions", allFractional, valTagRaw},
+		}), EncPatched},
+		{"first-and-last", chunk(100, map[int]float64{0: 0.5, 99: -1.25}), EncPatched},
+		{"adjacent", chunk(100, map[int]float64{10: 0.1, 11: 0.2, 12: 0.3}), EncPatched},
+		{"one-in-4096", chunk(4096, map[int]float64{2047: 6.125}), EncPatched},
+		{"all-exceptions", allFractional, EncRaw},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			payload, tag := valueTag(tc.events)
-			if tag != tc.tag {
-				t.Fatalf("value-column tag %d, want %d", tag, tc.tag)
+			payload, enc := valueEncoding(tc.events)
+			if enc != tc.enc {
+				t.Fatalf("value column %v, want %v", enc, tc.enc)
 			}
-			got, _, err := decodeChunk(payload, nil, -1, colAll, 0)
+			got, _, err := decodeChunk(payload, nil, storeVersion, -1, colAll, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := referenceDecodeChunk(payload, -1)
+			ref, err := referenceDecodeChunk(payload, storeVersion, -1)
 			if err != nil {
 				t.Fatalf("reference decoder: %v", err)
 			}
@@ -937,17 +939,17 @@ func TestPatchedValueColumn(t *testing.T) {
 					t.Fatalf("event %d: decoded %+v, reference %+v, written %+v", i, got[i], ref[i], want)
 				}
 			}
-			if _, _, err := decodeChunk(payload, nil, -1, colAll&^colVal, 0); err != nil {
+			if _, _, err := decodeChunk(payload, nil, storeVersion, -1, colAll&^colVal, 0); err != nil {
 				t.Fatalf("decode without values: %v", err)
 			}
 		})
 	}
-	// One exception in 4 096 costs its nine bytes and one for the count,
-	// not 8 bytes a value.
-	ints, _ := valueTag(chunk(4096, nil))
-	patched, _ := valueTag(chunk(4096, map[int]float64{2047: 6.125}))
-	if extra := len(patched) - len(ints); extra != 1+2+8 {
-		t.Errorf("one exception in 4096 adds %d bytes, want 11", extra)
+	// One exception in 4 096 costs its index gap and raw bits, ten bytes
+	// (the patch count is there either way), not 8 bytes a value.
+	ints, _ := valueEncoding(chunk(4096, nil))
+	patched, _ := valueEncoding(chunk(4096, map[int]float64{2047: 6.125}))
+	if extra := len(patched) - len(ints); extra != 2+8 {
+		t.Errorf("one exception in 4096 adds %d bytes, want 10", extra)
 	}
 }
 
@@ -957,11 +959,11 @@ func TestPatchedValueColumn(t *testing.T) {
 func TestPatchListRejectsMalformed(t *testing.T) {
 	for name, payload := range malformedPatchLists() {
 		for _, cols := range []colSet{colAll, colT} {
-			if _, _, err := decodeChunk(payload, nil, -1, cols, 0); err == nil {
+			if _, _, err := decodeChunk(payload, nil, storeVersion, -1, cols, 0); err == nil {
 				t.Errorf("%s: decode of cols %#x accepted it", name, cols)
 			}
 		}
-		if _, err := referenceDecodeChunk(payload, -1); err == nil {
+		if _, err := referenceDecodeChunk(payload, storeVersion, -1); err == nil {
 			t.Errorf("%s: reference decoder accepted it", name)
 		}
 	}
@@ -1034,25 +1036,25 @@ func TestWriterCapsChunkEvents(t *testing.T) {
 }
 
 // worstCaseEvent is event i of a trace built to encode as wide as the
-// format allows: time steps of ±2⁶³ ns, 2¹⁶ locations and a connection
-// id of its own for every event (three-byte dictionary codes, and a
-// connection dictionary as long as the chunk), 32-bit extremes for seq
-// and size, ids at the top of the range, fractional values (the raw
-// float column).
+// format allows: time steps of ±2⁶³ ns, 2¹⁶ locations (16-bit codes), a
+// connection id and a size of its own for every event (dictionaries as
+// long as the chunk, 20-bit codes), seqs over the whole 32-bit range and
+// ids over the whole 64-bit one (offsets as wide as the field), kinds
+// over a whole byte, fractional values (the raw float column).
 func worstCaseEvent(i int) obs.Event {
 	ev := obs.Event{
 		T:    1 << 62,
 		Type: obs.Type(i % int(obs.NumTypes)),
-		Kind: packet.Kind(i % 2),
+		Kind: packet.Kind(i),
 		Loc:  obs.Loc(i),
 		Conn: math.MinInt32 + int32(i)*4093,
-		Seq:  math.MinInt32,
-		Size: math.MaxInt32,
-		ID:   math.MaxUint64 - uint64(i%2),
+		Seq:  int32(uint32(i) * 2654435761),
+		Size: math.MaxInt32 - int32(i),
+		ID:   uint64(i) * 0x9e3779b97f4a7c15,
 		Val:  float64(i) + 0.5,
 	}
 	if i%2 == 1 {
-		ev.T, ev.Seq = -ev.T, math.MaxInt32
+		ev.T = -ev.T
 	}
 	return ev
 }

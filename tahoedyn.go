@@ -253,6 +253,9 @@ type (
 	// TraceChunkInfo is one store-index entry (extent, time/conn/loc
 	// ranges, type mask).
 	TraceChunkInfo = tstore.ChunkInfo
+	// TraceEncoding names how a chunk stores a column (varint, packed,
+	// patched, raw); TraceStore.Layout counts chunks by it.
+	TraceEncoding = tstore.Encoding
 	// WindowStat aggregates one time window of a windowed query.
 	WindowStat = tstore.WindowStat
 	// WindowOptions shapes a windowed aggregation (width, per-location).
