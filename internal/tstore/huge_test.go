@@ -2,8 +2,8 @@ package tstore
 
 // The PR's scale acceptance: a 10⁸-event synthetic trace streamed to
 // disk through the sink interface and queried back — windowed per-link
-// throughput and drop percentiles — in bounded memory. ~15 s of work
-// and ~1.5 GB of disk, so gated behind an environment variable:
+// throughput and drop percentiles — in bounded memory. ~10 s of work
+// and ~0.7 GB of disk, so gated behind an environment variable:
 //
 //	TAHOEDYN_HUGE_TRACE=1 go test ./internal/tstore -run TestHugeTrace -v
 
