@@ -157,7 +157,7 @@ func TestStoredTransmitsAreTheTrunkDepartures(t *testing.T) {
 		var want []departure
 		for _, d := range res.TrunkDeps[0][dir] {
 			if d.T >= from && d.T < to {
-				want = append(want, departure{d.T, d.Conn, d.Seq, d.Kind})
+				want = append(want, departure{d.T, d.Conn(), int(d.Seq), d.Kind()})
 			}
 		}
 		var got []departure

@@ -144,7 +144,10 @@ func TestFacadeRejectsOverflowAndLoops(t *testing.T) {
 }
 
 func TestFacadeAnalysisHelpers(t *testing.T) {
-	deps := []trace.Departure{{Conn: 1}, {Conn: 1}, {Conn: 2}, {Conn: 2}}
+	deps := []trace.Departure{
+		trace.NewDeparture(0, 1, packet.Data, 0), trace.NewDeparture(0, 1, packet.Data, 1),
+		trace.NewDeparture(0, 2, packet.Data, 0), trace.NewDeparture(0, 2, packet.Data, 1),
+	}
 	if got := Clustering(deps); got != 2.0/3 {
 		t.Fatalf("Clustering = %v, want 2/3", got)
 	}

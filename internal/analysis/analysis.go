@@ -136,18 +136,25 @@ func Clustering(deps []trace.Departure) float64 {
 	}
 	same := 0
 	for i := 1; i < len(deps); i++ {
-		if deps[i].Conn == deps[i-1].Conn {
+		if deps[i].Conn() == deps[i-1].Conn() {
 			same++
 		}
 	}
 	return float64(same) / float64(len(deps)-1)
 }
 
+// DeparturesFrom returns the departures at or after from. A port logs
+// its departures in nondecreasing time, so they are a suffix of deps,
+// which is returned without a copy.
+func DeparturesFrom(deps []trace.Departure, from time.Duration) []trace.Departure {
+	return deps[sort.Search(len(deps), func(i int) bool { return deps[i].T >= from }):]
+}
+
 // FilterDepartures returns the departures of the given kind.
 func FilterDepartures(deps []trace.Departure, kind packet.Kind) []trace.Departure {
 	var out []trace.Departure
 	for _, d := range deps {
-		if d.Kind == kind {
+		if d.Kind() == kind {
 			out = append(out, d)
 		}
 	}
@@ -162,7 +169,7 @@ func MeanRunLength(deps []trace.Departure) float64 {
 	}
 	runs := 1
 	for i := 1; i < len(deps); i++ {
-		if deps[i].Conn != deps[i-1].Conn {
+		if deps[i].Conn() != deps[i-1].Conn() {
 			runs++
 		}
 	}

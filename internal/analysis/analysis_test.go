@@ -167,7 +167,7 @@ func TestJainIndexBoundsProperty(t *testing.T) {
 func deps(conns ...int) []trace.Departure {
 	out := make([]trace.Departure, len(conns))
 	for i, c := range conns {
-		out[i] = trace.Departure{T: sec(float64(i)), Conn: c, Kind: packet.Data}
+		out[i] = trace.NewDeparture(sec(float64(i)), c, packet.Data, i)
 	}
 	return out
 }
@@ -198,13 +198,34 @@ func TestMeanRunLength(t *testing.T) {
 
 func TestFilterDepartures(t *testing.T) {
 	all := []trace.Departure{
-		{Conn: 1, Kind: packet.Data},
-		{Conn: 1, Kind: packet.Ack},
-		{Conn: 2, Kind: packet.Data},
+		trace.NewDeparture(0, 1, packet.Data, 0),
+		trace.NewDeparture(0, 1, packet.Ack, 0),
+		trace.NewDeparture(0, 2, packet.Data, 0),
 	}
 	data := FilterDepartures(all, packet.Data)
 	if len(data) != 2 {
 		t.Fatalf("filtered %d, want 2", len(data))
+	}
+}
+
+func TestDeparturesFrom(t *testing.T) {
+	log := deps(1, 2, 1, 2, 1) // at 0 s, 1 s, …, 4 s
+	log[2].T = log[1].T        // two departures at 1 s
+	for _, c := range []struct {
+		from time.Duration
+		want int
+	}{{-sec(1), 5}, {0, 5}, {sec(0.5), 4}, {sec(1), 4}, {sec(1.5), 2}, {sec(4), 1}, {sec(5), 0}} {
+		got := DeparturesFrom(log, c.from)
+		if len(got) != c.want {
+			t.Errorf("DeparturesFrom(%v): %d departures, want %d", c.from, len(got), c.want)
+			continue
+		}
+		if c.want > 0 && &got[0] != &log[len(log)-c.want] {
+			t.Errorf("DeparturesFrom(%v) is not a suffix of the log", c.from)
+		}
+	}
+	if got := DeparturesFrom(nil, 0); len(got) != 0 {
+		t.Errorf("DeparturesFrom(nil): %d departures", len(got))
 	}
 }
 

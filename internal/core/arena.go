@@ -20,7 +20,8 @@ import (
 // when tracing is on — the trace rings; an Arena keeps all of that warm
 // between runs, so an N-point sweep pays the allocation cost once per
 // worker instead of once per point. It keeps the log capacity of its
-// largest run (35 MB after a 10 000 sim-s dumbbell) until it is dropped.
+// largest run (30 MB after a 10 000 sim-s dumbbell, 8 MB of it departures)
+// until it is dropped.
 //
 // Ownership rule (DESIGN.md §11): a Result never references arena
 // memory; what escapes is copied at Finish, at its exact length. Engine

@@ -458,9 +458,8 @@ func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
 	}
 	res.TrunkDeps[li][dir] = logs.deps.take(clampReserve(2 * estPkts))
 	pt.OnDepart = func(p *packet.Packet) {
-		res.TrunkDeps[li][dir] = append(res.TrunkDeps[li][dir], trace.Departure{
-			T: eng.Now(), Conn: p.Conn, Kind: p.Kind, Seq: p.Seq,
-		})
+		res.TrunkDeps[li][dir] = append(res.TrunkDeps[li][dir],
+			trace.NewDeparture(eng.Now(), p.Conn, p.Kind, p.Seq))
 	}
 	logDrops(eng, &b.dropLogs[rg], pt)
 }

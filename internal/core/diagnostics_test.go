@@ -23,16 +23,6 @@ func dropsAfter(drops []trace.DropEvent, from time.Duration) []trace.DropEvent {
 	return out
 }
 
-func depsAfter(deps []trace.Departure, from time.Duration) []trace.Departure {
-	var out []trace.Departure
-	for _, d := range deps {
-		if d.T >= from {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 func probeTwoWay(t *testing.T, tau time.Duration, buffer int) *Result {
 	t.Helper()
 	cfg := DumbbellConfig(tau, buffer)
@@ -49,7 +39,7 @@ func probeTwoWay(t *testing.T, tau time.Duration, buffer int) *Result {
 	qmode, qr := analysis.Phase(res.Q1(), res.Q2(), cfg.Warmup, cfg.Duration, time.Second)
 	wmode, wr := analysis.Phase(res.Cwnd[0], res.Cwnd[1], cfg.Warmup, cfg.Duration, time.Second)
 	comp := analysis.AckCompression(res.AckArrivals[0], cfg.DataTxTime(), cfg.Warmup)
-	clus := analysis.Clustering(analysis.FilterDepartures(depsAfter(res.TrunkDeps[0][0], cfg.Warmup), packet.Data))
+	clus := analysis.Clustering(analysis.FilterDepartures(analysis.DeparturesFrom(res.TrunkDeps[0][0], cfg.Warmup), packet.Data))
 	t.Logf("tau=%v B=%d: utilF=%.3f utilR=%.3f", tau, buffer, res.UtilForward(), res.UtilReverse())
 	t.Logf("  epochs=%d singleEach=%d oneSided=%d altRate=%.2f dataFrac=%.4f",
 		pat.Epochs, pat.SingleEach, pat.OneSided, pat.AlternationRate(), pat.DataDropFraction())
@@ -135,6 +125,6 @@ func TestProbeOneWayLargePipe(t *testing.T) {
 		period := (epochs[len(epochs)-1].Start - epochs[0].Start) / time.Duration(len(epochs)-1)
 		t.Logf("  mean epoch period=%v", period.Round(time.Second))
 	}
-	clus := analysis.Clustering(analysis.FilterDepartures(depsAfter(res.TrunkDeps[0][0], cfg.Warmup), packet.Data))
+	clus := analysis.Clustering(analysis.FilterDepartures(analysis.DeparturesFrom(res.TrunkDeps[0][0], cfg.Warmup), packet.Data))
 	t.Logf("  clustering=%.3f", clus)
 }

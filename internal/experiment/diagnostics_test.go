@@ -24,7 +24,7 @@ func TestProbeDelayedAckMatrix(t *testing.T) {
 					cfg.Conns[i].MaxWnd = maxWnd
 				}
 				res := core.Run(cfg)
-				run := analysis.MeanRunLength(depsAfter(res.TrunkDeps[0][0], res.MeasureFrom))
+				run := analysis.MeanRunLength(analysis.DeparturesFrom(res.TrunkDeps[0][0], res.MeasureFrom))
 				comp := compression(res, 0)
 				t.Logf("tau=%v maxwnd=%d delayed=%v: allRun=%.1f comp=%.2f drops=%d util=%.2f",
 					tau, maxWnd, delayed, run, comp.CompressedFraction(),

@@ -31,7 +31,7 @@ func DelayedACKStudy(opts Options) *Outcome {
 	smallOff, smallDel, largeDel, largeOff := results[0], results[1], results[2], results[3]
 
 	runAt := func(res *core.Result) float64 {
-		return analysis.MeanRunLength(depsAfter(res.TrunkDeps[0][0], res.MeasureFrom))
+		return analysis.MeanRunLength(analysis.DeparturesFrom(res.TrunkDeps[0][0], res.MeasureFrom))
 	}
 	runSmallOff, runSmallDel := runAt(smallOff), runAt(smallDel)
 	runLargeOff, runLargeDel := runAt(largeOff), runAt(largeDel)

@@ -66,17 +66,6 @@ func dropsAfter(drops []trace.DropEvent, from time.Duration) []trace.DropEvent {
 	return out
 }
 
-// depsAfter filters departures to the measurement window.
-func depsAfter(deps []trace.Departure, from time.Duration) []trace.Departure {
-	var out []trace.Departure
-	for _, d := range deps {
-		if d.T >= from {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // measuredEpochs groups the run's post-warmup drops into congestion
 // epochs with the given gap.
 func measuredEpochs(res *core.Result, gap time.Duration) []analysis.Epoch {
@@ -87,7 +76,7 @@ func measuredEpochs(res *core.Result, gap time.Duration) []analysis.Epoch {
 // trunk direction over the measurement window.
 func dataClustering(res *core.Result, trunk, dir int) float64 {
 	return analysis.Clustering(analysis.FilterDepartures(
-		depsAfter(res.TrunkDeps[trunk][dir], res.MeasureFrom), packet.Data))
+		analysis.DeparturesFrom(res.TrunkDeps[trunk][dir], res.MeasureFrom), packet.Data))
 }
 
 // compression computes ACK-compression statistics at connection k's

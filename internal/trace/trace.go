@@ -213,9 +213,27 @@ type DropEvent struct {
 
 // Departure records one packet's last bit leaving a traced port, in
 // departure order — the raw material of the clustering analysis.
+//
+// A Departure is 16 bytes, since a measured run keeps one per packet per
+// trunk port: T, the sequence number as an int32 — int32(p.Seq), the
+// value the trace store holds for the same packet — and one uint32 with
+// the connection in its upper 31 bits and the kind in its lowest bit.
+// NewDeparture builds one; Conn and Kind read the shared word back.
 type Departure struct {
-	T    time.Duration
-	Conn int
-	Kind packet.Kind
-	Seq  int
+	T   time.Duration
+	Seq int32
+	ck  uint32
 }
+
+// NewDeparture returns the departure of connection conn's packet of the
+// given kind and sequence number at time t. conn must lie in
+// [0, 2³¹) and kind be Data or Ack; seq is kept as int32(seq).
+func NewDeparture(t time.Duration, conn int, kind packet.Kind, seq int) Departure {
+	return Departure{T: t, Seq: int32(seq), ck: uint32(conn)<<1 | uint32(kind&1)}
+}
+
+// Conn returns the departing packet's connection.
+func (d Departure) Conn() int { return int(d.ck >> 1) }
+
+// Kind returns whether the departing packet was data or an ACK.
+func (d Departure) Kind() packet.Kind { return packet.Kind(d.ck & 1) }

@@ -5,6 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
+
+	"tahoedyn/internal/packet"
 )
 
 func sec(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -207,5 +210,36 @@ func TestSampleMatchesAtProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDepartureLayout holds a Departure to 16 bytes and NewDeparture to
+// reading back what it was given, at the ends of each field's range. A
+// sequence number past 2³¹ reads back as int32(seq), which is what the
+// trace store holds for the same packet.
+func TestDepartureLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Departure{}); got != 16 {
+		t.Fatalf("a Departure is %d bytes, want 16", got)
+	}
+	const max31 = 1<<31 - 1
+	for _, c := range []struct {
+		conn, seq int
+		wantSeq   int32
+	}{
+		{1, 0, 0},
+		{max31, 0, 0},
+		{1, max31, max31},
+		{max31, max31, max31},
+		{2, 1<<31 + 5, int32(-1<<31 + 5)},
+		{3, 1<<32 + 7, 7},
+	} {
+		for _, kind := range []packet.Kind{packet.Data, packet.Ack} {
+			at := 3*time.Second + time.Nanosecond
+			d := NewDeparture(at, c.conn, kind, c.seq)
+			if d.T != at || d.Conn() != c.conn || d.Kind() != kind || d.Seq != c.wantSeq {
+				t.Errorf("NewDeparture(%v, %d, %v, %d) reads back T %v, conn %d, kind %v, seq %d; want seq %d",
+					at, c.conn, kind, c.seq, d.T, d.Conn(), d.Kind(), d.Seq, c.wantSeq)
+			}
+		}
 	}
 }

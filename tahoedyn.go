@@ -579,7 +579,9 @@ func AckCompression(arrivals []time.Duration, dataTx, from time.Duration) Compre
 }
 
 // Clustering is the fraction of adjacent same-connection pairs in a
-// departure sequence (1 = completely clustered, 0 = interleaved).
+// departure sequence (1 = completely clustered, 0 = interleaved), such
+// as a Result.TrunkDeps log; two departures are of the same connection
+// when their Conn() methods agree.
 func Clustering(deps []trace.Departure) float64 { return analysis.Clustering(deps) }
 
 // PlotASCII renders one or more series as a terminal plot, the paper's
