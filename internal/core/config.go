@@ -478,6 +478,17 @@ func (c *Config) normalize() error {
 	if c.TrunkBandwidth < 0 {
 		return fmt.Errorf("core: negative TrunkBandwidth %d", c.TrunkBandwidth)
 	}
+	for _, d := range [...]struct {
+		name string
+		v    time.Duration
+	}{
+		{"TrunkDelay", c.TrunkDelay}, {"AccessDelay", c.AccessDelay}, {"HostProcessing", c.HostProcessing},
+		{"StartSpread", c.StartSpread}, {"Warmup", c.Warmup}, {"Duration", c.Duration},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("core: negative %s %v", d.name, d.v)
+		}
+	}
 	if c.AccessBandwidth == 0 {
 		c.AccessBandwidth = DefaultAccessBandwidth
 	}

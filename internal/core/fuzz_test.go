@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 // FuzzParseLinkEvent feeds arbitrary text to the -event flag parser.
@@ -32,6 +33,38 @@ func FuzzParseLinkEvent(f *testing.F) {
 		}
 		if err := ev.Validate(ev.Link + 1); err != nil {
 			t.Fatalf("%q accepted as %+v, which Validate refuses: %v", text, ev, err)
+		}
+	})
+}
+
+// FuzzRunEParameters feeds a two-way dumbbell fuzzed delays, durations
+// and a buffer. RunE must refuse the Config with an error or return a
+// Result; it may not panic. Runs are capped at 5 simulated seconds so
+// that each input stays cheap.
+func FuzzRunEParameters(f *testing.F) {
+	const ms = int64(time.Millisecond)
+	// trunkDelay, accessDelay, hostProcessing, startSpread, warmup, duration, buffer
+	f.Add(10*ms, 0*ms, 0*ms, 1000*ms, 1000*ms, 5000*ms, 20)
+	f.Add(-1*ms, 0*ms, 0*ms, 0*ms, 0*ms, 5000*ms, 20)
+	f.Add(10*ms, -1*ms, 0*ms, 0*ms, 0*ms, 5000*ms, 20)
+	f.Add(10*ms, 0*ms, -1*ms, 0*ms, 0*ms, 5000*ms, 20)
+	f.Add(10*ms, 0*ms, 0*ms, -1*ms, 0*ms, 5000*ms, 20)
+	f.Add(10*ms, 0*ms, 0*ms, 0*ms, -1*ms, 5000*ms, 20)
+	f.Add(int64(math.MaxInt64), ms, ms, ms, 4999*ms, 5000*ms, -1)
+	f.Fuzz(func(t *testing.T, trunkDelay, accessDelay, hostProcessing, startSpread, warmup, duration int64, buffer int) {
+		if duration > 5*int64(time.Second) {
+			return
+		}
+		cfg := twoWay(time.Duration(trunkDelay))
+		cfg.AccessDelay = time.Duration(accessDelay)
+		cfg.HostProcessing = time.Duration(hostProcessing)
+		cfg.StartSpread = time.Duration(startSpread)
+		cfg.Warmup = time.Duration(warmup)
+		cfg.Duration = time.Duration(duration)
+		cfg.Buffer = buffer
+		res, err := RunE(cfg)
+		if err == nil && res == nil {
+			t.Fatal("RunE returned neither a Result nor an error")
 		}
 	})
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"tahoedyn/internal/packet"
+	"tahoedyn/internal/topology"
 )
 
 // oneWayConfig is the §3.1 configuration: three connections, all with
@@ -63,6 +65,44 @@ func TestNormalizeRejectsBadConns(t *testing.T) {
 			cfg.Conns = []ConnSpec{bad}
 			cfg.Normalize()
 		}()
+	}
+}
+
+// TestRunERejectsNegativeDurations holds RunE to its contract for the
+// duration fields of a Config: a negative one is an error that names the
+// field, not a panic in the engine or in the start-time draw.
+func TestRunERejectsNegativeDurations(t *testing.T) {
+	const neg = -time.Millisecond
+	for _, c := range []struct {
+		field string
+		edit  func(*Config)
+	}{
+		{"TrunkDelay", func(c *Config) { c.TrunkDelay = neg }},
+		{"AccessDelay", func(c *Config) { c.AccessDelay = neg }},
+		{"HostProcessing", func(c *Config) { c.HostProcessing = neg }},
+		{"StartSpread", func(c *Config) { c.StartSpread = neg }},
+		{"Warmup", func(c *Config) { c.Warmup = neg }},
+		{"Duration", func(c *Config) { c.Warmup, c.Duration = 0, neg }},
+		{"link 0: negative Delay", func(c *Config) {
+			g := topology.Dumbbell()
+			g.Links[0].Delay = neg
+			c.Topology = &g
+		}},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			cfg := twoWay(10 * time.Millisecond)
+			cfg.Warmup, cfg.Duration = time.Second, 5*time.Second
+			c.edit(&cfg)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("RunE panicked: %v", p)
+				}
+			}()
+			_, err := RunE(cfg)
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Fatalf("RunE error %v, want one naming %s", err, c.field)
+			}
+		})
 	}
 }
 

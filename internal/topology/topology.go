@@ -539,8 +539,11 @@ func (g Graph) Compile(def Defaults) (*Compiled, error) {
 	}
 	c.wt = make([]time.Duration, len(c.Links))
 	for li, l := range c.Links {
+		if l.Delay < 0 {
+			return nil, fmt.Errorf("topology: link %d: negative Delay %v", li, l.Delay)
+		}
 		tx := time.Duration(bits * int64(time.Second) / l.Bandwidth)
-		if l.Delay > maxDist-1-tx || l.Delay+tx < 0 {
+		if l.Delay > maxDist-1-tx {
 			return nil, fmt.Errorf("topology: link %d: delay %v plus transmission time %v is not a routing weight in [0, %v]", li, l.Delay, tx, maxDist-1)
 		}
 		c.wt[li] = l.Delay + tx
