@@ -87,6 +87,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tahoe-sweep:", err)
 		return 2
 	}
+	if *warmup < 0 {
+		fmt.Fprintf(os.Stderr, "tahoe-sweep: -warmup %v is negative\n", *warmup)
+		return 2
+	}
 	if *warmup >= *duration {
 		fmt.Fprintf(os.Stderr, "tahoe-sweep: -warmup %v must be shorter than -duration %v\n", *warmup, *duration)
 		return 2
@@ -243,8 +247,8 @@ func sweep(w io.Writer, opts sweepOptions) {
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err != nil {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil {
 			return nil, fmt.Errorf("bad integer %q", part)
 		}
 		out = append(out, v)
@@ -258,6 +262,9 @@ func parseDurations(s string) ([]time.Duration, error) {
 		d, err := time.ParseDuration(strings.TrimSpace(part))
 		if err != nil {
 			return nil, fmt.Errorf("bad duration %q: %v", part, err)
+		}
+		if d < 0 {
+			return nil, fmt.Errorf("bad duration %q: a propagation delay cannot be negative", part)
 		}
 		out = append(out, d)
 	}

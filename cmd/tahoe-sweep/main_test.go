@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strings"
 	"testing"
 	"time"
 )
@@ -129,8 +131,10 @@ func TestParseInts(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
-	if _, err := parseInts("10,abc"); err == nil {
-		t.Fatal("no error for bad integer")
+	for _, bad := range []string{"10,abc", "10x", "20,10 5", ""} {
+		if got, err := parseInts(bad); err == nil {
+			t.Errorf("parseInts(%q) = %v, want an error", bad, got)
+		}
 	}
 }
 
@@ -142,7 +146,49 @@ func TestParseDurations(t *testing.T) {
 	if len(got) != 2 || got[0] != 10*time.Millisecond || got[1] != time.Second {
 		t.Fatalf("got %v", got)
 	}
-	if _, err := parseDurations("10ms,soon"); err == nil {
-		t.Fatal("no error for bad duration")
+	for _, bad := range []string{"10ms,soon", "-1ms", "10ms,-1s"} {
+		if got, err := parseDurations(bad); err == nil {
+			t.Errorf("parseDurations(%q) = %v, want an error", bad, got)
+		}
 	}
+}
+
+// Flags the sweep cannot run exit 2 with a message naming the flag's
+// value, before any grid point runs.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-buffers", "10x"}, `bad integer "10x"`},
+		{[]string{"-taus", "-1ms"}, `bad duration "-1ms"`},
+		{[]string{"-warmup", "-1s", "-duration", "10s"}, "-warmup -1s is negative"},
+		{[]string{"-warmup", "10s", "-duration", "10s"}, "must be shorter than -duration"},
+	} {
+		code, stderr := sweepRun(t, c.args...)
+		if code != 2 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and %q", c.args, code, stderr, c.want)
+		}
+	}
+}
+
+// sweepRun runs the command in-process with the given arguments and
+// returns the exit status and what it wrote to standard error.
+func sweepRun(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errFile.Close()
+	oldArgs, oldErr, oldFlags := os.Args, os.Stderr, flag.CommandLine
+	defer func() { os.Args, os.Stderr, flag.CommandLine = oldArgs, oldErr, oldFlags }()
+	os.Args, os.Stderr = append([]string{"tahoe-sweep"}, args...), errFile
+	flag.CommandLine = flag.NewFlagSet("tahoe-sweep", flag.ContinueOnError)
+	code := run()
+	b, err := os.ReadFile(errFile.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(b)
 }
