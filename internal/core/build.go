@@ -347,15 +347,19 @@ func (b *build) ports() (err error) {
 	for i := range b.switches {
 		b.switches[i] = node.NewSwitch(i)
 	}
-	// Host h gets ID h+1, the identifier packets carry in Src/Dst, and
-	// lives on its switch's region engine, so an access link never crosses
-	// a region boundary. The host's own interface buffer is unbounded (a
-	// source may always burst into its own NIC); the switch's port toward
-	// the host uses the switch buffer and the global queue spec, per §2.2.
+	// Host h gets ID Addr(h)+1, the identifier packets carry in Src/Dst —
+	// its address in the order forwarding rows index, so a switch looks a
+	// packet up with no translation — while its port and trace names keep
+	// h+1. It lives on its switch's region engine, so an access link never
+	// crosses a region boundary. The host's own interface buffer is
+	// unbounded (a source may always burst into its own NIC); the switch's
+	// port toward the host uses the switch buffer and the global queue
+	// spec, per §2.2.
 	for h := range b.hosts {
 		sw := topo.HostSwitch(h)
 		rg := b.regionOf(sw)
-		host := node.NewHost(b.engs[rg], h+1, cfg.HostProcessing)
+		id := topo.Addr(h) + 1
+		host := node.NewHost(b.engs[rg], id, cfg.HostProcessing)
 		b.hosts[h] = host
 		access := link.Config{
 			Name:      fmt.Sprintf("h%d->sw%d", h+1, sw),
@@ -369,7 +373,7 @@ func (b *build) ports() (err error) {
 			return err
 		}
 		down := b.port(rg, access, host)
-		b.switches[sw].AddLocal(h+1, down)
+		b.switches[sw].AddLocal(id, down)
 		logDrops(b.engs[rg], &b.dropLogs[rg], down)
 		if tracer := b.tracers[rg]; tracer != nil {
 			host.SetObs(tracer, fmt.Sprintf("host%d", h+1))
@@ -424,7 +428,7 @@ func (b *build) ports() (err error) {
 	// ports behind its adjacency slots (one flat array, sliced per switch
 	// like the topology's own adjacency) and then forwards straight from
 	// the compiled row — the topology's interned, immutable slices, by
-	// reference (base 1: the row's host index h is host ID h+1). Wiring
+	// reference (base 1: the row's address a is host ID a+1). Wiring
 	// cost is O(switches + links), whatever the number of forwarding
 	// intervals.
 	slotPorts := make([]*link.Port, 0, 2*len(topo.Links))

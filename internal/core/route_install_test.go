@@ -12,12 +12,13 @@ import (
 )
 
 // checkRoutes asserts that every switch of the running Sim forwards
-// every host the way ref's NextHop says.
+// every host the way ref's NextHop says. Packets name host h by its ID,
+// Addr(h)+1; its access port by h+1.
 func checkRoutes(t *testing.T, tag string, sm *Sim, ref *topology.Compiled) {
 	t.Helper()
 	for s := 0; s < ref.Switches; s++ {
 		for h := 0; h < ref.NumHosts(); h++ {
-			got := sm.switches[s].Route(h + 1)
+			got := sm.switches[s].Route(ref.Addr(h) + 1)
 			if got == nil {
 				t.Fatalf("%s: switch %d has no route to host %d", tag, s, h+1)
 			}

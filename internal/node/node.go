@@ -187,7 +187,10 @@ func (s *Switch) AddLocal(id int, port *link.Port) {
 // for a host registered with AddLocal. The row is held by reference and
 // never written, so callers may share one row among any number of
 // switches and goroutines; replacing a row mid-run is a pointer swap.
-// A row small enough for the dense table (every host ID below
+// A compiled topology's rows index host addresses (the topology's
+// locality order, not host indices), so the hosts a switch forwards to
+// from such a row carry ID base+address. A row small enough for the
+// dense table (every host ID below
 // denseRouteLimit) is expanded into it instead, exactly as
 // AddRouteRange would have built it.
 func (s *Switch) SetRow(base int, ends, slots []int32) {

@@ -148,11 +148,10 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 	if nw > ow {
 		// Weight increase (including down): a column moves only if a
 		// chosen hop at an endpoint is the link itself.
-		for di := range c.destSws {
-			h := int(c.destFirst[di])
-			if c.edgeAt(int(a), h) == ea {
+		for di, iv := range c.destIv {
+			if c.edgeAt(int(a), iv.a0) == ea {
 				affected = append(affected, column{int32(di), a})
-			} else if c.edgeAt(int(b), h) == eb {
+			} else if c.edgeAt(int(b), iv.a0) == eb {
 				affected = append(affected, column{int32(di), b})
 			}
 		}
@@ -259,10 +258,11 @@ func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []i
 	return changed, nil
 }
 
-// span is one repainted stretch of a forwarding row: hosts [h0,h1) now
-// leave through packed hop.
+// span is one repainted stretch of a forwarding row: addresses [a0,a1)
+// now leave through packed hop.
 type span struct {
-	h0, h1, hop int32
+	addrIval
+	hop int32
 }
 
 // splice writes the repaired cells and the recomputed columns cols (of
@@ -275,19 +275,17 @@ type span struct {
 // by a search per cell.
 func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed []int, moved int) {
 	slices.SortStableFunc(cells, func(x, y cell) int { return int(x.sw - y.sw) })
-	// Overlay: the host intervals of the whole columns' destinations,
-	// in host order, each carrying its column index.
+	// Overlay: the address intervals of the whole columns' destinations,
+	// in address order, each carrying its column index.
 	type ovl struct {
-		h0, h1 int32
-		k      int32
+		addrIval
+		k int32
 	}
-	var overlay []ovl
+	overlay := make([]ovl, len(whole))
 	for k, di := range whole {
-		for _, iv := range c.destIv[c.destIvOff[di]:c.destIvOff[di+1]] {
-			overlay = append(overlay, ovl{iv.h0, iv.h1, int32(k)})
-		}
+		overlay[k] = ovl{c.destIv[di], int32(k)}
 	}
-	slices.SortFunc(overlay, func(x, y ovl) int { return int(x.h0 - y.h0) })
+	slices.SortFunc(overlay, func(x, y ovl) int { return int(x.a0 - y.a0) })
 
 	nh := len(c.Hosts)
 	var paint []span
@@ -300,24 +298,21 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 			}
 			s = int(cells[ci].sw)
 		}
-		// A moved cell maps to every host interval of its destination.
+		// A moved cell maps to the address interval of its destination.
 		paint = paint[:0]
 		for ; ci < len(cells) && int(cells[ci].sw) == s; ci++ {
-			di := cells[ci].di
-			for _, iv := range c.destIv[c.destIvOff[di]:c.destIvOff[di+1]] {
-				paint = append(paint, span{iv.h0, iv.h1, cells[ci].hop})
-			}
+			paint = append(paint, span{c.destIv[cells[ci].di], cells[ci].hop})
 		}
 		sparse := len(paint)
 		// Every host of one destination shares its cell value, so one cell
 		// per overlay interval decides whether it moves. Most don't. Row
-		// and overlay are both sorted by host: one merge walk.
+		// and overlay are both sorted by address: one merge walk.
 		oldRow := c.rowOf[s]
 		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
 		adj := c.adjHop[c.adjOff[s]:c.adjOff[s+1]]
 		ri := 0
 		for _, o := range overlay {
-			for oldEnds[ri] <= o.h0 {
+			for oldEnds[ri] <= o.a0 {
 				ri++
 			}
 			p := hopLocal
@@ -325,17 +320,17 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 				p = adj[sl]
 			}
 			if np := cols[o.k][s]; np != p {
-				paint = append(paint, span{o.h0, o.h1, np})
+				paint = append(paint, span{o.addrIval, np})
 			}
 		}
 		if len(paint) == 0 {
 			continue
 		}
 		if sparse > 0 {
-			slices.SortFunc(paint, func(x, y span) int { return int(x.h0 - y.h0) })
+			slices.SortFunc(paint, func(x, y span) int { return int(x.a0 - y.a0) })
 		}
 		for _, sp := range paint {
-			moved += int(sp.h1 - sp.h0)
+			moved += int(sp.a1 - sp.a0)
 		}
 		changed = append(changed, s)
 		// Rebuild the row: old intervals with the spans painted over,
@@ -356,17 +351,17 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 			for oldEnds[oi] <= pos {
 				oi++
 			}
-			for vi < len(paint) && paint[vi].h1 <= pos {
+			for vi < len(paint) && paint[vi].a1 <= pos {
 				vi++
 			}
 			segEnd := oldEnds[oi]
 			var slot int32
-			if vi < len(paint) && paint[vi].h0 <= pos {
-				segEnd = min(segEnd, paint[vi].h1)
+			if vi < len(paint) && paint[vi].a0 <= pos {
+				segEnd = min(segEnd, paint[vi].a1)
 				slot = c.slotOf(s, paint[vi].hop)
 			} else {
 				if vi < len(paint) {
-					segEnd = min(segEnd, paint[vi].h0)
+					segEnd = min(segEnd, paint[vi].a0)
 				}
 				slot = oldSlots[oi]
 			}
@@ -397,56 +392,34 @@ func (c *Compiled) RecomputeRoutes() error {
 	return nil
 }
 
-// hostIval is a maximal run [h0,h1) of host indices on one switch.
-type hostIval struct {
-	h0, h1 int32
+// addrIval is the interval [a0,a1) of addresses.
+type addrIval struct {
+	a0, a1 int32
 }
 
-// ensureDests builds the distinct-destination cache: every switch that
-// bears hosts, in first-host order, with one representative host each
-// (all hosts on one switch share their forwarding column, so one host
-// per destination is enough for every probe) and all its host intervals
-// — destIv[destIvOff[di]:destIvOff[di+1]], ascending. Hosts of one
-// switch need not be contiguous in host order, so a destination may own
-// several.
+// ensureDests builds the destination cache: every switch that bears
+// hosts, in first-host order, with the address interval its hosts hold
+// (one switch's hosts have consecutive addresses). All hosts on one
+// switch share their forwarding column, so the interval's first address
+// stands for the destination in every probe.
 func (c *Compiled) ensureDests() {
 	if c.destSws != nil {
 		return
 	}
-	diOf := make([]int32, c.Switches) // destination index + 1, 0 = none yet
-	type run struct {
-		di int32
-		hostIval
-	}
-	var runs []run
-	nh := len(c.Hosts)
-	for h := 0; h < nh; {
-		sw := c.Hosts[h].Switch
-		h1 := h + 1
-		for h1 < nh && c.Hosts[h1].Switch == sw {
-			h1++
+	nh := int32(len(c.Hosts))
+	seen := make([]bool, c.Switches)
+	for h, hs := range c.Hosts {
+		if seen[hs.Switch] {
+			continue
 		}
-		if diOf[sw] == 0 {
-			c.destSws = append(c.destSws, int32(sw))
-			c.destFirst = append(c.destFirst, int32(h))
-			diOf[sw] = int32(len(c.destSws))
+		seen[hs.Switch] = true
+		// A switch's first host holds its lowest address.
+		a0, a1 := c.addr[h], c.addr[h]+1
+		for a1 < nh && c.Hosts[c.hostAt[a1]].Switch == hs.Switch {
+			a1++
 		}
-		runs = append(runs, run{diOf[sw] - 1, hostIval{int32(h), int32(h1)}})
-		h = h1
-	}
-	// Bucket the runs by destination; a counting sort keeps host order.
-	c.destIvOff = make([]int32, len(c.destSws)+1)
-	for _, r := range runs {
-		c.destIvOff[r.di+1]++
-	}
-	for di := range c.destSws {
-		c.destIvOff[di+1] += c.destIvOff[di]
-	}
-	c.destIv = make([]hostIval, len(runs))
-	cur := slices.Clone(c.destIvOff[:len(c.destSws)])
-	for _, r := range runs {
-		c.destIv[cur[r.di]] = r.hostIval
-		cur[r.di]++
+		c.destSws = append(c.destSws, int32(hs.Switch))
+		c.destIv = append(c.destIv, addrIval{a0, a1})
 	}
 }
 

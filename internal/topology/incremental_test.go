@@ -11,7 +11,7 @@ import (
 )
 
 // canonRow is one switch's forwarding row in canonical form: maximal
-// host intervals with their packed hop (hopLocal for the switch's own
+// address intervals with their packed hop (hopLocal for the switch's own
 // hosts).
 type canonRow struct {
 	ends []int32
@@ -22,15 +22,17 @@ type canonRow struct {
 func snapshot(c *Compiled) []canonRow {
 	rows := make([]canonRow, c.Switches)
 	for s := 0; s < c.Switches; s++ {
+		ends, slots := c.Row(s)
 		r := &rows[s]
-		c.ForEachHostRun(s, func(h0, h1 int, hop Hop, isLocal bool) {
+		r.ends = ends
+		for _, sl := range slots {
 			p := hopLocal
-			if !isLocal {
+			if sl >= 0 {
+				hop := c.SlotHop(s, int(sl))
 				p = packHop(hop.Link, hop.Dir)
 			}
-			r.ends = append(r.ends, int32(h1))
 			r.hops = append(r.hops, p)
-		})
+		}
 	}
 	return rows
 }

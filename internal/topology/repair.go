@@ -41,7 +41,7 @@ type repairer struct {
 
 	gen  int32
 	st   []swState
-	host int     // representative host of the column's destination
+	addr int32   // first address of the column's destination
 	left int     // row lookups the column may still spend
 	over bool    // the budget ran out: abandon the column
 	set  []int32 // increase: the subtree; decrease: the improved switches
@@ -83,7 +83,7 @@ func (r *repairer) at(s int32) *swState {
 // begin opens the column of destination destSws[di].
 func (r *repairer) begin(di int32) {
 	r.gen++
-	r.host = int(r.c.destFirst[di])
+	r.addr = r.c.destIv[di].a0
 	r.left = r.c.repairBudget()
 	r.over = false
 	r.set, r.ties, r.out = r.set[:0], r.ties[:0], r.out[:0]
@@ -103,7 +103,7 @@ func (r *repairer) oldEdge(s int32) int32 {
 			return edgeLocal
 		}
 		r.left--
-		st.edge = r.c.edgeAt(int(s), r.host)
+		st.edge = r.c.edgeAt(int(s), r.addr)
 		st.flags |= hasEdge
 	}
 	return st.edge

@@ -354,11 +354,12 @@ func TestNextHopEquivalence(t *testing.T) {
 	}
 }
 
-// TestForEachHostRunCoversHosts checks the bulk-install iterator:
-// intervals are ascending, disjoint and cover every host exactly once,
-// and every host inside one forwards the way the interval says — by the
-// row lookup itself (NextHop, the "runs" leg) and by the dense reference
-// table (refRoutes, the "dense" leg).
+// TestForEachHostRunCoversHosts checks the rows as a bulk install reads
+// them (Row, which replaced the host-order ForEachHostRun): intervals are
+// ascending, disjoint and cover every address exactly once, and every
+// host whose address (Addr) falls inside one forwards the way the
+// interval says — by the row lookup itself (NextHop, the "runs" leg) and
+// by the dense reference table (refRoutes, the "dense" leg).
 func TestForEachHostRunCoversHosts(t *testing.T) {
 	for name, g := range equivalenceGraphs() {
 		for _, referee := range []string{"dense", "runs"} {
@@ -370,23 +371,38 @@ func TestForEachHostRunCoversHosts(t *testing.T) {
 					ref := refTable(t, c, g)
 					lookup = func(s, h int) (Hop, bool) { return ref[s*nh+h], ref[s*nh+h].Link < 0 }
 				}
+				hostAt := make([]int, nh)
+				for h := range nh {
+					hostAt[c.Addr(h)] = h + 1
+				}
+				for a, h := range hostAt {
+					if h == 0 {
+						t.Fatalf("no host has address %d", a)
+					}
+				}
 				for s := 0; s < c.Switches; s++ {
-					next := 0
-					c.ForEachHostRun(s, func(h0, h1 int, hop Hop, isLocal bool) {
-						if h0 != next || h1 <= h0 {
-							t.Fatalf("switch %d: run [%d,%d) after %d", s, h0, h1, next)
+					ends, slots := c.Row(s)
+					start := 0
+					for i, end := range ends {
+						if int(end) <= start {
+							t.Fatalf("switch %d: interval %d is [%d,%d)", s, i, start, end)
 						}
-						for h := h0; h < h1; h++ {
-							got, gotLocal := lookup(s, h)
+						isLocal := slots[i] < 0
+						var hop Hop
+						if !isLocal {
+							hop = c.SlotHop(s, int(slots[i]))
+						}
+						for _, h := range hostAt[start:end] {
+							got, gotLocal := lookup(s, h-1)
 							if gotLocal != isLocal || (!isLocal && got != hop) {
-								t.Fatalf("switch %d host %d: run says (%+v,%v), %s lookup says (%+v,%v)",
-									s, h, hop, isLocal, referee, got, gotLocal)
+								t.Fatalf("switch %d host %d: row says (%+v,%v), %s lookup says (%+v,%v)",
+									s, h-1, hop, isLocal, referee, got, gotLocal)
 							}
 						}
-						next = h1
-					})
-					if next != nh {
-						t.Fatalf("switch %d: runs cover [0,%d), want [0,%d)", s, next, nh)
+						start = int(end)
+					}
+					if start != nh {
+						t.Fatalf("switch %d: row covers [0,%d), want [0,%d)", s, start, nh)
 					}
 				}
 			})

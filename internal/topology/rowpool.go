@@ -15,7 +15,7 @@ import (
 const slotLocal = int32(-1)
 
 // rowPool hash-conses per-switch forwarding rows. A row is a pair of
-// equal-length int32 slices: ascending host-interval ends (the last
+// equal-length int32 slices: ascending address-interval ends (the last
 // always equals the host count) and the adjacency slot each interval
 // forwards through. Rows are content-hashed and refcounted (one
 // reference per switch pointing at the row).

@@ -219,6 +219,7 @@ func TestResolveMatchesRouteCompiler(t *testing.T) {
 			raw.wt = append(raw.wt, time.Millisecond)
 		}
 		raw.buildCSR()
+		raw.buildOrder()
 		_, want := raw.computeRoutes()
 
 		switch {
@@ -288,5 +289,43 @@ func TestCheckSize(t *testing.T) {
 	}
 	if _, err := (Graph{Switches: 3_000_000_000}).Resolve(def()); err == nil || !strings.Contains(err.Error(), "is too many") {
 		t.Fatalf("Resolve of 3·10⁹ switches: %v", err)
+	}
+}
+
+// TestAddressOrder pins the locality order on a graph where it differs
+// from the switch index, from the breadth-first visiting order and from
+// a depth-first preorder: switch 3 is linked to 5 and to 4, and belongs
+// under 4, the first switch of the level above that it is linked to. The
+// hosts of a switch are consecutive, in host order; a switch the tree
+// from switch 0 misses roots its own tree after it.
+func TestAddressOrder(t *testing.T) {
+	g := Graph{
+		Switches: 6,
+		Links:    []LinkSpec{{A: 0, B: 4}, {A: 0, B: 2}, {A: 2, B: 5}, {A: 4, B: 1}, {A: 4, B: 3}, {A: 5, B: 3}},
+		Hosts:    []HostSpec{{3}, {0}, {5}, {3}, {1}},
+	}
+	sk, err := g.Resolve(def())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Preorder 0, 2, 5, 4, 1, 3: h1 | h2 | h4 | h0, h3.
+	want := []int{3, 0, 1, 4, 2}
+	for h, a := range want {
+		if got := sk.Addr(h); got != a {
+			t.Errorf("Addr(%d) = %d, want %d", h, got, a)
+		}
+		if got := sk.hostAt[a]; int(got) != h {
+			t.Errorf("hostAt[%d] = %d, want %d", a, got, h)
+		}
+	}
+
+	forest := &Skeleton{Switches: 5, Links: []Link{{A: 3, B: 1}, {A: 0, B: 4}}, Hosts: []HostSpec{{1}, {2}, {0}, {3}, {4}}}
+	forest.buildCSR()
+	forest.buildOrder()
+	// Trees 0-4, then 1-3, then 2: h2, h4 | h0, h3 | h1.
+	for h, a := range []int32{2, 4, 0, 3, 1} {
+		if forest.addr[h] != a {
+			t.Errorf("forest: host %d has address %d, want %d", h, forest.addr[h], a)
+		}
 	}
 }
