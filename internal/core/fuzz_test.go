@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,7 +11,8 @@ import (
 // Anything may be refused, nothing may panic, and what is accepted is
 // an event a run can take: a link, a time, and exactly one of down and
 // a positive bandwidth — so Validate, given enough links, objects to
-// nothing but a negative link or time, which only it checks.
+// nothing but a negative link or time, which only it checks — written
+// with each key once (bw= and bandwidth= count as one key).
 func FuzzParseLinkEvent(f *testing.F) {
 	for _, s := range []string{
 		"link=1,t=120s,bw=25000", "link=3,t=2m,down", "link=0,t=0s,bandwidth=1", " link=2 , t=1h , down ",
@@ -24,6 +26,17 @@ func FuzzParseLinkEvent(f *testing.F) {
 		ev, err := ParseLinkEvent(text)
 		if err != nil {
 			return
+		}
+		seen := map[string]bool{}
+		for _, tok := range strings.Split(text, ",") {
+			k, _, _ := strings.Cut(strings.TrimSpace(tok), "=")
+			if k == "bandwidth" {
+				k = "bw"
+			}
+			if seen[k] {
+				t.Fatalf("%q accepted as %+v, but it gives %s more than once", text, ev, k)
+			}
+			seen[k] = true
 		}
 		if ev.Down == (ev.Bandwidth != 0) || ev.Bandwidth < 0 {
 			t.Fatalf("%q accepted as %+v: want exactly one of down and a positive bandwidth", text, ev)
