@@ -517,8 +517,9 @@ func validateScenarioFile(w io.Writer, path string, lenient bool, ov overrides) 
 	fmt.Fprintf(w, "  switches: %d  hosts: %d  links: %d  connections: %d\n",
 		topo.Switches, topo.NumHosts(), len(topo.Links), len(cfg.Conns))
 	st := topo.CompileStats()
-	fmt.Fprintf(w, "  routes: %d columns in %d batch(es), %d pushes (%.1f %% stale), %d distinct rows, %d bytes, %v\n",
-		st.Columns, st.Batches, st.Pushes, 100*float64(st.StalePops)/float64(st.Pushes), st.DistinctRows, st.RouteBytes,
+	fmt.Fprintf(w, "  routes: %d columns in %d batch(es), %d pushes (%.1f %% stale), %d distinct rows, %d runs, %d bytes (%.0f per switch), %v\n",
+		st.Columns, st.Batches, st.Pushes, 100*float64(st.StalePops)/float64(st.Pushes), st.DistinctRows, topo.RouteRuns(),
+		st.RouteBytes, float64(st.RouteBytes)/float64(topo.Switches),
 		compileTime.Round(time.Microsecond)) // the line's one measured value
 	fmt.Fprintf(w, "  seed %d, warmup %v, duration %v\n", cfg.Seed, cfg.Warmup, cfg.Duration)
 	if cfg.Queue != nil {
