@@ -352,3 +352,23 @@ func TestAbsurdTopologySizeExitsOne(t *testing.T) {
 		}
 	}
 }
+
+// A bad flag value is a usage error: exit 2 with one line naming the
+// flag, before anything runs. A -scale that is not a number, is not
+// positive, or scales a run out of what a duration can hold is one.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-experiment", "fig4-5", "-scale", "NaN"},
+		{"-experiment", "fig4-5", "-scale", "+Inf"},
+		{"-experiment", "fig4-5", "-scale", "1e300"},
+		{"-experiment", "fig4-5", "-scale", "0"},
+		{"-experiment", "fig4-5", "-scale", "-1"},
+		{"-experiment", "fig4-5", "-scale", "1e-300"},
+		{"-all", "-scale", "NaN"},
+	} {
+		code, out, msg := sim(t, append(args, "-plot=false")...)
+		if code != 2 || out != "" || strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "tahoe-sim: -scale ") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one line naming -scale", args, code, out, msg)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -33,7 +34,9 @@ type Options struct {
 	// Seed selects the scenario randomness; 0 means 1.
 	Seed int64
 	// Scale multiplies the default run durations. 0 means 1.0; benches
-	// use fractions to keep iterations fast.
+	// use fractions to keep iterations fast. Validate refuses a Scale
+	// that is NaN, infinite or negative, or that takes a duration an
+	// experiment scales out of (0, MaxInt64] ns.
 	Scale float64
 	// Parallel bounds the worker count for an experiment's batch of
 	// independent simulations (every experiment hands all its runs to
@@ -120,10 +123,42 @@ func (o Options) seed() int64 {
 }
 
 func (o Options) scale(d time.Duration) time.Duration {
+	if onScale != nil {
+		onScale(d)
+	}
 	if o.Scale <= 0 {
 		return d
 	}
 	return time.Duration(float64(d) * o.Scale)
+}
+
+// shortestScaled and longestScaled bound the positive durations the
+// experiments scale (TestScaledDurationsBounded keeps them true), so a
+// Scale that keeps both within (0, MaxInt64] ns keeps every one there.
+const (
+	shortestScaled = 250 * time.Millisecond
+	longestScaled  = 3300 * time.Second
+)
+
+// onScale, when set, sees every duration scale is given.
+var onScale func(time.Duration)
+
+// Validate reports a Scale no experiment can run at: NaN, infinite or
+// negative, or one that scales a duration an experiment uses to 0 ns or
+// past MaxInt64 ns.
+func (o Options) Validate() error {
+	s := o.Scale
+	switch {
+	case math.IsNaN(s) || math.IsInf(s, 0) || s < 0:
+		return fmt.Errorf("experiment: Scale %v is not a finite, non-negative number", s)
+	case s == 0: // 1.0
+		return nil
+	case float64(shortestScaled)*s < 1:
+		return fmt.Errorf("experiment: Scale %v shortens %v to 0 ns", s, shortestScaled)
+	case float64(longestScaled)*s >= math.MaxInt64: // 2⁶³ as a float64: one past the largest
+		return fmt.Errorf("experiment: Scale %v lengthens %v past %v", s, longestScaled, time.Duration(math.MaxInt64))
+	}
+	return nil
 }
 
 // Metric is one paper-vs-measured comparison.

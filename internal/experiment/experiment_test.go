@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,6 +39,45 @@ func TestOptionsDefaults(t *testing.T) {
 	o.Scale = 0.5
 	if o.scale(10*time.Second) != 5*time.Second {
 		t.Fatal("Scale=0.5 should halve durations")
+	}
+}
+
+// Validate refuses what no experiment can run at and nothing else: a
+// Scale at either edge of the range still scales every duration into
+// (0, MaxInt64] ns.
+func TestOptionsValidate(t *testing.T) {
+	edgeLow := 1 / float64(shortestScaled)                          // shortestScaled to 1 ns
+	edgeHigh := float64(math.MaxInt64) / float64(longestScaled) / 2 // well inside
+	for _, s := range []float64{0, 0.05, 1, 2.5, edgeLow, edgeHigh} {
+		if err := (Options{Scale: s}).Validate(); err != nil {
+			t.Errorf("Scale %v: %v", s, err)
+		}
+	}
+	for _, s := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -1e-9, 1e300, 1e-300, edgeLow / 2, 1e16} {
+		if err := (Options{Scale: s}).Validate(); err == nil {
+			t.Errorf("Scale %v: no error", s)
+		}
+	}
+}
+
+// shortestScaled and longestScaled bound every positive duration an
+// experiment scales, which Validate relies on.
+func TestScaledDurationsBounded(t *testing.T) {
+	var mu sync.Mutex
+	var lo, hi time.Duration
+	onScale = func(d time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		if d > 0 && (lo == 0 || d < lo) {
+			lo = d
+		}
+		hi = max(hi, d)
+	}
+	defer func() { onScale = nil }()
+	RunAll(Options{Scale: 0.02})
+	if lo != shortestScaled || hi != longestScaled {
+		t.Fatalf("the experiments scale durations in [%v, %v]; shortestScaled and longestScaled say [%v, %v]",
+			lo, hi, shortestScaled, longestScaled)
 	}
 }
 

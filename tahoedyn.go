@@ -551,11 +551,15 @@ func ParallelDoWorkers(workers, n int, fn func(worker, i int)) {
 // Experiments lists every paper experiment in presentation order.
 func Experiments() []ExperimentDef { return experiment.All() }
 
-// Experiment runs the named paper experiment.
+// Experiment runs the named paper experiment. It returns an error for an
+// unknown name and for options ExpOptions.Validate refuses.
 func Experiment(name string, opts ExpOptions) (*Outcome, error) {
 	def, ok := experiment.Find(name)
 	if !ok {
 		return nil, fmt.Errorf("tahoedyn: unknown experiment %q", name)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	return def.Run(opts), nil
 }
