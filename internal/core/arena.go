@@ -16,19 +16,20 @@ import (
 
 // Arena is a reusable allocation context for back-to-back simulation
 // runs. A fresh Build allocates an engine (wheel buckets, event free
-// list), a packet pool, the backing arrays of every per-run log and —
-// when tracing is on — the trace rings; an Arena keeps all of that warm
+// list), a packet pool, the chunks of every per-run log and — when
+// tracing is on — the trace rings; an Arena keeps all of that warm
 // between runs, so an N-point sweep pays the allocation cost once per
-// worker instead of once per point. It keeps the log capacity of its
-// largest run (30 MB after a 10 000 sim-s dumbbell, 8 MB of it departures)
-// until it is dropped.
+// worker instead of once per point. It keeps the log chunks of its
+// largest run — what that run wrote and at most a chunk more a log:
+// 19.5 MB after a 10 000 sim-s dumbbell that wrote 18.9 MB — until it is
+// dropped.
 //
 // Ownership rule (DESIGN.md §11): a Result never references arena
 // memory; what escapes is copied at Finish, at its exact length. Engine
 // storage, the packet free list and the trace rings are invisible to
 // callers and recycled in place; the logs a Result carries are appended
-// into slabs the arena lends (logSlabs), each owned at any instant by
-// the arena or by the one Sim that took it. Reuse is therefore
+// into chunks from the region's pools (logPools), each chunk owned at any
+// instant by its pool or by the one Sim that took it. Reuse is therefore
 // behavior-neutral: an arena run is byte-identical to a cold run
 // (arena_test.go, arena_lend_test.go), but for the pool/* metrics, which
 // count per-run pool misses: a warm arena keeps them near zero.
@@ -37,7 +38,7 @@ import (
 // may own at most one live Sim at a time, and the next Build must not
 // happen before the previous run finished (or was abandoned — Build
 // resets the engine first, so a canceled run's leftovers are recycled,
-// not leaked into the next run's schedule; the slabs an abandoned Sim
+// not leaked into the next run's schedule; the chunks an abandoned Sim
 // took are garbage with it, so it can alias nobody's Result).
 type Arena struct {
 	// One store per region, grown to the largest shard count the arena
@@ -56,7 +57,7 @@ type Arena struct {
 	sendSlab  []*tcp.Sender
 	recvSlab  []*tcp.Receiver
 
-	logs logSlabs
+	merge []dropRec // mergeDrops' concatenation of a run's drop logs
 }
 
 // regionStore is what the arena recycles in place for one region of a run.
@@ -67,15 +68,19 @@ type regionStore struct {
 	// abandoned by the Arena contract, and every call into its Sim returned
 	// with no batch at the sink: the next traced build takes its ring slab.
 	tracer *obs.Tracer
+	// logs is a pointer: a run's logs point into their pools, which must
+	// stay where they are when a later build grows the region list.
+	logs *logPools
 }
 
 // stores returns the first k region stores made ready for a new run: in
 // each an engine of the kind asked for — the kept one, reset, when its
-// kind matches, otherwise a fresh one kept for next time — and a packet
-// pool with its per-run counters at zero.
+// kind matches, otherwise a fresh one kept for next time — a packet
+// pool with its per-run counters at zero, and log pools with nothing
+// taken yet.
 func (a *Arena) stores(kind sim.SchedKind, k int) []regionStore {
 	for len(a.regions) < k {
-		a.regions = append(a.regions, regionStore{})
+		a.regions = append(a.regions, regionStore{logs: newLogPools()})
 	}
 	for r := range a.regions[:k] {
 		st := &a.regions[r]
@@ -89,92 +94,27 @@ func (a *Arena) stores(kind sim.SchedKind, k int) []regionStore {
 		} else {
 			st.pool.ResetCounters()
 		}
+		st.logs.held = 0
 	}
 	return a.regions[:k]
 }
 
-// lent is the arena's free list of one element type's log slabs; slot i
-// backs the i-th log of that type a build takes. take moves the slab out
-// and leaves the slot nil: while a Sim appends into a slab the arena has
-// no reference to it, or to the array append left behind outgrowing it.
-// give, in the same order after rewind, moves it back as it then is.
-type lent[T any] struct {
-	slabs [][]T
-	next  int
+// logPools is one region's chunk pools, one per element type of the
+// logs a run keeps, and the count of what the run took from them.
+type logPools struct {
+	points    chunkPool[trace.Point]     // queue series per measured trunk port, window and RTT series per measured conn
+	deps      chunkPool[trace.Departure] // departure log per measured trunk port
+	times     chunkPool[time.Duration]   // ACK arrival times per measured conn
+	collapses chunkPool[CollapseEvent]   // window collapses per measured conn
+	drops     chunkPool[dropRec]         // the region's drop log
+	held      int                        // bytes of the chunks the run's logs took: Snapshot.LogBytes
 }
 
-// take returns an empty log with room for n: the slot's slab, or a fresh one.
-func (l *lent[T]) take(n int) []T {
-	var s []T
-	if i := l.next; i < len(l.slabs) {
-		s, l.slabs[i] = l.slabs[i], nil
-	}
-	l.next++
-	if cap(s) < n {
-		s = make([]T, 0, n)
-	}
-	return s[:0]
-}
-
-// give puts a log's backing array into the next slot.
-func (l *lent[T]) give(log []T) {
-	if l.next == len(l.slabs) {
-		l.slabs = append(l.slabs, nil)
-	}
-	l.slabs[l.next] = log[:0]
-	l.next++
-}
-
-// settle ends the loan of a log the Result carries: the slab goes back,
-// the Result gets an exact-length copy. The append is slices.Clone's (it
-// zeroes nothing it copies over), but Clone of an empty log views the slab.
-func (l *lent[T]) settle(log []T) []T {
-	l.give(log)
-	return append([]T{}, log...)
-}
-
-// logSlabs is the arena's log storage, one list per element type. A
-// build without an arena takes from a zero one: every log at its estimate.
-type logSlabs struct {
-	points lent[trace.Point]     // queue series per measured trunk port, then cwnd and RTT series per measured conn
-	deps   lent[trace.Departure] // departure log per measured trunk port
-	times  lent[time.Duration]   // ACK arrival times per measured conn
-	drops  lent[dropRec]         // drop log per region
-	merge  []dropRec             // mergeDrops' concatenation of a sharded run's drop logs
-}
-
-// rewind starts a pass over the slots: a build's takes, a settle's gives.
-func (l *logSlabs) rewind() {
-	l.points.next, l.deps.next, l.times.next, l.drops.next = 0, 0, 0, 0
-}
-
-// settle ends the loan of every log of a run, in the order buildE took
-// them: those res carries are replaced by copies, the drop logs (merged
-// into res.Drops by now) only go back. A build that failed settles too.
-func (l *logSlabs) settle(res *Result, dropLogs [][]dropRec) {
-	l.rewind()
-	for i := range res.TrunkQueue {
-		for dir, q := range res.TrunkQueue[i] {
-			if q != nil { // a measured trunk
-				q.Points = l.points.settle(q.Points)
-				res.TrunkDeps[i][dir] = l.deps.settle(res.TrunkDeps[i][dir])
-			}
-		}
-	}
-	for k, cw := range res.Cwnd {
-		if cw != nil { // a measured connection
-			cw.Points = l.points.settle(cw.Points)
-			rtt := res.RTT[k]
-			if rtt.Points = l.points.settle(rtt.Points); len(rtt.Points) == 0 {
-				rtt.Points = nil // as NewSeries leaves a series without a sample
-			}
-			res.AckArrivals[k] = l.times.settle(res.AckArrivals[k])
-		}
-	}
-	for r, log := range dropLogs {
-		l.drops.give(log)
-		dropLogs[r] = nil // a drop after Finish starts a log nobody reads; it must not land in the slab
-	}
+func newLogPools() *logPools {
+	lp := &logPools{}
+	lp.points.held, lp.deps.held, lp.times.held = &lp.held, &lp.held, &lp.held
+	lp.collapses.held, lp.drops.held = &lp.held, &lp.held
+	return lp
 }
 
 // slab returns a zeroed length-n slice backed by *buf, growing the

@@ -23,9 +23,8 @@ import (
 // packet event and capture locals — an engine, a series, a histogram, a
 // drop log — never the build.
 type build struct {
-	cfg  Config // the caller's, normalized: what Result.Cfg and the Sim keep
-	ar   *Arena // where engines, pools, rings, wiring and logs come from
-	lent bool   // ar is the caller's: Finish copies the logs out and gives them back
+	cfg Config // the caller's, normalized: what Result.Cfg and the Sim keep
+	ar  *Arena // where engines, pools, rings, wiring and log chunks come from
 
 	// plan
 	topo          *topology.Compiled
@@ -46,11 +45,11 @@ type build struct {
 	engs     []*sim.Engine
 	pools    []*packet.Pool // nil entries under cfg.noPool
 	tracers  []*obs.Tracer  // nil entries when nothing traces
+	logPools []*logPools
 	merger   *obs.TraceMerger
 	metrics  *obs.Metrics
-	dropLogs [][]dropRec
+	logs     runLogs
 	res      *Result
-	estPkts  int // packets one trunk direction can carry in the run: the unit of the logs' cold reserve
 
 	// ports, then conns
 	switches  []*node.Switch
@@ -64,16 +63,16 @@ type build struct {
 }
 
 // buildE assembles the Sim by running the phases in the one order there
-// is. A nil ar builds without an arena: engines, pools and wiring come
-// from a throw-away one, and the Result keeps the logs it was built with.
+// is. A nil ar builds on a throw-away arena; the run settles its logs the
+// same way.
 func buildE(cfg Config, ar *Arena) (_ *Sim, err error) {
-	b := build{cfg: cfg, ar: ar, lent: ar != nil}
+	b := build{cfg: cfg, ar: ar}
 	if ar == nil {
 		b.ar = new(Arena)
 	}
 	defer func() {
-		if err != nil && b.res != nil { // failed after the stores phase took the logs: give them back
-			b.ar.logs.settle(b.res, b.dropLogs)
+		if err != nil { // the logs made so far took chunks: give them back
+			b.logs.settle()
 		}
 	}()
 	// Called one by one, not through a table of method values: the build
@@ -231,9 +230,16 @@ func (b *build) stores() {
 		}
 	}
 	b.engs, b.pools, b.tracers = make([]*sim.Engine, K), make([]*packet.Pool, K), make([]*obs.Tracer, K)
+	b.logPools = make([]*logPools, K)
+	// Every per-run log appends into chunks from its region's pools. The
+	// drop logs are per region and canonically merged at finish
+	// (Sim.mergeDrops); a serial run is the same path with one.
+	b.logs.drops = make([]*chunkLog[dropRec], K)
 	stores := b.ar.stores(cfg.Sched, K)
 	for r := range stores {
 		st := &stores[r]
+		b.logPools[r] = st.logs
+		b.logs.drops[r] = newLog(&b.logs, &st.logs.drops, nil, false)
 		st.eng.SetSeqStride(stride)
 		b.engs[r] = st.eng
 		if !cfg.noPool {
@@ -257,18 +263,6 @@ func (b *build) stores() {
 	topo, nl, nc := b.topo, len(b.topo.Links), len(cfg.Conns)
 	b.switches, b.hosts, b.trunks, b.senders, b.receivers = b.ar.wiring(topo.Switches, topo.NumHosts(), nl, nc)
 	b.sinks = make([]*node.Sink, nc)
-
-	// Every per-run log is taken from the arena's slabs or (a cold slot)
-	// allocated at an estimate from the run length, and grown by append
-	// past it: the arena keeps the grown slab, so a warm run does not
-	// regrow. The drop logs are per region and canonically merged at
-	// finish (Sim.mergeDrops); a serial run is the same path with one.
-	b.ar.logs.rewind()
-	b.estPkts = estTrunkPackets(*cfg)
-	b.dropLogs = make([][]dropRec, K)
-	for r := range b.dropLogs {
-		b.dropLogs[r] = b.ar.logs.drops.take(0)
-	}
 	b.res = &Result{
 		Cfg: *cfg, Topo: topo, MeasureFrom: cfg.Warmup, MeasureTo: cfg.Duration, Metrics: b.metrics,
 		TrunkQueue:  make([][2]*trace.Series, nl),
@@ -326,11 +320,11 @@ func (b *build) behavior(bs *link.BehaviorSpec, ent int) (link.Behavior, error) 
 
 // logDrops appends pt's drops to its region's log, each tagged with the
 // scheduling lineage of the event that executed it.
-func logDrops(eng *sim.Engine, log *[]dropRec, pt *link.Port) {
+func logDrops(eng *sim.Engine, log *chunkLog[dropRec], pt *link.Port) {
 	name := pt.Name()
 	pt.OnDrop = func(p *packet.Packet) {
 		sa, sa2 := eng.ExecLineage()
-		*log = append(*log, dropRec{
+		log.add(dropRec{
 			DropEvent: trace.DropEvent{T: eng.Now(), Conn: p.Conn, Seq: p.Seq, Kind: p.Kind, Port: name},
 			schedAt:   sa,
 			schedAt2:  sa2,
@@ -374,7 +368,7 @@ func (b *build) ports() (err error) {
 		}
 		down := b.port(rg, access, host)
 		b.switches[sw].AddLocal(id, down)
-		logDrops(b.engs[rg], &b.dropLogs[rg], down)
+		logDrops(b.engs[rg], b.logs.drops[rg], down)
 		if tracer := b.tracers[rg]; tracer != nil {
 			host.SetObs(tracer, fmt.Sprintf("host%d", h+1))
 		}
@@ -447,25 +441,23 @@ func (b *build) ports() (err error) {
 
 // measureTrunk gives trunk port pt its queue series, departure log,
 // queue histogram and drop records. The queue series gets one point per
-// accepted arrival and per departure; the trunk carries roughly one
-// direction's data plus the other's ACKs.
+// accepted arrival and per departure.
 func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
-	res, logs, eng, estPkts := b.res, &b.ar.logs, b.engs[rg], b.estPkts
+	res, lp, eng := b.res, b.logPools[rg], b.engs[rg]
 	s := trace.NewSeries(pt.Name())
-	s.Points = logs.points.take(clampReserve(4 * estPkts))
-	s.Append(0, 0)
 	res.TrunkQueue[li][dir] = s
+	q := b.logs.series(&lp.points, s, false)
+	q.add(0, 0)
 	qh := b.metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
 	pt.OnQueueLen = func(qlen int) {
-		s.Append(eng.Now(), float64(qlen))
+		q.add(eng.Now(), float64(qlen))
 		qh.Observe(float64(qlen))
 	}
-	res.TrunkDeps[li][dir] = logs.deps.take(clampReserve(2 * estPkts))
+	deps := newLog(&b.logs, &lp.deps, &res.TrunkDeps[li][dir], false)
 	pt.OnDepart = func(p *packet.Packet) {
-		res.TrunkDeps[li][dir] = append(res.TrunkDeps[li][dir],
-			trace.NewDeparture(eng.Now(), p.Conn, p.Kind, p.Seq))
+		deps.add(trace.NewDeparture(eng.Now(), p.Conn, p.Kind, p.Seq))
 	}
-	logDrops(eng, &b.dropLogs[rg], pt)
+	logDrops(eng, b.logs.drops[rg], pt)
 }
 
 // conns builds the connections in Config.Conns order and schedules their
@@ -564,46 +556,45 @@ func (b *build) endpoints(k, sr, dr int, srcNet tcp.Network) func() {
 	s.Obs = b.tracers[sr]
 	s.ObsLoc = s.Obs.Loc(fmt.Sprintf("conn%d", connID))
 	if b.connMeasured == nil || b.connMeasured[k] {
-		b.measureConn(k, s, b.engs[sr])
+		b.measureConn(k, s, b.engs[sr], b.logPools[sr])
 	}
 	return s.Start
 }
 
 // measureConn gives connection k's sender its window, ACK-arrival, RTT
-// and collapse logs and their histograms. The window moves (and an ACK
-// arrives) at most once per delivered packet, so the per-connection share
-// of one trunk direction's packet budget is the cold estimate of both —
-// not a bound: the paper's two-way pair has a direction each, and both
-// logs outgrow it on every cold run.
-func (b *build) measureConn(k int, s *tcp.Sender, eng *sim.Engine) {
-	res, logs, metrics, connID := b.res, &b.ar.logs, b.metrics, k+1
-	perConn := clampReserve(b.estPkts / len(b.cfg.Conns))
-	cw := trace.NewSeries(fmt.Sprintf("cwnd-%d", connID))
-	cw.Points = logs.points.take(perConn)
-	cw.Append(0, 1)
-	res.Cwnd[k] = cw
-	s.OnCwnd = func(v float64) { cw.Append(eng.Now(), v) }
-	res.AckArrivals[k] = logs.times.take(perConn)
+// and collapse logs and their histograms, from the chunk pools lp of the
+// sender's region. An RTT series with no sample settles to nil Points, as
+// NewSeries leaves it, and a connection that never collapsed to nil
+// Collapses.
+func (b *build) measureConn(k int, s *tcp.Sender, eng *sim.Engine, lp *logPools) {
+	res, metrics, connID := b.res, b.metrics, k+1
+	cwSeries := trace.NewSeries(fmt.Sprintf("cwnd-%d", connID))
+	res.Cwnd[k] = cwSeries
+	cw := b.logs.series(&lp.points, cwSeries, false)
+	cw.add(0, 1)
+	s.OnCwnd = func(v float64) { cw.add(eng.Now(), v) }
+	acks := newLog(&b.logs, &lp.times, &res.AckArrivals[k], false)
 	ackGapHist := metrics.NewHistogram(fmt.Sprintf("ack-gap-seconds/conn%d", connID), ackGapBounds)
 	lastAck := time.Duration(-1)
 	s.OnAckArrival = func(*packet.Packet) {
 		now := eng.Now()
-		res.AckArrivals[k] = append(res.AckArrivals[k], now)
+		acks.add(now)
 		if lastAck >= 0 {
 			ackGapHist.Observe((now - lastAck).Seconds())
 		}
 		lastAck = now
 	}
 	rttSeries := trace.NewSeries(fmt.Sprintf("rtt-%d", connID))
-	rttSeries.Points = logs.points.take(0)
 	res.RTT[k] = rttSeries
+	rtt := b.logs.series(&lp.points, rttSeries, true)
 	rttHist := metrics.NewHistogram(fmt.Sprintf("rtt-seconds/conn%d", connID), rttBounds)
 	s.OnRTTSample = func(m time.Duration) {
-		rttSeries.Append(eng.Now(), m.Seconds())
+		rtt.add(eng.Now(), m.Seconds())
 		rttHist.Observe(m.Seconds())
 	}
+	collapses := newLog(&b.logs, &lp.collapses, &res.Collapses[k], true)
 	s.OnCollapse = func(cause string) {
-		res.Collapses[k] = append(res.Collapses[k], CollapseEvent{eng.Now(), cause})
+		collapses.add(CollapseEvent{eng.Now(), cause})
 	}
 }
 
@@ -677,7 +668,9 @@ func (b *build) assemble() (*Sim, error) {
 		engs:      b.engs,
 		pools:     b.pools,
 		runner:    runner,
-		dropLogs:  b.dropLogs,
+		ar:        b.ar,
+		logs:      b.logs,
+		logPools:  b.logPools,
 		res:       b.res,
 		switches:  b.switches,
 		trunks:    b.trunks,
@@ -690,9 +683,6 @@ func (b *build) assemble() (*Sim, error) {
 		checker:   b.checker,
 		metrics:   b.metrics,
 		epochHist: b.metrics.NewHistogram("epoch-seconds", epochBounds),
-	}
-	if b.lent {
-		sm.logs = &b.ar.logs
 	}
 	if b.cfg.Obs != nil && b.cfg.Obs.Progress != nil {
 		sm.progress = b.cfg.Obs.Progress

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -164,13 +163,15 @@ type Sim struct {
 	// the conservative-PDES coordinator. Serial runs keep runner nil and
 	// engs/pools hold the single eng/pool. eng and pool always alias
 	// region 0.
-	engs     []*sim.Engine
-	pools    []*packet.Pool
-	runner   *shard.Runner
-	dropLogs [][]dropRec
-	// logs is the arena storage the run's logs were taken from and finish
-	// settles with; nil without an arena (the Result keeps its arrays).
-	logs *logSlabs
+	engs   []*sim.Engine
+	pools  []*packet.Pool
+	runner *shard.Runner
+	// ar is the arena the run was built on (a throw-away one without);
+	// logs are the run's chunk logs, which finish settles into the Result,
+	// and logPools the regions' pools they append from.
+	ar       *Arena
+	logs     runLogs
+	logPools []*logPools
 
 	switches  []*node.Switch
 	trunks    [][2]*link.Port
@@ -334,7 +335,11 @@ func (s *Sim) observeProgressAt(now time.Duration, events uint64) {
 		}
 	}
 	if fire && p.Fn != nil {
-		p.Fn(obs.Snapshot{Now: now, End: s.cfg.Duration, Events: events})
+		logBytes := 0
+		for _, lp := range s.logPools {
+			logBytes += lp.held
+		}
+		p.Fn(obs.Snapshot{Now: now, End: s.cfg.Duration, Events: events, LogBytes: int64(logBytes)})
 	}
 }
 
@@ -415,10 +420,8 @@ func (s *Sim) finish(ctx context.Context) (*Result, error) {
 	}
 	res.Events = s.Events()
 	s.mergeDrops()
-	if s.logs != nil {
-		// Here the Result becomes visible: it must own all it references.
-		s.logs.settle(res, s.dropLogs)
-	}
+	// Here the Result becomes visible: it must own all it references.
+	s.logs.settle()
 	s.exportMetrics()
 	if s.merger != nil {
 		// Region tracers first (each Close flushes its remaining ring into
@@ -457,19 +460,14 @@ type dropRec struct {
 // (injected cross-region events carry the serial lineage by
 // construction), hence so is the sorted log.
 //
-// The logs never escape, so one region's log is sorted where it lies
-// and several regions' are concatenated in a scratch the arena keeps.
+// The logs never escape: their chunks are concatenated, in region order,
+// in a scratch the arena keeps, and sorted there.
 func (s *Sim) mergeDrops() {
-	recs := s.dropLogs[0]
-	if len(s.dropLogs) > 1 && s.logs == nil {
-		recs = slices.Concat(s.dropLogs...)
-	} else if len(s.dropLogs) > 1 {
-		recs = s.logs.merge[:0]
-		for _, l := range s.dropLogs {
-			recs = append(recs, l...)
-		}
-		s.logs.merge = recs
+	recs := s.ar.merge[:0]
+	for _, l := range s.logs.drops {
+		l.each(func(d []dropRec) { recs = append(recs, d...) })
 	}
+	s.ar.merge = recs
 	if len(recs) == 0 {
 		return
 	}
@@ -598,30 +596,6 @@ var (
 
 // queueUnbounded names the unbounded-buffer sentinel for readability.
 const queueUnbounded = 0
-
-// estTrunkPackets estimates how many data packets one trunk direction
-// can carry over the whole run — the sizing unit for trace containers.
-func estTrunkPackets(cfg Config) int {
-	tx := cfg.DataTxTime()
-	if tx <= 0 || cfg.Duration <= 0 {
-		return 0
-	}
-	return int(cfg.Duration / tx)
-}
-
-// clampReserve bounds a trace-capacity estimate so a pathological
-// configuration (huge duration, tiny packets) cannot preallocate
-// unbounded memory; beyond the clamp the containers just grow as before.
-func clampReserve(n int) int {
-	const maxReserve = 1 << 19
-	if n > maxReserve {
-		return maxReserve
-	}
-	if n < 0 {
-		return 0
-	}
-	return n
-}
 
 // delayedNet adds a fixed delay in front of a host's output, modeling a
 // longer private path for one connection (unequal RTTs, §5).

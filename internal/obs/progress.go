@@ -27,6 +27,10 @@ type Snapshot struct {
 	Now, End time.Duration
 	// Events is the cumulative count of processed engine events.
 	Events uint64
+	// LogBytes is the memory the run's measurement logs hold: the bytes
+	// of every chunk they have taken, written or not. It never decreases
+	// during a run.
+	LogBytes int64
 }
 
 // Frac returns completion as a fraction of simulated time, clamped to

@@ -161,14 +161,11 @@ func TestShardedSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSteadyStateAllocsPastColdReserve is the arena-reused case at the
-// length of the paper's long runs. Over 10 000 sim-s each connection's
-// window and ACK logs outgrow their cold reserve (an estimate: a trunk
-// direction's packet budget shared out between the two connections,
-// which here have a direction each), so a first run regrows them
-// mid-run (megabytes of it). The arena keeps the grown slabs: a later
-// run's steady state regrows none of them, up to and past the point
-// where the cold reserve ran out, and steps at 0 allocs a simulated
-// second there.
+// length of the paper's long runs. Over 10 000 sim-s every log of a
+// first run takes dozens of chunks mid-run (megabytes of them). The
+// arena's pools keep them: a later run of the same length takes every
+// chunk from the pools, allocates not a byte in its steady state, and
+// steps at 0 allocs a simulated second to the end.
 func TestSteadyStateAllocsPastColdReserve(t *testing.T) {
 	cfg := steadyStateConfig()
 	cfg.Duration = 10_000 * time.Second
@@ -184,15 +181,13 @@ func TestSteadyStateAllocsPastColdReserve(t *testing.T) {
 	a := core.NewArena()
 	first := a.Build(cfg)
 	if n := grown(first); n < 2<<20 {
-		t.Fatalf("the first run allocated %d B in steady state: no log outgrew its reserve, the case is vacuous", n)
+		t.Fatalf("the first run allocated %d B in steady state: no log took a chunk, the case is vacuous", n)
 	}
 	first.Finish()
 	a.Run(cfg)
 	s := a.Build(cfg)
-	// Result.Collapses is not lent (a few thousand small records a
-	// connection) and doubles its way to ~200 KB in all.
-	if n := grown(s); n > 512<<10 {
-		t.Errorf("steady state on the reused arena allocated %d B, want <= 512 KB (no lent log regrown)", n)
+	if n := grown(s); n > 0 {
+		t.Errorf("steady state on the reused arena allocated %d B, want 0 (every chunk from the pools)", n)
 	}
 	now := late
 	allocs := testing.AllocsPerRun(50, func() {
@@ -200,6 +195,6 @@ func TestSteadyStateAllocsPastColdReserve(t *testing.T) {
 		s.RunUntil(now)
 	})
 	if allocs > 0 {
-		t.Errorf("past the cold reserve the reused arena allocates %.2f/sim-second, want 0", allocs)
+		t.Errorf("late in the run the reused arena allocates %.2f/sim-second, want 0", allocs)
 	}
 }
