@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"math"
 	"os"
@@ -160,6 +161,27 @@ func TestRejectsTOBSTrace(t *testing.T) {
 	}
 }
 
+// A store of another format version — an older one included — is
+// refused at open: exit 1, with the reader's message naming the version
+// and how to write the store again.
+func TestRefusesOtherStoreVersions(t *testing.T) {
+	path := writeStore(t, 0, []tahoedyn.TraceEvent{{T: time.Second, Type: tahoedyn.TraceTransmit, Size: 500, ID: 1}})
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint16{0, 2, 4} {
+		binary.LittleEndian.PutUint16(b[4:], v)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		msg, code := queryErr(t, "-count", path)
+		if code != 1 || !strings.Contains(msg, "version "+strconv.Itoa(int(v))+",") || !strings.Contains(msg, "tahoe-sim -trace-store") {
+			t.Errorf("tahoe-query -count over a version-%d store: exit %d, stderr %q; want exit 1 naming the version and tahoe-sim -trace-store", v, code, msg)
+		}
+	}
+}
+
 // Chunks of a store need not be in time order — an offline ingest may
 // write a later stretch first — so -info takes the span over the whole
 // index, not from the first and last entries. Its first line also names
@@ -192,26 +214,32 @@ func TestInfoOverStoreWrittenInReverseTimeOrder(t *testing.T) {
 	}
 }
 
-// -info over the committed format-v2 store: varint columns, one-byte type
-// and kind columns, and all three value-column tags — and, as over any
-// store, column lines that add up to the payload bytes.
-func TestInfoOverV2Fixture(t *testing.T) {
-	path := "../../internal/tstore/testdata/v2-synth.tobc"
+// -info over a store whose columns are stored differently from chunk
+// to chunk: values packed, patched (one fraction among integers) and raw
+// (fractions only), ids packed and patched (one far from the others) —
+// and, as over any store, column lines that add up to the payload bytes.
+func TestInfoOverMixedEncodings(t *testing.T) {
+	var events []tahoedyn.TraceEvent
+	for i, v := range []float64{1, 2, 3, 4, 5, 6, 6.5, 7, 0.5, 1.5, 2.5, 3.5} {
+		events = append(events, tahoedyn.TraceEvent{T: time.Duration(i+1) * time.Millisecond, Type: tahoedyn.TraceEnqueue, Size: 500, ID: uint64(i + 1), Val: v})
+	}
+	events[7].ID = 1 << 40
+	path := writeStore(t, 4, events)
 	got, code := queryOut(t, path)
-	want := path + ": chunked trace store (format v2), 2000 events in 8 chunks of ≤ 256 events\n" +
-		"  span 81µs .. 760.749ms\n" +
-		"  28050 payload bytes (14.0 B/event)\n" +
-		"  column count         16 B   0.01 B/event  varint 8\n" +
-		"  column t           4924 B   2.46 B/event  varint 8\n" +
-		"  column type        2000 B   1.00 B/event  raw 8\n" +
-		"  column kind        2000 B   1.00 B/event  raw 8\n" +
-		"  column loc         2032 B   1.02 B/event  varint 8\n" +
-		"  column conn        2040 B   1.02 B/event  varint 8\n" +
-		"  column seq         3520 B   1.76 B/event  varint 8\n" +
-		"  column size        3862 B   1.93 B/event  varint 8\n" +
-		"  column id          3328 B   1.66 B/event  varint 8\n" +
-		"  column val         4328 B   2.16 B/event  varint 1, patched 6, raw 1\n" +
-		"  3 locations\n"
+	want := path + ": chunked trace store (format v3), 12 events in 3 chunks of ≤ 4 events\n" +
+		"  span 1ms .. 12ms\n" +
+		"  152 payload bytes (12.7 B/event)\n" +
+		"  column count          3 B   0.25 B/event  varint 3\n" +
+		"  column t             38 B   3.17 B/event  varint 3\n" +
+		"  column type           3 B   0.25 B/event  packed 3\n" +
+		"  column kind           3 B   0.25 B/event  packed 3\n" +
+		"  column loc            6 B   0.50 B/event  packed 3\n" +
+		"  column conn           6 B   0.50 B/event  packed 3\n" +
+		"  column seq            9 B   0.75 B/event  packed 3\n" +
+		"  column size           9 B   0.75 B/event  packed 3\n" +
+		"  column id            21 B   1.75 B/event  packed 2, patched 1\n" +
+		"  column val           54 B   4.50 B/event  packed 1, patched 1, raw 1\n" +
+		"  1 locations\n"
 	if code != 0 || got != want {
 		t.Errorf("tahoe-query %s: exit %d, printed %q, want %q", path, code, got, want)
 	}

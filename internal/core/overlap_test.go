@@ -70,11 +70,11 @@ func tracedInto(cfg core.Config, ring int) (core.Config, *bytes.Buffer, *tstore.
 // TestStoredTraceBytesPinned is the whole-run pin of the hand-off: the
 // SHA-256 of the TOBC store of two RED scenarios, invariants on. The
 // digests were first taken on 018fb50, where the tracer called its sink
-// synchronously from the simulation's goroutine, and moved twice, with
-// the store's format v2 (same events, a shorter value column) and v3
-// (same events, every column but time bit-packed); they must
-// come out at every ring size, with one processor and with four, on a
-// fresh and on a reused arena.
+// synchronously from the simulation's goroutine, and moved twice with
+// the store's format, on the same events each time: a shorter value
+// column, then every column but time bit-packed (format v3, the one the
+// reader reads). They must come out at every ring size, with one
+// processor and with four, on a fresh and on a reused arena.
 func TestStoredTraceBytesPinned(t *testing.T) {
 	shipped, err := os.ReadFile("../../scenarios/red-twoway.json")
 	if err != nil {

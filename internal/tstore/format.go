@@ -36,10 +36,10 @@ import (
 //	header | chunk* | footer | trailer
 //
 // header (12 bytes): "TOBC" magic, uint16 version, uint16 reserved
-// (zero), uint32 target events per chunk. Version 2 added the patched
-// value column (valTagPatched); a version-1 store holds only tags 0 and
-// 1, so one decoder path reads both. Version 3 bit-packs every column but
-// time; decodeChunk takes its own path past the time column.
+// (zero), uint32 target events per chunk. The version is storeVersion:
+// every column but time bit-packed. A store of any other version is
+// refused at open: a store is a cache of a deterministic run, so the run
+// is written again rather than an old layout read.
 //
 // chunk: uint32 payload length, then the columnar payload (see
 // encodeChunk).
@@ -219,18 +219,13 @@ func (d *decoder) count(what string) int {
 	return int(v)
 }
 
-// valTag* select the value-column encoding. Before format v3: tag 0
-// stores every value as a zigzag varint — each an exact small integer
-// (queue lengths, window sizes, timeout counts); tag 2 (v2) stores the
-// varints, 0 in each exception's slot, then a patch list of the
-// exceptions' raw float64 bits (see patches); tag 1 stores every value
-// as raw float64 bits. Since v3, tag 0 is a frame-of-reference column
-// over the zigzagged integers whose patch list carries the exceptions,
-// tag 1 is raw as before, and tag 2 is not written.
+// valTag* select the value-column encoding: tag 0 is a frame-of-reference
+// column over the zigzagged integers — queue lengths, window sizes,
+// timeout counts — whose patch list carries the exceptions' raw float64
+// bits; tag 1 stores every value as raw float64 bits.
 const (
-	valTagInt     byte = 0
-	valTagRaw     byte = 1
-	valTagPatched byte = 2
+	valTagInt byte = 0
+	valTagRaw byte = 1
 )
 
 // colSet names a set of event columns: which fields of obs.Event a scan
@@ -260,16 +255,15 @@ const numColumns = 9
 type Encoding uint8
 
 const (
-	// EncVarint is one varint an event.
+	// EncVarint is one varint an event: the time column.
 	EncVarint Encoding = iota
 	// EncPacked is one bit width for the whole chunk: the values
 	// themselves, dictionary codes, or offsets from a base.
 	EncPacked
-	// EncPatched is packed (before format v3: varints) plus a patch list
-	// of raw values for the events the packing leaves out.
+	// EncPatched is packed plus a patch list of raw values for the events
+	// the packing leaves out.
 	EncPatched
-	// EncRaw is a fixed number of bytes an event: one for the type and
-	// the kind before format v3, a float64 for the values.
+	// EncRaw is a float64 an event: a value column with too few integers.
 	EncRaw
 
 	numEncodings
@@ -749,49 +743,23 @@ func skipVarints(b []byte, off, n int) int {
 	return off
 }
 
-// decodeColumn materializes one varint column — len(dst) varints
-// starting at b[off:] — into the field of dst that col names, and
-// returns the offset past it, or one beyond len(b) at a truncated or
-// overlong varint. For the dictionary columns the varints are codes
-// into dict; bad is the index of the first event whose code is outside
-// it, or -1. One loop serves every column so that the one-byte varint,
-// by far the commonest, is decoded in line; the switch goes the same
-// way on every iteration.
-func decodeColumn(b []byte, off int, dst []obs.Event, col colSet, dict []uint64) (next, bad int) {
+// decodeTimes materializes the time column — len(dst) zigzagged deltas
+// as varints, starting at b[off:] — into dst and returns the offset past
+// it, or one beyond len(b) at a truncated or overlong varint. The
+// one-byte varint, by far the commonest, is decoded in line.
+func decodeTimes(b []byte, off int, dst []obs.Event) int {
 	prevT := int64(0)
 	for i := range dst {
 		var u uint64
 		if off < len(b) && b[off] < 0x80 {
 			u, off = uint64(b[off]), off+1
 		} else if u, off = uvarintAt(b, off); off > len(b) {
-			return off, -1
+			return off
 		}
-		ev := &dst[i]
-		switch col {
-		case colT:
-			prevT += unzigzag(u)
-			ev.T = time.Duration(prevT)
-		case colLoc:
-			if u >= uint64(len(dict)) {
-				return off, i
-			}
-			ev.Loc = obs.Loc(dict[u])
-		case colConn:
-			if u >= uint64(len(dict)) {
-				return off, i
-			}
-			ev.Conn = int32(unzigzag(dict[u]))
-		case colSeq:
-			ev.Seq = int32(unzigzag(u))
-		case colSize:
-			ev.Size = int32(unzigzag(u))
-		case colID:
-			ev.ID = u
-		case colVal:
-			ev.Val = float64(unzigzag(u))
-		}
+		prevT += unzigzag(u)
+		dst[i].T = time.Duration(prevT)
 	}
-	return off, -1
+	return off
 }
 
 // decodePacked materializes packed column p into the field of dst that
@@ -908,24 +876,23 @@ func (d *decoder) span(col colSet, enc Encoding) {
 // columnNames are the columns' names in chunk order.
 var columnNames = [numColumns]string{"t", "type", "kind", "loc", "conn", "seq", "size", "id", "val"}
 
-// decodeChunk parses one chunk payload of the given format version into
-// dst (reused across chunks; grown as needed) and returns the events
-// along with the payload's declared event count. Only the columns in
-// cols are materialized — the other fields of the returned events keep
-// whatever dst held — and fully validated; the rest are stepped over
-// with their structure checked (element counts, widths, bounds, no
-// trailing bytes). A nonzero types mask reads the type column first
-// and, when no event's type is in the mask, returns no events without
-// looking at the other columns. Malformed payloads error, never panic,
-// and never allocate beyond the declared payload's plausible event
-// count.
-func decodeChunk(payload []byte, dst []obs.Event, version, nLocs int, cols colSet, types uint32) ([]obs.Event, int, error) {
-	return (&decoder{b: payload}).chunk(dst, version, nLocs, cols, types)
+// decodeChunk parses one chunk payload into dst (reused across chunks;
+// grown as needed) and returns the events along with the payload's
+// declared event count. Only the columns in cols are materialized — the
+// other fields of the returned events keep whatever dst held — and fully
+// validated; the rest are stepped over with their structure checked
+// (element counts, widths, bounds, no trailing bytes). A nonzero types
+// mask reads the type column first and, when no event's type is in the
+// mask, returns no events without looking at the other columns.
+// Malformed payloads error, never panic, and never allocate beyond the
+// declared payload's plausible event count.
+func decodeChunk(payload []byte, dst []obs.Event, nLocs int, cols colSet, types uint32) ([]obs.Event, int, error) {
+	return (&decoder{b: payload}).chunk(dst, nLocs, cols, types)
 }
 
 // chunk is decodeChunk over d.b; it records the column spans when
 // d.spans is set.
-func (d *decoder) chunk(dst []obs.Event, version, nLocs int, cols colSet, types uint32) ([]obs.Event, int, error) {
+func (d *decoder) chunk(dst []obs.Event, nLocs int, cols colSet, types uint32) ([]obs.Event, int, error) {
 	payload := d.b
 	n := d.count("event")
 	if d.err != nil {
@@ -945,45 +912,14 @@ func (d *decoder) chunk(dst []obs.Event, version, nLocs int, cols colSet, types 
 	if types != 0 {
 		cols |= colType
 	}
-	// Before v3 the type and the kind are a byte an event and every other
-	// column is varints; since, every column but time is packed.
-	packed := version >= 3
-	byteWidth, byteEnc, codeEnc := 8, EncRaw, EncVarint
-	if packed {
-		byteWidth, byteEnc, codeEnc = -1, EncPacked, EncPacked
-	}
-	// varints consumes one column of n varints, decoding it when cols
-	// asks for it.
-	varints := func(col colSet, what string, dict []uint64) error {
-		bad := -1
-		if cols&col != 0 {
-			d.off, bad = decodeColumn(payload, d.off, dst, col, dict)
-		} else {
-			d.off = skipVarints(payload, d.off, n)
-		}
-		if d.off > len(payload) {
-			return errVarint(what)
-		}
-		if bad >= 0 {
-			return fmt.Errorf("tstore: %s code of event %d out of range [0,%d)", what, bad, len(dict))
-		}
-		return nil
-	}
 	// dictColumn consumes a dictionary column — the entries, then a code
-	// per event: varints before v3, packed at the width the dictionary's
-	// length implies since — and records its span.
+	// per event packed at the width the dictionary's length implies — and
+	// records its span.
 	var dictBuf [64]uint64
 	dictColumn := func(col colSet, what, entries string, limit uint64) error {
 		dict, dn := d.dictionary(col, entries, cols&col != 0, dictBuf[:0], limit, nLocs)
 		if d.err != nil {
 			return d.err
-		}
-		if !packed {
-			if err := varints(col, what, dict); err != nil {
-				return err
-			}
-			d.span(col, codeEnc)
-			return nil
 		}
 		p := d.packed(n, bits.Len(uint(dn-1)))
 		if d.err != nil {
@@ -994,7 +930,7 @@ func (d *decoder) chunk(dst []obs.Event, version, nLocs int, cols colSet, types 
 				return fmt.Errorf("tstore: %s code %d of event %d out of range [0,%d)", what, p.at(bad), bad, dn)
 			}
 		}
-		d.span(col, codeEnc)
+		d.span(col, EncPacked)
 		return nil
 	}
 
@@ -1002,16 +938,18 @@ func (d *decoder) chunk(dst []obs.Event, version, nLocs int, cols colSet, types 
 	// whether the chunk is wanted at all: the times are stepped over
 	// now and decoded after it.
 	timeOff, timesLater := d.off, types != 0 && cols&colT != 0
-	if timesLater {
-		cols &^= colT
+	if cols&colT != 0 && !timesLater {
+		d.off = decodeTimes(payload, d.off, dst)
+	} else {
+		d.off = skipVarints(payload, d.off, n)
 	}
-	if err := varints(colT, "time", nil); err != nil {
-		return nil, n, err
+	if d.off > len(payload) {
+		return nil, n, errVarint("time")
 	}
 	d.span(colT, EncVarint)
 
 	// Type and kind columns.
-	typeCol := d.packed(n, byteWidth)
+	typeCol := d.packed(n, -1)
 	if d.err != nil {
 		return nil, n, d.err
 	}
@@ -1024,13 +962,11 @@ func (d *decoder) chunk(dst []obs.Event, version, nLocs int, cols colSet, types 
 			return dst[:0], n, nil
 		}
 	}
-	d.span(colType, byteEnc)
-	if timesLater {
-		if off, _ := decodeColumn(payload, timeOff, dst, colT, nil); off > len(payload) {
-			return nil, n, errVarint("time")
-		}
+	d.span(colType, EncPacked)
+	if timesLater && decodeTimes(payload, timeOff, dst) > len(payload) {
+		return nil, n, errVarint("time")
 	}
-	kindCol := d.packed(n, byteWidth)
+	kindCol := d.packed(n, -1)
 	if d.err != nil {
 		return nil, n, d.err
 	}
@@ -1039,69 +975,40 @@ func (d *decoder) chunk(dst []obs.Event, version, nLocs int, cols colSet, types 
 			return nil, n, fmt.Errorf("tstore: packet kind %d of event %d out of range", kindCol.at(bad), bad)
 		}
 	}
-	d.span(colKind, byteEnc)
+	d.span(colKind, EncPacked)
 
 	// Location and connection columns: a dictionary, then one code per
-	// event. Since v3 a dictionary entry of a 32-bit field must fit it.
+	// event. A dictionary entry of a 32-bit field must fit it.
 	if err := dictColumn(colLoc, "location", "location dictionary", math.MaxUint16); err != nil {
 		return nil, n, err
 	}
-	wide := uint64(math.MaxUint64)
-	if packed {
-		wide = math.MaxUint32
-	}
-	if err := dictColumn(colConn, "connection", "connection dictionary", wide); err != nil {
+	if err := dictColumn(colConn, "connection", "connection dictionary", math.MaxUint32); err != nil {
 		return nil, n, err
 	}
 
-	// Seq, size, id columns: plain varints before v3; since, seq and id
-	// are frames of reference and size is a dictionary column.
-	if !packed {
-		for _, c := range [...]struct {
-			col  colSet
-			what string
-		}{{colSeq, "seq"}, {colSize, "size"}, {colID, "id"}} {
-			if err := varints(c.col, c.what, nil); err != nil {
-				return nil, n, err
-			}
-			d.span(c.col, EncVarint)
-		}
-	} else {
-		if err := d.frameOfRef(dst, colSeq, cols&colSeq != 0, "seq"); err != nil {
-			return nil, n, err
-		}
-		if err := dictColumn(colSize, "size", "size dictionary", wide); err != nil {
-			return nil, n, err
-		}
-		if err := d.frameOfRef(dst, colID, cols&colID != 0, "id"); err != nil {
-			return nil, n, err
-		}
+	// Seq and id columns are frames of reference; size is a dictionary
+	// column.
+	if err := d.frameOfRef(dst, colSeq, cols&colSeq != 0, "seq"); err != nil {
+		return nil, n, err
+	}
+	if err := dictColumn(colSize, "size", "size dictionary", math.MaxUint32); err != nil {
+		return nil, n, err
+	}
+	if err := d.frameOfRef(dst, colID, cols&colID != 0, "id"); err != nil {
+		return nil, n, err
 	}
 
-	// Value column: a tag, then varints (a frame of reference since v3),
-	// raw float64 bits, or (v2) varints and a patch list.
+	// Value column: a tag, then a frame of reference or raw float64 bits.
 	tag := d.bytes(1)
 	if d.err != nil {
 		return nil, n, d.err
 	}
-	switch {
-	case packed && tag[0] == valTagInt:
+	switch tag[0] {
+	case valTagInt:
 		if err := d.frameOfRef(dst, colVal, cols&colVal != 0, "value"); err != nil {
 			return nil, n, err
 		}
-	case !packed && (tag[0] == valTagInt || tag[0] == valTagPatched):
-		if err := varints(colVal, "value", nil); err != nil {
-			return nil, n, err
-		}
-		enc := EncVarint
-		if tag[0] == valTagPatched {
-			if _, err := d.patches(dst, colVal, cols&colVal != 0); err != nil {
-				return nil, n, err
-			}
-			enc = EncPatched
-		}
-		d.span(colVal, enc)
-	case tag[0] == valTagRaw:
+	case valTagRaw:
 		raw := d.bytes(8 * n)
 		if d.err != nil {
 			return nil, n, d.err
@@ -1113,7 +1020,7 @@ func (d *decoder) chunk(dst []obs.Event, version, nLocs int, cols colSet, types 
 		}
 		d.span(colVal, EncRaw)
 	default:
-		return nil, n, fmt.Errorf("tstore: unknown value-column tag %d in a v%d chunk", tag[0], version)
+		return nil, n, fmt.Errorf("tstore: unknown value-column tag %d", tag[0])
 	}
 	if d.off != len(payload) {
 		return nil, n, fmt.Errorf("tstore: %d trailing bytes after chunk payload", len(payload)-d.off)

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -16,24 +15,24 @@ import (
 )
 
 // FuzzNewStore throws arbitrary bytes at the chunked-store reader, from
-// a store the writer wrote and from the committed format-v2 one.
-// Input that does not begin with the magic, however short, must be
-// refused with an error naming the magic. Whatever else the input —
-// truncated files, flipped header fields, corrupt footers, hostile
-// varints in the chunk index — NewStore must either return an error or
-// yield a store whose full Scan completes without panicking. Allocation is bounded by the validated counts, so hostile
-// lengths must not OOM either.
+// a store the writer wrote. Input that does not begin with the magic,
+// however short, must be refused with an error naming the magic, and a
+// file long enough to be a store whose header names any version but the
+// one written must be refused with an error naming -trace-store.
+// Whatever else the input — truncated files, flipped header fields,
+// corrupt footers, hostile varints in the chunk index — NewStore must
+// either return an error or yield a store whose full Scan completes
+// without panicking. Allocation is bounded by the validated counts, so
+// hostile lengths must not OOM either.
 func FuzzNewStore(f *testing.F) {
 	// Seed with a small real store so the fuzzer starts from a valid
 	// file and mutates inward past the CRC and bounds checks.
 	locs, events := synthTrace(2000, 3, 2, 1)
 	_, b := buildStore(f, locs, events, 256)
 	f.Add(b)
-	v2, err := os.ReadFile("testdata/v2-synth.tobc")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2)
+	old := slices.Clone(b)
+	binary.LittleEndian.PutUint16(old[4:], 2)
+	f.Add(old)
 	for _, cut := range []int{0, 1, 2, 3, 4, 11, 12, 40, len(b) / 2, len(b) - 13, len(b) - 1} {
 		f.Add(b[:cut])
 	}
@@ -61,6 +60,12 @@ func FuzzNewStore(f *testing.F) {
 			// Not a store at all: refused by the magic, whatever the length.
 			if err == nil || !strings.Contains(err.Error(), `want "TOBC"`) {
 				t.Fatalf("%d bytes without the magic: error %v, want one naming \"TOBC\"", len(data), err)
+			}
+			return
+		}
+		if len(data) >= headerSize+trailerSize && binary.LittleEndian.Uint16(data[4:]) != storeVersion {
+			if err == nil || !strings.Contains(err.Error(), "-trace-store") {
+				t.Fatalf("header version %d: error %v, want one naming -trace-store", binary.LittleEndian.Uint16(data[4:]), err)
 			}
 			return
 		}
@@ -119,12 +124,26 @@ func malformedPatchLists() map[string][]byte {
 	}
 }
 
-// referenceDecodeChunk is the chunk decoder as first written, taught the
-// patched value column of format v2 and, from DESIGN §14's description
-// of the layout, the packed columns of format v3: every column through
-// the error-latching decoder, every value checked, every packed value
-// read a bit at a time. The fuzz target holds the projected decoder to it.
-func referenceDecodeChunk(payload []byte, version, nLocs int) ([]obs.Event, error) {
+// referenceDecodeChunk is the chunk decoder written from DESIGN §14's
+// description of the layout: every column through the error-latching
+// decoder, every value checked, every packed value read a bit at a time.
+// The fuzz target holds the projected decoder to it. After the event
+// count and the time column (zigzagged deltas as varints): a packed
+// column of n values at width w is ⌈n·w/8⌉ bytes, bit j of the column
+// being bit j mod 8 of byte ⌊j/8⌋, value i its bits i·w to i·w+w−1,
+// least significant first. Type and kind: a width byte (at most 64),
+// then the packed values; a type below NumTypes, a kind at most 255.
+// Location, connection, size: a dictionary (a count of at least one,
+// then the entries as varints), then one code per event packed at the
+// bit length of count−1, each below the count; a location entry is a
+// location id, a connection or size entry the zigzag of an int32, so at
+// most 2³²−1. Seq and id: a frame of reference — a base varint, a width
+// byte, the offsets packed, and a patch list whose raw bits replace the
+// slot's value; base plus offset must not pass 2⁶⁴−1, and a seq,
+// zigzagged, nor 2³²−1 (a patched seq too). Value: a tag byte, 0 for a
+// frame of reference over the zigzag of int64 values whose patches are
+// raw float64 bits, 1 for raw float64 bits.
+func referenceDecodeChunk(payload []byte, nLocs int) ([]obs.Event, error) {
 	d := &decoder{b: payload}
 	n := d.count("event")
 	if d.err != nil {
@@ -159,157 +178,6 @@ func referenceDecodeChunk(payload []byte, version, nLocs int) ([]obs.Event, erro
 		}
 		return nil
 	}
-	if version >= 3 {
-		if err := referenceDecodeV3(d, dst, locID, readDict); err != nil {
-			return nil, err
-		}
-		if d.off != len(payload) {
-			return nil, fmt.Errorf("%d trailing bytes", len(payload)-d.off)
-		}
-		return dst, nil
-	}
-	for i := range dst {
-		b := d.bytes(1)
-		if d.err != nil {
-			return nil, d.err
-		}
-		if b[0] >= byte(obs.NumTypes) {
-			return nil, fmt.Errorf("unknown event type %d", b[0])
-		}
-		dst[i].Type = obs.Type(b[0])
-	}
-	for i := range dst {
-		b := d.bytes(1)
-		if d.err != nil {
-			return nil, d.err
-		}
-		dst[i].Kind = packet.Kind(b[0])
-	}
-	locDict := readDict()
-	for i := range dst {
-		c := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if c >= uint64(len(locDict)) {
-			return nil, fmt.Errorf("location code %d out of range", c)
-		}
-		if err := locID(locDict[c]); err != nil {
-			return nil, err
-		}
-		dst[i].Loc = obs.Loc(locDict[c])
-	}
-	connDict := readDict()
-	for i := range dst {
-		c := d.uvarint()
-		if d.err != nil {
-			return nil, d.err
-		}
-		if c >= uint64(len(connDict)) {
-			return nil, fmt.Errorf("connection code %d out of range", c)
-		}
-		dst[i].Conn = int32(unzigzag(connDict[c]))
-	}
-	for i := range dst {
-		dst[i].Seq = int32(d.varint())
-	}
-	for i := range dst {
-		dst[i].Size = int32(d.varint())
-	}
-	for i := range dst {
-		dst[i].ID = d.uvarint()
-	}
-	tag := d.bytes(1)
-	if d.err != nil {
-		return nil, d.err
-	}
-	switch tag[0] {
-	case valTagInt, valTagPatched:
-		for i := range dst {
-			dst[i].Val = float64(d.varint())
-		}
-		if tag[0] == valTagInt {
-			break
-		}
-		list, err := referencePatches(d, n)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range list {
-			dst[p.i].Val = math.Float64frombits(p.raw)
-		}
-	case valTagRaw:
-		for i := range dst {
-			b := d.bytes(8)
-			if d.err != nil {
-				return nil, d.err
-			}
-			dst[i].Val = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		}
-	default:
-		return nil, fmt.Errorf("unknown value-column tag %d", tag[0])
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("%d trailing bytes", len(payload)-d.off)
-	}
-	return dst, nil
-}
-
-// referencePatches reads a patch list: a count of at most n, then per
-// patch an index gap (the first from −1) of at least 1 that keeps the
-// index below n, and 8 raw little-endian bytes.
-func referencePatches(d *decoder, n int) ([]patch, error) {
-	count := d.count("patch")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if count > n {
-		return nil, fmt.Errorf("%d patches among %d events", count, n)
-	}
-	var list []patch
-	idx := uint64(0)
-	for j := 0; j < count; j++ {
-		gap := d.uvarint()
-		b := d.bytes(8)
-		if d.err != nil {
-			return nil, d.err
-		}
-		if j == 0 {
-			idx = gap - 1 // gap 0 wraps and fails the bound below
-		} else if gap == 0 {
-			return nil, fmt.Errorf("patch %d repeats index %d", j, idx)
-		} else {
-			idx += gap
-		}
-		if gap > uint64(n) || idx >= uint64(n) {
-			return nil, fmt.Errorf("patch %d beyond the chunk", j)
-		}
-		list = append(list, patch{int(idx), binary.LittleEndian.Uint64(b)})
-	}
-	return list, nil
-}
-
-// referenceDecodeV3 reads the columns of a v3 chunk after the time
-// column, as DESIGN §14 lays them out. A packed column of n values at
-// width w is ⌈n·w/8⌉ bytes, bit j of the column being bit j mod 8 of
-// byte ⌊j/8⌋, value i its bits i·w to i·w+w−1, least significant first.
-// Type and kind: a width byte (at most 64), then the packed values; a
-// type below NumTypes, a kind at most 255. Location, connection, size:
-// a dictionary (a count of at least one, then the entries as varints),
-// then one code per event packed at the bit length of count−1, each
-// below the count; a location entry is a location id, a connection or
-// size entry the zigzag of an int32, so at most 2³²−1. Seq and id: a
-// frame of reference — a base varint, a width byte, the offsets packed,
-// and a patch list whose raw bits replace the slot's value; base plus
-// offset must not pass 2⁶⁴−1, and a seq, zigzagged, nor 2³²−1 (a patched
-// seq too). Value: a tag byte, 0 for a frame of reference over the
-// zigzag of int64 values whose patches are raw float64 bits, 1 for raw
-// float64 bits.
-func referenceDecodeV3(d *decoder, dst []obs.Event, locID func(uint64) error, readDict func() []uint64) error {
-	n := len(dst)
 	readPacked := func(w int) []uint64 {
 		if w > 64 {
 			d.fail("width %d", w)
@@ -385,41 +253,41 @@ func referenceDecodeV3(d *decoder, dst []obs.Event, locID func(uint64) error, re
 	types := readPacked(width())
 	for i, t := range types {
 		if t >= uint64(obs.NumTypes) {
-			return fmt.Errorf("unknown event type %d", t)
+			return nil, fmt.Errorf("unknown event type %d", t)
 		}
 		dst[i].Type = obs.Type(t)
 	}
 	kinds := readPacked(width())
 	for i, k := range kinds {
 		if k > math.MaxUint8 {
-			return fmt.Errorf("kind %d", k)
+			return nil, fmt.Errorf("kind %d", k)
 		}
 		dst[i].Kind = packet.Kind(k)
 	}
 	if d.err != nil {
-		return d.err
+		return nil, d.err
 	}
 	locs, err := dictCol(locID)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i, l := range locs {
 		dst[i].Loc = obs.Loc(l)
 	}
 	conns, err := dictCol(int32Entry)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i, c := range conns {
 		dst[i].Conn = int32(unzigzag(c))
 	}
 	seqs, list, err := forCol(math.MaxUint32)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, p := range list {
 		if p.raw > math.MaxUint32 {
-			return fmt.Errorf("patched seq %d", p.raw)
+			return nil, fmt.Errorf("patched seq %d", p.raw)
 		}
 		seqs[p.i] = p.raw
 	}
@@ -428,14 +296,14 @@ func referenceDecodeV3(d *decoder, dst []obs.Event, locID func(uint64) error, re
 	}
 	sizes, err := dictCol(int32Entry)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i, z := range sizes {
 		dst[i].Size = int32(unzigzag(z))
 	}
 	ids, list, err := forCol(math.MaxUint64)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, p := range list {
 		ids[p.i] = p.raw
@@ -445,13 +313,13 @@ func referenceDecodeV3(d *decoder, dst []obs.Event, locID func(uint64) error, re
 	}
 	tag := d.bytes(1)
 	if d.err != nil {
-		return d.err
+		return nil, d.err
 	}
 	switch tag[0] {
 	case valTagInt:
 		vals, list, err := forCol(math.MaxUint64)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		for i, v := range vals {
 			dst[i].Val = float64(unzigzag(v))
@@ -463,14 +331,54 @@ func referenceDecodeV3(d *decoder, dst []obs.Event, locID func(uint64) error, re
 		for i := range dst {
 			b := d.bytes(8)
 			if d.err != nil {
-				return d.err
+				return nil, d.err
 			}
 			dst[i].Val = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		}
 	default:
-		return fmt.Errorf("unknown value-column tag %d", tag[0])
+		return nil, fmt.Errorf("unknown value-column tag %d", tag[0])
 	}
-	return d.err
+	if d.err != nil {
+		return nil, d.err
+	}
+	if d.off != len(payload) {
+		return nil, fmt.Errorf("%d trailing bytes", len(payload)-d.off)
+	}
+	return dst, nil
+}
+
+// referencePatches reads a patch list: a count of at most n, then per
+// patch an index gap (the first from −1) of at least 1 that keeps the
+// index below n, and 8 raw little-endian bytes.
+func referencePatches(d *decoder, n int) ([]patch, error) {
+	count := d.count("patch")
+	if d.err != nil {
+		return nil, d.err
+	}
+	if count > n {
+		return nil, fmt.Errorf("%d patches among %d events", count, n)
+	}
+	var list []patch
+	idx := uint64(0)
+	for j := 0; j < count; j++ {
+		gap := d.uvarint()
+		b := d.bytes(8)
+		if d.err != nil {
+			return nil, d.err
+		}
+		if j == 0 {
+			idx = gap - 1 // gap 0 wraps and fails the bound below
+		} else if gap == 0 {
+			return nil, fmt.Errorf("patch %d repeats index %d", j, idx)
+		} else {
+			idx += gap
+		}
+		if gap > uint64(n) || idx >= uint64(n) {
+			return nil, fmt.Errorf("patch %d beyond the chunk", j)
+		}
+		list = append(list, patch{int(idx), binary.LittleEndian.Uint64(b)})
+	}
+	return list, nil
 }
 
 // sameEvent compares two events bit for bit (a raw value column can
@@ -514,21 +422,16 @@ func projectedFields(dst, src obs.Event, cols colSet) obs.Event {
 	return dst
 }
 
-// seedPayload is a valid chunk payload and the format version it is in.
-type seedPayload struct {
-	payload []byte
-	version int
-}
-
 // fuzzSeedPayloads returns valid chunk payloads to start from: three the
-// writer encodes — an all-integer value column; one with the synthetic
+// encoder writes — an all-integer value column; one with the synthetic
 // trace's fractional values (patched, past a few events), a negative
 // connection, a connection range too wide for the code table, a seq and
 // an id far from the others (patched) and a size of its own; and one with
-// no integer value at all (raw) — then the first three chunks of
-// testdata/v2-synth.tobc, one of each format-v2 value tag.
-func fuzzSeedPayloads(t testing.TB, n int) []seedPayload {
-	var out []seedPayload
+// no integer value at all (raw) — then the first three chunks of a store
+// the writer writes at 256 events a chunk, whose value columns are packed,
+// raw and patched.
+func fuzzSeedPayloads(t testing.TB, n int) [][]byte {
+	var out [][]byte
 	for _, seed := range []int64{1, 2, 3} {
 		_, events := synthTrace(n, 3, 4, seed)
 		for i := range events {
@@ -548,24 +451,21 @@ func fuzzSeedPayloads(t testing.TB, n int) []seedPayload {
 			events[5].Size = 1 << 30
 		}
 		payload, _ := encodeChunk(nil, events, new(codeTable))
-		out = append(out, seedPayload{payload, storeVersion})
+		out = append(out, payload)
 	}
-	raw, err := os.ReadFile("testdata/v2-synth.tobc")
-	if err != nil {
-		t.Fatal(err)
+	locs, events := synthTrace(2000, 3, 4, 1)
+	for i := range events[:256] {
+		events[i].Val = float64(i % 7)
+		events[256+i].Val += 0.25
 	}
-	s, err := NewStore(bytes.NewReader(raw), int64(len(raw)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, raw := buildStore(t, locs, events, 256)
 	for _, c := range s.Chunks()[:3] {
-		out = append(out, seedPayload{raw[c.Offset+4 : c.Offset+4+c.Size], 2})
+		out = append(out, raw[c.Offset+4:c.Offset+4+c.Size])
 	}
 	return out
 }
 
-// checkProjectedDecode holds one (payload, version, column set, type
-// mask) to the decoder's contract. The all-columns decode must accept
+// checkProjectedDecode holds one (payload, column set, type mask) to the decoder's contract. The all-columns decode must accept
 // nothing the reference decoder rejects, and must agree with it event
 // for event. Whenever the all-columns decode accepts, the projection
 // accepts, returns exactly the projected fields of the same events (and
@@ -573,21 +473,21 @@ func fuzzSeedPayloads(t testing.TB, n int) []seedPayload {
 // chunk only when no event has a type in the mask. Whatever a
 // projection accepts has the event count the payload declares. It
 // reports whether the all-columns decode accepted.
-func checkProjectedDecode(t *testing.T, payload []byte, version int, cols colSet, types uint32) bool {
+func checkProjectedDecode(t *testing.T, payload []byte, cols colSet, types uint32) bool {
 	t.Helper()
 	const nLocs = 5
-	full, nFull, errFull := decodeChunk(payload, nil, version, nLocs, colAll, 0)
-	ref, errRef := referenceDecodeChunk(payload, version, nLocs)
+	full, nFull, errFull := decodeChunk(payload, nil, nLocs, colAll, 0)
+	ref, errRef := referenceDecodeChunk(payload, nLocs)
 	if errFull == nil {
 		if errRef != nil {
-			t.Fatalf("v%d all-columns decode accepted a payload the reference rejects: %v", version, errRef)
+			t.Fatalf("all-columns decode accepted a payload the reference rejects: %v", errRef)
 		}
 		if len(full) != len(ref) || nFull != len(ref) {
-			t.Fatalf("v%d all-columns decode: %d events (declared %d), reference %d", version, len(full), nFull, len(ref))
+			t.Fatalf("all-columns decode: %d events (declared %d), reference %d", len(full), nFull, len(ref))
 		}
 		for i := range full {
 			if !sameEvent(full[i], ref[i]) {
-				t.Fatalf("v%d event %d: all-columns decode %+v, reference %+v", version, i, full[i], ref[i])
+				t.Fatalf("event %d: all-columns decode %+v, reference %+v", i, full[i], ref[i])
 			}
 		}
 	}
@@ -597,18 +497,18 @@ func checkProjectedDecode(t *testing.T, payload []byte, version int, cols colSet
 	for i := range buf {
 		buf[i] = poison
 	}
-	got, n, err := decodeChunk(payload, buf, version, nLocs, cols, types)
+	got, n, err := decodeChunk(payload, buf, nLocs, cols, types)
 	if err != nil {
 		if errFull == nil {
-			t.Fatalf("v%d cols=%#x types=%#x rejected a payload the all-columns decode accepts: %v", version, cols, types, err)
+			t.Fatalf("cols=%#x types=%#x rejected a payload the all-columns decode accepts: %v", cols, types, err)
 		}
 		return false
 	}
 	if declared, _ := binary.Uvarint(payload); uint64(n) != declared {
-		t.Fatalf("v%d cols=%#x types=%#x: accepted with count %d, payload declares %d", version, cols, types, n, declared)
+		t.Fatalf("cols=%#x types=%#x: accepted with count %d, payload declares %d", cols, types, n, declared)
 	}
 	if len(got) != n && (len(got) != 0 || types == 0) {
-		t.Fatalf("v%d cols=%#x types=%#x: %d events returned of %d declared", version, cols, types, len(got), n)
+		t.Fatalf("cols=%#x types=%#x: %d events returned of %d declared", cols, types, len(got), n)
 	}
 	if errFull != nil {
 		return false
@@ -616,7 +516,7 @@ func checkProjectedDecode(t *testing.T, payload []byte, version int, cols colSet
 	if len(got) == 0 {
 		for i := range full {
 			if types&(1<<full[i].Type) != 0 {
-				t.Fatalf("v%d types=%#x: chunk abandoned, but event %d has type %v", version, types, i, full[i].Type)
+				t.Fatalf("types=%#x: chunk abandoned, but event %d has type %v", types, i, full[i].Type)
 			}
 		}
 		return true
@@ -626,7 +526,7 @@ func checkProjectedDecode(t *testing.T, payload []byte, version int, cols colSet
 	}
 	for i := range got {
 		if want := projectedFields(poison, full[i], cols); !sameEvent(got[i], want) {
-			t.Fatalf("v%d cols=%#x types=%#x event %d: got %+v, want %+v", version, cols, types, i, got[i], want)
+			t.Fatalf("cols=%#x types=%#x event %d: got %+v, want %+v", cols, types, i, got[i], want)
 		}
 	}
 	return true
@@ -634,32 +534,31 @@ func checkProjectedDecode(t *testing.T, payload []byte, version int, cols colSet
 
 // TestDecodeChunkEveryProjection runs the decoder's contract over every
 // one of the 512 column sets, with and without a type mask (one that
-// some event matches, one that none does), on valid payloads of both
-// layouts and on each of their truncations; then a few column sets over
+// some event matches, one that none does), on valid payloads and on
+// each of their truncations; then a few column sets over
 // every event count up to 70, so that the word-at-a-time skip and the
 // packed reads near the payload's end meet every remainder.
 func TestDecodeChunkEveryProjection(t *testing.T) {
-	for _, sp := range fuzzSeedPayloads(t, 43) {
-		payload := sp.payload
+	for _, payload := range fuzzSeedPayloads(t, 43) {
 		for cols := colSet(0); cols <= colAll; cols++ {
 			for _, types := range []uint32{0, 1 << obs.Transmit, 1 << obs.Timeout} {
-				if !checkProjectedDecode(t, payload, sp.version, cols, types) {
-					t.Fatalf("v%d cols=%#x types=%#x: a payload the encoder wrote was rejected", sp.version, cols, types)
+				if !checkProjectedDecode(t, payload, cols, types) {
+					t.Fatalf("cols=%#x types=%#x: a payload the encoder wrote was rejected", cols, types)
 				}
 			}
 		}
 		for cut := 0; cut < len(payload); cut++ {
 			for _, cols := range []colSet{0, colVal, colT | colLoc, colAll} {
-				if checkProjectedDecode(t, payload[:cut], sp.version, cols, 1<<obs.Drop) {
-					t.Fatalf("v%d payload truncated to %d of %d bytes accepted by the all-columns decode", sp.version, cut, len(payload))
+				if checkProjectedDecode(t, payload[:cut], cols, 1<<obs.Drop) {
+					t.Fatalf("payload truncated to %d of %d bytes accepted by the all-columns decode", cut, len(payload))
 				}
 			}
 		}
 	}
 	for n := 1; n <= 70; n++ {
-		for _, sp := range fuzzSeedPayloads(t, n)[:3] {
+		for _, payload := range fuzzSeedPayloads(t, n)[:3] {
 			for _, cols := range []colSet{0, colType, colVal, colT | colLoc, colConn | colID, colSeq | colSize, colAll} {
-				if !checkProjectedDecode(t, sp.payload, sp.version, cols, 0) {
+				if !checkProjectedDecode(t, payload, cols, 0) {
 					t.Fatalf("%d events, cols=%#x: a payload the encoder wrote was rejected", n, cols)
 				}
 			}
@@ -667,7 +566,7 @@ func TestDecodeChunkEveryProjection(t *testing.T) {
 	}
 }
 
-// packedEvents is a chunk of ten events for the malformed v3 seeds: three
+// packedEvents is a chunk of ten events for the malformed seeds: three
 // locations (a 2-bit code column), two sizes, distinct seqs and ids.
 func packedEvents() []obs.Event {
 	events := make([]obs.Event, 10)
@@ -682,7 +581,7 @@ func packedEvents() []obs.Event {
 // broken in one of its packed columns in a way the decoder must refuse.
 func malformedPackedColumns() map[string][]byte {
 	payload, _ := encodeChunk(nil, packedEvents(), new(codeTable))
-	sp := chunkLayout(payload, storeVersion)
+	sp := chunkLayout(payload)
 	start := make([]int, numColumns+1)
 	start[0] = sp.count
 	for i, c := range sp.cols {
@@ -720,53 +619,51 @@ func malformedPackedColumns() map[string][]byte {
 // error for the decoder and for the reference decoder.
 func TestPackedColumnsRejectMalformed(t *testing.T) {
 	payload, _ := encodeChunk(nil, packedEvents(), new(codeTable))
-	if _, _, err := decodeChunk(payload, nil, storeVersion, -1, colAll, 0); err != nil {
+	if _, _, err := decodeChunk(payload, nil, -1, colAll, 0); err != nil {
 		t.Fatalf("the unbroken payload: %v", err)
 	}
 	for name, payload := range malformedPackedColumns() {
-		if _, _, err := decodeChunk(payload, nil, storeVersion, -1, colAll, 0); err == nil {
+		if _, _, err := decodeChunk(payload, nil, -1, colAll, 0); err == nil {
 			t.Errorf("%s: decode accepted it", name)
 		}
-		if _, err := referenceDecodeChunk(payload, storeVersion, -1); err == nil {
+		if _, err := referenceDecodeChunk(payload, -1); err == nil {
 			t.Errorf("%s: reference decoder accepted it", name)
 		}
 	}
 }
 
 // FuzzDecodeChunkProjected throws arbitrary chunk payloads at the
-// projected decoder, read as format v3 or (legacy) v2, under an
-// arbitrary column set and type mask: it must never panic, and must keep
+// projected decoder under an arbitrary column set and type mask: it must never panic, and must keep
 // the contract checkProjectedDecode spells out. The varint reader is
 // held to encoding/binary's on the same bytes.
 func FuzzDecodeChunkProjected(f *testing.F) {
-	for _, sp := range fuzzSeedPayloads(f, 43) {
-		payload, legacy := sp.payload, sp.version < 3
-		f.Add(payload, uint16(colAll), uint32(0), legacy)
-		f.Add(payload, uint16(colVal), uint32(1<<obs.Enqueue), legacy)
-		f.Add(payload, uint16(colT|colLoc), uint32(1<<obs.Timeout), legacy)
-		f.Add(payload[:len(payload)/2], uint16(colID), uint32(0), legacy)
-		f.Add(append(payload[:len(payload):len(payload)], 0), uint16(0), uint32(0), legacy)
+	for _, payload := range fuzzSeedPayloads(f, 43) {
+		f.Add(payload, uint16(colAll), uint32(0))
+		f.Add(payload, uint16(colVal), uint32(1<<obs.Enqueue))
+		f.Add(payload, uint16(colT|colLoc), uint32(1<<obs.Timeout))
+		f.Add(payload[:len(payload)/2], uint16(colID), uint32(0))
+		f.Add(append(payload[:len(payload):len(payload)], 0), uint16(0), uint32(0))
 	}
-	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, uint16(colT), uint32(0), false)
+	f.Add([]byte{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, uint16(colT), uint32(0))
 	// One event whose location dictionary entry (after the count, the
 	// time, the type and kind columns and the dictionary count) is an
 	// overlong zero: only a decode that reads the dictionary may object.
 	one, _ := encodeChunk(nil, []obs.Event{{T: 5, Type: obs.Deliver, Conn: 1}}, new(codeTable))
-	sp := chunkLayout(one, storeVersion)
+	sp := chunkLayout(one)
 	at := sp.count + sp.cols[0].bytes + sp.cols[1].bytes + sp.cols[2].bytes
 	overlong := slices.Concat(one[:at+1], []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80}, one[at+1:])
-	f.Add(overlong, uint16(colAll), uint32(0), false)
-	f.Add(overlong, uint16(colVal), uint32(0), false)
+	f.Add(overlong, uint16(colAll), uint32(0))
+	f.Add(overlong, uint16(colVal), uint32(0))
 	for _, payload := range malformedPatchLists() {
-		f.Add(payload, uint16(colAll), uint32(0), false)
-		f.Add(payload, uint16(colT), uint32(0), false)
+		f.Add(payload, uint16(colAll), uint32(0))
+		f.Add(payload, uint16(colT), uint32(0))
 	}
 	for _, payload := range malformedPackedColumns() {
-		f.Add(payload, uint16(colAll), uint32(0), false)
-		f.Add(payload, uint16(colKind), uint32(0), false)
+		f.Add(payload, uint16(colAll), uint32(0))
+		f.Add(payload, uint16(colKind), uint32(0))
 	}
 
-	f.Fuzz(func(t *testing.T, payload []byte, colBits uint16, types uint32, legacy bool) {
+	f.Fuzz(func(t *testing.T, payload []byte, colBits uint16, types uint32) {
 		v, off := uvarintAt(payload, 0)
 		if w, k := binary.Uvarint(payload); k > 0 {
 			if v != w || off != k {
@@ -775,10 +672,6 @@ func FuzzDecodeChunkProjected(f *testing.F) {
 		} else if off <= len(payload) {
 			t.Fatalf("uvarintAt accepted (%d, %d) what binary.Uvarint rejects (%d)", v, off, k)
 		}
-		version := storeVersion
-		if legacy {
-			version = 2
-		}
-		checkProjectedDecode(t, payload, version, colSet(colBits)&colAll, types)
+		checkProjectedDecode(t, payload, colSet(colBits)&colAll, types)
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -19,15 +18,11 @@ import (
 
 // The digests of the two traces below at 65 536 events a chunk, the
 // default until it became 4 096, recorded when the format became v3 (every
-// column but time bit-packed). Stores of formats v1 and v2 are held to
-// their answers by TestV1FixtureAnswers and TestV2FixtureAnswers.
+// column but time bit-packed).
 const (
 	synthDigest64K     = "061419f420b5b9cdc32c7c02b5157311440819d8d50edecb78613a1bc366c9a9"
 	redTwowayDigest64K = "a9b0ccd6cbb86b4cbea0459b1f6f89493754ca41febd361545e970286b40d608"
 )
-
-// currentVersion is the format version the writer writes.
-const currentVersion = 3
 
 func digest(b []byte) string {
 	h := sha256.Sum256(b)
@@ -221,87 +216,6 @@ func ask(t *testing.T, raw []byte) answers {
 		a.verdict = fmt.Sprintf("%s at %d (%s): %+v", vio.Rule, vio.Index, vio.Detail, vio.Event)
 	}
 	return a
-}
-
-// v1FixtureDigest is the SHA-256 of testdata/v1-synth.tobc, a store the
-// format-v1 writer wrote from v1FixtureTrace at 256 events a chunk: its
-// first chunk's value column is all integers (tag 0), the other seven
-// carry fractional values (tag 1, raw float64).
-const v1FixtureDigest = "44028974aa7f529f65902c09cf6efa40fe7d8356f776bfe18aecfc9db0ae0130"
-
-// v1FixtureTrace returns the events testdata/v1-synth.tobc holds.
-func v1FixtureTrace() ([]string, []obs.Event) {
-	locs, events := tstore.SynthTrace(2000, 3, 4, 1)
-	for i := range events[:256] {
-		events[i].Val = math.Trunc(events[i].Val)
-	}
-	return locs, events
-}
-
-// v2FixtureDigest is the SHA-256 of testdata/v2-synth.tobc, a store the
-// format-v2 writer wrote from v2FixtureTrace at 256 events a chunk: its
-// first chunk's value column is all integers (tag 0), its second all
-// fractional (tag 1, raw float64), and the other six integers with a few
-// halves patched in (tag 2).
-const v2FixtureDigest = "8a233493fdc0eec1cdc094a5522b3209c4033d618f41b10ebd395f29b7cd997f"
-
-// v2FixtureTrace returns the events testdata/v2-synth.tobc holds.
-func v2FixtureTrace() ([]string, []obs.Event) {
-	locs, events := v1FixtureTrace()
-	for i := range events[256:512] {
-		events[256+i].Val += 0.25
-	}
-	return locs, events
-}
-
-// TestV1FixtureAnswers opens a store written in format v1 and asks it
-// everything a reader can ask: the answers are those of the same events
-// written as the current format, so stores on disk stay readable as the
-// format moves on.
-func TestV1FixtureAnswers(t *testing.T) {
-	locs, events := v1FixtureTrace()
-	checkFixtureAnswers(t, "testdata/v1-synth.tobc", v1FixtureDigest, 1, locs, events)
-}
-
-// TestV2FixtureAnswers is TestV1FixtureAnswers for a store written in
-// format v2, all three of its value-column tags included.
-func TestV2FixtureAnswers(t *testing.T) {
-	locs, events := v2FixtureTrace()
-	checkFixtureAnswers(t, "testdata/v2-synth.tobc", v2FixtureDigest, 2, locs, events)
-}
-
-// checkFixtureAnswers holds the committed store at path, of the given
-// format version, to its digest, to the events it was written from, and
-// to every answer those events give when written as the current format.
-func checkFixtureAnswers(t *testing.T, path, wantDigest string, version int, locs []string, events []obs.Event) {
-	t.Helper()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := digest(raw); got != wantDigest {
-		t.Fatalf("%s: digest %s, want %s", path, got, wantDigest)
-	}
-	rewritten := writeStore(t, locs, events, 256)
-	for _, st := range []struct {
-		raw     []byte
-		version int
-	}{{raw, version}, {rewritten, currentVersion}} {
-		s, err := tstore.NewStore(bytes.NewReader(st.raw), int64(len(st.raw)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Version() != st.version {
-			t.Errorf("store reads as version %d, want %d", s.Version(), st.version)
-		}
-	}
-	got, want := ask(t, raw), ask(t, rewritten)
-	if !reflect.DeepEqual(got.events, events) {
-		t.Errorf("the v%d store does not hold the fixture's events", version)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v%d store answers\n%+v\nrewritten store answers\n%+v", version, got, want)
-	}
 }
 
 // TestChunkSizeDoesNotChangeAnswers writes the two pinned traces, and a

@@ -24,8 +24,6 @@ type Store struct {
 	locs  []string
 	index []ChunkInfo
 	total uint64
-	// version is the format version in the header.
-	version int
 	// chunkN is the writer's target events per chunk (header field).
 	chunkN int
 	// sorted reports whether chunk time ranges are non-overlapping and
@@ -75,9 +73,8 @@ func NewStore(r io.ReaderAt, size int64) (*Store, error) {
 	if size < headerSize+trailerSize {
 		return nil, fmt.Errorf("tstore: file too short (%d bytes) to be a store", size)
 	}
-	version := int(binary.LittleEndian.Uint16(hdr[4:6]))
-	if version > storeVersion {
-		return nil, fmt.Errorf("tstore: store version %d is newer than supported version %d", version, storeVersion)
+	if version := binary.LittleEndian.Uint16(hdr[4:6]); version != storeVersion {
+		return nil, fmt.Errorf("tstore: store format version %d, but only version %d is read: re-run tahoe-sim -trace-store to write the store again", version, storeVersion)
 	}
 	chunkN := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	if chunkN <= 0 || chunkN > maxChunkPayload {
@@ -104,7 +101,7 @@ func NewStore(r io.ReaderAt, size int64) (*Store, error) {
 		return nil, fmt.Errorf("tstore: footer checksum mismatch (file corrupted)")
 	}
 
-	s := &Store{r: r, version: version, chunkN: chunkN, sorted: true}
+	s := &Store{r: r, chunkN: chunkN, sorted: true}
 	d := &decoder{b: foot}
 	nLocs := d.count("location")
 	for i := 0; i < nLocs && d.err == nil; i++ {
@@ -178,9 +175,8 @@ func (s *Store) Chunks() []ChunkInfo { return s.index }
 func (s *Store) TotalEvents() uint64 { return s.total }
 
 // Version returns the format version the store was written in (the
-// header field): 1 for stores without patched value columns, 2 for
-// varint columns with patched values, 3 for bit-packed columns.
-func (s *Store) Version() int { return s.version }
+// header field): storeVersion, the only one NewStore opens.
+func (s *Store) Version() int { return storeVersion }
 
 // ChunkEvents returns the chunk capacity the store was written with
 // (the header field): every chunk but the last holds this many events.
@@ -297,7 +293,7 @@ func (s *Store) readChunk(c *ChunkInfo, sc *scratch, cols colSet, types uint32) 
 	if err != nil {
 		return nil, err
 	}
-	events, n, err := decodeChunk(payload, sc.events, s.version, len(s.locs), cols, types)
+	events, n, err := decodeChunk(payload, sc.events, len(s.locs), cols, types)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +356,7 @@ func (s *Store) Layout() (Layout, error) {
 		}
 		var sp chunkSpans
 		d := &decoder{b: payload, spans: &sp}
-		events, _, err := d.chunk(sc.events, s.version, len(s.locs), 0, 0)
+		events, _, err := d.chunk(sc.events, len(s.locs), 0, 0)
 		if err != nil {
 			return l, fmt.Errorf("tstore: chunk at %d: %w", c.Offset, err)
 		}

@@ -831,15 +831,6 @@ func TestStoreRejectsCorruption(t *testing.T) {
 			t.Error("bad header magic accepted")
 		}
 	})
-	t.Run("newer-version", func(t *testing.T) {
-		// A reader refuses a store from a later format at open, before
-		// any chunk could fail to decode mid-scan.
-		b := append([]byte(nil), raw...)
-		binary.LittleEndian.PutUint16(b[4:], storeVersion+1)
-		if _, err := NewStore(bytes.NewReader(b), int64(len(b))); err == nil || !strings.Contains(err.Error(), "newer than supported") {
-			t.Errorf("store of version %d: error %v, want one naming it newer than supported", storeVersion+1, err)
-		}
-	})
 	t.Run("footer-bitflip", func(t *testing.T) {
 		// Flip a byte inside the footer: the CRC must catch it.
 		b := append([]byte(nil), raw...)
@@ -864,17 +855,38 @@ func TestStoreRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestStoreRefusesOtherVersions: a store is a cache of a deterministic
+// run, so a store of any format version but the one written — older or
+// newer, a header version of 0 included — is refused at open, before any
+// chunk could fail to decode mid-scan, by an error that names the version
+// and how to write the store again. The footer CRC does not cover the
+// header, so a patched version reaches the check.
+func TestStoreRefusesOtherVersions(t *testing.T) {
+	locs, events := synthTrace(600, 2, 4, 1)
+	_, raw := buildStore(t, locs, events, 256)
+	for _, v := range []uint16{0, 1, 2, 4, math.MaxUint16} {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			b := slices.Clone(raw)
+			binary.LittleEndian.PutUint16(b[4:], v)
+			_, err := NewStore(bytes.NewReader(b), int64(len(b)))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d,", v)) || !strings.Contains(err.Error(), "tahoe-sim -trace-store") {
+				t.Errorf("store of version %d: error %v, want one naming the version and tahoe-sim -trace-store", v, err)
+			}
+		})
+	}
+}
+
 // valueEncoding encodes events as one chunk and returns the payload with
 // its value column's encoding.
 func valueEncoding(events []obs.Event) ([]byte, Encoding) {
 	payload, _ := encodeChunk(nil, events, new(codeTable))
-	return payload, chunkLayout(payload, storeVersion).cols[numColumns-1].enc
+	return payload, chunkLayout(payload).cols[numColumns-1].enc
 }
 
 // chunkLayout walks a valid payload's column boundaries.
-func chunkLayout(payload []byte, version int) chunkSpans {
+func chunkLayout(payload []byte) chunkSpans {
 	var sp chunkSpans
-	if _, _, err := (&decoder{b: payload, spans: &sp}).chunk(nil, version, -1, 0, 0); err != nil {
+	if _, _, err := (&decoder{b: payload, spans: &sp}).chunk(nil, -1, 0, 0); err != nil {
 		panic(err)
 	}
 	return sp
@@ -926,11 +938,11 @@ func TestPatchedValueColumn(t *testing.T) {
 			if enc != tc.enc {
 				t.Fatalf("value column %v, want %v", enc, tc.enc)
 			}
-			got, _, err := decodeChunk(payload, nil, storeVersion, -1, colAll, 0)
+			got, _, err := decodeChunk(payload, nil, -1, colAll, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := referenceDecodeChunk(payload, storeVersion, -1)
+			ref, err := referenceDecodeChunk(payload, -1)
 			if err != nil {
 				t.Fatalf("reference decoder: %v", err)
 			}
@@ -939,7 +951,7 @@ func TestPatchedValueColumn(t *testing.T) {
 					t.Fatalf("event %d: decoded %+v, reference %+v, written %+v", i, got[i], ref[i], want)
 				}
 			}
-			if _, _, err := decodeChunk(payload, nil, storeVersion, -1, colAll&^colVal, 0); err != nil {
+			if _, _, err := decodeChunk(payload, nil, -1, colAll&^colVal, 0); err != nil {
 				t.Fatalf("decode without values: %v", err)
 			}
 		})
@@ -959,11 +971,11 @@ func TestPatchedValueColumn(t *testing.T) {
 func TestPatchListRejectsMalformed(t *testing.T) {
 	for name, payload := range malformedPatchLists() {
 		for _, cols := range []colSet{colAll, colT} {
-			if _, _, err := decodeChunk(payload, nil, storeVersion, -1, cols, 0); err == nil {
+			if _, _, err := decodeChunk(payload, nil, -1, cols, 0); err == nil {
 				t.Errorf("%s: decode of cols %#x accepted it", name, cols)
 			}
 		}
-		if _, err := referenceDecodeChunk(payload, storeVersion, -1); err == nil {
+		if _, err := referenceDecodeChunk(payload, -1); err == nil {
 			t.Errorf("%s: reference decoder accepted it", name)
 		}
 	}
