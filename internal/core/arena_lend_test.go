@@ -60,15 +60,24 @@ func logViews(res *Result) []logView {
 	return vs
 }
 
-// writtenBytes returns the bytes a run's logs wrote, counted in Result
-// (its drops as the drop logs' records), and the number of logs: one per
-// view and a drop log per region.
-func writtenBytes(res *Result, regions int) (written, logs int) {
+// writtenBytes returns the bytes a finished run's logs wrote and the
+// number of logs: one per view and a drop log per region. A view's log
+// wrote what its array holds, but for a queue series, whose log wrote an
+// 8-byte time an admission and Finish rebuilt the points from it; the
+// drop logs wrote the run's drop records.
+func writtenBytes(s *Sim) (written, logs int) {
+	res := s.res
 	for _, v := range logViews(res) {
 		written += v.len * v.elem
 		logs++
 	}
-	return written + len(res.Drops)*int(unsafe.Sizeof(dropRec{})), logs + regions
+	for i, pair := range res.TrunkQueue {
+		for dir, q := range pair {
+			admitted := s.trunks[i][dir].Stats().Enqueued
+			written += int(admitted)*int(unsafe.Sizeof(time.Duration(0))) - len(q.Points)*int(unsafe.Sizeof(trace.Point{}))
+		}
+	}
+	return written + len(res.Drops)*int(unsafe.Sizeof(dropRec{})), logs + len(s.engs)
 }
 
 // liveHeap returns the live heap after two forced collections: the
@@ -80,6 +89,16 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// queueLogOf returns the admission log that settles into series's points.
+func (s *Sim) queueLogOf(series *trace.Series) *queueLog {
+	for _, l := range s.logs.all {
+		if ql, ok := l.(*queueLog); ok && ql.s == series {
+			return ql
+		}
+	}
+	return nil
 }
 
 // seriesLogOf returns the chunk log that settles into series's points.
@@ -210,12 +229,12 @@ func TestArenaHoldsNoSecondReference(t *testing.T) {
 func TestArenaWarmBuildIsSmall(t *testing.T) {
 	cfg := longTwoWay()
 	a := NewArena()
-	first := a.Run(cfg)
-	written, _ := writtenBytes(first, 1)
+	s := a.Build(cfg)
+	first := s.Finish()
+	written, _ := writtenBytes(s)
 	if pooled := pooledBytes(a); pooled < written {
 		t.Fatalf("the pools hold %d B after a run that wrote %d B", pooled, written)
 	}
-	var s *Sim
 	if n := allocatedBy(func() { s = a.Build(cfg) }); n > warmBuildMax {
 		t.Fatalf("warm build allocated %d B, want <= %d", n, warmBuildMax)
 	}
@@ -239,7 +258,7 @@ func TestArenaCancelRebuildFinishLate(t *testing.T) {
 	a := NewArena()
 	a.Run(cfgA)
 	resumed := cancelMidRun(t, a, cfgA, 30*time.Second)
-	if q := resumed.res.TrunkQueue[0][0]; q.Points != nil || resumed.seriesLogOf(q).pool == nil {
+	if q := resumed.res.TrunkQueue[0][0]; q.Points != nil || resumed.queueLogOf(q).pool == nil {
 		t.Fatalf("a canceled FinishContext settled the queue log (%d points): it was copied out", len(q.Points))
 	}
 	assertRunsIdentical(t, coldA, resumed.Finish())
@@ -378,11 +397,9 @@ func TestLogSlackIsOneChunk(t *testing.T) {
 	runtime.KeepAlive(g)
 	live, s := liveAtEnd(cfg)
 	res := s.Finish()
-	var written, logs int
-	for _, v := range logViews(res) {
-		written += v.len * v.elem
-		logs++
-	}
+	written, logs := writtenBytes(s)
+	// Less the drop log, which both runs hold.
+	written, logs = written-len(res.Drops)*int(unsafe.Sizeof(dropRec{})), logs-1
 	held := live - other
 	t.Logf("live %d B, gated %d B: the logs hold %d B for %d B written in %d logs", live, other, held, written, logs)
 	if held < int64(written) {
@@ -403,13 +420,14 @@ func TestProgressLogBytes(t *testing.T) {
 	cfg.Obs = &obs.Options{Progress: &obs.Progress{Fn: func(s obs.Snapshot) {
 		samples = append(samples, s.LogBytes)
 	}}}
-	res := Build(cfg).Finish()
+	s := Build(cfg)
+	s.Finish()
 	for i := 1; i < len(samples); i++ {
 		if samples[i] < samples[i-1] {
 			t.Fatalf("sample %d: LogBytes went from %d to %d", i, samples[i-1], samples[i])
 		}
 	}
-	written, logs := writtenBytes(res, 1)
+	written, logs := writtenBytes(s)
 	if last := samples[len(samples)-1]; last < int64(written) || last > int64(written+logs*chunkBytes) {
 		t.Fatalf("the last of %d samples has LogBytes %d; the logs wrote %d B, so want it in [%d, %d]",
 			len(samples), last, written, written, written+logs*chunkBytes)

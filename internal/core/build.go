@@ -52,6 +52,7 @@ type build struct {
 	res      *Result
 
 	// ports, then conns
+	nports    int // ports made so far
 	switches  []*node.Switch
 	hosts     []*node.Host
 	trunks    [][2]*link.Port
@@ -283,7 +284,10 @@ func (b *build) port(rg int, c link.Config, dst link.Receiver) *link.Port {
 		// with a Behavior cannot be held to the drop-tail rule.
 		b.capacity[c.Name] = c.Buffer
 	}
-	return link.NewPort(b.engs[rg], c, dst)
+	pt := link.NewPort(b.engs[rg], c, dst)
+	b.ar.port(b.nports, pt)
+	b.nports++
+	return pt
 }
 
 // disc builds the queue discipline of the port with stable entity index
@@ -436,26 +440,41 @@ func (b *build) ports() (err error) {
 		ends, slots := topo.Row(s)
 		sw.SetRow(1, ends, slots)
 	}
+	b.ar.portsBuilt(b.nports)
 	return nil
 }
 
 // measureTrunk gives trunk port pt its queue series, departure log,
-// queue histogram and drop records. The queue series gets one point per
-// accepted arrival and per departure.
+// queue histogram and drop records. The series has a point at every
+// accepted arrival and every departure; the run logs the admissions
+// only, and Finish rebuilds the series from them and the departures.
 func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
 	res, lp, eng := b.res, b.logPools[rg], b.engs[rg]
 	s := trace.NewSeries(pt.Name())
 	res.TrunkQueue[li][dir] = s
-	q := b.logs.series(&lp.points, s, false)
-	q.add(0, 0)
-	qh := b.metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
-	pt.OnQueueLen = func(qlen int) {
-		q.add(eng.Now(), float64(qlen))
-		qh.Observe(float64(qlen))
-	}
 	deps := newLog(&b.logs, &lp.deps, &res.TrunkDeps[li][dir], false)
+	q := b.logs.queue(&lp.times, &res.TrunkDeps[li][dir], s)
+	qh := b.metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
+	pt.OnAdmit = func(n int, evicted bool) {
+		now := eng.Now()
+		if q.pool == nil { // settled: a run past Finish
+			s.Append(now, float64(n))
+		} else if evicted {
+			q.add(^now)
+		} else {
+			q.add(now)
+		}
+		qh.Observe(float64(n))
+	}
 	pt.OnDepart = func(p *packet.Packet) {
-		deps.add(trace.NewDeparture(eng.Now(), p.Conn, p.Kind, p.Seq))
+		now := eng.Now()
+		deps.add(trace.NewDeparture(now, p.Conn, p.Kind, p.Seq))
+		if q.pool == nil {
+			s.Append(now, float64(pt.QueueLen()))
+		}
+		if qh != nil {
+			qh.Observe(float64(pt.QueueLen()))
+		}
 	}
 	logDrops(eng, b.logs.drops[rg], pt)
 }

@@ -143,6 +143,11 @@ func (l *chunkLog[T]) settle() {
 		}
 		*l.out = s
 	}
+	l.release()
+}
+
+// release gives the log's chunks back to the pool: the log has settled.
+func (l *chunkLog[T]) release() {
 	l.pool.give(l.head)
 	l.pool, l.head, l.tail, l.cur = nil, nil, nil, nil
 }
@@ -181,6 +186,80 @@ func (l *seriesLog) addSlow(t time.Duration, v float64) {
 	}
 }
 
+// queueLog is a measured port's queue series while the run owns it. The
+// port's length changes at an admission — by one, or by none when the
+// admission evicted a waiting packet — and at a departure, by minus one,
+// and the port's departure log has the departures. So the log keeps the
+// time of each admission, ^T for one that evicted (sim time is never
+// negative), and settle rebuilds the points from the two logs: a point
+// an instant, the length after the instant's last change, as
+// Series.Append keeps them. Once the log has settled (pool nil), the
+// port's hooks append to the series itself.
+type queueLog struct {
+	chunkLog[time.Duration]
+	deps *[]trace.Departure // the port's departures: that log settles first
+	s    *trace.Series
+}
+
+// settle rebuilds the series at its exact length, in two passes of one
+// merge: the first counts the points, the second writes them.
+func (l *queueLog) settle() {
+	if l.pool == nil {
+		return
+	}
+	l.s.Points = make([]trace.Point, l.merge(nil))
+	l.merge(l.s.Points)
+	l.release()
+}
+
+// merge walks the admissions and the departures in time order from the
+// series' first point (0, 0), writes a point an instant into out unless
+// out is nil, and returns the number of points. Changes at one instant
+// may be taken in any order: only the length after them all is kept.
+func (l *queueLog) merge(out []trace.Point) int {
+	m, deps, j := queueMerge{out: out}, *l.deps, 0
+	if l.tail != nil {
+		l.tail.data = l.cur
+	}
+	for k := l.head; k != nil; k = k.next {
+		for _, t := range k.data {
+			up := 1
+			if t < 0 {
+				t, up = ^t, 0
+			}
+			for ; j < len(deps) && deps[j].T < t; j++ {
+				m.change(deps[j].T, -1)
+			}
+			m.change(t, up)
+		}
+	}
+	for ; j < len(deps); j++ {
+		m.change(deps[j].T, -1)
+	}
+	m.change(-1, 0) // write the last instant's point
+	return m.n
+}
+
+// queueMerge is merge's state: the instant at hand and the length so far.
+type queueMerge struct {
+	out []trace.Point
+	n   int // points written
+	at  time.Duration
+	q   int
+}
+
+// change applies a change of d at t; a later instant first writes the
+// point of the one at hand.
+func (m *queueMerge) change(t time.Duration, d int) {
+	if t != m.at {
+		if m.out != nil {
+			m.out[m.n] = trace.Point{T: m.at, V: float64(m.q)}
+		}
+		m.n, m.at = m.n+1, t
+	}
+	m.q += d
+}
+
 // runLogs is every chunk log of one run, in the order the build made
 // them; Finish settles them all.
 type runLogs struct {
@@ -193,6 +272,14 @@ func (l *runLogs) series(pool *chunkPool[trace.Point], s *trace.Series, nilIfEmp
 	sl := &seriesLog{chunkLog[trace.Point]{pool: pool, out: &s.Points, nilIfEmpty: nilIfEmpty}, s}
 	l.all = append(l.all, sl)
 	return sl
+}
+
+// queue makes the admission log of the port whose departures settle at
+// *deps, appending from pool, and lists it in l after that log.
+func (l *runLogs) queue(pool *chunkPool[time.Duration], deps *[]trace.Departure, s *trace.Series) *queueLog {
+	q := &queueLog{chunkLog[time.Duration]{pool: pool}, deps, s}
+	l.all = append(l.all, q)
+	return q
 }
 
 func (l *runLogs) settle() {

@@ -34,8 +34,10 @@ type Disc interface {
 	// in-service packet).
 	Len() int
 	// Admit offers an arriving packet. The discipline either stores it
-	// (return true), possibly after evicting a victim via DiscHost.Drop,
-	// or discards it via DiscHost.Drop (return false).
+	// (return true), possibly after evicting one victim via DiscHost.Drop,
+	// or discards it via DiscHost.Drop (return false). It evicts at most
+	// one waiting packet: an admission raises the queue length by one, or
+	// by none when it evicted (Port.OnAdmit).
 	Admit(p *packet.Packet) bool
 	// Dequeue removes and returns the next packet to transmit, or nil
 	// when no packet is waiting.

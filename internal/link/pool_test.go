@@ -1,6 +1,7 @@
 package link
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func newPooledFQPort(eng *sim.Engine, buffer int, pl *packet.Pool) (*Port, *sink
 
 // The drop-of-arrival edge of FQ: when the arriving packet's own flow
 // is the longest, the arrival itself is the victim. Send must
-// report rejection, skip the Enqueued counter and the OnQueueLen hook
+// report rejection, skip the Enqueued counter and the OnAdmit hook
 // (the accepted queue length did not change), and release the arrival to
 // the pool at the drop site.
 func TestSendFQDropOfArrivalEdge(t *testing.T) {
@@ -30,7 +31,12 @@ func TestSendFQDropOfArrivalEdge(t *testing.T) {
 	pl := packet.NewPool()
 	pt, _ := newPooledFQPort(eng, 2, pl)
 	var lens []int
-	pt.OnQueueLen = func(n int) { lens = append(lens, n) }
+	pt.OnAdmit = func(n int, evicted bool) {
+		if evicted {
+			t.Errorf("admission at length %d reported an eviction", n)
+		}
+		lens = append(lens, n)
+	}
 	var dropped []*packet.Packet
 	pt.OnDrop = func(p *packet.Packet) {
 		if p.Released() {
@@ -65,7 +71,7 @@ func TestSendFQDropOfArrivalEdge(t *testing.T) {
 	// Two accepted arrivals reported lengths 1 and 2; the rejected one
 	// must not have fired the hook at all.
 	if len(lens) != 2 || lens[0] != 1 || lens[1] != 2 {
-		t.Fatalf("OnQueueLen calls = %v, want [1 2]", lens)
+		t.Fatalf("OnAdmit calls = %v, want [1 2]", lens)
 	}
 	if pt.QueueLen() != 2 {
 		t.Fatalf("QueueLen = %d after rejected arrival, want 2", pt.QueueLen())
@@ -73,11 +79,14 @@ func TestSendFQDropOfArrivalEdge(t *testing.T) {
 }
 
 // When a light flow's arrival overflows the buffer, the heavy flow pays:
-// the arrival is accepted and a queued packet is released instead.
+// the arrival is accepted and a queued packet is released instead, and
+// OnAdmit reports the admission as one that evicted.
 func TestSendFQDropOfQueuedVictim(t *testing.T) {
 	eng := sim.New()
 	pl := packet.NewPool()
 	pt, _ := newPooledFQPort(eng, 3, pl)
+	var evictions []bool
+	pt.OnAdmit = func(_ int, evicted bool) { evictions = append(evictions, evicted) }
 	mk := func(id uint64, conn int) *packet.Packet {
 		p := pl.Get()
 		p.ID, p.Conn, p.Size = id, conn, 500
@@ -95,6 +104,9 @@ func TestSendFQDropOfQueuedVictim(t *testing.T) {
 	}
 	if pt.QueueLen() != 3 {
 		t.Fatalf("QueueLen = %d, want 3", pt.QueueLen())
+	}
+	if want := []bool{false, false, false, true}; !reflect.DeepEqual(evictions, want) {
+		t.Fatalf("OnAdmit evictions = %v, want %v", evictions, want)
 	}
 }
 
@@ -174,5 +186,53 @@ func TestFIFODropReleasesToPool(t *testing.T) {
 	}
 	if pl.Free() != 2 {
 		t.Fatalf("pool free list = %d, want the 2 dropped packets", pl.Free())
+	}
+}
+
+// Reclaim returns what a port holds when its run has ended — the packet
+// on the line and the waiting ones, under drop-tail and under a Disc —
+// and a second call returns nothing; Adopt hands the ring an unbounded
+// port grew to the port that replaces it.
+func TestReclaimAndAdopt(t *testing.T) {
+	eng := sim.New()
+	pl := packet.NewPool()
+	nic := func() *Port { return NewPort(eng, Config{Name: "nic", Bandwidth: 50_000, Pool: pl}, &sink{eng: eng}) }
+	dt := nic()
+	fq, _ := newPooledFQPort(eng, 10, pl)
+	var held []*packet.Packet
+	for i := range 20 {
+		p := pl.Get()
+		p.ID, p.Conn, p.Size = uint64(i), 1+i%3, 500
+		held = append(held, p)
+		if i%2 == 0 {
+			dt.Send(p)
+		} else {
+			fq.Send(p)
+		}
+	}
+	dt.Reclaim()
+	fq.Reclaim()
+	dt.Reclaim()
+	for i, p := range held {
+		if !p.Released() {
+			t.Fatalf("packet %d was not returned to the pool", i)
+		}
+	}
+	if dt.QueueLen() != 0 || fq.QueueLen() != 0 {
+		t.Fatalf("queue lengths %d and %d after Reclaim, want 0", dt.QueueLen(), fq.QueueLen())
+	}
+	grown := len(dt.q.buf)
+	if grown < 9 {
+		t.Fatalf("the unbounded ring holds %d slots after 9 packets waited", grown)
+	}
+	next := nic()
+	next.Adopt(dt)
+	if len(next.q.buf) != grown || dt.q.buf != nil {
+		t.Fatalf("after Adopt the new port's ring has %d slots and the old one %d, want %d and 0", len(next.q.buf), len(dt.q.buf), grown)
+	}
+	bounded, _ := newPooledFQPort(eng, 10, pl)
+	bounded.Adopt(next)
+	if len(next.q.buf) != grown {
+		t.Fatal("a port with a Disc took an unbounded port's ring")
 	}
 }

@@ -114,14 +114,18 @@ type Port struct {
 
 	stats Stats
 
-	// OnQueueLen, if set, is called with the new queue length after every
-	// change (accepted arrival or transmission completion).
-	OnQueueLen func(n int)
+	// OnAdmit, if set, is called after every accepted arrival with the
+	// new queue length and whether the admission evicted a waiting packet
+	// (Random Drop, fair queueing), which leaves the length as it was.
+	// Admissions and departures are the only changes of the length: an
+	// OnDepart hook reads the length after a departure from QueueLen.
+	OnAdmit func(n int, evicted bool)
 	// OnDrop, if set, is called for every packet the port discards —
 	// queue-discipline drops and behavior line losses alike.
 	OnDrop func(p *packet.Packet)
 	// OnDepart, if set, is called when a packet's last bit leaves the
-	// port (before the propagation delay).
+	// port (before the propagation delay), once it no longer counts in
+	// QueueLen.
 	OnDepart func(p *packet.Packet)
 }
 
@@ -195,10 +199,12 @@ func (pt *Port) SetBandwidth(bw int64) {
 // arrival at a full buffer (waiting plus in-service) is discarded. It
 // reports whether the arriving packet was accepted.
 func (pt *Port) Send(p *packet.Packet) bool {
-	accepted := true
+	accepted, evicted := true, false
 	switch {
 	case pt.cfg.Disc != nil:
+		dropped := pt.stats.Dropped
 		accepted = pt.cfg.Disc.Admit(p)
+		evicted = accepted && pt.stats.Dropped != dropped
 	case pt.cfg.Buffer > 0 && pt.QueueLen() >= pt.cfg.Buffer:
 		accepted = false
 		pt.discard(p, &pt.stats.Dropped)
@@ -210,8 +216,8 @@ func (pt *Port) Send(p *packet.Packet) bool {
 		if pt.cfg.Obs != nil {
 			pt.cfg.Obs.Packet(obs.Enqueue, pt.eng.Now(), pt.obsLoc, p, float64(pt.QueueLen()))
 		}
-		if pt.OnQueueLen != nil {
-			pt.OnQueueLen(pt.QueueLen())
+		if pt.OnAdmit != nil {
+			pt.OnAdmit(pt.QueueLen(), evicted)
 		}
 	}
 	if pt.inService == nil && pt.QueueLen() > 0 {
@@ -277,9 +283,6 @@ func (pt *Port) finishTx() {
 	if pt.OnDepart != nil {
 		pt.OnDepart(p)
 	}
-	if pt.OnQueueLen != nil {
-		pt.OnQueueLen(pt.QueueLen())
-	}
 	if pt.cfg.Behavior != nil {
 		extra, lost := pt.cfg.Behavior.Impair(p, pt.eng.Now())
 		switch {
@@ -311,6 +314,35 @@ func (pt *Port) forward(p *packet.Packet) {
 	} else {
 		pt.eng.SchedulePacket(pt.cfg.Delay, pt.dst, p)
 	}
+}
+
+// Reclaim empties a port whose run has ended: the packet on the line and
+// every waiting packet go back to the pool, and the transmission in
+// progress never completes. A second call finds nothing to return.
+func (pt *Port) Reclaim() {
+	if p := pt.inService; p != nil {
+		pt.inService = nil
+		pt.cfg.Pool.Put(p)
+	}
+	for p := pt.q.pop(); p != nil; p = pt.q.pop() {
+		pt.cfg.Pool.Put(p)
+	}
+	if d := pt.cfg.Disc; d != nil {
+		for p := d.Dequeue(); p != nil; p = d.Dequeue() {
+			pt.cfg.Pool.Put(p)
+		}
+	}
+}
+
+// Adopt hands an unbounded drop-tail port the ring old — a reclaimed port
+// of the same kind from an earlier run — has grown, so this run does not
+// grow its own again. Any other pair is left alone.
+func (pt *Port) Adopt(old *Port) {
+	if old == nil || pt.cfg.Disc != nil || pt.cfg.Buffer > 0 || old.cfg.Disc != nil || old.cfg.Buffer > 0 ||
+		old.q.n > 0 || len(old.q.buf) <= len(pt.q.buf) {
+		return
+	}
+	pt.q.buf, old.q.buf = old.q.buf, nil
 }
 
 // jitterHop is the Port's second sim.PacketSink identity: the moment a

@@ -141,11 +141,19 @@ func TestBusyTimeAccounting(t *testing.T) {
 	}
 }
 
-func TestOnQueueLenCallback(t *testing.T) {
+// OnAdmit reports the length after each admission and OnDepart sees the
+// length after each departure: the two hooks see every change.
+func TestOnAdmitCallback(t *testing.T) {
 	eng := sim.New()
 	pt, _ := newTestPort(eng, 0)
 	var lens []int
-	pt.OnQueueLen = func(n int) { lens = append(lens, n) }
+	pt.OnAdmit = func(n int, evicted bool) {
+		if evicted {
+			t.Errorf("drop-tail admission at length %d reported an eviction", n)
+		}
+		lens = append(lens, n)
+	}
+	pt.OnDepart = func(*packet.Packet) { lens = append(lens, pt.QueueLen()) }
 	pt.Send(&packet.Packet{ID: 0, Size: 500})
 	pt.Send(&packet.Packet{ID: 1, Size: 500})
 	eng.Run()
@@ -474,13 +482,15 @@ func TestREDKeepsAverageBetweenThresholds(t *testing.T) {
 		Disc:      NewRED(REDConfig{MinTh: 5, MaxTh: 15, MaxP: 0.1, Wq: 0.02}, rand.New(rand.NewSource(5))),
 	}, s)
 	maxQ, sumQ, nQ := 0, 0, 0
-	pt.OnQueueLen = func(n int) {
+	observe := func(n int) {
 		if n > maxQ {
 			maxQ = n
 		}
 		sumQ += n
 		nQ++
 	}
+	pt.OnAdmit = func(n int, _ bool) { observe(n) }
+	pt.OnDepart = func(*packet.Packet) { observe(pt.QueueLen()) }
 	// Offer 2x the line rate for 60 seconds.
 	interval := TxTime(500, 100_000)
 	for i := 0; i < 1500; i++ {

@@ -113,3 +113,31 @@ func TestSchedulePacketDoesNotAllocate(t *testing.T) {
 		t.Fatalf("SchedulePacket+Step allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// Reset hands the pool back the packets of the events it drops — in the
+// wheel's run buffer, its buckets and its overflow, or in the heap — and
+// leaves a plain event's callback to the garbage collector.
+func TestResetReturnsEventPackets(t *testing.T) {
+	for _, kind := range []SchedKind{SchedWheel, SchedHeap} {
+		eng := NewSched(kind)
+		pl := packet.NewPool()
+		s := &collectSink{eng: eng}
+		var held []*packet.Packet
+		for _, d := range []time.Duration{0, time.Millisecond, time.Second, time.Hour, 1000 * time.Hour} {
+			p := pl.Get()
+			held = append(held, p)
+			eng.SchedulePacket(d, s, p)
+		}
+		eng.Schedule(time.Second, func() { t.Error("a dropped event fired") })
+		eng.Reset(pl)
+		for i, p := range held {
+			if !p.Released() {
+				t.Fatalf("%v: the packet of event %d was not returned to the pool", kind, i)
+			}
+		}
+		if eng.Pending() != 0 || pl.Free() != len(held) {
+			t.Fatalf("%v: %d events pending and %d packets free after Reset, want 0 and %d", kind, eng.Pending(), pl.Free(), len(held))
+		}
+		eng.Run()
+	}
+}

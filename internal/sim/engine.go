@@ -224,15 +224,15 @@ func (e *Engine) Pending() int { return e.pending }
 // piece of allocated storage (heap array, wheel buckets, run buffer,
 // event free list) warm for the next run. A Reset engine behaves exactly
 // like a fresh New: it is the arena-reuse hook, not a mid-run operation.
-// Packet references held by still-queued events are dropped, not
-// released; an arena owner resets the packet pool alongside the engine.
-func (e *Engine) Reset() {
+// A packet a still-queued event carries goes back to pl, the pool it
+// was drawn from (nil: it is dropped).
+func (e *Engine) Reset(pl *packet.Pool) {
 	if e.w != nil {
-		e.w.drainInto(e)
+		e.w.drainInto(e, pl)
 	} else {
 		for i, ev := range e.heap {
 			e.heap[i] = nil
-			e.recycle(ev)
+			e.discard(ev, pl)
 		}
 		e.heap = e.heap[:0]
 	}
@@ -242,6 +242,15 @@ func (e *Engine) Reset() {
 	e.processed = 0
 	e.curSchedAt = 0
 	e.curSchedAt2 = 0
+}
+
+// discard recycles an event that will not fire, releasing the packet it
+// carries to pl.
+func (e *Engine) discard(ev *Event, pl *packet.Pool) {
+	if ev.arg != nil {
+		pl.Put(ev.arg)
+	}
+	e.recycle(ev)
 }
 
 // recycle detaches ev and puts it on the free list, clearing callback

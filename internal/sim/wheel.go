@@ -3,6 +3,8 @@ package sim
 import (
 	"math/bits"
 	"slices"
+
+	"tahoedyn/internal/packet"
 )
 
 // Hierarchical timing wheel (calendar queue).
@@ -451,14 +453,15 @@ func (w *wheel) advance() {
 	}
 }
 
-// drainInto recycles every queued event into the engine free list and
-// rewinds the wheel to its initial state, keeping bucket storage warm.
-func (w *wheel) drainInto(e *Engine) {
+// drainInto recycles every queued event into the engine free list, its
+// packet into pl, and rewinds the wheel to its initial state, keeping
+// bucket storage warm.
+func (w *wheel) drainInto(e *Engine, pl *packet.Pool) {
 	for w.runHead < len(w.run) {
 		ev := w.run[w.runHead]
 		w.run[w.runHead] = nil
 		w.runHead++
-		e.recycle(ev)
+		e.discard(ev, pl)
 	}
 	w.run = w.run[:0]
 	w.runHead = 0
@@ -475,7 +478,7 @@ func (w *wheel) drainInto(e *Engine) {
 				b := w.slots[l][s]
 				for i, ev := range b {
 					b[i] = nil
-					e.recycle(ev)
+					e.discard(ev, pl)
 				}
 				w.slots[l][s] = b[:0]
 			}
@@ -484,7 +487,7 @@ func (w *wheel) drainInto(e *Engine) {
 	}
 	for i, ev := range w.overflow {
 		w.overflow[i] = nil
-		e.recycle(ev)
+		e.discard(ev, pl)
 	}
 	w.overflow = w.overflow[:0]
 	w.curTick = 0

@@ -91,13 +91,13 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}, want: 1},
 		{name: "sched-wheel", sched: sim.SchedWheel, want: 1},
 		{name: "sched-heap", sched: sim.SchedHeap, want: 1},
-		{name: "arena-reused", sched: sim.SchedWheel, arena: true, want: 0, bytes: 784},
-		{name: "arena-reused-heap", sched: sim.SchedHeap, arena: true, want: 0, bytes: 784},
+		{name: "arena-reused", sched: sim.SchedWheel, arena: true, want: 0, bytes: 0},
+		{name: "arena-reused-heap", sched: sim.SchedHeap, arena: true, want: 0, bytes: 0},
 		{name: "arena-reused-traced", arena: true, obs: func() *obs.Options {
 			return &obs.Options{Trace: &obs.TraceOptions{Sink: discardSink{}, RingSize: 64}}
-		}, want: 0, bytes: 784 + goroutineSlack},
+		}, want: 0, bytes: goroutineSlack},
 		{name: "rows", rows: true, want: 1},
-		{name: "rows-arena-reused", rows: true, arena: true, want: 0, bytes: 128},
+		{name: "rows-arena-reused", rows: true, arena: true, want: 0, bytes: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -155,11 +155,10 @@ const spanSteps = 50
 // span allocated. The first run warms the arena — engine storage, packet
 // free list, log chunks — as far as the second goes, so what the span
 // allocates is what every build takes afresh. In the dumbbell that is
-// 784 B: five packets the first run still had in flight when it
-// finished, which Build drops with the engine's events rather than
-// returning them to the pool (400 B), and the two hosts' unbounded
-// access-port queues, built empty each build, doubling to 8 and to 16
-// slots (384 B). It runs on one processor, as AllocsPerRun does; the
+// nothing: the second build takes back the packets the first run still
+// had in flight, in its ports and its engine's events, and hands the
+// hosts' unbounded access ports the rings the first run grew. It runs
+// on one processor, as AllocsPerRun does; the
 // step before the span lets the runtime cache what a goroutine's start
 // and join take (the tracer's, a shard worker's), and a collection just
 // before it keeps the next one, and what the runtime allocates for it,
@@ -194,13 +193,13 @@ func arenaSpan(cfg core.Config, settle time.Duration) (allocs float64, bytes uin
 // nothing — not per packet, and not per synchronization round (this
 // stepped sim-second spans 100 rounds of the 10 ms lookahead). Over the
 // span it allocates what the serial arena variants do (see arenaSpan),
-// and what each build's regions take afresh: mostly their clock logs,
-// which grow to the most timestamps a round has held.
+// and what each build's regions take afresh: their clock logs, which
+// grow to the most timestamps a round has held.
 func TestShardedSteadyStateAllocs(t *testing.T) {
 	cfg := steadyStateConfig()
 	cfg.Shards = 2
 	allocs, bytes := arenaSpan(cfg, 30*time.Second)
-	if want := uint64(2432 + goroutineSlack); allocs > 1 || bytes > want {
+	if want := uint64(2048 + goroutineSlack); allocs > 1 || bytes > want {
 		t.Errorf("sharded steady-state simulation allocates %.2f/sim-second and %d B over the span, want <= 1 and <= %d B", allocs, bytes, want)
 	}
 }
