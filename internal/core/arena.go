@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"sync"
-	"time"
 
 	"tahoedyn/internal/link"
 	"tahoedyn/internal/node"
@@ -12,7 +11,6 @@ import (
 	"tahoedyn/internal/packet"
 	"tahoedyn/internal/sim"
 	"tahoedyn/internal/tcp"
-	"tahoedyn/internal/trace"
 )
 
 // Arena is a reusable allocation context for back-to-back simulation
@@ -22,7 +20,7 @@ import (
 // between runs, so an N-point sweep pays the allocation cost once per
 // worker instead of once per point. It keeps the log chunks of its
 // largest run — what that run wrote and at most a chunk more a log:
-// 12.1 MB after a 10 000 sim-s dumbbell that wrote 11.6 MB — until it is
+// 8.3 MB after a 10 000 sim-s dumbbell that wrote 7.7 MB — until it is
 // dropped.
 //
 // Ownership rule (DESIGN.md §11): a Result never references arena
@@ -131,30 +129,33 @@ func (a *Arena) portsBuilt(n int) {
 // logPools is one region's chunk pools, one per element type of the
 // logs a run keeps, and the count of what the run took from them.
 type logPools struct {
-	points    chunkPool[trace.Point]     // window and RTT series per measured conn
-	deps      chunkPool[trace.Departure] // departure log per measured trunk port
-	times     chunkPool[time.Duration]   // admissions per measured trunk port, ACK arrival times per measured conn
-	collapses chunkPool[CollapseEvent]   // window collapses per measured conn
-	drops     chunkPool[dropRec]         // the region's drop log
-	held      int                        // bytes of the chunks the run's logs took: Snapshot.LogBytes
+	deltas    chunkPool[uint32]        // the times of every time-stamped log, and the admissions that evicted
+	values    chunkPool[float64]       // window and RTT series values per measured conn
+	deps      chunkPool[depRest]       // departures but for their times, per measured trunk port
+	collapses chunkPool[CollapseEvent] // window collapses per measured conn
+	drops     chunkPool[dropRec]       // the region's drop log
+	held      int                      // bytes of the chunks the run's logs took: Snapshot.LogBytes
 }
 
 func newLogPools() *logPools {
 	lp := &logPools{}
-	lp.points.held, lp.deps.held, lp.times.held = &lp.held, &lp.held, &lp.held
+	lp.deltas.held, lp.values.held, lp.deps.held = &lp.held, &lp.held, &lp.held
 	lp.collapses.held, lp.drops.held = &lp.held, &lp.held
 	return lp
 }
 
 // slab returns a zeroed length-n slice backed by *buf, growing the
-// backing array only when n exceeds its capacity.
+// backing array only when n exceeds its capacity. *buf keeps the length
+// of the slice last handed out, so that the next call clears all that
+// slice held: a smaller build keeps no reference into a larger one.
 func slab[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
 		*buf = make([]T, n)
+	} else {
+		clear((*buf)[:max(n, len(*buf))])
+		*buf = (*buf)[:n]
 	}
-	s := (*buf)[:n]
-	clear(s)
-	return s
+	return *buf
 }
 
 // wiring hands buildE its element slices, reusing the arena's slabs, and

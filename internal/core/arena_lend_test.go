@@ -60,24 +60,66 @@ func logViews(res *Result) []logView {
 	return vs
 }
 
-// writtenBytes returns the bytes a finished run's logs wrote and the
-// number of logs: one per view and a drop log per region. A view's log
-// wrote what its array holds, but for a queue series, whose log wrote an
-// 8-byte time an admission and Finish rebuilt the points from it; the
-// drop logs wrote the run's drop records.
-func writtenBytes(s *Sim) (written, logs int) {
-	res := s.res
-	for _, v := range logViews(res) {
-		written += v.len * v.elem
-		logs++
-	}
+// logRecords counts what a finished run's logs wrote: the times and the
+// bytes of the rest of the records — a departure's connection, kind and
+// sequence number, a point's value, a collapse, a drop record. A time
+// written whole (a gap of 4.29 s or more) costs 8 B more, and an
+// admission that evicted a time more; neither is counted, and a
+// drop-tail run has no eviction. full is the bytes of one full-size
+// chunk for each chunk log, the drop logs' included: the most the logs'
+// last chunks can hold unwritten.
+func logRecords(s *Sim) (times, rest, full int) {
+	res, timeChunk := s.res, chunkCap[uint32](chunkClasses-1)*4
 	for i, pair := range res.TrunkQueue {
-		for dir, q := range pair {
-			admitted := s.trunks[i][dir].Stats().Enqueued
-			written += int(admitted)*int(unsafe.Sizeof(time.Duration(0))) - len(q.Points)*int(unsafe.Sizeof(trace.Point{}))
+		for dir := range pair {
+			deps := len(res.TrunkDeps[i][dir])
+			times += deps + int(s.trunks[i][dir].Stats().Enqueued)
+			rest += deps * int(unsafe.Sizeof(depRest{}))
+			full += 2*timeChunk + chunkBytes // departure and admission times, departure rests
 		}
 	}
-	return written + len(res.Drops)*int(unsafe.Sizeof(dropRec{})), logs + len(s.engs)
+	for k, cw := range res.Cwnd {
+		pts := len(cw.Points) + len(res.RTT[k].Points)
+		times += pts + len(res.AckArrivals[k])
+		rest += pts*int(unsafe.Sizeof(float64(0))) + len(res.Collapses[k])*int(unsafe.Sizeof(CollapseEvent{}))
+		full += 3*timeChunk + 3*chunkBytes // window, RTT and ACK times; window and RTT values, collapses
+	}
+	rest += len(res.Drops) * int(unsafe.Sizeof(dropRec{}))
+	return times, rest, full + len(s.engs)*chunkBytes
+}
+
+// writtenBytes returns the bytes a finished run's logs wrote, 4 B a time
+// plus the rest of each record, and a full-size chunk's bytes for each of
+// its chunk logs.
+func writtenBytes(s *Sim) (written, full int) {
+	times, rest, full := logRecords(s)
+	return 4*times + rest, full
+}
+
+// encodedBytes returns the bytes of the elements a Sim's logs hold before
+// Finish, the drop logs left out: what the encoding of its records took.
+func encodedBytes(s *Sim) int {
+	n := 0
+	for _, l := range s.logs.all {
+		switch l := l.(type) {
+		case *timeLog:
+			n += elemBytes(&l.w)
+		case *depLog:
+			n += elemBytes(&l.t.w) + elemBytes(&l.r)
+		case *seriesLog:
+			n += elemBytes(&l.t.w) + elemBytes(&l.v)
+		case *queueLog:
+			n += elemBytes(&l.w) + elemBytes(&l.evicts.w)
+		case *chunkLog[CollapseEvent]:
+			n += elemBytes(l)
+		}
+	}
+	return n
+}
+
+func elemBytes[T any](l *chunkLog[T]) int {
+	var e T
+	return l.len() * int(unsafe.Sizeof(e))
 }
 
 // liveHeap returns the live heap after two forced collections: the
@@ -116,7 +158,7 @@ func pooledBytes(a *Arena) int {
 	n := 0
 	for _, st := range a.regions {
 		lp := st.logs
-		n += freeBytes(&lp.points) + freeBytes(&lp.deps) + freeBytes(&lp.times) +
+		n += freeBytes(&lp.deltas) + freeBytes(&lp.values) + freeBytes(&lp.deps) +
 			freeBytes(&lp.collapses) + freeBytes(&lp.drops)
 	}
 	return n
@@ -203,8 +245,8 @@ func TestArenaHoldsNoSecondReference(t *testing.T) {
 		s.RunUntil(cfg.Duration)
 		got := liveHeap() - base
 		var full int
-		s.seriesLogOf(s.res.Cwnd[0]).each(func(d []trace.Point) {
-			if cap(d)*int(unsafe.Sizeof(trace.Point{})) == chunkBytes {
+		s.seriesLogOf(s.res.Cwnd[0]).v.each(func(d []float64) {
+			if cap(d)*int(unsafe.Sizeof(float64(0))) == chunkBytes {
 				full++
 			}
 		})
@@ -258,7 +300,7 @@ func TestArenaCancelRebuildFinishLate(t *testing.T) {
 	a := NewArena()
 	a.Run(cfgA)
 	resumed := cancelMidRun(t, a, cfgA, 30*time.Second)
-	if q := resumed.res.TrunkQueue[0][0]; q.Points != nil || resumed.queueLogOf(q).pool == nil {
+	if q := resumed.res.TrunkQueue[0][0]; q.Points != nil || resumed.queueLogOf(q).settled() {
 		t.Fatalf("a canceled FinishContext settled the queue log (%d points): it was copied out", len(q.Points))
 	}
 	assertRunsIdentical(t, coldA, resumed.Finish())
@@ -396,18 +438,28 @@ func TestLogSlackIsOneChunk(t *testing.T) {
 	other, g := liveAtEnd(gated)
 	runtime.KeepAlive(g)
 	live, s := liveAtEnd(cfg)
+	encoded := encodedBytes(s)
 	res := s.Finish()
-	written, logs := writtenBytes(s)
+	written, full := writtenBytes(s)
 	// Less the drop log, which both runs hold.
-	written, logs = written-len(res.Drops)*int(unsafe.Sizeof(dropRec{})), logs-1
+	drops := len(res.Drops) * int(unsafe.Sizeof(dropRec{}))
+	written, full = written-drops, full-chunkBytes
 	held := live - other
-	t.Logf("live %d B, gated %d B: the logs hold %d B for %d B written in %d logs", live, other, held, written, logs)
+	t.Logf("live %d B, gated %d B: the logs hold %d B for %d B written", live, other, held, written)
+	// Each record beginning with an 8-byte time, the same records take
+	// 4 B more a time: the layout before the time deltas.
+	times, rest, _ := logRecords(s)
+	if eightByte := 8*times + rest - drops; 100*encoded > 72*eightByte {
+		t.Errorf("the logs encode their records in %d B, more than 0.72 of the %d B they take with 8-byte times", encoded, eightByte)
+	} else {
+		t.Logf("the logs encode their records in %d B, %.3f of the %d B they take with 8-byte times", encoded, float64(encoded)/float64(eightByte), eightByte)
+	}
 	if held < int64(written) {
 		t.Fatalf("the logs hold %d B, less than the %d B they wrote: the measurement misses them", held, written)
 	}
-	if slack := held - int64(written); slack > int64(logs*chunkBytes) {
-		t.Fatalf("the logs hold %d B over the %d B they wrote, more than one %d B chunk for each of %d logs",
-			slack, written, chunkBytes, logs)
+	if slack := held - int64(written); slack > int64(full) {
+		t.Fatalf("the logs hold %d B over the %d B they wrote, more than the %d B of one full-size chunk a log",
+			slack, written, full)
 	}
 }
 
@@ -427,9 +479,9 @@ func TestProgressLogBytes(t *testing.T) {
 			t.Fatalf("sample %d: LogBytes went from %d to %d", i, samples[i-1], samples[i])
 		}
 	}
-	written, logs := writtenBytes(s)
-	if last := samples[len(samples)-1]; last < int64(written) || last > int64(written+logs*chunkBytes) {
+	written, full := writtenBytes(s)
+	if last := samples[len(samples)-1]; last < int64(written) || last > int64(written+full) {
 		t.Fatalf("the last of %d samples has LogBytes %d; the logs wrote %d B, so want it in [%d, %d]",
-			len(samples), last, written, written, written+logs*chunkBytes)
+			len(samples), last, written, written, written+full)
 	}
 }

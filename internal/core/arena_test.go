@@ -7,6 +7,7 @@ import (
 
 	"tahoedyn/internal/obs"
 	"tahoedyn/internal/sim"
+	"tahoedyn/internal/topology"
 )
 
 // Arena reuse must be invisible to the physics: runs drawn from a warm
@@ -93,4 +94,54 @@ func TestArenaTraceRingReuse(t *testing.T) {
 			t.Fatalf("run %d: trace streams differ (%d vs %d events)", i, len(events), len(wantEvents))
 		}
 	}
+}
+
+// A build on an arena that ran a larger one keeps no reference into it:
+// every wiring slab holds the new build's elements and nil past them,
+// so the big run's switches, hosts, ports, endpoints — and the logs its
+// ports' hooks hold — are garbage once its Result is dropped.
+func TestArenaSlabsDropLargerBuild(t *testing.T) {
+	g := ring(130)
+	for h := range 8 {
+		g.Hosts = append(g.Hosts, topology.HostSpec{Switch: 16 * h})
+	}
+	big := ringEventConfig()
+	big.Topology = &g
+	big.Duration = 5 * time.Second
+	for k := range 6 {
+		big.Conns = append(big.Conns, ConnSpec{SrcHost: k, DstHost: (k + 3) % 8})
+	}
+	a := NewArena()
+	a.Run(big)
+	small := twoWay(10 * time.Millisecond)
+	s := a.Build(small)
+	nh := s.res.Topo.NumHosts()
+	for _, sl := range []struct {
+		name        string
+		used, alive int
+	}{
+		{"switch", len(s.switches), live(a.swSlab)},
+		{"host", nh, live(a.hostSlab)},
+		{"trunk", len(s.trunks), live(a.trunkSlab)},
+		{"sender", len(s.senders), live(a.sendSlab)},
+		{"receiver", len(s.receivers), live(a.recvSlab)},
+	} {
+		if sl.alive > sl.used {
+			t.Errorf("the %s slab references %d elements after a build that made %d", sl.name, sl.alive, sl.used)
+		}
+	}
+	s.Finish()
+}
+
+// live returns the index past the last non-zero element of s's backing
+// array.
+func live[T comparable](s []T) int {
+	var zero T
+	s = s[:cap(s)]
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] != zero {
+			return i + 1
+		}
+	}
+	return 0
 }

@@ -452,24 +452,27 @@ func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
 	res, lp, eng := b.res, b.logPools[rg], b.engs[rg]
 	s := trace.NewSeries(pt.Name())
 	res.TrunkQueue[li][dir] = s
-	deps := newLog(&b.logs, &lp.deps, &res.TrunkDeps[li][dir], false)
-	q := b.logs.queue(&lp.times, &res.TrunkDeps[li][dir], s)
+	deps := b.logs.departures(lp, &res.TrunkDeps[li][dir])
+	q := b.logs.queue(lp, &res.TrunkDeps[li][dir], s)
 	qh := b.metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
 	pt.OnAdmit = func(n int, evicted bool) {
 		now := eng.Now()
-		if q.pool == nil { // settled: a run past Finish
-			s.Append(now, float64(n))
-		} else if evicted {
-			q.add(^now)
-		} else {
-			q.add(now)
+		q.changed(now)
+		if evicted {
+			q.evicted(now)
+		}
+		if !q.put(now) {
+			q.admitSlow(now, n)
 		}
 		qh.Observe(float64(n))
 	}
 	pt.OnDepart = func(p *packet.Packet) {
 		now := eng.Now()
-		deps.add(trace.NewDeparture(now, p.Conn, p.Kind, p.Seq))
-		if q.pool == nil {
+		if r := newDepRest(p); !deps.put(now, r) {
+			deps.addSlow(now, r)
+		}
+		q.changed(now)
+		if q.settled() {
 			s.Append(now, float64(pt.QueueLen()))
 		}
 		if qh != nil {
@@ -589,15 +592,17 @@ func (b *build) measureConn(k int, s *tcp.Sender, eng *sim.Engine, lp *logPools)
 	res, metrics, connID := b.res, b.metrics, k+1
 	cwSeries := trace.NewSeries(fmt.Sprintf("cwnd-%d", connID))
 	res.Cwnd[k] = cwSeries
-	cw := b.logs.series(&lp.points, cwSeries, false)
+	cw := b.logs.series(lp, cwSeries, false)
 	cw.add(0, 1)
 	s.OnCwnd = func(v float64) { cw.add(eng.Now(), v) }
-	acks := newLog(&b.logs, &lp.times, &res.AckArrivals[k], false)
+	acks := b.logs.times(lp, &res.AckArrivals[k])
 	ackGapHist := metrics.NewHistogram(fmt.Sprintf("ack-gap-seconds/conn%d", connID), ackGapBounds)
 	lastAck := time.Duration(-1)
 	s.OnAckArrival = func(*packet.Packet) {
 		now := eng.Now()
-		acks.add(now)
+		if !acks.put(now) {
+			acks.addSlow(now)
+		}
 		if lastAck >= 0 {
 			ackGapHist.Observe((now - lastAck).Seconds())
 		}
@@ -605,7 +610,7 @@ func (b *build) measureConn(k int, s *tcp.Sender, eng *sim.Engine, lp *logPools)
 	}
 	rttSeries := trace.NewSeries(fmt.Sprintf("rtt-%d", connID))
 	res.RTT[k] = rttSeries
-	rtt := b.logs.series(&lp.points, rttSeries, true)
+	rtt := b.logs.series(lp, rttSeries, true)
 	rttHist := metrics.NewHistogram(fmt.Sprintf("rtt-seconds/conn%d", connID), rttBounds)
 	s.OnRTTSample = func(m time.Duration) {
 		rtt.add(eng.Now(), m.Seconds())

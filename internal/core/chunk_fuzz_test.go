@@ -7,27 +7,44 @@ import (
 	"time"
 	"unsafe"
 
+	"tahoedyn/internal/packet"
 	"tahoedyn/internal/trace"
 )
 
-// chunkModel is one log under test beside the plain slices it must equal:
-// a series appended by Series.Append, and a time log appended by append.
+// chunkModel is one set of logs under test beside the plain slices they
+// must equal: a series appended by Series.Append, a time log and a
+// departure log appended by append.
 type chunkModel struct {
 	res      *trace.Series // what the log settles into
 	times    []time.Duration
+	deps     []trace.Departure
 	pts      *seriesLog
-	tl       *chunkLog[time.Duration]
+	tl       *timeLog
+	dl       *depLog
 	want     *trace.Series
 	wantT    []time.Duration
+	wantD    []trace.Departure
 	now      time.Duration
 	nilEmpty bool // the series settles empty as nil, as an RTT series does
 }
 
 func newChunkModel(logs *runLogs, lp *logPools, name string, nilEmpty bool) *chunkModel {
 	m := &chunkModel{res: trace.NewSeries(name), want: trace.NewSeries(name), nilEmpty: nilEmpty}
-	m.pts = logs.series(&lp.points, m.res, nilEmpty)
-	m.tl = newLog(logs, &lp.times, &m.times, false)
+	m.pts = logs.series(lp, m.res, nilEmpty)
+	m.tl = logs.times(lp, &m.times)
+	m.dl = logs.departures(lp, &m.deps)
 	return m
+}
+
+// logged appends a time and a departure at the model's new time at, the
+// departure's fields drawn from v.
+func (m *chunkModel) logged(at time.Duration, v float64) {
+	p := packet.Packet{Conn: int(v) % 5, Kind: packet.Kind(int(v) % 2), Seq: int(v) * 3}
+	m.tl.add(at)
+	m.dl.add(at, &p)
+	m.wantT = append(m.wantT, at)
+	m.wantD = append(m.wantD, trace.NewDeparture(at, p.Conn, p.Kind, p.Seq))
+	m.now = at
 }
 
 // appendAt appends a point at t to the log and the model alike; both
@@ -37,9 +54,7 @@ func (m *chunkModel) appendAt(t *testing.T, at time.Duration, v float64) {
 	if at >= m.now { // no panic: the common case, kept cheap
 		m.pts.add(at, v)
 		m.want.Append(at, v)
-		m.tl.add(at)
-		m.wantT = append(m.wantT, at)
-		m.now = at
+		m.logged(at, v)
 		return
 	}
 	recovered := func(fn func()) (msg string) {
@@ -57,9 +72,7 @@ func (m *chunkModel) appendAt(t *testing.T, at time.Duration, v float64) {
 		t.Fatalf("append at %v: the log panicked with %q, Series.Append with %q", at, got, want)
 	}
 	if want == "" {
-		m.tl.add(at)
-		m.wantT = append(m.wantT, at)
-		m.now = at
+		m.logged(at, v)
 	}
 }
 
@@ -68,12 +81,12 @@ func (m *chunkModel) appendAt(t *testing.T, at time.Duration, v float64) {
 // series that settles empty as nil.
 func (m *chunkModel) check(t *testing.T) {
 	t.Helper()
-	wantPts, wantT := m.want.Points, m.wantT
+	wantPts, wantT, wantD := m.want.Points, m.wantT, m.wantD
 	if wantPts == nil && !m.nilEmpty {
 		wantPts = []trace.Point{}
 	}
 	if wantT == nil {
-		wantT = []time.Duration{}
+		wantT, wantD = []time.Duration{}, []trace.Departure{}
 	}
 	if !reflect.DeepEqual(m.res.Points, wantPts) {
 		t.Fatalf("%s: settled %d points, the model holds %d, or they differ", m.res.Name, len(m.res.Points), len(m.want.Points))
@@ -81,17 +94,37 @@ func (m *chunkModel) check(t *testing.T) {
 	if !reflect.DeepEqual(m.times, wantT) {
 		t.Fatalf("%s: settled %d times, the model holds %d, or they differ", m.res.Name, len(m.times), len(m.wantT))
 	}
+	if !reflect.DeepEqual(m.deps, wantD) {
+		t.Fatalf("%s: settled %d departures, the model holds %d, or they differ", m.res.Name, len(m.deps), len(m.wantD))
+	}
 }
 
-// FuzzChunkLog decodes a byte string into appends to a series' chunk
-// log and a time log — steps forward, equal-time overwrites (on the last
-// slot of a full chunk and the first of a fresh one too), steps back,
+// longGaps are the gaps FuzzChunkLog and FuzzQueueRebuild step over:
+// around 2³² ns, where a time log stops writing a delta and writes the
+// time whole, and far past it.
+var longGaps = [...]time.Duration{1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, time.Hour, 1 << 40}
+
+// longGap returns the time after now by the gap arg picks: one of
+// longGaps, or a time above 2⁶² ns.
+func longGap(now time.Duration, arg int) time.Duration {
+	if i := arg % (len(longGaps) + 1); i < len(longGaps) {
+		return now + longGaps[i]
+	}
+	return max(now, 1<<62) + time.Duration(arg)
+}
+
+// FuzzChunkLog decodes a byte string into appends to a series' logs, a
+// time log and a departure log — steps forward, gaps of 2³² ns and more
+// and a jump past 2⁶² ns, which a time log writes whole, equal-time
+// overwrites (on the last slot of a full chunk and the first of a fresh
+// one too, and on a value when only the time chunk is full), steps back,
 // which must panic as Series.Append does, and runs of up to a thousand
-// points that reach the full-size chunks — and into settles, after which a
-// second log takes the same pool's chunks while the first, settled, goes
-// on appending to its own copy. Every settled log must equal what plain
-// append under Series.Append's rule gives, no chunk may be on two lists,
-// and the pools' count of bytes taken must be what the logs hold.
+// points that reach the full-size chunks — and into settles, after which
+// a second set of logs takes the same pools' chunks while the first,
+// settled, goes on appending to its own copies. Every settled log must
+// equal what plain append under Series.Append's rule gives, no chunk may
+// be on two lists, and the pools' count of bytes taken must be what the
+// logs hold.
 func FuzzChunkLog(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 0, 1, 0, 0, 2, 5})
@@ -102,12 +135,17 @@ func FuzzChunkLog(f *testing.F) {
 		}
 		return append(b, then...)
 	}
-	// The first point and 15 steps fill the first chunk: an equal-time
-	// append then overwrites its last slot instead of opening a chunk; a
-	// 16th step opens the second chunk, and an equal-time append
-	// overwrites its first slot.
+	// The first point and 15 steps fill the first chunks: an equal-time
+	// append then overwrites the last slot instead of opening a chunk; a
+	// 16th step opens the second chunks, and an equal-time append
+	// overwrites the first slot.
 	f.Add(steps(15, 0, 0, 0, 1))
 	f.Add(steps(16, 0, 0, 0, 1))
+	// A gap of 2³² ns is three words of the time chunk: after 12 steps it
+	// is full and the value chunk is not, and an equal-time append
+	// overwrites a value in the middle of its chunk.
+	f.Add(append([]byte{4, 2}, steps(12, 0, 0, 0, 1, 0, 1)...))
+	f.Add([]byte{4, 0, 4, 1, 0, 0, 4, 2, 4, 3, 4, 4, 2, 0, 4, 5, 4, 6, 0, 1, 4, 6})
 	f.Add([]byte{3, 40, 1, 0, 2, 0, 3, 9, 0, 0, 2, 0, 0, 3})
 	f.Add([]byte{2, 0, 1, 0, 2, 1, 2, 0})
 	f.Add([]byte{3, 255, 3, 255, 0, 0, 1, 0, 2, 0, 3, 255, 0, 1, 2, 0, 0, 2})
@@ -119,13 +157,13 @@ func FuzzChunkLog(f *testing.F) {
 		m.appendAt(t, 0, 0) // as the build appends a queue series' first point
 		var settled []*chunkModel
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%4, ops[i+1]
+			op, arg := ops[i]%5, ops[i+1]
 			switch op {
 			case 0: // a step forward of 0..3 ns: 0 overwrites the last point
 				m.appendAt(t, m.now+time.Duration(arg%4), float64(arg))
 			case 1: // a step back, which must panic while there is a point
 				m.appendAt(t, m.now-1-time.Duration(arg%3), float64(arg))
-			case 2: // settle; a new log takes the pool's chunks, as the next build's would
+			case 2: // settle; new logs take the pools' chunks, as the next build's would
 				logs.settle()
 				lp.held = 0
 				m.check(t)
@@ -139,34 +177,19 @@ func FuzzChunkLog(f *testing.F) {
 				for j := 0; j < (int(arg%64)+1)*16; j++ {
 					m.appendAt(t, m.now+1, float64(j))
 				}
+			case 4:
+				m.appendAt(t, longGap(m.now, int(arg)), float64(arg))
 			}
 		}
-		var held int
-		seen := map[unsafe.Pointer]bool{}
-		note := func(p unsafe.Pointer, where string) {
-			if seen[p] {
-				t.Fatalf("a chunk is on two lists (found again on %s)", where)
-			}
-			seen[p] = true
-		}
-		m.pts.each(func(d []trace.Point) {
-			note(unsafe.Pointer(unsafe.SliceData(d)), "the live series log")
-			held += cap(d) * int(unsafe.Sizeof(trace.Point{}))
-		})
-		m.tl.each(func(d []time.Duration) {
-			note(unsafe.Pointer(unsafe.SliceData(d)), "the live time log")
-			held += cap(d) * int(unsafe.Sizeof(time.Duration(0)))
-		})
-		for _, k := range lp.points.free {
-			for ; k != nil; k = k.next {
-				note(unsafe.Pointer(unsafe.SliceData(k.data[:1])), "the point pool")
-			}
-		}
-		for _, k := range lp.times.free {
-			for ; k != nil; k = k.next {
-				note(unsafe.Pointer(unsafe.SliceData(k.data[:1])), "the time pool")
-			}
-		}
+		held, seen := 0, map[unsafe.Pointer]string{}
+		countChunks(t, &m.pts.t.w, "the live series times", seen, &held)
+		countChunks(t, &m.pts.v, "the live series values", seen, &held)
+		countChunks(t, &m.tl.w, "the live time log", seen, &held)
+		countChunks(t, &m.dl.t.w, "the live departure times", seen, &held)
+		countChunks(t, &m.dl.r, "the live departure rests", seen, &held)
+		countFree(t, &lp.deltas, "the delta pool", seen)
+		countFree(t, &lp.values, "the value pool", seen)
+		countFree(t, &lp.deps, "the departure pool", seen)
 		if held != lp.held {
 			t.Fatalf("the live logs hold %d B of chunks, the pools count %d B taken", held, lp.held)
 		}
@@ -175,4 +198,33 @@ func FuzzChunkLog(f *testing.F) {
 			s.check(t)
 		}
 	})
+}
+
+// countChunks adds the bytes of l's chunks to *held and notes each chunk
+// in seen, failing if one was seen before: no chunk may be on two lists.
+func countChunks[T any](t *testing.T, l *chunkLog[T], where string, seen map[unsafe.Pointer]string, held *int) {
+	t.Helper()
+	var e T
+	l.each(func(d []T) {
+		noteChunk(t, unsafe.Pointer(unsafe.SliceData(d[:1])), where, seen)
+		*held += cap(d) * int(unsafe.Sizeof(e))
+	})
+}
+
+// countFree notes the chunks on p's free lists in seen.
+func countFree[T any](t *testing.T, p *chunkPool[T], where string, seen map[unsafe.Pointer]string) {
+	t.Helper()
+	for _, k := range p.free {
+		for ; k != nil; k = k.next {
+			noteChunk(t, unsafe.Pointer(unsafe.SliceData(k.data[:1])), where, seen)
+		}
+	}
+}
+
+func noteChunk(t *testing.T, p unsafe.Pointer, where string, seen map[unsafe.Pointer]string) {
+	t.Helper()
+	if first, ok := seen[p]; ok {
+		t.Fatalf("a chunk is on two lists: %s and %s", first, where)
+	}
+	seen[p] = where
 }

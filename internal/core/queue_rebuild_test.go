@@ -210,17 +210,20 @@ func TestQueueRebuildAgainstReferee(t *testing.T) {
 }
 
 // FuzzQueueRebuild decodes a byte string into one port's admissions, some
-// of them evicting, departures and clock steps, with any number of
-// changes at one instant, and holds the series settle rebuilds from the
-// admission log and the departure log to the one Series.Append records
-// from every change. One byte value settles the logs partway; after it,
-// the hooks' own appends must keep the two equal.
+// of them evicting, departures and clock steps — of 0 to 3 ns, and gaps
+// of 2³² ns and more, which the time logs write whole — with any number
+// of changes at one instant, and holds the series settle rebuilds from
+// the admission, eviction and departure logs to the one Series.Append
+// records from every change. One byte value settles the logs partway;
+// after it, the hooks' own appends must keep the two equal.
 func FuzzQueueRebuild(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 3})                        // an admission and a departure at 0
 	f.Add([]byte{1, 1, 2, 4, 3, 3, 2, 3})      // an eviction, then two departures at one instant
 	f.Add([]byte{4, 1, 3, 1, 8, 3, 252, 1, 3}) // settle between changes
 	f.Add([]byte{1, 1, 1, 200, 2, 2, 0, 3, 3, 3, 252, 201})
+	f.Add([]byte{1, 1, 1, 64, 2, 3, 68, 2, 72, 1, 3, 76, 2, 2, 80, 3, 84, 1, 88, 3, 3}) // evictions and departures across long gaps
+	f.Add([]byte{1, 1, 1, 200, 64, 2, 2, 68, 2, 3, 252, 72, 1, 76, 3, 80, 1, 3})        // a run, long gaps, settled partway
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		ops = ops[:min(len(ops), 256)]
 		lp := newLogPools()
@@ -228,26 +231,20 @@ func FuzzQueueRebuild(f *testing.F) {
 		got, want := trace.NewSeries("q"), trace.NewSeries("q")
 		want.Append(0, 0)
 		var depsOut []trace.Departure
-		deps := newLog(&logs, &lp.deps, &depsOut, false)
-		q := logs.queue(&lp.times, &depsOut, got)
+		deps := logs.departures(lp, &depsOut)
+		q := logs.queue(lp, &depsOut, got)
+		pkt := packet.Packet{Conn: 1}
 		now, n, settled := time.Duration(0), 0, false
 		admit := func(evicted bool) {
 			if !evicted {
 				n++
 			}
-			switch {
-			case settled:
-				got.Append(now, float64(n))
-			case evicted:
-				q.add(^now)
-			default:
-				q.add(now)
-			}
+			q.admit(now, evicted, n) // after the settle, a point in got
 			want.Append(now, float64(n))
 		}
 		depart := func() {
 			n--
-			deps.add(trace.NewDeparture(now, 1, 0, 0))
+			q.depart(deps, now, &pkt)
 			if settled {
 				got.Append(now, float64(n))
 			}
@@ -279,6 +276,8 @@ func FuzzQueueRebuild(f *testing.F) {
 							admit(false)
 						}
 					}
+				case arg >= 16: // a gap of 2³² ns or more
+					now = longGap(now, arg)
 				default: // a step of 0 to 3 ns: 0 keeps the instant
 					now += time.Duration(arg % 4)
 				}

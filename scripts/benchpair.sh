@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# benchpair.sh <parent-ref> <workload> [pairs=10] — the paired comparison
+# benchpair.sh <parent-ref> <workload> [pairs=10] [first-seed=1] — the paired comparison
 # bench/README.md asks of any change that claims (or must rule out) a
 # performance difference, scripted.
 #
@@ -10,8 +10,9 @@
 #
 #     bash bench/run.sh --workload W --seed N --seconds 28 --trace 0
 #
-# once per side per pair, a fresh seed for every pair (1, 2, …; seed 1 is
-# also checked against bench/golden), and the side that goes first
+# once per side per pair, a fresh seed for every pair (first-seed, and
+# on: 1, 2, … by default; seed 1 is also checked against bench/golden,
+# and the traced pass below always runs it), and the side that goes first
 # alternating from pair to pair so that slow drift of the host falls on
 # both. Each side builds its own harness from its own source, as in the
 # driver.
@@ -38,11 +39,11 @@
 # regression gate belongs to the driver, with the bounds in BENCHMARK.json.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs=10]" >&2
+if [ $# -lt 2 ] || [ $# -gt 4 ]; then
+    echo "usage: $0 <parent-ref> <workload> [pairs=10] [first-seed=1]" >&2
     exit 2
 fi
-ref=$1 workload=$2 pairs=${3:-10}
+ref=$1 workload=$2 pairs=${3:-10} seed0=${4:-1}
 seconds=28 # BENCHMARK.json run_seconds: the length the driver uses
 
 root=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
@@ -69,12 +70,13 @@ run() {
 
 for ((i = 1; i <= pairs; i++)); do
     echo "benchpair: pair $i/$pairs" >&2
+    seed=$((seed0 + i - 1))
     if ((i % 2)); then
-        run parent "$work/parent" "$i"
-        run head "$root" "$i"
+        run parent "$work/parent" "$seed"
+        run head "$root" "$seed"
     else
-        run head "$root" "$i"
-        run parent "$work/parent" "$i"
+        run head "$root" "$seed"
+        run parent "$work/parent" "$seed"
     fi
 done
 
