@@ -105,7 +105,7 @@ func TestValidateScenarioFile(t *testing.T) {
 	for _, want := range []string{
 		"valid",
 		"switches: 4  hosts: 4  links: 3",
-		"routes: 4 columns in 1 batch(es), 16 pushes (0.0 % stale), 4 distinct rows, 10 runs, 352 bytes (88 per switch), ",
+		"routes: 4 columns in 1 batch(es), 16 pushes (0.0 % stale), 4 distinct rows, 10 runs, 216 bytes (54 per switch), ",
 		"link 0: sw0 <-> sw1  50000 bit/s, delay 10ms, buffer 20 pkts",
 		"h3:link0->sw1",
 		"conn 1: h0 -> h3 (3 trunk hops)",

@@ -437,8 +437,7 @@ func (b *build) ports() (err error) {
 			slotPorts = append(slotPorts, b.trunks[hop.Link][hop.Dir])
 		}
 		sw.SetPorts(slotPorts[first:len(slotPorts):len(slotPorts)])
-		ends, slots := topo.Row(s)
-		sw.SetRow(1, ends, slots)
+		sw.SetRow(1, topo.Row(s))
 	}
 	b.ar.portsBuilt(b.nports)
 	return nil
@@ -661,8 +660,8 @@ func (b *build) events() error {
 		}
 		for _, s := range changed {
 			sw := b.switches[s]
-			ends, slots := work.Row(s)
-			b.engs[b.regionOf(s)].ScheduleAt(ev.T, func() { sw.SetRow(1, ends, slots) })
+			row := work.Row(s)
+			b.engs[b.regionOf(s)].ScheduleAt(ev.T, func() { sw.SetRow(1, row) })
 		}
 	})
 }

@@ -69,7 +69,7 @@ func TestSwitchHotRoutesMatchLinearScan(t *testing.T) {
 		}
 		for swap := 0; swap < 4; swap++ {
 			ends, slots := randomRow(rng, nh, deg, shapes[rng.Intn(len(shapes))])
-			sw.SetRow(1, ends, slots)
+			sw.SetRow(1, packRow(ends, slots))
 			want := max(4, min(hotMax, ceilPow2(hotPerPort*deg)))
 			if len(ends) <= hotMinRuns {
 				want = 0 // short enough to search directly
@@ -121,8 +121,8 @@ func TestSwitchHotRoutesSurvivePaint(t *testing.T) {
 			for d := lo; d < hi; d++ {
 				naive[d] = pt
 			}
-			if got, want := sw.hot != nil, len(sw.ends) > hotMinRuns; got != want {
-				t.Fatalf("trial %d round %d: %d intervals, hot-route table present = %v", trial, round, len(sw.ends), got)
+			if got, want := sw.hot != nil, sw.row.Len() > hotMinRuns; got != want {
+				t.Fatalf("trial %d round %d: %d intervals, hot-route table present = %v", trial, round, sw.row.Len(), got)
 			}
 			for i := 0; i < 100; i++ {
 				d := skewed(rng, favourites, nh)
@@ -146,13 +146,13 @@ func TestDenseSwitchHasNoHotRoutes(t *testing.T) {
 	painted.AddRouteRange(0, denseRouteLimit, trunk[0])
 	view := NewSwitch(1)
 	view.SetPorts(trunk)
-	view.SetRow(1, []int32{10, 20}, []int32{0, 1})
+	view.SetRow(1, packRow([]int32{10, 20}, []int32{0, 1}))
 	for name, sw := range map[string]*Switch{"painted": painted, "view": view} {
 		if sw.Route(5) == nil {
 			t.Fatalf("%s: no route installed", name)
 		}
-		if sw.ends != nil || sw.hot != nil {
-			t.Fatalf("%s: a dense-mode switch holds a row (%v) or a hot-route table (%d entries)", name, sw.ends != nil, len(sw.hot))
+		if sw.row.Words != nil || sw.hot != nil {
+			t.Fatalf("%s: a dense-mode switch holds a row (%v) or a hot-route table (%d entries)", name, sw.row.Words != nil, len(sw.hot))
 		}
 	}
 	// Nor does a row of a few intervals, which a search settles inside one
@@ -164,12 +164,12 @@ func TestDenseSwitchHasNoHotRoutes(t *testing.T) {
 		long[0][i], long[1][i] = int32(denseRouteLimit+10*(i+1)), int32(i%2)
 	}
 	for i, row := range [][2][]int32{{{int32(denseRouteLimit) + 50}, {0}}, long, {{int32(denseRouteLimit), int32(denseRouteLimit) + 9}, {1, 0}}, long, {{10}, {1}}} {
-		view.SetRow(1, row[0], row[1])
+		view.SetRow(1, packRow(row[0], row[1]))
 		if got, want := view.hot != nil, len(row[0]) > hotMinRuns; got != want {
 			t.Fatalf("row %d, %d intervals: hot-route table present = %v, want %v", i, len(row[0]), got, want)
 		}
 	}
-	if view.ends != nil || view.Route(3) != trunk[1] {
+	if view.row.Words != nil || view.Route(3) != trunk[1] {
 		t.Fatal("the last row did not put the switch back in dense mode")
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"tahoedyn/internal/obs"
 	"tahoedyn/internal/packet"
 	"tahoedyn/internal/sim"
+	"tahoedyn/internal/topology"
 )
 
 // Handler consumes packets addressed to a TCP endpoint. Both ends of a
@@ -44,12 +45,12 @@ var denseRouteLimit = 64
 
 // Row slot sentinels. Non-negative slots index Switch.ports.
 const (
-	// slotLocal marks an interval of hosts attached to the switch itself
-	// (topology's slotLocal); the port comes from the local list.
-	slotLocal = int32(-1)
+	// slotLocal marks an interval of hosts attached to the switch itself;
+	// the port comes from the local list.
+	slotLocal = topology.SlotLocal
 	// slotNone marks an interval with no route. Only privately painted
 	// rows contain it; a compiled row routes every host.
-	slotNone = int32(-2)
+	slotNone = topology.SlotNone
 )
 
 // Switch forwards packets toward their destination host. Forwarding is
@@ -57,23 +58,25 @@ const (
 //
 // The forwarding table has two representations. Small networks use a
 // dense slice indexed by destination host ID. Everything else uses a
-// row: sorted host intervals, each naming a slot in the switch's own
-// small port array — the form the compiled topology stores (DESIGN.md
-// §13, §16). SetRow installs a compiled row by reference, so the switch
-// is a view of the topology's interned row, not a copy of it: install
-// and mid-run replacement are O(1) and any number of switches share one
-// row. AddRouteRange builds the same structure privately, one interval
-// at a time, for callers without a compiled topology.
+// topology.Row: sorted host intervals in one 32-bit word each, each
+// naming a slot in the switch's own small port array — the form the
+// compiled topology stores (DESIGN.md §13, §16). SetRow installs a
+// compiled row by reference, so the switch is a view of the topology's
+// interned row, not a copy of it: install and mid-run replacement are
+// O(1) and any number of switches share one row. AddRouteRange builds
+// the same structure privately, one interval at a time, for callers
+// without a compiled topology.
 type Switch struct {
 	id    int
 	table []*link.Port // dense mode; nil once a row is active
 
-	// Row mode (ends != nil): interval i covers host IDs
-	// [base+ends[i-1], base+ends[i]) and forwards through slots[i].
-	ends, slots []int32
-	base        int
-	// owned reports that ends/slots were built by AddRouteRange and may
-	// be written; a row installed by SetRow is shared and read-only.
+	// Row mode (row.Words != nil): interval i covers host IDs
+	// [base+row.End(i-1), base+row.End(i)) and forwards through
+	// row.Slot(i).
+	row  topology.Row
+	base int
+	// owned reports that row was built by AddRouteRange and may be
+	// written; a row installed by SetRow is shared and read-only.
 	owned bool
 	// ports[slot] is the output port of a non-negative slot; local lists
 	// the attached hosts' access ports in ascending host-ID order, for
@@ -84,7 +87,7 @@ type Switch struct {
 	// hot is the hot-route table in front of the row's binary search:
 	// direct-mapped on the destination's low bits (a multiplicative hash
 	// measured the same hit rate), so a lookup that hits touches one line
-	// of the switch instead of the shared row's cold ends and slots. It
+	// of the switch instead of the shared row's cold words. It
 	// holds slots, not ports — a slot means the same under any row of
 	// this switch's adjacency, and local slots still resolve per host —
 	// belongs to the switch, never to the interned row, and caches only
@@ -104,14 +107,15 @@ type hotRoute struct {
 // destinations than a leaf, which is why the size follows the degree: on
 // BarabasiAlbert(2048,2) with 1000 flows a fixed 16 entries hit 70 % of
 // lookups, 4 per port 87 %, 8 per port 91 % for twice the memory. A row
-// of at most hotMinRuns intervals gets none: its search ends inside one
-// cache line that every switch interning the row shares, which a table
-// per switch cannot beat — and on a 10⁶-switch chain that is every
-// switch (72 bytes and an allocation each).
+// of at most hotMinRuns intervals — 64 bytes of 4-byte words — gets
+// none: its search ends inside one cache line that every switch
+// interning the row shares, which a table per switch cannot beat — and
+// on a 10⁶-switch chain that is every switch (72 bytes and an
+// allocation each).
 const (
 	hotPerPort = 4
 	hotMax     = 1 << 10
-	hotMinRuns = 8
+	hotMinRuns = 16
 )
 
 // hostPort is the access port toward one attached host.
@@ -140,7 +144,9 @@ func (s *Switch) AddRoute(dst int, out *link.Port) {
 // AddRouteRange directs packets destined for any host in [lo, hi) out
 // the given port, replacing previous routes in the interval. Intervals
 // installed in ascending order append in O(1); out-of-order ones
-// rebuild the row.
+// rebuild the row. A private row packs each interval into 32 bits, its
+// end beside a slot wide enough for the ports: it panics on an end
+// that leaves the slots no room.
 func (s *Switch) AddRouteRange(lo, hi int, out *link.Port) {
 	if lo < 0 || hi < lo || hi > math.MaxInt32 {
 		panic(fmt.Sprintf("switch %d: bad route range [%d,%d)", s.id, lo, hi))
@@ -148,7 +154,7 @@ func (s *Switch) AddRouteRange(lo, hi int, out *link.Port) {
 	if lo == hi {
 		return
 	}
-	if s.ends == nil && hi <= denseRouteLimit {
+	if s.row.Words == nil && hi <= denseRouteLimit {
 		for hi > len(s.table) {
 			s.table = append(s.table, nil)
 		}
@@ -157,7 +163,7 @@ func (s *Switch) AddRouteRange(lo, hi int, out *link.Port) {
 		}
 		return
 	}
-	if s.ends == nil {
+	if s.row.Words == nil {
 		s.migrateToRow()
 	}
 	if !s.owned {
@@ -182,30 +188,29 @@ func (s *Switch) AddLocal(id int, port *link.Port) {
 }
 
 // SetRow replaces the whole forwarding table with a compiled row:
-// interval i covers host IDs [base+ends[i-1], base+ends[i]) (the first
-// from base) and forwards through slots[i] — a SetPorts index, or -1
-// for a host registered with AddLocal. The row is held by reference and
-// never written, so callers may share one row among any number of
-// switches and goroutines; replacing a row mid-run is a pointer swap.
-// A compiled topology's rows index host addresses (the topology's
-// locality order, not host indices), so the hosts a switch forwards to
-// from such a row carry ID base+address. A row small enough for the
-// dense table (every host ID below
-// denseRouteLimit) is expanded into it instead, exactly as
-// AddRouteRange would have built it.
-func (s *Switch) SetRow(base int, ends, slots []int32) {
-	if n := base + int(ends[len(ends)-1]); n <= denseRouteLimit {
-		s.table, s.ends, s.slots, s.hot = make([]*link.Port, n), nil, nil, nil
+// interval i covers host IDs [base+row.End(i-1), base+row.End(i)) (the
+// first from base) and forwards through row.Slot(i) — a SetPorts index,
+// or SlotLocal for a host registered with AddLocal. The row is held by
+// reference and never written, so callers may share one row among any
+// number of switches and goroutines; replacing a row mid-run is a
+// pointer swap. A compiled topology's rows index host addresses (the
+// topology's locality order, not host indices), so the hosts a switch
+// forwards to from such a row carry ID base+address. A row small enough
+// for the dense table (every host ID below denseRouteLimit) is expanded
+// into it instead, exactly as AddRouteRange would have built it.
+func (s *Switch) SetRow(base int, row topology.Row) {
+	if n := base + int(row.End(row.Len()-1)); n <= denseRouteLimit {
+		s.table, s.row, s.hot = make([]*link.Port, n), topology.Row{}, nil
 		d := base
-		for i, end := range ends {
-			for ; d < base+int(end); d++ {
-				s.table[d] = s.slotPort(slots[i], d)
+		for i := range row.Len() {
+			for ; d < base+int(row.End(i)); d++ {
+				s.table[d] = s.slotPort(row.Slot(i), d)
 			}
 		}
 		return
 	}
 	s.table = nil
-	s.ends, s.slots, s.base, s.owned = ends, slots, base, false
+	s.row, s.base, s.owned = row, base, false
 	s.resetHot()
 }
 
@@ -213,7 +218,7 @@ func (s *Switch) SetRow(base int, ends, slots []int32) {
 // a row short enough to search directly, otherwise an empty one of the
 // size the port count calls for, reusing the old when it has that size.
 func (s *Switch) resetHot() {
-	if len(s.ends) <= hotMinRuns {
+	if s.row.Len() <= hotMinRuns {
 		s.hot = nil
 		return
 	}
@@ -230,10 +235,10 @@ func (s *Switch) resetHot() {
 
 // migrateToRow converts the dense table to a private row.
 func (s *Switch) migrateToRow() {
-	s.ends, s.slots = make([]int32, 0, 4), make([]int32, 0, 4)
+	s.row = topology.Row{Words: make([]uint32, 0, 4)}
 	s.base, s.owned = 0, true
 	for d, pt := range s.table {
-		s.appendRun(int32(d)+1, s.slotFor(pt))
+		s.row = s.row.Append(int32(d)+1, s.slotFor(pt))
 	}
 	s.table = nil
 	s.resetHot()
@@ -254,55 +259,45 @@ func (s *Switch) slotFor(out *link.Port) int32 {
 	return int32(len(s.ports) - 1)
 }
 
-// appendRun extends the private row to end through slot, merging with
-// an equal-slot last interval so the row stays in canonical maximal
-// form.
-func (s *Switch) appendRun(end, slot int32) {
-	if n := len(s.slots); n > 0 && s.slots[n-1] == slot {
-		s.ends[n-1] = end
-		return
-	}
-	s.ends = append(s.ends, end)
-	s.slots = append(s.slots, slot)
-}
-
 // paint replaces the routes for [lo, hi) of the private row with slot.
 // Route installation is build-time work; the per-packet path is lookup.
+// Row.Append merges equal-slot neighbours, so the row stays in
+// canonical maximal form, and re-packs the row when a new port's slot
+// outgrows its width.
 func (s *Switch) paint(lo, hi, slot int32) {
 	defer s.resetHot()
 	last := int32(0)
-	if n := len(s.ends); n > 0 {
-		last = s.ends[n-1]
+	if n := s.row.Len(); n > 0 {
+		last = s.row.End(n - 1)
 	}
 	if lo >= last {
 		// In-order installation: nothing to replace, append.
 		if lo > last {
-			s.appendRun(lo, slotNone)
+			s.row = s.row.Append(lo, slotNone)
 		}
-		s.appendRun(hi, slot)
+		s.row = s.row.Append(hi, slot)
 		return
 	}
 	// Rebuild: the old intervals' parts below lo, the new interval, the
 	// old intervals' parts above hi. An interval's start is implicit (the
 	// previous end), so the tail copies clip themselves.
-	oldEnds, oldSlots := s.ends, s.slots
-	s.ends = make([]int32, 0, len(oldEnds)+2)
-	s.slots = make([]int32, 0, len(oldEnds)+2)
+	old := s.row
+	s.row = topology.Row{Words: make([]uint32, 0, old.Len()+2), W: old.W}
 	for i, start := 0, int32(0); start < lo; i++ {
-		s.appendRun(min(oldEnds[i], lo), oldSlots[i])
-		start = oldEnds[i]
+		s.row = s.row.Append(min(old.End(i), lo), old.Slot(i))
+		start = old.End(i)
 	}
-	s.appendRun(hi, slot)
-	for i, end := range oldEnds {
-		if end > hi {
-			s.appendRun(end, oldSlots[i])
+	s.row = s.row.Append(hi, slot)
+	for i := range old.Len() {
+		if old.End(i) > hi {
+			s.row = s.row.Append(old.End(i), old.Slot(i))
 		}
 	}
 }
 
 // lookup returns the output port for dst, or nil.
 func (s *Switch) lookup(dst int) *link.Port {
-	if s.ends == nil {
+	if s.row.Words == nil {
 		if dst < 0 || dst >= len(s.table) {
 			return nil
 		}
@@ -318,22 +313,7 @@ func (s *Switch) lookup(dst int) *link.Port {
 			return s.slotPort(e.slot, dst)
 		}
 	}
-	ends := s.ends
-	h := dst - s.base
-	lo, hi := 0, len(ends)-1
-	if h < 0 || h >= int(ends[hi]) {
-		return nil
-	}
-	// First interval whose end exceeds h; the last one's does.
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(ends[mid]) > h {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	slot := s.slots[lo]
+	slot := s.row.Lookup(dst - s.base)
 	if e != nil && slot != slotNone {
 		*e = hotRoute{int32(dst) + 1, slot}
 	}
@@ -383,7 +363,7 @@ func (s *Switch) Route(dst int) *link.Port {
 // Deliver implements link.Receiver: look up the output port for the
 // packet's destination and enqueue it there.
 func (s *Switch) Deliver(p *packet.Packet) {
-	if s.ends == nil {
+	if s.row.Words == nil {
 		// Dense fast path: identical to the historical per-packet cost.
 		if p.Dst < 0 || p.Dst >= len(s.table) || s.table[p.Dst] == nil {
 			panic(fmt.Sprintf("switch %d: no route to host %d for %v", s.id, p.Dst, p))

@@ -2,12 +2,15 @@ package node
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tahoedyn/internal/link"
 	"tahoedyn/internal/packet"
 	"tahoedyn/internal/sim"
+	"tahoedyn/internal/topology"
 )
 
 // testPorts returns n distinct ports that are never transmitted on.
@@ -19,6 +22,20 @@ func testPorts(n int, prefix string) []*link.Port {
 		ports[i] = link.NewPort(eng, link.Config{Name: fmt.Sprintf("%s%d", prefix, i), Bandwidth: 1e6}, dst)
 	}
 	return ports
+}
+
+// packRow packs intervals into a row as the topology stores them, at
+// the narrowest width their slots allow, without merging neighbours.
+func packRow(ends, slots []int32) topology.Row {
+	var w uint
+	for _, sl := range slots {
+		w = max(w, uint(bits.Len32(uint32(sl+2))))
+	}
+	r := topology.Row{Words: make([]uint32, len(ends)), W: w}
+	for i := range ends {
+		r.Words[i] = uint32(ends[i])<<w | uint32(slots[i]+2)
+	}
+	return r
 }
 
 // randomRow draws a compiled-style row over nh hosts: ascending interval
@@ -100,7 +117,7 @@ func TestSwitchRowViewMatchesPaintedAndNaive(t *testing.T) {
 			}
 			start = int(end)
 		}
-		view.SetRow(1, ends, slots)
+		view.SetRow(1, packRow(ends, slots))
 
 		// Painted: every other trial in ascending order (the append path),
 		// otherwise shuffled, in pieces, over stale routes.
@@ -153,8 +170,10 @@ func TestSwitchRowReplace(t *testing.T) {
 		sw.SetPorts(trunk)
 		first := [2][]int32{{int32(nh)}, {0}}
 		second := [2][]int32{{int32(nh / 2), int32(nh)}, {1, 0}}
-		sw.SetRow(1, first[0], first[1])
-		sw.SetRow(1, second[0], second[1])
+		firstRow, secondRow := packRow(first[0], first[1]), packRow(second[0], second[1])
+		firstWords, secondWords := slices.Clone(firstRow.Words), slices.Clone(secondRow.Words)
+		sw.SetRow(1, firstRow)
+		sw.SetRow(1, secondRow)
 		for d := 0; d <= nh+1; d++ {
 			var want *link.Port
 			switch {
@@ -167,7 +186,7 @@ func TestSwitchRowReplace(t *testing.T) {
 				t.Fatalf("nh %d: Route(%d) = %v after replacement, want %v", nh, d, got, want)
 			}
 		}
-		if first[0][0] != int32(nh) || first[1][0] != 0 || second[0][0] != int32(nh/2) || second[1][1] != 0 {
+		if !slices.Equal(firstRow.Words, firstWords) || !slices.Equal(secondRow.Words, secondWords) {
 			t.Fatalf("nh %d: SetRow wrote to a row it was given", nh)
 		}
 	}
@@ -184,7 +203,7 @@ func TestSwitchPaintOnSharedRowPanics(t *testing.T) {
 	trunk := testPorts(1, "t")
 	sw := NewSwitch(0)
 	sw.SetPorts(trunk)
-	sw.SetRow(1, []int32{100}, []int32{0})
+	sw.SetRow(1, packRow([]int32{100}, []int32{0}))
 	sw.AddRoute(5, trunk[0])
 }
 
@@ -194,7 +213,7 @@ func TestSwitchRowNoRoutePanics(t *testing.T) {
 	trunk := testPorts(1, "t")
 	view := NewSwitch(7)
 	view.SetPorts(trunk)
-	view.SetRow(1, []int32{50, 100}, []int32{0, slotLocal}) // hosts 51..100 local, none registered
+	view.SetRow(1, packRow([]int32{50, 100}, []int32{0, slotLocal})) // hosts 51..100 local, none registered
 	painted := NewSwitch(7)
 	painted.AddRouteRange(70, 80, trunk[0])
 	dense := NewSwitch(7)
@@ -234,5 +253,46 @@ func TestAddRouteRangeAscendingAppends(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Fatalf("%d ascending AddRouteRange calls made %.0f allocations; want O(log n)", n, allocs)
+	}
+}
+
+// TestPrivateRowRepacksAsPortsGrow builds a private row whose ports
+// outgrow its slot width mid-build — two ports fit two bits, forty need
+// six — in ascending and in out-of-order paints, and checks every
+// destination against a map after each one.
+func TestPrivateRowRepacksAsPortsGrow(t *testing.T) {
+	defer func(old int) { denseRouteLimit = old }(denseRouteLimit)
+	denseRouteLimit = 0
+	rng := rand.New(rand.NewSource(29))
+	ports := testPorts(40, "p")
+	sw := NewSwitch(3)
+	naive := make(map[int]*link.Port)
+	widths := map[uint]bool{}
+	check := func(step int) {
+		t.Helper()
+		for d := -2; d < 1000; d++ {
+			if got, want := sw.Route(d), naive[d]; got != want {
+				t.Fatalf("step %d (width %d): Route(%d) = %v, want %v", step, sw.row.W, d, got, want)
+			}
+		}
+	}
+	for step := 0; step < 200; step++ {
+		// Early steps draw from the first ports only; the pool widens as
+		// the build goes on.
+		pt := ports[rng.Intn(min(len(ports), 2+step/4))]
+		lo := rng.Intn(990)
+		if step%3 == 0 {
+			lo = 5 * step // ascending: the append path
+		}
+		hi := lo + 1 + rng.Intn(10)
+		sw.AddRouteRange(lo, hi, pt)
+		for d := lo; d < hi; d++ {
+			naive[d] = pt
+		}
+		widths[sw.row.W] = true
+		check(step)
+	}
+	if want := uint(bits.Len(uint(len(sw.ports) + 1))); sw.row.W != want || !widths[2] {
+		t.Fatalf("%d ports: width %d, want %d, having passed through 2 (widths seen %v)", len(sw.ports), sw.row.W, want, widths)
 	}
 }

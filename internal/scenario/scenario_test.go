@@ -248,7 +248,8 @@ func TestParseTopologyRandomGenerators(t *testing.T) {
 // TestParseValidatesWithoutCompilingRoutes: Parse checks the topology
 // (and everything that refers to it — regions, events) on the resolved
 // graph alone; the scenario's routes are compiled once, by Build. A
-// parse that compiled them would allocate what a compile allocates.
+// parse that compiled them would allocate at least what a compile
+// allocates; the parse's own decoding reads about a ninth of it.
 func TestParseValidatesWithoutCompilingRoutes(t *testing.T) {
 	j := `{"trunk_delay":"10ms","buffer":20,"shards":2,
 	       "topology":{"generator":"ba","size":512,"m":2,"seed":7},
@@ -267,7 +268,7 @@ func TestParseValidatesWithoutCompilingRoutes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m2)
 	parse, compile := m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc
-	if parse*10 > compile {
+	if parse*5 > compile {
 		t.Fatalf("Parse allocated %d bytes, a route compile of the same graph %d: parse is compiling routes", parse, compile)
 	}
 

@@ -45,14 +45,14 @@ func TestMergedRowsAreExact(t *testing.T) {
 				if got := nextHopDigest(c); got != wantHops {
 					t.Errorf("%s, %d cells a batch, %d workers: next-hop digest %s, want %s", name, cells, w, got, wantHops)
 				}
-				for r, ends := range c.pool.ends {
-					slots := c.pool.slots[r]
-					if ends == nil {
+				for r, words := range c.pool.rows {
+					if words == nil {
 						continue
 					}
-					if len(slots) != len(ends) || cap(ends) != len(ends) {
-						t.Fatalf("%s: row %d has %d ends (room for %d) and %d slots", name, r, len(ends), cap(ends), len(slots))
+					if cap(words) != len(words) {
+						t.Fatalf("%s: row %d has %d intervals (room for %d)", name, r, len(words), cap(words))
 					}
+					ends, slots := decode(Row{words, c.w})
 					if ends[len(ends)-1] != int32(len(c.Hosts)) {
 						t.Fatalf("%s: row %d ends at %d, not at the host count %d", name, r, ends[len(ends)-1], len(c.Hosts))
 					}
@@ -72,8 +72,9 @@ func TestMergedRowsAreExact(t *testing.T) {
 // (DESIGN.md §13): the columns, the workers' tile scratch and the
 // interned rows, with no per-switch run list grown on the way. The
 // bounds sit about 10 % above what the compile allocates; the run lists
-// the merge used to grow took it to 65.9 MB in 29 141 objects, and rows
-// over host indices rather than addresses to 30.0 MB.
+// the merge used to grow took it to 65.9 MB in 29 141 objects, rows over
+// host indices rather than addresses to 30.0 MB, and rows of an int32
+// end beside an int32 slot rather than one word an interval to 21.0 MB.
 func TestCompileAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow allocations are not the compile's")
@@ -87,8 +88,8 @@ func TestCompileAllocations(t *testing.T) {
 	}
 	const mb = 1 << 20
 	t.Logf("BA(2048,2,1) at 2 workers: %.1f MB in %d objects", float64(bytes)/mb, objects)
-	// 21.0 MB in about 3 370 objects when the bounds were set.
-	const maxBytes, maxObjects = 23 * mb, 3750
+	// 17.3 MB in about 3 345 objects when the bounds were set.
+	const maxBytes, maxObjects = 19 * mb, 3700
 	if bytes > maxBytes {
 		t.Errorf("compile allocated %.1f MB, budget %d MB", float64(bytes)/mb, maxBytes/mb)
 	}

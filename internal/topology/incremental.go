@@ -289,7 +289,7 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 
 	nh := len(c.Hosts)
 	var paint []span
-	var ends, slots []int32 // scratch row
+	row := Row{W: c.w} // scratch
 	ci := 0
 	for s := 0; s < c.Switches; s++ {
 		if len(overlay) == 0 {
@@ -308,15 +308,15 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 		// per overlay interval decides whether it moves. Most don't. Row
 		// and overlay are both sorted by address: one merge walk.
 		oldRow := c.rowOf[s]
-		oldEnds, oldSlots := c.pool.ends[oldRow], c.pool.slots[oldRow]
+		old := c.Row(s)
 		adj := c.adjHop[c.adjOff[s]:c.adjOff[s+1]]
 		ri := 0
 		for _, o := range overlay {
-			for oldEnds[ri] <= o.a0 {
+			for old.End(ri) <= o.a0 {
 				ri++
 			}
 			p := hopLocal
-			if sl := oldSlots[ri]; sl >= 0 {
+			if sl := old.Slot(ri); sl >= 0 {
 				p = adj[sl]
 			}
 			if np := cols[o.k][s]; np != p {
@@ -337,24 +337,16 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 		// adjacent equal slots merged — the same canonical maximal form
 		// the batch merge in computeRoutes emits, which is what keeps the
 		// splice byte-identical to a full recompile.
-		ends, slots = ends[:0], slots[:0]
-		emit := func(end, slot int32) {
-			if n := len(slots); n > 0 && slots[n-1] == slot {
-				ends[n-1] = end
-			} else {
-				ends = append(ends, end)
-				slots = append(slots, slot)
-			}
-		}
+		row.Words = row.Words[:0]
 		oi, vi := 0, 0
 		for pos := int32(0); pos < int32(nh); {
-			for oldEnds[oi] <= pos {
+			for old.End(oi) <= pos {
 				oi++
 			}
 			for vi < len(paint) && paint[vi].a1 <= pos {
 				vi++
 			}
-			segEnd := oldEnds[oi]
+			segEnd := old.End(oi)
 			var slot int32
 			if vi < len(paint) && paint[vi].a0 <= pos {
 				segEnd = min(segEnd, paint[vi].a1)
@@ -363,12 +355,12 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 				if vi < len(paint) {
 					segEnd = min(segEnd, paint[vi].a0)
 				}
-				slot = oldSlots[oi]
+				slot = old.Slot(oi)
 			}
-			emit(segEnd, slot)
+			row = row.Append(segEnd, slot)
 			pos = segEnd
 		}
-		id := c.pool.intern(ends, slots)
+		id := c.pool.intern(row.Words)
 		c.pool.release(oldRow)
 		c.rowOf[s] = id
 	}

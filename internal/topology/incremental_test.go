@@ -22,7 +22,7 @@ type canonRow struct {
 func snapshot(c *Compiled) []canonRow {
 	rows := make([]canonRow, c.Switches)
 	for s := 0; s < c.Switches; s++ {
-		ends, slots := c.Row(s)
+		ends, slots := decode(c.Row(s))
 		r := &rows[s]
 		r.ends = ends
 		for _, sl := range slots {
@@ -83,14 +83,14 @@ func checkPool(t *testing.T, tag string, c *Compiled) {
 		}
 	}
 	seen := make(map[uint64][]int32)
-	for id := range c.pool.ends {
+	for id, row := range c.pool.rows {
 		id := int32(id)
 		if c.pool.refs[id] <= 0 {
 			continue
 		}
-		h := hashRow(c.pool.ends[id], c.pool.slots[id])
+		h := hashRow(row)
 		for _, other := range seen[h] {
-			if rowsEqual(canonRow{c.pool.ends[id], c.pool.slots[id]}, canonRow{c.pool.ends[other], c.pool.slots[other]}) {
+			if slices.Equal(row, c.pool.rows[other]) {
 				t.Fatalf("%s: live rows %d and %d share content — interning failed", tag, id, other)
 			}
 		}
@@ -374,22 +374,20 @@ func TestApplyLinkChangeRejects(t *testing.T) {
 // heldRow is a row as Compiled.Row handed it out, with a private copy
 // taken at that moment.
 type heldRow struct {
-	ends, slots         []int32
-	wantEnds, wantSlots []int32
+	row  Row
+	want []uint32
 }
 
 func holdRows(c *Compiled) []heldRow {
 	held := make([]heldRow, c.Switches)
 	for s := range held {
-		ends, slots := c.Row(s)
-		held[s] = heldRow{ends, slots, slices.Clone(ends), slices.Clone(slots)}
+		row := c.Row(s)
+		held[s] = heldRow{row, slices.Clone(row.Words)}
 	}
 	return held
 }
 
-func (h heldRow) intact() bool {
-	return slices.Equal(h.ends, h.wantEnds) && slices.Equal(h.slots, h.wantSlots)
-}
+func (h heldRow) intact() bool { return slices.Equal(h.row.Words, h.want) }
 
 // TestCloneIsolation: mutations on a clone never leak into the
 // original — and rows handed out by Row, at any point, stay
@@ -516,8 +514,7 @@ func TestLeafLinkChangeIsLocal(t *testing.T) {
 		// one 8 KB column per affected destination, 8-15 MB a call).
 		alloc := int(m1.TotalAlloc - m0.TotalAlloc)
 		for _, s := range changed {
-			ends, _ := c.Row(s)
-			alloc -= 8 * len(ends)
+			alloc -= 4 * c.Row(s).Len()
 		}
 		t.Logf("weight %v: %d switches changed, %+v, %d KB allocated besides the new rows", w, len(changed), st, alloc>>10)
 		if st.Tier != TierRepair || st.Affected < 1000 || st.Recomputed > 2 {

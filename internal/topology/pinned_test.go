@@ -11,9 +11,11 @@ import (
 )
 
 // routesDigest hashes the whole compiled forwarding state: every
-// switch's row id, then every pool row's intervals and slots. Two
-// compiles with the same digest forward, intern and number their rows
-// identically.
+// switch's row id, then every pool row's interval ends and slots, each
+// decoded to the int32 halves rows were stored as before they were
+// packed into words — so the digests taken on the two-slice layout pin
+// the packed rows' content. Two compiles with the same digest forward,
+// intern and number their rows identically.
 func routesDigest(c *Compiled) string {
 	h := sha256.New()
 	put := func(vs []int32) {
@@ -21,11 +23,20 @@ func routesDigest(c *Compiled) string {
 		binary.Write(h, binary.LittleEndian, vs)
 	}
 	put(c.rowOf)
-	for r := range c.pool.ends {
-		put(c.pool.ends[r])
-		put(c.pool.slots[r])
+	for _, words := range c.pool.rows {
+		ends, slots := decode(Row{words, c.w})
+		put(ends)
+		put(slots)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// decode unpacks a row into its interval ends and slots.
+func decode(r Row) (ends, slots []int32) {
+	for i := range r.Len() {
+		ends, slots = append(ends, r.End(i)), append(slots, r.Slot(i))
+	}
+	return ends, slots
 }
 
 // nextHopDigest hashes what c forwards, free of any row format: for
@@ -129,7 +140,7 @@ func TestCompiledRoutesPinned(t *testing.T) {
 func TestCompileStats(t *testing.T) {
 	def := eqDefaults()
 	got := mustCompile(t, Chain(16), def).CompileStats()
-	if want := (CompileStats{Columns: 16, Batches: 1, Pushes: 256, DistinctRows: 16, RouteBytes: 16*4 + 2*(2*8+64) + 14*(3*8+64)}); got != want {
+	if want := (CompileStats{Columns: 16, Batches: 1, Pushes: 256, DistinctRows: 16, RouteBytes: 16*4 + 2*(2*4+40) + 14*(3*4+40)}); got != want {
 		t.Fatalf("chain-16: %+v, want %+v", got, want)
 	}
 	for name, g := range equivalenceGraphs() {

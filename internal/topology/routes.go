@@ -29,10 +29,11 @@ const mergeTile = 256
 // computeRoutes and freeze: route overrides are painted into it, then
 // freeze interns it.
 type routeBuilder struct {
-	// rows[s] is switch s's row as the pool keeps it (newRow), hops
-	// already converted to adjacency slots — the switch-relative form
-	// under which identical forwarding shapes deduplicate.
-	rows  [][]int32
+	// rows[s] is switch s's row as the pool keeps it (Row words at the
+	// topology's width), hops already converted to adjacency slots — the
+	// switch-relative form under which identical forwarding shapes
+	// deduplicate.
+	rows  [][]uint32
 	hash  []uint64     // hashRow of each row
 	stats CompileStats // completed by freeze
 }
@@ -41,27 +42,30 @@ type routeBuilder struct {
 // covering interval splits into [start,a) old, [a,a+1) new, [a+1,end)
 // old; the new row replaces the old, whose memory no one else holds yet.
 func (rb *routeBuilder) paint(c *Compiled, s, h int, hop int32) {
-	ends, slots := halves(rb.rows[s])
+	old := Row{rb.rows[s], c.w}
 	a := c.addr[h]
-	i, _ := slices.BinarySearch(ends, a+1) // the first interval ending past a
+	i := 0 // the first interval ending past a
+	for old.End(i) <= a {
+		i++
+	}
 	slot := c.slotOf(s, hop)
-	if slots[i] == slot {
+	if old.Slot(i) == slot {
 		return
 	}
 	start := int32(0)
 	if i > 0 {
-		start = ends[i-1]
+		start = old.End(i - 1)
 	}
-	var re, rs []int32
+	var mid []uint32
 	if a > start {
-		re, rs = append(re, a), append(rs, slots[i])
+		mid = append(mid, pack(a, old.Slot(i), c.w))
 	}
-	re, rs = append(re, a+1), append(rs, slot)
-	if ends[i] > a+1 {
-		re, rs = append(re, ends[i]), append(rs, slots[i])
+	mid = append(mid, pack(a+1, slot, c.w))
+	if old.End(i) > a+1 {
+		mid = append(mid, old.Words[i])
 	}
-	row := slices.Concat(ends[:i], re, ends[i+1:], slots[:i], rs, slots[i+1:])
-	rb.rows[s], rb.hash[s] = row, hashRow(halves(row))
+	row := slices.Concat(old.Words[:i], mid, old.Words[i+1:])
+	rb.rows[s], rb.hash[s] = row, hashRow(row)
 }
 
 // freeze interns the rows into the Compiled's row pool, which keeps the
@@ -76,7 +80,7 @@ func (rb *routeBuilder) freeze(c *Compiled) {
 	}
 	rb.rows = nil
 	c.stats = rb.stats
-	c.stats.DistinctRows = c.pool.rows()
+	c.stats.DistinctRows = c.pool.live()
 	c.stats.RouteBytes = c.RouteBytes()
 }
 
@@ -120,7 +124,7 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	rb := &routeBuilder{rows: make([][]int32, nsw), hash: make([]uint64, nsw)}
+	rb := &routeBuilder{rows: make([][]uint32, nsw), hash: make([]uint64, nsw)}
 	last := make([]int32, nsw) // the hop of each switch's newest run
 	for s := range last {
 		last[s] = hopUnreachable // in no merged column: the first host starts a run
@@ -309,9 +313,10 @@ func (t *tileScratch) keep(kept [][]tileRun) [][]tileRun {
 // at its exact length, and hashes them.
 func (rb *routeBuilder) finish(c *Compiled, sLo int, n []int32, prior, runs [][]tileRun) {
 	rows := rb.rows[sLo : sLo+len(n)]
+	w := c.w
 	for i, k := range n {
-		rows[i] = newRow(int(k))
-		rows[i][k-1] = int32(len(c.Hosts)) // the last interval's end
+		rows[i] = make([]uint32, k)
+		rows[i][k-1] = uint32(len(c.Hosts)) << w // the last interval's end
 	}
 	clear(n) // now: where each switch's next run goes
 	for _, chunks := range [2][][]tileRun{prior, runs} {
@@ -323,18 +328,19 @@ func (rb *routeBuilder) finish(c *Compiled, sLo int, n []int32, prior, runs [][]
 					continue
 				}
 				// The run's start ends the interval before it; its packed
-				// hop becomes the switch's adjacency slot.
+				// hop becomes the switch's adjacency slot, the code in the
+				// word's low bits (Row).
 				row, k := rows[r.i], n[r.i]
 				if k > 0 {
-					row[k-1] = start
+					row[k-1] |= uint32(start) << w
 				}
-				row[len(row)/2+int(k)] = c.slotOf(sLo+int(r.i), r.v)
+				row[k] |= uint32(c.slotOf(sLo+int(r.i), r.v) + 2)
 				n[r.i]++
 			}
 		}
 	}
 	for i, row := range rows {
-		rb.hash[sLo+i] = hashRow(halves(row))
+		rb.hash[sLo+i] = hashRow(row)
 	}
 }
 

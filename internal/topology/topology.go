@@ -256,9 +256,11 @@ type Compiled struct {
 	wtSum time.Duration
 
 	// rowOf/pool are the interned row tables: rowOf[s] is switch s's row
-	// id in the pool.
+	// id in the pool. w is the width every row is packed at (rowWidth),
+	// fixed by the graph.
 	rowOf []int32
 	pool  *rowPool
+	w     uint
 
 	// hasOverrides records whether RouteSpec overrides were painted;
 	// incremental maintenance refuses such graphs (the overrides are
@@ -316,21 +318,18 @@ func (c *Compiled) NextHop(sw, h int) (hop Hop, isLocal bool) {
 }
 
 // Row hands out switch sw's forwarding row: interval i covers addresses
-// [ends[i-1], ends[i]) (from 0; the last end is the host count) — host h
-// is at Addr(h) — and forwards through adjacency slot slots[i] of sw
-// (resolve it with SlotHop) or, for slotLocal (-1), to a host attached
-// to sw itself.
+// [End(i-1), End(i)) (from 0; the last end is the host count) — host h
+// is at Addr(h) — and forwards through adjacency slot Slot(i) of sw
+// (resolve it with SlotHop) or, for SlotLocal, to a host attached to sw
+// itself. Every row of c has the same width W.
 //
-// The slices are read-only and stay valid and unchanged for as long as
+// The words are read-only and stay valid and unchanged for as long as
 // the caller holds them: an interned row is never written after it is
 // created, by this Compiled or any Clone of it, whatever link changes
 // follow. They are the pool's own row, so any number of holders
 // (switches of a running simulation, region goroutines, scheduled link
 // events) share one copy.
-func (c *Compiled) Row(sw int) (ends, slots []int32) {
-	row := c.rowOf[sw]
-	return c.pool.ends[row], c.pool.slots[row]
-}
+func (c *Compiled) Row(sw int) Row { return Row{c.pool.rows[c.rowOf[sw]], c.w} }
 
 // Degree returns the number of adjacency slots of switch sw: one per
 // link end attached to it.
@@ -347,9 +346,8 @@ func (c *Skeleton) SlotHop(sw, slot int) Hop { return unpackHop(c.adjHop[int(c.a
 // exists for capacity diagnostics (tahoe-sim -validate, benchmarks).
 func (c *Compiled) RouteRuns() int {
 	runs := 0
-	for s := 0; s < c.Switches; s++ {
-		ends, _ := c.Row(s)
-		runs += len(ends)
+	for _, r := range c.rowOf {
+		runs += len(c.pool.rows[r])
 	}
 	return runs
 }
@@ -357,20 +355,20 @@ func (c *Compiled) RouteRuns() int {
 // DistinctRows returns the number of distinct forwarding rows after
 // interning. The ratio Switches/DistinctRows is the deduplication
 // factor.
-func (c *Compiled) DistinctRows() int { return c.pool.rows() }
+func (c *Compiled) DistinctRows() int { return c.pool.live() }
 
 // RouteBytes returns the resident bytes of the forwarding state: the
 // per-switch row ids plus every live pool row (interval data and per-row
 // bookkeeping). It is the quantity the benchmark trajectory tracks as
 // "route bytes per switch".
 func (c *Compiled) RouteBytes() int {
-	// Per live row: the two int32 payload slices plus slice headers,
-	// refcount, and hash (~64 B of bookkeeping).
-	const rowOverhead = 64
+	// Per live row: a 4-byte word an interval, plus the slice header,
+	// refcount, hash and chain link (40 B of bookkeeping).
+	const rowOverhead = 40
 	b := len(c.rowOf) * 4
-	for r := range c.pool.ends {
+	for r, row := range c.pool.rows {
 		if c.pool.refs[r] > 0 {
-			b += len(c.pool.ends[r])*8 + rowOverhead
+			b += len(row)*4 + rowOverhead
 		}
 	}
 	return b
@@ -590,6 +588,15 @@ func (g Graph) Compile(def Defaults) (*Compiled, error) {
 		def.DataSize = 500
 	}
 	c := &Compiled{Skeleton: *sk, dataSize: def.DataSize, workers: def.Workers}
+	widest := 0
+	for s := 1; s < c.Switches; s++ {
+		if c.Degree(s) > c.Degree(widest) {
+			widest = s
+		}
+	}
+	if c.w, err = rowWidth(len(c.Hosts), widest, c.Degree(widest)); err != nil {
+		return nil, err
+	}
 	bits := int64(c.dataSize) * 8
 	if bits > math.MaxInt64/int64(time.Second) {
 		return nil, fmt.Errorf("topology: data size %d bytes: its transmission time overflows the routing metric", c.dataSize)
@@ -690,13 +697,13 @@ func (c *Skeleton) hopToward(s, via int) (Hop, bool) {
 }
 
 // slotOf maps a packed hop usable at switch s to its adjacency slot
-// (hopLocal maps to slotLocal). The half-edges of a switch are sorted
+// (hopLocal maps to SlotLocal). The half-edges of a switch are sorted
 // by ascending link index, and both directions of one link never meet
 // at a switch, so adjHop is strictly ascending per switch — binary
 // search applies.
 func (c *Skeleton) slotOf(s int, p int32) int32 {
 	if p < 0 {
-		return slotLocal
+		return SlotLocal
 	}
 	lo, hi := c.adjOff[s], c.adjOff[s+1]
 	for lo < hi {
@@ -721,17 +728,7 @@ const edgeLocal = int32(-1)
 // next switch, adjHop the packed hop — or edgeLocal when the host is
 // attached to sw.
 func (c *Compiled) edgeAt(sw int, a int32) int32 {
-	ends := c.pool.ends[c.rowOf[sw]]
-	lo, hi := 0, len(ends)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ends[mid] > a {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	sl := c.pool.slots[c.rowOf[sw]][lo]
+	sl := c.Row(sw).Lookup(int(a))
 	if sl < 0 {
 		return edgeLocal
 	}
