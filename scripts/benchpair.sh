@@ -24,12 +24,16 @@
 # tenths of the pairs, and the medians differ by more than the parent's own
 # interquartile range.
 #
-# After the pairs it makes one traced run a side (--trace 1, seed 1 on
-# both) and prints the phases of a run side by side — parse, build,
+# After the pairs it makes three traced pairs (--trace 1, seed 1 on both
+# sides), the side that goes first alternating as above, and prints the
+# median of each side's three for the phases of a run — parse, build,
 # warm-up, steady state, finish, the analysis and trace-store rows, peak
 # RSS — so that work a change moved from one phase into another (out of
-# set-up into Finish, say) is in the same report as the claim. One run a
-# side: read the rows as where the time went, not as a measurement.
+# set-up into Finish, say) is in the same report as the claim. A single
+# traced run a side, always the parent first, read order and noise as
+# the change (steady state −17 % to +37 % on unchanged code); three
+# alternating ones take the median. Still read the rows as where the
+# time went, not as a measurement.
 #
 # Every run's result line is kept in the output directory. It only calls
 # the harness; it changes no file under bench/.
@@ -55,13 +59,16 @@ git -C "$root" archive "$commit" | tar -x -C "$work/parent"
 echo "benchpair: parent $ref ($(git -C "$root" rev-parse --short "$commit")) in $work/parent, change in $root" >&2
 echo "benchpair: $pairs pairs of $workload, $seconds s a side; result lines in $work" >&2
 
-# run <side> <dir> <seed>: one benchmark run; its result line (the last
-# line of standard output) is appended to $work/<side>.jsonl.
+# run <side> <dir> <seed> [trace] [tag]: one benchmark run; its result
+# line (the last line of standard output) is appended to
+# $work/<side>.jsonl, or to $work/<side>.trace.jsonl for a traced run;
+# its standard error goes to $work/<side>[.trace].<seed><tag>.log.
 run() {
-    local side=$1 dir=$2 seed=$3 trace=${4:-0} out=$1 line
+    local side=$1 dir=$2 seed=$3 trace=${4:-0} out=$1 line log
     if ((trace)); then out=$side.trace; fi # its own file: not one of the pairs
-    if ! line=$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" 2>"$work/$out.$seed.log" | tail -n 1); then
-        echo "benchpair: $side run failed at seed $seed, see $work/$out.$seed.log" >&2
+    log=$work/$out.$seed${5:-}.log
+    if ! line=$(bash "$dir/bench/run.sh" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace "$trace" 2>"$log" | tail -n 1); then
+        echo "benchpair: $side run failed at seed $seed, see $log" >&2
         exit 1
     fi
     echo "$line" >>"$work/$out.jsonl"
@@ -80,9 +87,17 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
-echo "benchpair: traced pass, one run a side" >&2
-run parent "$work/parent" 1 1
-run head "$root" 1 1
+traced=3
+echo "benchpair: traced pass, $traced pairs at seed 1" >&2
+for ((i = 1; i <= traced; i++)); do
+    if ((i % 2)); then
+        run parent "$work/parent" 1 1 ".$i"
+        run head "$root" 1 1 ".$i"
+    else
+        run head "$root" 1 1 ".$i"
+        run parent "$work/parent" 1 1 ".$i"
+    fi
+done
 
 # The metric list (name, unit, direction) comes from BENCHMARK.json; the
 # values from the result lines: {"…","failed":N,"metrics":{"name":{"value":V,…},…}}.
@@ -96,7 +111,7 @@ layers=$(tr -d ' \n' <"$root/BENCHMARK.json" |
     grep -o '"name":"[^"]*"' | cut -d'"' -f4 |
     grep -E '^(scenario\.parse_s|core\.(build|warmup|steady|finish)_s|(analysis|tstore)\.[a-z]+_s|proc\.peak_rss_mb)$')
 
-awk -v metrics="$metrics" -v layers="$layers" -v pairs="$pairs" -v workload="$workload" '
+awk -v metrics="$metrics" -v layers="$layers" -v pairs="$pairs" -v traced="$traced" -v workload="$workload" '
 function value(line, name,    m) {
     if (!match(line, "\"" name "\":\\{\"value\":[-+0-9.eE]+")) return "nan"
     m = substr(line, RSTART, RLENGTH); sub(/.*:/, "", m); return m + 0
@@ -111,12 +126,13 @@ function quantile(v, n, p,    i, j, t, pos, lo) {
     pos = 1 + (n - 1) * p; lo = int(pos)
     return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
 }
-FILENAME ~ /parent\.trace\.jsonl$/ { PT = $0; pf += failed($0); next }
-FILENAME ~ /head\.trace\.jsonl$/   { HT = $0; hf += failed($0); next }
+FILENAME ~ /parent\.trace\.jsonl$/ { npt++; PT[npt] = $0; pf += failed($0); next }
+FILENAME ~ /head\.trace\.jsonl$/   { nht++; HT[nht] = $0; hf += failed($0); next }
 FILENAME ~ /parent\.jsonl$/        { np++; P[np] = $0; pf += failed($0); next }
                                    { nh++; H[nh] = $0; hf += failed($0) }
 END {
     if (np != pairs || nh != pairs) { printf "benchpair: %d parent and %d head result lines, want %d each\n", np, nh, pairs; exit 1 }
+    if (npt != traced || nht != traced) { printf "benchpair: %d parent and %d head traced lines, want %d each\n", npt, nht, traced; exit 1 }
     printf "\n%s: %d pairs, parent vs change (median [q1, q3]); ops failed: parent %d, change %d\n\n", workload, pairs, pf, hf
     printf "  %-20s %-6s %-40s %-40s %8s  %-12s %s\n", "metric", "unit", "parent", "change", "median", "won-lost", "claimable gain / beyond parent IQR"
     nm = split(metrics, M, "\n")
@@ -135,12 +151,18 @@ END {
             sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", hm, h1, h3),
             pm ? 100 * diff / pm : 0, won, lost, pairs, gain ? "yes" : "no", beyond ? (diff * sign > 0 ? "better" : "WORSE") : "no"
     }
-    printf "\n%s: where the time went — one traced run a side (seed 1), sums over a repetition\n\n", workload
+    printf "\n%s: where the time went — median of %d traced runs a side (seed 1, alternating which side goes first), sums over a repetition\n\n", workload, traced
     printf "  %-20s %12s %12s %12s\n", "per-layer metric", "parent", "change", "difference"
     nl = split(layers, L, "\n")
     for (k = 1; k <= nl; k++) {
-        pv = value(PT, L[k]); hv = value(HT, L[k])
-        if (pv == "nan" || hv == "nan" || (pv == 0 && hv == 0)) continue
+        nan = 0
+        for (i = 1; i <= traced; i++) {
+            a[i] = value(PT[i], L[k]); b[i] = value(HT[i], L[k])
+            if (a[i] == "nan" || b[i] == "nan") nan = 1
+        }
+        if (nan) continue
+        pv = quantile(a, traced, .5); hv = quantile(b, traced, .5)
+        if (pv == 0 && hv == 0) continue
         printf "  %-20s %12.6g %12.6g %+12.6g\n", L[k], pv, hv, hv - pv
     }
     exit (pf + hf) > 0
