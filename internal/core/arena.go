@@ -25,14 +25,13 @@ import (
 //
 // Ownership rule (DESIGN.md §11): a Result never references arena
 // memory; what escapes is copied at Finish, at its exact length. Engine
-// storage, the packet free list, the trace rings and the rings unbounded
-// ports grew are invisible to callers and recycled in place; the logs a
-// Result carries are appended into chunks from the region's pools
-// (logPools), each chunk owned at any instant by its pool or by the one
-// Sim that took it. Reuse is therefore behavior-neutral: an arena run is
-// byte-identical to a cold run (arena_test.go, arena_lend_test.go), but
-// for the pool/* metrics, which count per-run pool misses: a warm arena
-// keeps them near zero.
+// storage, the packet free list and the trace rings are invisible to
+// callers and recycled in place; the logs a Result carries are appended
+// into chunks from the region's pools (logPools), each chunk owned at
+// any instant by its pool or by the one Sim that took it. Reuse is
+// therefore behavior-neutral: an arena run is byte-identical to a cold
+// run (arena_test.go, arena_lend_test.go), but for the pool/* metrics,
+// which count per-run pool misses: a warm arena keeps them near zero.
 //
 // An Arena is single-goroutine property like the engine it recycles: it
 // may own at most one live Sim at a time, and the next Build must not
@@ -58,10 +57,8 @@ type Arena struct {
 	sendSlab  []*tcp.Sender
 	recvSlab  []*tcp.Receiver
 
-	// ports is every output port of the last build, in build order. The
-	// next build returns the packets they still hold to their pools and
-	// hands each unbounded port's grown ring to the port it makes in the
-	// same place.
+	// ports is every output port of the last build. The next build
+	// returns the packets they still hold to their pools.
 	ports []*link.Port
 
 	merge []dropRec // mergeDrops' concatenation of a run's drop logs
@@ -85,11 +82,14 @@ type regionStore struct {
 // kind matches, otherwise a fresh one kept for next time — a packet
 // pool with its per-run counters at zero, and log pools with nothing
 // taken yet. The packets the last run still had in flight, in its ports
-// and its engines' events, go back to their pools first.
+// and its engines' events, go back to their pools first, and the port
+// list is emptied for the new build's.
 func (a *Arena) stores(kind sim.SchedKind, k int) []regionStore {
 	for _, pt := range a.ports {
 		pt.Reclaim()
 	}
+	clear(a.ports)
+	a.ports = a.ports[:0]
 	for len(a.regions) < k {
 		a.regions = append(a.regions, regionStore{logs: newLogPools(), pool: packet.NewPool()})
 	}
@@ -105,25 +105,6 @@ func (a *Arena) stores(kind sim.SchedKind, k int) []regionStore {
 		st.logs.held = 0
 	}
 	return a.regions[:k]
-}
-
-// port lists pt as the i-th port of the build, handing it the grown ring
-// of the last build's i-th port when both are unbounded. A port is
-// listed in the build's order, so a rebuilt run's ports meet the ports
-// they replace.
-func (a *Arena) port(i int, pt *link.Port) {
-	if i < len(a.ports) {
-		pt.Adopt(a.ports[i])
-		a.ports[i] = pt
-	} else {
-		a.ports = append(a.ports, pt)
-	}
-}
-
-// portsBuilt drops the last build's ports past the n this one made.
-func (a *Arena) portsBuilt(n int) {
-	clear(a.ports[n:])
-	a.ports = a.ports[:n]
 }
 
 // logPools is one region's chunk pools, one per element type of the

@@ -52,7 +52,6 @@ type build struct {
 	res      *Result
 
 	// ports, then conns
-	nports    int // ports made so far
 	switches  []*node.Switch
 	hosts     []*node.Host
 	trunks    [][2]*link.Port
@@ -285,8 +284,7 @@ func (b *build) port(rg int, c link.Config, dst link.Receiver) *link.Port {
 		b.capacity[c.Name] = c.Buffer
 	}
 	pt := link.NewPort(b.engs[rg], c, dst)
-	b.ar.port(b.nports, pt)
-	b.nports++
+	b.ar.ports = append(b.ar.ports, pt)
 	return pt
 }
 
@@ -439,7 +437,6 @@ func (b *build) ports() (err error) {
 		sw.SetPorts(slotPorts[first:len(slotPorts):len(slotPorts)])
 		sw.SetRow(1, topo.Row(s))
 	}
-	b.ar.portsBuilt(b.nports)
 	return nil
 }
 

@@ -11,7 +11,7 @@ import (
 // packets enter a port's buffer, which buffered packet is served next,
 // and which packet pays for an overflow. Drop-tail, the paper's
 // discipline, is not a Disc: a port with a nil Config.Disc runs it
-// itself, on its own ring.
+// itself, on its own packet.Queue.
 //
 // A discipline owns only the *waiting* packets. The packet currently
 // being serialized onto the line is held by the port itself and is
@@ -71,7 +71,7 @@ type DiscHost interface {
 // is never evicted. Service stays FIFO.
 type RandomDropDisc struct {
 	h   DiscHost
-	q   ring
+	q   packet.Queue
 	rng *rand.Rand
 }
 
@@ -85,28 +85,28 @@ func NewRandomDrop(rng *rand.Rand) *RandomDropDisc {
 }
 
 // Bind implements Disc.
-func (d *RandomDropDisc) Bind(h DiscHost) { d.h, d.q = h, newRing(h.Capacity()) }
+func (d *RandomDropDisc) Bind(h DiscHost) { d.h = h }
 
 // Len implements Disc.
-func (d *RandomDropDisc) Len() int { return d.q.len() }
+func (d *RandomDropDisc) Len() int { return d.q.Len() }
 
 // Admit implements Disc. The draw is Intn(waiting+1): index `waiting`
 // means the arrival itself is the victim.
 func (d *RandomDropDisc) Admit(p *packet.Packet) bool {
-	if c := d.h.Capacity(); c > 0 && d.q.len()+d.h.InService() >= c {
-		evictable := d.q.len()
+	if c := d.h.Capacity(); c > 0 && d.q.Len()+d.h.InService() >= c {
+		evictable := d.q.Len()
 		pick := d.rng.Intn(evictable + 1)
 		if pick >= evictable {
 			d.h.Drop(p)
 			return false
 		}
-		victim := d.q.removeAt(pick)
+		victim := d.q.RemoveAt(pick)
 		d.h.Drop(victim)
 		// The arrival now fits.
 	}
-	d.q.push(p)
+	d.q.Push(p)
 	return true
 }
 
 // Dequeue implements Disc.
-func (d *RandomDropDisc) Dequeue() *packet.Packet { return d.q.pop() }
+func (d *RandomDropDisc) Dequeue() *packet.Packet { return d.q.Pop() }

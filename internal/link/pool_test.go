@@ -191,13 +191,11 @@ func TestFIFODropReleasesToPool(t *testing.T) {
 
 // Reclaim returns what a port holds when its run has ended — the packet
 // on the line and the waiting ones, under drop-tail and under a Disc —
-// and a second call returns nothing; Adopt hands the ring an unbounded
-// port grew to the port that replaces it.
-func TestReclaimAndAdopt(t *testing.T) {
+// and a second call returns nothing.
+func TestReclaim(t *testing.T) {
 	eng := sim.New()
 	pl := packet.NewPool()
-	nic := func() *Port { return NewPort(eng, Config{Name: "nic", Bandwidth: 50_000, Pool: pl}, &sink{eng: eng}) }
-	dt := nic()
+	dt := NewPort(eng, Config{Name: "nic", Bandwidth: 50_000, Pool: pl}, &sink{eng: eng})
 	fq, _ := newPooledFQPort(eng, 10, pl)
 	var held []*packet.Packet
 	for i := range 20 {
@@ -220,19 +218,5 @@ func TestReclaimAndAdopt(t *testing.T) {
 	}
 	if dt.QueueLen() != 0 || fq.QueueLen() != 0 {
 		t.Fatalf("queue lengths %d and %d after Reclaim, want 0", dt.QueueLen(), fq.QueueLen())
-	}
-	grown := len(dt.q.buf)
-	if grown < 9 {
-		t.Fatalf("the unbounded ring holds %d slots after 9 packets waited", grown)
-	}
-	next := nic()
-	next.Adopt(dt)
-	if len(next.q.buf) != grown || dt.q.buf != nil {
-		t.Fatalf("after Adopt the new port's ring has %d slots and the old one %d, want %d and 0", len(next.q.buf), len(dt.q.buf), grown)
-	}
-	bounded, _ := newPooledFQPort(eng, 10, pl)
-	bounded.Adopt(next)
-	if len(next.q.buf) != grown {
-		t.Fatal("a port with a Disc took an unbounded port's ring")
 	}
 }

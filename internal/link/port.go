@@ -2,7 +2,7 @@
 // that feed them.
 //
 // A Port bundles a queue — the paper's drop-tail FIFO, which the port
-// runs itself on its own bounded ring, or a Disc (Random Drop, fair
+// runs itself on a packet.Queue, or a Disc (Random Drop, fair
 // queueing, RED) — with a transmitter and an optional
 // link behavior (Behavior: stochastic loss, jitter, trace-driven
 // rates): packets are serialized onto the line at the configured — or
@@ -65,8 +65,9 @@ type Config struct {
 	Buffer int
 	// Disc is the queue discipline; nil means drop-tail FIFO (the
 	// paper's switches, and what QueueSpec.Build returns for drop-tail),
-	// run by the port itself on its own ring. The port binds a Disc at
-	// construction; a Disc instance must not be shared between ports.
+	// run by the port itself on its own packet.Queue. The port binds a
+	// Disc at construction; a Disc instance must not be shared between
+	// ports.
 	Disc Disc
 	// Behavior, when non-nil, impairs the line: per-packet loss and
 	// jitter at departure, and a time-varying rate sampled at the start
@@ -98,15 +99,12 @@ type Port struct {
 	cfg Config
 	// q holds a drop-tail port's waiting packets (empty with a Disc);
 	// inService is the packet on the line, nil while the line is idle.
-	q         ring
+	q         packet.Queue
 	inService *packet.Packet
 	dst       Receiver
 
-	// curTx is the serialization time of the transmission in progress;
-	// finishFn is the completion callback bound once at construction so
-	// starting a transmission schedules no closure.
-	curTx    time.Duration
-	finishFn func()
+	// curTx is the serialization time of the transmission in progress.
+	curTx time.Duration
 
 	// obsLoc is the port's interned trace location (0 when cfg.Obs is
 	// nil, in which case it is never read).
@@ -138,11 +136,8 @@ func NewPort(eng *sim.Engine, cfg Config, dst Receiver) *Port {
 		panic("link: nil destination on " + cfg.Name)
 	}
 	pt := &Port{eng: eng, cfg: cfg, dst: dst}
-	pt.finishFn = pt.finishTx
 	if cfg.Disc != nil {
 		cfg.Disc.Bind((*discHost)(pt))
-	} else {
-		pt.q = newRing(cfg.Buffer)
 	}
 	// Intern the trace location at build time so the emit path never
 	// touches the name string.
@@ -157,7 +152,7 @@ func (pt *Port) Name() string { return pt.cfg.Name }
 // packets plus the packet being transmitted — which occupies its buffer
 // slot until its last bit is sent, the paper's convention.
 func (pt *Port) QueueLen() int {
-	n := pt.q.len()
+	n := pt.q.Len()
 	if pt.cfg.Disc != nil {
 		n = pt.cfg.Disc.Len()
 	}
@@ -209,7 +204,7 @@ func (pt *Port) Send(p *packet.Packet) bool {
 		accepted = false
 		pt.discard(p, &pt.stats.Dropped)
 	default:
-		pt.q.push(p)
+		pt.q.Push(p)
 	}
 	if accepted {
 		pt.stats.Enqueued++
@@ -246,7 +241,7 @@ func (pt *Port) discard(p *packet.Packet, count *uint64) {
 // startTx begins serializing the packet the queue serves next, holding
 // it as the in-service packet (still counted by QueueLen).
 func (pt *Port) startTx() {
-	head := pt.q.pop()
+	head := pt.q.Pop()
 	if pt.cfg.Disc != nil {
 		head = pt.cfg.Disc.Dequeue()
 	}
@@ -264,7 +259,7 @@ func (pt *Port) startTx() {
 	if pt.cfg.Obs != nil {
 		pt.cfg.Obs.Packet(obs.Dequeue, pt.eng.Now(), pt.obsLoc, head, float64(pt.QueueLen()))
 	}
-	pt.eng.Schedule(pt.curTx, pt.finishFn)
+	pt.eng.SchedulePacket(pt.curTx, (*finishHop)(pt), nil)
 }
 
 // finishTx completes the in-progress transmission: the packet leaves
@@ -324,7 +319,7 @@ func (pt *Port) Reclaim() {
 		pt.inService = nil
 		pt.cfg.Pool.Put(p)
 	}
-	for p := pt.q.pop(); p != nil; p = pt.q.pop() {
+	for p := pt.q.Pop(); p != nil; p = pt.q.Pop() {
 		pt.cfg.Pool.Put(p)
 	}
 	if d := pt.cfg.Disc; d != nil {
@@ -334,16 +329,14 @@ func (pt *Port) Reclaim() {
 	}
 }
 
-// Adopt hands an unbounded drop-tail port the ring old — a reclaimed port
-// of the same kind from an earlier run — has grown, so this run does not
-// grow its own again. Any other pair is left alone.
-func (pt *Port) Adopt(old *Port) {
-	if old == nil || pt.cfg.Disc != nil || pt.cfg.Buffer > 0 || old.cfg.Disc != nil || old.cfg.Buffer > 0 ||
-		old.q.n > 0 || len(old.q.buf) <= len(pt.q.buf) {
-		return
-	}
-	pt.q.buf, old.q.buf = old.q.buf, nil
-}
+// finishHop is the Port's sim.PacketSink identity for the end of a
+// transmission: the event carries no packet (the port holds it as
+// inService), and the pointer conversion is free, so starting a
+// transmission allocates nothing and the port holds no bound closure.
+type finishHop Port
+
+// Deliver implements sim.PacketSink.
+func (fh *finishHop) Deliver(*packet.Packet) { (*Port)(fh).finishTx() }
 
 // jitterHop is the Port's second sim.PacketSink identity: the moment a
 // packet's behavior jitter has elapsed and normal propagation begins.

@@ -84,7 +84,7 @@ func randomDropRef(seed int64, _ int, _ *time.Duration) refDisc {
 // redRef's decisions come from a twin RED bound to a redHost that
 // mirrors the port's clock and transmitter: the RED arithmetic has its
 // own referee (TestREDZeroAverageGuardIsBitIdentical); here the slice
-// stands in for the ring underneath it. The thresholds let overload
+// stands in for the queue underneath it. The thresholds let overload
 // phases reach a 20-packet buffer.
 func redRef(seed int64, buffer int, now *time.Duration) refDisc {
 	cfg := REDConfig{MinTh: 3, MaxTh: 30, MaxP: 0.1, Wq: 0.2}
@@ -98,7 +98,8 @@ func redRef(seed int64, buffer int, now *time.Duration) refDisc {
 			if r.onLine != nil {
 				h.inService = 1
 			}
-			if !twin.Admit(p) {
+			// The twin queues a stand-in: a packet is in one queue at a time.
+			if !twin.Admit(&packet.Packet{ID: p.ID, Size: p.Size}) {
 				return p
 			}
 			r.waiting = append(r.waiting, p)
@@ -112,12 +113,12 @@ func redRef(seed int64, buffer int, now *time.Duration) refDisc {
 }
 
 // TestPortAgainstSliceQueue drives ports with seeded random arrivals,
-// service completions and idle gaps, long enough to wrap each ring many
-// times (and to grow an unbounded one while wrapped), and checks every
-// step against refPort: whether each arrival was admitted, which packet
-// was dropped for it, QueueLen after every operation, and the order in
-// which packets leave. Random Drop's victim, drawn as an index into the
-// wrapped ring, must name the packet the slice holds at that index.
+// service completions and idle gaps, long enough to fill and drain each
+// buffer many times, and checks every step against refPort: whether each
+// arrival was admitted, which packet was dropped for it, QueueLen after
+// every operation, and the order in which packets leave. Random Drop's
+// victim, drawn as an index into the queue, must name the packet the
+// slice holds at that index.
 func TestPortAgainstSliceQueue(t *testing.T) {
 	discs := []struct {
 		name string
@@ -190,38 +191,66 @@ func checkPortAgainstSlice(t *testing.T, mk func(int64, int, *time.Duration) ref
 		maxLen = max(maxLen, ref.len())
 	}
 	if served < 20*max(buffer, 1) || buffer > 1 && maxLen < buffer {
-		t.Fatalf("seed %d: %d packets served, longest queue %d: too little traffic to wrap a %d-slot ring",
+		t.Fatalf("seed %d: %d packets served, longest queue %d: too little traffic to fill a %d-packet buffer",
 			seed, served, maxLen, buffer)
 	}
 }
 
-// A fresh drop-tail port with a bounded buffer has its whole ring from
-// construction: from its first packet on, arrivals, overflow drops and
-// departures allocate nothing.
+// A port's queue is threaded through the packets it holds, so from a
+// port's first packet on, arrivals, overflow drops, evictions and
+// departures allocate nothing: under drop-tail, RED and Random Drop
+// alike, and on an unbounded port, whose queue never grows.
 func TestDropTailPortAllocatesNothingFromFirstPacket(t *testing.T) {
 	eng := sim.New()
-	var pkts [25]packet.Packet
+	var pkts [300]packet.Packet
 	for i := range pkts {
 		pkts[i].Size = 500
 	}
-	newPort := func() *Port {
-		return NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: 20}, nullReceiver{})
-	}
-	cycles := func(pt *Port) {
-		// Rounds of 7 packets and of 25 (20 admitted, 5 dropped), each sent
-		// in full before the next: the ring's head walks round the array.
-		for round := 0; round < 40; round++ {
-			for i := range pkts[:7+18*(round%2)] {
-				pt.Send(&pkts[i])
+	for _, c := range []struct {
+		name   string
+		buffer int
+		disc   func() Disc
+	}{
+		{"drop-tail", 20, func() Disc { return nil }},
+		{"red", 20, func() Disc {
+			return NewRED(REDConfig{MinTh: 3, MaxTh: 30, MaxP: 0.1, Wq: 0.2}, rand.New(rand.NewSource(1)))
+		}},
+		{"random-drop", 20, func() Disc { return NewRandomDrop(rand.New(rand.NewSource(1))) }},
+		{"unbounded", 0, func() Disc { return nil }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			newPort := func() *Port {
+				return NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: c.buffer, Disc: c.disc()}, nullReceiver{})
 			}
-			for eng.Step() {
+			cycles := func(pt *Port) {
+				// Rounds of 7 packets and of a 300-packet burst, each sent in
+				// full and drained before the next.
+				for round := 0; round < 10; round++ {
+					for i := range pkts[:7+293*(round%2)] {
+						pt.Send(&pkts[i])
+					}
+					for eng.Step() {
+					}
+				}
 			}
-		}
+			built := testing.AllocsPerRun(1, func() { newPort() })
+			used := testing.AllocsPerRun(1, func() { cycles(newPort()) })
+			if used != built {
+				t.Fatalf("a new port and 10 rounds of traffic allocate %v times, the port alone %v", used, built)
+			}
+		})
 	}
-	built := testing.AllocsPerRun(1, func() { newPort() })
-	used := testing.AllocsPerRun(1, func() { cycles(newPort()) })
-	if used != built {
-		t.Fatalf("a new port and 40 rounds of traffic allocate %v times, the port alone %v", used, built)
+}
+
+// A drop-tail port is one object: its queue lives in the packets and its
+// transmission-finish event is the port itself, so making it is one
+// allocation.
+func TestNewDropTailPortAllocatesOnce(t *testing.T) {
+	eng := sim.New()
+	if n := testing.AllocsPerRun(100, func() {
+		NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: 20}, nullReceiver{})
+	}); n != 1 {
+		t.Fatalf("NewPort allocates %v times, want 1", n)
 	}
 }
 

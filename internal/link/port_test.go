@@ -88,6 +88,54 @@ func TestSerializationBackToBack(t *testing.T) {
 	}
 }
 
+// Data and ACKs share one FIFO (the paper's §2.2 switches): every
+// single-queue port — drop-tail, bounded and not, RED below its
+// thresholds and Random Drop below its buffer — serves a mix of 500-byte
+// data and 50-byte ACKs in arrival order, each ACK waiting out the data
+// ahead of it, and takes a second burst once drained as it took the
+// first.
+func TestFIFOOrder(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		buffer int
+		disc   Disc
+	}{
+		{"drop-tail", 20, nil},
+		{"unbounded", 0, nil},
+		{"red", 20, NewRED(REDConfig{MinTh: 50, MaxTh: 60}, rand.New(rand.NewSource(1)))},
+		{"random-drop", 20, NewRandomDrop(rand.New(rand.NewSource(1)))},
+	} {
+		eng := sim.New()
+		s := &sink{eng: eng}
+		pt := NewPort(eng, Config{Name: c.name, Bandwidth: 50_000, Buffer: c.buffer, Disc: c.disc}, s)
+		var want []time.Duration
+		for round := uint64(0); round < 2; round++ {
+			at := eng.Now()
+			for i := uint64(0); i < 12; i++ {
+				size := 500
+				if i%3 == 2 {
+					size = 50
+				}
+				pt.Send(&packet.Packet{ID: 100*round + i, Size: size})
+				at += TxTime(size, 50_000)
+				want = append(want, at)
+			}
+			eng.Run()
+			if pt.QueueLen() != 0 {
+				t.Fatalf("%s: queue length %d once drained", c.name, pt.QueueLen())
+			}
+		}
+		if len(s.pkts) != len(want) {
+			t.Fatalf("%s: delivered %d, want %d", c.name, len(s.pkts), len(want))
+		}
+		for i, p := range s.pkts {
+			if id := 100*uint64(i/12) + uint64(i%12); p.ID != id || s.at[i] != want[i] {
+				t.Fatalf("%s: packet %d served is ID %d at %v, want ID %d at %v", c.name, i, p.ID, s.at[i], id, want[i])
+			}
+		}
+	}
+}
+
 func TestDropTailAtPort(t *testing.T) {
 	eng := sim.New()
 	pt, s := newTestPort(eng, 2)

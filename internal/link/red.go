@@ -69,7 +69,7 @@ func (c *REDConfig) validate() error {
 // serial drop sequence exactly.
 type RED struct {
 	h   DiscHost
-	q   ring
+	q   packet.Queue
 	cfg REDConfig
 	rng *rand.Rand
 
@@ -99,14 +99,14 @@ func NewRED(cfg REDConfig, rng *rand.Rand) *RED {
 }
 
 // Bind implements Disc.
-func (d *RED) Bind(h DiscHost) { d.h, d.q = h, newRing(h.Capacity()) }
+func (d *RED) Bind(h DiscHost) { d.h = h }
 
 // Len implements Disc.
-func (d *RED) Len() int { return d.q.len() }
+func (d *RED) Len() int { return d.q.Len() }
 
 // Admit implements Disc.
 func (d *RED) Admit(p *packet.Packet) bool {
-	total := d.q.len() + d.h.InService()
+	total := d.q.Len() + d.h.InService()
 	now := d.h.Now()
 	if total == 0 {
 		// Arrival to an idle link: decay the average across the idle
@@ -147,13 +147,13 @@ func (d *RED) Admit(p *packet.Packet) bool {
 		d.h.Drop(p)
 		return false
 	}
-	d.q.push(p)
+	d.q.Push(p)
 	return true
 }
 
 // Dequeue implements Disc.
 func (d *RED) Dequeue() *packet.Packet {
-	p := d.q.pop()
+	p := d.q.Pop()
 	if p != nil {
 		d.typTx = d.h.NominalTx(p.Size)
 		d.busyEnd = d.h.Now() + d.typTx

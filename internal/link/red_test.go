@@ -13,7 +13,7 @@ import (
 // verbatim as the referee: every idle arrival raises 1-Wq to the idle
 // length, also when the average it multiplies is zero.
 func (d *RED) admitRef(p *packet.Packet) bool {
-	total := d.q.len() + d.h.InService()
+	total := d.q.Len() + d.h.InService()
 	now := d.h.Now()
 	if total == 0 {
 		// Arrival to an idle link: decay the average across the idle
@@ -53,7 +53,7 @@ func (d *RED) admitRef(p *packet.Packet) bool {
 		d.h.Drop(p)
 		return false
 	}
-	d.q.push(p)
+	d.q.Push(p)
 	return true
 }
 
@@ -122,7 +122,7 @@ func TestREDZeroAverageGuardIsBitIdentical(t *testing.T) {
 				hosts[1].now += advance
 				id++
 				size := 50 + 450*drive.Intn(2)
-				if ref.q.len()+hosts[1].inService == 0 && hosts[1].now > ref.busyEnd && ref.typTx > 0 {
+				if ref.q.Len()+hosts[1].inService == 0 && hosts[1].now > ref.busyEnd && ref.typTx > 0 {
 					if ref.avg == 0 {
 						guarded++
 					} else {

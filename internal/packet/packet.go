@@ -39,6 +39,10 @@ func (k Kind) String() string {
 // and passed by pointer through queues and links; they are never copied
 // once in flight.
 type Packet struct {
+	// next links a queued packet to the one behind it (queueEnd for the
+	// last); nil while the packet is in no Queue. It comes first so the
+	// collector scans one word of a packet.
+	next *Packet
 	// ID is unique across the simulation, for tracing.
 	ID uint64
 	// Kind is Data or Ack.

@@ -31,12 +31,12 @@ import "fmt"
 //
 // # Release checking
 //
-// The pool always verifies the protocol: Put panics on a double release,
-// and released packets are poisoned (negative Size and Seq, zero ID) so
-// that a use-after-release packet fails fast — a poisoned Size makes the
-// first transmission attempt panic in the engine rather than silently
-// corrupt a run. The checks are branch-cheap, so they stay on outside
-// tests too.
+// The pool always verifies the protocol: Put panics on a double release
+// and on a packet still in a Queue, and released packets are poisoned
+// (negative Size and Seq, zero ID) so that a use-after-release packet
+// fails fast — a poisoned Size makes the first transmission attempt
+// panic in the engine rather than silently corrupt a run. The checks
+// are branch-cheap, so they stay on outside tests too.
 type Pool struct {
 	free []*Packet
 	// allocs counts pool misses (fresh heap allocations); gets and puts
@@ -68,14 +68,18 @@ func (pl *Pool) Get() *Packet {
 }
 
 // Put releases p back to the pool. Releasing the same packet twice
-// without an intervening Get panics; releasing nil or releasing into a
-// nil pool is a no-op (the packet is left for the garbage collector).
+// without an intervening Get panics, and so does releasing a packet
+// still in a Queue; releasing nil or releasing into a nil pool is a
+// no-op (the packet is left for the garbage collector).
 func (pl *Pool) Put(p *Packet) {
 	if pl == nil || p == nil {
 		return
 	}
 	if p.released {
 		panic(fmt.Sprintf("packet: double release of packet ID=%d seq=%d", p.ID, p.Seq))
+	}
+	if p.next != nil {
+		panic(fmt.Sprintf("packet: release of queued packet ID=%d seq=%d", p.ID, p.Seq))
 	}
 	// Poison: a later use of this pointer sees an impossible packet. A
 	// negative Size in particular makes Port.Send panic inside the engine
