@@ -24,16 +24,17 @@
 # tenths of the pairs, and the medians differ by more than the parent's own
 # interquartile range.
 #
-# After the pairs it makes three traced pairs (--trace 1, seed 1 on both
-# sides), the side that goes first alternating as above, and prints the
-# median of each side's three for the phases of a run — parse, build,
-# warm-up, steady state, finish, the analysis and trace-store rows, peak
-# RSS — so that work a change moved from one phase into another (out of
-# set-up into Finish, say) is in the same report as the claim. A single
-# traced run a side, always the parent first, read order and noise as
-# the change (steady state −17 % to +37 % on unchanged code); three
-# alternating ones take the median. Still read the rows as where the
-# time went, not as a measurement.
+# After the pairs it makes four traced pairs (--trace 1, seed 1 on both
+# sides), the side that goes first alternating as above so that each
+# side goes first twice, and prints the median of each side's four, with
+# its min–max, for the phases of a run — parse, build, warm-up, steady
+# state, finish, the analysis and trace-store rows, peak RSS — so that
+# work a change moved from one phase into another (out of set-up into
+# Finish, say) is in the same report as the claim. A row whose medians
+# differ by less than the wider of the two sides' ranges is marked
+# "within spread": on a small host, phases a change did not touch move
+# by up to 14 % between traced runs. Read the rows as where the time
+# went, not as a measurement.
 #
 # Every run's result line is kept in the output directory. It only calls
 # the harness; it changes no file under bench/.
@@ -87,7 +88,7 @@ for ((i = 1; i <= pairs; i++)); do
     fi
 done
 
-traced=3
+traced=4
 echo "benchpair: traced pass, $traced pairs at seed 1" >&2
 for ((i = 1; i <= traced; i++)); do
     if ((i % 2)); then
@@ -151,8 +152,8 @@ END {
             sprintf("%.6g [%.6g, %.6g]", pm, p1, p3), sprintf("%.6g [%.6g, %.6g]", hm, h1, h3),
             pm ? 100 * diff / pm : 0, won, lost, pairs, gain ? "yes" : "no", beyond ? (diff * sign > 0 ? "better" : "WORSE") : "no"
     }
-    printf "\n%s: where the time went — median of %d traced runs a side (seed 1, alternating which side goes first), sums over a repetition\n\n", workload, traced
-    printf "  %-20s %12s %12s %12s\n", "per-layer metric", "parent", "change", "difference"
+    printf "\n%s: where the time went — median [min, max] of %d traced runs a side (seed 1, alternating which side goes first), sums over a repetition\n\n", workload, traced
+    printf "  %-20s %-30s %-30s %12s\n", "per-layer metric", "parent", "change", "difference"
     nl = split(layers, L, "\n")
     for (k = 1; k <= nl; k++) {
         nan = 0
@@ -161,9 +162,12 @@ END {
             if (a[i] == "nan" || b[i] == "nan") nan = 1
         }
         if (nan) continue
-        pv = quantile(a, traced, .5); hv = quantile(b, traced, .5)
+        pv = quantile(a, traced, .5); hv = quantile(b, traced, .5) # sorts a and b
         if (pv == 0 && hv == 0) continue
-        printf "  %-20s %12.6g %12.6g %+12.6g\n", L[k], pv, hv, hv - pv
+        spread = a[traced] - a[1]; if (b[traced] - b[1] > spread) spread = b[traced] - b[1]
+        printf "  %-20s %-30s %-30s %+12.4g%s\n", L[k],
+            sprintf("%.4g [%.4g, %.4g]", pv, a[1], a[traced]), sprintf("%.4g [%.4g, %.4g]", hv, b[1], b[traced]),
+            hv - pv, (hv - pv < spread && pv - hv < spread) ? "  within spread" : ""
     }
     exit (pf + hf) > 0
 }' "$work/parent.jsonl" "$work/head.jsonl" "$work/parent.trace.jsonl" "$work/head.trace.jsonl"
