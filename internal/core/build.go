@@ -275,7 +275,18 @@ func (b *build) stores() {
 	}
 }
 
+// named reports whether a port in region rg is read by name at build
+// time: by the region's tracer, which interns it, or by the invariant
+// checker's capacity map. A port keeps no name, so elsewhere core
+// formats one only where a log or a gauge records it.
+func (b *build) named(rg int) bool { return b.tracers[rg] != nil || b.capacity != nil }
+
+// trunkName names the trunk port transmitting from switch at to switch
+// to, in traces, drop logs, queue series and metrics.
+func trunkName(at, to int) string { return fmt.Sprintf("sw%d->sw%d", at, to) }
+
 // port makes an output port on region rg's engine, pool and tracer.
+// c.Name must be set when b.named(rg).
 func (b *build) port(rg int, c link.Config, dst link.Receiver) *link.Port {
 	c.Pool, c.Obs = b.pools[rg], b.tracers[rg]
 	if b.capacity != nil && c.Disc == nil && c.Behavior == nil && c.Buffer > 0 {
@@ -320,18 +331,17 @@ func (b *build) behavior(bs *link.BehaviorSpec, ent int) (link.Behavior, error) 
 	return bs.Build(r)
 }
 
-// logDrops appends pt's drops to its region's log, each tagged with the
-// scheduling lineage of the event that executed it.
-func logDrops(eng *sim.Engine, log *chunkLog[dropRec], pt *link.Port) {
-	name := pt.Name()
-	pt.OnDrop = func(p *packet.Packet) {
+// logDrops appends the drops of pt, named name, to its region's log,
+// each tagged with the scheduling lineage of the event that executed it.
+func logDrops(eng *sim.Engine, log *chunkLog[dropRec], pt *link.Port, name string) {
+	pt.SetOnDrop(func(p *packet.Packet) {
 		sa, sa2 := eng.ExecLineage()
 		log.add(dropRec{
 			DropEvent: trace.DropEvent{T: eng.Now(), Conn: p.Conn, Seq: p.Seq, Kind: p.Kind, Port: name},
 			schedAt:   sa,
 			schedAt2:  sa2,
 		})
-	}
+	})
 }
 
 // ports builds the switches, the hosts at their attachment points with
@@ -358,19 +368,22 @@ func (b *build) ports() (err error) {
 		host := node.NewHost(b.engs[rg], id, cfg.HostProcessing)
 		b.hosts[h] = host
 		access := link.Config{
-			Name:      fmt.Sprintf("h%d->sw%d", h+1, sw),
 			Bandwidth: cfg.AccessBandwidth,
 			Delay:     cfg.AccessDelay,
 			Buffer:    queueUnbounded,
 		}
+		if b.named(rg) {
+			access.Name = fmt.Sprintf("h%d->sw%d", h+1, sw)
+		}
 		host.SetOutput(b.port(rg, access, b.switches[sw]))
+		// The down port's drops are logged, so it is always named.
 		access.Name, access.Buffer = fmt.Sprintf("sw%d->h%d", sw, h+1), cfg.Buffer
 		if access.Disc, err = b.disc(cfg.Queue, h); err != nil {
 			return err
 		}
 		down := b.port(rg, access, host)
 		b.switches[sw].AddLocal(id, down)
-		logDrops(b.engs[rg], b.logs.drops[rg], down)
+		logDrops(b.engs[rg], b.logs.drops[rg], down, access.Name)
 		if tracer := b.tracers[rg]; tracer != nil {
 			host.SetObs(tracer, fmt.Sprintf("host%d", h+1))
 		}
@@ -387,11 +400,18 @@ func (b *build) ports() (err error) {
 		if o := cfg.LinkBehavior[li]; o != nil {
 			bs = o
 		}
+		// An unmeasured trunk forwards, drops and reports utilization only:
+		// it costs just its two ports, unnamed unless traced.
+		measured := b.trunkMeasured == nil || b.trunkMeasured[li]
 		ends := [2]int{l.A, l.B}
+		var names [2]string
 		for dir, at := range ends {
 			to, rg := ends[1-dir], b.regionOf(at)
+			if measured || b.named(rg) {
+				names[dir] = trunkName(at, to)
+			}
 			c := link.Config{
-				Name:      fmt.Sprintf("sw%d->sw%d", at, to),
+				Name:      names[dir],
 				Bandwidth: l.Bandwidth,
 				Delay:     l.Delay,
 				Buffer:    l.Buffer,
@@ -411,11 +431,9 @@ func (b *build) ports() (err error) {
 			}
 			b.trunks[li][dir] = b.port(rg, c, b.switches[to])
 		}
-		// An unmeasured trunk forwards, drops and reports utilization only:
-		// it costs just its two ports.
-		if b.trunkMeasured == nil || b.trunkMeasured[li] {
+		if measured {
 			for dir, pt := range b.trunks[li] {
-				b.measureTrunk(li, dir, pt, b.regionOf(ends[dir]))
+				b.measureTrunk(li, dir, pt, names[dir], b.regionOf(ends[dir]))
 			}
 		}
 	}
@@ -440,18 +458,19 @@ func (b *build) ports() (err error) {
 	return nil
 }
 
-// measureTrunk gives trunk port pt its queue series, departure log,
-// queue histogram and drop records. The series has a point at every
-// accepted arrival and every departure; the run logs the admissions
-// only, and Finish rebuilds the series from them and the departures.
-func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
+// measureTrunk gives trunk port pt, named name, its queue series,
+// departure log, queue histogram and drop records. The series has a
+// point at every accepted arrival and every departure; the run logs the
+// admissions only, and Finish rebuilds the series from them and the
+// departures.
+func (b *build) measureTrunk(li, dir int, pt *link.Port, name string, rg int) {
 	res, lp, eng := b.res, b.logPools[rg], b.engs[rg]
-	s := trace.NewSeries(pt.Name())
+	s := trace.NewSeries(name)
 	res.TrunkQueue[li][dir] = s
 	deps := b.logs.departures(lp, &res.TrunkDeps[li][dir])
 	q := b.logs.queue(lp, &res.TrunkDeps[li][dir], s)
-	qh := b.metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
-	pt.OnAdmit = func(n int, evicted bool) {
+	qh := b.metrics.NewHistogram("queue/"+name, queueBounds)
+	pt.SetOnAdmit(func(n int, evicted bool) {
 		now := eng.Now()
 		q.changed(now)
 		if evicted {
@@ -461,8 +480,8 @@ func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
 			q.admitSlow(now, n)
 		}
 		qh.Observe(float64(n))
-	}
-	pt.OnDepart = func(p *packet.Packet) {
+	})
+	pt.SetOnDepart(func(p *packet.Packet) {
 		now := eng.Now()
 		if r := newDepRest(p); !deps.put(now, r) {
 			deps.addSlow(now, r)
@@ -474,8 +493,8 @@ func (b *build) measureTrunk(li, dir int, pt *link.Port, rg int) {
 		if qh != nil {
 			qh.Observe(float64(pt.QueueLen()))
 		}
-	}
-	logDrops(eng, b.logs.drops[rg], pt)
+	})
+	logDrops(eng, b.logs.drops[rg], pt, name)
 }
 
 // conns builds the connections in Config.Conns order and schedules their

@@ -53,26 +53,28 @@ func refereeQueues(t *testing.T, s *Sim) *queueReferee {
 		l := s.res.Topo.Links[li]
 		for dir, pt := range pair {
 			eng := s.engs[region([2]int{l.A, l.B}[dir])]
-			rs := trace.NewSeries(pt.Name())
+			name := trunkName([2]int{l.A, l.B}[dir], [2]int{l.B, l.A}[dir])
+			rs := trace.NewSeries(name)
 			rs.Append(0, 0)
 			ref.series[li][dir] = rs
-			h := ref.metrics.NewHistogram("queue/"+pt.Name(), queueBounds)
+			h := ref.metrics.NewHistogram("queue/"+name, queueBounds)
 			evicted := &ref.evicted[li][dir]
-			admit, depart := pt.OnAdmit, pt.OnDepart
-			pt.OnAdmit = func(n int, ev bool) {
+			var admit func(int, bool)
+			var depart func(*packet.Packet)
+			admit = pt.SetOnAdmit(func(n int, ev bool) {
 				admit(n, ev)
 				rs.Append(eng.Now(), float64(n))
 				h.Observe(float64(n))
 				if ev {
 					*evicted++
 				}
-			}
-			pt.OnDepart = func(p *packet.Packet) {
+			})
+			depart = pt.SetOnDepart(func(p *packet.Packet) {
 				depart(p)
 				n := pt.QueueLen()
 				rs.Append(eng.Now(), float64(n))
 				h.Observe(float64(n))
-			}
+			})
 		}
 	}
 	return ref

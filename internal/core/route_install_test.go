@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,14 +25,32 @@ func checkRoutes(t *testing.T, tag string, sm *Sim, ref *topology.Compiled) {
 			}
 			hop, isLocal := ref.NextHop(s, h)
 			if isLocal {
-				if want := fmt.Sprintf("sw%d->h%d", s, h+1); got.Name() != want {
-					t.Fatalf("%s: switch %d sends its own host %d out %s, want %s", tag, s, h+1, got.Name(), want)
+				// Each host's ports are built in pairs, up then down.
+				if want := sm.ar.ports[2*h+1]; got != want {
+					t.Fatalf("%s: switch %d sends its own host %d out %s, want sw%d->h%d", tag, s, h+1, portName(sm, got), s, h+1)
 				}
 			} else if want := sm.trunks[hop.Link][hop.Dir]; got != want {
-				t.Fatalf("%s: switch %d sends host %d out %s, want %s", tag, s, h+1, got.Name(), want.Name())
+				t.Fatalf("%s: switch %d sends host %d out %s, want %s", tag, s, h+1, portName(sm, got), portName(sm, want))
 			}
 		}
 	}
+}
+
+// portName names a port of sm for a failure message: a port keeps no
+// name, so it is looked up among the trunks and the access ports.
+func portName(sm *Sim, pt *link.Port) string {
+	for li, pair := range sm.trunks {
+		for dir, tp := range pair {
+			if tp == pt {
+				l := sm.res.Topo.Links[li]
+				return trunkName([2]int{l.A, l.B}[dir], [2]int{l.B, l.A}[dir])
+			}
+		}
+	}
+	if i := slices.Index(sm.ar.ports, pt); i >= 0 && i < 2*sm.res.Topo.NumHosts() {
+		return fmt.Sprintf("access port %d of host %d", i%2, i/2+1)
+	}
+	return "an unknown port"
 }
 
 // TestSwitchTablesFollowLinkEvents steps a Sim past each link event and

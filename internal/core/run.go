@@ -536,12 +536,13 @@ func (s *Sim) exportMetrics() {
 		m.NewCounter("pool/allocs").Add(allocs)
 		m.NewCounter("pool/recycled").Add(recycled)
 	}
-	for i := range s.trunks {
-		for dir := range s.trunks[i] {
-			pt := s.trunks[i][dir]
-			m.NewGauge("util/" + pt.Name()).Set(res.TrunkUtil[i][dir])
+	for i, l := range res.Topo.Links {
+		ends := [2]int{l.A, l.B}
+		for dir, at := range ends {
+			name := trunkName(at, ends[1-dir])
+			m.NewGauge("util/" + name).Set(res.TrunkUtil[i][dir])
 			if q := res.TrunkQueue[i][dir]; q != nil { // nil when the trunk is unmeasured
-				m.NewGauge("queue-mean/" + pt.Name()).Set(
+				m.NewGauge("queue-mean/" + name).Set(
 					q.TimeAverage(res.MeasureFrom, res.MeasureTo))
 			}
 		}

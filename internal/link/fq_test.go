@@ -164,7 +164,7 @@ func TestFQPortOverflowDropsFromHeavyFlow(t *testing.T) {
 	eng := sim.New()
 	pt, s := newFQPort(eng, 4)
 	var dropped []*packet.Packet
-	pt.OnDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
+	pt.SetOnDrop(func(p *packet.Packet) { dropped = append(dropped, p) })
 	for i := 0; i < 8; i++ {
 		pt.Send(&packet.Packet{ID: uint64(i), Conn: 1, Size: 500})
 	}

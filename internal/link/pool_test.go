@@ -31,19 +31,19 @@ func TestSendFQDropOfArrivalEdge(t *testing.T) {
 	pl := packet.NewPool()
 	pt, _ := newPooledFQPort(eng, 2, pl)
 	var lens []int
-	pt.OnAdmit = func(n int, evicted bool) {
+	pt.SetOnAdmit(func(n int, evicted bool) {
 		if evicted {
 			t.Errorf("admission at length %d reported an eviction", n)
 		}
 		lens = append(lens, n)
-	}
+	})
 	var dropped []*packet.Packet
-	pt.OnDrop = func(p *packet.Packet) {
+	pt.SetOnDrop(func(p *packet.Packet) {
 		if p.Released() {
 			t.Fatal("OnDrop saw an already-released packet")
 		}
 		dropped = append(dropped, p)
-	}
+	})
 
 	mk := func(id uint64, conn int) *packet.Packet {
 		p := pl.Get()
@@ -86,7 +86,7 @@ func TestSendFQDropOfQueuedVictim(t *testing.T) {
 	pl := packet.NewPool()
 	pt, _ := newPooledFQPort(eng, 3, pl)
 	var evictions []bool
-	pt.OnAdmit = func(_ int, evicted bool) { evictions = append(evictions, evicted) }
+	pt.SetOnAdmit(func(_ int, evicted bool) { evictions = append(evictions, evicted) })
 	mk := func(id uint64, conn int) *packet.Packet {
 		p := pl.Get()
 		p.ID, p.Conn, p.Size = id, conn, 500

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tahoedyn/internal/packet"
 	"tahoedyn/internal/sim"
@@ -112,39 +113,73 @@ func redRef(seed int64, buffer int, now *time.Duration) refDisc {
 	}
 }
 
+// refDiscs are the disciplines the slice referee models.
+var refDiscs = []struct {
+	name string
+	ref  func(seed int64, buffer int, now *time.Duration) refDisc
+}{{"drop-tail", dropTailRef}, {"random-drop", randomDropRef}, {"red", redRef}}
+
 // TestPortAgainstSliceQueue drives ports with seeded random arrivals,
 // service completions and idle gaps, long enough to fill and drain each
 // buffer many times, and checks every step against refPort: whether each
 // arrival was admitted, which packet was dropped for it, QueueLen after
 // every operation, and the order in which packets leave. Random Drop's
 // victim, drawn as an index into the queue, must name the packet the
-// slice holds at that index.
+// slice holds at that index. Each port runs bare and again with inert
+// hooks, which give a drop-tail port the side struct it otherwise lacks.
 func TestPortAgainstSliceQueue(t *testing.T) {
-	discs := []struct {
-		name string
-		ref  func(seed int64, buffer int, now *time.Duration) refDisc
-	}{{"drop-tail", dropTailRef}, {"random-drop", randomDropRef}, {"red", redRef}}
-	for _, d := range discs {
+	for _, d := range refDiscs {
 		for _, buffer := range []int{-1, 0, 1, 2, 20} {
 			t.Run(fmt.Sprintf("%s/buffer=%d", d.name, buffer), func(t *testing.T) {
-				for seed := int64(1); seed <= 4; seed++ {
-					checkPortAgainstSlice(t, d.ref, buffer, seed)
+				for _, hooked := range []bool{false, true} {
+					t.Run(fmt.Sprintf("hooked=%v", hooked), func(t *testing.T) {
+						for seed := int64(1); seed <= 4; seed++ {
+							checkPortAgainstSlice(t, d.ref, buffer, seed, hooked)
+						}
+					})
 				}
 			})
 		}
 	}
 }
 
-func checkPortAgainstSlice(t *testing.T, mk func(int64, int, *time.Duration) refDisc, buffer int, seed int64) {
+// FuzzPortAgainstSliceQueue is TestPortAgainstSliceQueue over any seed,
+// buffer from unbounded to 20 packets, discipline, and with or without
+// inert hooks — both port layouts against the slice referee.
+func FuzzPortAgainstSliceQueue(f *testing.F) {
+	for disc := range refDiscs {
+		for i, buffer := range []uint8{0, 2, 3, 21} {
+			f.Add(int64(disc+1), buffer, uint8(disc), i%2 == 0)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, buffer, disc uint8, hooked bool) {
+		d := refDiscs[int(disc)%len(refDiscs)]
+		checkPortAgainstSlice(t, d.ref, int(buffer%22)-1, seed, hooked)
+	})
+}
+
+// checkPortAgainstSlice observes the port from outside, as its own
+// hooks would: a drop by the packet it releases to the pool, a
+// departure by the packet its zero-delay line delivers. With hooked
+// set the port also carries hooks that do nothing.
+func checkPortAgainstSlice(t *testing.T, mk func(int64, int, *time.Duration) refDisc, buffer int, seed int64, hooked bool) {
 	const steps = 6000
 	eng := sim.New()
 	var now time.Duration
 	rd := mk(seed, buffer, &now)
 	ref := &refPort{buffer: buffer}
-	pt := NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: buffer, Disc: rd.disc()}, &sink{eng: eng})
-	var dropped, departed []*packet.Packet
-	pt.OnDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
-	pt.OnDepart = func(p *packet.Packet) { departed = append(departed, p) }
+	pool := packet.NewPool()
+	line := &sink{eng: eng}
+	disc := rd.disc()
+	pt := NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: buffer, Disc: disc, Pool: pool}, line)
+	if hooked {
+		pt.SetOnAdmit(func(int, bool) {})
+		pt.SetOnDrop(func(*packet.Packet) {})
+		pt.SetOnDepart(func(*packet.Packet) {})
+	}
+	if plain := !hooked && disc == nil; (pt.x == nil) != plain {
+		t.Fatalf("hooked=%v, disc %T: the port's side struct is %v", hooked, disc, pt.x)
+	}
 
 	drive := rand.New(rand.NewSource(seed))
 	sendP, served, maxLen := 0.5, 0, 0
@@ -155,22 +190,23 @@ func checkPortAgainstSlice(t *testing.T, mk func(int64, int, *time.Duration) ref
 		now = eng.Now()
 		switch op := drive.Float64(); {
 		case op < sendP:
-			p := &packet.Packet{ID: uint64(step), Size: 500}
-			dropped = dropped[:0]
+			p := pool.Get()
+			p.ID, p.Size = uint64(step), 500
+			free := pool.Free()
 			want := rd.admit(ref, p)
 			if got := pt.Send(p); got != (want != p) {
 				t.Fatalf("seed %d step %d: Send = %v, referee admitted %v", seed, step, got, want != p)
 			}
-			if want == nil && len(dropped) != 0 || want != nil && (len(dropped) != 1 || dropped[0] != want) {
-				t.Fatalf("seed %d step %d: dropped %v, referee dropped %v", seed, step, dropped, want)
+			if released := pool.Free() - free; want == nil && released != 0 || want != nil && (released != 1 || !want.Released()) {
+				t.Fatalf("seed %d step %d: %d packets released, referee dropped %v", seed, step, released, want)
 			}
 		case ref.onLine != nil: // the transmission in progress completes
-			for n := pt.Stats().Transmitted; pt.Stats().Transmitted == n; {
+			for n := len(line.pkts); len(line.pkts) == n; {
 				if !eng.Step() {
 					t.Fatalf("seed %d step %d: engine ran dry with a packet on the line", seed, step)
 				}
 			}
-			if last := departed[len(departed)-1]; last != ref.onLine {
+			if last := line.pkts[len(line.pkts)-1]; last != ref.onLine {
 				t.Fatalf("seed %d step %d: packet %d left, referee serves %d", seed, step, last.ID, ref.onLine.ID)
 			}
 			ref.onLine = nil
@@ -199,28 +235,48 @@ func checkPortAgainstSlice(t *testing.T, mk func(int64, int, *time.Duration) ref
 // A port's queue is threaded through the packets it holds, so from a
 // port's first packet on, arrivals, overflow drops, evictions and
 // departures allocate nothing: under drop-tail, RED and Random Drop
-// alike, and on an unbounded port, whose queue never grows.
+// alike, on an unbounded port, whose queue never grows, on a line that
+// loses and jitters packets, and on a port with hooks.
 func TestDropTailPortAllocatesNothingFromFirstPacket(t *testing.T) {
 	eng := sim.New()
 	var pkts [300]packet.Packet
 	for i := range pkts {
 		pkts[i].Size = 500
 	}
+	noDisc := func() Disc { return nil }
 	for _, c := range []struct {
 		name   string
 		buffer int
 		disc   func() Disc
+		beh    bool
+		hooked bool
 	}{
-		{"drop-tail", 20, func() Disc { return nil }},
+		{"drop-tail", 20, noDisc, false, false},
 		{"red", 20, func() Disc {
 			return NewRED(REDConfig{MinTh: 3, MaxTh: 30, MaxP: 0.1, Wq: 0.2}, rand.New(rand.NewSource(1)))
-		}},
-		{"random-drop", 20, func() Disc { return NewRandomDrop(rand.New(rand.NewSource(1))) }},
-		{"unbounded", 0, func() Disc { return nil }},
+		}, false, false},
+		{"random-drop", 20, func() Disc { return NewRandomDrop(rand.New(rand.NewSource(1))) }, false, false},
+		{"unbounded", 0, noDisc, false, false},
+		{"behavior", 20, noDisc, true, false},
+		{"hooked", 20, noDisc, false, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			newPort := func() *Port {
-				return NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: c.buffer, Disc: c.disc()}, nullReceiver{})
+				cfg := Config{Name: "p", Bandwidth: 50_000, Buffer: c.buffer, Disc: c.disc()}
+				if c.beh {
+					im, err := NewImpairment(ImpairmentConfig{Loss: 0.05, Jitter: 20 * time.Millisecond}, rand.New(rand.NewSource(1)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg.Behavior = im
+				}
+				pt := NewPort(eng, cfg, nullReceiver{})
+				if c.hooked {
+					pt.SetOnAdmit(func(int, bool) {})
+					pt.SetOnDrop(func(*packet.Packet) {})
+					pt.SetOnDepart(func(*packet.Packet) {})
+				}
+				return pt
 			}
 			cycles := func(pt *Port) {
 				// Rounds of 7 packets and of a 300-packet burst, each sent in
@@ -251,6 +307,14 @@ func TestNewDropTailPortAllocatesOnce(t *testing.T) {
 		NewPort(eng, Config{Name: "p", Bandwidth: 50_000, Buffer: 20}, nullReceiver{})
 	}); n != 1 {
 		t.Fatalf("NewPort allocates %v times, want 1", n)
+	}
+}
+
+// The port every hop reads is 144 bytes, its own size class: what only
+// some ports set lives behind one pointer.
+func TestPortSize(t *testing.T) {
+	if n := unsafe.Sizeof(Port{}); n > 144 {
+		t.Fatalf("a Port is %d bytes, want at most 144", n)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestDropTailAtPort(t *testing.T) {
 	eng := sim.New()
 	pt, s := newTestPort(eng, 2)
 	var dropped []*packet.Packet
-	pt.OnDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
+	pt.SetOnDrop(func(p *packet.Packet) { dropped = append(dropped, p) })
 	for i := uint64(0); i < 4; i++ {
 		pt.Send(&packet.Packet{ID: i, Size: 500})
 	}
@@ -195,13 +195,13 @@ func TestOnAdmitCallback(t *testing.T) {
 	eng := sim.New()
 	pt, _ := newTestPort(eng, 0)
 	var lens []int
-	pt.OnAdmit = func(n int, evicted bool) {
+	pt.SetOnAdmit(func(n int, evicted bool) {
 		if evicted {
 			t.Errorf("drop-tail admission at length %d reported an eviction", n)
 		}
 		lens = append(lens, n)
-	}
-	pt.OnDepart = func(*packet.Packet) { lens = append(lens, pt.QueueLen()) }
+	})
+	pt.SetOnDepart(func(*packet.Packet) { lens = append(lens, pt.QueueLen()) })
 	pt.Send(&packet.Packet{ID: 0, Size: 500})
 	pt.Send(&packet.Packet{ID: 1, Size: 500})
 	eng.Run()
@@ -244,7 +244,7 @@ func TestRandomDropEvictsFromBuffer(t *testing.T) {
 		Disc:      NewRandomDrop(rand.New(rand.NewSource(7))),
 	}, s)
 	var dropped []*packet.Packet
-	pt.OnDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
+	pt.SetOnDrop(func(p *packet.Packet) { dropped = append(dropped, p) })
 	for i := uint64(0); i < 10; i++ {
 		pt.Send(&packet.Packet{ID: i, Size: 500})
 	}
@@ -537,8 +537,8 @@ func TestREDKeepsAverageBetweenThresholds(t *testing.T) {
 		sumQ += n
 		nQ++
 	}
-	pt.OnAdmit = func(n int, _ bool) { observe(n) }
-	pt.OnDepart = func(*packet.Packet) { observe(pt.QueueLen()) }
+	pt.SetOnAdmit(func(n int, _ bool) { observe(n) })
+	pt.SetOnDepart(func(*packet.Packet) { observe(pt.QueueLen()) })
 	// Offer 2x the line rate for 60 seconds.
 	interval := TxTime(500, 100_000)
 	for i := 0; i < 1500; i++ {

@@ -30,35 +30,34 @@
 # its min–max, for the phases of a run — parse, build, warm-up, steady
 # state, finish, the analysis and trace-store rows, peak RSS — so that
 # work a change moved from one phase into another (out of set-up into
-# Finish, say) is in the same report as the claim. A row whose medians
-# differ by less than the wider of the two sides' ranges is marked
-# "within spread": on a small host, phases a change did not touch move
-# by up to 14 % between traced runs. Read the rows as where the time
-# went, not as a measurement.
+# Finish, say) is in the same report as the claim. A row whose two
+# sides' [min, max] ranges overlap is marked "within spread": on a small
+# host, phases a change did not touch move by up to 14 % between traced
+# runs. Ranges that do not overlap are not marked, however wide one of
+# them is. Read the rows as where the time went, not as a measurement.
 #
 # Every run's result line is kept in the output directory. It only calls
 # the harness; it changes no file under bench/.
+#
+#     benchpair.sh --report <dir> <workload> [pairs=10]
+#
+# prints the report again from the result lines an earlier invocation
+# left in <dir>, running nothing (scripts/benchpair_test.sh feeds it
+# made-up lines to check the verdicts and the mark).
 #
 # Exit status: 0 when every run executed and reported ops_failed = 0 on
 # both sides, 1 otherwise. The verdict columns are for the reader — a
 # regression gate belongs to the driver, with the bounds in BENCHMARK.json.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 4 ]; then
+usage() {
     echo "usage: $0 <parent-ref> <workload> [pairs=10] [first-seed=1]" >&2
+    echo "       $0 --report <dir> <workload> [pairs=10]" >&2
     exit 2
-fi
-ref=$1 workload=$2 pairs=${3:-10} seed0=${4:-1}
+}
 seconds=28 # BENCHMARK.json run_seconds: the length the driver uses
-
-root=$(git -C "$(dirname "${BASH_SOURCE[0]}")" rev-parse --show-toplevel)
-commit=$(git -C "$root" rev-parse --verify "$ref^{commit}")
-work=$(mktemp -d "${TMPDIR:-/tmp}/benchpair.XXXXXX")
-trap 'rm -rf "$work/parent"' EXIT
-mkdir "$work/parent"
-git -C "$root" archive "$commit" | tar -x -C "$work/parent"
-echo "benchpair: parent $ref ($(git -C "$root" rev-parse --short "$commit")) in $work/parent, change in $root" >&2
-echo "benchpair: $pairs pairs of $workload, $seconds s a side; result lines in $work" >&2
+traced=4
+root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 
 # run <side> <dir> <seed> [trace] [tag]: one benchmark run; its result
 # line (the last line of standard output) is appended to
@@ -76,29 +75,50 @@ run() {
     echo "benchpair:   $out seed $seed: $line" >&2
 }
 
-for ((i = 1; i <= pairs; i++)); do
-    echo "benchpair: pair $i/$pairs" >&2
-    seed=$((seed0 + i - 1))
-    if ((i % 2)); then
-        run parent "$work/parent" "$seed"
-        run head "$root" "$seed"
-    else
-        run head "$root" "$seed"
-        run parent "$work/parent" "$seed"
-    fi
-done
+# measure: export the parent, then the pairs and the traced pass.
+measure() {
+    local commit i seed
+    root=$(git -C "$root" rev-parse --show-toplevel)
+    commit=$(git -C "$root" rev-parse --verify "$ref^{commit}")
+    work=$(mktemp -d "${TMPDIR:-/tmp}/benchpair.XXXXXX")
+    trap 'rm -rf "$work/parent"' EXIT
+    mkdir "$work/parent"
+    git -C "$root" archive "$commit" | tar -x -C "$work/parent"
+    echo "benchpair: parent $ref ($(git -C "$root" rev-parse --short "$commit")) in $work/parent, change in $root" >&2
+    echo "benchpair: $pairs pairs of $workload, $seconds s a side; result lines in $work" >&2
 
-traced=4
-echo "benchpair: traced pass, $traced pairs at seed 1" >&2
-for ((i = 1; i <= traced; i++)); do
-    if ((i % 2)); then
-        run parent "$work/parent" 1 1 ".$i"
-        run head "$root" 1 1 ".$i"
-    else
-        run head "$root" 1 1 ".$i"
-        run parent "$work/parent" 1 1 ".$i"
-    fi
-done
+    for ((i = 1; i <= pairs; i++)); do
+        echo "benchpair: pair $i/$pairs" >&2
+        seed=$((seed0 + i - 1))
+        if ((i % 2)); then
+            run parent "$work/parent" "$seed"
+            run head "$root" "$seed"
+        else
+            run head "$root" "$seed"
+            run parent "$work/parent" "$seed"
+        fi
+    done
+
+    echo "benchpair: traced pass, $traced pairs at seed 1" >&2
+    for ((i = 1; i <= traced; i++)); do
+        if ((i % 2)); then
+            run parent "$work/parent" 1 1 ".$i"
+            run head "$root" 1 1 ".$i"
+        else
+            run head "$root" 1 1 ".$i"
+            run parent "$work/parent" 1 1 ".$i"
+        fi
+    done
+}
+
+if [ "${1:-}" = --report ]; then
+    if [ $# -lt 3 ] || [ $# -gt 4 ]; then usage; fi
+    work=$2 workload=$3 pairs=${4:-10}
+else
+    if [ $# -lt 2 ] || [ $# -gt 4 ]; then usage; fi
+    ref=$1 workload=$2 pairs=${3:-10} seed0=${4:-1}
+    measure
+fi
 
 # The metric list (name, unit, direction) comes from BENCHMARK.json; the
 # values from the result lines: {"…","failed":N,"metrics":{"name":{"value":V,…},…}}.
@@ -164,10 +184,10 @@ END {
         if (nan) continue
         pv = quantile(a, traced, .5); hv = quantile(b, traced, .5) # sorts a and b
         if (pv == 0 && hv == 0) continue
-        spread = a[traced] - a[1]; if (b[traced] - b[1] > spread) spread = b[traced] - b[1]
+        overlap = a[1] <= b[traced] && b[1] <= a[traced]
         printf "  %-20s %-30s %-30s %+12.4g%s\n", L[k],
             sprintf("%.4g [%.4g, %.4g]", pv, a[1], a[traced]), sprintf("%.4g [%.4g, %.4g]", hv, b[1], b[traced]),
-            hv - pv, (hv - pv < spread && pv - hv < spread) ? "  within spread" : ""
+            hv - pv, overlap ? "  within spread" : ""
     }
     exit (pf + hf) > 0
 }' "$work/parent.jsonl" "$work/head.jsonl" "$work/parent.trace.jsonl" "$work/head.trace.jsonl"
