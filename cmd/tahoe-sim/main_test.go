@@ -301,19 +301,25 @@ func TestValidateAppliesOverrideFlags(t *testing.T) {
 	}
 }
 
-// Two inputs that used to validate, print nonsense routes ("-1 trunk
-// hops") and run to a goodput of zero: trunk delays whose path costs
-// overflow the routing metric, and route overrides that loop a
-// connection's path. -validate and the run both exit 1 with the error.
+// Inputs that used to validate, print nonsense routes ("-1 trunk hops")
+// and run to a goodput of zero or not end at all: trunk delays whose
+// path costs overflow the routing metric, and links of weight 0, whose
+// ties let a route loop. Route overrides, which could loop a path too,
+// are gone; a file that still carries them is refused by name. -validate
+// and the run both exit 1 with the error.
 func TestOverflowAndLoopExitOne(t *testing.T) {
 	for name, tc := range map[string]struct{ js, want string }{
 		"overflow": {
 			`{"topology":{"generator":"chain","size":4},"trunk_delay":"2000000h","buffer":20,"conns":[{"src":0,"dst":3}]}`,
 			"topology: link 1 (weight 2000000h0m0.08s) takes the sum of the link weights past 2562047h47m16.854775806s: path costs would overflow",
 		},
-		"loop": {
+		"route overrides": {
 			`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2}],"routes":[{"at":1,"dst":2,"via":0},{"at":0,"dst":2,"via":1}]},"trunk_delay":"10ms","buffer":20,"conns":[{"src":0,"dst":2}]}`,
-			"core: connection 0 (host 0 -> host 2): route overrides loop its data path, which comes back to switch 0",
+			`scenario: field "topology.routes" was removed; every route is the shortest path the compiler finds`,
+		},
+		"zero weight": {
+			zeroWeightTriangle,
+			"topology: link 0 (switch 0 - switch 1) has routing weight 0 (no delay, and a 500-byte packet takes 0s at 10000000000000 bit/s): every link weight must be positive",
 		},
 	} {
 		path := filepath.Join(t.TempDir(), name+".json")
@@ -328,6 +334,12 @@ func TestOverflowAndLoopExitOne(t *testing.T) {
 		}
 	}
 }
+
+// zeroWeightTriangle is three switches in a ring whose links have no
+// delay and, at 10 Tbit/s, transmit a 500-byte packet in under 1 ns:
+// every link weighs 0, and switches 0 and 1 used to route host 2's
+// traffic to each other.
+const zeroWeightTriangle = `{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2},{"a":0,"b":2}]},"trunk_delay":"0s","trunk_bandwidth":10000000000000,"buffer":20,"conns":[{"src":0,"dst":2}]}`
 
 // A topology too large for the packed route representations used to die
 // inside the generator with "fatal error: out of memory", which nothing

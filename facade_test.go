@@ -1,11 +1,14 @@
 package tahoedyn
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"tahoedyn/internal/packet"
+	"tahoedyn/internal/topology"
 	"tahoedyn/internal/trace"
 )
 
@@ -97,27 +100,22 @@ func TestFacadeParseScenario(t *testing.T) {
 	}
 }
 
-// Two scenarios that used to build and run to a goodput of zero: trunk
-// delays whose path costs overflow the routing metric, and route
-// overrides that send a connection round in a circle. Both are errors
-// from RunE and CompileTopology now, never a run and never a panic.
+// Scenarios that used to build and run to a goodput of zero, or never
+// end: trunk delays whose path costs overflow the routing metric, and
+// links of weight 0, whose ties route a connection round in a circle.
+// Both are errors from RunE and CompileTopology now, never a run and
+// never a panic. Route overrides, the other way to loop a path, are
+// gone: a scenario that still carries them does not parse.
 func TestFacadeRejectsOverflowAndLoops(t *testing.T) {
 	for name, tc := range map[string]struct{ js, want string }{
 		"overflow": {
 			`{"topology":{"generator":"chain","size":4},"trunk_delay":"2000000h","buffer":20,"conns":[{"src":0,"dst":3}]}`,
 			"topology: link 1 (weight 2000000h0m0.08s) takes the sum of the link weights past",
 		},
-		"loop": {
-			`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2}],
-			  "routes":[{"at":1,"dst":2,"via":0},{"at":0,"dst":2,"via":1}]},
-			  "trunk_delay":"10ms","buffer":20,"conns":[{"src":0,"dst":2}]}`,
-			"core: connection 0 (host 0 -> host 2): route overrides loop its data path, which comes back to switch 0",
-		},
-		"ack-loop": {
-			`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2}],
-			  "routes":[{"at":1,"dst":2,"via":0},{"at":0,"dst":2,"via":1}]},
-			  "trunk_delay":"10ms","buffer":20,"conns":[{"src":1,"dst":0},{"src":2,"dst":1}]}`,
-			"core: connection 1 (host 2 -> host 1): route overrides loop its ACK path, which comes back to switch 1",
+		"zero weight": {
+			`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2},{"a":0,"b":2}]},
+			  "trunk_delay":"0s","trunk_bandwidth":10000000000000,"buffer":20,"conns":[{"src":0,"dst":2}]}`,
+			"topology: link 0 (switch 0 - switch 1) has routing weight 0",
 		},
 	} {
 		cfg, err := ParseScenario(strings.NewReader(tc.js))
@@ -131,15 +129,11 @@ func TestFacadeRejectsOverflowAndLoops(t *testing.T) {
 			t.Errorf("%s: RunE: %v, want %q", name, err, tc.want)
 		}
 	}
-	// Overrides that do not loop still build: the detour is legal.
-	cfg, err := ParseScenario(strings.NewReader(`{"topology":{"switches":3,
-		"links":[{"a":0,"b":1},{"a":1,"b":2},{"a":0,"b":2}],"routes":[{"at":0,"dst":2,"via":1}]},
-		"trunk_delay":"10ms","buffer":20,"warmup":"2s","duration":"10s","conns":[{"src":0,"dst":2}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := RunE(cfg); err != nil || res.Goodput[0] == 0 {
-		t.Fatalf("a loop-free override: err %v", err)
+	_, err := ParseScenario(strings.NewReader(`{"topology":{"switches":3,"links":[{"a":0,"b":1},{"a":1,"b":2}],
+		"routes":[{"at":1,"dst":2,"via":0},{"at":0,"dst":2,"via":1}]},
+		"trunk_delay":"10ms","buffer":20,"conns":[{"src":0,"dst":2}]}`))
+	if err == nil || !strings.Contains(err.Error(), `"topology.routes"`) {
+		t.Fatalf("a scenario with route overrides: err %v, want one naming \"topology.routes\"", err)
 	}
 }
 
@@ -229,5 +223,56 @@ func TestParseTopoSpec(t *testing.T) {
 	_, _, err = ParseTopoSpec("torus")
 	if err == nil || !strings.Contains(err.Error(), "waxman:<n>:<seed>") {
 		t.Errorf("torus error = %v, want accepted forms listed", err)
+	}
+}
+
+// TestGeneratorSurfacesAgree holds the scenario "generator" key and the
+// -topology flag to one generator table: for every (generator, size, m,
+// seed) both can spell, they accept and refuse alike, and what they
+// accept is the same Graph (-topology's nil is the default dumbbell).
+func TestGeneratorSurfacesAgree(t *testing.T) {
+	for _, in := range []struct {
+		gen        string
+		size, m    int
+		seed       int64
+		acceptable bool
+	}{
+		{"dumbbell", 0, 0, 0, true}, {"dumbbell", 2, 0, 0, false},
+		{"chain", 2, 0, 0, true}, {"chain", 7, 0, 0, true}, {"chain", 1, 0, 0, false},
+		{"chain", 0, 0, 0, false}, {"chain", -3, 0, 0, false}, {"chain", 3_000_000_000, 0, 0, false},
+		{"parking-lot", 1, 0, 0, true}, {"parking-lot", 3, 0, 0, true}, {"parking-lot", 0, 0, 0, false},
+		{"parking-lot", -1, 0, 0, false}, {"parking-lot", 1_073_741_824, 0, 0, false},
+		{"ba", 2, 1, 0, true}, {"ba", 64, 2, 7, true}, {"ba", 64, 63, -9, true}, {"ba", 64, 64, 1, false},
+		{"ba", 64, 0, 1, false}, {"ba", 1, 1, 1, false}, {"ba", 600_000_000, 2, 1, false},
+		{"waxman", 2, 0, 0, true}, {"waxman", 32, 0, 5, true}, {"waxman", 1, 0, 1, false},
+		{"waxman", 1_073_741_825, 0, 1, false},
+	} {
+		spec := in.gen + fmt.Sprintf(":%d", in.size)
+		switch {
+		case in.gen == "dumbbell" && in.size == 0:
+			spec = "dumbbell"
+		case in.gen == "ba":
+			spec += fmt.Sprintf(":%d:%d", in.m, in.seed)
+		case in.gen == "waxman":
+			spec += fmt.Sprintf(":%d", in.seed)
+		}
+		flagGraph, _, flagErr := ParseTopoSpec(spec)
+		cfg, fileErr := ParseScenario(strings.NewReader(fmt.Sprintf(
+			`{"topology":{"generator":%q,"size":%d,"m":%d,"seed":%d},"trunk_delay":"10ms","buffer":20,"conns":[{"src":0,"dst":1}]}`,
+			in.gen, in.size, in.m, in.seed)))
+		if (flagErr == nil) != in.acceptable || (fileErr == nil) != in.acceptable {
+			t.Errorf("%s: -topology says %v, the scenario file %v; want acceptable=%v", spec, flagErr, fileErr, in.acceptable)
+			continue
+		}
+		if !in.acceptable {
+			continue
+		}
+		if flagGraph == nil {
+			g := topology.Dumbbell()
+			flagGraph = &g
+		}
+		if !reflect.DeepEqual(flagGraph, cfg.Topology) {
+			t.Errorf("%s: -topology builds %+v, the scenario file %+v", spec, flagGraph, cfg.Topology)
+		}
 	}
 }

@@ -693,50 +693,12 @@ func (c *Config) checkLine() error {
 // configuration's trunk defaults and computes the forwarding tables.
 // Build calls it (panicking on error, as for any construction-time
 // programmer error); tahoe-sim -validate calls it directly to surface
-// topology problems as ordinary errors. A connection whose data or ACK
-// path loops is one of them: shortest-path routes cannot loop, so only
-// a graph with route overrides is walked.
+// topology problems as ordinary errors.
 func (c *Config) CompileTopology() (*topology.Compiled, error) {
 	if err := c.checkLine(); err != nil {
 		return nil, err
 	}
-	g := c.Graph()
-	topo, err := g.Compile(c.topologyDefaults())
-	if err != nil || len(g.Routes) == 0 {
-		return topo, err
-	}
-	for i, s := range c.Conns {
-		if min(s.SrcHost, s.DstHost) < 0 || max(s.SrcHost, s.DstHost) >= topo.NumHosts() {
-			continue // normalize names it
-		}
-		for p, ends := range [2][2]int{{s.SrcHost, s.DstHost}, {s.DstHost, s.SrcHost}} {
-			if sw := loopSwitch(topo, ends[0], ends[1]); sw >= 0 {
-				return nil, fmt.Errorf("core: connection %d (host %d -> host %d): route overrides loop its %s path, which comes back to switch %d",
-					i, s.SrcHost, s.DstHost, [2]string{"data", "ACK"}[p], sw)
-			}
-		}
-	}
-	return topo, nil
-}
-
-// loopSwitch follows the routes from host from's switch toward host to
-// and returns the first switch the walk enters twice, or -1.
-func loopSwitch(topo *topology.Compiled, from, to int) int {
-	seen := make(map[int]bool)
-	sw := topo.HostSwitch(from)
-	for !seen[sw] {
-		seen[sw] = true
-		hop, isLocal := topo.NextHop(sw, to)
-		if isLocal {
-			return -1
-		}
-		if l := topo.Links[hop.Link]; hop.Dir == 0 {
-			sw = l.B
-		} else {
-			sw = l.A
-		}
-	}
-	return sw
+	return c.Graph().Compile(c.topologyDefaults())
 }
 
 // ResolveTopology validates the effective graph without compiling its

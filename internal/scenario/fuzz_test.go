@@ -40,8 +40,8 @@ func FuzzScenarioParse(f *testing.F) {
 		`{"trunk_delay":"10ms","topology":{"generator":"waxman","size":40,"seed":3,"hosts":[{"switch":0},{"switch":39}]},
 		  "queue":{"policy":"red","min_th":5,"max_th":15},"behavior":{"loss":0.01,"jitter":"2ms"},
 		  "conns":[{"src":0,"dst":1,"source":{"kind":"onoff","rate":20000,"on_mean":"1s","off_mean":"1s"}}]}`,
-		`{"trunk_delay":"10ms","topology":{"switches":3,"links":[{"a":0,"b":1,"delay":"5ms"},{"a":1,"b":2,"queue":{"policy":"fair-queue"}}],
-		  "routes":[{"at":0,"dst":2,"via":0}]},"regions":[[0],[1,2]],"conns":[{"src":0,"dst":2,"start":"1s","pace":"1ms"}]}`,
+		`{"trunk_delay":"10ms","topology":{"switches":3,"links":[{"a":0,"b":1,"delay":"5ms"},{"a":1,"b":2,"queue":{"policy":"fair-queue"}}]},
+		  "regions":[[0],[1,2]],"conns":[{"src":0,"dst":2,"start":"1s","pace":"1ms"}]}`,
 		`{"topology":{"generator":"chain","size":3000000000},"trunk_delay":"10ms","conns":[{"src":0,"dst":1}]}`,
 		`{"switches":-1,"trunk_delay":"-10ms","ack_size":-5,"conns":[{"src":-1,"dst":99}],"bogus":{"nested":[1,2]}}`,
 	} {

@@ -91,7 +91,8 @@ type File struct {
 
 // Topology is the JSON representation of a topology.Graph: either a
 // named generator or an explicit switch/link list, optionally with
-// explicit host placement and route overrides.
+// explicit host placement. Routes are always the compiler's shortest
+// paths.
 type Topology struct {
 	// Generator names a built-in graph: "dumbbell", "chain",
 	// "parking-lot", "ba" (Barabási–Albert scale-free), or "waxman"
@@ -99,7 +100,7 @@ type Topology struct {
 	Generator string `json:"generator,omitempty"`
 	// Size parameterizes the generator: switches for "chain", "ba", and
 	// "waxman", bottleneck hops for "parking-lot". Rejected for
-	// "dumbbell".
+	// "dumbbell" and for an explicit graph.
 	Size int `json:"size,omitempty"`
 	// M is the "ba" generator's attachment count (links added per
 	// joining switch); Seed drives the "ba" and "waxman" generators'
@@ -113,8 +114,6 @@ type Topology struct {
 	Links    []TopoLink `json:"links,omitempty"`
 	// Hosts places hosts on switches; empty means one host per switch.
 	Hosts []TopoHost `json:"hosts,omitempty"`
-	// Routes override the shortest-path next hop for (at, dst) pairs.
-	Routes []TopoRoute `json:"routes,omitempty"`
 }
 
 // TopoLink is one duplex link. Zero Bandwidth/Delay/Buffer inherit the
@@ -166,14 +165,6 @@ type Behavior struct {
 // TopoHost places one host on a switch.
 type TopoHost struct {
 	Switch int `json:"switch"`
-}
-
-// TopoRoute forces packets for host dst arriving at switch at to leave
-// toward neighbor switch via.
-type TopoRoute struct {
-	At  int `json:"at"`
-	Dst int `json:"dst"`
-	Via int `json:"via"`
 }
 
 // Event is the JSON representation of a core.LinkEvent: a mid-run
@@ -273,13 +264,22 @@ func decode(r io.Reader) (*File, []string, error) {
 	}
 	var unknown []string
 	unknownFields(reflect.TypeOf(File{}), doc, "", &unknown)
-	// The removed "ack_size_zero" boolean is an error on the lenient
-	// path too: ignoring it would silently run an old file with 50-byte
-	// ACKs instead of zero-length ones.
-	if slices.Contains(unknown, "ack_size_zero") {
-		return nil, nil, errors.New(`scenario: field "ack_size_zero" was removed; write "ack_size": 0 instead`)
+	for _, r := range removed {
+		if slices.Contains(unknown, r.path) {
+			return nil, nil, fmt.Errorf("scenario: field %q was removed; %s", r.path, r.instead)
+		}
 	}
 	return &f, unknown, nil
+}
+
+// removed lists the fields a scenario may no longer carry. Each is an
+// error on the lenient path too: ignoring it would silently run an old
+// file differently — "ack_size_zero" with 50-byte ACKs instead of
+// zero-length ones, "topology.routes" on shortest paths instead of the
+// routes it forced.
+var removed = []struct{ path, instead string }{
+	{"ack_size_zero", `write "ack_size": 0 instead`},
+	{"topology.routes", "every route is the shortest path the compiler finds"},
 }
 
 // unknownFields walks the decoded JSON document alongside the target Go
@@ -594,8 +594,8 @@ func (b *Behavior) spec(field string) (*link.BehaviorSpec, error) {
 }
 
 // validate surfaces the errors core.Build would panic on: an
-// uncompilable topology (disconnected graph, bad link endpoints, bad
-// route overrides) or a connection naming a host that doesn't exist.
+// unresolvable topology (disconnected graph, bad link endpoints) or a
+// connection naming a host that doesn't exist.
 // It resolves the topology but leaves the route compile to Build.
 func validate(cfg *core.Config) error {
 	topo, err := cfg.ResolveTopology()
@@ -637,18 +637,19 @@ func validate(cfg *core.Config) error {
 func (t *Topology) graph() (topology.Graph, error) {
 	var g topology.Graph
 	explicit := t.Switches != 0 || len(t.Links) > 0
-	// fits refuses a size the generator must not be started on.
-	fits := func() error {
-		if err := topology.CheckGenerated(t.Generator, t.Size, t.M); err != nil {
-			return fmt.Errorf("scenario: %w", err)
+	switch {
+	case t.Generator != "" && explicit:
+		return g, fmt.Errorf("scenario: topology generator %q excludes explicit switches/links", t.Generator)
+	case t.Generator != "":
+		var err error
+		if g, err = topology.Generate(t.Generator, t.Size, t.M, t.Seed); err != nil {
+			return g, fmt.Errorf("scenario: %w", err)
 		}
-		return nil
-	}
-	switch t.Generator {
-	case "":
-		if !explicit {
-			return g, fmt.Errorf("scenario: topology needs a generator or explicit switches/links")
-		}
+	case !explicit:
+		return g, fmt.Errorf("scenario: topology needs a generator or explicit switches/links")
+	case t.Size != 0 || t.M != 0 || t.Seed != 0:
+		return g, fmt.Errorf("scenario: topology size, m and seed are generator parameters; explicit switches/links take none")
+	default:
 		g = topology.Graph{Switches: t.Switches}
 		for i, l := range t.Links {
 			d, err := parseDur(fmt.Sprintf("topology.links[%d].delay", i), l.Delay, 0)
@@ -662,63 +663,9 @@ func (t *Topology) graph() (topology.Graph, error) {
 				Buffer:    l.Buffer,
 			})
 		}
-	case "dumbbell":
-		if t.Size != 0 {
-			return g, fmt.Errorf("scenario: dumbbell topology takes no size")
-		}
-		g = topology.Dumbbell()
-	case "chain":
-		if t.Size < 2 {
-			return g, fmt.Errorf("scenario: chain topology needs size >= 2")
-		}
-		if err := fits(); err != nil {
-			return g, err
-		}
-		g = topology.Chain(t.Size)
-	case "parking-lot":
-		if t.Size < 1 {
-			return g, fmt.Errorf("scenario: parking-lot topology needs size >= 1")
-		}
-		if err := fits(); err != nil {
-			return g, err
-		}
-		g = topology.ParkingLot(t.Size)
-	case "ba":
-		if t.Size < 2 {
-			return g, fmt.Errorf("scenario: ba topology needs size >= 2")
-		}
-		if t.M < 1 || t.M >= t.Size {
-			return g, fmt.Errorf("scenario: ba topology needs 1 <= m < size, got m=%d", t.M)
-		}
-		if err := fits(); err != nil {
-			return g, err
-		}
-		g = topology.BarabasiAlbert(t.Size, t.M, t.Seed)
-	case "waxman":
-		if t.Size < 2 {
-			return g, fmt.Errorf("scenario: waxman topology needs size >= 2")
-		}
-		if err := fits(); err != nil {
-			return g, err
-		}
-		g = topology.Waxman(t.Size, t.Seed)
-	default:
-		return g, fmt.Errorf("scenario: unknown topology generator %q (want dumbbell, chain, parking-lot, ba, or waxman)", t.Generator)
-	}
-	if t.M != 0 && t.Generator != "ba" {
-		return g, fmt.Errorf("scenario: topology m is only valid for the ba generator (got generator %q)", t.Generator)
-	}
-	if t.Seed != 0 && t.Generator != "ba" && t.Generator != "waxman" {
-		return g, fmt.Errorf("scenario: topology seed is only valid for the ba and waxman generators (got generator %q)", t.Generator)
-	}
-	if t.Generator != "" && explicit {
-		return g, fmt.Errorf("scenario: topology generator %q excludes explicit switches/links", t.Generator)
 	}
 	for _, h := range t.Hosts {
 		g.Hosts = append(g.Hosts, topology.HostSpec{Switch: h.Switch})
-	}
-	for _, r := range t.Routes {
-		g.Routes = append(g.Routes, topology.RouteSpec{At: r.At, Dst: r.Dst, Via: r.Via})
 	}
 	return g, nil
 }

@@ -278,7 +278,7 @@ func TestParseValidatesWithoutCompilingRoutes(t *testing.T) {
 		"is in no region":        strings.Replace(j, `],[256,`, `],[`, 1),
 		"link 5000 out of range": strings.Replace(j, `"link":9`, `"link":5000`, 1),
 		"host index out of":      strings.Replace(j, `"dst":17`, `"dst":512`, 1),
-		"not a neighbor":         strings.Replace(j, `"seed":7`, `"seed":7,"routes":[{"at":0,"dst":5,"via":0}]`, 1),
+		`"topology.routes"`:      strings.Replace(j, `"seed":7`, `"seed":7,"routes":[{"at":0,"dst":5,"via":0}]`, 1),
 		"switch 600 out of":      strings.Replace(j, `"seed":7`, `"seed":7,"hosts":[{"switch":0},{"switch":600}]`, 1),
 	} {
 		if _, err := Parse(strings.NewReader(bad)); err == nil || !strings.Contains(err.Error(), want) {
@@ -305,15 +305,14 @@ func TestParseTopologyExplicit(t *testing.T) {
 	         "switches":3,
 	         "links":[{"a":0,"b":1,"bandwidth":500000},
 	                  {"a":1,"b":2,"delay":"50ms","buffer":-1}],
-	         "hosts":[{"switch":0},{"switch":2},{"switch":2}],
-	         "routes":[{"at":1,"dst":1,"via":2}]},
+	         "hosts":[{"switch":0},{"switch":2},{"switch":2}]},
 	       "conns":[{"src":0,"dst":1},{"src":0,"dst":2}]}`
 	cfg, err := Parse(strings.NewReader(j))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := cfg.Topology
-	if g == nil || g.Switches != 3 || len(g.Hosts) != 3 || len(g.Routes) != 1 {
+	if g == nil || g.Switches != 3 || len(g.Hosts) != 3 {
 		t.Fatalf("topology = %+v", g)
 	}
 	if g.Links[0].Bandwidth != 500000 || g.Links[1].Delay != 50*time.Millisecond || g.Links[1].Buffer != -1 {
@@ -338,13 +337,14 @@ func TestParseTopologyErrors(t *testing.T) {
 		"bad link delay":      `{"trunk_delay":"1s","buffer":20,"topology":{"switches":2,"links":[{"a":0,"b":1,"delay":"x"}]},"conns":[{"src":0,"dst":1}]}`,
 		"disconnected":        `{"trunk_delay":"1s","buffer":20,"topology":{"switches":3,"links":[{"a":0,"b":1}]},"conns":[{"src":0,"dst":1}]}`,
 		"self loop":           `{"trunk_delay":"1s","buffer":20,"topology":{"switches":2,"links":[{"a":0,"b":0},{"a":0,"b":1}]},"conns":[{"src":0,"dst":1}]}`,
-		"bad route override":  `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"chain","size":3,"routes":[{"at":0,"dst":2,"via":2}]},"conns":[{"src":0,"dst":1}]}`,
+		"route override":      `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"chain","size":3,"routes":[{"at":0,"dst":2,"via":2}]},"conns":[{"src":0,"dst":1}]}`,
 		"ba too small":        `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"ba","size":1,"m":1},"conns":[{"src":0,"dst":1}]}`,
 		"ba missing m":        `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"ba","size":8},"conns":[{"src":0,"dst":1}]}`,
 		"ba m too large":      `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"ba","size":8,"m":8},"conns":[{"src":0,"dst":1}]}`,
 		"waxman too small":    `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"waxman","size":1},"conns":[{"src":0,"dst":1}]}`,
 		"m on chain":          `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"chain","size":4,"m":2},"conns":[{"src":0,"dst":1}]}`,
 		"seed on parking-lot": `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"parking-lot","size":3,"seed":4},"conns":[{"src":0,"dst":1}]}`,
+		"size on explicit":    `{"trunk_delay":"1s","buffer":20,"topology":{"switches":2,"links":[{"a":0,"b":1}],"size":7},"conns":[{"src":0,"dst":1}]}`,
 		"dumbbell with size":  `{"trunk_delay":"1s","buffer":20,"topology":{"generator":"dumbbell","size":2},"conns":[{"src":0,"dst":1}]}`,
 		"host out of range":   `{"trunk_delay":"1s","buffer":20,"conns":[{"src":0,"dst":5}]}`,
 		"src equals dst":      `{"trunk_delay":"1s","buffer":20,"conns":[{"src":1,"dst":1}]}`,
@@ -553,7 +553,7 @@ func TestDecodeUnknownFieldsInNestedLists(t *testing.T) {
   "topology": {
     "switches": 2,
     "links": [{"a": 0, "b": 1, "bandwith": 50000}],
-    "routes": [{"at": 0, "dst": 1, "vai": 1}]
+    "hosts": [{"switch": 0}, {"swich": 1}]
   },
   "conns": [{"src": 0, "dst": 1}]
 }`
@@ -561,7 +561,7 @@ func TestDecodeUnknownFieldsInNestedLists(t *testing.T) {
 	if err == nil {
 		t.Fatal("strict decode accepted unknown fields")
 	}
-	for _, path := range []string{`"topology.links[0].bandwith"`, `"topology.routes[0].vai"`} {
+	for _, path := range []string{`"topology.links[0].bandwith"`, `"topology.hosts[1].swich"`} {
 		if !strings.Contains(err.Error(), path) {
 			t.Errorf("error does not name %s:\n%v", path, err)
 		}
@@ -608,6 +608,23 @@ func TestDecodeLenient(t *testing.T) {
 	_, _, err = DecodeLenient(strings.NewReader(removed))
 	if err == nil || strictErr == nil || err.Error() != strictErr.Error() {
 		t.Fatalf("lenient ack_size_zero error = %v, want the strict path's %v", err, strictErr)
+	}
+}
+
+// TestRouteOverridesRemoved: routes are the compiler's shortest paths
+// only. A file that still carries "topology.routes" is refused by name,
+// strictly and leniently — run on shortest paths instead, it would not
+// be the network it describes.
+func TestRouteOverridesRemoved(t *testing.T) {
+	j := `{"trunk_delay":"10ms","buffer":20,
+	       "topology":{"generator":"chain","size":3,"routes":[{"at":0,"dst":2,"via":1}]},
+	       "conns":[{"src":0,"dst":2}]}`
+	_, err := Parse(strings.NewReader(j))
+	if err == nil || !strings.Contains(err.Error(), `"topology.routes"`) {
+		t.Fatalf("strict parse: err = %v, want one naming \"topology.routes\"", err)
+	}
+	if _, _, lerr := ParseLenient(strings.NewReader(j)); lerr == nil || lerr.Error() != err.Error() {
+		t.Fatalf("lenient parse: err = %v, want the strict path's %v", lerr, err)
 	}
 }
 

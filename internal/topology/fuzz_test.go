@@ -66,7 +66,7 @@ func FuzzNextHop(f *testing.F) {
 		if want := uint(bits.Len(uint(widest + 1))); c.w != want {
 			t.Fatalf("widest degree %d: width %d, want %d", widest, c.w, want)
 		}
-		checkAgainstRef(t, "rows", c, refTable(t, c, g))
+		checkAgainstRef(t, "rows", c, refTable(t, c))
 
 		li, w := int(link)%len(c.Links), LinkDown
 		if !down {
@@ -75,6 +75,6 @@ func FuzzNextHop(f *testing.F) {
 		if _, err := c.ApplyLinkChange(li, w); err != nil && (!down || c.LastChange().Tier != TierBridge) {
 			t.Fatalf("link %d to %v: %v", li, w, err)
 		}
-		checkAgainstRef(t, fmt.Sprintf("link %d to %v", li, w), c, refTable(t, c, g))
+		checkAgainstRef(t, fmt.Sprintf("link %d to %v", li, w), c, refTable(t, c))
 	})
 }

@@ -1,25 +1,59 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
 
-// CheckGenerated reports whether the graph a generator would make from
-// size n (and, for "ba", m links per new switch) fits CheckSize, before
-// the generator allocates in proportion to it. The names are the
-// scenario and -topology ones; arguments are otherwise valid (n ≥ 2,
-// 1 ≤ m < n). Waxman's link count is random: its backbone is counted
-// here, the rest when the graph is resolved.
-func CheckGenerated(generator string, n, m int) error {
-	switches, links := n, n-1 // chain, waxman
-	switch generator {
-	case "parking-lot": // n hops
-		switches, links = n+1, n
+// Generate builds a generator's graph from the parameters the scenario
+// "generator" key and the -topology flag share, or says why it will not:
+// "dumbbell" takes no size; "chain" needs size >= 2 switches,
+// "parking-lot" size >= 1 hops, "ba" size >= 2 switches with
+// 1 <= m < size links per joining switch, and "waxman" size >= 2
+// switches. Only "ba" takes m, and only "ba" and "waxman" a seed. A
+// graph that would not fit CheckSize is refused before the generator
+// allocates in proportion to size; Waxman's link count is random, so its
+// backbone is counted here and the rest when the graph is resolved.
+func Generate(name string, size, m int, seed int64) (Graph, error) {
+	least, switches, links := 2, size, size-1 // chain, ba, waxman
+	switch name {
+	case "dumbbell":
+		least, switches, links = 0, 2, 1
+	case "parking-lot":
+		least, switches, links = 1, size+1, size
 	case "ba":
-		links = m * (n - m)
+		links = m * (size - m)
+	case "chain", "waxman":
+	default:
+		return Graph{}, fmt.Errorf("topology: unknown generator %q (want dumbbell, chain, parking-lot, ba, or waxman)", name)
 	}
-	return CheckSize(switches, links, switches) // one host per switch
+	switch {
+	case name == "dumbbell" && size != 0:
+		return Graph{}, fmt.Errorf("topology: dumbbell takes no size")
+	case size < least:
+		return Graph{}, fmt.Errorf("topology: %s needs size >= %d", name, least)
+	case name == "ba" && (m < 1 || m >= size):
+		return Graph{}, fmt.Errorf("topology: ba needs 1 <= m < size, got m=%d", m)
+	case m != 0 && name != "ba":
+		return Graph{}, fmt.Errorf("topology: m is only valid for the ba generator (got %q)", name)
+	case seed != 0 && name != "ba" && name != "waxman":
+		return Graph{}, fmt.Errorf("topology: seed is only valid for the ba and waxman generators (got %q)", name)
+	}
+	if err := CheckSize(switches, links, switches); err != nil { // one host per switch
+		return Graph{}, err
+	}
+	switch name {
+	case "dumbbell":
+		return Dumbbell(), nil
+	case "chain":
+		return Chain(size), nil
+	case "parking-lot":
+		return ParkingLot(size), nil
+	case "ba":
+		return BarabasiAlbert(size, m, seed), nil
+	}
+	return Waxman(size, seed), nil
 }
 
 // BarabasiAlbert returns an n-switch scale-free graph grown by

@@ -90,14 +90,9 @@ func (c *Compiled) LastChange() ChangeStats { return c.last }
 //     recomputed whole instead (worker pool, same fillColumn as
 //     Compile) and merged into every row by one walk.
 //
-// Errors leave the Compiled unchanged. Graphs with route overrides are
-// rejected: overrides are painted destructively at Compile and cannot
-// be replayed over recomputed columns.
+// Errors leave the Compiled unchanged.
 func (c *Compiled) ApplyLinkChange(li int, newWeight time.Duration) (changed []int, err error) {
 	c.last = ChangeStats{}
-	if c.hasOverrides {
-		return nil, fmt.Errorf("topology: ApplyLinkChange on a graph with route overrides")
-	}
 	if li < 0 || li >= len(c.Links) {
 		return nil, fmt.Errorf("topology: ApplyLinkChange on unknown link %d", li)
 	}
@@ -372,17 +367,7 @@ func (c *Compiled) splice(cells []cell, whole []int32, cols [][]int32) (changed 
 // uses. It is the reference ApplyLinkChange is pinned against and the
 // baseline BenchmarkIncrementalRecompile compares with. On error
 // (disconnection) the forwarding state is left as it was.
-func (c *Compiled) RecomputeRoutes() error {
-	if c.hasOverrides {
-		return fmt.Errorf("topology: RecomputeRoutes on a graph with route overrides")
-	}
-	rb, err := c.computeRoutes()
-	if err != nil {
-		return err
-	}
-	rb.freeze(c)
-	return nil
-}
+func (c *Compiled) RecomputeRoutes() error { return c.computeRoutes() }
 
 // addrIval is the interval [a0,a1) of addresses.
 type addrIval struct {

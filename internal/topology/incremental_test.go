@@ -308,7 +308,7 @@ func matchesRecompile(t *testing.T) {
 			for step := 0; step < 40; step++ {
 				mutateOnce(t, name, rng, live, nil)
 				if step%10 == 9 {
-					checkAgainstRef(t, fmt.Sprintf("%s step %d", name, step), live, refTable(t, live, g))
+					checkAgainstRef(t, fmt.Sprintf("%s step %d", name, step), live, refTable(t, live))
 				}
 			}
 		})
@@ -345,7 +345,7 @@ func TestApplyLinkChangeBridgeFastPath(t *testing.T) {
 	checkSame(t, "post-reject", c, ref)
 }
 
-// TestApplyLinkChangeRejects pins the argument and override guards.
+// TestApplyLinkChangeRejects pins the argument guards.
 func TestApplyLinkChangeRejects(t *testing.T) {
 	c := mustCompile(t, Chain(8), eqDefaults())
 	if _, err := c.ApplyLinkChange(-1, time.Second); err == nil {
@@ -356,18 +356,6 @@ func TestApplyLinkChangeRejects(t *testing.T) {
 	}
 	if _, err := c.ApplyLinkChange(0, 0); err == nil {
 		t.Fatal("zero weight accepted")
-	}
-	g := Graph{
-		Switches: 3,
-		Links:    []LinkSpec{{A: 0, B: 1}, {A: 1, B: 2}, {A: 0, B: 2, Delay: 500 * time.Millisecond}},
-		Routes:   []RouteSpec{{At: 0, Dst: 2, Via: 2}},
-	}
-	oc := mustCompile(t, g, eqDefaults())
-	if _, err := oc.ApplyLinkChange(0, time.Second); err == nil {
-		t.Fatal("override graph accepted")
-	}
-	if err := oc.RecomputeRoutes(); err == nil {
-		t.Fatal("override graph recompile accepted")
 	}
 }
 

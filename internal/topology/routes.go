@@ -25,8 +25,7 @@ var colBatchCells = 1 << 21
 // §13.
 const mergeTile = 256
 
-// routeBuilder holds every switch's finished forwarding row between
-// computeRoutes and freeze: route overrides are painted into it, then
+// routeBuilder holds every switch's finished forwarding row until
 // freeze interns it.
 type routeBuilder struct {
 	// rows[s] is switch s's row as the pool keeps it (Row words at the
@@ -36,36 +35,6 @@ type routeBuilder struct {
 	rows  [][]uint32
 	hash  []uint64     // hashRow of each row
 	stats CompileStats // completed by freeze
-}
-
-// paint overrides host h's hop at switch s: with a its address, the
-// covering interval splits into [start,a) old, [a,a+1) new, [a+1,end)
-// old; the new row replaces the old, whose memory no one else holds yet.
-func (rb *routeBuilder) paint(c *Compiled, s, h int, hop int32) {
-	old := Row{rb.rows[s], c.w}
-	a := c.addr[h]
-	i := 0 // the first interval ending past a
-	for old.End(i) <= a {
-		i++
-	}
-	slot := c.slotOf(s, hop)
-	if old.Slot(i) == slot {
-		return
-	}
-	start := int32(0)
-	if i > 0 {
-		start = old.End(i - 1)
-	}
-	var mid []uint32
-	if a > start {
-		mid = append(mid, pack(a, old.Slot(i), c.w))
-	}
-	mid = append(mid, pack(a+1, slot, c.w))
-	if old.End(i) > a+1 {
-		mid = append(mid, old.Words[i])
-	}
-	row := slices.Concat(old.Words[:i], mid, old.Words[i+1:])
-	rb.rows[s], rb.hash[s] = row, hashRow(row)
 }
 
 // freeze interns the rows into the Compiled's row pool, which keeps the
@@ -109,13 +78,11 @@ func (c *Compiled) CompileStats() CompileStats { return c.stats }
 // over disjoint switch ranges — into the runs each tile of switches
 // keeps, and after the last batch into each switch's row.
 // Neither step's output depends on worker scheduling, so the routes are
-// identical for every worker count.
-//
-// The caller applies overrides to the returned builder and then freezes
-// it.
-func (c *Compiled) computeRoutes() (*routeBuilder, error) {
+// identical for every worker count. On error the forwarding state is
+// left as it was.
+func (c *Compiled) computeRoutes() error {
 	if err := c.syncArcs(); err != nil {
-		return nil, err
+		return err
 	}
 	nh := len(c.Hosts)
 	nsw := c.Switches
@@ -185,7 +152,7 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 		})
 		for i := range dests {
 			if colBad[i] >= 0 {
-				return nil, c.disconnected()
+				return c.disconnected()
 			}
 		}
 
@@ -218,7 +185,8 @@ func (c *Compiled) computeRoutes() (*routeBuilder, error) {
 			rb.stats.StalePops += sc.stale
 		}
 	}
-	return rb, nil
+	rb.freeze(c)
+	return nil
 }
 
 // disconnected is computeRoutes' error once a column found a switch

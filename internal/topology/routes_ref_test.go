@@ -101,17 +101,19 @@ func refBestHop(c *Compiled, s int, dist []time.Duration) (Hop, bool) {
 }
 
 // equivalenceGraphs is the pinned corpus: every shipped generator,
-// multi-host and override shapes, and seeded random graphs.
+// multi-host shapes, a detour, and seeded random graphs.
 func equivalenceGraphs() map[string]Graph {
 	uneven := Chain(6)
 	uneven.Links[2].Delay = 300 * time.Millisecond // push routes off the obvious line metric
 	uneven.Links[4].Bandwidth = 1_000_000
 	multi := Chain(3)
 	multi.Hosts = []HostSpec{{0}, {0}, {1}, {2}, {2}, {2}}
+	// The triangle a route override once forced onto its slow chord
+	// (the key keeps its old name): traffic between 0 and 2 now goes
+	// round through 1, past a direct link ten times slower.
 	override := Graph{
 		Switches: 3,
 		Links:    []LinkSpec{{A: 0, B: 1}, {A: 1, B: 2}, {A: 0, B: 2, Delay: 500 * time.Millisecond}},
-		Routes:   []RouteSpec{{At: 0, Dst: 2, Via: 2}},
 	}
 	mesh := Graph{Switches: 5}
 	for a := 0; a < 5; a++ {
@@ -241,7 +243,6 @@ func heapRun(c *Compiled, dst int, dist []time.Duration, col []int32) {
 func TestRunAgainstHeapReferee(t *testing.T) {
 	for name, g := range equivalenceGraphs() {
 		t.Run(name, func(t *testing.T) {
-			g.Routes = nil // ApplyLinkChange refuses overrides, and run never sees them
 			c := mustCompile(t, g, eqDefaults())
 			sc := newSSSP(c.Switches)
 			dist, col := make([]time.Duration, c.Switches), make([]int32, c.Switches)
@@ -294,21 +295,12 @@ func compileBatched(t *testing.T, g Graph, def Defaults, batchCells int) *Compil
 	return mustCompile(t, g, def)
 }
 
-// refTable is refRoutes under c's current weights plus g's route
-// overrides, which the reference does not model, applied the historical
-// way: straight into the dense cell.
-func refTable(t *testing.T, c *Compiled, g Graph) []Hop {
+// refTable is refRoutes under c's current weights.
+func refTable(t *testing.T, c *Compiled) []Hop {
 	t.Helper()
 	ref, err := refRoutes(c)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
-	}
-	for _, r := range g.Routes {
-		hop, ok := c.hopToward(r.At, r.Via)
-		if !ok {
-			t.Fatalf("override via %d not a neighbor", r.Via)
-		}
-		ref[r.At*c.NumHosts()+r.Dst] = hop
 	}
 	return ref
 }
@@ -347,7 +339,7 @@ func TestNextHopEquivalence(t *testing.T) {
 				"runs-serial":  mustCompile(t, g, serial),
 				"runs-batched": compileBatched(t, g, def, 1),
 			}
-			ref := refTable(t, variants["runs"], g)
+			ref := refTable(t, variants["runs"])
 			for vn, c := range variants {
 				checkAgainstRef(t, vn, c, ref)
 			}
@@ -369,7 +361,7 @@ func TestForEachHostRunCoversHosts(t *testing.T) {
 				nh := c.NumHosts()
 				lookup := c.NextHop
 				if referee == "dense" {
-					ref := refTable(t, c, g)
+					ref := refTable(t, c)
 					lookup = func(s, h int) (Hop, bool) { return ref[s*nh+h], ref[s*nh+h].Link < 0 }
 				}
 				hostAt := make([]int, nh)

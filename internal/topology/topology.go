@@ -63,20 +63,6 @@ type HostSpec struct {
 	Switch int
 }
 
-// RouteSpec overrides one computed route: at switch At, traffic for
-// host Dst leaves toward neighbor switch Via instead of the
-// shortest-path next hop. Overrides are applied after Dijkstra and can
-// express policy routing (or, misused, loops — Compile only checks that
-// Via is a neighbor of At).
-type RouteSpec struct {
-	// At is the switch whose forwarding table is overridden.
-	At int
-	// Dst is the destination host index.
-	Dst int
-	// Via is the neighbor switch the packet is forwarded toward.
-	Via int
-}
-
 // Graph is a declarative network description. The zero value is not
 // usable; fill the fields or use a generator (Dumbbell, Chain,
 // ParkingLot, BarabasiAlbert, Waxman).
@@ -90,8 +76,6 @@ type Graph struct {
 	// place hosts sparsely — only at traffic endpoints — since routes
 	// are computed toward every host's switch.
 	Hosts []HostSpec
-	// Routes optionally override computed shortest-path routes.
-	Routes []RouteSpec
 }
 
 // Chain returns n switches in a line — switch i linked to switch i+1 —
@@ -262,11 +246,6 @@ type Compiled struct {
 	pool  *rowPool
 	w     uint
 
-	// hasOverrides records whether RouteSpec overrides were painted;
-	// incremental maintenance refuses such graphs (the overrides are
-	// not recoverable from the compiled state).
-	hasOverrides bool
-
 	// Lazy caches for ApplyLinkChange, shared by Clone (all immutable
 	// once built): the distinct destination switches in host order with
 	// the address interval of each, and per-link bridge flags.
@@ -389,8 +368,8 @@ func (c *Compiled) Clone() *Compiled {
 }
 
 // PathHops returns the number of switch-switch links a packet from host
-// src to host dst traverses, or -1 if the route loops (possible only
-// with misused overrides).
+// src to host dst traverses. Routes cannot loop: every link weight is
+// positive, so the distance to dst falls strictly at each next hop.
 func (c *Compiled) PathHops(src, dst int) int {
 	sw := c.Hosts[src].Switch
 	hops := 0
@@ -406,9 +385,6 @@ func (c *Compiled) PathHops(src, dst int) int {
 			sw = l.A
 		}
 		hops++
-		if hops > c.Switches {
-			return -1
-		}
 	}
 }
 
@@ -418,10 +394,11 @@ func (c *Compiled) Weight(li int) time.Duration { return c.wt[li] }
 
 // Resolve validates the graph without computing any route: it resolves
 // per-link defaults and host placement, builds the adjacency, and
-// checks connectivity and the route overrides. It reports exactly the
-// error Compile would — same checks, same order, same text — at
+// checks connectivity. It reports exactly the error Compile would for
+// the graph's shape — same checks, same order, same text — at
 // O(switches + links) instead of one Dijkstra per destination, which is
-// what makes it the right entry point for input validation.
+// what makes it the right entry point for input validation. Compile
+// goes on to check the row width and every link's routing weight.
 func (g Graph) Resolve(def Defaults) (*Skeleton, error) {
 	if g.Switches < 1 {
 		return nil, fmt.Errorf("topology: need at least 1 switch, have %d", g.Switches)
@@ -485,11 +462,6 @@ func (g Graph) Resolve(def Defaults) (*Skeleton, error) {
 		// unreachable switch is the lowest one outside host 0's component.
 		return nil, fmt.Errorf("topology: switch %d cannot reach host %d (switch %d): graph is disconnected",
 			bad, 0, c.Hosts[0].Switch)
-	}
-	for _, r := range g.Routes {
-		if _, err := c.overrideHop(r); err != nil {
-			return nil, err
-		}
 	}
 	c.buildOrder()
 	return c, nil
@@ -579,6 +551,9 @@ func (c *Skeleton) firstUnreached(from int) int {
 // deterministically by the lowest link index when choosing among
 // equal-cost next hops (Dijkstra's final distances are themselves
 // visit-order independent, so no sweep-order tie-break is needed).
+// Compile refuses a link whose weight is 0: with every weight positive,
+// the distance to a destination falls strictly at each next hop, so no
+// route can loop. The routes are the compiler's alone.
 func (g Graph) Compile(def Defaults) (*Compiled, error) {
 	sk, err := g.Resolve(def)
 	if err != nil {
@@ -608,20 +583,19 @@ func (g Graph) Compile(def Defaults) (*Compiled, error) {
 		}
 		tx := time.Duration(bits * int64(time.Second) / l.Bandwidth)
 		if l.Delay > maxDist-1-tx {
-			return nil, fmt.Errorf("topology: link %d: delay %v plus transmission time %v is not a routing weight in [0, %v]", li, l.Delay, tx, maxDist-1)
+			return nil, fmt.Errorf("topology: link %d: delay %v plus transmission time %v is not a routing weight in [1ns, %v]", li, l.Delay, tx, maxDist-1)
+		}
+		// A weight of 0 would tie a switch with its neighbour, and the
+		// tie-break could then route each through the other.
+		if l.Delay+tx == 0 {
+			return nil, fmt.Errorf("topology: link %d (switch %d - switch %d) has routing weight 0 (no delay, and a %d-byte packet takes 0s at %d bit/s): every link weight must be positive",
+				li, l.A, l.B, c.dataSize, l.Bandwidth)
 		}
 		c.wt[li] = l.Delay + tx
 	}
-
-	rb, err := c.computeRoutes()
-	if err != nil {
+	if err := c.computeRoutes(); err != nil {
 		return nil, err
 	}
-	if err := c.applyOverrides(g.Routes, rb); err != nil {
-		return nil, err
-	}
-	c.hasOverrides = len(g.Routes) > 0
-	rb.freeze(c)
 	return c, nil
 }
 
@@ -651,49 +625,6 @@ func (c *Skeleton) buildCSR() {
 		c.adjSw[i] = int32(l.A)
 		c.adjHop[i] = packHop(li, 1)
 	}
-}
-
-// applyOverrides rewrites forwarding entries per the RouteSpecs, in the
-// route builder's rows before it freezes them.
-func (c *Compiled) applyOverrides(routes []RouteSpec, rb *routeBuilder) error {
-	for _, r := range routes {
-		hop, err := c.overrideHop(r)
-		if err != nil {
-			return err
-		}
-		rb.paint(c, r.At, r.Dst, packHop(hop.Link, hop.Dir))
-	}
-	return nil
-}
-
-// overrideHop validates one RouteSpec and resolves it to the link
-// direction it forwards through.
-func (c *Skeleton) overrideHop(r RouteSpec) (Hop, error) {
-	if r.At < 0 || r.At >= c.Switches {
-		return Hop{}, fmt.Errorf("topology: route override at unknown switch %d", r.At)
-	}
-	if r.Dst < 0 || r.Dst >= len(c.Hosts) {
-		return Hop{}, fmt.Errorf("topology: route override for unknown host %d", r.Dst)
-	}
-	if c.Hosts[r.Dst].Switch == r.At {
-		return Hop{}, fmt.Errorf("topology: route override at switch %d for its own host %d", r.At, r.Dst)
-	}
-	hop, found := c.hopToward(r.At, r.Via)
-	if !found {
-		return Hop{}, fmt.Errorf("topology: route override via %d: not a neighbor of switch %d", r.Via, r.At)
-	}
-	return hop, nil
-}
-
-// hopToward returns the lowest-index link direction from switch s to
-// neighbor via.
-func (c *Skeleton) hopToward(s, via int) (Hop, bool) {
-	for i := c.adjOff[s]; i < c.adjOff[s+1]; i++ {
-		if int(c.adjSw[i]) == via {
-			return unpackHop(c.adjHop[i]), true
-		}
-	}
-	return Hop{}, false
 }
 
 // slotOf maps a packed hop usable at switch s to its adjacency slot

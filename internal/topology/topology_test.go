@@ -127,31 +127,6 @@ func TestEqualCostTieBreak(t *testing.T) {
 	}
 }
 
-func TestRouteOverride(t *testing.T) {
-	g := Graph{
-		Switches: 3,
-		Links: []LinkSpec{
-			{A: 0, B: 2},               // direct, default weight
-			{A: 0, B: 1}, {A: 1, B: 2}, // detour
-		},
-		Routes: []RouteSpec{{At: 0, Dst: 2, Via: 1}},
-	}
-	c, err := g.Compile(def())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hop, _ := c.NextHop(0, 2); hop != (Hop{Link: 1, Dir: 0}) {
-		t.Fatalf("override ignored: next(0, host2) = %+v", hop)
-	}
-	if got := c.PathHops(0, 2); got != 2 {
-		t.Fatalf("overridden path hops = %d, want 2", got)
-	}
-	// Host 0's routes are untouched.
-	if hop, _ := c.NextHop(2, 0); hop != (Hop{Link: 0, Dir: 1}) {
-		t.Fatalf("next(2, host0) = %+v", hop)
-	}
-}
-
 func TestCompileErrors(t *testing.T) {
 	cases := map[string]Graph{
 		"no switches":       {},
@@ -159,10 +134,6 @@ func TestCompileErrors(t *testing.T) {
 		"self loop":         {Switches: 2, Links: []LinkSpec{{A: 1, B: 1}}},
 		"host out of range": {Switches: 2, Links: []LinkSpec{{A: 0, B: 1}}, Hosts: []HostSpec{{Switch: 7}}},
 		"disconnected":      {Switches: 3, Links: []LinkSpec{{A: 0, B: 1}}},
-		"override bad via":  {Switches: 3, Links: []LinkSpec{{A: 0, B: 1}, {A: 1, B: 2}}, Routes: []RouteSpec{{At: 0, Dst: 2, Via: 2}}},
-		"override own host": {Switches: 2, Links: []LinkSpec{{A: 0, B: 1}}, Routes: []RouteSpec{{At: 0, Dst: 0, Via: 1}}},
-		"override bad host": {Switches: 2, Links: []LinkSpec{{A: 0, B: 1}}, Routes: []RouteSpec{{At: 0, Dst: 9, Via: 1}}},
-		"override bad at":   {Switches: 2, Links: []LinkSpec{{A: 0, B: 1}}, Routes: []RouteSpec{{At: 5, Dst: 1, Via: 1}}},
 		"no bandwidth":      {Switches: 2, Links: []LinkSpec{{A: 0, B: 1}}},
 	}
 	for name, g := range cases {
@@ -220,7 +191,7 @@ func TestResolveMatchesRouteCompiler(t *testing.T) {
 		}
 		raw.buildCSR()
 		raw.buildOrder()
-		_, want := raw.computeRoutes()
+		want := raw.computeRoutes()
 
 		switch {
 		case want == nil && err != nil:

@@ -6,6 +6,7 @@ package tahoedyn
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,7 +165,9 @@ const spanSteps = 50
 // before it keeps the next one, and what the runtime allocates for it,
 // out of the span. So the count is the same from run to run. Without
 // that collection, TestSteadyStateAllocsPastColdReserve, which runs
-// after these, read 16 B in 4 runs of 40 on a loaded machine.
+// after these, read 16 B in 4 runs of 40 on a loaded machine. The
+// collection wakes the runtime's scavenger, and warmTimers keeps what
+// that costs the runtime out of the span too.
 func arenaSpan(cfg core.Config, settle time.Duration) (allocs float64, bytes uint64) {
 	a := core.NewArena()
 	warm := cfg
@@ -180,11 +183,36 @@ func arenaSpan(cfg core.Config, settle time.Duration) (allocs float64, bytes uin
 	}
 	step()
 	runtime.GC()
+	warmTimers()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	allocs = testing.AllocsPerRun(spanSteps, step)
 	runtime.ReadMemStats(&m1)
 	return allocs, m1.TotalAlloc - m0.TotalAlloc
+}
+
+// warmTimers leaves the processor the span runs on room in its timer
+// heap. The runtime's background scavenger sleeps between rounds on a
+// timer, and adding that timer to a processor whose heap is full grows
+// the heap: 16 B on the runtime's own account, at
+//
+//	runtime.(*timers).addHeap
+//	runtime.(*timer).maybeAdd
+//	runtime.(*timer).modify
+//	runtime.(*timer).reset
+//	runtime.(*scavengerState).sleep
+//	runtime.bgscavenge
+//
+// Under -race the scavenger's sleep fell inside the span in most runs of
+// arena-reused-heap (after arena-reused). Four timers pending at once,
+// then fired, leave room for it.
+func warmTimers() {
+	var wg sync.WaitGroup
+	wg.Add(4)
+	for range 4 {
+		time.AfterFunc(time.Millisecond, wg.Done)
+	}
+	wg.Wait()
 }
 
 // TestShardedSteadyStateAllocs pins the sharded runner's steady-state

@@ -310,15 +310,13 @@ func TraceQuantiles(sc *TraceStore, q TraceQuery, probs []float64) ([]float64, u
 // Config.Topology to a *Graph; links inherit the Trunk*/Buffer defaults
 // unless overridden per link.
 type (
-	// Graph is a declarative network: switches, duplex links, host
-	// placement, and optional route overrides.
+	// Graph is a declarative network: switches, duplex links and host
+	// placement.
 	Graph = topology.Graph
 	// LinkSpec is one duplex link with optional per-link overrides.
 	LinkSpec = topology.LinkSpec
 	// HostSpec places one host on a switch.
 	HostSpec = topology.HostSpec
-	// RouteSpec overrides the computed next hop for one (switch, host).
-	RouteSpec = topology.RouteSpec
 	// CompiledTopology is a validated graph with forwarding tables.
 	CompiledTopology = topology.Compiled
 )
@@ -352,6 +350,17 @@ func WaxmanTopology(n int, seed int64) Graph { return topology.Waxman(n, seed) }
 // error repeats it so a typo is self-correcting at the CLI.
 const topoSpecForms = "dumbbell, chain:<n>, parking-lot:<h>, ba:<n>:<m>:<seed>, or waxman:<n>:<seed>"
 
+// topoSpecArgs is each generator's accepted spelling and argument count.
+var topoSpecArgs = map[string]struct {
+	form string
+	args int
+}{
+	"chain":       {"chain:<n> with n >= 2", 1},
+	"parking-lot": {"parking-lot:<h> with h >= 1", 1},
+	"ba":          {"ba:<n>:<m>:<seed> with n >= 2 and 1 <= m < n", 3},
+	"waxman":      {"waxman:<n>:<seed> with n >= 2", 2},
+}
+
 // ParseTopoSpec resolves a one-flag topology spec — "dumbbell",
 // "chain:N", "parking-lot:H", "ba:N:M:SEED", or "waxman:N:SEED" — into
 // an optional explicit graph and its canonical workload. Connections 0
@@ -371,105 +380,47 @@ func ParseTopoSpec(spec string) (*Graph, []ConnSpec, error) {
 		}
 	}
 	name, arg, hasArg := strings.Cut(spec, ":")
-	// args parses the generator's colon-separated integer arguments,
-	// naming the offending token and the accepted form on failure.
-	args := func(form string, want int) ([]int64, error) {
-		if !hasArg {
-			return nil, fmt.Errorf("topology %q: %s needs arguments (want %s)", spec, name, form)
-		}
-		fields := strings.Split(arg, ":")
-		if len(fields) != want {
-			return nil, fmt.Errorf("topology %q: %s takes %d argument(s) (want %s)", spec, name, want, form)
-		}
-		out := make([]int64, want)
-		for i, f := range fields {
-			v, err := strconv.ParseInt(f, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("topology %q: bad token %q (want %s)", spec, f, form)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	// fits refuses a size the generator must not be started on.
-	fits := func(n, m int) error {
-		if err := topology.CheckGenerated(name, n, m); err != nil {
-			return fmt.Errorf("topology %q: %w", spec, err)
-		}
-		return nil
-	}
-	switch name {
-	case "", "dumbbell":
+	form, want := topoSpecArgs[name].form, topoSpecArgs[name].args
+	switch {
+	case name == "" || name == "dumbbell":
 		if hasArg {
 			return nil, nil, fmt.Errorf("topology %q: dumbbell takes no arguments", spec)
 		}
 		return nil, pair(0, 1), nil
-	case "chain":
-		v, err := args("chain:<n> with n >= 2", 1)
-		if err != nil {
-			return nil, nil, err
+	case form == "":
+		return nil, nil, fmt.Errorf("unknown topology %q (want %s)", spec, topoSpecForms)
+	case !hasArg:
+		return nil, nil, fmt.Errorf("topology %q: %s needs arguments (want %s)", spec, name, form)
+	}
+	fields := strings.Split(arg, ":")
+	if len(fields) != want {
+		return nil, nil, fmt.Errorf("topology %q: %s takes %d argument(s) (want %s)", spec, name, want, form)
+	}
+	v := make([]int64, len(fields))
+	for i, f := range fields {
+		var err error
+		if v[i], err = strconv.ParseInt(f, 10, 64); err != nil {
+			return nil, nil, fmt.Errorf("topology %q: bad token %q (want %s)", spec, f, form)
 		}
-		n := int(v[0])
-		if n < 2 {
-			return nil, nil, fmt.Errorf("topology %q: chain needs n >= 2", spec)
-		}
-		if err := fits(n, 0); err != nil {
-			return nil, nil, err
-		}
-		g := ChainTopology(n)
-		return &g, pair(0, n-1), nil
-	case "parking-lot":
-		v, err := args("parking-lot:<h> with h >= 1", 1)
-		if err != nil {
-			return nil, nil, err
-		}
-		n := int(v[0])
-		if n < 1 {
-			return nil, nil, fmt.Errorf("topology %q: parking-lot needs h >= 1", spec)
-		}
-		if err := fits(n, 0); err != nil {
-			return nil, nil, err
-		}
-		g := ParkingLotTopology(n)
-		conns := pair(0, n)
-		for h := 0; h < n; h++ {
+	}
+	size, m, seed := int(v[0]), 0, int64(0)
+	switch name {
+	case "ba":
+		m, seed = int(v[1]), v[2]
+	case "waxman":
+		seed = v[1]
+	}
+	g, err := topology.Generate(name, size, m, seed)
+	if err != nil {
+		return nil, nil, fmt.Errorf("topology %q: %w (want %s)", spec, err, form)
+	}
+	conns := pair(0, g.Switches-1)
+	if name == "parking-lot" {
+		for h := 0; h < size; h++ {
 			conns = append(conns, ConnSpec{SrcHost: h, DstHost: h + 1, Start: -1})
 		}
-		return &g, conns, nil
-	case "ba":
-		v, err := args("ba:<n>:<m>:<seed> with n >= 2 and 1 <= m < n", 3)
-		if err != nil {
-			return nil, nil, err
-		}
-		n, m := int(v[0]), int(v[1])
-		if n < 2 {
-			return nil, nil, fmt.Errorf("topology %q: ba needs n >= 2", spec)
-		}
-		if m < 1 || m >= n {
-			return nil, nil, fmt.Errorf("topology %q: ba needs 1 <= m < n, got m=%d", spec, m)
-		}
-		if err := fits(n, m); err != nil {
-			return nil, nil, err
-		}
-		g := BarabasiAlbertTopology(n, m, v[2])
-		return &g, pair(0, n-1), nil
-	case "waxman":
-		v, err := args("waxman:<n>:<seed> with n >= 2", 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		n := int(v[0])
-		if n < 2 {
-			return nil, nil, fmt.Errorf("topology %q: waxman needs n >= 2", spec)
-		}
-		if err := fits(n, 0); err != nil {
-			return nil, nil, err
-		}
-		g := WaxmanTopology(n, v[1])
-		return &g, pair(0, n-1), nil
-	default:
-		return nil, nil, fmt.Errorf("unknown topology %q (want %s)", spec, topoSpecForms)
 	}
+	return &g, conns, nil
 }
 
 // CompileTopology validates and compiles cfg's effective topology
